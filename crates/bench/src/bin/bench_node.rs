@@ -20,11 +20,6 @@
 //!   memory growth per peak session.
 //! * **tcp_overload** — 512 dialers over real loopback sockets against
 //!   a 256-session cap; skipped without loopback.
-//! * **thread_per_session** — always skipped, kept as the record of
-//!   why the pre-reactor runtime cannot run this scenario at all: the
-//!   overload population would need one OS thread per session, and
-//!   5,000 threads at the 8 MiB default stack is ~40 GiB of stack
-//!   address space before a single record moves.
 //!
 //! Cluster rows report wall-clock to convergence, records/sec received
 //! across the cluster, bytes on the wire per record sent, reconnect and
@@ -410,13 +405,6 @@ fn main() {
         eprintln!("tcp_overload: no loopback in this environment, skipping");
         overload_rows.push(OverloadRow::skipped("tcp_overload", "no loopback"));
     }
-    // The retired runtime's entry: one OS thread per session means the
-    // 5,000-dialer population wants ~40 GiB of default-sized stacks
-    // (5,000 x 8 MiB) before any work happens — it cannot run here.
-    overload_rows.push(OverloadRow::skipped(
-        "thread_per_session",
-        "retired: 5000 sessions x 8 MiB default thread stacks = ~40 GiB",
-    ));
 
     for r in &cluster_rows {
         r.report();

@@ -10,7 +10,7 @@
 //! The engine is assembled from three submodules:
 //!
 //! * [`backend`] — [`BackendSet`], the dispatch policy over the
-//!   [`FlowBackend`] kernels (SSAT sweep, Gomory–Hu tree, per-pair
+//!   [`FlowBackend`](bartercast_graph::FlowBackend) kernels (SSAT sweep, Gomory–Hu tree, per-pair
 //!   fallback), plus the consolidated [`CacheStats`].
 //! * [`journal`] — the [`ChangeJournal`] dirty bitmap driving
 //!   incremental cache invalidation across graph changes.

@@ -65,11 +65,7 @@ fn main() {
     let ids: Vec<_> = sim.peers().iter().map(|p| p.id).collect();
     let evaluator = ids[10];
     let mut probe_peers: Vec<(u32, f64)> = Vec::new();
-    for i in 10..n {
-        if i == 10 {
-            continue;
-        }
-        let target = ids[i];
+    for &target in &ids[11..] {
         let r = sim.peers_mut()[10].engine.reputation(evaluator, target);
         probe_peers.push((target.0, r));
     }

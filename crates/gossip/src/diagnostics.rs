@@ -99,9 +99,8 @@ mod tests {
         let mut nodes: Vec<PssNode> = (0..n)
             .map(|i| PssNode::new(PeerId(i as u32), cfg))
             .collect();
-        for i in 0..n {
-            let next = PeerId(((i + 1) % n) as u32);
-            nodes[i].bootstrap([next]);
+        for (i, node) in nodes.iter_mut().enumerate() {
+            node.bootstrap([PeerId(((i + 1) % n) as u32)]);
         }
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..cycles {

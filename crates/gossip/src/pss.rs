@@ -178,9 +178,8 @@ mod tests {
         };
         let n = 20usize;
         let mut nodes: Vec<PssNode> = (0..n).map(|i| PssNode::new(p(i as u32), cfg)).collect();
-        for i in 0..n {
-            let next = p(((i + 1) % n) as u32);
-            nodes[i].bootstrap([next]);
+        for (i, node) in nodes.iter_mut().enumerate() {
+            node.bootstrap([p(((i + 1) % n) as u32)]);
         }
         let mut rng = StdRng::seed_from_u64(42);
         for _ in 0..30 {

@@ -6,7 +6,7 @@
 //! the **maximum** of the stored and received totals — a stale record
 //! can never lower what we already know.
 //!
-//! Adjacency lives in two arena-backed CSR stores ([`crate::csr`]):
+//! Adjacency lives in two arena-backed CSR stores (the private `csr` module):
 //! one forward (out-edges), one reverse (in-edges). Every flow kernel
 //! that walks `out_edges`/`in_edges` — the SSAT closed form, the
 //! layered-DAG unroll, network construction — therefore scans

@@ -66,7 +66,7 @@ pub fn sink_side_complement(net: &FlowNetwork, t: u32) -> Vec<bool> {
 /// [`source_side`] on that same state; we recover original capacities
 /// as `remaining + flow` = `cap_fwd + cap_residual_twin` is *not* valid
 /// in general, so callers should pass a freshly rebuilt network via
-/// [`cut_capacity_fresh`] when they have mutated capacities. This
+/// `cut_capacity_fresh` when they have mutated capacities. This
 /// function instead sums *current forward + twin* capacities, which for
 /// an arc equals its original capacity (flow conservation on the pair).
 pub fn cut_capacity(net: &FlowNetwork, side: &[bool]) -> u64 {

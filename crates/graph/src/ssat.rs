@@ -1,6 +1,6 @@
 //! Single-source all-targets (SSAT) two-hop bounded maxflow.
 //!
-//! The deployed BarterCast variant ([`Method::DEPLOYED`], §3.2) only
+//! The deployed BarterCast variant ([`Method::DEPLOYED`](crate::Method::DEPLOYED), §3.2) only
 //! admits augmenting paths of at most two edges. That restriction has
 //! a structural consequence the per-pair algorithm never exploits:
 //! every admissible `s → t` path is either the direct edge `(s, t)` or

@@ -23,10 +23,9 @@
 //! depend on recency tie-breaks rather than on the harness's simple
 //! union computation.
 
-use crate::clock::{Clock, VirtualClock};
+use crate::lockstep::{Edges, Lockstep};
 use crate::mem::{MemConfig, MemTransport};
 use crate::node::{Node, NodeConfig};
-use crate::reactor::Reactor;
 use crate::stats::NodeStats;
 use crate::transport::Transport;
 use bartercast_core::message::BarterCastConfig;
@@ -74,6 +73,32 @@ impl Default for ClusterConfig {
             node,
         }
     }
+}
+
+/// Every node's boot inputs: id, full-membership bootstrap list, seed
+/// history, and per-node config (RNG seed offset by the node index).
+/// The reactor samples a static view, so the view is widened to hold
+/// the whole membership — a bootstrap list truncated to the default
+/// view leaves any cluster above `view_size + 1` nodes unconverged.
+fn boot_inputs(
+    config: &ClusterConfig,
+    histories: Vec<PrivateHistory>,
+) -> impl Iterator<Item = (PeerId, Vec<PeerId>, PrivateHistory, NodeConfig)> {
+    let n = config.n;
+    assert!(n >= 2);
+    let mut node = config.node;
+    node.pss.view_size = node.pss.view_size.max(n - 1);
+    histories.into_iter().enumerate().map(move |(i, history)| {
+        let bootstrap = (0..n)
+            .filter(|&j| j != i)
+            .map(|j| PeerId(j as u32))
+            .collect();
+        let node_config = NodeConfig {
+            seed: node.seed.wrapping_add(i as u64),
+            ..node
+        };
+        (PeerId(i as u32), bootstrap, history, node_config)
+    })
 }
 
 /// A booted cluster.
@@ -130,29 +155,15 @@ impl Cluster {
     /// eventually talk to everyone — the sampled overlay over full
     /// membership guarantees that.
     pub fn boot(config: ClusterConfig) -> io::Result<Cluster> {
-        assert!(config.n >= 2);
         let transport = Arc::new(MemTransport::new(config.mem));
         let histories = Self::seed_histories(&config);
         let expected = Self::expected_edges(&histories, config.node.bartercast);
-        let n = config.n;
-        let mut nodes = Vec::with_capacity(n);
-        for (i, history) in histories.into_iter().enumerate() {
-            let bootstrap: Vec<PeerId> = (0..n)
-                .filter(|&j| j != i)
-                .map(|j| PeerId(j as u32))
-                .collect();
-            let node_config = NodeConfig {
-                seed: config.node.seed.wrapping_add(i as u64),
-                ..config.node
-            };
-            nodes.push(Node::spawn(
-                PeerId(i as u32),
-                Arc::clone(&transport) as Arc<dyn Transport>,
-                bootstrap,
-                history,
-                node_config,
-            )?);
-        }
+        let nodes = boot_inputs(&config, histories)
+            .map(|(id, bootstrap, history, node_config)| {
+                let transport = Arc::clone(&transport) as Arc<dyn Transport>;
+                Node::spawn(id, transport, bootstrap, history, node_config)
+            })
+            .collect::<io::Result<Vec<Node>>>()?;
         Ok(Cluster {
             nodes,
             transport,
@@ -221,62 +232,27 @@ impl Cluster {
     }
 }
 
-/// A lockstep cluster: the same `n` reactors as [`Cluster`], but driven
-/// on **one thread over virtual time**. Each step settles every event
-/// available at the current virtual instant (pumping the reactors in
-/// fixed id order until quiescent), then advances the shared
-/// [`VirtualClock`] to the earliest scheduled wake. Combined with the
-/// [`MemTransport`]'s poll-order-independent RNG streams, every frame
-/// drop, delay, fragment boundary, and timer firing becomes a pure
-/// function of the seeds — two runs with the same config produce
-/// bitwise-identical [`NodeStats`] and converged graphs, which the
-/// determinism regression test asserts.
+/// A lockstep cluster: the same `n` reactors as [`Cluster`] on a
+/// [`Lockstep`] driver — a swarm with no workload. Two runs with the
+/// same config produce bitwise-identical [`NodeStats`] and converged
+/// graphs, which the determinism regression test asserts.
 pub struct DeterministicCluster {
-    reactors: Vec<Reactor>,
-    clock: Arc<VirtualClock>,
-    transport: Arc<MemTransport>,
-    expected: Vec<(PeerId, PeerId, Bytes)>,
+    lockstep: Lockstep,
+    expected: Edges,
 }
 
 impl DeterministicCluster {
-    /// Boot `n` reactors on a shared virtual-clock [`MemTransport`],
-    /// with the same seed histories and full-membership bootstrap as
-    /// [`Cluster::boot`]. Nothing runs until [`Self::step`] is called.
+    /// Boot `n` reactors with the same seed histories and
+    /// full-membership bootstrap as [`Cluster::boot`]. Nothing runs
+    /// until [`Self::step`] is called.
     pub fn boot(config: ClusterConfig) -> io::Result<DeterministicCluster> {
-        assert!(config.n >= 2);
-        let clock = Arc::new(VirtualClock::new());
-        let transport = Arc::new(MemTransport::with_clock(
-            config.mem,
-            Arc::clone(&clock) as Arc<dyn Clock>,
-        ));
+        let mut lockstep = Lockstep::new(config.mem);
         let histories = Cluster::seed_histories(&config);
         let expected = Cluster::expected_edges(&histories, config.node.bartercast);
-        let n = config.n;
-        let mut reactors = Vec::with_capacity(n);
-        for (i, history) in histories.into_iter().enumerate() {
-            let bootstrap: Vec<PeerId> = (0..n)
-                .filter(|&j| j != i)
-                .map(|j| PeerId(j as u32))
-                .collect();
-            let node_config = NodeConfig {
-                seed: config.node.seed.wrapping_add(i as u64),
-                ..config.node
-            };
-            reactors.push(Reactor::new(
-                PeerId(i as u32),
-                Arc::clone(&transport) as Arc<dyn Transport>,
-                bootstrap,
-                history,
-                node_config,
-                Arc::clone(&clock) as Arc<dyn Clock>,
-            )?);
+        for (id, bootstrap, history, node_config) in boot_inputs(&config, histories) {
+            lockstep.spawn(id, bootstrap, history, node_config)?;
         }
-        Ok(DeterministicCluster {
-            reactors,
-            clock,
-            transport,
-            expected,
-        })
+        Ok(DeterministicCluster { lockstep, expected })
     }
 
     /// The edge set every node must converge to.
@@ -284,107 +260,72 @@ impl DeterministicCluster {
         &self.expected
     }
 
+    /// The driver underneath, for leave/join churn
+    /// ([`Lockstep::retire`], [`Lockstep::spawn`]).
+    pub fn lockstep_mut(&mut self) -> &mut Lockstep {
+        &mut self.lockstep
+    }
+
     /// The shared transport (for loss counters and forced disconnects).
     pub fn transport(&self) -> &MemTransport {
-        &self.transport
+        self.lockstep.transport()
     }
 
     /// Virtual time elapsed since boot.
     pub fn elapsed(&self) -> Duration {
-        self.clock.elapsed()
+        self.lockstep.elapsed()
     }
 
     /// Sever every live connection touching `peer` (the forced-failure
     /// injection); returns how many were cut.
     pub fn force_disconnect(&self, peer: PeerId) -> usize {
-        self.transport.disconnect(peer)
+        self.transport().disconnect(peer)
     }
 
-    /// One lockstep step: pump every reactor (in id order) until no
-    /// reactor makes progress, then advance the virtual clock to the
-    /// earliest scheduled wake. Returns `false` once no reactor has any
-    /// future work (which should not happen while exchanges repeat).
+    /// One [`Lockstep::step`].
     pub fn step(&mut self) -> bool {
-        // settle the current instant; the spin bound only guards
-        // against a livelocked pump, not normal operation
-        for _ in 0..10_000 {
-            let mut progress = false;
-            for r in self.reactors.iter_mut() {
-                progress |= r.poll_once();
-            }
-            if !progress {
-                break;
-            }
-        }
-        let next = self.reactors.iter().filter_map(Reactor::next_wake).min();
-        match next {
-            Some(at) => {
-                let now = self.clock.now();
-                // strictly forward so a deadline exactly at `now` can't
-                // stall the loop
-                self.clock
-                    .advance_to(at.max(now + Duration::from_micros(1)));
-                true
-            }
-            None => false,
-        }
+        self.lockstep.step()
     }
 
-    /// Whether every reactor's subjective graph equals the expected
-    /// set.
+    /// Whether every live reactor's subjective graph equals the
+    /// expected set.
     pub fn converged(&self) -> bool {
-        self.reactors
-            .iter()
-            .all(|r| r.state().lock().expect("state lock").subjective_edges() == self.expected)
+        all_hold(&self.lockstep, &self.expected)
     }
 
     /// Step until converged or `max_virtual` simulated time has passed.
     /// Returns whether convergence was reached.
     pub fn run_until_converged(&mut self, max_virtual: Duration) -> bool {
-        while self.clock.elapsed() < max_virtual {
-            if self.converged() {
-                return true;
-            }
-            if !self.step() {
-                break;
-            }
-        }
-        self.converged()
+        let expected = &self.expected;
+        self.lockstep
+            .run_until(|lockstep| all_hold(lockstep, expected), max_virtual)
     }
 
-    /// Per-reactor counter snapshots in node-id order (without shutting
-    /// anything down — there are no threads to join).
+    /// Per-node counter snapshots in node-id order (live nodes plus the
+    /// final snapshots of retired ones).
     pub fn stats(&self) -> Vec<NodeStats> {
-        self.reactors
-            .iter()
-            .map(|r| r.counters().snapshot())
-            .collect()
+        self.lockstep.stats().into_values().collect()
     }
 
-    /// Per-reactor converged edge lists in node-id order.
-    pub fn edges(&self) -> Vec<Vec<(PeerId, PeerId, Bytes)>> {
-        self.reactors
-            .iter()
-            .map(|r| r.state().lock().expect("state lock").subjective_edges())
-            .collect()
+    /// Per-node subjective edge lists in node-id order.
+    pub fn edges(&self) -> Vec<Edges> {
+        self.lockstep.edges().into_values().collect()
     }
 
-    /// Diagnostic: each reactor's current edge count versus expected.
+    /// Diagnostic: each node's current edge count versus expected.
     pub fn progress(&self) -> Vec<(PeerId, usize)> {
-        self.reactors
-            .iter()
-            .map(|r| {
-                (
-                    r.id(),
-                    r.state()
-                        .lock()
-                        .expect("state lock")
-                        .subjective_edges()
-                        .len(),
-                )
-            })
+        self.lockstep
+            .edges()
+            .into_iter()
+            .map(|(id, edges)| (id, edges.len()))
             .collect()
     }
+}
+
+fn all_hold(lockstep: &Lockstep, expected: &Edges) -> bool {
+    lockstep
+        .reactors()
+        .all(|r| r.state().lock().expect("state lock").subjective_edges() == *expected)
 }
 
 #[cfg(test)]

@@ -5,22 +5,22 @@
 //! a *running peer* — now as an event-driven reactor rather than
 //! thread-per-session. The layering:
 //!
-//! * [`transport`] — the non-blocking [`Transport`](transport::Transport)
+//! * [`transport`] — the non-blocking [`Transport`]
 //!   abstraction (frame-out/readiness-in), the [`WakeQueue`] readiness
 //!   mechanism, the `poll(2)` shim, and the loopback TCP
 //!   implementation;
 //! * [`mem`] — the deterministic in-process transport with seeded
 //!   delay, frame loss, fragmented reads, and a waker-based readiness
 //!   model whose adversity schedule is poll-order independent;
-//! * [`clock`] — the [`Clock`](clock::Clock) abstraction:
-//!   [`SystemClock`](clock::SystemClock) for production,
-//!   [`VirtualClock`](clock::VirtualClock) for lockstep determinism;
+//! * [`clock`] — the [`Clock`] abstraction:
+//!   [`SystemClock`] for production,
+//!   [`VirtualClock`] for lockstep determinism;
 //! * [`timer`] — the hashed [`TimerWheel`](timer::TimerWheel) carrying
 //!   exchange ticks, session deadlines, and dial-backoff retries;
-//! * [`wire`] — session envelopes (versioned `Hello`, `Records`,
-//!   `Bye`, and the BitTorrent-style swarm frames) framed with the
-//!   `bartercast-core` stream codec;
-//! * [`workload`] — the [`Workload`](workload::Workload) hook a
+//! * [`wire`] — session envelopes (versioned `Hello`, `Digest`/`Delta`
+//!   record exchange, `Bye`, and the BitTorrent-style swarm frames)
+//!   framed with the `bartercast-core` stream codec;
+//! * [`workload`] — the [`Workload`] hook a
 //!   transfer workload (e.g. `bartercast-swarm`) implements to ride
 //!   the reactor's sessions, frames, and choke-round timer;
 //! * [`session`] — the per-connection state machine, pumped by the
@@ -28,15 +28,17 @@
 //! * [`reactor`] — the coordinator: one poll loop driving every
 //!   session, timer, accept, and dial of a node;
 //! * [`node`] — the thin public handle over one reactor thread;
-//! * [`cluster`] — the in-process cluster harnesses: threaded
-//!   [`Cluster`](cluster::Cluster) for wall-clock integration tests and
-//!   [`DeterministicCluster`](cluster::DeterministicCluster) for
-//!   bitwise-reproducible lockstep runs;
+//! * [`lockstep`] — the [`Lockstep`] driver: many reactors pumped on
+//!   one thread over one virtual clock, with spawn/retire churn;
+//! * [`cluster`] — the record-only harnesses: threaded
+//!   [`Cluster`] for wall-clock integration tests and
+//!   [`DeterministicCluster`], the same
+//!   population on the lockstep driver;
 //! * [`loadgen`] — the overload load-generator: thousands of scripted
 //!   dialers hammering one node to measure shed rates and latency
 //!   tails;
 //! * [`stats`] — relaxed-atomic counters snapshotted as
-//!   [`NodeStats`](stats::NodeStats), including the split
+//!   [`NodeStats`], including the split
 //!   `shed_accept`/`shed_session` overload accounting.
 
 #![warn(missing_docs)]
@@ -44,6 +46,7 @@
 pub mod clock;
 pub mod cluster;
 pub mod loadgen;
+pub mod lockstep;
 pub mod mem;
 pub mod node;
 pub mod reactor;
@@ -57,6 +60,7 @@ pub mod workload;
 pub use clock::{Clock, SystemClock, VirtualClock};
 pub use cluster::{Cluster, ClusterConfig, DeterministicCluster};
 pub use loadgen::{LoadGenConfig, LoadGenReport};
+pub use lockstep::Lockstep;
 pub use mem::{MemConfig, MemTransport};
 pub use node::{Node, NodeConfig};
 pub use reactor::{backoff_delay, NodeState, Reactor};

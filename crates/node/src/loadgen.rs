@@ -88,8 +88,8 @@ pub struct LoadGenReport {
     /// Frames received back from the target (hellos, gossip, digests,
     /// byes).
     pub frames_received: u64,
-    /// Transfer records received back from the target (its `Records`
-    /// pushes and `Delta` replies).
+    /// Transfer records received back from the target (its `Delta`
+    /// pushes and replies).
     pub records_received: u64,
     /// Wall-clock duration of the run.
     pub elapsed: Duration,
@@ -198,12 +198,9 @@ impl Dialer {
                     self.finished = Some(now);
                     return true;
                 }
-                (Ok(Envelope::Records(msg)), _) => {
-                    // target gossip; count it, don't act on it
-                    self.records_received += msg.len() as u64;
-                }
                 (Ok(Envelope::Digest { .. }), _) => {} // anti-entropy probe; ignore
                 (Ok(Envelope::Delta(delta)), _) => {
+                    // target gossip; count it, don't act on it
                     self.records_received += delta.records.len() as u64;
                 }
                 (Ok(Envelope::Bye), _) => {

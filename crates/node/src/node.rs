@@ -2,7 +2,7 @@
 //!
 //! A [`Node`] owns its private history and subjective
 //! [`ReputationEngine`](bartercast_core::repcache::ReputationEngine)
-//! behind a single [`Reactor`](crate::reactor::Reactor) thread. Where
+//! behind a single [`Reactor`] thread. Where
 //! the previous runtime spent a thread per live connection (plus an
 //! acceptor and a core loop), the reactor multiplexes *every* session
 //! of this node — accepts, handshakes, exchanges, timeouts, dial

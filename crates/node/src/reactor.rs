@@ -31,7 +31,7 @@
 //!   makes the frame schedule a pure function of the seeds.
 //! * **Fd mode** ([`TcpTransport`](crate::transport::TcpTransport)) —
 //!   the reactor collects raw fds and blocks in `poll(2)` via
-//!   [`wait_readiness`](crate::transport::wait_readiness), then pumps
+//!   [`wait_readiness`], then pumps
 //!   every session (readiness fan-in without per-fd dispatch keeps the
 //!   loop simple; sessions that have nothing report no progress
 //!   cheaply).
@@ -52,7 +52,7 @@ use crate::timer::{TimerKind, TimerWheel};
 use crate::transport::{
     wait_readiness, Conn, FdInterest, Listener, ReadySource, Transport, WakeQueue, LISTENER_TOKEN,
 };
-use crate::wire;
+use crate::wire::{self, Envelope};
 use crate::workload::{Workload, WorkloadIo};
 use bartercast_core::codec::BufPool;
 use bartercast_core::frontier::{self, SliceRecord};
@@ -216,16 +216,9 @@ impl NodeState {
         });
     }
 
-    /// The full exchange message for the current advertised slice.
-    pub(crate) fn full_message(&mut self, config: BarterCastConfig) -> BarterCastMessage {
-        self.refresh_slice(config);
-        let memo = self.slice_memo.as_ref().expect("memo refreshed");
-        frontier::message_from_slice(self.history.owner(), &memo.slice)
-    }
-
-    /// The full slice as a stamped `Delta` push — what v3 peers get on
-    /// establishment and fallback ticks instead of a bare `Records`
-    /// frame, so they can seed their frontier cache from the stamp.
+    /// The full slice as a stamped `Delta` push — what peers get on
+    /// establishment and fallback ticks, so they can seed their
+    /// frontier cache from the stamp.
     pub(crate) fn full_delta(&mut self, config: BarterCastConfig) -> DeltaMsg {
         self.refresh_slice(config);
         let memo = self.slice_memo.as_ref().expect("memo refreshed");
@@ -305,8 +298,8 @@ impl NodeState {
 }
 
 /// One node's entire runtime, as pollable state. [`Node`](crate::Node)
-/// runs it on a dedicated thread; the deterministic cluster driver
-/// pumps several of them in lockstep on one thread.
+/// runs it on a dedicated thread; [`Lockstep`](crate::Lockstep) pumps
+/// several of them on one thread over virtual time.
 pub struct Reactor {
     id: PeerId,
     transport: Arc<dyn Transport>,
@@ -350,7 +343,7 @@ pub struct Reactor {
     /// Monotone exchange-tick counter driving the full-sync fallback
     /// cadence and the per-peer digest backoff.
     tick_no: u64,
-    /// Encode-once memo of the full-slice frames, keyed on the history
+    /// Encode-once memo of the full-slice frame, keyed on the history
     /// version; `None` bytes mean the slice is empty.
     full_cache: Option<FullCache>,
     /// Last tick a digest went to each peer.
@@ -365,14 +358,12 @@ pub struct Reactor {
     pushed: HashMap<PeerId, u64>,
 }
 
-/// The full slice of one history version, encoded once per wire shape
-/// and fanned out as shared bytes to every session that needs it:
-/// a bare `Records` frame for v2 peers, and a stamped full `Delta` for
-/// v3 peers (the stamp seeds the receiver's frontier cache, so the
+/// The full slice of one history version, encoded once as a stamped
+/// full `Delta` and fanned out as shared bytes to every session that
+/// needs it (the stamp seeds the receiver's frontier cache, so the
 /// digest round that follows concludes in-sync).
 struct FullCache {
     version: u64,
-    bytes: Option<(Arc<[u8]>, u32)>,
     delta_bytes: Option<(Arc<[u8]>, u32)>,
 }
 
@@ -475,8 +466,8 @@ impl Reactor {
         for (peer, frame) in io.frames {
             if let Some(&token) = self.by_peer.get(&peer) {
                 if let Some(session) = self.sessions.get_mut(&token) {
-                    session.enqueue_frame(
-                        frame,
+                    session.enqueue_envelope(
+                        &Envelope::Swarm(frame),
                         &mut self.pool,
                         self.config.outbound_queue,
                         &self.counters,
@@ -786,20 +777,18 @@ impl Reactor {
     }
 
     fn reap(&mut self, token: u64) {
-        if self.sessions.remove(&token).is_some() {
-            self.counters.session_reaped();
-        }
         self.delayed.remove(&token);
         self.ready.remove(&token);
-        if let Some(peer) = self
-            .by_peer
-            .iter()
-            .find(|(_, t)| **t == token)
-            .map(|(p, _)| *p)
-        {
-            self.by_peer.remove(&peer);
-            self.digest_tick.remove(&peer);
-            self.sync_streak.remove(&peer);
+        let Some(session) = self.sessions.remove(&token) else {
+            return;
+        };
+        self.counters.session_reaped();
+        if let Some(peer) = session.remote() {
+            if self.by_peer.get(&peer) == Some(&token) {
+                self.by_peer.remove(&peer);
+                self.digest_tick.remove(&peer);
+                self.sync_streak.remove(&peer);
+            }
         }
     }
 
@@ -849,14 +838,13 @@ impl Reactor {
     }
 
     /// One exchange tick: sample `fanout` neighbors and run one
-    /// anti-entropy round with each — a digest to v3 peers (unless the
-    /// backoff says they answered nothing lately), the encode-once full
-    /// slice on fallback ticks and to v2 peers, a dial when no session
-    /// exists yet.
+    /// anti-entropy round with each — a digest (unless the backoff says
+    /// the peer answered nothing lately), the encode-once full slice on
+    /// fallback ticks, a dial when no session exists yet.
     fn exchange_tick(&mut self, now: Instant) {
         self.pss.tick();
         self.tick_no += 1;
-        if self.full_message_bytes().is_none() {
+        if self.full_delta_bytes().is_none() {
             return; // nothing to gossip yet
         }
         let full_tick = self.config.full_sync_every > 0
@@ -873,32 +861,21 @@ impl Reactor {
         }
     }
 
-    /// Run one sync round over an established session: a full shared-
-    /// bytes push for v2 peers and fallback ticks (stamped `Delta` for
-    /// v3 peers, bare `Records` for v2), a digest otherwise.
-    fn sync_with(&mut self, token: u64, target: PeerId, full_tick: bool) {
-        let Some(session) = self.sessions.get(&token) else {
-            return;
-        };
-        if !session.is_established() {
+    /// Run one sync round over an established session: the shared
+    /// stamped full `Delta` when `full`, a digest otherwise.
+    fn sync_with(&mut self, token: u64, target: PeerId, full: bool) {
+        if !self
+            .sessions
+            .get(&token)
+            .is_some_and(Session::is_established)
+        {
             return;
         }
-        let v3 = session.peer_version() >= wire::NODE_PROTOCOL_VERSION;
-        if full_tick || !v3 {
-            let shared = if v3 {
-                self.full_delta_bytes()
-            } else {
-                self.full_message_bytes()
-            };
-            if let Some((bytes, records)) = shared {
-                let cap = self.config.outbound_queue;
+        let cap = self.config.outbound_queue;
+        if full {
+            if let Some((bytes, records)) = self.full_delta_bytes() {
                 let session = self.sessions.get_mut(&token).expect("session exists");
-                let queued = if v3 {
-                    session.enqueue_shared_delta(bytes, records, cap, &self.counters)
-                } else {
-                    session.enqueue_shared_records(bytes, records, cap, &self.counters)
-                };
-                if queued {
+                if session.enqueue_shared(bytes, records, cap, &self.counters) {
                     NodeCounters::inc(&self.counters.full_syncs);
                     if let Some(cache) = &self.full_cache {
                         self.pushed.insert(target, cache.version);
@@ -915,9 +892,12 @@ impl Reactor {
             let st = self.state.lock().expect("state lock");
             st.frontiers.get(&target).copied().unwrap_or_default()
         };
-        let cap = self.config.outbound_queue;
         let session = self.sessions.get_mut(&token).expect("session exists");
-        if session.enqueue_digest(self.id, claim, &mut self.pool, cap, &self.counters) {
+        let digest = Envelope::Digest {
+            sender: self.id,
+            claim,
+        };
+        if session.enqueue_envelope(&digest, &mut self.pool, cap, &self.counters) {
             self.digest_tick.insert(target, self.tick_no);
             let streak = self.sync_streak.entry(target).or_insert(0);
             *streak = streak.saturating_add(1);
@@ -944,51 +924,25 @@ impl Reactor {
         streak < 2 || self.tick_no - last >= 2
     }
 
-    /// Rebuild the encode-once full-slice frames if the history has
-    /// been written since they were last encoded.
-    fn refresh_full_cache(&mut self) {
+    /// The stamped full `Delta` frame for the current history, encoded
+    /// once per history version and shared (`Arc`) across every session
+    /// it fans out to. `None` while the history is empty.
+    fn full_delta_bytes(&mut self) -> Option<(Arc<[u8]>, u32)> {
         let mut st = self.state.lock().expect("state lock");
         let version = st.history.version();
-        if self.full_cache.as_ref().map(|c| c.version) == Some(version) {
-            return;
-        }
-        let delta = st.full_delta(self.config.bartercast);
-        let (bytes, delta_bytes) = if delta.records.is_empty() {
-            (None, None)
-        } else {
+        if self.full_cache.as_ref().map(|c| c.version) != Some(version) {
+            let delta = st.full_delta(self.config.bartercast);
             let records = delta.records.len() as u32;
-            let msg = st.full_message(self.config.bartercast);
-            let records_frame = wire::encode_envelope(&wire::Envelope::Records(msg));
-            let delta_frame = wire::encode_envelope(&wire::Envelope::Delta(delta));
-            (
-                Some((Arc::from(&records_frame[..]), records)),
-                Some((Arc::from(&delta_frame[..]), records)),
-            )
-        };
-        self.full_cache = Some(FullCache {
-            version,
-            bytes,
-            delta_bytes,
-        });
-    }
-
-    /// The full `Records` frame for the current history, encoded once
-    /// per history version and shared (`Arc`) across every v2 session
-    /// it fans out to. `None` while the history is empty.
-    fn full_message_bytes(&mut self) -> Option<(Arc<[u8]>, u32)> {
-        self.refresh_full_cache();
-        self.full_cache
-            .as_ref()
-            .and_then(|c| c.bytes.as_ref().map(|(b, n)| (Arc::clone(b), *n)))
-    }
-
-    /// The stamped full `Delta` frame for the current history — the v3
-    /// sibling of [`Reactor::full_message_bytes`].
-    fn full_delta_bytes(&mut self) -> Option<(Arc<[u8]>, u32)> {
-        self.refresh_full_cache();
-        self.full_cache
-            .as_ref()
-            .and_then(|c| c.delta_bytes.as_ref().map(|(b, n)| (Arc::clone(b), *n)))
+            let delta_bytes = (records > 0).then(|| {
+                let frame = wire::encode_envelope(&Envelope::Delta(delta));
+                (Arc::from(&frame[..]), records)
+            });
+            self.full_cache = Some(FullCache {
+                version,
+                delta_bytes,
+            });
+        }
+        self.full_cache.as_ref().and_then(|c| c.delta_bytes.clone())
     }
 
     fn apply_events(&mut self, events: Vec<SessionEvent>, now: Instant) {
@@ -1061,16 +1015,20 @@ impl Reactor {
                             if full {
                                 NodeCounters::inc(&self.counters.full_syncs);
                             }
-                            let msg = DeltaMsg {
+                            let reply = Envelope::Delta(DeltaMsg {
                                 sender: self.id,
                                 full,
                                 stamp: ours,
                                 records,
-                            };
+                            });
                             let cap = self.config.outbound_queue;
                             if let Some(session) = self.sessions.get_mut(&token) {
-                                if session.enqueue_delta(&msg, &mut self.pool, cap, &self.counters)
-                                {
+                                if session.enqueue_envelope(
+                                    &reply,
+                                    &mut self.pool,
+                                    cap,
+                                    &self.counters,
+                                ) {
                                     self.ready.insert(token);
                                 }
                             }
@@ -1128,7 +1086,7 @@ impl Reactor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::VirtualClock;
+    use crate::lockstep::Lockstep;
     use crate::mem::{MemConfig, MemTransport};
     use bartercast_util::units::Seconds;
 
@@ -1181,56 +1139,24 @@ mod tests {
     /// other's records without any thread ever sleeping.
     #[test]
     fn two_reactors_converge_on_virtual_time() {
-        let clock = Arc::new(VirtualClock::new());
-        let transport = Arc::new(MemTransport::with_clock(
-            MemConfig::default(),
-            Arc::clone(&clock) as Arc<dyn Clock>,
-        ));
-        let mut a = Reactor::new(
-            PeerId(0),
-            Arc::clone(&transport) as Arc<dyn Transport>,
-            vec![PeerId(1)],
-            history_with_upload(0, 1, 64),
-            fast_config(1),
-            Arc::clone(&clock) as Arc<dyn Clock>,
-        )
-        .unwrap();
-        let mut b = Reactor::new(
-            PeerId(1),
-            Arc::clone(&transport) as Arc<dyn Transport>,
-            vec![PeerId(0)],
-            history_with_upload(1, 2, 32),
-            fast_config(2),
-            Arc::clone(&clock) as Arc<dyn Clock>,
-        )
-        .unwrap();
-
-        let want = 2; // 0→1 (a's upload) and 1→2 (b's upload)
-        for _step in 0..10_000 {
-            // settle every event available at this virtual instant
-            let mut spins = 0;
-            while (a.poll_once() | b.poll_once()) && spins < 1000 {
-                spins += 1;
-            }
-            let ea = a.state.lock().unwrap().subjective_edges();
-            let eb = b.state.lock().unwrap().subjective_edges();
-            if ea.len() >= want && ea == eb {
-                return; // converged
-            }
-            // advance to the earliest scheduled wake, strictly forward
-            let next = [a.next_wake(), b.next_wake()]
-                .into_iter()
-                .flatten()
-                .min()
-                .expect("idle reactors must still hold their exchange timer");
-            let now = clock.now();
-            clock.advance_to(next.max(now + Duration::from_micros(1)));
+        let mut lockstep = Lockstep::new(MemConfig::default());
+        for (id, peer, history, seed) in [
+            (PeerId(0), PeerId(1), history_with_upload(0, 1, 64), 1),
+            (PeerId(1), PeerId(0), history_with_upload(1, 2, 32), 2),
+        ] {
+            lockstep
+                .spawn(id, vec![peer], history, fast_config(seed))
+                .unwrap();
         }
-        panic!(
-            "no convergence: a={:?} b={:?}",
-            a.counters.snapshot(),
-            b.counters.snapshot()
+        // both must hold 0→1 (a's upload) and 1→2 (b's upload)
+        let converged = lockstep.run_until(
+            |l| {
+                let edges = l.edges();
+                edges[&PeerId(0)].len() >= 2 && edges[&PeerId(0)] == edges[&PeerId(1)]
+            },
+            Duration::from_secs(10),
         );
+        assert!(converged, "no convergence: {:?}", lockstep.stats());
     }
 
     /// Inbound connections beyond `max_sessions` are shed at accept and

@@ -20,9 +20,9 @@
 //!
 //! [`Session::pump`] does one full readiness cycle: flush buffered
 //! output, read to `WouldBlock` feeding the incremental
-//! [`FrameDecoder`](bartercast_core::codec::FrameDecoder), decode and
-//! dispatch complete frames, then write queued `Records` envelopes
-//! until the connection pushes back. Nothing ever blocks; when a pump
+//! [`FrameDecoder`], decode and
+//! dispatch complete frames, then write queued frames until the
+//! connection pushes back. Nothing ever blocks; when a pump
 //! can make no progress the reactor parks the session until its token
 //! wakes again. Deadlines (handshake and idle) are *checked*, not
 //! slept on — [`Session::check_deadlines`] is driven by the reactor's
@@ -65,9 +65,6 @@ pub enum SessionEvent {
         remote: PeerId,
         /// Which side we are.
         direction: Direction,
-        /// Protocol version the peer advertised; v2 peers never
-        /// receive `Digest`/`Delta` envelopes.
-        version: u8,
     },
     /// A `Records` envelope arrived.
     Records {
@@ -153,11 +150,9 @@ enum SessionState {
 /// What an outbound frame carries, for send-time accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FrameKind {
-    /// Full `Records` push.
-    Records,
     /// Delta anti-entropy request.
     Digest,
-    /// Delta anti-entropy reply.
+    /// Delta anti-entropy reply, or a stamped full push.
     Delta,
     /// Swarm piece transfer.
     Piece,
@@ -203,8 +198,6 @@ pub struct Session {
     decoder: FrameDecoder,
     outbound: VecDeque<OutFrame>,
     remote: Option<PeerId>,
-    /// Protocol version from the peer's `Hello` (0 until it arrives).
-    peer_version: u8,
     started_at: Instant,
     last_activity: Instant,
     hello_sent: bool,
@@ -229,7 +222,6 @@ impl Session {
             decoder: FrameDecoder::new(),
             outbound: VecDeque::new(),
             remote: None,
-            peer_version: 0,
             started_at: now,
             last_activity: now,
             hello_sent: false,
@@ -247,12 +239,6 @@ impl Session {
     /// The peer on the other end, once the handshake has completed.
     pub fn remote(&self) -> Option<PeerId> {
         self.remote
-    }
-
-    /// Protocol version the peer's `Hello` advertised (0 before the
-    /// handshake completes).
-    pub fn peer_version(&self) -> u8 {
-        self.peer_version
     }
 
     /// Which side of the connection we are.
@@ -283,154 +269,68 @@ impl Session {
         self.conn.wants_write() || !self.outbound.is_empty()
     }
 
-    /// Queue a message for sending, shedding (and counting) if the
-    /// bounded queue is full. Returns whether the message was queued.
-    /// The message is encoded once, into a buffer from `pool`.
-    pub fn enqueue(
-        &mut self,
-        msg: &BarterCastMessage,
-        pool: &mut BufPool,
-        cap: usize,
-        counters: &NodeCounters,
-    ) -> bool {
-        if !self.is_established() || self.outbound.len() >= cap {
-            NodeCounters::inc(&counters.shed_session);
-            return false;
-        }
-        let mut buf = pool.take();
-        wire::encode_records_frame_into(msg, &mut buf);
-        self.outbound.push_back(OutFrame {
-            bytes: FrameBytes::Pooled(buf),
-            records: msg.len() as u32,
-            kind: FrameKind::Records,
-        });
-        true
-    }
-
-    /// Queue an already-encoded `Records` frame whose bytes are shared
-    /// across every session targeted this tick — the encode-once
-    /// fan-out path. `records` is the record count inside, for
-    /// accounting at actual send time.
-    pub fn enqueue_shared_records(
-        &mut self,
-        bytes: Arc<[u8]>,
-        records: u32,
-        cap: usize,
-        counters: &NodeCounters,
-    ) -> bool {
-        if !self.is_established() || self.outbound.len() >= cap {
-            NodeCounters::inc(&counters.shed_session);
-            return false;
-        }
-        self.outbound.push_back(OutFrame {
-            bytes: FrameBytes::Shared(bytes),
-            records,
-            kind: FrameKind::Records,
-        });
-        true
-    }
-
     /// Queue an already-encoded full `Delta` frame whose bytes are
-    /// shared across every v3 session targeted this tick — the stamped
-    /// sibling of [`Session::enqueue_shared_records`]. Carrying the
-    /// sender's frontier stamp lets the receiver seed its claim cache,
-    /// so the digest round that follows a full push concludes in-sync
-    /// instead of re-fetching the slice.
-    pub fn enqueue_shared_delta(
+    /// shared across every session targeted this tick — the encode-once
+    /// fan-out path. `records` is the record count inside, for
+    /// accounting at actual send time. Carrying the sender's frontier
+    /// stamp lets the receiver seed its claim cache, so the digest
+    /// round that follows a full push concludes in-sync instead of
+    /// re-fetching the slice.
+    pub fn enqueue_shared(
         &mut self,
         bytes: Arc<[u8]>,
         records: u32,
         cap: usize,
         counters: &NodeCounters,
     ) -> bool {
-        if !self.is_established() || self.outbound.len() >= cap {
-            NodeCounters::inc(&counters.shed_session);
-            return false;
-        }
-        self.outbound.push_back(OutFrame {
+        self.enqueue_with(cap, counters, || OutFrame {
             bytes: FrameBytes::Shared(bytes),
             records,
             kind: FrameKind::Delta,
-        });
-        true
+        })
     }
 
-    /// Queue a `Digest` envelope: ask the peer for whatever `claim` is
-    /// missing.
-    pub fn enqueue_digest(
-        &mut self,
-        sender: PeerId,
-        claim: Frontier,
-        pool: &mut BufPool,
-        cap: usize,
-        counters: &NodeCounters,
-    ) -> bool {
-        self.enqueue_envelope(
-            &Envelope::Digest { sender, claim },
-            FrameKind::Digest,
-            0,
-            pool,
-            cap,
-            counters,
-        )
-    }
-
-    /// Queue a `Delta` reply.
-    pub fn enqueue_delta(
-        &mut self,
-        msg: &DeltaMsg,
-        pool: &mut BufPool,
-        cap: usize,
-        counters: &NodeCounters,
-    ) -> bool {
-        let records = msg.records.len() as u32;
-        self.enqueue_envelope(
-            &Envelope::Delta(msg.clone()),
-            FrameKind::Delta,
-            records,
-            pool,
-            cap,
-            counters,
-        )
-    }
-
-    /// Queue a swarm frame for sending, shedding (and counting) if the
-    /// bounded queue is full. Returns whether the frame was queued.
-    pub fn enqueue_frame(
-        &mut self,
-        frame: SwarmFrame,
-        pool: &mut BufPool,
-        cap: usize,
-        counters: &NodeCounters,
-    ) -> bool {
-        let kind = if matches!(frame, SwarmFrame::Piece { .. }) {
-            FrameKind::Piece
-        } else {
-            FrameKind::Control
-        };
-        self.enqueue_envelope(&Envelope::Swarm(frame), kind, 0, pool, cap, counters)
-    }
-
-    fn enqueue_envelope(
+    /// Encode `env` once, into a buffer from `pool`, and queue it,
+    /// shedding (and counting) if the bounded queue is full. Returns
+    /// whether it was queued.
+    pub fn enqueue_envelope(
         &mut self,
         env: &Envelope,
-        kind: FrameKind,
-        records: u32,
         pool: &mut BufPool,
         cap: usize,
         counters: &NodeCounters,
+    ) -> bool {
+        let (kind, records) = match env {
+            Envelope::Digest { .. } => (FrameKind::Digest, 0),
+            Envelope::Delta(delta) => (FrameKind::Delta, delta.records.len() as u32),
+            Envelope::Swarm(SwarmFrame::Piece { .. }) => (FrameKind::Piece, 0),
+            _ => (FrameKind::Control, 0),
+        };
+        self.enqueue_with(cap, counters, || {
+            let mut buf = pool.take();
+            wire::encode_envelope_into(env, &mut buf);
+            OutFrame {
+                bytes: FrameBytes::Pooled(buf),
+                records,
+                kind,
+            }
+        })
+    }
+
+    /// The one admission check every outbound frame passes: build and
+    /// queue the frame if the session is established and under `cap`,
+    /// else shed (and count) it unbuilt.
+    fn enqueue_with(
+        &mut self,
+        cap: usize,
+        counters: &NodeCounters,
+        frame: impl FnOnce() -> OutFrame,
     ) -> bool {
         if !self.is_established() || self.outbound.len() >= cap {
             NodeCounters::inc(&counters.shed_session);
             return false;
         }
-        let mut buf = pool.take();
-        wire::encode_envelope_into(env, &mut buf);
-        self.outbound.push_back(OutFrame {
-            bytes: FrameBytes::Pooled(buf),
-            records,
-            kind,
-        });
+        self.outbound.push_back(frame());
         true
     }
 
@@ -488,9 +388,6 @@ impl Session {
     fn account_sent(frame: &OutFrame, counters: &NodeCounters) {
         NodeCounters::add(&counters.bytes_sent, frame.bytes.as_slice().len() as u64);
         match frame.kind {
-            FrameKind::Records => {
-                NodeCounters::add(&counters.records_sent, frame.records as u64);
-            }
             FrameKind::Delta => {
                 NodeCounters::add(&counters.records_sent, frame.records as u64);
                 NodeCounters::inc(&counters.deltas_sent);
@@ -592,9 +489,8 @@ impl Session {
                 }
             };
             match (self.state, env) {
-                (SessionState::Handshake, Envelope::Hello { peer, version }) => {
+                (SessionState::Handshake, Envelope::Hello { peer, .. }) => {
                     self.remote = Some(peer);
-                    self.peer_version = version;
                     self.counted_open = true;
                     NodeCounters::inc(&counters.sessions_opened);
                     self.state = if self.drain_requested {
@@ -606,7 +502,6 @@ impl Session {
                         token: self.token,
                         remote: peer,
                         direction: self.direction,
-                        version,
                     });
                 }
                 (SessionState::Handshake, _) => {
@@ -781,15 +676,17 @@ mod tests {
     use bartercast_core::TransferRecord;
     use bartercast_util::units::Bytes;
 
-    fn msg(sender: u32, peer: u32, up: u64) -> BarterCastMessage {
-        BarterCastMessage {
+    fn msg(sender: u32, peer: u32, up: u64) -> Envelope {
+        Envelope::Delta(DeltaMsg {
             sender: PeerId(sender),
+            full: true,
+            stamp: Frontier::default(),
             records: vec![TransferRecord {
                 peer: PeerId(peer),
                 up: Bytes(up),
                 down: Bytes::ZERO,
             }],
-        }
+        })
     }
 
     fn pair(t: &MemTransport) -> (Box<dyn Conn>, Box<dyn Conn>) {
@@ -837,10 +734,8 @@ mod tests {
 
         pump_until_quiet(&mut a, &mut b, &mut pool, &counters, &mut ev_a, &mut ev_b);
         assert!(a.is_established() && b.is_established());
-        assert_eq!(a.peer_version(), wire::NODE_PROTOCOL_VERSION);
-        assert_eq!(b.peer_version(), wire::NODE_PROTOCOL_VERSION);
-        assert!(a.enqueue(&msg(0, 5, 100), &mut pool, 8, &counters));
-        assert!(b.enqueue(&msg(1, 6, 200), &mut pool, 8, &counters));
+        assert!(a.enqueue_envelope(&msg(0, 5, 100), &mut pool, 8, &counters));
+        assert!(b.enqueue_envelope(&msg(1, 6, 200), &mut pool, 8, &counters));
         pump_until_quiet(&mut a, &mut b, &mut pool, &counters, &mut ev_a, &mut ev_b);
 
         assert!(matches!(
@@ -849,11 +744,10 @@ mod tests {
                 token: 10,
                 remote: PeerId(1),
                 direction: Direction::Initiator,
-                version: wire::NODE_PROTOCOL_VERSION,
             }
         ));
         assert!(
-            matches!(&ev_a[1], SessionEvent::Records { from: PeerId(1), msg, .. } if msg.sender == PeerId(1))
+            matches!(&ev_a[1], SessionEvent::Delta { from: PeerId(1), msg, .. } if msg.sender == PeerId(1))
         );
         assert!(matches!(
             ev_b[0],
@@ -861,11 +755,10 @@ mod tests {
                 token: 20,
                 remote: PeerId(0),
                 direction: Direction::Responder,
-                version: wire::NODE_PROTOCOL_VERSION,
             }
         ));
         assert!(
-            matches!(&ev_b[1], SessionEvent::Records { from: PeerId(0), msg, .. } if msg.sender == PeerId(0))
+            matches!(&ev_b[1], SessionEvent::Delta { from: PeerId(0), msg, .. } if msg.sender == PeerId(0))
         );
 
         // a graceful drain from one side closes both cleanly
@@ -946,17 +839,14 @@ mod tests {
         pump_until_quiet(&mut a, &mut b, &mut pool, &counters, &mut ev_a, &mut ev_b);
         assert!(a.is_established() && b.is_established());
 
-        assert!(a.enqueue_frame(SwarmFrame::Request { piece: 4 }, &mut pool, 8, &counters));
-        assert!(a.enqueue(&msg(0, 5, 100), &mut pool, 8, &counters));
-        assert!(b.enqueue_frame(
-            SwarmFrame::Piece {
-                piece: 4,
-                size: 16384
-            },
-            &mut pool,
-            8,
-            &counters
-        ));
+        let request = Envelope::Swarm(SwarmFrame::Request { piece: 4 });
+        assert!(a.enqueue_envelope(&request, &mut pool, 8, &counters));
+        assert!(a.enqueue_envelope(&msg(0, 5, 100), &mut pool, 8, &counters));
+        let piece = Envelope::Swarm(SwarmFrame::Piece {
+            piece: 4,
+            size: 16384,
+        });
+        assert!(b.enqueue_envelope(&piece, &mut pool, 8, &counters));
         pump_until_quiet(&mut a, &mut b, &mut pool, &counters, &mut ev_a, &mut ev_b);
 
         assert!(ev_b.iter().any(|e| matches!(
@@ -967,9 +857,7 @@ mod tests {
                 ..
             }
         )));
-        assert!(ev_b
-            .iter()
-            .any(|e| matches!(e, SessionEvent::Records { .. })));
+        assert!(ev_b.iter().any(|e| matches!(e, SessionEvent::Delta { .. })));
         assert!(ev_a.iter().any(|e| matches!(
             e,
             SessionEvent::Frame {
@@ -1000,13 +888,16 @@ mod tests {
         let (mut ev_a, mut ev_b) = (Vec::new(), Vec::new());
         pump_until_quiet(&mut a, &mut b, &mut pool, &counters, &mut ev_a, &mut ev_b);
         assert!(a.is_established());
-        assert!(a.enqueue(&msg(0, 1, 1), &mut pool, 2, &counters));
-        assert!(a.enqueue(&msg(0, 1, 2), &mut pool, 2, &counters));
+        assert!(a.enqueue_envelope(&msg(0, 1, 1), &mut pool, 2, &counters));
+        assert!(a.enqueue_envelope(&msg(0, 1, 2), &mut pool, 2, &counters));
         assert!(
-            !a.enqueue(&msg(0, 1, 3), &mut pool, 2, &counters),
+            !a.enqueue_envelope(&msg(0, 1, 3), &mut pool, 2, &counters),
             "cap is 2"
         );
-        assert_eq!(counters.snapshot().shed_session, 1);
+        let shared: Arc<[u8]> = Arc::from(&wire::encode_envelope(&Envelope::Bye)[..]);
+        assert!(!a.enqueue_shared(shared, 0, 2, &counters), "one cap");
+        assert_eq!(counters.snapshot().shed_session, 2);
+        assert_eq!(pool.outstanding(), 2, "a shed frame takes no buffer");
     }
 
     /// Digest/Delta envelopes flow between paired sessions, counters
@@ -1026,7 +917,11 @@ mod tests {
         assert!(a.is_established() && b.is_established());
 
         // a (PeerId 0) digests b with an empty claim …
-        assert!(a.enqueue_digest(PeerId(0), Frontier::default(), &mut pool, 8, &counters));
+        let digest = Envelope::Digest {
+            sender: PeerId(0),
+            claim: Frontier::default(),
+        };
+        assert!(a.enqueue_envelope(&digest, &mut pool, 8, &counters));
         pump_until_quiet(&mut a, &mut b, &mut pool, &counters, &mut ev_a, &mut ev_b);
         assert!(ev_b.iter().any(|e| matches!(
             e,
@@ -1058,7 +953,7 @@ mod tests {
                 },
             ],
         };
-        assert!(b.enqueue_delta(&delta, &mut pool, 8, &counters));
+        assert!(b.enqueue_envelope(&Envelope::Delta(delta.clone()), &mut pool, 8, &counters));
         pump_until_quiet(&mut a, &mut b, &mut pool, &counters, &mut ev_a, &mut ev_b);
         assert!(ev_a.iter().any(|e| matches!(
             e,
@@ -1096,7 +991,7 @@ mod tests {
             stamp: Frontier::default(),
             records: vec![],
         };
-        assert!(b.enqueue_delta(&forged, &mut pool, 8, &counters));
+        assert!(b.enqueue_envelope(&Envelope::Delta(forged), &mut pool, 8, &counters));
         pump_until_quiet(&mut a, &mut b, &mut pool, &counters, &mut ev_a, &mut ev_b);
         assert!(a.is_closed());
         assert!(counters.snapshot().protocol_errors >= 1);

@@ -60,8 +60,8 @@ pub struct NodeCounters {
     pub digests_sent: AtomicU64,
     /// `Delta` envelopes sent (anti-entropy replies).
     pub deltas_sent: AtomicU64,
-    /// Full-slice syncs decided: scheduled fallback ticks, v2-peer
-    /// pushes, and checksum-mismatch resyncs.
+    /// Full-slice syncs decided: scheduled fallback ticks,
+    /// first-contact pushes, and checksum-mismatch resyncs.
     pub full_syncs: AtomicU64,
     /// Records a digest proved the peer already held, so they never
     /// touched the wire.
@@ -157,8 +157,8 @@ pub struct NodeStats {
     pub digests_sent: u64,
     /// Delta envelopes sent.
     pub deltas_sent: u64,
-    /// Full-slice sync decisions (fallback ticks, v2 pushes,
-    /// checksum-mismatch resyncs).
+    /// Full-slice sync decisions (fallback ticks, first-contact
+    /// pushes, checksum-mismatch resyncs).
     pub full_syncs: u64,
     /// Records suppressed by digest matching (never sent).
     pub records_suppressed: u64,

@@ -2,22 +2,23 @@
 //!
 //! Every frame on a node-to-node connection carries one [`Envelope`]:
 //! a one-byte kind tag followed by a kind-specific body. The protocol
-//! is deliberately tiny — three message kinds are enough for a
-//! BarterCast session:
+//! is deliberately tiny:
 //!
 //! * [`Envelope::Hello`] — versioned handshake, sent once by each side
 //!   immediately after connect/accept. Carries the sender's peer id so
 //!   the acceptor learns who dialed it (transports don't expose that).
-//! * [`Envelope::Records`] — one BarterCast exchange: the sender's
+//! * [`Envelope::Records`] — the paper's own message: the sender's
 //!   top-`Nh`/`Nr` slice of its private history, re-using the
-//!   `bartercast-core` wire codec verbatim as the body.
+//!   `bartercast-core` wire codec verbatim as the body. Accepted
+//!   inbound (load generators and replay tools send it); the reactor
+//!   itself only ever emits the stamped `Delta` below.
 //! * [`Envelope::Bye`] — explicit teardown, so the peer can distinguish
 //!   a graceful close from a severed connection.
-//! * [`Envelope::Digest`] (v3) — delta anti-entropy request: a compact
+//! * [`Envelope::Digest`] — delta anti-entropy request: a compact
 //!   [`Frontier`] claim ("this is the newest slice of yours I hold"),
 //!   asking the receiver to reply with only what the sender lacks.
-//! * [`Envelope::Delta`] (v3) — the reply: the missing records plus
-//!   the responder's fresh frontier stamp ([`DeltaMsg`]).
+//! * [`Envelope::Delta`] — the reply (and the full push): the missing
+//!   records plus the responder's fresh frontier stamp ([`DeltaMsg`]).
 //! * [`Envelope::Swarm`] — one BitTorrent-style swarm frame
 //!   ([`SwarmFrame`]): bitfield/have availability advertisements,
 //!   piece requests and transfers, and choke/unchoke notifications.
@@ -40,13 +41,9 @@ use std::fmt;
 /// Version of the session protocol (handshake + envelope layout).
 /// Distinct from the record-codec version inside `Records` bodies.
 /// v2 added the swarm frames (kinds 4–10); v3 added the delta
-/// anti-entropy envelopes (kinds 11–12).
+/// anti-entropy envelopes (kinds 11–12). A `Hello` advertising any
+/// other version is refused.
 pub const NODE_PROTOCOL_VERSION: u8 = 3;
-
-/// Oldest protocol version a v3 node still interoperates with. A v2
-/// peer never receives `Digest`/`Delta` — the reactor falls back to
-/// plain `Records` pushes for it — so accepting its handshake is safe.
-pub const MIN_PROTOCOL_VERSION: u8 = 2;
 
 const KIND_HELLO: u8 = 1;
 const KIND_RECORDS: u8 = 2;
@@ -73,14 +70,14 @@ pub enum Envelope {
         /// The sender's identity.
         peer: PeerId,
         /// The protocol version the sender speaks
-        /// ([`MIN_PROTOCOL_VERSION`]`..=`[`NODE_PROTOCOL_VERSION`]).
+        /// ([`NODE_PROTOCOL_VERSION`], or the `Hello` is refused).
         version: u8,
     },
     /// One BarterCast record exchange.
     Records(BarterCastMessage),
     /// Graceful teardown; no more envelopes follow from the sender.
     Bye,
-    /// Delta anti-entropy request (v3): `claim` is the frontier the
+    /// Delta anti-entropy request: `claim` is the frontier the
     /// sender last saw from the receiver; the receiver answers with a
     /// [`Envelope::Delta`] of what the sender lacks, or stays silent
     /// when the claim is current.
@@ -90,7 +87,7 @@ pub enum Envelope {
         /// Frontier of the receiver's records as cached by the sender.
         claim: Frontier,
     },
-    /// Delta anti-entropy reply (v3): missing records plus the
+    /// Delta anti-entropy reply: missing records plus the
     /// responder's fresh frontier stamp.
     Delta(DeltaMsg),
     /// One swarm-workload frame (piece transfer protocol).
@@ -191,7 +188,7 @@ impl fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 /// Encode an envelope into a length-prefixed frame ready for
-/// [`Conn::send`](crate::transport::Conn::send).
+/// [`Conn::try_send`](crate::transport::Conn::try_send).
 pub fn encode_envelope(envelope: &Envelope) -> BytesMut {
     let mut frame = BytesMut::new();
     encode_envelope_into(envelope, &mut frame);
@@ -259,18 +256,6 @@ pub fn encode_envelope_into(envelope: &Envelope, out: &mut BytesMut) {
     out[..4].copy_from_slice(&(payload_len as u32).to_le_bytes());
 }
 
-/// Encode a `Records` frame into `out` without constructing an
-/// [`Envelope`] (which would need an owned message clone).
-pub(crate) fn encode_records_frame_into(msg: &BarterCastMessage, out: &mut BytesMut) {
-    out.clear();
-    out.put_u32_le(0);
-    out.put_u8(KIND_RECORDS);
-    codec::encode_into(msg, out);
-    let payload_len = out.len() - 4;
-    debug_assert!(payload_len <= codec::MAX_FRAME_BYTES);
-    out[..4].copy_from_slice(&(payload_len as u32).to_le_bytes());
-}
-
 /// Decode one frame payload (as yielded by
 /// [`FrameDecoder::next_frame`](bartercast_core::codec::FrameDecoder::next_frame))
 /// into an [`Envelope`].
@@ -287,7 +272,7 @@ pub fn decode_envelope(payload: &[u8]) -> Result<Envelope, WireError> {
                 return Err(WireError::BadHandshake);
             }
             let version = body.get_u8();
-            if !(MIN_PROTOCOL_VERSION..=NODE_PROTOCOL_VERSION).contains(&version) {
+            if version != NODE_PROTOCOL_VERSION {
                 return Err(WireError::VersionMismatch(version));
             }
             let peer = PeerId(body.get_u32_le());
@@ -470,26 +455,12 @@ mod tests {
             decode_envelope(&frame[4..]),
             Err(WireError::VersionMismatch(NODE_PROTOCOL_VERSION + 1))
         );
+        // v2, the dialect before delta anti-entropy, is refused too
         let mut frame = encode_envelope(&hello);
-        frame[6] = MIN_PROTOCOL_VERSION - 1;
+        frame[6] = 2;
         assert_eq!(
             decode_envelope(&frame[4..]),
-            Err(WireError::VersionMismatch(MIN_PROTOCOL_VERSION - 1))
-        );
-    }
-
-    #[test]
-    fn legacy_v2_handshake_is_still_accepted() {
-        let frame = encode_envelope(&Envelope::Hello {
-            peer: PeerId(9),
-            version: MIN_PROTOCOL_VERSION,
-        });
-        assert_eq!(
-            decode_envelope(&frame[4..]),
-            Ok(Envelope::Hello {
-                peer: PeerId(9),
-                version: MIN_PROTOCOL_VERSION
-            })
+            Err(WireError::VersionMismatch(2))
         );
     }
 

@@ -4,8 +4,9 @@
 //! *workload* gives its sessions something to gossip about. The
 //! [`Workload`] trait is the seam: the reactor calls into it on
 //! session lifecycle events, on every inbound [`SwarmFrame`], and on a
-//! periodic choke-round timer ([`TimerKind::ChokeRound`]
-//! (crate::timer::TimerKind::ChokeRound)), and the workload answers
+//! periodic choke-round timer
+//! ([`TimerKind::ChokeRound`](crate::timer::TimerKind::ChokeRound)),
+//! and the workload answers
 //! through a [`WorkloadIo`] batch of outgoing frames and dial
 //! requests the reactor then applies.
 //!

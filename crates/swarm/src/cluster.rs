@@ -1,16 +1,14 @@
 //! The deterministic swarm harness.
 //!
-//! [`SwarmCluster`] boots one [`Reactor`] per [`NodeSpec`] on a shared
-//! virtual-clock [`MemTransport`], attaches a [`SwarmWorkload`] to
-//! each, and drives them in lockstep exactly like the node crate's
-//! `DeterministicCluster`: settle every event available at the current
-//! virtual instant (pumping reactors in id order until quiescent),
-//! then advance the shared clock to the earliest scheduled wake. All
-//! nodes attach their workloads at the same boot instant, so every
+//! [`SwarmCluster`] spawns one reactor per [`NodeSpec`] on the node
+//! crate's [`Lockstep`] driver — the same one under its record-only
+//! `DeterministicCluster` — and attaches a [`SwarmWorkload`] to each.
+//! All nodes attach their workloads at the same boot instant, so every
 //! choke round fires at identical virtual times across the swarm.
 //!
-//! On top of the lockstep core the harness drives the scenarios the
-//! trace simulator cannot:
+//! On top of the driver the harness keeps the specs, the ground-truth
+//! ledger and the churn schedule, and drives the scenarios the trace
+//! simulator cannot:
 //!
 //! * **churn** — scheduled [`SwarmEvent`]s remove or add nodes at
 //!   fixed virtual instants, severing their transport connections;
@@ -27,21 +25,20 @@
 //!
 //! Everything is a pure function of the seeds: two runs of the same
 //! config produce bitwise-identical ledgers, per-node stats, and
-//! subjective graphs. Departed nodes' final stats, edges, and history
-//! provenance are snapshotted before teardown so post-run assertions
-//! cover them too.
+//! subjective graphs. The driver keeps departed nodes' final counters
+//! and state (stats, edges, history provenance), so post-run
+//! assertions cover them too.
 
 use crate::config::{PeerBehaviour, SwarmParams};
 use crate::ledger::SwarmLedger;
 use crate::report::{SwarmReport, SwarmRow};
 use crate::workload::SwarmWorkload;
 use bartercast_core::PrivateHistory;
-use bartercast_node::clock::{Clock, VirtualClock};
+use bartercast_node::lockstep::{Edges, Lockstep};
 use bartercast_node::mem::{MemConfig, MemTransport};
 use bartercast_node::stats::NodeStats;
-use bartercast_node::transport::Transport;
-use bartercast_node::{NodeConfig, Reactor};
-use bartercast_util::units::{Bytes, PeerId};
+use bartercast_node::NodeConfig;
+use bartercast_util::units::PeerId;
 use std::collections::BTreeMap;
 use std::io;
 use std::sync::{Arc, Mutex};
@@ -98,7 +95,8 @@ pub enum SwarmEventKind {
 /// A churn event at a fixed virtual instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SwarmEvent {
-    /// Virtual time since boot at which the event fires.
+    /// Virtual time since boot from which the event is due; it fires
+    /// at the first step boundary at or after this.
     pub at: Duration,
     /// What happens.
     pub kind: SwarmEventKind,
@@ -150,27 +148,16 @@ impl Default for SwarmClusterConfig {
     }
 }
 
-/// Final state snapshot of a departed node.
-#[derive(Debug, Clone)]
-struct Departed {
-    stats: NodeStats,
-    edges: Vec<(PeerId, PeerId, Bytes)>,
-    all_from_pieces: bool,
-}
-
 /// A booted lockstep swarm.
 pub struct SwarmCluster {
-    reactors: BTreeMap<PeerId, Reactor>,
+    lockstep: Lockstep,
     specs: BTreeMap<PeerId, NodeSpec>,
     /// Every spec ever booted, including departed and whitewashed
     /// identities (for the final report).
     ever: BTreeMap<PeerId, NodeSpec>,
-    clock: Arc<VirtualClock>,
-    transport: Arc<MemTransport>,
     ledger: Arc<Mutex<SwarmLedger>>,
     events: Vec<SwarmEvent>,
     next_event: usize,
-    departed: BTreeMap<PeerId, Departed>,
     config: SwarmClusterConfig,
 }
 
@@ -184,21 +171,13 @@ impl SwarmCluster {
         ids.dedup();
         assert_eq!(ids.len(), config.nodes.len(), "duplicate node ids");
         config.events.sort_by_key(|e| e.at);
-        let clock = Arc::new(VirtualClock::new());
-        let transport = Arc::new(MemTransport::with_clock(
-            config.mem,
-            Arc::clone(&clock) as Arc<dyn Clock>,
-        ));
         let mut cluster = SwarmCluster {
-            reactors: BTreeMap::new(),
+            lockstep: Lockstep::new(config.mem),
             specs: BTreeMap::new(),
             ever: BTreeMap::new(),
-            clock,
-            transport,
             ledger: Arc::new(Mutex::new(SwarmLedger::default())),
             events: std::mem::take(&mut config.events),
             next_event: 0,
-            departed: BTreeMap::new(),
             config,
         };
         for spec in cluster.config.nodes.clone() {
@@ -220,7 +199,7 @@ impl SwarmCluster {
 
     fn boot_node(&mut self, spec: NodeSpec) -> io::Result<()> {
         assert!(
-            !self.specs.contains_key(&spec.id) && !self.departed.contains_key(&spec.id),
+            !self.ever.contains_key(&spec.id),
             "node id {} reused",
             spec.id
         );
@@ -230,53 +209,35 @@ impl SwarmCluster {
             max_sessions: spec.max_sessions.unwrap_or(self.config.node.max_sessions),
             ..self.config.node
         };
-        let mut reactor = Reactor::new(
-            spec.id,
-            Arc::clone(&self.transport) as Arc<dyn Transport>,
-            bootstrap.clone(),
-            PrivateHistory::new(spec.id),
-            node_config,
-            Arc::clone(&self.clock) as Arc<dyn Clock>,
-        )?;
         let params = SwarmParams {
             behaviour: spec.behaviour,
             seed_initial: spec.seed_initial,
             ..self.config.params
         };
-        let workload = SwarmWorkload::new(spec.id, params, bootstrap, Arc::clone(&self.ledger));
-        reactor.attach_workload(Box::new(workload), self.config.choke_interval);
+        let workload =
+            SwarmWorkload::new(spec.id, params, bootstrap.clone(), Arc::clone(&self.ledger));
+        self.lockstep
+            .spawn(
+                spec.id,
+                bootstrap,
+                PrivateHistory::new(spec.id),
+                node_config,
+            )?
+            .attach_workload(Box::new(workload), self.config.choke_interval);
         self.specs.insert(spec.id, spec);
         self.ever.insert(spec.id, spec);
-        self.reactors.insert(spec.id, reactor);
         Ok(())
     }
 
-    /// Snapshot and tear down one node; its connections are severed so
-    /// surviving peers observe the closure.
     fn remove_node(&mut self, id: PeerId) {
-        let Some(reactor) = self.reactors.remove(&id) else {
-            return;
-        };
-        let state = reactor.state();
-        let state = state.lock().expect("state lock");
-        self.departed.insert(
-            id,
-            Departed {
-                stats: reactor.counters().snapshot(),
-                edges: state.subjective_edges(),
-                all_from_pieces: state.history().all_from_pieces(),
-            },
-        );
-        drop(state);
+        self.lockstep.retire(id);
         self.specs.remove(&id);
-        drop(reactor);
-        self.transport.disconnect(id);
     }
 
     /// Apply every scheduled event whose instant has been reached.
     fn apply_due_events(&mut self) -> io::Result<()> {
         while self.next_event < self.events.len()
-            && self.events[self.next_event].at <= self.clock.elapsed()
+            && self.events[self.next_event].at <= self.lockstep.elapsed()
         {
             let event = self.events[self.next_event];
             self.next_event += 1;
@@ -303,35 +264,16 @@ impl SwarmCluster {
         Ok(())
     }
 
-    /// One lockstep step: settle the current instant, then advance the
-    /// virtual clock to the earliest scheduled wake (or the next churn
-    /// event, whichever is sooner). Returns `false` when nothing has
-    /// future work.
+    /// One [`Lockstep::step`]. Churn events are applied by
+    /// [`Self::run_until`], not here.
     pub fn step(&mut self) -> bool {
-        for _ in 0..10_000 {
-            let mut progress = false;
-            for r in self.reactors.values_mut() {
-                progress |= r.poll_once();
-            }
-            if !progress {
-                break;
-            }
-        }
-        let next = self.reactors.values().filter_map(Reactor::next_wake).min();
-        match next {
-            Some(at) => {
-                let now = self.clock.now();
-                self.clock
-                    .advance_to(at.max(now + Duration::from_micros(1)));
-                true
-            }
-            None => false,
-        }
+        self.lockstep.step()
     }
 
-    /// Step (applying churn events as their instants pass) until
-    /// `done` returns true or `max_virtual` elapses. Returns whether
-    /// `done` was reached.
+    /// Step until `done` returns true or `max_virtual` elapses,
+    /// applying each churn event at the first step boundary at or after
+    /// its instant (the clock only ever stops at reactor wakes). Returns
+    /// whether `done` was reached.
     pub fn run_until<F>(&mut self, mut done: F, max_virtual: Duration) -> bool
     where
         F: FnMut(&SwarmCluster) -> bool,
@@ -341,7 +283,7 @@ impl SwarmCluster {
             if done(self) {
                 return true;
             }
-            if self.clock.elapsed() >= max_virtual {
+            if self.elapsed() >= max_virtual {
                 return false;
             }
             if !self.step() {
@@ -369,7 +311,7 @@ impl SwarmCluster {
 
     /// Virtual time elapsed since boot.
     pub fn elapsed(&self) -> Duration {
-        self.clock.elapsed()
+        self.lockstep.elapsed()
     }
 
     /// The shared ground-truth ledger, snapshotted.
@@ -379,7 +321,7 @@ impl SwarmCluster {
 
     /// The shared transport (loss counters).
     pub fn transport(&self) -> &MemTransport {
-        &self.transport
+        self.lockstep.transport()
     }
 
     /// Live member specs, in id order.
@@ -390,39 +332,19 @@ impl SwarmCluster {
     /// Per-node counter snapshots in id order — live nodes plus the
     /// final snapshots of departed ones.
     pub fn stats(&self) -> BTreeMap<PeerId, NodeStats> {
-        let mut all: BTreeMap<PeerId, NodeStats> =
-            self.departed.iter().map(|(&id, d)| (id, d.stats)).collect();
-        for (&id, r) in &self.reactors {
-            all.insert(id, r.counters().snapshot());
-        }
-        all
+        self.lockstep.stats()
     }
 
     /// Per-node subjective edge lists in id order (live + departed).
-    pub fn edges(&self) -> BTreeMap<PeerId, Vec<(PeerId, PeerId, Bytes)>> {
-        let mut all: BTreeMap<PeerId, Vec<_>> = self
-            .departed
-            .iter()
-            .map(|(&id, d)| (id, d.edges.clone()))
-            .collect();
-        for (&id, r) in &self.reactors {
-            all.insert(id, r.state().lock().expect("state lock").subjective_edges());
-        }
-        all
+    pub fn edges(&self) -> BTreeMap<PeerId, Edges> {
+        self.lockstep.edges()
     }
 
     /// Whether every node's private history (live + departed) was fed
     /// exclusively by piece transfers — the "sole source of
     /// contribution edges" invariant.
     pub fn all_from_pieces(&self) -> bool {
-        self.departed.values().all(|d| d.all_from_pieces)
-            && self.reactors.values().all(|r| {
-                r.state()
-                    .lock()
-                    .expect("state lock")
-                    .history()
-                    .all_from_pieces()
-            })
+        self.lockstep.all_from_pieces()
     }
 
     /// Per-peer outcome rows (live + departed, id order) under the

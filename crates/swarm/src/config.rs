@@ -38,8 +38,8 @@ pub enum SwarmPolicy {
 }
 
 impl SwarmPolicy {
-    /// Borrow as the trait object [`Choker::unchoke`]
-    /// (bartercast_bt::Choker::unchoke) consumes.
+    /// Borrow as the trait object
+    /// [`Choker::unchoke`](bartercast_bt::Choker::unchoke) consumes.
     pub fn as_dyn(&self) -> &dyn ChokePolicy {
         match self {
             SwarmPolicy::Reputation(p) => p,
@@ -69,8 +69,8 @@ pub struct SwarmParams {
     pub seed_initial: bool,
     /// The choke policy this node enforces.
     pub policy: SwarmPolicy,
-    /// Upload-slot counts and periods for the shared [`Choker`]
-    /// (bartercast_bt::Choker). `optimistic_rounds` derives from the
+    /// Upload-slot counts and periods for the shared
+    /// [`Choker`](bartercast_bt::Choker). `optimistic_rounds` derives from the
     /// two periods; the wall-clock values are otherwise unused (the
     /// reactor's choke-round timer sets the real cadence).
     pub bt: BtConfig,

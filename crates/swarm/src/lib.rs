@@ -4,10 +4,10 @@
 //! with byte credits and synthetic transfer records; this crate runs
 //! the *actual* loop over the wire. A [`SwarmWorkload`] rides each
 //! node reactor's sessions with BitTorrent-style frames
-//! (bitfield/have/request/piece/choke/unchoke/cancel, protocol v2),
-//! completed
-//! piece transfers write the node's private BarterCast history — the
-//! **sole** source of contribution edges — the reactor's existing
+//! (bitfield/have/request/piece/choke/unchoke/cancel, wire kinds
+//! 4–10), completed piece transfers write the node's private
+//! BarterCast history — the **sole** source of contribution edges —
+//! the reactor's existing
 //! gossip spreads those records, and every choke round reads the live
 //! reputation engine back through the shared
 //! [`ChokePolicy`](bartercast_bt::ChokePolicy) implementations (rank,
@@ -21,8 +21,9 @@
 //!
 //! Layout: [`config`] (parameters and the [`SwarmPolicy`] selector),
 //! [`workload`] (the per-node protocol state machine), [`ledger`]
-//! (shared ground truth the tests audit against), [`cluster`] (the
-//! lockstep churn harness), [`report`] (per-peer CSV rows).
+//! (shared ground truth the tests audit against), [`cluster`] (specs,
+//! ledger and churn schedule over the node crate's lockstep driver),
+//! [`report`] (per-peer CSV rows).
 
 #![warn(missing_docs)]
 

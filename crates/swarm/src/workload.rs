@@ -1,9 +1,9 @@
 //! The BitTorrent-style piece-transfer workload over the reactor.
 //!
 //! [`SwarmWorkload`] implements the reactor's
-//! [`Workload`](bartercast_node::Workload) hook: it keeps the node's
+//! [`Workload`] hook: it keeps the node's
 //! bitfield, a per-peer protocol view, and the shared
-//! [`Choker`](bartercast_bt::Choker), and answers frames and choke
+//! [`Choker`], and answers frames and choke
 //! rounds with batched [`WorkloadIo`] output. Completed piece
 //! transfers are the **only** writes into the node's BarterCast state:
 //! the uploader calls
@@ -13,7 +13,7 @@
 //! at receipt, and the reactor's existing gossip spreads the resulting
 //! history records over the wire. Each choke round then reads the
 //! *live* engine back — Equation-1 reputations and graph totals feed
-//! the [`ChokePolicy`](bartercast_bt::ChokePolicy) in use — closing
+//! the [`ChokePolicy`] in use — closing
 //! the loop the trace simulator can only approximate.
 //!
 //! ## Loss robustness

@@ -12,7 +12,7 @@
 //! * [`synth`] — a seeded synthetic generator reproducing the paper's
 //!   workload *shape* (100 peers, 10 swarms, one week, tens-of-MB to
 //!   2 GB files, diurnal sessions);
-//! * [`format`] — a line-oriented text serialization so real tracker
+//! * [`mod@format`] — a line-oriented text serialization so real tracker
 //!   traces can be converted and dropped in;
 //! * [`import`] — trace **reconstruction** from raw tracker announce
 //!   logs (started/heartbeat/completed/stopped events), the same

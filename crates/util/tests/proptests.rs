@@ -108,9 +108,8 @@ proptest! {
         // strictly increasing and injective on the sampled range
         let transformed: Vec<f64> = xs.iter().map(|x| x / 3.0 + x * x * x).collect();
         let b = spearman(&transformed, &ys);
-        match (a, b) {
-            (Some(a), Some(b)) => prop_assert!((a - b).abs() < 1e-9),
-            _ => {}
+        if let (Some(a), Some(b)) = (a, b) {
+            prop_assert!((a - b).abs() < 1e-9);
         }
     }
 
