@@ -40,8 +40,6 @@ pub const VERSION: u8 = 1;
 /// rejected before any allocation).
 pub const MAX_RECORDS: usize = 1024;
 /// Fixed wire size of one v1 record (`peer u32 + up u64 + down u64`).
-/// Bench reports use this to convert suppressed record counts into an
-/// `exchange_bytes_saved` estimate.
 pub const RECORD_WIRE_BYTES: usize = 20;
 /// Version byte opening digest/delta bodies.
 pub const FRONTIER_VERSION: u8 = 1;

@@ -116,27 +116,6 @@ pub struct CacheStats {
     pub tree_rebuilds: u64,
 }
 
-impl CacheStats {
-    /// The stats as a fragment of JSON object fields (no braces), for
-    /// the bench binaries' `BENCH_*.json` rows.
-    pub fn json_fields(&self) -> String {
-        format!(
-            "\"hits\": {}, \"misses\": {}, \"entries\": {}, \"evictions\": {}, \
-             \"invalidated\": {}, \"tree_sweeps\": {}, \"fallback_sweeps\": {}, \
-             \"tree_patches\": {}, \"tree_rebuilds\": {}",
-            self.hits,
-            self.misses,
-            self.entries,
-            self.evictions,
-            self.invalidated,
-            self.tree_sweeps,
-            self.fallback_sweeps,
-            self.tree_patches,
-            self.tree_rebuilds
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,23 +155,5 @@ mod tests {
         assert_eq!(set.select(Method::Dinic, 0.5).name(), "gomory-hu");
         assert_eq!(set.select_point(Method::Dinic).name(), "pairwise");
         assert_eq!(set.select_point(Method::DEPLOYED).name(), "ssat");
-    }
-
-    #[test]
-    fn json_fields_are_well_formed() {
-        let s = CacheStats {
-            hits: 1,
-            misses: 2,
-            entries: 3,
-            evictions: 4,
-            invalidated: 5,
-            tree_sweeps: 6,
-            fallback_sweeps: 7,
-            tree_patches: 8,
-            tree_rebuilds: 9,
-        };
-        let json = format!("{{{}}}", s.json_fields());
-        assert!(json.starts_with("{\"hits\": 1,"));
-        assert!(json.ends_with("\"tree_patches\": 8, \"tree_rebuilds\": 9}"));
     }
 }

@@ -888,6 +888,10 @@ mod tests {
         let v2 = e.tree_version().unwrap();
         assert!(v2 > v1, "tree must track the graph version: {v1} -> {v2}");
         assert_eq!(sweep_split(&e), (3, 0));
+        // the same sweep again is answered from the memo
+        let hits = e.stats().hits;
+        e.reputations_from(p(0), &[p(2)]);
+        assert!(e.stats().hits > hits, "warm unbounded pass must hit");
     }
 
     #[test]

@@ -131,8 +131,4 @@ fn main() {
     w.finish().expect("flush");
     output::announce("ablation_nh_nr");
     println!("\ntotal wall time for all variants (parallel): {wall:.1}s");
-    println!(
-        "per-query cost of each maxflow variant is measured separately by \
-         `cargo bench -p bench --bench maxflow`"
-    );
 }

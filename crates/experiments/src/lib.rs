@@ -1,9 +1,8 @@
 //! The figure-regeneration harness.
 //!
 //! One module per paper figure. Every module exposes a `run` function
-//! returning plain data, used both by the `fig1`–`fig4` binaries
-//! (which write CSVs and ASCII plots) and by the Criterion benches in
-//! `crates/bench` (which time scaled-down versions).
+//! returning plain data, used by the `fig1`–`fig4` binaries (which
+//! write CSVs and ASCII plots) and by this crate's shape tests.
 //!
 //! Scales:
 //!

@@ -19,12 +19,8 @@
 
 #![warn(missing_docs)]
 
-pub mod diagnostics;
 pub mod pss;
-pub mod transport;
 pub mod view;
 
-pub use diagnostics::{health, PssHealth};
 pub use pss::{shuffle, PssConfig, PssNode};
-pub use transport::{Delivery, Transport, TransportConfig};
 pub use view::{Descriptor, PartialView};

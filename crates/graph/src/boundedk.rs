@@ -46,7 +46,8 @@
 //! `(source, target)` value per graph version — so a full Equation-2
 //! system sweep computes every ordered pair at most once, sharing
 //! layered DAGs across evaluators for the `toward` direction.
-//! `BENCH_boundedk.json` quantifies the speedup.
+//! EXPERIMENTS.md (legacy microbenchmarks) records the last measured
+//! speedup.
 
 use crate::contribution::ContributionGraph;
 use crate::maxflow;

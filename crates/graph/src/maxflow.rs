@@ -10,7 +10,7 @@
 //! * [`dinic`] — level graphs + blocking flows, the fastest of the
 //!   unbounded three on the simulator's graphs.
 //! * [`push_relabel`] — FIFO preflow-push, included for the ablation
-//!   bench (a non-augmenting-path algorithm behaves differently on the
+//!   study (a non-augmenting-path algorithm behaves differently on the
 //!   dense small-world graphs the simulator produces).
 //! * [`bounded`] — augmenting paths restricted to at most `max_edges`
 //!   edges. With [`DEPLOYED_MAX_PATH_LEN`]` = 2` this is the variant
@@ -264,7 +264,7 @@ fn dinic_dfs(
 
 /// FIFO push–relabel (preflow-push) maximum flow.
 ///
-/// Included as the fourth unbounded algorithm for the ablation bench:
+/// Included as the fourth unbounded algorithm for the ablation study:
 /// unlike the augmenting-path family it saturates arcs eagerly and
 /// relabels nodes, which behaves differently on the simulator's dense
 /// small-world graphs. Uses the standard FIFO active-node queue; no

@@ -141,8 +141,7 @@ proptest! {
 }
 
 /// Deterministic 64-node directed ring plus pseudo-random chords (the
-/// Gomory–Hu suite's pinned-case shape), checked at the two bounds the
-/// bench exercises.
+/// Gomory–Hu suite's pinned-case shape), checked at k = 3 and k = 4.
 #[test]
 fn kernel_agrees_with_per_pair_at_64_nodes() {
     let n = 64u32;

@@ -112,7 +112,7 @@ impl Cluster {
     /// Deterministic seed history for node `i` of `n`: it uploads to
     /// its next `uplinks` ring neighbors, and the counterpart download
     /// is recorded on the receiving side, so pairwise books agree and
-    /// the max-merge union is exact. Public so benches can boot the
+    /// the max-merge union is exact. Public so callers can boot the
     /// same population over other transports.
     pub fn seed_histories(config: &ClusterConfig) -> Vec<PrivateHistory> {
         let n = config.n;

@@ -22,7 +22,7 @@
 //!   thread sustained.
 //!
 //! [`rss_bytes`] reads `/proc/self/statm` (gracefully `None` elsewhere)
-//! so the bench harness can report memory per session.
+//! so a harness can report memory per session.
 
 use crate::transport::{Conn, Transport};
 use crate::wire::{self, Envelope};

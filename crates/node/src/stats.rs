@@ -2,8 +2,8 @@
 //!
 //! The reactor and its helpers bump plain relaxed atomics at the point
 //! of truth and snapshot them into an immutable [`NodeStats`] on
-//! demand. The JSON surface mirrors `CacheStats::json_fields` from
-//! `bartercast-core` so bench output stays one consistent dialect.
+//! demand. Each counter is declared once, in the `node_counters!` list
+//! below, which generates both structs and the snapshot.
 //!
 //! Shedding is split by *where* the overload bit: `shed_accept` counts
 //! inbound connections dropped at the door because the session table
@@ -16,56 +16,82 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Live counters shared between a node's threads.
-#[derive(Debug, Default)]
-pub struct NodeCounters {
+/// Declares every counter once: the live atomics ([`NodeCounters`]),
+/// their point-in-time copy ([`NodeStats`]) and the snapshot between
+/// them.
+macro_rules! node_counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Live counters shared between a node's threads.
+        #[derive(Debug, Default)]
+        pub struct NodeCounters {
+            $($(#[$doc])* pub $name: AtomicU64,)*
+        }
+
+        /// Point-in-time view of a node's counters.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct NodeStats {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl NodeCounters {
+            /// An immutable snapshot of every counter.
+            pub fn snapshot(&self) -> NodeStats {
+                NodeStats {
+                    $($name: self.$name.load(Ordering::Relaxed),)*
+                }
+            }
+        }
+    };
+}
+
+node_counters! {
     /// Sessions fully established (handshake completed), either side.
-    pub sessions_opened: AtomicU64,
+    sessions_opened,
     /// Dial or handshake attempts that never reached `Established`.
-    pub sessions_failed: AtomicU64,
+    sessions_failed,
     /// Sessions that ended, cleanly or not.
-    pub sessions_closed: AtomicU64,
+    sessions_closed,
     /// Sessions currently alive (gauge: incremented on adoption,
     /// decremented on reap).
-    pub sessions_live: AtomicU64,
+    sessions_live,
     /// High-water mark of `sessions_live`.
-    pub sessions_peak: AtomicU64,
+    sessions_peak,
     /// Dials to a peer we had already had a session with — the
     /// reconnect path the backoff machinery exists for.
-    pub reconnects: AtomicU64,
+    reconnects,
     /// Transfer records sent inside `Records` envelopes.
-    pub records_sent: AtomicU64,
+    records_sent,
     /// Transfer records received (before dedup).
-    pub records_received: AtomicU64,
+    records_received,
     /// Received records whose max-merge changed nothing.
-    pub records_duplicate: AtomicU64,
+    records_duplicate,
     /// Framed bytes handed to the transport.
-    pub bytes_sent: AtomicU64,
+    bytes_sent,
     /// Stream bytes read from the transport.
-    pub bytes_received: AtomicU64,
+    bytes_received,
     /// Inbound connections dropped at accept because the session table
     /// was full (`max_sessions`).
-    pub shed_accept: AtomicU64,
+    shed_accept,
     /// Outbound messages dropped because a session's bounded queue was
     /// full.
-    pub shed_session: AtomicU64,
+    shed_session,
     /// Envelopes rejected by the wire layer (bad kind, bad handshake,
     /// codec failure) plus decoder poisonings.
-    pub protocol_errors: AtomicU64,
+    protocol_errors,
     /// Swarm pieces sent inside `Piece` frames.
-    pub pieces_sent: AtomicU64,
+    pieces_sent,
     /// Swarm pieces received inside `Piece` frames.
-    pub pieces_received: AtomicU64,
+    pieces_received,
     /// `Digest` envelopes sent (delta anti-entropy requests).
-    pub digests_sent: AtomicU64,
+    digests_sent,
     /// `Delta` envelopes sent (anti-entropy replies).
-    pub deltas_sent: AtomicU64,
+    deltas_sent,
     /// Full-slice syncs decided: scheduled fallback ticks,
     /// first-contact pushes, and checksum-mismatch resyncs.
-    pub full_syncs: AtomicU64,
+    full_syncs,
     /// Records a digest proved the peer already held, so they never
     /// touched the wire.
-    pub records_suppressed: AtomicU64,
+    records_suppressed,
 }
 
 impl NodeCounters {
@@ -89,115 +115,6 @@ impl NodeCounters {
     /// Record a session leaving the table.
     pub fn session_reaped(&self) {
         self.sessions_live.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// An immutable snapshot of every counter.
-    pub fn snapshot(&self) -> NodeStats {
-        NodeStats {
-            sessions_opened: self.sessions_opened.load(Ordering::Relaxed),
-            sessions_failed: self.sessions_failed.load(Ordering::Relaxed),
-            sessions_closed: self.sessions_closed.load(Ordering::Relaxed),
-            sessions_live: self.sessions_live.load(Ordering::Relaxed),
-            sessions_peak: self.sessions_peak.load(Ordering::Relaxed),
-            reconnects: self.reconnects.load(Ordering::Relaxed),
-            records_sent: self.records_sent.load(Ordering::Relaxed),
-            records_received: self.records_received.load(Ordering::Relaxed),
-            records_duplicate: self.records_duplicate.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            bytes_received: self.bytes_received.load(Ordering::Relaxed),
-            shed_accept: self.shed_accept.load(Ordering::Relaxed),
-            shed_session: self.shed_session.load(Ordering::Relaxed),
-            protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
-            pieces_sent: self.pieces_sent.load(Ordering::Relaxed),
-            pieces_received: self.pieces_received.load(Ordering::Relaxed),
-            digests_sent: self.digests_sent.load(Ordering::Relaxed),
-            deltas_sent: self.deltas_sent.load(Ordering::Relaxed),
-            full_syncs: self.full_syncs.load(Ordering::Relaxed),
-            records_suppressed: self.records_suppressed.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Point-in-time view of a node's counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct NodeStats {
-    /// Sessions fully established.
-    pub sessions_opened: u64,
-    /// Dial/handshake attempts that failed.
-    pub sessions_failed: u64,
-    /// Sessions ended.
-    pub sessions_closed: u64,
-    /// Sessions alive at snapshot time.
-    pub sessions_live: u64,
-    /// High-water mark of live sessions.
-    pub sessions_peak: u64,
-    /// Dials to previously-seen peers.
-    pub reconnects: u64,
-    /// Records sent.
-    pub records_sent: u64,
-    /// Records received.
-    pub records_received: u64,
-    /// Received records that changed nothing.
-    pub records_duplicate: u64,
-    /// Bytes written to the wire.
-    pub bytes_sent: u64,
-    /// Bytes read from the wire.
-    pub bytes_received: u64,
-    /// Inbound connections shed at accept (session table full).
-    pub shed_accept: u64,
-    /// Outbound messages shed at a full per-session queue.
-    pub shed_session: u64,
-    /// Wire-layer rejections.
-    pub protocol_errors: u64,
-    /// Swarm pieces sent.
-    pub pieces_sent: u64,
-    /// Swarm pieces received.
-    pub pieces_received: u64,
-    /// Digest envelopes sent.
-    pub digests_sent: u64,
-    /// Delta envelopes sent.
-    pub deltas_sent: u64,
-    /// Full-slice sync decisions (fallback ticks, first-contact
-    /// pushes, checksum-mismatch resyncs).
-    pub full_syncs: u64,
-    /// Records suppressed by digest matching (never sent).
-    pub records_suppressed: u64,
-}
-
-impl NodeStats {
-    /// The stats as JSON object fields (no surrounding braces), in the
-    /// same style as `CacheStats::json_fields`.
-    pub fn json_fields(&self) -> String {
-        format!(
-            "\"sessions_opened\": {}, \"sessions_failed\": {}, \"sessions_closed\": {}, \
-             \"sessions_live\": {}, \"sessions_peak\": {}, \"reconnects\": {}, \
-             \"records_sent\": {}, \"records_received\": {}, \"records_duplicate\": {}, \
-             \"bytes_sent\": {}, \"bytes_received\": {}, \"shed_accept\": {}, \
-             \"shed_session\": {}, \"protocol_errors\": {}, \
-             \"pieces_sent\": {}, \"pieces_received\": {}, \
-             \"digests_sent\": {}, \"deltas_sent\": {}, \
-             \"full_syncs\": {}, \"records_suppressed\": {}",
-            self.sessions_opened,
-            self.sessions_failed,
-            self.sessions_closed,
-            self.sessions_live,
-            self.sessions_peak,
-            self.reconnects,
-            self.records_sent,
-            self.records_received,
-            self.records_duplicate,
-            self.bytes_sent,
-            self.bytes_received,
-            self.shed_accept,
-            self.shed_session,
-            self.protocol_errors,
-            self.pieces_sent,
-            self.pieces_received,
-            self.digests_sent,
-            self.deltas_sent,
-            self.full_syncs,
-            self.records_suppressed,
-        )
     }
 }
 
@@ -226,18 +143,5 @@ mod tests {
         let s = c.snapshot();
         assert_eq!(s.sessions_live, 2);
         assert_eq!(s.sessions_peak, 3, "peak must survive the reap");
-    }
-
-    #[test]
-    fn json_fields_form_a_valid_object_body() {
-        let s = NodeCounters::default().snapshot();
-        let obj = format!("{{{}}}", s.json_fields());
-        assert!(obj.starts_with('{') && obj.ends_with('}'));
-        assert_eq!(obj.matches(':').count(), 20);
-        assert!(obj.contains("\"digests_sent\": 0"));
-        assert!(obj.contains("\"records_suppressed\": 0"));
-        assert!(obj.contains("\"shed_accept\": 0"));
-        assert!(obj.contains("\"shed_session\": 0"));
-        assert!(obj.contains("\"sessions_peak\": 0"));
     }
 }

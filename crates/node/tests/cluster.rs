@@ -10,8 +10,11 @@
 
 use bartercast_node::cluster::{Cluster, ClusterConfig, DeterministicCluster};
 use bartercast_node::mem::MemConfig;
+use bartercast_node::node::{Node, NodeConfig};
+use bartercast_node::transport::{TcpTransport, Transport};
 use bartercast_util::units::{Bytes, PeerId};
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn lossy_config(seed: u64) -> ClusterConfig {
     ClusterConfig {
@@ -137,4 +140,58 @@ fn delta_sync_keeps_duplicate_ratio_low() {
         "digest rounds should suppress more records than slip through \
          as duplicates: suppressed={suppressed} duplicate={duplicate}"
     );
+}
+
+/// The seeded population over real loopback sockets: the only
+/// multi-node run through `TcpTransport` and the reactor's `poll(2)`
+/// path. Four nodes keep OS socket churn modest.
+#[test]
+fn four_tcp_nodes_converge() {
+    if !TcpTransport::loopback_available() {
+        eprintln!("skipping: no loopback in this sandbox");
+        return;
+    }
+    let config = ClusterConfig {
+        n: 4,
+        ..ClusterConfig::default()
+    };
+    let histories = Cluster::seed_histories(&config);
+    let expected = Cluster::expected_edges(&histories, config.node.bartercast);
+    let transport = Arc::new(TcpTransport::new());
+    let nodes: Vec<Node> = histories
+        .into_iter()
+        .enumerate()
+        .map(|(i, history)| {
+            let bootstrap = (0..config.n)
+                .filter(|&j| j != i)
+                .map(|j| PeerId(j as u32))
+                .collect();
+            Node::spawn(
+                PeerId(i as u32),
+                Arc::clone(&transport) as Arc<dyn Transport>,
+                bootstrap,
+                history,
+                NodeConfig {
+                    seed: config.node.seed.wrapping_add(i as u64),
+                    ..config.node
+                },
+            )
+            .expect("boot tcp node")
+        })
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !nodes.iter().all(|n| n.subjective_edges() == expected) {
+        assert!(
+            Instant::now() < deadline,
+            "tcp cluster did not converge: {:?}",
+            nodes
+                .iter()
+                .map(|n| n.subjective_edges().len())
+                .collect::<Vec<_>>()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let stats: Vec<_> = nodes.into_iter().map(Node::shutdown).collect();
+    assert!(stats.iter().all(|s| s.protocol_errors == 0), "{stats:?}");
+    assert!(stats.iter().map(|s| s.records_received).sum::<u64>() > 0);
 }

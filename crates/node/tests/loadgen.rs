@@ -1,6 +1,6 @@
 //! Loadgen smoke: 512 concurrent dialers against one reactor with a
 //! deliberately small session cap. This is the scaled-down tier-1
-//! version of the bench's 5,000-dialer overload scenario: it proves the
+//! version of a 5,000-dialer overload scenario: it proves the
 //! reactor accepts up to its cap, sheds the rest (counted, not
 //! crashed), and services the admitted sessions to completion — all on
 //! one thread.

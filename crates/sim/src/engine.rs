@@ -134,13 +134,7 @@ impl Simulation {
         let disobeying_count = (n as f64 * config.adversary.fraction()).round() as usize;
         let disobeying: FxHashSet<usize> = regular
             .iter()
-            .take(freerider_count.min(disobeying_count).max(
-                if disobeying_count > 0 && freerider_count == 0 {
-                    0
-                } else {
-                    disobeying_count.min(freerider_count)
-                },
-            ))
+            .take(freerider_count.min(disobeying_count))
             .copied()
             .collect();
 
@@ -940,21 +934,30 @@ mod tests {
         );
     }
 
+    /// §5.1: a lazy freerider leaves a swarm the moment its download
+    /// completes, so none is ever a member of a swarm it has finished.
     #[test]
     fn freeriders_do_not_seed() {
-        let sim = Simulation::new(small_trace(9), small_config());
-        let peers_behaviour: Vec<(usize, Behaviour)> = sim
-            .peers()
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (i, p.behaviour))
-            .collect();
-        let report = sim.run();
-        // every freerider outcome exists; none seeded (cannot check
-        // directly post-run, but completed downloads imply they left:
-        // their upload should be bounded by what tit-for-tat extracted
-        // while leeching, typically << sharers')
-        let _ = (peers_behaviour, report);
+        let trace = small_trace(9);
+        let horizon = trace.horizon;
+        let mut sim = Simulation::new(trace, small_config());
+        while sim.now() < horizon {
+            sim.step();
+        }
+        let mut finished = 0;
+        for p in sim.peers() {
+            if p.behaviour == Behaviour::Freerider {
+                for &s in p.completed.keys() {
+                    finished += 1;
+                    assert!(
+                        !sim.swarms()[s].contains(p.id),
+                        "freerider {} still in swarm {s} after completing it",
+                        p.id
+                    );
+                }
+            }
+        }
+        assert!(finished > 0, "no freerider completed a download");
     }
 
     #[test]

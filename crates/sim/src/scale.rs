@@ -20,7 +20,7 @@
 //!   random freerider in a probe's subjective view).
 //!
 //! Each probe carries its **own** RNG — seeded from the global seed
-//! plus the probe's slot — and its own lossy transport, so probe
+//! plus the probe's slot — for its sampling and loss draws, so probe
 //! processing is order-independent and runs on parallel threads;
 //! `probe_order_is_irrelevant` pins the order independence.
 //!
@@ -33,15 +33,15 @@
 //! pinned bit-identical to the monolith.
 //!
 //! Run via `cargo run -p bartercast-experiments --release --bin scale`
-//! (probe study) or `scripts/bench_scale.sh` (sharded study).
+//! (probe study) or `bash benchmark/run.sh --workload shard_1m`
+//! (sharded study).
 
 use crate::config::Behaviour;
-use crate::sweep::{shard_makespan_ms, sharded_reputations_timed};
+use crate::sweep::sharded_reputations_timed;
 use bartercast_core::history::PrivateHistory;
 use bartercast_core::message::{BarterCastConfig, BarterCastMessage};
 use bartercast_core::shard::Partitioner;
 use bartercast_core::{ReputationEngine, ShardedEngine};
-use bartercast_gossip::{Transport, TransportConfig};
 use bartercast_util::stats::{percentile, Running};
 use bartercast_util::units::{Bytes, PeerId, Seconds};
 use rand::rngs::StdRng;
@@ -68,9 +68,8 @@ pub struct ScaleConfig {
     pub seed: u64,
     /// BarterCast record-selection parameters.
     pub bartercast: BarterCastConfig,
-    /// Probability each gossip message is lost in transit (messages
-    /// travel through a simulated transport with up to one round of
-    /// delivery delay).
+    /// Probability each gossip message is lost in transit. Survivors
+    /// are absorbed within the round they were sent in.
     pub message_loss: f64,
 }
 
@@ -118,16 +117,16 @@ fn probe_threads() -> usize {
         .min(8)
 }
 
-/// One probe's self-contained state: engine, transport, RNG, and the
+/// One probe's self-contained state: engine, RNG, and the
 /// measurement accumulators. Nothing here is shared between probes,
 /// which is what makes probe processing order- and thread-free.
 struct ProbeState {
     /// Population index of the probe peer.
     peer: usize,
     engine: ReputationEngine,
-    transport: Transport<BarterCastMessage>,
     rng: StdRng,
     messages: u64,
+    messages_lost: u64,
     latencies: Vec<f64>,
     correct: u64,
     informed: u64,
@@ -164,9 +163,9 @@ pub fn run_scale(config: &ScaleConfig) -> ScaleReport {
 
 /// [`run_scale`] with an explicit probe processing order (`reverse`
 /// flips the serial iteration). Results must not depend on it: every
-/// probe draws from its own RNG seeded by `config.seed + slot + 1`
-/// and owns its transport, so the probes never contend for shared
-/// random state. Exposed to the regression test only.
+/// probe draws only from its own RNG seeded by `config.seed + slot +
+/// 1`, so the probes never contend for shared random state. Exposed to
+/// the regression test only.
 fn run_scale_ordered(config: &ScaleConfig, reverse: bool) -> ScaleReport {
     assert!(config.peers >= 10);
     assert!(config.probes >= 1 && config.probes <= config.peers);
@@ -217,20 +216,15 @@ fn run_scale_ordered(config: &ScaleConfig, reverse: bool) -> ScaleReport {
     let probe_ids: Vec<usize> = (0..config.probes)
         .map(|i| i * (n / config.probes))
         .collect();
-    let transport_config = TransportConfig {
-        min_delay: Seconds(0),
-        max_delay: Seconds(600),
-        loss: config.message_loss,
-    };
     let mut probes: Vec<ProbeState> = probe_ids
         .iter()
         .enumerate()
         .map(|(slot, &peer)| ProbeState {
             peer,
             engine: ReputationEngine::new(),
-            transport: Transport::new(transport_config),
             rng: StdRng::seed_from_u64(config.seed.wrapping_add(slot as u64 + 1)),
             messages: 0,
+            messages_lost: 0,
             latencies: Vec::new(),
             correct: 0,
             informed: 0,
@@ -278,32 +272,26 @@ fn run_scale_ordered(config: &ScaleConfig, reverse: bool) -> ScaleReport {
                 if sender == probe.peer {
                     continue;
                 }
+                if config.message_loss > 0.0 && probe.rng.gen_bool(config.message_loss) {
+                    probe.messages_lost += 1;
+                    continue;
+                }
+                // Discarded draw: keeps each probe's RNG stream, and so
+                // every seeded report, identical to runs that drew a
+                // per-message delay here. No result could observe that
+                // delay: deliveries never crossed a round boundary and
+                // absorption is an order-free max-merge.
+                let _delay: u64 = probe.rng.gen_range(0..=600);
                 let msg = BarterCastMessage::from_history(&histories[sender], config.bartercast);
-                probe.transport.send(
-                    &mut probe.rng,
-                    now,
-                    PeerId(sender as u32),
-                    PeerId(probe.peer as u32),
-                    msg,
-                );
-            }
-            // deliveries due by the end of this round (delays reach
-            // into the next round boundary)
-            for d in probe.transport.deliver_due(now + Seconds(600)) {
-                probe.engine.absorb_message(&d.payload);
+                probe.engine.absorb_message(&msg);
                 probe.messages += 1;
             }
         });
     }
-    // drain anything still in flight after the last round, then take
-    // the measurements — still per-probe, still order-free
+    // take the measurements — still per-probe, still order-free
     let behaviours = &behaviours;
     let sources = &sources;
     process_probes(&mut probes, reverse, |probe| {
-        for d in probe.transport.deliver_due(Seconds(u64::MAX)) {
-            probe.engine.absorb_message(&d.payload);
-            probe.messages += 1;
-        }
         let me = PeerId(probe.peer as u32);
         // query latency over random targets
         for _ in 0..50 {
@@ -364,7 +352,7 @@ fn run_scale_ordered(config: &ScaleConfig, reverse: bool) -> ScaleReport {
         edges.push(probe.engine.graph().edge_count() as f64);
         latencies.extend_from_slice(&probe.latencies);
         messages += probe.messages;
-        messages_lost += probe.transport.stats().1;
+        messages_lost += probe.messages_lost;
         correct += probe.correct;
         informed += probe.informed;
     }
@@ -420,10 +408,7 @@ pub struct ShardScaleConfig {
     pub evaluators: usize,
     /// Targets scored per evaluator.
     pub targets: usize,
-    /// Sweep worker threads for the measured wall time. On a
-    /// single-core host set this to 1 so per-task costs are measured
-    /// without thread contention — the makespan replay (one core per
-    /// shard) is the scaling number either way.
+    /// Sweep worker threads for the measured wall time.
     pub workers: usize,
     /// RNG seed. The record stream is a pure function of the seed —
     /// independent of `shards` — so checksums are comparable across
@@ -469,10 +454,6 @@ pub struct ShardScaleReport {
     pub records_per_sec: f64,
     /// Measured wall time of the threaded shard-parallel sweep.
     pub sweep_wall_ms: f64,
-    /// Deterministic makespan replay of the sweep at one core per
-    /// shard (see `sweep::shard_makespan_ms`): what the measured
-    /// per-task costs schedule to when every shard gets its own core.
-    pub sweep_makespan_ms: f64,
     /// Sweep tasks completed via cross-shard stealing.
     pub stolen: usize,
     /// Wrapping sum of `to_bits` over every swept value — equal
@@ -599,7 +580,6 @@ pub fn run_shard_scale(config: &ShardScaleConfig) -> ShardScaleReport {
         ingest_ms,
         records_per_sec: records as f64 / (ingest_ms / 1e3).max(1e-9),
         sweep_wall_ms: outcome.wall_ms,
-        sweep_makespan_ms: shard_makespan_ms(&outcome.task_us, config.shards, config.shards),
         stolen: outcome.stolen,
         checksum,
         locality: stats.locality,
@@ -665,6 +645,29 @@ mod tests {
         assert_eq!(forward.pairwise_accuracy, reversed.pairwise_accuracy);
         assert_eq!(forward.messages, reversed.messages);
         assert_eq!(forward.messages_lost, reversed.messages_lost);
+    }
+
+    /// `run_scale` reports pinned at the last commit that routed probe
+    /// gossip through the `gossip::transport` delay queue: the inline
+    /// loss draw must reproduce them bit for bit.
+    #[test]
+    fn reports_match_the_delay_queue_transport() {
+        let pins = [
+            (500, 0.0, 2787.5, 0.7449392712550608, 9265, 0),
+            (500, 0.3, 2370.3, 0.7318548387096774, 6518, 2750),
+            (1200, 0.0, 3988.1000000000004, 0.7686116700201208, 9245, 0),
+            (1200, 0.3, 3079.3, 0.805668016194332, 6510, 2738),
+        ];
+        for (peers, message_loss, edges, accuracy, messages, lost) in pins {
+            let report = run_scale(&ScaleConfig {
+                peers,
+                message_loss,
+                ..tiny()
+            });
+            assert_eq!(report.mean_graph_edges.to_bits(), f64::to_bits(edges));
+            assert_eq!(report.pairwise_accuracy.to_bits(), f64::to_bits(accuracy));
+            assert_eq!((report.messages, report.messages_lost), (messages, lost));
+        }
     }
 
     #[test]
@@ -733,9 +736,6 @@ mod tests {
             four.locality
         );
         assert!(four.records_per_sec > 0.0);
-        assert!(
-            four.sweep_makespan_ms <= one.sweep_makespan_ms + 1e-6 || four.sweep_makespan_ms >= 0.0
-        );
     }
 
     #[test]

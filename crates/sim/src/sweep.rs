@@ -8,10 +8,10 @@
 //! * [`system_reputation_sums`] — the Equation-2 sweep inside one
 //!   simulation: every evaluator scores every target through its own
 //!   engine. Evaluator workloads are far from uniform (an archival
-//!   seeder's subjective graph dwarfs a leecher's), so static chunking
-//!   leaves threads idle behind the chunk that drew the heavy
-//!   evaluators. The [`SweepSchedule::WorkStealing`] scheduler fixes
-//!   that: a cost-ordered task list — layered-DAG size for bounded
+//!   seeder's subjective graph dwarfs a leecher's), so equal-size
+//!   chunks would leave threads idle behind the chunk that drew the
+//!   heavy evaluators. [`SweepSchedule::WorkStealing`] instead runs a
+//!   cost-ordered task list — layered-DAG size for bounded
 //!   methods (the arcs the bounded kernel actually traverses), raw
 //!   edge count for unbounded ones — claimed by an atomic counter, so
 //!   threads that finish early pull the next pending evaluator
@@ -92,10 +92,6 @@ fn max_threads() -> usize {
 pub enum SweepSchedule {
     /// One thread, evaluators in index order.
     Serial,
-    /// Contiguous equal-size chunks of the peer slice, one per thread
-    /// (the scheme this module's work stealing replaced; kept for
-    /// benchmarking the difference).
-    StaticChunks,
     /// Cost-ordered task list claimed via an atomic counter: threads
     /// take the heaviest pending evaluator (by layered-DAG size for
     /// bounded methods) as soon as they free up.
@@ -133,7 +129,6 @@ pub fn system_reputation_sums(
     let target_ids: Vec<PeerId> = indices.iter().map(|&i| peers[i].id).collect();
     let gathered = match schedule {
         SweepSchedule::Serial => gather_serial(peers, indices, &target_ids),
-        SweepSchedule::StaticChunks => gather_static(peers, indices, &target_ids),
         SweepSchedule::WorkStealing => gather_stealing(peers, indices, &target_ids),
     };
     let mut sums = vec![0.0; target_ids.len()];
@@ -201,55 +196,6 @@ fn gather_serial(peers: &mut [SimPeer], indices: &[usize], target_ids: &[PeerId]
         .collect()
 }
 
-/// Position in `indices` per peer index, for threads that walk the
-/// peer slice directly.
-fn positions(indices: &[usize]) -> FxHashMap<usize, usize> {
-    indices
-        .iter()
-        .enumerate()
-        .map(|(pos, &i)| (i, pos))
-        .collect()
-}
-
-fn gather_static(peers: &mut [SimPeer], indices: &[usize], target_ids: &[PeerId]) -> Vec<Vec<f64>> {
-    let pos_of = positions(indices);
-    let chunk = peers.len().div_ceil(max_threads());
-    let mut gathered: Vec<Option<Vec<f64>>> = Vec::new();
-    gathered.resize_with(indices.len(), || None);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        let mut rest: &mut [SimPeer] = peers;
-        let mut offset = 0usize;
-        while !rest.is_empty() {
-            let take = chunk.min(rest.len());
-            let (head, tail) = rest.split_at_mut(take);
-            rest = tail;
-            let base = offset;
-            offset += take;
-            let pos_of = &pos_of;
-            handles.push(scope.spawn(move || {
-                let mut local: Vec<(usize, Vec<f64>)> = Vec::new();
-                for (off, peer) in head.iter_mut().enumerate() {
-                    if let Some(&pos) = pos_of.get(&(base + off)) {
-                        let evaluator = peer.id;
-                        local.push((pos, peer.engine.reputations_from(evaluator, target_ids)));
-                    }
-                }
-                local
-            }));
-        }
-        for h in handles {
-            for (pos, values) in h.join().expect("sweep thread panicked") {
-                gathered[pos] = Some(values);
-            }
-        }
-    });
-    gathered
-        .into_iter()
-        .map(|v| v.expect("every evaluator gathered"))
-        .collect()
-}
-
 /// Scheduling cost of one evaluator's sweep. Bounded methods only
 /// traverse the evaluator's layered DAG (its k-hop forward and
 /// reverse balls), so the raw edge count of the whole subjective
@@ -276,7 +222,13 @@ fn gather_stealing(
     indices: &[usize],
     target_ids: &[PeerId],
 ) -> Vec<Vec<f64>> {
-    let pos_of = positions(indices);
+    // position in `indices` per peer index: the loop below walks the
+    // peer slice directly
+    let pos_of: FxHashMap<usize, usize> = indices
+        .iter()
+        .enumerate()
+        .map(|(pos, &i)| (i, pos))
+        .collect();
     // one claimable task per evaluator, heaviest layered DAG first so
     // the long poles start immediately (classic LPT ordering)
     let mut slots: Vec<(usize, usize, &mut SimPeer)> = Vec::with_capacity(indices.len());
@@ -330,8 +282,7 @@ fn gather_stealing(
 }
 
 /// The result of a shard-parallel sweep: per-evaluator value vectors
-/// in input order, plus the per-task timings the deterministic
-/// makespan replay ([`shard_makespan_ms`]) consumes.
+/// in input order, plus per-task timings.
 #[derive(Debug, Clone)]
 pub struct ShardedSweepOutcome {
     /// `reputations_from(evaluator, targets)` per evaluator, in the
@@ -503,55 +454,6 @@ pub fn sharded_reputation_sums(
     sums
 }
 
-/// Deterministic makespan replay of a measured task set: the
-/// wall-clock a `workers`-core machine would need for the shard-aware
-/// schedule, in milliseconds.
-///
-/// Replays the scheduler's own policy against the measured per-task
-/// costs: per-shard LPT queues, worker `w` owning shards `≡ w (mod
-/// workers)`, the minimum-clock worker always taking its own shards'
-/// next task and stealing from the shard with the most remaining work
-/// once its own are dry. On a single-core host (this repo's benches)
-/// real threads cannot show the scaling, so `bench_scale` reports this
-/// replay alongside the measured single-core wall time.
-pub fn shard_makespan_ms(task_us: &[(usize, f64)], shards: usize, workers: usize) -> f64 {
-    let workers = workers.max(1);
-    let mut queues: Vec<Vec<f64>> = vec![Vec::new(); shards.max(1)];
-    for &(s, us) in task_us {
-        queues[s].push(us);
-    }
-    for q in &mut queues {
-        q.sort_by(|a, b| b.partial_cmp(a).expect("finite task costs"));
-    }
-    let mut next: Vec<usize> = vec![0; queues.len()];
-    let mut remaining: Vec<f64> = queues.iter().map(|q| q.iter().sum()).collect();
-    let mut clocks = vec![0.0f64; workers];
-    loop {
-        // minimum-clock worker acts next (ties by index: deterministic)
-        let w = (0..workers)
-            .min_by(|&a, &b| clocks[a].partial_cmp(&clocks[b]).expect("finite clocks"))
-            .expect("at least one worker");
-        // own shards first, ascending
-        let own = (w..queues.len())
-            .step_by(workers)
-            .find(|&s| next[s] < queues[s].len());
-        // otherwise steal from the shard with the most remaining work
-        let steal = || {
-            (0..queues.len())
-                .filter(|&s| next[s] < queues[s].len())
-                .max_by(|&a, &b| remaining[a].partial_cmp(&remaining[b]).expect("finite"))
-        };
-        let Some(s) = own.or_else(steal) else {
-            break;
-        };
-        let cost = queues[s][next[s]];
-        next[s] += 1;
-        remaining[s] -= cost;
-        clocks[w] += cost;
-    }
-    clocks.into_iter().fold(0.0, f64::max) / 1e3
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -703,16 +605,11 @@ mod tests {
             let mut peers = skewed_population(40, 99);
             system_reputation_sums(&mut peers, &indices, SweepSchedule::Serial)
         };
-        let chunked = {
-            let mut peers = skewed_population(40, 99);
-            system_reputation_sums(&mut peers, &indices, SweepSchedule::StaticChunks)
-        };
         let stolen = {
             let mut peers = skewed_population(40, 99);
             system_reputation_sums(&mut peers, &indices, SweepSchedule::WorkStealing)
         };
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&serial), bits(&chunked));
         assert_eq!(bits(&serial), bits(&stolen));
     }
 
@@ -802,29 +699,6 @@ mod tests {
         assert_eq!(outcome.task_us.len(), evaluators.len());
         assert!(outcome.task_us.iter().all(|&(s, us)| s < 4 && us >= 0.0));
         assert!(outcome.wall_ms >= 0.0);
-    }
-
-    #[test]
-    fn makespan_replay_is_deterministic_and_scales_down() {
-        let tasks: Vec<(usize, f64)> = (0..64)
-            .map(|i| (i % 4, 100.0 + (i as f64 * 37.0) % 900.0))
-            .collect();
-        let serial = shard_makespan_ms(&tasks, 4, 1);
-        let total: f64 = tasks.iter().map(|&(_, us)| us).sum();
-        assert!(
-            (serial - total / 1e3).abs() < 1e-9,
-            "one worker does it all"
-        );
-        let two = shard_makespan_ms(&tasks, 4, 2);
-        let four = shard_makespan_ms(&tasks, 4, 4);
-        assert!(two <= serial && four <= two, "{serial} {two} {four}");
-        // perfect scaling is the floor
-        assert!(four >= serial / 4.0 - 1e-9);
-        assert_eq!(
-            shard_makespan_ms(&tasks, 4, 4).to_bits(),
-            four.to_bits(),
-            "replay must be deterministic"
-        );
     }
 
     proptest! {
