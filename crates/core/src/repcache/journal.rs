@@ -13,13 +13,6 @@
 //! and folds them into a dense bitmap, so arbitrarily long gaps
 //! between syncs still evict precisely, and the per-entry dirty test
 //! during eviction is two bit probes instead of two hash lookups.
-//!
-//! The same per-node dirty information (read straight off the graph's
-//! `dirty_nodes_since`) now also drives incremental Gomory–Hu
-//! maintenance: `GomoryHuTree::patch` reuses every stored min cut that
-//! no dirty node crosses, by the same monotone-edge-growth argument
-//! the k-hop widening leans on. `CacheStats::tree_patches` /
-//! `tree_rebuilds` report how often the patch path wins.
 
 use bartercast_graph::ContributionGraph;
 use bartercast_util::units::PeerId;

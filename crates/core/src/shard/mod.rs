@@ -157,15 +157,6 @@ impl ShardedEngine {
         self
     }
 
-    /// Cap each shard engine's memo cache at `budget` entries.
-    pub fn with_cache_budget(mut self, budget: usize) -> Self {
-        for shard in &mut self.shards {
-            let engine = std::mem::take(&mut shard.engine);
-            shard.engine = engine.with_cache_budget(budget);
-        }
-        self
-    }
-
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()

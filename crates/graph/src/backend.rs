@@ -1,32 +1,25 @@
-//! The [`FlowBackend`] trait: a uniform interface over the three ways
-//! this crate can evaluate Equation-1 flows.
+//! [`FlowKernel`]: the one flow evaluator behind the reputation
+//! engine, fixed by the configured [`Method`].
 //!
-//! The reputation engine used to dispatch on [`Method`] with ad-hoc
-//! `match`es — one arm per kernel, each with its own lazily rebuilt
-//! per-version state. Backends now present one surface:
+//! * Point queries ([`FlowKernel::flow`]) evaluate one directed flow
+//!   with the configured method on a shared, lazily rebuilt
+//!   [`FlowNetwork`]; `Bounded(k)` with `k ≥ 3` goes through the
+//!   layered-DAG kernel ([`crate::boundedk::BoundedKKernel`]) instead,
+//!   so points and sweeps share its caches.
+//! * Batch sweeps ([`FlowKernel::all_flows_from`]) exist for **every**
+//!   finite path-length bound: direct edges for `k = 1`, the two-hop
+//!   closed form ([`crate::ssat`]) for the deployed `k = 2`, the
+//!   layered-DAG kernel for `k ≥ 3`. All are bit-identical to per-pair
+//!   bounded evaluation. Unbounded methods have no sweep and return
+//!   `None`; the caller evaluates them pair by pair.
 //!
-//! * [`Ssat`] — the single-source all-targets kernel for **every**
-//!   finite path-length bound: the two-hop closed form for the
-//!   deployed `k ≤ 2`, the layered-DAG kernel
-//!   ([`crate::boundedk::BoundedKKernel`]) for `k ≥ 3`. Exact and
-//!   bit-identical to per-pair bounded evaluation at every `k`.
-//! * [`GomoryHu`] — the Gusfield Gomory–Hu tree over the
-//!   min-symmetrized graph for unbounded methods, admissible while the
-//!   graph's directed asymmetry stays within the backend's tolerance.
-//! * [`PairwiseDinic`] — per-pair evaluation with whatever [`Method`]
-//!   is configured, on a shared lazily rebuilt [`FlowNetwork`]. The
-//!   universal fallback: supports every method at any asymmetry, but
-//!   offers no batch sweep.
-//!
-//! Every backend caches whatever per-version state it needs (flow
-//! network, cut tree) keyed by [`ContributionGraph::version`], so a
-//! burst of queries against an unchanged graph shares one
-//! construction and a graph mutation invalidates lazily — no explicit
-//! reset calls.
+//! Per-version state (flow network, layered DAGs) is keyed by
+//! [`ContributionGraph::version`], so a burst of queries against an
+//! unchanged graph shares one construction and a graph mutation
+//! invalidates lazily — no explicit reset calls.
 
 use crate::boundedk::BoundedKKernel;
 use crate::contribution::ContributionGraph;
-use crate::gomoryhu::GomoryHuTree;
 use crate::maxflow::{self, Method};
 use crate::network::FlowNetwork;
 use crate::ssat;
@@ -45,37 +38,8 @@ pub struct FlowPair {
     pub away: Bytes,
 }
 
-/// A reputation-flow evaluator: one of the interchangeable kernels
-/// behind the reputation engine, used as a trait object.
-pub trait FlowBackend: std::fmt::Debug + Send {
-    /// Stable identifier for diagnostics and dispatch statistics.
-    fn name(&self) -> &'static str;
-
-    /// Whether this backend can serve `method` on a graph with the
-    /// given directed asymmetry (see
-    /// [`ContributionGraph::asymmetry`]). The engine consults backends
-    /// in priority order and uses the first that answers `true`.
-    fn supports(&self, method: Method, asymmetry: f64) -> bool;
-
-    /// Directed flow `s → t` as this backend evaluates it. Zero when
-    /// either endpoint is absent or `s == t`.
-    fn flow(&mut self, graph: &ContributionGraph, s: PeerId, t: PeerId) -> Bytes;
-
-    /// Both Equation-1 flows from evaluator `i` to **every** reachable
-    /// peer in one sweep, or `None` when this backend has no batch
-    /// kernel (the caller then falls back to per-pair
-    /// [`FlowBackend::flow`] calls). Peers absent from the returned
-    /// map have zero flow in both directions.
-    fn all_flows_from(
-        &mut self,
-        graph: &ContributionGraph,
-        i: PeerId,
-    ) -> Option<FxHashMap<PeerId, FlowPair>>;
-}
-
 /// A lazily rebuilt [`FlowNetwork`] tagged with the graph version it
-/// was built at — the shared-state pattern both point-query backends
-/// use.
+/// was built at.
 #[derive(Debug, Clone, Default)]
 struct VersionedNet {
     net: Option<(u64, FlowNetwork)>,
@@ -93,61 +57,9 @@ impl VersionedNet {
     }
 }
 
-/// Per-pair evaluation with the configured [`Method`] on a shared
-/// network — the universal fallback (historically per-pair Dinic for
-/// the unbounded ablations, hence the name). Supports every method at
-/// any asymmetry; no batch sweep.
+/// The reputation engine's flow evaluator for one [`Method`].
 #[derive(Debug, Clone)]
-pub struct PairwiseDinic {
-    method: Method,
-    net: VersionedNet,
-}
-
-impl PairwiseDinic {
-    /// A per-pair backend evaluating flows with `method`.
-    pub fn new(method: Method) -> Self {
-        PairwiseDinic {
-            method,
-            net: VersionedNet::default(),
-        }
-    }
-}
-
-impl FlowBackend for PairwiseDinic {
-    fn name(&self) -> &'static str {
-        "pairwise"
-    }
-
-    fn supports(&self, _method: Method, _asymmetry: f64) -> bool {
-        true
-    }
-
-    fn flow(&mut self, graph: &ContributionGraph, s: PeerId, t: PeerId) -> Bytes {
-        maxflow::compute_on(self.net.at(graph), s, t, self.method)
-    }
-
-    fn all_flows_from(
-        &mut self,
-        _graph: &ContributionGraph,
-        _i: PeerId,
-    ) -> Option<FxHashMap<PeerId, FlowPair>> {
-        None
-    }
-}
-
-/// The single-source all-targets kernel for **every** finite path
-/// bound `Bounded(k)`: one traversal of the evaluator's bounded
-/// neighbourhood yields its flows to and from every peer at once,
-/// bit-identical to per-pair bounded evaluation. `k = 1` degenerates
-/// to reading the direct edges, `k = 2` uses the disjoint-paths closed
-/// form ([`crate::ssat`]), and `k ≥ 3` — where the closed form breaks
-/// down — routes through the layered-DAG kernel
-/// ([`crate::boundedk`]), which shares per-source DAGs and memoized
-/// pair values across sweeps. Until that kernel existed, `k ≥ 3`
-/// silently fell through to per-pair evaluation with no sweep and no
-/// incremental eviction.
-#[derive(Debug, Clone)]
-pub struct Ssat {
+pub struct FlowKernel {
     method: Method,
     net: VersionedNet,
     /// The layered-DAG kernel, present exactly when `method` is
@@ -155,33 +67,28 @@ pub struct Ssat {
     kernel: Option<BoundedKKernel>,
 }
 
-impl Ssat {
-    /// An SSAT backend evaluating point queries with `method` (which
-    /// must be the same bounded method `supports` admits, or point and
-    /// batch answers would diverge).
+impl FlowKernel {
+    /// A kernel evaluating point queries and sweeps with `method`.
     pub fn new(method: Method) -> Self {
         let kernel = match method {
             Method::Bounded(k) if k >= 3 => Some(BoundedKKernel::new(k)),
             _ => None,
         };
-        Ssat {
+        FlowKernel {
             method,
             net: VersionedNet::default(),
             kernel,
         }
     }
-}
 
-impl FlowBackend for Ssat {
-    fn name(&self) -> &'static str {
-        "ssat"
+    /// The method this kernel evaluates with.
+    pub fn method(&self) -> Method {
+        self.method
     }
 
-    fn supports(&self, method: Method, _asymmetry: f64) -> bool {
-        matches!(method, Method::Bounded(_))
-    }
-
-    fn flow(&mut self, graph: &ContributionGraph, s: PeerId, t: PeerId) -> Bytes {
+    /// Directed flow `s → t`. Zero when either endpoint is absent or
+    /// `s == t`.
+    pub fn flow(&mut self, graph: &ContributionGraph, s: PeerId, t: PeerId) -> Bytes {
         match self.kernel.as_mut() {
             // k ≥ 3: the kernel is bit-identical to per-pair bounded
             // evaluation and shares its DAG/value caches with sweeps
@@ -190,7 +97,12 @@ impl FlowBackend for Ssat {
         }
     }
 
-    fn all_flows_from(
+    /// Both Equation-1 flows from evaluator `i` to **every** reachable
+    /// peer in one sweep, or `None` exactly when the method is
+    /// unbounded (the caller then falls back to per-pair
+    /// [`FlowKernel::flow`] calls). Peers absent from the returned map
+    /// have zero flow in both directions.
+    pub fn all_flows_from(
         &mut self,
         graph: &ContributionGraph,
         i: PeerId,
@@ -206,8 +118,6 @@ impl FlowBackend for Ssat {
                 let kernel = self.kernel.as_mut().expect("kernel built for k >= 3");
                 (kernel.flows_into(graph, i), kernel.flows_from(graph, i))
             }
-            // unbounded methods are never admitted by `supports`; be
-            // explicit rather than returning a wrong-method sweep
             _ => return None,
         };
         let mut flows: FxHashMap<PeerId, FlowPair> = FxHashMap::default();
@@ -218,105 +128,6 @@ impl FlowBackend for Ssat {
             flows.entry(j).or_default().away = a;
         }
         Some(flows)
-    }
-}
-
-/// The Gomory–Hu cut tree over the min-symmetrized graph: `O(n)`
-/// single-source sweeps for unbounded methods, built once per graph
-/// version (n − 1 Dinic runs). Exact on symmetric graphs; admissible
-/// up to the configured asymmetry tolerance, beyond which
-/// [`FlowBackend::supports`] rejects and the engine falls back to
-/// per-pair flow. The tree flow serves **both** directions of
-/// Equation 1 (it is symmetric by construction).
-#[derive(Debug, Clone)]
-pub struct GomoryHu {
-    tolerance: f64,
-    tree: Option<GomoryHuTree>,
-    patches: u64,
-    rebuilds: u64,
-}
-
-impl GomoryHu {
-    /// A tree backend admissible up to `tolerance` directed asymmetry.
-    pub fn new(tolerance: f64) -> Self {
-        GomoryHu {
-            tolerance,
-            tree: None,
-            patches: 0,
-            rebuilds: 0,
-        }
-    }
-
-    /// Graph version of the currently built tree, if any (diagnostics:
-    /// lets tests assert the tree is rebuilt once per version, not
-    /// once per sweep).
-    pub fn tree_version(&self) -> Option<u64> {
-        self.tree.as_ref().map(GomoryHuTree::version)
-    }
-
-    /// How many version bumps were absorbed by an incremental
-    /// [`GomoryHuTree::patch`] instead of a full rebuild.
-    pub fn tree_patches(&self) -> u64 {
-        self.patches
-    }
-
-    /// How many version bumps required a from-scratch
-    /// [`GomoryHuTree::build`] (first build included).
-    pub fn tree_rebuilds(&self) -> u64 {
-        self.rebuilds
-    }
-
-    /// The tree for the graph's current version: try to patch the
-    /// previous tree over the dirty node set first, fall back to a full
-    /// rebuild when the dirty set is too large or the node set changed.
-    /// At most one patch or rebuild per graph version.
-    fn at(&mut self, graph: &ContributionGraph) -> &GomoryHuTree {
-        let version = graph.version();
-        if self.tree_version() != Some(version) {
-            let patched = self.tree.as_ref().and_then(|t| t.patch(graph));
-            match patched {
-                Some(t) => {
-                    self.patches += 1;
-                    self.tree = Some(t);
-                }
-                None => {
-                    self.rebuilds += 1;
-                    self.tree = Some(GomoryHuTree::build(graph));
-                }
-            }
-        }
-        self.tree.as_ref().expect("tree built above")
-    }
-}
-
-impl FlowBackend for GomoryHu {
-    fn name(&self) -> &'static str {
-        "gomory-hu"
-    }
-
-    fn supports(&self, method: Method, asymmetry: f64) -> bool {
-        matches!(
-            method,
-            Method::FordFulkerson | Method::EdmondsKarp | Method::Dinic | Method::PushRelabel
-        ) && asymmetry <= self.tolerance
-    }
-
-    fn flow(&mut self, graph: &ContributionGraph, s: PeerId, t: PeerId) -> Bytes {
-        self.at(graph).flow(s, t)
-    }
-
-    fn all_flows_from(
-        &mut self,
-        graph: &ContributionGraph,
-        i: PeerId,
-    ) -> Option<FxHashMap<PeerId, FlowPair>> {
-        let flows = self.at(graph).all_flows_from(i);
-        Some(
-            flows
-                .into_iter()
-                .map(|(j, f)| (j, FlowPair { toward: f, away: f }))
-                .collect(),
-        )
     }
 }
 
@@ -339,7 +150,7 @@ mod tests {
     #[test]
     fn ssat_sweep_matches_point_queries() {
         let g = chain();
-        let mut b = Ssat::new(Method::DEPLOYED);
+        let mut b = FlowKernel::new(Method::DEPLOYED);
         let flows = b.all_flows_from(&g, p(0)).expect("ssat has a sweep");
         for j in [p(1), p(2)] {
             let pair = flows.get(&j).copied().unwrap_or_default();
@@ -351,8 +162,7 @@ mod tests {
     #[test]
     fn ssat_bounded_one_reads_direct_edges() {
         let g = chain();
-        let mut b = Ssat::new(Method::Bounded(1));
-        assert!(b.supports(Method::Bounded(1), 1.0));
+        let mut b = FlowKernel::new(Method::Bounded(1));
         let flows = b.all_flows_from(&g, p(0)).unwrap();
         // only the direct 1 -> 0 edge reaches peer 0 within one hop
         assert_eq!(flows.get(&p(1)).unwrap().toward, Bytes::from_mb(200));
@@ -362,8 +172,8 @@ mod tests {
 
     #[test]
     fn ssat_serves_all_finite_bounds() {
-        // regression: `supports` used to hard-reject k ≥ 3, silently
-        // degrading those methods to per-pair evaluation with no sweep
+        // regression: k ≥ 3 used to degrade silently to per-pair
+        // evaluation with no sweep
         let mut g = ContributionGraph::new();
         // 3 -> 2 -> 1 -> 0 plus a shortcut 3 -> 1
         g.add_transfer(p(3), p(2), Bytes::from_mb(100));
@@ -372,8 +182,7 @@ mod tests {
         g.add_transfer(p(3), p(1), Bytes::from_mb(10));
         for k in [3usize, 4, 7] {
             let method = Method::Bounded(k);
-            let mut b = Ssat::new(method);
-            assert!(b.supports(method, 1.0), "k = {k} must be admitted");
+            let mut b = FlowKernel::new(method);
             let flows = b.all_flows_from(&g, p(0)).expect("k >= 3 has a sweep");
             for j in [p(1), p(2), p(3)] {
                 let pair = flows.get(&j).copied().unwrap_or_default();
@@ -382,87 +191,22 @@ mod tests {
                 assert_eq!(pair.toward, b.flow(&g, j, p(0)));
             }
         }
-        assert!(Ssat::new(Method::Bounded(0)).supports(Method::Bounded(0), 0.0));
-        assert!(!Ssat::new(Method::Dinic).supports(Method::Dinic, 0.0));
+        let mut zero = FlowKernel::new(Method::Bounded(0));
+        assert!(zero.all_flows_from(&g, p(0)).unwrap().is_empty());
     }
 
     #[test]
     fn pairwise_supports_everything_but_has_no_sweep() {
         let g = chain();
-        let mut b = PairwiseDinic::new(Method::Dinic);
-        assert!(b.supports(Method::Dinic, 1.0));
-        assert!(b.supports(Method::Bounded(7), 1.0));
-        assert!(b.all_flows_from(&g, p(0)).is_none());
-        assert_eq!(b.flow(&g, p(2), p(0)), Bytes::from_mb(200));
-    }
-
-    #[test]
-    fn gomoryhu_gated_by_tolerance_and_method() {
-        let b = GomoryHu::new(0.25);
-        assert!(b.supports(Method::Dinic, 0.2));
-        assert!(!b.supports(Method::Dinic, 0.3));
-        assert!(!b.supports(Method::DEPLOYED, 0.0), "bounded never admitted");
-    }
-
-    #[test]
-    fn gomoryhu_builds_once_per_version() {
-        let mut g = chain();
-        // symmetrize so the tree is meaningful
-        g.add_transfer(p(1), p(2), Bytes::from_mb(300));
-        g.add_transfer(p(0), p(1), Bytes::from_mb(200));
-        let mut b = GomoryHu::new(0.0);
-        b.all_flows_from(&g, p(0)).unwrap();
-        let v1 = b.tree_version().expect("tree built");
-        b.all_flows_from(&g, p(1)).unwrap();
-        assert_eq!(b.tree_version(), Some(v1), "unchanged graph reuses tree");
-        g.add_transfer(p(0), p(2), Bytes::from_mb(1));
-        b.flow(&g, p(0), p(2));
-        assert!(b.tree_version().unwrap() > v1, "mutation forces rebuild");
-    }
-
-    #[test]
-    fn gomoryhu_patches_small_mutations_and_counts_them() {
-        let mut g = ContributionGraph::new();
-        for (a, b, mb) in [(0, 1, 100), (1, 2, 200), (0, 3, 50), (3, 2, 50)] {
-            g.add_transfer(p(a), p(b), Bytes::from_mb(mb));
-            g.add_transfer(p(b), p(a), Bytes::from_mb(mb));
-        }
-        let mut b = GomoryHu::new(0.0);
-        b.all_flows_from(&g, p(0)).unwrap();
-        assert_eq!((b.tree_patches(), b.tree_rebuilds()), (0, 1));
-        // touch one existing pair: two dirty nodes, patchable
-        g.add_transfer(p(0), p(1), Bytes::from_mb(1));
-        g.add_transfer(p(1), p(0), Bytes::from_mb(1));
-        b.flow(&g, p(0), p(1));
-        assert_eq!((b.tree_patches(), b.tree_rebuilds()), (1, 1));
-        assert_eq!(b.tree_version(), Some(g.version()));
-        // a brand-new node is not patchable: full rebuild
-        g.add_transfer(p(9), p(0), Bytes::from_mb(5));
-        g.add_transfer(p(0), p(9), Bytes::from_mb(5));
-        b.flow(&g, p(0), p(9));
-        assert_eq!((b.tree_patches(), b.tree_rebuilds()), (1, 2));
-        // patched trees answer like rebuilt ones
-        let fresh = GomoryHuTree::build(&g);
-        for s in [0u32, 1, 2, 3, 9] {
-            for t in [0u32, 1, 2, 3, 9] {
-                assert_eq!(b.flow(&g, p(s), p(t)), fresh.flow(p(s), p(t)));
-            }
-        }
-    }
-
-    #[test]
-    fn gomoryhu_sweep_matches_point_queries_on_symmetric_graph() {
-        let mut g = ContributionGraph::new();
-        for (a, b, mb) in [(0, 1, 100), (1, 2, 200), (0, 3, 50), (3, 2, 50)] {
-            g.add_transfer(p(a), p(b), Bytes::from_mb(mb));
-            g.add_transfer(p(b), p(a), Bytes::from_mb(mb));
-        }
-        let mut b = GomoryHu::new(0.0);
-        let flows = b.all_flows_from(&g, p(0)).unwrap();
-        for j in [p(1), p(2), p(3)] {
-            let pair = flows.get(&j).copied().unwrap_or_default();
-            assert_eq!(pair.toward, pair.away, "tree flow is symmetric");
-            assert_eq!(pair.toward, b.flow(&g, j, p(0)));
+        for method in [
+            Method::FordFulkerson,
+            Method::EdmondsKarp,
+            Method::Dinic,
+            Method::PushRelabel,
+        ] {
+            let mut b = FlowKernel::new(method);
+            assert!(b.all_flows_from(&g, p(0)).is_none(), "{method:?}");
+            assert_eq!(b.flow(&g, p(2), p(0)), Bytes::from_mb(200), "{method:?}");
         }
     }
 }

@@ -252,59 +252,6 @@ impl ContributionGraph {
         seen
     }
 
-    /// The undirected **min-symmetrization** of this graph: every
-    /// unordered pair `{i, j}` keeps `min(c(i, j), c(j, i))` in *both*
-    /// directions (pairs where either direction is zero disappear).
-    ///
-    /// This is the conservative approximation the Gomory–Hu batch
-    /// backend is built on: any flow in the symmetrized graph can be
-    /// oriented into a feasible flow of the original directed graph,
-    /// so every symmetrized maxflow is a **lower bound** on the
-    /// directed maxflow in either direction. On an already symmetric
-    /// graph it is the identity and the bound is exact.
-    pub fn symmetrized(&self) -> ContributionGraph {
-        let mut g = ContributionGraph::new();
-        for (f, t, w) in self.edges() {
-            // handle each unordered pair once, from its smaller tail;
-            // a pair visible only with f > t has a zero reverse edge
-            // and therefore a zero min
-            if f < t {
-                let back = self.edge(t, f);
-                let m = Bytes(w.0.min(back.0));
-                if !m.is_zero() {
-                    g.add_transfer(f, t, m);
-                    g.add_transfer(t, f, m);
-                }
-            }
-        }
-        g
-    }
-
-    /// Directed-asymmetry measure in `[0, 1]`: the fraction of total
-    /// edge weight that min-symmetrization discards,
-    /// `Σ |c(i,j) − c(j,i)| / Σ (c(i,j) + c(j,i))` over unordered
-    /// pairs. `0.0` means perfectly symmetric (the Gomory–Hu tree is
-    /// exact), `1.0` means every pair is strictly one-directional
-    /// (the symmetrized graph is empty). An empty graph measures `0.0`.
-    pub fn asymmetry(&self) -> f64 {
-        let mut diff = 0u128;
-        let mut total = 0u128;
-        for (f, t, w) in self.edges() {
-            let back = self.edge(t, f).0;
-            // count each unordered pair once; one-directional pairs
-            // (back == 0) are only visible from their forward side
-            if f < t || back == 0 {
-                diff += w.0.abs_diff(back) as u128;
-                total += (w.0 + back) as u128;
-            }
-        }
-        if total == 0 {
-            0.0
-        } else {
-            diff as f64 / total as f64
-        }
-    }
-
     /// Internal consistency check: the in-adjacency mirrors the
     /// out-adjacency exactly. Used by tests and `debug_assert!`s.
     pub fn check_invariants(&self) -> Result<(), String> {
@@ -477,49 +424,6 @@ mod tests {
         let mut dirty: Vec<_> = g.dirty_nodes_since(v).collect();
         dirty.sort();
         assert_eq!(dirty, vec![p(1), p(2)], "untouched nodes must stay clean");
-    }
-
-    #[test]
-    fn symmetrized_takes_pairwise_min() {
-        let mut g = ContributionGraph::new();
-        g.add_transfer(p(1), p(2), Bytes(10));
-        g.add_transfer(p(2), p(1), Bytes(4));
-        g.add_transfer(p(2), p(3), Bytes(7)); // one-directional: dropped
-        let s = g.symmetrized();
-        assert_eq!(s.edge(p(1), p(2)), Bytes(4));
-        assert_eq!(s.edge(p(2), p(1)), Bytes(4));
-        assert_eq!(s.edge(p(2), p(3)), Bytes::ZERO);
-        assert_eq!(s.edge_count(), 2);
-        s.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn symmetrized_is_identity_on_symmetric_graphs() {
-        let mut g = ContributionGraph::new();
-        g.add_transfer(p(1), p(2), Bytes(10));
-        g.add_transfer(p(2), p(1), Bytes(10));
-        g.add_transfer(p(3), p(1), Bytes(5));
-        g.add_transfer(p(1), p(3), Bytes(5));
-        let s = g.symmetrized();
-        for (f, t, w) in g.edges() {
-            assert_eq!(s.edge(f, t), w);
-        }
-        assert_eq!(s.edge_count(), g.edge_count());
-    }
-
-    #[test]
-    fn asymmetry_measure_ranges() {
-        let mut g = ContributionGraph::new();
-        assert_eq!(g.asymmetry(), 0.0, "empty graph is symmetric");
-        g.add_transfer(p(1), p(2), Bytes(10));
-        g.add_transfer(p(2), p(1), Bytes(10));
-        assert_eq!(g.asymmetry(), 0.0, "balanced pair is symmetric");
-        g.add_transfer(p(3), p(4), Bytes(20));
-        // |10-10| + |20-0| = 20 over 20 + 20 = 40
-        assert!((g.asymmetry() - 0.5).abs() < 1e-12);
-        let mut one_way = ContributionGraph::new();
-        one_way.add_transfer(p(1), p(2), Bytes(10));
-        assert_eq!(one_way.asymmetry(), 1.0);
     }
 
     #[test]

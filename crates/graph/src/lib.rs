@@ -16,7 +16,9 @@
 //!   Ford–Fulkerson with DFS (the paper's Algorithm 1), Edmonds–Karp,
 //!   Dinic, FIFO push–relabel, and the **depth-bounded** variant with
 //!   the deployed two-hop limit (§3.2: "our implementation only
-//!   regards paths with a maximum length of two").
+//!   regards paths with a maximum length of two"). The ablation study
+//!   runs Dinic against the bounded variant; the other three are
+//!   differential-test oracles.
 //! * [`ssat`] — the single-source all-targets kernel for the deployed
 //!   two-hop bound: one traversal of a node's two-hop neighbourhood
 //!   yields its bounded maxflow to (or from) every other peer at once.
@@ -24,15 +26,9 @@
 //!   layered DAG unrolled per source (one BFS + level assignment)
 //!   carries all-targets path-bounded flows, bit-identical to per-pair
 //!   depth-bounded evaluation, with per-version DAG and value caching.
-//! * [`gomoryhu`] — the all-pairs analogue for **unbounded** flow: a
-//!   Gusfield-simplified Gomory–Hu cut tree over the min-symmetrized
-//!   graph (n − 1 Dinic runs), answering any pair in `O(log n)` and a
-//!   whole single-source sweep in `O(n)`; exact on symmetric graphs, a
-//!   lower bound under directed asymmetry.
-//! * [`backend`] — the [`FlowBackend`] trait unifying the three
-//!   kernels above behind one dispatchable surface (`flow`,
-//!   `all_flows_from`, `supports`), used as trait objects by the
-//!   reputation engine.
+//! * [`backend`] — [`FlowKernel`], the one evaluator the reputation
+//!   engine holds: per-pair flow with the configured method, plus the
+//!   single-source sweep of the two kernels above for finite bounds.
 //! * [`mincut`] — source- and sink-side minimum cuts, used by tests to
 //!   verify the max-flow/min-cut theorem on every computed flow.
 //! * [`analysis`] — graph statistics, the §3.2 two-hop coverage
@@ -45,13 +41,12 @@ pub mod backend;
 pub mod boundedk;
 pub mod contribution;
 mod csr;
-pub mod gomoryhu;
 pub mod maxflow;
 pub mod mincut;
 pub mod network;
 pub mod ssat;
 
-pub use backend::{FlowBackend, FlowPair};
+pub use backend::{FlowKernel, FlowPair};
 pub use contribution::ContributionGraph;
 pub use maxflow::{compute, Method, DEPLOYED_MAX_PATH_LEN};
 pub use network::FlowNetwork;

@@ -7,11 +7,12 @@
 //!   line 5 we use a common depth-first search").
 //! * [`edmonds_karp`] — breadth-first (shortest) augmenting paths,
 //!   strongly polynomial.
-//! * [`dinic`] — level graphs + blocking flows, the fastest of the
-//!   unbounded three on the simulator's graphs.
-//! * [`push_relabel`] — FIFO preflow-push, included for the ablation
-//!   study (a non-augmenting-path algorithm behaves differently on the
-//!   dense small-world graphs the simulator produces).
+//! * [`dinic`] — level graphs + blocking flows, the unbounded method
+//!   the ablation study runs against the bounded ones.
+//! * [`push_relabel`] — FIFO preflow-push. Like Ford–Fulkerson and
+//!   Edmonds–Karp it is a differential-test oracle for [`dinic`], not
+//!   part of the ablation study (a non-augmenting-path algorithm fails
+//!   differently from the augmenting-path family).
 //! * [`bounded`] — augmenting paths restricted to at most `max_edges`
 //!   edges. With [`DEPLOYED_MAX_PATH_LEN`]` = 2` this is the variant
 //!   BarterCast actually deploys (§3.2). For `max_edges = 2` the result
@@ -166,50 +167,16 @@ pub fn edmonds_karp(net: &mut FlowNetwork, s: u32, t: u32) -> u64 {
     total
 }
 
-/// Reusable scratch buffers for [`dinic_with`]: the BFS level array,
-/// the per-node DFS arc cursor, and the BFS queue. One scratch serves
-/// any number of runs over networks of any size (buffers grow to the
-/// largest network seen and are reused thereafter) — Gusfield's
-/// Gomory–Hu construction runs Dinic n − 1 times back to back and
-/// would otherwise reallocate all three per run.
-#[derive(Debug, Default)]
-pub struct DinicScratch {
-    level: Vec<i32>,
-    iter: Vec<usize>,
-    queue: VecDeque<u32>,
-}
-
-impl DinicScratch {
-    /// Empty scratch; buffers are sized lazily on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Size (or re-fill) the buffers for a network of `n` nodes.
-    fn prepare(&mut self, n: usize) {
-        self.level.clear();
-        self.level.resize(n, -1);
-        self.iter.clear();
-        self.iter.resize(n, 0);
-        self.queue.clear();
-    }
-}
-
 /// Dinic's algorithm: BFS level graph + DFS blocking flow.
 pub fn dinic(net: &mut FlowNetwork, s: u32, t: u32) -> u64 {
-    dinic_with(net, s, t, &mut DinicScratch::new())
-}
-
-/// [`dinic`] with caller-provided scratch buffers, for hot loops that
-/// run many flows back to back (identical results, no per-run
-/// allocation).
-pub fn dinic_with(net: &mut FlowNetwork, s: u32, t: u32, scratch: &mut DinicScratch) -> u64 {
     let n = net.node_count();
     let mut total = 0u64;
+    let mut level = vec![-1i32; n];
+    let mut iter = vec![0usize; n];
+    let mut q = VecDeque::new();
     loop {
-        // build level graph
-        scratch.prepare(n);
-        let (level, iter, q) = (&mut scratch.level, &mut scratch.iter, &mut scratch.queue);
+        // build level graph (the BFS drains `q`, so it starts empty)
+        level.fill(-1);
         level[s as usize] = 0;
         q.push_back(s);
         while let Some(u) = q.pop_front() {
@@ -224,8 +191,9 @@ pub fn dinic_with(net: &mut FlowNetwork, s: u32, t: u32, scratch: &mut DinicScra
         if level[t as usize] < 0 {
             break;
         }
+        iter.fill(0);
         loop {
-            let f = dinic_dfs(net, s, t, u64::MAX, level, iter);
+            let f = dinic_dfs(net, s, t, u64::MAX, &level, &mut iter);
             if f == 0 {
                 break;
             }
@@ -264,11 +232,11 @@ fn dinic_dfs(
 
 /// FIFO push–relabel (preflow-push) maximum flow.
 ///
-/// Included as the fourth unbounded algorithm for the ablation study:
+/// The fourth unbounded algorithm, kept as a differential-test oracle:
 /// unlike the augmenting-path family it saturates arcs eagerly and
-/// relabels nodes, which behaves differently on the simulator's dense
-/// small-world graphs. Uses the standard FIFO active-node queue; no
-/// gap heuristic (graphs here are small enough not to need it).
+/// relabels nodes, so it shares no failure mode with the other three.
+/// Uses the standard FIFO active-node queue; no gap heuristic (graphs
+/// here are small enough not to need it).
 pub fn push_relabel(net: &mut FlowNetwork, s: u32, t: u32) -> u64 {
     let n = net.node_count();
     if n == 0 || s == t {

@@ -11,11 +11,10 @@
 //! * at `k = 2` the kernel agrees with the existing closed-form SSAT
 //!   kernel ([`bartercast_graph::ssat`]), tying the generalization
 //!   back to the deployed two-hop path;
-//! * the [`Ssat`] backend — which now admits every finite bound —
-//!   produces the same values through its `FlowBackend` surface;
-//! * a deterministic 64-node ring-plus-chords case (the Gomory–Hu
-//!   suite's shape, directed this time) pins the behaviour at
-//!   realistic scale for `k ∈ {3, 4}`.
+//! * [`FlowKernel`] — the engine's evaluator, which sweeps every
+//!   finite bound — produces the same values through its surface;
+//! * a deterministic 64-node directed ring-plus-chords case pins the
+//!   behaviour at realistic scale for `k ∈ {3, 4}`.
 //!
 //! Bit-identity is the strongest possible contract here because for
 //! `k ≥ 3` the bounded value is augmentation-order dependent: the
@@ -26,7 +25,7 @@
 //! derivation, no regression files); `scripts/tier1.sh` runs it
 //! explicitly and fails on any `proptest-regressions` drift.
 
-use bartercast_graph::backend::{FlowBackend, Ssat};
+use bartercast_graph::backend::FlowKernel;
 use bartercast_graph::boundedk::BoundedKKernel;
 use bartercast_graph::contribution::ContributionGraph;
 use bartercast_graph::maxflow::{self, Method};
@@ -112,9 +111,8 @@ proptest! {
         }
     }
 
-    /// The widened Ssat backend serves k ≥ 3 through the kernel:
-    /// sweeps and point queries through the FlowBackend surface match
-    /// per-pair evaluation exactly.
+    /// `FlowKernel` serves k ≥ 3 through the layered-DAG kernel:
+    /// its sweeps and point queries match per-pair evaluation exactly.
     #[test]
     fn ssat_backend_matches_per_pair_for_all_finite_k(
         edges in edges_strategy(),
@@ -122,8 +120,7 @@ proptest! {
     ) {
         let g = build_directed(&edges);
         let method = Method::Bounded(k);
-        let mut backend = Ssat::new(method);
-        prop_assert!(backend.supports(method, 1.0), "k = {} must be admitted", k);
+        let mut backend = FlowKernel::new(method);
         let nodes = sorted_nodes(&g);
         for &i in &nodes {
             let flows = backend.all_flows_from(&g, i).expect("finite k has a sweep");
@@ -140,8 +137,8 @@ proptest! {
     }
 }
 
-/// Deterministic 64-node directed ring plus pseudo-random chords (the
-/// Gomory–Hu suite's pinned-case shape), checked at k = 3 and k = 4.
+/// Deterministic 64-node directed ring plus pseudo-random chords,
+/// checked at k = 3 and k = 4.
 #[test]
 fn kernel_agrees_with_per_pair_at_64_nodes() {
     let n = 64u32;

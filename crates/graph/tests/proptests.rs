@@ -10,7 +10,12 @@
 //! * adding capacity never decreases maxflow;
 //! * `merge_record` is idempotent and order-insensitive (max-merge);
 //! * the SSAT kernel reproduces per-pair `Bounded(2)` flows exactly,
-//!   in both directions, including absent and saturated nodes.
+//!   in both directions, including absent and saturated nodes;
+//! * all five methods' flows carry a min-cut certificate: the residual
+//!   cut separates s from t and its capacity equals the flow value;
+//! * the CSR-backed `ContributionGraph` is observationally equivalent
+//!   to a plain map-of-maps model under random interleaved
+//!   `add_transfer` / `merge_record` sequences.
 
 use bartercast_graph::contribution::ContributionGraph;
 use bartercast_graph::maxflow::{self, Method};
@@ -19,6 +24,7 @@ use bartercast_graph::network::FlowNetwork;
 use bartercast_graph::ssat;
 use bartercast_util::units::{Bytes, PeerId};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A random edge list over up to `n` nodes.
 fn edges_strategy(n: u32, max_edges: usize) -> impl Strategy<Value = Vec<(u32, u32, u64)>> {
@@ -213,5 +219,120 @@ proptest! {
             let b = maxflow::compute(&g, PeerId(s), PeerId(t), m);
             prop_assert_eq!(a, b);
         }
+    }
+
+    #[test]
+    fn every_backend_flow_carries_a_mincut_certificate(
+        edges in prop::collection::vec((0u32..10, 0u32..10, 1u64..1000), 0..30),
+        s in 0u32..10,
+        t in 0u32..10,
+    ) {
+        let g = build(&edges);
+        let mut net = FlowNetwork::from_graph(&g);
+        let (Some(si), Some(ti)) = (net.node(PeerId(s)), net.node(PeerId(t))) else {
+            return Ok(());
+        };
+        if si == ti {
+            return Ok(());
+        }
+        type Backend = (&'static str, fn(&mut FlowNetwork, u32, u32) -> u64);
+        let backends: [Backend; 5] = [
+            ("ford_fulkerson", maxflow::ford_fulkerson),
+            ("edmonds_karp", maxflow::edmonds_karp),
+            ("dinic", maxflow::dinic),
+            ("push_relabel", maxflow::push_relabel),
+            ("bounded_full", |n, s, t| maxflow::bounded(n, s, t, 64)),
+        ];
+        for (name, run) in backends {
+            net.reset();
+            let flow = run(&mut net, si, ti);
+            // the sink-side certificate holds for flows and preflows
+            let side = mincut::sink_side_complement(&net, ti);
+            prop_assert!(side[si as usize], "{name}: s left the S side");
+            prop_assert!(!side[ti as usize], "{name}: t not cut off");
+            prop_assert_eq!(mincut::cut_capacity(&net, &side), flow, "{name} cut capacity");
+            if name != "push_relabel" {
+                let side = mincut::source_side(&net, si);
+                prop_assert!(side[si as usize] && !side[ti as usize], "{name} separation");
+                prop_assert_eq!(mincut::cut_capacity(&net, &side), flow, "{name} source cut");
+            }
+        }
+    }
+
+    /// The CSR arena behind `ContributionGraph` is observationally
+    /// equivalent to the old hash-of-hash adjacency: same edges, same
+    /// totals, same counts, same dirty sets, under any interleaving of
+    /// the two mutation entry points.
+    #[test]
+    fn csr_adjacency_matches_hashmap_model(
+        ops in prop::collection::vec((0u32..9, 0u32..9, 1u64..200, prop::bool::ANY), 1..60),
+        since_at in 0usize..60,
+    ) {
+        let mut g = ContributionGraph::new();
+        let mut out: BTreeMap<u32, BTreeMap<u32, u64>> = BTreeMap::new();
+        let mut inc: BTreeMap<u32, BTreeMap<u32, u64>> = BTreeMap::new();
+        let mut model_dirty: BTreeSet<u32> = BTreeSet::new();
+        let mut since = 0u64;
+        for (i, &(f, t, w, merge)) in ops.iter().enumerate() {
+            if i == since_at {
+                since = g.version();
+                model_dirty.clear();
+            }
+            let effective = if merge {
+                let cur = out.get(&f).and_then(|m| m.get(&t)).copied().unwrap_or(0);
+                let eff = f != t && w > cur;
+                if eff {
+                    out.entry(f).or_default().insert(t, w);
+                    inc.entry(t).or_default().insert(f, w);
+                }
+                prop_assert_eq!(g.merge_record(PeerId(f), PeerId(t), Bytes(w)), eff);
+                eff
+            } else {
+                let eff = f != t;
+                if eff {
+                    *out.entry(f).or_default().entry(t).or_default() += w;
+                    *inc.entry(t).or_default().entry(f).or_default() += w;
+                }
+                g.add_transfer(PeerId(f), PeerId(t), Bytes(w));
+                eff
+            };
+            if effective {
+                model_dirty.insert(f);
+                model_dirty.insert(t);
+            }
+        }
+        g.check_invariants().unwrap();
+        let model_nodes: BTreeSet<u32> =
+            out.keys().chain(inc.keys()).copied().collect();
+        prop_assert_eq!(g.node_count(), model_nodes.len());
+        prop_assert_eq!(g.edge_count(), out.values().map(BTreeMap::len).sum::<usize>());
+        for f in 0..9u32 {
+            for t in 0..9u32 {
+                let expect = out.get(&f).and_then(|m| m.get(&t)).copied().unwrap_or(0);
+                prop_assert_eq!(g.edge(PeerId(f), PeerId(t)).0, expect, "edge ({f}, {t})");
+            }
+            let mut got_out: Vec<(u32, u64)> =
+                g.out_edges(PeerId(f)).map(|(id, b)| (id.0, b.0)).collect();
+            got_out.sort_unstable();
+            let expect_out: Vec<(u32, u64)> = out
+                .get(&f)
+                .map(|m| m.iter().map(|(&t, &w)| (t, w)).collect())
+                .unwrap_or_default();
+            prop_assert_eq!(got_out, expect_out, "out_edges({f})");
+            let mut got_in: Vec<(u32, u64)> =
+                g.in_edges(PeerId(f)).map(|(id, b)| (id.0, b.0)).collect();
+            got_in.sort_unstable();
+            let expect_in: Vec<(u32, u64)> = inc
+                .get(&f)
+                .map(|m| m.iter().map(|(&s, &w)| (s, w)).collect())
+                .unwrap_or_default();
+            prop_assert_eq!(got_in, expect_in, "in_edges({f})");
+            prop_assert_eq!(g.total_up(PeerId(f)).0, expect_out.iter().map(|&(_, w)| w).sum::<u64>());
+            prop_assert_eq!(g.total_down(PeerId(f)).0, expect_in.iter().map(|&(_, w)| w).sum::<u64>());
+        }
+        let mut dirty: Vec<u32> = g.dirty_nodes_since(since).map(|id| id.0).collect();
+        dirty.sort_unstable();
+        let expect_dirty: Vec<u32> = model_dirty.into_iter().collect();
+        prop_assert_eq!(dirty, expect_dirty, "dirty_nodes_since({since})");
     }
 }

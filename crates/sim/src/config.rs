@@ -63,15 +63,7 @@ pub struct SimConfig {
     pub reputation_refresh: Seconds,
     /// Maxflow variant (deployed: two-hop bounded).
     pub maxflow: Method,
-    /// Directed-asymmetry tolerance for the Gomory–Hu batch backend
-    /// used by **unbounded** maxflow configs during system-reputation
-    /// sweeps (Equation 2). `0.0` (the default) admits the tree only on
-    /// exactly symmetric subjective graphs, where it is bit-identical
-    /// to per-pair flow; contribution graphs are asymmetric almost
-    /// always, so raising this trades exactness for `O(n)` sweeps.
-    /// Ignored by bounded methods.
-    pub maxflow_tolerance: f64,
-    /// Reputation metric (deployed: arctan with 1 GB unit).
+    /// Reputation metric (deployed: arctan with 2 GB unit).
     pub metric: ReputationMetric,
     /// Interval between system-reputation samples (Figure 1a).
     pub reputation_sample_interval: Seconds,
@@ -123,7 +115,6 @@ impl Default for SimConfig {
             partner_exchange_interval: Seconds::from_hours(2),
             reputation_refresh: Seconds::from_minutes(10),
             maxflow: Method::DEPLOYED,
-            maxflow_tolerance: 0.0,
             metric: ReputationMetric::default(),
             reputation_sample_interval: Seconds::from_hours(6),
             audit: None,
@@ -144,10 +135,6 @@ impl SimConfig {
             self.adversary.fraction() <= self.freerider_fraction + 1e-9,
             "disobeying peers are drawn from the freeriders (§5.4), so the \
              adversary fraction cannot exceed the freerider fraction"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.maxflow_tolerance),
-            "maxflow tolerance is an asymmetry fraction in [0, 1]"
         );
         assert!(
             self.bt.unchoke_period.0.is_multiple_of(self.round.0)

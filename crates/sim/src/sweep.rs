@@ -115,8 +115,7 @@ impl SweepSchedule {
 /// `indices`, `j ≠ target`. Each evaluator scores all targets through
 /// its engine's batch path (`reputations_from`), so the deployed
 /// two-hop configuration pays one neighbourhood traversal per
-/// evaluator and unbounded ablations route through the engine's
-/// Gomory–Hu backend where admissible.
+/// evaluator; unbounded ablations pay one maxflow pair per target.
 ///
 /// Threads gather per-evaluator value vectors under `schedule`; the
 /// reduction then runs serially in `indices` order, so every schedule
@@ -201,18 +200,11 @@ fn gather_serial(peers: &mut [SimPeer], indices: &[usize], target_ids: &[PeerId]
 /// reverse balls), so the raw edge count of the whole subjective
 /// graph — the old cost — badly overestimates peers whose graphs are
 /// large but whose neighbourhoods are thin, inverting the LPT order.
-/// Unbounded sweeps split by how the engine will actually serve them:
-/// within the asymmetry tolerance they ride the incrementally
-/// maintained Gomory–Hu tree — an `O(n)` sweep, since patch
-/// maintenance amortizes construction away — while beyond it they
-/// fall back to per-pair flow over the whole graph and keep the edge
-/// count as their cost.
+/// Unbounded sweeps run per-pair flow over the whole graph and keep
+/// the edge count as their cost.
 fn sweep_cost(peer: &SimPeer) -> usize {
     match peer.engine.method() {
         Method::Bounded(k) => layered_dag_cost(peer.engine.graph(), peer.id, k),
-        _ if peer.engine.graph().asymmetry() <= peer.engine.flow_tolerance() => {
-            peer.engine.graph().node_count()
-        }
         _ => peer.engine.graph().edge_count(),
     }
 }
@@ -576,26 +568,15 @@ mod tests {
             }
         }
         let edges = peers[0].engine.graph().edge_count();
-        let nodes = peers[0].engine.graph().node_count();
         let bounded_cost = sweep_cost(&peers[0]);
         assert!(
             bounded_cost < edges,
             "bounded cost {bounded_cost} must ignore the distant clique ({edges} edges)"
         );
-        // this fixture is symmetric, so an unbounded engine at zero
-        // tolerance rides the Gomory–Hu tree: O(n) sweep cost
+        // unbounded per-pair flow really does touch every edge
         let engine = peers[0].engine.clone().with_method(Method::Dinic);
         peers[0].engine = engine;
-        assert_eq!(peers[0].engine.flow_tolerance(), 0.0);
-        assert_eq!(sweep_cost(&peers[0]), nodes);
-        // break symmetry: the tree is inadmissible and the per-pair
-        // fallback really does touch every edge
-        peers[0]
-            .engine
-            .graph_mut()
-            .add_transfer(PeerId(0), PeerId(2), Bytes(500));
-        assert!(peers[0].engine.graph().asymmetry() > 0.0);
-        assert_eq!(sweep_cost(&peers[0]), edges + 1);
+        assert_eq!(sweep_cost(&peers[0]), edges);
     }
 
     #[test]

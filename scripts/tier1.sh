@@ -19,8 +19,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 # Public API docs must build warning-free (broken intra-doc links,
 # missing docs on public items under #![warn(missing_docs)] crates).
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
-# fmt is enforced where it has been kept clean so far
-cargo fmt -p bartercast-node -p bartercast-swarm --check
+cargo fmt --all --check
 # The benchmark of record compiles against this workspace's public
 # items; its smoke run (all four workloads at small sizes plus its own
 # gates) makes a deletion it depends on fail here, not at the driver.

@@ -63,7 +63,9 @@ proptest! {
     /// Gossip can only make an evaluation better-informed, never
     /// reverse the sign of a purely-direct negative balance: a peer I
     /// only uploaded to cannot become positive through third-party
-    /// claims, because maxflow toward me is capped by my in-edges.
+    /// claims, because maxflow toward me is capped by my in-edges
+    /// (§3.4). Holds on every kernel the engine can select, through
+    /// point and batch queries alike.
     #[test]
     fn lies_cannot_turn_pure_taker_positive(
         events in transfers(),
@@ -73,7 +75,7 @@ proptest! {
         // I (peer 0) only ever uploaded to peer 7 and downloaded nothing.
         let mut h = PrivateHistory::new(PeerId(0));
         h.record_upload(PeerId(7), Bytes(taker_amount), Seconds(1));
-        let mut engine = ReputationEngine::from_private(&h);
+        let mut base = ReputationEngine::from_private(&h);
         // peer 7 lies arbitrarily about serving others
         let lie = BarterCastMessage {
             sender: PeerId(7),
@@ -86,9 +88,15 @@ proptest! {
                 })
                 .collect(),
         };
-        engine.absorb_message(&lie);
-        let r = engine.reputation(PeerId(0), PeerId(7));
-        prop_assert!(r <= 0.0, "pure taker must stay non-positive, got {r}");
+        base.absorb_message(&lie);
+        for method in [Method::DEPLOYED, Method::Bounded(3), Method::Dinic] {
+            // separate engines so the batch runs its own sweep instead
+            // of hitting the point query's memo entry
+            let r = base.clone().with_method(method).reputation(PeerId(0), PeerId(7));
+            prop_assert!(r <= 0.0, "{method:?}: pure taker must stay non-positive, got {r}");
+            let swept = base.clone().with_method(method).reputations_from(PeerId(0), &[PeerId(7)])[0];
+            prop_assert!(swept <= 0.0, "{method:?} batch: pure taker must stay non-positive, got {swept}");
+        }
     }
 
     /// The deployed two-hop evaluation never exceeds the unbounded one
