@@ -15,7 +15,7 @@
 //! * [`clock`] — the [`Clock`] abstraction:
 //!   [`SystemClock`] for production,
 //!   [`VirtualClock`] for lockstep determinism;
-//! * [`timer`] — the hashed [`TimerWheel`](timer::TimerWheel) carrying
+//! * [`timer`] — the ordered [`TimerWheel`](timer::TimerWheel) carrying
 //!   exchange ticks, session deadlines, and dial-backoff retries;
 //! * [`wire`] — session envelopes (versioned `Hello`, `Digest`/`Delta`
 //!   record exchange, `Bye`, and the BitTorrent-style swarm frames)

@@ -7,11 +7,19 @@
 //! [`Lockstep::retire`] and [`Lockstep::step`]; the driver owns time.
 //!
 //! One [`Lockstep::step`] settles every event available at the current
-//! virtual instant (pumping the reactors until none makes progress),
-//! then advances the clock to the earliest wake any reactor has
-//! scheduled. The clock never stops anywhere else: whatever the caller
-//! does between steps (churn, forced disconnects) takes effect at the
-//! first step boundary at or after the instant it was meant for.
+//! virtual instant (passing over the reactors in id order until a pass
+//! makes no progress), then advances the clock to the earliest wake
+//! any reactor has scheduled. A pass polls a reactor only if, at its
+//! turn, [`Reactor::has_work`] says a cycle could do something — a
+//! frame a lower id sent it in this pass counts, one a higher id sends
+//! is seen by the next pass — so an instant costs the polls that are
+//! due in it, not one per node. A skipped cycle is one that would have
+//! changed nothing, which is as invisible to the schedule as the
+//! redundant cycles the determinism tests add.
+//!
+//! The clock never stops anywhere else: whatever the caller does
+//! between steps (churn, forced disconnects) takes effect at the first
+//! step boundary at or after the instant it was meant for.
 //! Combined with the transport's poll-order-independent RNG streams,
 //! every frame drop, delay, fragment boundary and timer firing is a
 //! pure function of the seeds — two runs of one schedule produce
@@ -47,6 +55,7 @@ pub struct Lockstep {
     transport: Arc<MemTransport>,
     reactors: BTreeMap<PeerId, Reactor>,
     departed: BTreeMap<PeerId, Observed>,
+    polls: u64,
 }
 
 impl Lockstep {
@@ -63,6 +72,7 @@ impl Lockstep {
             transport,
             reactors: BTreeMap::new(),
             departed: BTreeMap::new(),
+            polls: 0,
         }
     }
 
@@ -101,18 +111,21 @@ impl Lockstep {
         }
     }
 
-    /// One lockstep step: pump every reactor (in id order) until no
-    /// reactor makes progress, then advance the virtual clock to the
-    /// earliest wake any of them has scheduled. Returns `false` once no
-    /// reactor has future work (which does not happen while exchanges
-    /// repeat).
+    /// One lockstep step: pump the reactors that have work (in id
+    /// order) until none makes progress, then advance the virtual clock
+    /// to the earliest wake any of them has scheduled. Returns `false`
+    /// once no reactor has future work (which does not happen while
+    /// exchanges repeat).
     pub fn step(&mut self) -> bool {
         // settle the current instant; the spin bound only guards
         // against a livelocked pump, not normal operation
         for _ in 0..10_000 {
             let mut progress = false;
             for r in self.reactors.values_mut() {
-                progress |= r.poll_once();
+                if r.has_work() {
+                    self.polls += 1;
+                    progress |= r.poll_once();
+                }
             }
             if !progress {
                 break;
@@ -146,6 +159,12 @@ impl Lockstep {
                 return done(self);
             }
         }
+    }
+
+    /// How many reactor cycles ([`Reactor::poll_once`]) the driver has
+    /// run so far — its work, counted without a wall clock.
+    pub fn polls(&self) -> u64 {
+        self.polls
     }
 
     /// Virtual time elapsed since the driver was built.

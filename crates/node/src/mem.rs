@@ -114,6 +114,10 @@ impl Pipe {
         buf.closed = true;
         buf.wake_reader();
     }
+
+    fn is_closed(&self) -> bool {
+        self.buf.lock().expect("pipe lock").closed
+    }
 }
 
 /// Accept queue for one listening peer.
@@ -140,14 +144,37 @@ struct LiveConn {
     b_to_a: Arc<Pipe>,
 }
 
+impl LiveConn {
+    /// Both ends are gone (dropped or severed): nothing left to cut.
+    fn vanished(&self) -> bool {
+        self.a_to_b.is_closed() && self.b_to_a.is_closed()
+    }
+}
+
 #[derive(Default)]
 struct Registry {
     listeners: HashMap<PeerId, Arc<AcceptQueue>>,
+    /// Every connection [`MemTransport::disconnect`] may still have to
+    /// cut, plus vanished ones not pruned yet.
     live: Vec<LiveConn>,
+    /// `live` is pruned when it reaches this length: twice what the
+    /// last prune left, so the list stays within 2× the connections
+    /// actually open at amortised O(1) per connect.
+    prune_at: usize,
     /// Per ordered pair `(from, to)`: how many connections have been
     /// opened. Seeds the per-connection RNGs, so the k-th `A → B`
     /// connection is reproducible regardless of other pairs' dials.
     pair_connects: HashMap<(PeerId, PeerId), u64>,
+}
+
+impl Registry {
+    fn track(&mut self, conn: LiveConn) {
+        if self.live.len() >= self.prune_at {
+            self.live.retain(|c| !c.vanished());
+            self.prune_at = 2 * self.live.len();
+        }
+        self.live.push(conn);
+    }
 }
 
 /// The deterministic in-process transport. Cheap to clone; clones
@@ -215,12 +242,7 @@ impl Transport for MemTransport {
         };
         let a_to_b = Arc::new(Pipe::default());
         let b_to_a = Arc::new(Pipe::default());
-        // drop vanished connections so the live list stays bounded
-        reg.live.retain(|c| {
-            !c.a_to_b.buf.lock().expect("pipe lock").closed
-                || !c.b_to_a.buf.lock().expect("pipe lock").closed
-        });
-        reg.live.push(LiveConn {
+        reg.track(LiveConn {
             a: from,
             b: to,
             a_to_b: Arc::clone(&a_to_b),
@@ -265,9 +287,10 @@ impl Transport for MemTransport {
         let mut killed = 0;
         reg.live.retain(|c| {
             if c.a == peer || c.b == peer {
+                // a vanished connection awaiting its prune is not live
+                killed += usize::from(!c.vanished());
                 c.a_to_b.close();
                 c.b_to_a.close();
-                killed += 1;
                 false
             } else {
                 true
@@ -597,6 +620,29 @@ mod tests {
             sizes
         };
         assert_eq!(observe(0), observe(17));
+    }
+
+    /// The live list is pruned amortised, not per connect: over many
+    /// connect/drop cycles it stays within 2× the open connections, and
+    /// `disconnect` counts exactly the open ones whatever is awaiting a
+    /// prune.
+    #[test]
+    fn live_list_stays_bounded_and_disconnect_counts_exactly() {
+        let t = lossless();
+        let _l1 = t.listen(p(1)).unwrap();
+        let _l2 = t.listen(p(2)).unwrap();
+        let tracked = |t: &MemTransport| t.registry.lock().unwrap().live.len();
+        let held: Vec<_> = (0..5).map(|_| t.connect(p(0), p(1)).unwrap()).collect();
+        let other = t.connect(p(0), p(2)).unwrap();
+        for _ in 0..10_000 {
+            drop(t.connect(p(3), p(1)).unwrap());
+            assert!(tracked(&t) <= 2 * (held.len() + 1) + 1, "{}", tracked(&t));
+        }
+        assert_eq!(t.disconnect(p(1)), held.len());
+        assert_eq!(tracked(&t), 1, "only the untouched connection remains");
+        assert_eq!(t.disconnect(p(1)), 0);
+        drop(other);
+        assert_eq!(t.disconnect(p(2)), 0, "a dropped connection is not live");
     }
 
     /// The k-th connection of a pair sees the same loss pattern no

@@ -37,9 +37,15 @@
 //!   cheaply).
 //!
 //! All time-driven behaviour — the periodic exchange, handshake/idle
-//! deadlines, dial-backoff retries — lives on the [`TimerWheel`]; the
-//! reactor never sleeps except in its single wait point, and never
-//! blocks on I/O at all. Overload is shed at two distinct points:
+//! deadlines, dial-backoff retries — lives on the [`TimerWheel`], an
+//! ordered timer set whose next deadline is its first key; in-flight
+//! frames of a delaying transport are kept ordered by arrival the same
+//! way. So [`Reactor::next_wake`] and [`Reactor::has_work`] — "when
+//! must I run next" and "would a cycle do anything now" — cost the
+//! same however many timers and sessions exist, and a driver pumping
+//! many reactors ([`Lockstep`](crate::Lockstep)) can skip the idle
+//! ones. The reactor never sleeps except in its single wait point, and
+//! never blocks on I/O at all. Overload is shed at two distinct points:
 //! inbound connections beyond `max_sessions` are accepted and
 //! immediately dropped (`shed_accept` — the peer sees a reset rather
 //! than a SYN backlog), and exchange messages to a slow peer are
@@ -95,7 +101,7 @@ pub struct NodeConfig {
     /// Inbound connections adopted per poll cycle; bounds how long one
     /// accept storm can starve established sessions.
     pub accept_burst: usize,
-    /// Timer-wheel granularity (deadline resolution).
+    /// Timer granularity (deadline resolution).
     pub tick_granularity: Duration,
     /// How long a graceful shutdown waits for sessions to drain and
     /// `Bye` before force-closing the stragglers.
@@ -262,6 +268,13 @@ impl NodeState {
         self.engine.reputation(me, peer)
     }
 
+    /// [`NodeState::reputation`] of every peer in `peers`, in order,
+    /// from one single-source sweep — what a choke round scoring all
+    /// its candidates at once should call.
+    pub fn reputations_from(&mut self, me: PeerId, peers: &[PeerId]) -> Vec<f64> {
+        self.engine.reputations_from(me, peers)
+    }
+
     /// Read access to the node's private transfer history.
     pub fn history(&self) -> &PrivateHistory {
         &self.history
@@ -297,6 +310,50 @@ impl NodeState {
     }
 }
 
+/// Sessions whose connection holds a frame that becomes readable at a
+/// future instant (mem-transport delay injection): the reactor must
+/// wake itself then, because no external notify will. Indexed by token
+/// (each pump replaces or clears its session's entry) and ordered by
+/// instant (the earliest is a wake, the due prefix moves to `ready`).
+#[derive(Default)]
+struct DelayedFrames {
+    at: BTreeMap<u64, Instant>,
+    order: BTreeSet<(Instant, u64)>,
+}
+
+impl DelayedFrames {
+    fn insert(&mut self, token: u64, at: Instant) {
+        if let Some(old) = self.at.insert(token, at) {
+            if old == at {
+                return;
+            }
+            self.order.remove(&(old, token));
+        }
+        self.order.insert((at, token));
+    }
+
+    fn remove(&mut self, token: u64) {
+        if let Some(at) = self.at.remove(&token) {
+            self.order.remove(&(at, token));
+        }
+    }
+
+    fn earliest(&self) -> Option<Instant> {
+        self.order.first().map(|&(at, _)| at)
+    }
+
+    /// Take one token whose frame is readable by `now`, if any.
+    fn pop_due(&mut self, now: Instant) -> Option<u64> {
+        let &(at, token) = self.order.first()?;
+        if at > now {
+            return None;
+        }
+        self.order.pop_first();
+        self.at.remove(&token);
+        Some(token)
+    }
+}
+
 /// One node's entire runtime, as pollable state. [`Node`](crate::Node)
 /// runs it on a dedicated thread; [`Lockstep`](crate::Lockstep) pumps
 /// several of them on one thread over virtual time.
@@ -313,10 +370,8 @@ pub struct Reactor {
     /// "reuse a live session" lookup.
     by_peer: HashMap<PeerId, u64>,
     wheel: TimerWheel,
-    /// Tokens whose connection holds a frame that becomes readable at a
-    /// future instant (mem-transport delay injection): the reactor must
-    /// wake itself then, because no external notify will.
-    delayed: BTreeMap<u64, Instant>,
+    /// Sessions to pump at a future instant (see [`DelayedFrames`]).
+    delayed: DelayedFrames,
     /// Tokens to pump on the next cycle.
     ready: BTreeSet<u64>,
     pss: PssNode,
@@ -387,7 +442,7 @@ impl Reactor {
             listener.register_waker(&wake, LISTENER_TOKEN);
         }
         let now = clock.now();
-        let mut wheel = TimerWheel::new(now, config.tick_granularity, 512);
+        let mut wheel = TimerWheel::new(now, config.tick_granularity);
         wheel.schedule(now, TimerKind::Exchange);
         let engine = ReputationEngine::from_private(&history);
         let mut pss = PssNode::new(id, config.pss);
@@ -402,7 +457,7 @@ impl Reactor {
             next_token: 0,
             by_peer: HashMap::new(),
             wheel,
-            delayed: BTreeMap::new(),
+            delayed: DelayedFrames::default(),
             ready: BTreeSet::new(),
             pss,
             rng: StdRng::seed_from_u64(config.seed ^ (((id.0 as u64) << 32) | 0xA5A5)),
@@ -576,14 +631,7 @@ impl Reactor {
         }
 
         // 3. in-flight frames that became readable
-        let due: Vec<u64> = self
-            .delayed
-            .iter()
-            .filter(|(_, at)| **at <= now)
-            .map(|(t, _)| *t)
-            .collect();
-        for token in due {
-            self.delayed.remove(&token);
+        while let Some(token) = self.delayed.pop_due(now) {
             self.ready.insert(token);
         }
 
@@ -633,12 +681,8 @@ impl Reactor {
                 }
                 // a frame still in simulated flight needs a self-wake
                 match session.conn_mut().next_ready_at() {
-                    Some(at) if at > now => {
-                        self.delayed.insert(token, at);
-                    }
-                    _ => {
-                        self.delayed.remove(&token);
-                    }
+                    Some(at) if at > now => self.delayed.insert(token, at),
+                    _ => self.delayed.remove(token),
                 }
             }
         }
@@ -665,12 +709,28 @@ impl Reactor {
     /// the nearest timer or the nearest delayed in-flight frame.
     pub fn next_wake(&self) -> Option<Instant> {
         let timer = self.wheel.next_deadline();
-        let frame = self.delayed.values().min().copied();
+        let frame = self.delayed.earliest();
         match (timer, frame) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, None) => a,
             (None, b) => b,
         }
+    }
+
+    /// Whether [`Reactor::poll_once`] could do anything at this
+    /// instant: a wake or a ready token is pending, a timer is due, or
+    /// a delayed frame has landed. Every other part of a cycle
+    /// (accepts, pumps, events, reaping) is reached only through one of
+    /// those, so a cycle skipped while this is `false` would have been
+    /// a no-op. It may say `true` for a cycle that then finds nothing
+    /// (fd mode always does: readiness there is only learnt by
+    /// pumping), never the reverse.
+    pub fn has_work(&self) -> bool {
+        if !self.targeted || !self.ready.is_empty() || !self.wake.is_empty() {
+            return true;
+        }
+        let now = self.clock.now();
+        self.wheel.has_due(now) || self.delayed.earliest().is_some_and(|at| at <= now)
     }
 
     /// Park until something happens: a wake notification (waker mode),
@@ -777,7 +837,7 @@ impl Reactor {
     }
 
     fn reap(&mut self, token: u64) {
-        self.delayed.remove(&token);
+        self.delayed.remove(token);
         self.ready.remove(&token);
         let Some(session) = self.sessions.remove(&token) else {
             return;

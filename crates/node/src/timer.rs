@@ -1,24 +1,21 @@
-//! The reactor's timer wheel.
+//! The reactor's ordered timer set.
 //!
 //! Every delayed action in the runtime — the periodic exchange tick,
 //! per-session handshake/idle deadlines, and dial-backoff retries —
-//! lives on one hashed [`TimerWheel`] instead of a sleeping thread.
-//! The wheel is a ring of slots, each `granularity` wide; a timer due
-//! at absolute tick `t` sits in slot `t % slots`, carrying `t` so
-//! entries from later wheel revolutions can share the slot without
-//! firing early. [`TimerWheel::pop_due`] walks the cursor forward to
-//! the current tick and drains exactly the entries whose tick has
-//! passed, preserving (tick, insertion) order — which keeps the
-//! deterministic cluster driver's timer schedule reproducible.
-//!
-//! Everything is O(1) per insert and O(slots walked) per poll; there
-//! is no allocation-heavy heap and no per-timer thread. With the
-//! default 1 ms granularity and 512 slots one revolution covers half a
-//! second, comfortably above the runtime's poll cadence, so far-future
-//! timers (30 s backoff caps) simply ride around the ring a few times.
+//! lives on one [`TimerWheel`] instead of a sleeping thread. Deadlines
+//! are rounded up to ticks of `granularity`, and the timers sit in one
+//! `BTreeMap` keyed `(tick, insertion sequence)`: [`TimerWheel::pop_due`]
+//! pops the prefix whose tick has passed, in (tick, insertion) order —
+//! which keeps the deterministic cluster driver's timer schedule
+//! reproducible — and the first key is the next deadline, so asking
+//! when to wake ([`TimerWheel::next_deadline`]) or whether anything is
+//! due ([`TimerWheel::has_due`]) costs the same however far away the
+//! deadlines are. All three compare against one tick computation, so
+//! they cannot disagree about what "due" means. A reactor holds a few
+//! dozen timers; there is no per-timer thread and nothing to size.
 
 use bartercast_util::units::PeerId;
-use std::collections::VecDeque;
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 /// What to do when a timer fires.
@@ -41,105 +38,89 @@ pub enum TimerKind {
     ChokeRound,
 }
 
-#[derive(Debug)]
-struct Entry {
-    tick: u64,
-    kind: TimerKind,
-}
-
-/// A hashed timer wheel over [`Instant`]s.
+/// An ordered set of timers over [`Instant`]s (see module docs).
 #[derive(Debug)]
 pub struct TimerWheel {
     start: Instant,
     granularity: Duration,
-    slots: Vec<VecDeque<Entry>>,
-    /// Next tick to process; every queued entry has `tick >= current`.
+    /// `(tick, insertion sequence)` → what fires.
+    timers: BTreeMap<(u64, u64), TimerKind>,
+    /// The tick of the latest [`TimerWheel::pop_due`]; every queued
+    /// entry has `tick >= current`.
     current: u64,
-    len: usize,
+    next_seq: u64,
 }
 
 impl TimerWheel {
-    /// A wheel anchored at `start` with `slots` slots of `granularity`
-    /// each. `start` should be the clock's current instant at boot.
-    pub fn new(start: Instant, granularity: Duration, slots: usize) -> Self {
+    /// A timer set anchored at `start` with ticks of `granularity`.
+    /// `start` should be the clock's current instant at boot.
+    pub fn new(start: Instant, granularity: Duration) -> Self {
         assert!(granularity > Duration::ZERO);
-        assert!(slots >= 2);
         TimerWheel {
             start,
             granularity,
-            slots: (0..slots).map(|_| VecDeque::new()).collect(),
+            timers: BTreeMap::new(),
             current: 0,
-            len: 0,
+            next_seq: 0,
         }
     }
 
     /// Number of queued timers.
     pub fn len(&self) -> usize {
-        self.len
+        self.timers.len()
     }
 
     /// Whether no timers are queued.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.timers.is_empty()
     }
 
-    fn tick_of(&self, t: Instant) -> u64 {
-        let nanos = t.saturating_duration_since(self.start).as_nanos();
-        let g = self.granularity.as_nanos();
-        nanos.div_ceil(g) as u64
+    /// The last tick that has fully begun by `now` — the one tick
+    /// computation "due" is defined by.
+    fn tick_at(&self, now: Instant) -> u64 {
+        let elapsed = now.saturating_duration_since(self.start).as_nanos();
+        (elapsed / self.granularity.as_nanos()) as u64
     }
 
     /// Queue `kind` to fire at (or just after) `deadline`. Deadlines in
     /// the past fire on the next [`TimerWheel::pop_due`].
     pub fn schedule(&mut self, deadline: Instant, kind: TimerKind) {
-        let tick = self.tick_of(deadline).max(self.current);
-        let slot = (tick % self.slots.len() as u64) as usize;
-        self.slots[slot].push_back(Entry { tick, kind });
-        self.len += 1;
+        let nanos = deadline.saturating_duration_since(self.start).as_nanos();
+        let tick = nanos.div_ceil(self.granularity.as_nanos()) as u64;
+        self.timers
+            .insert((tick.max(self.current), self.next_seq), kind);
+        self.next_seq += 1;
     }
 
-    /// Advance the cursor to `now` and return every timer that came
-    /// due, in (tick, insertion) order. The cursor stops *at* the
-    /// current tick (not past it), so an entry scheduled for "now"
-    /// right after a poll still fires on the next poll at the same
-    /// instant rather than waiting out a granularity step.
+    /// Whether [`TimerWheel::pop_due`] would return anything at `now`.
+    pub fn has_due(&self, now: Instant) -> bool {
+        let first = self.timers.first_key_value();
+        first.is_some_and(|(&(tick, _), _)| tick <= self.tick_at(now))
+    }
+
+    /// Return every timer that has come due by `now`, in (tick,
+    /// insertion) order. An entry due exactly at the current tick
+    /// fires, and one scheduled for "now" right after a poll still
+    /// fires on the next poll at the same instant rather than waiting
+    /// out a granularity step.
     pub fn pop_due(&mut self, now: Instant) -> Vec<TimerKind> {
-        let elapsed = now.saturating_duration_since(self.start).as_nanos();
-        let target = (elapsed / self.granularity.as_nanos()) as u64;
+        let target = self.tick_at(now);
+        self.current = self.current.max(target);
         let mut due = Vec::new();
-        while self.current <= target {
-            let slot = (self.current % self.slots.len() as u64) as usize;
-            if !self.slots[slot].is_empty() {
-                let entries = std::mem::take(&mut self.slots[slot]);
-                for e in entries {
-                    if e.tick <= self.current {
-                        due.push(e.kind);
-                        self.len -= 1;
-                    } else {
-                        self.slots[slot].push_back(e); // a later revolution
-                    }
-                }
-            }
-            if self.current == target {
+        while let Some(first) = self.timers.first_entry() {
+            if first.key().0 > target {
                 break;
             }
-            self.current += 1;
+            due.push(first.remove());
         }
         due
     }
 
     /// The earliest queued deadline, if any — what the reactor sleeps
-    /// until.
+    /// until. [`TimerWheel::has_due`] holds from that instant on.
     pub fn next_deadline(&self) -> Option<Instant> {
-        if self.len == 0 {
-            return None;
-        }
-        let min_tick = self
-            .slots
-            .iter()
-            .flat_map(|s| s.iter().map(|e| e.tick))
-            .min()?;
-        let nanos = self.granularity.as_nanos() as u64 * min_tick.max(1);
+        let (&(tick, _), _) = self.timers.first_key_value()?;
+        let nanos = self.granularity.as_nanos() as u64 * tick;
         Some(self.start + Duration::from_nanos(nanos))
     }
 }
@@ -148,17 +129,17 @@ impl TimerWheel {
 mod tests {
     use super::*;
 
-    fn wheel(granularity_ms: u64, slots: usize) -> (TimerWheel, Instant) {
+    fn wheel(granularity_ms: u64) -> (TimerWheel, Instant) {
         let start = Instant::now();
         (
-            TimerWheel::new(start, Duration::from_millis(granularity_ms), slots),
+            TimerWheel::new(start, Duration::from_millis(granularity_ms)),
             start,
         )
     }
 
     #[test]
     fn fires_in_deadline_then_insertion_order() {
-        let (mut w, t0) = wheel(1, 8);
+        let (mut w, t0) = wheel(1);
         w.schedule(
             t0 + Duration::from_millis(5),
             TimerKind::SessionCheck { token: 5 },
@@ -185,7 +166,7 @@ mod tests {
 
     #[test]
     fn far_future_timers_survive_wheel_revolutions() {
-        let (mut w, t0) = wheel(1, 4); // one revolution = 4 ms
+        let (mut w, t0) = wheel(1);
         w.schedule(t0 + Duration::from_millis(11), TimerKind::Exchange);
         w.schedule(
             t0 + Duration::from_millis(3),
@@ -204,7 +185,7 @@ mod tests {
 
     #[test]
     fn past_deadlines_fire_on_next_poll() {
-        let (mut w, t0) = wheel(1, 8);
+        let (mut w, t0) = wheel(1);
         let now = t0 + Duration::from_millis(20);
         w.pop_due(now); // move the cursor forward first
         w.schedule(t0 + Duration::from_millis(1), TimerKind::Exchange); // already past
@@ -213,7 +194,7 @@ mod tests {
 
     #[test]
     fn next_deadline_tracks_the_minimum() {
-        let (mut w, t0) = wheel(2, 8);
+        let (mut w, t0) = wheel(2);
         assert_eq!(w.next_deadline(), None);
         w.schedule(t0 + Duration::from_millis(9), TimerKind::Exchange);
         w.schedule(
@@ -223,5 +204,20 @@ mod tests {
         let next = w.next_deadline().unwrap();
         assert!(next <= t0 + Duration::from_millis(4));
         assert!(next > t0);
+    }
+
+    /// The boot case: a timer scheduled for the anchor instant itself
+    /// (a reactor's first exchange tick) is due at once, and the three
+    /// queries agree on it.
+    #[test]
+    fn tick_zero_is_due_at_the_anchor() {
+        let (mut w, t0) = wheel(1);
+        assert!(!w.has_due(t0));
+        w.schedule(t0, TimerKind::Exchange);
+        assert_eq!(w.next_deadline(), Some(t0));
+        assert!(w.has_due(t0));
+        assert_eq!(w.pop_due(t0), vec![TimerKind::Exchange]);
+        assert!(!w.has_due(t0));
+        assert_eq!(w.next_deadline(), None);
     }
 }

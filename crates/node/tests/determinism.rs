@@ -149,10 +149,12 @@ fn lossy_delta_sync_is_bitwise_reproducible() {
 }
 
 /// Per-instant settling must be independent of *how* the reactors are
-/// pumped: reversing the pump order and throwing in redundant polls
-/// must leave every counter identical once the same virtual horizon is
-/// reached. This is the poll-order-independence property the split
-/// send/receive RNG streams in `MemTransport` exist for.
+/// pumped: reversing the pump order, throwing in redundant polls, and
+/// skipping every poll `Reactor::has_work` calls idle (what `Lockstep`
+/// does) must leave every counter identical once the same virtual
+/// horizon is reached. This is the poll-order-independence property
+/// the split send/receive RNG streams in `MemTransport` exist for; the
+/// poll-everything loop the others are compared against lives here.
 #[test]
 fn pump_order_and_redundant_polls_change_nothing() {
     fn history_with_upload(owner: u32, peer: u32, mb: u64) -> PrivateHistory {
@@ -161,7 +163,7 @@ fn pump_order_and_redundant_polls_change_nothing() {
         h
     }
 
-    fn drive(pump_b_first: bool, extra_polls: usize) -> (NodeStats, NodeStats) {
+    fn drive(pump_b_first: bool, extra_polls: usize, skip_idle: bool) -> (NodeStats, NodeStats) {
         let clock = Arc::new(VirtualClock::new());
         let transport = Arc::new(MemTransport::with_clock(
             MemConfig {
@@ -197,6 +199,8 @@ fn pump_order_and_redundant_polls_change_nothing() {
         )
         .unwrap();
 
+        // a poll, unless skipping is on and the reactor reports no work
+        let poll = |r: &mut Reactor| (!skip_idle || r.has_work()) && r.poll_once();
         let horizon = Duration::from_millis(500);
         while clock.elapsed() < horizon {
             // settle everything available at this virtual instant,
@@ -207,13 +211,13 @@ fn pump_order_and_redundant_polls_change_nothing() {
                 // under test, invisible to clippy's structural equality
                 #[allow(clippy::if_same_then_else)]
                 let mut progress = if pump_b_first {
-                    b.poll_once() | a.poll_once()
+                    poll(&mut b) | poll(&mut a)
                 } else {
-                    a.poll_once() | b.poll_once()
+                    poll(&mut a) | poll(&mut b)
                 };
                 for _ in 0..extra_polls {
-                    progress |= a.poll_once();
-                    progress |= b.poll_once();
+                    progress |= poll(&mut a);
+                    progress |= poll(&mut b);
                 }
                 if !progress {
                     break;
@@ -228,16 +232,21 @@ fn pump_order_and_redundant_polls_change_nothing() {
         (a.counters().snapshot(), b.counters().snapshot())
     }
 
-    let baseline = drive(false, 0);
+    let baseline = drive(false, 0, false);
     assert_eq!(
         baseline,
-        drive(true, 0),
+        drive(true, 0, false),
         "pump order must not affect the schedule"
     );
     assert_eq!(
         baseline,
-        drive(false, 3),
+        drive(false, 3, false),
         "redundant polls must not affect the schedule"
+    );
+    assert_eq!(
+        baseline,
+        drive(false, 0, true),
+        "skipping polls of a reactor without work must not affect the schedule"
     );
     // sanity: the run actually did something
     assert!(baseline.0.records_sent + baseline.1.records_sent > 0);

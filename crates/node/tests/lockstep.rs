@@ -30,6 +30,38 @@ fn default_config_24_nodes_converge() {
     );
 }
 
+/// The driver's work is what is due, not what exists: on the lossy
+/// 8-node cluster the settle loop runs fewer than one reactor cycle
+/// per node per step (polling every reactor until a pass makes no
+/// progress costs at least two per node), and the run still converges.
+#[test]
+fn polls_per_step_stay_below_the_node_count() {
+    let config = ClusterConfig {
+        mem: MemConfig {
+            loss: 0.05,
+            ..MemConfig::default()
+        },
+        ..ClusterConfig::default()
+    };
+    let mut cluster = DeterministicCluster::boot(config).expect("boot");
+    let mut steps = 0u64;
+    while !cluster.converged() {
+        assert!(
+            cluster.elapsed() < Duration::from_secs(60),
+            "no convergence"
+        );
+        assert!(cluster.step());
+        steps += 1;
+    }
+    let polls = cluster.lockstep_mut().polls();
+    assert!(polls > steps, "every step polls something: {polls}/{steps}");
+    assert!(
+        polls < steps * config.n as u64,
+        "{polls} polls over {steps} steps of {} nodes",
+        config.n
+    );
+}
+
 /// Crash-restart without swarm code: a node retired mid-run keeps its
 /// final snapshot in `stats()`/`edges()`, and the same id spawned again
 /// from an empty history relearns the whole expected set (every record

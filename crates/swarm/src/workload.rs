@@ -288,17 +288,22 @@ impl SwarmWorkload {
         self.refill_requests(peer, io);
     }
 
-    /// The live engine's view of one peer, as the choke policies
-    /// consume it: Equation-1 reputation plus the subjective graph's
-    /// lifetime transfer totals.
-    fn peer_score(&self, state: &mut NodeState, peer: PeerId) -> PeerScore {
-        let reputation = state.reputation(self.me, peer);
+    /// The live engine's view of `peers`, as the choke policies
+    /// consume it: Equation-1 reputations (all from one single-source
+    /// sweep) plus the subjective graph's lifetime transfer totals.
+    fn peer_scores(&self, state: &mut NodeState, peers: &[PeerId]) -> BTreeMap<PeerId, PeerScore> {
+        let reputations = state.reputations_from(self.me, peers);
         let graph = state.engine().graph();
-        PeerScore {
-            reputation,
-            up: graph.total_up(peer),
-            down: graph.total_down(peer),
+        let mut scores = BTreeMap::new();
+        for (&peer, reputation) in peers.iter().zip(reputations) {
+            let score = PeerScore {
+                reputation,
+                up: graph.total_up(peer),
+                down: graph.total_down(peer),
+            };
+            scores.insert(peer, score);
         }
+        scores
     }
 
     /// Serve queued requests from last round's unchoke set, up to the
@@ -335,10 +340,7 @@ impl SwarmWorkload {
         let offset = (self.round as usize) % order.len();
         order.rotate_left(offset);
         if !seeding {
-            let scores: BTreeMap<PeerId, PeerScore> = order
-                .iter()
-                .map(|&p| (p, self.peer_score(state, p)))
-                .collect();
+            let scores = self.peer_scores(state, &order);
             order = self
                 .params
                 .policy
@@ -411,10 +413,8 @@ impl SwarmWorkload {
                     rate_from_me: v.sent_window,
                 })
                 .collect();
-            let graph_totals: BTreeMap<PeerId, PeerScore> = candidates
-                .iter()
-                .map(|c| (c.peer, self.peer_score(state, c.peer)))
-                .collect();
+            let peers: Vec<PeerId> = candidates.iter().map(|c| c.peer).collect();
+            let graph_totals = self.peer_scores(state, &peers);
             let role = if self.have.is_complete() {
                 Role::Seeder
             } else {
@@ -808,5 +808,131 @@ mod tests {
             .filter(|(_, f)| matches!(f, SwarmFrame::Request { .. }))
             .count();
         assert!(rerequests >= 1, "timeout must re-request: {:?}", io.frames);
+    }
+
+    /// Batched choke scoring decides what per-pair scoring decides: on
+    /// a graph with direct and two-hop flows, the scores are bitwise
+    /// the per-pair `NodeState::reputation` values, and the unchoke set
+    /// and the serve order equal those computed from them.
+    #[test]
+    fn batched_scoring_matches_per_pair_decisions() {
+        let me = PeerId(0);
+        let peers: Vec<PeerId> = (1..=7).map(PeerId).collect();
+        let state_with_graph = || {
+            let history = PrivateHistory::new(me);
+            let mut engine = ReputationEngine::from_private(&history);
+            let graph = engine.graph_mut();
+            for (k, &q) in peers.iter().enumerate() {
+                let k = k as u64 + 1;
+                let next = peers[k as usize % peers.len()];
+                graph.merge_record(q, me, Bytes::from_mb(100 * k));
+                graph.merge_record(me, q, Bytes::from_mb(64 * (8 - k)));
+                graph.merge_record(q, next, Bytes::from_mb(37 * k));
+                graph.merge_record(next, q, Bytes::from_mb(11 * (8 - k)));
+            }
+            NodeState::new(history, engine)
+        };
+        let mut p = params(false, PeerBehaviour::Cooperator);
+        p.policy = SwarmPolicy::Reputation(ReputationPolicy::Rank);
+        p.bt.regular_slots = 4;
+        p.upload_pieces_per_round = 8;
+        let mut w = SwarmWorkload::new(me, p, vec![], ledger());
+        let mut state = state_with_graph();
+        let mut io = WorkloadIo::default();
+        w.have.set(0);
+        w.have.set(1);
+        for (k, &q) in peers.iter().enumerate() {
+            // empty bitfields: every peer is interested in our pieces
+            w.on_established(q, Seconds(0), &mut state, &mut io);
+            w.peers.get_mut(&q).unwrap().recv_window = k as u64 % 3;
+        }
+
+        // the reference: per-pair point queries on a twin state
+        let mut twin = state_with_graph();
+        let per_pair: BTreeMap<PeerId, PeerScore> = peers
+            .iter()
+            .map(|&q| {
+                let reputation = twin.reputation(me, q);
+                let graph = twin.engine().graph();
+                let (up, down) = (graph.total_up(q), graph.total_down(q));
+                (
+                    q,
+                    PeerScore {
+                        reputation,
+                        up,
+                        down,
+                    },
+                )
+            })
+            .collect();
+        let reputations: Vec<f64> = per_pair.values().map(|s| s.reputation).collect();
+        assert!(reputations.iter().any(|&r| r > 0.0) && reputations.iter().any(|&r| r < 0.0));
+        let batched = w.peer_scores(&mut state, &peers);
+        for q in &peers {
+            assert_eq!(
+                batched[q].reputation.to_bits(),
+                per_pair[q].reputation.to_bits()
+            );
+            assert_eq!(
+                (batched[q].up, batched[q].down),
+                (per_pair[q].up, per_pair[q].down)
+            );
+        }
+
+        // unchoke set
+        let candidates: Vec<Candidate> = w
+            .peers
+            .iter()
+            .map(|(&peer, v)| Candidate {
+                peer,
+                rate_to_me: v.recv_window,
+                rate_from_me: v.sent_window,
+            })
+            .collect();
+        let mut expect =
+            Choker::new(p.bt).unchoke(Role::Leecher, &candidates, p.policy.as_dyn(), |q| {
+                per_pair[&q]
+            });
+        let mut io = WorkloadIo::default();
+        w.recompute_unchokes(&mut state, &mut io);
+        let mut unchoked: Vec<PeerId> = io.frames.iter().map(|(q, _)| *q).collect();
+        assert!(io
+            .frames
+            .iter()
+            .all(|(_, f)| matches!(f, SwarmFrame::Unchoke)));
+        assert_eq!(unchoked.len(), 5);
+        unchoked.sort();
+        expect.sort();
+        assert_eq!(unchoked, expect);
+
+        // serve order: every unchoked peer asks for both pieces
+        for &q in &unchoked {
+            for piece in 0..2 {
+                w.on_frame(
+                    q,
+                    SwarmFrame::Request { piece },
+                    Seconds(2),
+                    &mut state,
+                    &mut io,
+                );
+            }
+        }
+        w.round = 3;
+        let mut order = unchoked.clone();
+        order.rotate_left(3);
+        let expect = p
+            .policy
+            .as_dyn()
+            .order_candidates(&order, &mut |q| per_pair[&q]);
+        let mut io = WorkloadIo::default();
+        w.serve_requests(Seconds(3), &mut state, &mut io);
+        let mut served: Vec<PeerId> = io.frames.iter().map(|(q, _)| *q).collect();
+        served.dedup();
+        assert_eq!(
+            served,
+            expect[..4],
+            "8 pieces of budget drain 4 queues of 2"
+        );
+        assert_ne!(served, order[..4], "rank must actually reorder");
     }
 }
