@@ -11,10 +11,9 @@
 //!
 //! Eviction is purely a memory/perf decision and can never produce a
 //! stale value: entries are only ever valid at the engine's current
-//! graph version (on `sync` the journal evicts entries whose pair
-//! touches a dirty endpoint for `k ≤ 2`, or the k-hop dirty
-//! neighbourhood for finite `k ≥ 3`), so dropping one merely forces a
-//! recompute of the identical value.
+//! graph version (on `sync` the engine evicts entries whose pair
+//! touches a changed endpoint for `k ≤ 2`, and everything otherwise),
+//! so dropping one merely forces a recompute of the identical value.
 
 use bartercast_util::units::PeerId;
 use bartercast_util::FxHashMap;
@@ -156,8 +155,8 @@ impl MemoCache {
         }
     }
 
-    /// Drop every entry failing the predicate (the journal's dirty
-    /// eviction). Returns how many entries were removed.
+    /// Drop every entry failing the predicate (the engine's
+    /// changed-endpoint eviction). Returns how many entries were removed.
     pub fn retain(&mut self, mut keep: impl FnMut(&(PeerId, PeerId)) -> bool) -> usize {
         let mut removed = 0;
         let mut idx = self.head;

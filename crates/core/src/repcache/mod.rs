@@ -7,13 +7,17 @@
 //! method (the deployed default is two-hop-bounded), and memoizes
 //! results until the graph changes.
 //!
-//! The engine is assembled from three submodules:
+//! The engine is assembled from two submodules:
 //!
 //! * [`backend`] — the consolidated [`CacheStats`].
-//! * [`journal`] — the [`ChangeJournal`] dirty bitmap driving
-//!   incremental cache invalidation across graph changes.
 //! * [`memo`] — the [`MemoCache`] per-entry LRU bounding the memory
 //!   the memoized reputations can take.
+//!
+//! Invalidation (the private `sync`, run by every query) needs no
+//! structure of its own: the graph records the version at which each
+//! node last had an incident edge change
+//! ([`ContributionGraph::changed_since`]), and the engine remembers the
+//! version its memo was last synchronized to.
 
 use crate::history::PrivateHistory;
 use crate::message::BarterCastMessage;
@@ -24,37 +28,10 @@ use bartercast_util::units::{Bytes, PeerId};
 use bartercast_util::{FxHashMap, FxHashSet};
 
 pub mod backend;
-pub mod journal;
 pub mod memo;
 
 pub use backend::CacheStats;
-pub use journal::{ChangeJournal, DEFAULT_JOURNAL_CAPACITY, JOURNAL_WORD_BITS};
 pub use memo::{MemoCache, DEFAULT_CACHE_BUDGET};
-
-/// The k-hop dirty neighbourhood: every node that reaches a dirty
-/// node within `k` hops (multi-source reverse BFS over the in-
-/// adjacency, dirty nodes included at depth 0). Exactly the sources
-/// whose `Bounded(k)` flow values a change since the last sync could
-/// have altered — see [`ReputationEngine::sync`].
-fn dirty_ball(graph: &ContributionGraph, journal: &ChangeJournal, k: usize) -> FxHashSet<PeerId> {
-    let mut ball: FxHashSet<PeerId> = journal.dirty_nodes().collect();
-    let mut frontier: Vec<PeerId> = ball.iter().copied().collect();
-    for _ in 0..k {
-        let mut next = Vec::new();
-        for node in frontier {
-            for (pred, _) in graph.in_edges(node) {
-                if ball.insert(pred) {
-                    next.push(pred);
-                }
-            }
-        }
-        if next.is_empty() {
-            break;
-        }
-        frontier = next;
-    }
-    ball
-}
 
 /// Subjective reputation evaluation with memoization.
 #[derive(Debug, Clone)]
@@ -68,9 +45,6 @@ pub struct ReputationEngine {
     /// Memoized `(evaluator, target)` reputations under a per-entry
     /// LRU budget.
     memo: MemoCache,
-    /// Dirty-node bitmap folded from the graph's change tracking on
-    /// every [`ReputationEngine::sync`].
-    journal: ChangeJournal,
     /// Graph version the memo cache was last synchronized to;
     /// [`ReputationEngine::sync`] is the single place that moves it.
     cached_version: u64,
@@ -95,7 +69,6 @@ impl ReputationEngine {
             metric: ReputationMetric::default(),
             kernel: FlowKernel::new(Method::DEPLOYED),
             memo: MemoCache::default(),
-            journal: ChangeJournal::new(),
             cached_version: 0,
             hits: 0,
             misses: 0,
@@ -146,24 +119,17 @@ impl ReputationEngine {
     /// bounds ≤ 2, a changed edge `(a, b)` can only alter `flow(s, t)`
     /// when `s = a` or `t = b`, so the entry `(i, j)` — which combines
     /// `flow(j → i)` and `flow(i → j)` — is affected exactly when `i`
-    /// or `j` is an endpoint of a changed edge. The journal folds the
-    /// graph's per-node change versions (which never truncate) into a
-    /// dirty bitmap, so entries whose pairs avoid every dirty endpoint
-    /// are provably unchanged and survive — across arbitrarily long
-    /// gaps between syncs.
+    /// or `j` is an endpoint of a changed edge. The graph answers that
+    /// per node from its change versions, which never truncate, so
+    /// entries whose pairs avoid every changed endpoint are provably
+    /// unchanged and survive — across arbitrarily long gaps between
+    /// syncs.
     ///
-    /// For finite bounds `k ≥ 3` the endpoint rule generalizes to the
-    /// **k-hop dirty neighbourhood**: `flow(s, t)` under `Bounded(k)`
-    /// depends only on arcs whose tail lies within `k − 1` hops of
-    /// `s`, so a changed edge `(a, b)` can only affect sources that
-    /// reach a dirty node within `k` hops (edge weights only grow, so
-    /// distances only shrink — a source outside the ball in the *new*
-    /// graph was outside it before the change too). The eviction set
-    /// is a multi-source reverse BFS of depth `k` from the dirty
-    /// nodes; entries whose pairs avoid it are provably unchanged.
-    /// Unbounded methods, where a distant edge can reroute flow
-    /// anywhere, must still clear everything; that is a semantic
-    /// requirement of the method, not a capacity fallback.
+    /// Every other method — `Bounded(k)` with `k ≥ 3` and the
+    /// unbounded algorithms — lets an edge away from both endpoints
+    /// reroute the flow between them, so any change clears the whole
+    /// memo; that is a semantic requirement of the method, not a
+    /// capacity fallback.
     fn sync(&mut self) {
         let version = self.graph.version();
         if version == self.cached_version {
@@ -171,22 +137,11 @@ impl ReputationEngine {
         }
         match self.method() {
             Method::Bounded(k) if k <= 2 => {
-                self.journal.absorb(&self.graph, self.cached_version);
-                let journal = &self.journal;
-                let removed = self
-                    .memo
-                    .retain(|&(i, j)| !journal.is_dirty(i) && !journal.is_dirty(j));
+                let (graph, since) = (&self.graph, self.cached_version);
+                let removed = self.memo.retain(|&(i, j)| {
+                    !graph.changed_since(i, since) && !graph.changed_since(j, since)
+                });
                 self.invalidated += removed as u64;
-                self.journal.clear();
-            }
-            Method::Bounded(k) => {
-                self.journal.absorb(&self.graph, self.cached_version);
-                let ball = dirty_ball(&self.graph, &self.journal, k);
-                let removed = self
-                    .memo
-                    .retain(|&(i, j)| !ball.contains(&i) && !ball.contains(&j));
-                self.invalidated += removed as u64;
-                self.journal.clear();
             }
             _ => {
                 self.invalidated += self.memo.len() as u64;
@@ -214,7 +169,7 @@ impl ReputationEngine {
 
     /// The maxflow method this engine evaluates Equation 1 with
     /// (schedulers use it to cost sweeps by the method's actual
-    /// traversal, e.g. layered-DAG size for bounded methods).
+    /// traversal).
     pub fn method(&self) -> Method {
         self.kernel.method()
     }
@@ -262,12 +217,12 @@ impl ReputationEngine {
     /// Batch form of [`ReputationEngine::reputation`]: `R_i(j)` for
     /// every `j` in `targets`, in order.
     ///
-    /// Every finite path bound has a single-source sweep
+    /// Path bounds `k ≤ 2` have a single-source sweep
     /// ([`FlowKernel::all_flows_from`]); it runs lazily on the first
     /// cache miss and its **full** result set (every reachable peer)
     /// is memoized, so consecutive sweeps over different target lists
     /// are pure cache hits; the cache budget bounds the memory this
-    /// can take. Unbounded methods have no sweep and are evaluated
+    /// can take. Every other method has no sweep and is evaluated
     /// pair by pair, exactly as [`ReputationEngine::reputation`] does.
     pub fn reputations_from(&mut self, i: PeerId, targets: &[PeerId]) -> Vec<f64> {
         self.sync();
@@ -292,7 +247,7 @@ impl ReputationEngine {
             }
             self.misses += 1;
             if flows.is_none() {
-                // `None` (unbounded method) costs one match per miss
+                // `None` (method without a sweep) costs one match per miss
                 if let Some(swept) = self.kernel.all_flows_from(&self.graph, i) {
                     // memoize the entire single-source result set;
                     // entries already memoized are left alone (same
@@ -550,14 +505,14 @@ mod tests {
 
     #[test]
     fn long_sync_gaps_never_force_full_invalidation() {
-        // the old flat change log truncated at 4096 entries and fell
-        // back to clearing the whole cache; the journal reads per-node
-        // change versions instead, so any gap length evicts precisely
+        // a flat change log truncating at 4096 entries would fall back
+        // to clearing the whole cache; the graph keeps per-node change
+        // versions instead, so any gap length evicts precisely
         let mut e = ReputationEngine::new();
         e.graph_mut().add_transfer(p(1), p(0), Bytes::from_mb(100));
         e.graph_mut().add_transfer(p(6), p(5), Bytes::from_mb(100));
         e.reputation(p(0), p(1));
-        for k in 0..(2 * DEFAULT_JOURNAL_CAPACITY as u64) {
+        for k in 0..(2 * 4096u64) {
             e.graph_mut().add_transfer(p(6), p(5), Bytes(k + 1));
         }
         e.reputation(p(0), p(1));
@@ -565,61 +520,52 @@ mod tests {
     }
 
     #[test]
-    fn k_hop_invalidation_is_scoped_to_the_ball() {
-        // chain 5 -> 4 -> 3 -> 2 -> 1 -> 0 plus a disjoint pair 9 -> 8
-        let mut e = ReputationEngine::new().with_method(Method::Bounded(3));
-        for i in (1..=5).rev() {
-            e.graph_mut()
-                .add_transfer(p(i), p(i - 1), Bytes::from_mb(100));
+    fn full_clear_never_serves_stale_values_at_k3_and_up() {
+        // deep chain where a distant-but-reachable change matters:
+        // 5 -> 4 -> 3 -> 2 -> 1 -> 0, evaluated from 0 toward node k
+        for k in [3usize, 4, 5] {
+            let far = p(k as u32);
+            let mut e = ReputationEngine::new().with_method(Method::Bounded(k));
+            for i in (1..=5).rev() {
+                e.graph_mut()
+                    .add_transfer(p(i), p(i - 1), Bytes::from_mb(50));
+            }
+            let before = e.reputation(p(0), far);
+            // widen the whole path, far end first
+            for i in (1..=5).rev() {
+                e.graph_mut()
+                    .add_transfer(p(i), p(i - 1), Bytes::from_gb(1));
+            }
+            let after = e.reputation(p(0), far);
+            let mut cold = ReputationEngine::new().with_method(Method::Bounded(k));
+            *cold.graph_mut() = e.graph().clone();
+            assert_eq!(
+                after.to_bits(),
+                cold.reputation(p(0), far).to_bits(),
+                "k={k}"
+            );
+            assert!(after > before, "k={k}");
         }
-        e.graph_mut().add_transfer(p(9), p(8), Bytes::from_mb(100));
-        e.reputation(p(0), p(3)); // within 3 hops: nonzero flow toward 0
-        e.reputation(p(8), p(9));
-        e.reputation(p(0), p(1));
-        assert_eq!(e.stats().misses, 3);
-        // touch the far end of the chain: dirty {4, 5}. The eviction
-        // ball is every node *reaching* a dirty node within 3 hops —
-        // along the chain's edge direction only 5 reaches 4, so the
-        // ball is just {4, 5} and all three cached entries survive.
-        e.graph_mut().add_transfer(p(5), p(4), Bytes::from_gb(1));
-        e.reputation(p(8), p(9));
-        e.reputation(p(0), p(1));
-        assert_eq!(e.stats().hits, 2, "entries outside the ball survive");
-        // neither 0 nor 3 reaches {4, 5}: the changed 5 -> 4 edge
-        // cannot alter any flow from 0 or 3, and (0,3) survives
-        e.reputation(p(0), p(3));
-        assert_eq!(e.stats().hits, 3, "(0,3) outside the ball survives");
-        assert_eq!(e.stats().invalidated, 0);
-        // now touch 2 -> 1: dirty {1, 2}, ball = {1, 2, 3, 4, 5};
-        // (0,3) must be evicted (3 in ball), (8,9) survives
-        e.graph_mut().add_transfer(p(2), p(1), Bytes::from_gb(1));
-        e.reputation(p(0), p(3));
-        assert_eq!(e.stats().misses, 4, "(0,3) recomputed");
-        e.reputation(p(8), p(9));
-        assert_eq!(e.stats().hits, 4, "(8,9) still untouched");
-        assert!(e.stats().invalidated >= 1);
     }
 
     #[test]
-    fn k_hop_invalidation_never_serves_stale_values() {
-        // deep chain where a distant-but-reachable change matters at
-        // k = 4: 4 -> 3 -> 2 -> 1 -> 0 evaluated end to end
-        let mut e = ReputationEngine::new().with_method(Method::Bounded(4));
-        for i in (1..=4).rev() {
-            e.graph_mut()
-                .add_transfer(p(i), p(i - 1), Bytes::from_mb(50));
+    fn bounded_three_is_evaluated_pair_by_pair() {
+        // 3 -> 2 -> 1 -> 0 plus a shortcut 3 -> 1: k ≥ 3 has no sweep,
+        // so point query, batch and the throwaway-network reference
+        // are one computation
+        let mut e = ReputationEngine::new().with_method(Method::Bounded(3));
+        for (f, t, mb) in [(3, 2, 100), (2, 1, 80), (1, 0, 60), (3, 1, 10)] {
+            e.graph_mut().add_transfer(p(f), p(t), Bytes::from_mb(mb));
         }
-        let before = e.reputation(p(0), p(4));
-        // widen the bottleneck at the far end of the path
-        e.graph_mut().add_transfer(p(4), p(3), Bytes::from_gb(1));
-        e.graph_mut().add_transfer(p(3), p(2), Bytes::from_gb(1));
-        e.graph_mut().add_transfer(p(2), p(1), Bytes::from_gb(1));
-        e.graph_mut().add_transfer(p(1), p(0), Bytes::from_gb(1));
-        let after = e.reputation(p(0), p(4));
-        let mut fresh = ReputationEngine::new().with_method(Method::Bounded(4));
-        *fresh.graph_mut() = e.graph().clone();
-        assert_eq!(after.to_bits(), fresh.reputation(p(0), p(4)).to_bits());
-        assert!(after > before);
+        assert!(e.kernel.all_flows_from(e.graph(), p(0)).is_none());
+        let targets = [p(1), p(2), p(3)];
+        let batch = e.clone().reputations_from(p(0), &targets);
+        for (&j, r) in targets.iter().zip(batch) {
+            let (toward, away) = e.flows(p(0), j);
+            assert_eq!(r.to_bits(), e.metric.eval(toward, away).to_bits(), "{j}");
+            assert_eq!(r.to_bits(), e.reputation(p(0), j).to_bits(), "{j}");
+        }
+        assert!(e.reputation(p(0), p(3)) > 0.0, "three hops are in reach");
     }
 
     #[test]

@@ -8,21 +8,22 @@
 //! when it wants the changes visible. Because the view is a frozen
 //! value, a reader can never observe a torn cut: every query against
 //! epoch `e` sees exactly the graph state at publication of `e`,
-//! which equals replaying the shard's mutation journal up to the
+//! which equals replaying the shard's mutations up to the
 //! recorded version and nothing after it (pinned by
 //! `tests/epoch_snapshot.rs`).
 //!
-//! Evaluation is **pure** — no memo cache, no change journal — and
-//! mirrors the monolithic engine's bounded sweep exactly: the flow
-//! totals are order-independent `u64` sums over the evaluator's
-//! two-hop neighbourhood (`graph::ssat`), and the metric maps the
-//! same two `u64`s through the same `f64` expression, so epoch reads
-//! are bit-identical to live-engine reads at the same graph state.
+//! Evaluation is **pure** — no memo cache, no sync — and calls the
+//! monolithic engine's bounded sweep
+//! (`graph::backend::bounded_flow_maps`): the flow totals are
+//! order-independent `u64` sums over the evaluator's two-hop
+//! neighbourhood (`graph::ssat`), and the metric maps the same two
+//! `u64`s through the same `f64` expression, so epoch reads are
+//! bit-identical to live-engine reads at the same graph state.
 
 use std::sync::Arc;
 
 use crate::metric::ReputationMetric;
-use bartercast_graph::ssat;
+use bartercast_graph::backend::bounded_flow_maps;
 use bartercast_graph::{ContributionGraph, Method};
 use bartercast_util::units::{Bytes, PeerId};
 use bartercast_util::FxHashMap;
@@ -90,18 +91,8 @@ impl EpochView {
     /// `away[j] = maxflow(i → j)`, exactly as the live engine's
     /// bounded sweep computes them.
     fn flow_maps(&self, i: PeerId) -> (FxHashMap<PeerId, Bytes>, FxHashMap<PeerId, Bytes>) {
-        match self.method {
-            Method::Bounded(0) => (FxHashMap::default(), FxHashMap::default()),
-            Method::Bounded(1) => (
-                self.graph.in_edges(i).collect(),
-                self.graph.out_edges(i).collect(),
-            ),
-            Method::Bounded(2) => (
-                ssat::flows_into(&self.graph, i),
-                ssat::flows_from(&self.graph, i),
-            ),
-            other => unreachable!("epoch views only serve Bounded(k ≤ 2), got {other:?}"),
-        }
+        bounded_flow_maps(&self.graph, i, self.method)
+            .expect("ShardedEngine::with_method admits only Bounded(k ≤ 2)")
     }
 
     /// Subjective reputation `R_i(j)` (Equation 1) at this epoch.

@@ -1,6 +1,6 @@
 //! Sharded reputation service: `ContributionGraph` ownership
 //! partitioned across N shards, each with its own engine (arena-backed
-//! subgraph, change journal, memo cache), queryable shard-parallel
+//! subgraph, memo cache), queryable shard-parallel
 //! through epoch-consistent snapshots.
 //!
 //! ## Ownership and replication

@@ -128,18 +128,19 @@ proptest! {
     }
 
     #[test]
-    fn journal_survives_long_sync_gaps(
+    fn endpoint_eviction_survives_long_sync_gaps(
         ops in ops_strategy(),
         gap in 1usize..3,
         qs in 0u32..6,
         qt in 0u32..6,
     ) {
-        // the journal reads per-node change versions instead of a
+        // the engine reads the graph's per-node change versions, not a
         // capped change log, so a warm cache that falls arbitrarily
-        // far behind (here: multiples of the old 4096-entry cap
-        // between syncs) must still evict precisely and never go stale
+        // far behind (here: multiples of 4096 mutations, the cap such
+        // a log once had, between syncs) must still evict precisely
+        // and never go stale
         let mut warm = ReputationEngine::new();
-        let churn = gap * bartercast_core::repcache::DEFAULT_JOURNAL_CAPACITY;
+        let churn = gap * 4096;
         for &(f, t, c, merge) in &ops {
             if merge {
                 warm.graph_mut().merge_record(PeerId(f), PeerId(t), Bytes(c));
@@ -200,20 +201,20 @@ proptest! {
     }
 
     #[test]
-    fn k_hop_eviction_never_stale_across_sync_gaps(
+    fn full_clear_never_stale_across_sync_gaps(
         ops in ops_strategy(),
         k in 3usize..6,
         gap in 1usize..3,
         qs in 0u32..6,
         qt in 0u32..6,
     ) {
-        // finite bounds k ≥ 3 evict the k-hop dirty neighbourhood
-        // instead of bare endpoints; like `journal_survives_long_sync_gaps`
-        // this interleaves mutation bursts far past the old change-log
-        // cap with queries, and demands bitwise agreement with a cold
-        // engine at every step — the widened rule may never under-evict
+        // finite bounds k ≥ 3 clear the whole memo on any change, as
+        // the unbounded methods do; like
+        // `endpoint_eviction_survives_long_sync_gaps` this interleaves
+        // long mutation bursts with queries and demands bitwise
+        // agreement with a cold engine at every step
         let mut warm = ReputationEngine::new().with_method(Method::Bounded(k));
-        let churn = gap * bartercast_core::repcache::DEFAULT_JOURNAL_CAPACITY;
+        let churn = gap * 4096;
         for &(f, t, c, merge) in &ops {
             if merge {
                 warm.graph_mut().merge_record(PeerId(f), PeerId(t), Bytes(c));
@@ -235,58 +236,6 @@ proptest! {
                 got.to_bits(),
                 want.to_bits(),
                 "stale at k={} after {}-mutation gap", k, churn
-            );
-        }
-    }
-
-    #[test]
-    fn k_hop_eviction_spares_entries_outside_the_ball(
-        ops in ops_strategy(),
-        k in 3usize..6,
-    ) {
-        // exactness of the k-hop rule: after a mutation, entries whose
-        // endpoints both lie outside the reverse-BFS k-ball of the
-        // dirty nodes must still be served from the memo cache. The
-        // expected ball is recomputed independently here with a plain
-        // reverse BFS over `in_edges`.
-        let mut warm = ReputationEngine::new().with_method(Method::Bounded(k));
-        // two far-apart cliques: mutations from ops land in 0..6, the
-        // sentinel pair lives in 100..102 and is never within k hops
-        warm.graph_mut().add_transfer(PeerId(100), PeerId(101), Bytes(7));
-        warm.graph_mut().add_transfer(PeerId(101), PeerId(102), Bytes(7));
-        for &(f, t, c, merge) in &ops {
-            if merge {
-                warm.graph_mut().merge_record(PeerId(f), PeerId(t), Bytes(c));
-            } else {
-                warm.graph_mut().add_transfer(PeerId(f), PeerId(t), Bytes(c));
-            }
-            // warm the sentinel entry, then mutate inside the far
-            // clique and re-query: the second query must be a hit
-            let first = warm.reputation(PeerId(100), PeerId(102));
-            warm.graph_mut().add_transfer(PeerId(f), PeerId(t), Bytes(c));
-            // independent ball recomputation: reverse BFS depth k from
-            // the dirty endpoints
-            let mut ball: std::collections::BTreeSet<u32> = [f, t].into_iter().collect();
-            let mut frontier: Vec<u32> = ball.iter().copied().collect();
-            for _ in 0..k {
-                let mut next = Vec::new();
-                for node in frontier {
-                    for (pred, _) in warm.graph().in_edges(PeerId(node)) {
-                        if ball.insert(pred.0) {
-                            next.push(pred.0);
-                        }
-                    }
-                }
-                frontier = next;
-            }
-            prop_assert!(!ball.contains(&100) && !ball.contains(&102), "cliques stayed disjoint");
-            let hits_before = warm.stats().hits;
-            let second = warm.reputation(PeerId(100), PeerId(102));
-            prop_assert_eq!(first.to_bits(), second.to_bits());
-            prop_assert_eq!(
-                warm.stats().hits,
-                hits_before + 1,
-                "out-of-ball entry (100, 102) was evicted at k={}", k
             );
         }
     }

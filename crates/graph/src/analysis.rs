@@ -4,51 +4,11 @@
 //! "98% of peer pairs either exchanged data directly or exchanged data
 //! with a common third party". [`two_hop_coverage`] computes exactly
 //! that statistic for any contribution graph, so simulations can check
-//! whether their gossip layer reproduces the small-world premise. The
-//! module also provides degree statistics and a Graphviz DOT export
-//! for debugging subjective graphs.
+//! whether their gossip layer reproduces the small-world premise.
 
 use crate::contribution::ContributionGraph;
 use bartercast_util::units::PeerId;
 use bartercast_util::{FxHashMap, FxHashSet};
-use std::fmt::Write as _;
-
-/// Summary statistics of a contribution graph.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GraphStats {
-    /// Number of nodes.
-    pub nodes: usize,
-    /// Number of directed edges.
-    pub edges: usize,
-    /// Directed density `edges / (n · (n − 1))`.
-    pub density: f64,
-    /// Mean out-degree.
-    pub mean_out_degree: f64,
-    /// Maximum out-degree.
-    pub max_out_degree: usize,
-}
-
-/// Compute [`GraphStats`].
-pub fn stats(graph: &ContributionGraph) -> GraphStats {
-    let nodes: Vec<PeerId> = graph.nodes().into_iter().collect();
-    let n = nodes.len();
-    let edges = graph.edge_count();
-    let mut max_out = 0usize;
-    for &v in &nodes {
-        max_out = max_out.max(graph.out_edges(v).count());
-    }
-    GraphStats {
-        nodes: n,
-        edges,
-        density: if n > 1 {
-            edges as f64 / (n as f64 * (n as f64 - 1.0))
-        } else {
-            0.0
-        },
-        mean_out_degree: if n > 0 { edges as f64 / n as f64 } else { 0.0 },
-        max_out_degree: max_out,
-    }
-}
 
 /// The §3.2 small-world statistic: the fraction of *ordered* node
 /// pairs `(u, v)`, `u ≠ v`, connected by a directed path of at most
@@ -98,18 +58,6 @@ pub fn two_hop_coverage(graph: &ContributionGraph) -> f64 {
     reached_pairs as f64 / (n * (n - 1)) as f64
 }
 
-/// Render the graph in Graphviz DOT format, edge labels in MB.
-pub fn to_dot(graph: &ContributionGraph) -> String {
-    let mut out = String::from("digraph contributions {\n");
-    let mut edges: Vec<_> = graph.edges().collect();
-    edges.sort_by_key(|&(f, t, _)| (f, t));
-    for (f, t, b) in edges {
-        let _ = writeln!(out, "  \"{f}\" -> \"{t}\" [label=\"{:.0} MB\"];", b.as_mb());
-    }
-    out.push_str("}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,20 +65,6 @@ mod tests {
 
     fn p(i: u32) -> PeerId {
         PeerId(i)
-    }
-
-    #[test]
-    fn stats_of_triangle() {
-        let mut g = ContributionGraph::new();
-        g.add_transfer(p(0), p(1), Bytes::from_mb(1));
-        g.add_transfer(p(1), p(2), Bytes::from_mb(1));
-        g.add_transfer(p(2), p(0), Bytes::from_mb(1));
-        let s = stats(&g);
-        assert_eq!(s.nodes, 3);
-        assert_eq!(s.edges, 3);
-        assert!((s.density - 0.5).abs() < 1e-12);
-        assert!((s.mean_out_degree - 1.0).abs() < 1e-12);
-        assert_eq!(s.max_out_degree, 1);
     }
 
     #[test]
@@ -169,16 +103,5 @@ mod tests {
     fn empty_and_singleton() {
         let g = ContributionGraph::new();
         assert_eq!(two_hop_coverage(&g), 1.0);
-        assert_eq!(stats(&g).nodes, 0);
-    }
-
-    #[test]
-    fn dot_export_contains_edges() {
-        let mut g = ContributionGraph::new();
-        g.add_transfer(p(0), p(1), Bytes::from_mb(5));
-        let dot = to_dot(&g);
-        assert!(dot.starts_with("digraph"));
-        assert!(dot.contains("\"p0\" -> \"p1\""));
-        assert!(dot.contains("5 MB"));
     }
 }

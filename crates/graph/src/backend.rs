@@ -3,22 +3,20 @@
 //!
 //! * Point queries ([`FlowKernel::flow`]) evaluate one directed flow
 //!   with the configured method on a shared, lazily rebuilt
-//!   [`FlowNetwork`]; `Bounded(k)` with `k ≥ 3` goes through the
-//!   layered-DAG kernel ([`crate::boundedk::BoundedKKernel`]) instead,
-//!   so points and sweeps share its caches.
-//! * Batch sweeps ([`FlowKernel::all_flows_from`]) exist for **every**
-//!   finite path-length bound: direct edges for `k = 1`, the two-hop
-//!   closed form ([`crate::ssat`]) for the deployed `k = 2`, the
-//!   layered-DAG kernel for `k ≥ 3`. All are bit-identical to per-pair
-//!   bounded evaluation. Unbounded methods have no sweep and return
-//!   `None`; the caller evaluates them pair by pair.
+//!   [`FlowNetwork`].
+//! * Batch sweeps ([`FlowKernel::all_flows_from`]) exist for the path
+//!   bounds whose flows have a closed form, `k ≤ 2`: direct edges for
+//!   `k = 1`, the two-hop sum ([`crate::ssat`]) for the deployed
+//!   `k = 2`. Both are bit-identical to per-pair bounded evaluation,
+//!   and [`bounded_flow_maps`] is the one place that selects them (the
+//!   shard epoch views call it too). Every other method — `Bounded(k)`
+//!   with `k ≥ 3` and the unbounded algorithms — has no sweep and
+//!   returns `None`; the caller evaluates it pair by pair.
 //!
-//! Per-version state (flow network, layered DAGs) is keyed by
-//! [`ContributionGraph::version`], so a burst of queries against an
-//! unchanged graph shares one construction and a graph mutation
-//! invalidates lazily — no explicit reset calls.
+//! The flow network is keyed by [`ContributionGraph::version`], so a
+//! burst of queries against an unchanged graph shares one construction
+//! and a graph mutation invalidates lazily — no explicit reset calls.
 
-use crate::boundedk::BoundedKKernel;
 use crate::contribution::ContributionGraph;
 use crate::maxflow::{self, Method};
 use crate::network::FlowNetwork;
@@ -62,22 +60,14 @@ impl VersionedNet {
 pub struct FlowKernel {
     method: Method,
     net: VersionedNet,
-    /// The layered-DAG kernel, present exactly when `method` is
-    /// `Bounded(k)` with `k ≥ 3`.
-    kernel: Option<BoundedKKernel>,
 }
 
 impl FlowKernel {
     /// A kernel evaluating point queries and sweeps with `method`.
     pub fn new(method: Method) -> Self {
-        let kernel = match method {
-            Method::Bounded(k) if k >= 3 => Some(BoundedKKernel::new(k)),
-            _ => None,
-        };
         FlowKernel {
             method,
             net: VersionedNet::default(),
-            kernel,
         }
     }
 
@@ -89,37 +79,20 @@ impl FlowKernel {
     /// Directed flow `s → t`. Zero when either endpoint is absent or
     /// `s == t`.
     pub fn flow(&mut self, graph: &ContributionGraph, s: PeerId, t: PeerId) -> Bytes {
-        match self.kernel.as_mut() {
-            // k ≥ 3: the kernel is bit-identical to per-pair bounded
-            // evaluation and shares its DAG/value caches with sweeps
-            Some(kernel) => kernel.flow(graph, s, t),
-            None => maxflow::compute_on(self.net.at(graph), s, t, self.method),
-        }
+        maxflow::compute_on(self.net.at(graph), s, t, self.method)
     }
 
     /// Both Equation-1 flows from evaluator `i` to **every** reachable
-    /// peer in one sweep, or `None` exactly when the method is
-    /// unbounded (the caller then falls back to per-pair
+    /// peer in one sweep, or `None` when the method has no sweep (see
+    /// [`bounded_flow_maps`]; the caller then falls back to per-pair
     /// [`FlowKernel::flow`] calls). Peers absent from the returned map
     /// have zero flow in both directions.
     pub fn all_flows_from(
-        &mut self,
+        &self,
         graph: &ContributionGraph,
         i: PeerId,
     ) -> Option<FxHashMap<PeerId, FlowPair>> {
-        let (toward, away) = match self.method {
-            Method::Bounded(0) => (FxHashMap::default(), FxHashMap::default()),
-            Method::Bounded(1) => (
-                graph.in_edges(i).collect::<FxHashMap<_, _>>(),
-                graph.out_edges(i).collect::<FxHashMap<_, _>>(),
-            ),
-            Method::Bounded(2) => (ssat::flows_into(graph, i), ssat::flows_from(graph, i)),
-            Method::Bounded(_) => {
-                let kernel = self.kernel.as_mut().expect("kernel built for k >= 3");
-                (kernel.flows_into(graph, i), kernel.flows_from(graph, i))
-            }
-            _ => return None,
-        };
+        let (toward, away) = bounded_flow_maps(graph, i, self.method)?;
         let mut flows: FxHashMap<PeerId, FlowPair> = FxHashMap::default();
         for (&j, &t) in &toward {
             flows.entry(j).or_default().toward = t;
@@ -128,6 +101,24 @@ impl FlowKernel {
             flows.entry(j).or_default().away = a;
         }
         Some(flows)
+    }
+}
+
+/// The two directed flow maps of evaluator `i` under a path bound with
+/// a closed form: `(toward, away)` with `toward[j] = maxflow(j → i)`
+/// and `away[j] = maxflow(i → j)`, absent peers having zero flow.
+/// `Some` exactly for `Bounded(0)`, `Bounded(1)` (direct edges) and
+/// `Bounded(2)` ([`crate::ssat`]); `None` for every other method.
+pub fn bounded_flow_maps(
+    graph: &ContributionGraph,
+    i: PeerId,
+    method: Method,
+) -> Option<(FxHashMap<PeerId, Bytes>, FxHashMap<PeerId, Bytes>)> {
+    match method {
+        Method::Bounded(0) => Some((FxHashMap::default(), FxHashMap::default())),
+        Method::Bounded(1) => Some((graph.in_edges(i).collect(), graph.out_edges(i).collect())),
+        Method::Bounded(2) => Some((ssat::flows_into(graph, i), ssat::flows_from(graph, i))),
+        _ => None,
     }
 }
 
@@ -171,31 +162,6 @@ mod tests {
     }
 
     #[test]
-    fn ssat_serves_all_finite_bounds() {
-        // regression: k ≥ 3 used to degrade silently to per-pair
-        // evaluation with no sweep
-        let mut g = ContributionGraph::new();
-        // 3 -> 2 -> 1 -> 0 plus a shortcut 3 -> 1
-        g.add_transfer(p(3), p(2), Bytes::from_mb(100));
-        g.add_transfer(p(2), p(1), Bytes::from_mb(80));
-        g.add_transfer(p(1), p(0), Bytes::from_mb(60));
-        g.add_transfer(p(3), p(1), Bytes::from_mb(10));
-        for k in [3usize, 4, 7] {
-            let method = Method::Bounded(k);
-            let mut b = FlowKernel::new(method);
-            let flows = b.all_flows_from(&g, p(0)).expect("k >= 3 has a sweep");
-            for j in [p(1), p(2), p(3)] {
-                let pair = flows.get(&j).copied().unwrap_or_default();
-                assert_eq!(pair.toward, maxflow::compute(&g, j, p(0), method));
-                assert_eq!(pair.away, maxflow::compute(&g, p(0), j, method));
-                assert_eq!(pair.toward, b.flow(&g, j, p(0)));
-            }
-        }
-        let mut zero = FlowKernel::new(Method::Bounded(0));
-        assert!(zero.all_flows_from(&g, p(0)).unwrap().is_empty());
-    }
-
-    #[test]
     fn pairwise_supports_everything_but_has_no_sweep() {
         let g = chain();
         for method in [
@@ -203,6 +169,7 @@ mod tests {
             Method::EdmondsKarp,
             Method::Dinic,
             Method::PushRelabel,
+            Method::Bounded(3),
         ] {
             let mut b = FlowKernel::new(method);
             assert!(b.all_flows_from(&g, p(0)).is_none(), "{method:?}");

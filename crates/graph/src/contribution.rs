@@ -8,10 +8,10 @@
 //!
 //! Adjacency lives in two arena-backed CSR stores (the private `csr` module):
 //! one forward (out-edges), one reverse (in-edges). Every flow kernel
-//! that walks `out_edges`/`in_edges` — the SSAT closed form, the
-//! layered-DAG unroll, network construction — therefore scans
-//! contiguous slots instead of chasing hash buckets; the hash map here
-//! only interns peer ids to dense indices once per node.
+//! that walks `out_edges`/`in_edges` — the SSAT closed form and
+//! network construction — therefore scans contiguous slots instead of
+//! chasing hash buckets; the hash map here only interns peer ids to
+//! dense indices once per node.
 
 use crate::csr::AdjArena;
 use bartercast_util::units::{Bytes, PeerId};
@@ -52,8 +52,7 @@ pub struct ContributionGraph {
     /// had an incident edge change. Indexed densely and never
     /// truncated (it is bounded by the node count, not the mutation
     /// count), so a reader can fall arbitrarily far behind and still
-    /// get an exact dirty set from
-    /// [`ContributionGraph::dirty_nodes_since`].
+    /// get an exact answer from [`ContributionGraph::changed_since`].
     changed_at: Vec<u64>,
 }
 
@@ -139,19 +138,16 @@ impl ContributionGraph {
         self.changed_at[to as usize] = self.version;
     }
 
-    /// Every node that has been an endpoint of an edge changed after
-    /// version `since` (arbitrary order, no duplicates).
+    /// Whether `node` has been an endpoint of an edge changed after
+    /// version `since`; `false` for a node the graph has never seen.
     ///
     /// Always answerable: the per-node versions never truncate, so a
     /// reader may fall arbitrarily far behind between reads without
-    /// losing precision — the cost is one scan over the node table,
-    /// not over the mutation history.
-    pub fn dirty_nodes_since(&self, since: u64) -> impl Iterator<Item = PeerId> + '_ {
-        self.changed_at
-            .iter()
-            .zip(&self.ids)
-            .filter(move |&(&v, _)| v > since)
-            .map(|(_, &p)| p)
+    /// losing precision.
+    pub fn changed_since(&self, node: PeerId, since: u64) -> bool {
+        self.index
+            .get(&node)
+            .is_some_and(|&i| self.changed_at[i as usize] > since)
     }
 
     /// The aggregated bytes `from` has uploaded to `to` (zero if no edge).
@@ -382,22 +378,33 @@ mod tests {
         assert!(n1_rev.contains(&p(3)));
     }
 
+    /// The nodes among `1..=6` that `changed_since` reports.
+    fn changed(g: &ContributionGraph, since: u64) -> Vec<PeerId> {
+        (1..=6)
+            .map(p)
+            .filter(|&n| g.changed_since(n, since))
+            .collect()
+    }
+
     #[test]
-    fn dirty_nodes_since_reports_exact_endpoints() {
+    fn changed_since_reports_exact_endpoints() {
         let mut g = ContributionGraph::new();
         let v0 = g.version();
         g.add_transfer(p(1), p(2), Bytes::from_mb(1));
         let v1 = g.version();
         g.merge_record(p(3), p(4), Bytes::from_mb(2));
+        let v2 = g.version();
         g.add_transfer(p(1), p(2), Bytes::from_mb(1));
 
-        let mut all: Vec<_> = g.dirty_nodes_since(v0).collect();
-        all.sort();
-        assert_eq!(all, vec![p(1), p(2), p(3), p(4)]);
-        let mut later: Vec<_> = g.dirty_nodes_since(v1).collect();
-        later.sort();
-        assert_eq!(later, vec![p(1), p(2), p(3), p(4)]);
-        assert_eq!(g.dirty_nodes_since(g.version()).count(), 0);
+        assert_eq!(changed(&g, v0), vec![p(1), p(2), p(3), p(4)]);
+        assert_eq!(changed(&g, v1), vec![p(1), p(2), p(3), p(4)]);
+        assert_eq!(
+            changed(&g, v2),
+            vec![p(1), p(2)],
+            "3 and 4 last changed at v2"
+        );
+        assert!(changed(&g, g.version()).is_empty());
+        assert!(!g.changed_since(p(77), v0), "absent node never changed");
     }
 
     #[test]
@@ -408,7 +415,7 @@ mod tests {
         g.add_transfer(p(1), p(1), Bytes::from_mb(1)); // self edge: ignored
         g.add_transfer(p(1), p(2), Bytes::ZERO); // zero: ignored
         g.merge_record(p(1), p(2), Bytes::from_mb(4)); // stale: ignored
-        assert_eq!(g.dirty_nodes_since(v).count(), 0);
+        assert!(changed(&g, v).is_empty());
     }
 
     #[test]
@@ -416,14 +423,16 @@ mod tests {
         let mut g = ContributionGraph::new();
         g.add_transfer(p(5), p(6), Bytes(1));
         let v = g.version();
-        // far more mutations than the old change-log cap (4096) ever
-        // held: the per-node versions must stay exact, not truncate
+        // far more mutations than a bounded change log would hold: the
+        // per-node versions must stay exact, not truncate
         for i in 0..10_000u64 {
             g.add_transfer(p(1), p(2), Bytes(i + 1));
         }
-        let mut dirty: Vec<_> = g.dirty_nodes_since(v).collect();
-        dirty.sort();
-        assert_eq!(dirty, vec![p(1), p(2)], "untouched nodes must stay clean");
+        assert_eq!(
+            changed(&g, v),
+            vec![p(1), p(2)],
+            "untouched nodes must stay clean"
+        );
     }
 
     #[test]

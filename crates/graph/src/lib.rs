@@ -22,13 +22,9 @@
 //! * [`ssat`] — the single-source all-targets kernel for the deployed
 //!   two-hop bound: one traversal of a node's two-hop neighbourhood
 //!   yields its bounded maxflow to (or from) every other peer at once.
-//! * [`boundedk`] — the same sharing for **any** finite hop bound: a
-//!   layered DAG unrolled per source (one BFS + level assignment)
-//!   carries all-targets path-bounded flows, bit-identical to per-pair
-//!   depth-bounded evaluation, with per-version DAG and value caching.
 //! * [`backend`] — [`FlowKernel`], the one evaluator the reputation
 //!   engine holds: per-pair flow with the configured method, plus the
-//!   single-source sweep of the two kernels above for finite bounds.
+//!   single-source sweep for the bounds that have one (`k ≤ 2`).
 //! * [`mincut`] — source- and sink-side minimum cuts, used by tests to
 //!   verify the max-flow/min-cut theorem on every computed flow.
 //! * [`analysis`] — graph statistics, the §3.2 two-hop coverage
@@ -38,7 +34,6 @@
 
 pub mod analysis;
 pub mod backend;
-pub mod boundedk;
 pub mod contribution;
 mod csr;
 pub mod maxflow;

@@ -17,8 +17,11 @@
 //!   edges. With [`DEPLOYED_MAX_PATH_LEN`]` = 2` this is the variant
 //!   BarterCast actually deploys (§3.2). For `max_edges = 2` the result
 //!   is exact (all ≤2-edge paths are internally disjoint through
-//!   distinct middle nodes), and for `max_edges ≥ n − 1` it degenerates
-//!   to plain Ford–Fulkerson.
+//!   distinct middle nodes) and has a closed form ([`crate::ssat`]);
+//!   for `3 ≤ max_edges < n − 1` saturating one short path can block
+//!   another, so the value is the one this shortest-path-first order
+//!   yields and is evaluated pair by pair; for `max_edges ≥ n − 1` it
+//!   degenerates to plain Ford–Fulkerson.
 //!
 //! All of them mutate arc capacities in place; [`FlowNetwork::reset`]
 //! restores the original graph.

@@ -55,10 +55,8 @@ impl FlowNetwork {
 
     /// Build a network from an explicit edge list. Node indices are
     /// interned in first-appearance order and each edge's arc pair is
-    /// appended in iteration order, so callers that need a specific
-    /// relative arc order (the bounded-k kernel's pruned subnetworks)
-    /// control it through the iterator.
-    pub(crate) fn build<I: Iterator<Item = (PeerId, PeerId, Bytes)>>(edges: I) -> Self {
+    /// appended in iteration order.
+    fn build<I: Iterator<Item = (PeerId, PeerId, Bytes)>>(edges: I) -> Self {
         let mut net = FlowNetwork {
             arcs: Vec::new(),
             original_caps: Vec::new(),
@@ -82,8 +80,8 @@ impl FlowNetwork {
         // arc `a` is incident to the tail `arcs[a ^ 1].to`; visiting
         // arcs in index order reproduces, per node, exactly the
         // increasing-arc-index order the old per-node `Vec` pushes
-        // produced — the property the bounded-k kernel's bit-identity
-        // rests on.
+        // produced, which fixes the augmentation order of every
+        // order-sensitive algorithm (bounded `k ≥ 3`, Ford–Fulkerson).
         let n = net.ids.len();
         let mut degree = vec![0u32; n + 1];
         for ai in 0..net.arcs.len() {
@@ -141,34 +139,11 @@ impl FlowNetwork {
         self.ids[node as usize]
     }
 
-    /// Original (pre-flow) capacity of arc `ai` — forward arcs carry
-    /// the edge weight, residual twins zero — regardless of any flow
-    /// currently pushed through the network.
-    pub(crate) fn original_cap(&self, ai: u32) -> u64 {
-        self.original_caps[ai as usize]
-    }
-
     /// Restore all arcs to their original capacities (undo any flow).
     pub fn reset(&mut self) {
         for (arc, &cap) in self.arcs.iter_mut().zip(&self.original_caps) {
             arc.cap = cap;
         }
-    }
-
-    /// Total flow currently pushed out of `node` (for assertions):
-    /// the sum over forward arcs of `original − remaining` capacity.
-    pub fn outflow(&self, node: u32) -> u64 {
-        let mut sum = 0;
-        for &ai in self.arcs_of(node) {
-            if ai % 2 == 0 {
-                // forward arc
-                sum += self.original_caps[ai as usize] - self.arcs[ai as usize].cap;
-            } else {
-                // residual twin carrying flow back into `node` cancels
-                sum = sum.saturating_sub(self.arcs[ai as usize].cap);
-            }
-        }
-        sum
     }
 
     /// Flow conservation check: every node except `s` and `t` must have

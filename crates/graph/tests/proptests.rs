@@ -330,9 +330,13 @@ proptest! {
             prop_assert_eq!(g.total_up(PeerId(f)).0, expect_out.iter().map(|&(_, w)| w).sum::<u64>());
             prop_assert_eq!(g.total_down(PeerId(f)).0, expect_in.iter().map(|&(_, w)| w).sum::<u64>());
         }
-        let mut dirty: Vec<u32> = g.dirty_nodes_since(since).map(|id| id.0).collect();
-        dirty.sort_unstable();
-        let expect_dirty: Vec<u32> = model_dirty.into_iter().collect();
-        prop_assert_eq!(dirty, expect_dirty, "dirty_nodes_since({since})");
+        // ids 0..9 cover every node the ops can name, plus absent ones
+        for n in 0..9u32 {
+            prop_assert_eq!(
+                g.changed_since(PeerId(n), since),
+                model_dirty.contains(&n),
+                "changed_since({n}, {since})"
+            );
+        }
     }
 }

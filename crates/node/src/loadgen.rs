@@ -20,9 +20,6 @@
 //!   like for the peers that do get in;
 //! * `records_sent` / elapsed — aggregate throughput the one reactor
 //!   thread sustained.
-//!
-//! [`rss_bytes`] reads `/proc/self/statm` (gracefully `None` elsewhere)
-//! so a harness can report memory per session.
 
 use crate::transport::{Conn, Transport};
 use crate::wire::{self, Envelope};
@@ -409,15 +406,6 @@ pub fn run_loadgen(
     }
 }
 
-/// Resident set size of this process in bytes, from
-/// `/proc/self/statm`; `None` where that interface doesn't exist.
-pub fn rss_bytes() -> Option<u64> {
-    let statm = std::fs::read_to_string("/proc/self/statm").ok()?;
-    let resident_pages: u64 = statm.split_whitespace().nth(1)?.parse().ok()?;
-    let page_size = 4096u64; // universal on the platforms we target
-    Some(resident_pages * page_size)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -500,11 +488,5 @@ mod tests {
         let stats = node.shutdown();
         assert_eq!(stats.shed_accept, report.shed as u64);
         assert!(stats.sessions_peak <= 8);
-    }
-
-    #[test]
-    fn rss_probe_is_graceful() {
-        // on Linux this returns Some; elsewhere None — never panics
-        let _ = rss_bytes();
     }
 }

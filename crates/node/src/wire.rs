@@ -138,21 +138,6 @@ pub enum SwarmFrame {
     },
 }
 
-impl SwarmFrame {
-    /// Short tag for logs and debug assertions.
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            SwarmFrame::Bitfield { .. } => "bitfield",
-            SwarmFrame::Have { .. } => "have",
-            SwarmFrame::Request { .. } => "request",
-            SwarmFrame::Piece { .. } => "piece",
-            SwarmFrame::Choke => "choke",
-            SwarmFrame::Unchoke => "unchoke",
-            SwarmFrame::Cancel { .. } => "cancel",
-        }
-    }
-}
-
 /// Why an inbound envelope was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {

@@ -73,10 +73,6 @@ pub struct Simulation {
     meetings: u64,
     pieces_transferred: u64,
     next_reputation_sample: Seconds,
-    /// (sum of candidate-counts, choke invocations, invocations with
-    /// more candidates than regular slots) per role, for contention
-    /// diagnostics.
-    contention: [(u64, u64, u64); 2],
     /// Download start time per (peer, swarm), for completion-time stats.
     download_started: FxHashMap<(usize, usize), Seconds>,
     /// Per-swarm (completions, total completion seconds, peak members).
@@ -212,7 +208,6 @@ impl Simulation {
             meetings: 0,
             pieces_transferred: 0,
             next_reputation_sample: config.reputation_sample_interval,
-            contention: [(0, 0, 0); 2],
             download_started: FxHashMap::default(),
             swarm_stats: vec![(0, 0, 0); trace.swarm_count()],
             request_cursor: vec![0; trace.peer_count()],
@@ -251,19 +246,6 @@ impl Simulation {
     /// Whether this peer is one of the archival initial seeders.
     pub fn is_archival(&self, idx: usize) -> bool {
         self.archival.contains(&idx)
-    }
-
-    /// Contention diagnostics per role `(leecher, seeder)`: mean
-    /// candidates over choke rounds that had at least one candidate,
-    /// and the number of rounds where candidates exceeded the regular
-    /// slot count (slots actually contended).
-    pub fn mean_contention(&self) -> ((f64, u64), (f64, u64)) {
-        let l = self.contention[0];
-        let se = self.contention[1];
-        (
-            (l.0 as f64 / l.1.max(1) as f64, l.2),
-            (se.0 as f64 / se.1.max(1) as f64, se.2),
-        )
     }
 
     /// Run to the trace horizon and produce the report.
@@ -399,18 +381,6 @@ impl Simulation {
                     epoch,
                 );
                 let role = self.swarms[s].member(pid).unwrap().role();
-                let slot = if role == bartercast_bt::Role::Leecher {
-                    0
-                } else {
-                    1
-                };
-                self.contention[slot].0 += candidates.len() as u64;
-                if !candidates.is_empty() {
-                    self.contention[slot].1 += 1;
-                }
-                if candidates.len() > self.config.bt.regular_slots {
-                    self.contention[slot].2 += 1;
-                }
                 let dyn_policy: &dyn bartercast_bt::ChokePolicy = match ratio.as_ref() {
                     Some(r) => r,
                     None => &policy,

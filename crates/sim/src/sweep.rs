@@ -11,11 +11,11 @@
 //!   seeder's subjective graph dwarfs a leecher's), so equal-size
 //!   chunks would leave threads idle behind the chunk that drew the
 //!   heavy evaluators. [`SweepSchedule::WorkStealing`] instead runs a
-//!   cost-ordered task list — layered-DAG size for bounded
-//!   methods (the arcs the bounded kernel actually traverses), raw
-//!   edge count for unbounded ones — claimed by an atomic counter, so
-//!   threads that finish early pull the next pending evaluator
-//!   instead of waiting.
+//!   cost-ordered task list — the arcs in the evaluator's k-hop balls
+//!   for the bounds with a single-source sweep (`k ≤ 2`, the arcs that
+//!   sweep actually traverses), raw edge count for every per-pair
+//!   method — claimed by an atomic counter, so threads that finish
+//!   early pull the next pending evaluator instead of waiting.
 //!
 //! Every schedule is bit-identical by construction: threads only
 //! *gather* each evaluator's value vector, and the floating-point
@@ -30,11 +30,13 @@ use bartercast_bt::choke::{Candidate, PeerScore};
 use bartercast_bt::RatioPolicy;
 use bartercast_core::policy::ReputationPolicy;
 use bartercast_core::ShardedEngine;
-use bartercast_graph::boundedk::layered_dag_cost;
 use bartercast_graph::maxflow::Method;
+use bartercast_graph::ContributionGraph;
 use bartercast_trace::model::Trace;
 use bartercast_util::units::PeerId;
 use bartercast_util::FxHashMap;
+use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -93,8 +95,8 @@ pub enum SweepSchedule {
     /// One thread, evaluators in index order.
     Serial,
     /// Cost-ordered task list claimed via an atomic counter: threads
-    /// take the heaviest pending evaluator (by layered-DAG size for
-    /// bounded methods) as soon as they free up.
+    /// take the heaviest pending evaluator (by k-hop ball size where
+    /// the method sweeps) as soon as they free up.
     WorkStealing,
 }
 
@@ -195,18 +197,56 @@ fn gather_serial(peers: &mut [SimPeer], indices: &[usize], target_ids: &[PeerId]
         .collect()
 }
 
-/// Scheduling cost of one evaluator's sweep. Bounded methods only
-/// traverse the evaluator's layered DAG (its k-hop forward and
-/// reverse balls), so the raw edge count of the whole subjective
-/// graph — the old cost — badly overestimates peers whose graphs are
-/// large but whose neighbourhoods are thin, inverting the LPT order.
-/// Unbounded sweeps run per-pair flow over the whole graph and keep
-/// the edge count as their cost.
+/// Scheduling cost of one evaluator's sweep. The single-source sweep
+/// (`Bounded(k ≤ 2)`) only traverses the evaluator's k-hop forward
+/// and reverse balls, so the raw edge count of the whole subjective
+/// graph badly overestimates peers whose graphs are large but whose
+/// neighbourhoods are thin, inverting the LPT order. Every other
+/// method runs per-pair flow over the whole graph and keeps the edge
+/// count as its cost.
 fn sweep_cost(peer: &SimPeer) -> usize {
     match peer.engine.method() {
-        Method::Bounded(k) => layered_dag_cost(peer.engine.graph(), peer.id, k),
+        Method::Bounded(k) if k <= 2 => ball_arc_cost(peer.engine.graph(), peer.id, k),
         _ => peer.engine.graph().edge_count(),
     }
+}
+
+/// The number of arcs in `evaluator`'s forward and reverse k-hop balls
+/// (arcs whose tail/head lies within `k − 1` hops of it): the work a
+/// bounded-`k` single-source sweep actually performs.
+fn ball_arc_cost(graph: &ContributionGraph, evaluator: PeerId, k: usize) -> usize {
+    ball_arcs(evaluator, k, |u| graph.out_edges(u).map(|(v, _)| v))
+        + ball_arcs(evaluator, k, |u| graph.in_edges(u).map(|(v, _)| v))
+}
+
+/// Arcs scanned by a depth-`k` layered BFS from `source` following
+/// `neighbours`: every edge out of a node on a level `≤ k − 1`.
+fn ball_arcs<F, I>(source: PeerId, k: usize, neighbours: F) -> usize
+where
+    F: Fn(PeerId) -> I,
+    I: Iterator<Item = PeerId>,
+{
+    if k == 0 {
+        return 0;
+    }
+    let mut dist: FxHashMap<PeerId, usize> = FxHashMap::default();
+    dist.insert(source, 0);
+    let mut q = VecDeque::from([source]);
+    let mut arcs = 0usize;
+    while let Some(u) = q.pop_front() {
+        let du = dist[&u];
+        if du >= k {
+            continue;
+        }
+        for v in neighbours(u) {
+            arcs += 1;
+            if let Entry::Vacant(e) = dist.entry(v) {
+                e.insert(du + 1);
+                q.push_back(v);
+            }
+        }
+    }
+    arcs
 }
 
 fn gather_stealing(
@@ -221,8 +261,8 @@ fn gather_stealing(
         .enumerate()
         .map(|(pos, &i)| (i, pos))
         .collect();
-    // one claimable task per evaluator, heaviest layered DAG first so
-    // the long poles start immediately (classic LPT ordering)
+    // one claimable task per evaluator, costliest first so the long
+    // poles start immediately (classic LPT ordering)
     let mut slots: Vec<(usize, usize, &mut SimPeer)> = Vec::with_capacity(indices.len());
     for (i, peer) in peers.iter_mut().enumerate() {
         if let Some(&pos) = pos_of.get(&i) {
@@ -306,12 +346,12 @@ pub fn sharded_reputations(
 ///
 /// The scheduler gives the work-stealing task list a **shard
 /// dimension**: evaluators are grouped by owner shard into per-shard
-/// queues, each LPT-ordered by layered-DAG cost, with one atomic claim
+/// queues, each LPT-ordered by k-hop ball cost, with one atomic claim
 /// counter per shard. Worker `w` owns the live engines of shards
 /// `w, w + W, w + 2W, …` and drains their queues through those engines
-/// (memoized, journal-synced); only when its own shards run dry does
-/// it **steal across shards**, evaluating tail tasks against the
-/// epoch views published at sweep start. During the sweep no writer
+/// (memoized, synced to the live graph); only when its own shards run
+/// dry does it **steal across shards**, evaluating tail tasks against
+/// the epoch views published at sweep start. During the sweep no writer
 /// runs — the service is `&mut`-borrowed — so each epoch equals its
 /// shard's live graph and stolen results are bit-identical to
 /// owner-evaluated ones; threads only gather `(position, values)`
@@ -329,7 +369,7 @@ pub fn sharded_reputations_timed(
         other => unreachable!("sharded service is always bounded, got {other:?}"),
     };
     let epochs = service.publish_all();
-    // per-shard claimable queues, heaviest layered DAG first (LPT)
+    // per-shard claimable queues, costliest evaluator first (LPT)
     let mut queues: Vec<Vec<(usize, PeerId)>> = vec![Vec::new(); shards];
     for (pos, &e) in evaluators.iter().enumerate() {
         queues[service.shard_of(e)].push((pos, e));
@@ -338,7 +378,7 @@ pub fn sharded_reputations_timed(
         let graph = epochs[s].graph();
         let mut costed: Vec<(usize, usize, PeerId)> = queue
             .drain(..)
-            .map(|(pos, e)| (layered_dag_cost(graph, e, k), pos, e))
+            .map(|(pos, e)| (ball_arc_cost(graph, e, k), pos, e))
             .collect();
         costed.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
         queue.extend(costed.into_iter().map(|(_, pos, e)| (pos, e)));
@@ -552,7 +592,27 @@ mod tests {
     }
 
     #[test]
-    fn cost_uses_layered_dag_size_for_bounded_methods() {
+    fn ball_cost_matches_local_structure() {
+        // star: evaluator 0 connected to 1..=4, plus a distant clique
+        let mut g = ContributionGraph::new();
+        for i in 1..=4 {
+            g.add_transfer(PeerId(0), PeerId(i), Bytes(1));
+        }
+        for f in 10..20u32 {
+            for t in 10..20u32 {
+                if f != t {
+                    g.add_transfer(PeerId(f), PeerId(t), Bytes(1));
+                }
+            }
+        }
+        let local = ball_arc_cost(&g, PeerId(0), 2);
+        assert_eq!(local, 4, "distant clique must not inflate the cost");
+        assert!(ball_arc_cost(&g, PeerId(10), 2) > local);
+        assert_eq!(ball_arc_cost(&g, PeerId(0), 0), 0);
+    }
+
+    #[test]
+    fn cost_uses_ball_size_where_the_method_sweeps() {
         let mut peers = skewed_population(2, 7);
         // evaluator 0: a two-edge local neighbourhood plus a distant
         // 6-node clique it can never reach within the deployed bound
@@ -573,10 +633,12 @@ mod tests {
             bounded_cost < edges,
             "bounded cost {bounded_cost} must ignore the distant clique ({edges} edges)"
         );
-        // unbounded per-pair flow really does touch every edge
-        let engine = peers[0].engine.clone().with_method(Method::Dinic);
-        peers[0].engine = engine;
-        assert_eq!(sweep_cost(&peers[0]), edges);
+        // per-pair flow really does touch every edge
+        for method in [Method::Bounded(3), Method::Dinic] {
+            let engine = peers[0].engine.clone().with_method(method);
+            peers[0].engine = engine;
+            assert_eq!(sweep_cost(&peers[0]), edges, "{method:?}");
+        }
     }
 
     #[test]

@@ -21,10 +21,6 @@ use crate::model::{FileRequest, PeerTrace, Session, SwarmId, SwarmTrace, Trace};
 use bartercast_util::units::{Bandwidth, Bytes, PeerId, Seconds};
 use std::fmt::Write as _;
 
-/// Serialization errors (currently none are possible; reserved).
-#[derive(Debug)]
-pub enum WriteError {}
-
 /// Parse errors with line numbers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {

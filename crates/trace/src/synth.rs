@@ -80,15 +80,6 @@ impl BandwidthClass {
         }
     }
 
-    /// A cable-like profile (8 MBps down / 1 MBps up).
-    pub fn cable(weight: f64) -> Self {
-        BandwidthClass {
-            weight,
-            down: Bandwidth::from_mbps(8),
-            up: Bandwidth::from_mbps(1),
-        }
-    }
-
     /// A symmetric fibre profile (10 MBps each way).
     pub fn fibre(weight: f64) -> Self {
         BandwidthClass {

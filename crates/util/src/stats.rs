@@ -3,8 +3,8 @@
 //! The paper reports per-group *averages over time* (Figures 1–3), a
 //! *scatter correlation* (Figure 1b), and an *empirical CDF*
 //! (Figure 4b). This module provides the corresponding primitives:
-//! streaming moments, percentiles, Pearson correlation, linear bins and
-//! empirical CDFs.
+//! streaming moments, percentiles, Pearson and Spearman correlation,
+//! and empirical CDFs.
 
 /// Streaming mean/variance accumulator (Welford's algorithm).
 #[derive(Debug, Clone, Default)]
@@ -59,11 +59,6 @@ impl Running {
         } else {
             self.m2 / (self.n - 1) as f64
         }
-    }
-
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
     }
 
     /// Minimum observation (`None` if empty).
@@ -211,11 +206,6 @@ impl Ecdf {
         count as f64 / self.sorted.len() as f64
     }
 
-    /// Quantile function (inverse CDF), `q` in `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        percentile(&self.sorted, q)
-    }
-
     /// Iterate `(x, F(x))` over every sample point — the staircase the
     /// paper plots in Figure 4b.
     pub fn points(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
@@ -229,52 +219,6 @@ impl Ecdf {
     /// The underlying sorted sample.
     pub fn sorted(&self) -> &[f64] {
         &self.sorted
-    }
-}
-
-/// Fixed-width histogram over `[lo, hi)` with `bins` buckets;
-/// out-of-range values clamp into the first/last bucket.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-}
-
-impl Histogram {
-    /// Create a histogram. Panics if `bins == 0` or `hi <= lo`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(hi > lo, "histogram range must be non-empty");
-        Histogram {
-            lo,
-            hi,
-            counts: vec![0; bins],
-        }
-    }
-
-    /// Add one observation.
-    pub fn push(&mut self, x: f64) {
-        let bins = self.counts.len();
-        let t = (x - self.lo) / (self.hi - self.lo);
-        let idx = ((t * bins as f64).floor() as i64).clamp(0, bins as i64 - 1) as usize;
-        self.counts[idx] += 1;
-    }
-
-    /// Bucket counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total observations.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Center of bucket `i`.
-    pub fn center(&self, i: usize) -> f64 {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        self.lo + w * (i as f64 + 0.5)
     }
 }
 
@@ -379,18 +323,5 @@ mod tests {
     fn ecdf_drops_nan() {
         let e = Ecdf::new(vec![f64::NAN, 1.0]);
         assert_eq!(e.len(), 1);
-    }
-
-    #[test]
-    fn histogram_binning() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for x in [0.5, 2.5, 9.9, -3.0, 42.0] {
-            h.push(x);
-        }
-        assert_eq!(h.total(), 5);
-        assert_eq!(h.counts()[0], 2); // 0.5 and clamped -3.0
-        assert_eq!(h.counts()[1], 1); // 2.5
-        assert_eq!(h.counts()[4], 2); // 9.9 and clamped 42.0
-        assert!((h.center(0) - 1.0).abs() < 1e-12);
     }
 }

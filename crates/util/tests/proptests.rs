@@ -5,6 +5,28 @@ use bartercast_util::series::BucketSeries;
 use bartercast_util::stats::{pearson, percentile, spearman, Ecdf, Running};
 use proptest::prelude::*;
 
+/// Any strictly increasing transform preserves Spearman exactly.
+fn spearman_survives_monotone_transform(xs: &[f64]) -> Result<(), TestCaseError> {
+    let ys: Vec<f64> = (0..xs.len()).map(|i| i as f64).collect();
+    let a = spearman(xs, &ys);
+    // strictly increasing and injective on the sampled range
+    let transformed: Vec<f64> = xs.iter().map(|x| x / 3.0 + x * x * x).collect();
+    let b = spearman(&transformed, &ys);
+    if let (Some(a), Some(b)) = (a, b) {
+        prop_assert!((a - b).abs() < 1e-9);
+    }
+    Ok(())
+}
+
+/// A case real proptest once shrank a failure of
+/// `spearman_invariant_under_monotone_transform` to (three points, the
+/// property's minimum length, in its `-1e2..1e2` range).
+#[test]
+fn spearman_regression_three_points_with_zero() {
+    spearman_survives_monotone_transform(&[90.8624485615293, 97.65220035431676, 0.0])
+        .expect("pinned regression case");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -98,19 +120,11 @@ proptest! {
         }
     }
 
-    /// Any strictly increasing transform preserves Spearman exactly.
     #[test]
     fn spearman_invariant_under_monotone_transform(
         xs in prop::collection::vec(-1e2f64..1e2, 3..50)
     ) {
-        let ys: Vec<f64> = (0..xs.len()).map(|i| i as f64).collect();
-        let a = spearman(&xs, &ys);
-        // strictly increasing and injective on the sampled range
-        let transformed: Vec<f64> = xs.iter().map(|x| x / 3.0 + x * x * x).collect();
-        let b = spearman(&transformed, &ys);
-        if let (Some(a), Some(b)) = (a, b) {
-            prop_assert!((a - b).abs() < 1e-9);
-        }
+        spearman_survives_monotone_transform(&xs)?;
     }
 
     /// CSV fields always survive a write/parse round trip.

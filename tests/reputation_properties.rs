@@ -24,6 +24,65 @@ fn histories(events: &[(u32, u32, u64)]) -> Vec<PrivateHistory> {
     hs
 }
 
+/// Gossip can only make an evaluation better-informed, never
+/// reverse the sign of a purely-direct negative balance: a peer I
+/// only uploaded to cannot become positive through third-party
+/// claims, because maxflow toward me is capped by my in-edges
+/// (§3.4). Holds on every kernel the engine can select, through
+/// point and batch queries alike.
+fn pure_taker_stays_non_positive(
+    events: &[(u32, u32, u64)],
+    taker_amount: u64,
+    claim: u64,
+) -> Result<(), TestCaseError> {
+    // I (peer 0) only ever uploaded to peer 7 and downloaded nothing.
+    let mut h = PrivateHistory::new(PeerId(0));
+    h.record_upload(PeerId(7), Bytes(taker_amount), Seconds(1));
+    let mut base = ReputationEngine::from_private(&h);
+    // peer 7 lies arbitrarily about serving others
+    let lie = BarterCastMessage {
+        sender: PeerId(7),
+        records: events
+            .iter()
+            .map(|&(_, to, _)| bartercast::core::TransferRecord {
+                peer: PeerId(1 + (to % 6)), // peers 1..=6: never me (0) or the liar (7)
+                up: Bytes(claim),
+                down: Bytes::ZERO,
+            })
+            .collect(),
+    };
+    base.absorb_message(&lie);
+    for method in [Method::DEPLOYED, Method::Bounded(3), Method::Dinic] {
+        // separate engines so the batch runs its own sweep instead
+        // of hitting the point query's memo entry
+        let r = base
+            .clone()
+            .with_method(method)
+            .reputation(PeerId(0), PeerId(7));
+        prop_assert!(
+            r <= 0.0,
+            "{method:?}: pure taker must stay non-positive, got {r}"
+        );
+        let swept = base
+            .clone()
+            .with_method(method)
+            .reputations_from(PeerId(0), &[PeerId(7)])[0];
+        prop_assert!(
+            swept <= 0.0,
+            "{method:?} batch: pure taker must stay non-positive, got {swept}"
+        );
+    }
+    Ok(())
+}
+
+/// A case real proptest once shrank a failure of
+/// `lies_cannot_turn_pure_taker_positive` to: one lying record whose
+/// claim exceeds what I uploaded to the liar.
+#[test]
+fn pure_taker_regression_single_inflated_claim() {
+    pure_taker_stays_non_positive(&[(0, 7, 1)], 1, 2).expect("pinned regression case");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -60,43 +119,13 @@ proptest! {
         }
     }
 
-    /// Gossip can only make an evaluation better-informed, never
-    /// reverse the sign of a purely-direct negative balance: a peer I
-    /// only uploaded to cannot become positive through third-party
-    /// claims, because maxflow toward me is capped by my in-edges
-    /// (§3.4). Holds on every kernel the engine can select, through
-    /// point and batch queries alike.
     #[test]
     fn lies_cannot_turn_pure_taker_positive(
         events in transfers(),
         taker_amount in 1u64..2_000_000_000,
         claim in 1u64..u32::MAX as u64,
     ) {
-        // I (peer 0) only ever uploaded to peer 7 and downloaded nothing.
-        let mut h = PrivateHistory::new(PeerId(0));
-        h.record_upload(PeerId(7), Bytes(taker_amount), Seconds(1));
-        let mut base = ReputationEngine::from_private(&h);
-        // peer 7 lies arbitrarily about serving others
-        let lie = BarterCastMessage {
-            sender: PeerId(7),
-            records: events
-                .iter()
-                .map(|&(_, to, _)| bartercast::core::TransferRecord {
-                    peer: PeerId(1 + (to % 6)), // peers 1..=6: never me (0) or the liar (7)
-                    up: Bytes(claim),
-                    down: Bytes::ZERO,
-                })
-                .collect(),
-        };
-        base.absorb_message(&lie);
-        for method in [Method::DEPLOYED, Method::Bounded(3), Method::Dinic] {
-            // separate engines so the batch runs its own sweep instead
-            // of hitting the point query's memo entry
-            let r = base.clone().with_method(method).reputation(PeerId(0), PeerId(7));
-            prop_assert!(r <= 0.0, "{method:?}: pure taker must stay non-positive, got {r}");
-            let swept = base.clone().with_method(method).reputations_from(PeerId(0), &[PeerId(7)])[0];
-            prop_assert!(swept <= 0.0, "{method:?} batch: pure taker must stay non-positive, got {swept}");
-        }
+        pure_taker_stays_non_positive(&events, taker_amount, claim)?;
     }
 
     /// The deployed two-hop evaluation never exceeds the unbounded one
