@@ -2,6 +2,11 @@
 
 /// A fixed-size bitset recording which pieces a peer has.
 ///
+/// Bits live in 64-bit words, piece `i` at bit `i % 64` of word
+/// `i / 64`. **Invariant:** no bit at or beyond `len` is ever set, so
+/// whole-word operations ([`Bitfield::words`], [`Bitfield::wanted_from`],
+/// interest, iteration) never see a phantom piece in the last word.
+///
 /// ```
 /// use bartercast_bt::Bitfield;
 ///
@@ -21,6 +26,25 @@ pub struct Bitfield {
     count: usize,
 }
 
+/// Indices of the set bits of a word slice, ascending (bit `b` of word
+/// `w` is index `64 w + b`).
+pub fn iter_ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    ones(words.iter().copied())
+}
+
+fn ones(words: impl Iterator<Item = u64>) -> impl Iterator<Item = usize> {
+    words.enumerate().flat_map(|(w, mut rest)| {
+        std::iter::from_fn(move || {
+            if rest == 0 {
+                return None;
+            }
+            let bit = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            Some(w * 64 + bit)
+        })
+    })
+}
+
 impl Bitfield {
     /// An all-zero bitfield over `len` pieces.
     pub fn new(len: usize) -> Self {
@@ -33,11 +57,23 @@ impl Bitfield {
 
     /// An all-one bitfield (a seeder's).
     pub fn full(len: usize) -> Self {
-        let mut bf = Self::new(len);
-        for i in 0..len {
-            bf.set(i);
+        let mut bits = vec![u64::MAX; len.div_ceil(64)];
+        if let Some(last) = bits.last_mut() {
+            *last = Self::tail_mask(len);
         }
-        bf
+        Bitfield {
+            bits,
+            len,
+            count: len,
+        }
+    }
+
+    /// The valid bits of the last word of a `len`-piece bitfield.
+    fn tail_mask(len: usize) -> u64 {
+        match len % 64 {
+            0 => u64::MAX,
+            r => (1u64 << r) - 1,
+        }
     }
 
     /// Number of pieces in the torrent.
@@ -50,6 +86,12 @@ impl Bitfield {
         self.len == 0
     }
 
+    /// The backing words, `len.div_ceil(64)` of them; bits at or
+    /// beyond `len` are zero.
+    pub fn words(&self) -> &[u64] {
+        &self.bits
+    }
+
     /// Whether piece `i` is present.
     #[inline]
     pub fn has(&self, i: usize) -> bool {
@@ -58,9 +100,14 @@ impl Bitfield {
     }
 
     /// Mark piece `i` present. Returns `true` if it was newly set.
+    ///
+    /// # Panics
+    /// If `i >= len` — in release builds too: a stray bit in the last
+    /// word would break the tail invariant every word-wise reader
+    /// relies on.
     #[inline]
     pub fn set(&mut self, i: usize) -> bool {
-        debug_assert!(i < self.len);
+        assert!(i < self.len, "piece {i} out of range {}", self.len);
         let w = &mut self.bits[i / 64];
         let mask = 1u64 << (i % 64);
         if *w & mask == 0 {
@@ -101,14 +148,32 @@ impl Bitfield {
             .any(|(&mine, &theirs)| theirs & !mine != 0)
     }
 
+    /// The pieces `self` lacks and at least one of `offers` has, as
+    /// words (`OR` of the offers `& !self`); read them with
+    /// [`iter_ones`].
+    pub fn wanted_from<'a>(&self, offers: impl IntoIterator<Item = &'a Bitfield>) -> Vec<u64> {
+        let mut wanted = vec![0u64; self.bits.len()];
+        for offer in offers {
+            debug_assert_eq!(self.len, offer.len);
+            for (w, &theirs) in wanted.iter_mut().zip(&offer.bits) {
+                *w |= theirs;
+            }
+        }
+        for (w, &mine) in wanted.iter_mut().zip(&self.bits) {
+            *w &= !mine;
+        }
+        wanted
+    }
+
     /// Iterate over the pieces present.
     pub fn iter_set(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.len).filter(move |&i| self.has(i))
+        iter_ones(&self.bits)
     }
 
     /// Iterate over the pieces missing.
     pub fn iter_missing(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.len).filter(move |&i| !self.has(i))
+        // the complement's phantom tail bits all sort after `len - 1`
+        ones(self.bits.iter().map(|&word| !word)).take_while(move |&i| i < self.len)
     }
 }
 
@@ -173,6 +238,72 @@ mod tests {
         b.set(3);
         assert_eq!(b.iter_set().collect::<Vec<_>>(), vec![1, 3]);
         assert_eq!(b.iter_missing().collect::<Vec<_>>(), vec![0, 2, 4]);
+    }
+
+    const LENS: [usize; 8] = [0, 1, 63, 64, 65, 127, 128, 2_000];
+
+    /// A pseudo-random bitfield, about one bit in `1 / sparsity` set.
+    fn scattered(len: usize, seed: u64, sparsity: u64) -> Bitfield {
+        let mut b = Bitfield::new(len);
+        let mut x = seed;
+        for i in 0..len {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            if (x >> 33).is_multiple_of(sparsity) {
+                b.set(i);
+            }
+        }
+        b
+    }
+
+    fn assert_tail_clear(b: &Bitfield) {
+        assert_eq!(b.words().len(), b.len().div_ceil(64));
+        let ones: usize = b.words().iter().map(|w| w.count_ones() as usize).sum();
+        assert_eq!(ones, b.count(), "a bit beyond len {} is set", b.len());
+        assert!(iter_ones(b.words()).all(|i| i < b.len()));
+    }
+
+    #[test]
+    fn word_wise_operations_equal_their_per_bit_definitions() {
+        for len in LENS {
+            let full = Bitfield::full(len);
+            let mut by_set = Bitfield::new(len);
+            for i in 0..len {
+                by_set.set(i);
+            }
+            assert_eq!(full, by_set, "full({len})");
+            assert_tail_clear(&full);
+            assert_eq!(full.iter_missing().count(), 0);
+            assert!(Bitfield::new(len).iter_missing().eq(0..len));
+
+            for (seed, sparsity) in [(1, 2), (2, 7), (3, 64)] {
+                let mine = scattered(len, seed, sparsity);
+                let theirs = scattered(len, seed + 10, 3);
+                let third = scattered(len, seed + 20, 5);
+                assert_tail_clear(&mine);
+                assert!(mine.iter_set().eq((0..len).filter(|&i| mine.has(i))));
+                assert!(mine.iter_missing().eq((0..len).filter(|&i| !mine.has(i))));
+                for other in [&theirs, &full, &Bitfield::new(len)] {
+                    assert_eq!(
+                        mine.interested_in(other),
+                        (0..len).any(|i| other.has(i) && !mine.has(i)),
+                        "interest at len {len}"
+                    );
+                }
+                let wanted = mine.wanted_from([&theirs, &third]);
+                assert!(iter_ones(&wanted)
+                    .eq((0..len).filter(|&i| !mine.has(i) && (theirs.has(i) || third.has(i)))));
+                assert!(iter_ones(&mine.wanted_from([])).next().is_none());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn setting_beyond_len_panics_in_every_build() {
+        // bit 5 of the only word exists physically; it must stay clear
+        Bitfield::new(5).set(5);
     }
 
     #[test]

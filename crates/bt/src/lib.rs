@@ -14,7 +14,8 @@
 //!   the trace simulator and the live wire runtime, with the
 //!   private-tracker *ratio* policy ([`RatioPolicy`]) as a third
 //!   implementation beside rank/ban;
-//! * **rarest-first** piece selection ([`swarm`]);
+//! * **rarest-first** piece selection ([`swarm`], over the select-k
+//!   kernel in [`picker`] that the live swarm's request pipeline shares);
 //! * leecher/seeder state per swarm with byte-credit accounting that
 //!   converts transferred bytes into completed pieces.
 //!
@@ -27,6 +28,7 @@
 pub mod bitfield;
 pub mod choke;
 pub mod config;
+pub mod picker;
 pub mod ratio;
 pub mod swarm;
 

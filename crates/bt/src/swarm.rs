@@ -1,9 +1,10 @@
 //! Per-swarm protocol state: members, bitfields, piece accounting and
 //! rarest-first selection.
 
-use crate::bitfield::Bitfield;
+use crate::bitfield::{iter_ones, Bitfield};
 use crate::choke::Choker;
 use crate::config::BtConfig;
+use crate::picker;
 use bartercast_util::units::{Bytes, PeerId};
 use bartercast_util::FxHashMap;
 
@@ -198,30 +199,29 @@ impl Swarm {
         salt: u64,
     ) -> Option<usize> {
         let d = self.members.get(&downloader)?;
-        let mut best: Option<(u32, u64, usize)> = None;
-        for i in 0..self.piece_count {
-            if d.bitfield.has(i) {
-                continue;
-            }
-            let offered = providers
-                .iter()
-                .any(|p| self.members.get(p).is_some_and(|m| m.bitfield.has(i)));
-            if !offered {
-                continue;
-            }
-            let avail = self.availability[i];
+        self.rarest_k(d, providers, salt, 1).first().copied()
+    }
+
+    /// The `k` rarest pieces `d` lacks and some provider has, in pick
+    /// order (see [`crate::picker`]). Unknown providers offer nothing.
+    fn rarest_k(&self, d: &Member, providers: &[PeerId], salt: u64, k: usize) -> Vec<usize> {
+        if k == 0 {
+            return Vec::new();
+        }
+        let offers = providers
+            .iter()
+            .filter_map(|p| self.members.get(p))
+            .map(|m| &m.bitfield);
+        let wanted = d.bitfield.wanted_from(offers);
+        picker::rarest(iter_ones(&wanted), k, |i| {
             let tie = if salt == 0 {
                 i as u64
             } else {
                 // multiply-xor mix; any fixed bijection works here
                 (i as u64 ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15)
             };
-            match best {
-                Some((a, t, _)) if (a, t) <= (avail, tie) => {}
-                _ => best = Some((avail, tie, i)),
-            }
-        }
-        best.map(|(_, _, i)| i)
+            (self.availability[i], tie)
+        })
     }
 
     /// Credit `bytes` of download toward `downloader`, completing
@@ -239,7 +239,8 @@ impl Swarm {
     }
 
     /// [`Swarm::credit_download`] with randomized rarest-first
-    /// tie-breaking (see [`Swarm::rarest_wanted_salted`]).
+    /// tie-breaking (see [`Swarm::rarest_wanted_salted`]). The
+    /// completed pieces come back in pick order.
     pub fn credit_download_salted(
         &mut self,
         downloader: PeerId,
@@ -247,33 +248,28 @@ impl Swarm {
         bytes: Bytes,
         salt: u64,
     ) -> Vec<usize> {
-        let piece_size = self.piece_size;
-        let mut completed = Vec::new();
-        {
-            let Some(d) = self.members.get_mut(&downloader) else {
-                return completed;
-            };
-            if d.bitfield.is_complete() {
-                return completed;
-            }
-            d.credit += bytes;
+        let Some(d) = self.members.get(&downloader) else {
+            return Vec::new();
+        };
+        if d.bitfield.is_complete() {
+            return Vec::new();
         }
-        loop {
-            let credit = self.members[&downloader].credit;
-            if credit < piece_size {
-                break;
-            }
-            let Some(piece) = self.rarest_wanted_salted(downloader, providers, salt) else {
-                // nothing on offer: drop the surplus credit
-                self.members.get_mut(&downloader).unwrap().credit = Bytes::ZERO;
-                break;
-            };
-            let d = self.members.get_mut(&downloader).unwrap();
-            d.credit -= piece_size;
-            if d.bitfield.set(piece) {
-                self.availability[piece] += 1;
-                completed.push(piece);
-            }
+        let credit = d.credit + bytes;
+        let want = usize::try_from(credit.0 / self.piece_size.0).unwrap_or(usize::MAX);
+        let completed = self.rarest_k(d, providers, salt, want);
+        let d = self
+            .members
+            .get_mut(&downloader)
+            .expect("downloader looked up above");
+        d.credit = if completed.len() < want {
+            // fewer on offer than the credit buys: drop the surplus
+            Bytes::ZERO
+        } else {
+            credit - self.piece_size * completed.len() as u64
+        };
+        for &piece in &completed {
+            d.bitfield.set(piece);
+            self.availability[piece] += 1;
         }
         completed
     }

@@ -29,6 +29,63 @@ fn config() -> BtConfig {
     }
 }
 
+/// The picker `credit_download_salted` replaced, kept as its oracle:
+/// one full scan of the file per piece credited, one provider lookup
+/// per piece per provider. Reads `before` only; returns the pieces in
+/// pick order, the downloader's remaining credit, and the availability
+/// vector the call must leave behind.
+fn credit_by_rescanning(
+    before: &Swarm,
+    downloader: PeerId,
+    providers: &[PeerId],
+    bytes: Bytes,
+    salt: u64,
+) -> (Vec<usize>, Bytes, Vec<u32>) {
+    let n = before.piece_count();
+    let piece_size = before.piece_size();
+    let mut availability: Vec<u32> = (0..n).map(|i| before.availability(i)).collect();
+    let d = before.member(downloader).expect("caller checks membership");
+    let mut completed = Vec::new();
+    if d.bitfield.is_complete() {
+        return (completed, d.credit, availability);
+    }
+    let mut mine: Vec<bool> = (0..n).map(|i| d.bitfield.has(i)).collect();
+    let mut credit = d.credit + bytes;
+    while credit >= piece_size {
+        let mut best: Option<(u32, u64, usize)> = None;
+        for i in 0..n {
+            if mine[i] {
+                continue;
+            }
+            let offered = providers
+                .iter()
+                .any(|&p| before.member(p).is_some_and(|m| m.bitfield.has(i)));
+            if !offered {
+                continue;
+            }
+            let tie = if salt == 0 {
+                i as u64
+            } else {
+                (i as u64 ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            };
+            match best {
+                Some((a, t, _)) if (a, t) <= (availability[i], tie) => {}
+                _ => best = Some((availability[i], tie, i)),
+            }
+        }
+        let Some((_, _, piece)) = best else {
+            // nothing on offer: drop the surplus credit
+            credit = Bytes::ZERO;
+            break;
+        };
+        credit -= piece_size;
+        mine[piece] = true;
+        availability[piece] += 1;
+        completed.push(piece);
+    }
+    (completed, credit, availability)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -124,6 +181,80 @@ proptest! {
                 }
             }
             s.check_invariants().unwrap();
+        }
+    }
+
+    /// The select-k credit path equals the per-piece rescan it
+    /// replaced: same pieces in the same order, same leftover credit,
+    /// same availability, and nobody else's bitfield moves.
+    #[test]
+    fn credit_download_equals_the_per_piece_rescan(
+        pieces in 1usize..200,
+        leechers in 1u32..6,
+        with_seeder in prop::bool::ANY,
+        calls in prop::collection::vec(
+            (
+                0u32..7,
+                prop::collection::vec(0u32..8, 1..7),
+                prop::bool::ANY,
+                any::<u64>(),
+                0u64..1000,
+            ),
+            1..24,
+        ),
+    ) {
+        let piece_size = Bytes::from_kb(64);
+        let mut s = Swarm::new(pieces, piece_size, config());
+        if with_seeder {
+            s.join_seeder(PeerId(0));
+        } else {
+            s.join_leecher(PeerId(0));
+        }
+        for id in 1..=leechers {
+            s.join_leecher(PeerId(id));
+        }
+        // ids above `leechers` are absent; providers repeat and may
+        // name the downloader; credit runs from nothing to past the
+        // file size in quarter pieces
+        for (downloader, providers, unsalted, salt, quarters) in calls {
+            let downloader = PeerId(downloader);
+            let providers: Vec<PeerId> = providers.into_iter().map(PeerId).collect();
+            let salt = if unsalted { 0 } else { salt | 1 };
+            let bytes = Bytes(quarters * (piece_size.0 / 4));
+            let before = s.clone();
+            let done = s.credit_download_salted(downloader, &providers, bytes, salt);
+            s.check_invariants().unwrap();
+            prop_assert_eq!(s.member_count(), before.member_count());
+            let Some(d) = s.member(downloader) else {
+                prop_assert!(done.is_empty(), "a non-member completed pieces");
+                continue;
+            };
+            let (expected, credit, availability) =
+                credit_by_rescanning(&before, downloader, &providers, bytes, salt);
+            prop_assert_eq!(&done, &expected, "pieces or their order differ");
+            prop_assert_eq!(d.credit, credit);
+            for (i, &a) in availability.iter().enumerate() {
+                prop_assert_eq!(s.availability(i), a, "availability of piece {}", i);
+            }
+            for id in before.members() {
+                let was = &before.member(id).unwrap().bitfield;
+                let is = &s.member(id).unwrap().bitfield;
+                if id == downloader {
+                    let gained: Vec<usize> = is.iter_set().filter(|&i| !was.has(i)).collect();
+                    let mut sorted = expected.clone();
+                    sorted.sort();
+                    prop_assert_eq!(gained, sorted);
+                    prop_assert_eq!(is.count(), was.count() + expected.len());
+                } else {
+                    prop_assert_eq!(is, was, "bystander {} changed", id);
+                }
+            }
+            // k = 1: one more piece's worth of credit buys the next pick
+            let (next, _, _) = credit_by_rescanning(&s, downloader, &providers, piece_size, salt);
+            prop_assert_eq!(
+                s.rarest_wanted_salted(downloader, &providers, salt),
+                next.first().copied()
+            );
         }
     }
 

@@ -332,8 +332,17 @@ impl Simulation {
         }
     }
 
-    /// Recompute unchoke sets for all online members of all swarms.
+    /// Recompute unchoke sets for all online members of all swarms, on
+    /// the rounds that end an unchoke period (every round when the
+    /// round is at least as long as the period). In between, unchoke
+    /// sets, the optimistic rotation and the tit-for-tat rate windows
+    /// are left alone: `Choker` counts its rotation in unchoke periods,
+    /// not rounds.
     fn choke_phase(&mut self) {
+        let period = self.config.bt.unchoke_period.0.max(1);
+        if !self.now.0.is_multiple_of(period) {
+            return;
+        }
         let epoch = self.now.0 / self.config.reputation_refresh.0.max(1);
         let policy = self.config.policy;
         // an active ratio policy replaces the reputation policy in
@@ -925,6 +934,45 @@ mod tests {
             }
         }
         assert!(finished > 0, "no freerider completed a download");
+    }
+
+    /// `bt.unchoke_period` paces the choke recompute: with a period of
+    /// two rounds, no member's unchoke set moves on the odd rounds.
+    #[test]
+    fn unchoke_sets_change_only_on_period_boundaries() {
+        let mut cfg = small_config();
+        cfg.bt.unchoke_period = Seconds(2 * cfg.round.0);
+        cfg.bt.optimistic_period = cfg.bt.unchoke_period;
+        let period = cfg.bt.unchoke_period.0;
+        let trace = small_trace(3);
+        let horizon = trace.horizon;
+        let mut sim = Simulation::new(trace, cfg);
+        let unchoke_sets = |sim: &Simulation| {
+            let mut sets = std::collections::BTreeMap::new();
+            for (s, swarm) in sim.swarms().iter().enumerate() {
+                for pid in swarm.members() {
+                    sets.insert((s, pid), swarm.member(pid).unwrap().unchoked.clone());
+                }
+            }
+            sets
+        };
+        let mut before = unchoke_sets(&sim);
+        let mut boundary_changes = 0;
+        while sim.now() < horizon {
+            sim.step();
+            let after = unchoke_sets(&sim);
+            if sim.now().0.is_multiple_of(period) {
+                boundary_changes += usize::from(after != before);
+            } else {
+                for (member, set) in &after {
+                    if let Some(was) = before.get(member) {
+                        assert_eq!(set, was, "{member:?} re-choked mid-period at {}", sim.now());
+                    }
+                }
+            }
+            before = after;
+        }
+        assert!(boundary_changes >= 10, "unchoke sets barely moved");
     }
 
     #[test]

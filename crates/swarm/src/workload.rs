@@ -56,8 +56,9 @@
 
 use crate::config::{PeerBehaviour, SwarmParams, SwarmPolicy};
 use crate::ledger::SwarmLedger;
+use bartercast_bt::bitfield::iter_ones;
 use bartercast_bt::choke::{Candidate, PeerScore};
-use bartercast_bt::{Bitfield, ChokePolicy, Choker, Role};
+use bartercast_bt::{picker, Bitfield, ChokePolicy, Choker, Role};
 use bartercast_core::policy::ReputationPolicy;
 use bartercast_node::wire::{bit_set, pack_bits};
 use bartercast_node::{NodeState, SwarmFrame, Workload, WorkloadIo};
@@ -109,10 +110,20 @@ pub struct SwarmWorkload {
     params: SwarmParams,
     have: Bitfield,
     peers: BTreeMap<PeerId, PeerView>,
+    /// Per piece, how many views advertise it (rarest-first key) —
+    /// kept in step with every change to a view's `have`.
+    availability: Vec<u32>,
+    /// Per piece, how many views we have it requested from — kept in
+    /// step with every change to a view's `pending`.
+    inflight: Vec<u32>,
     choker: Choker,
     round: u64,
     bootstrap: Vec<PeerId>,
     ledger: Arc<Mutex<SwarmLedger>>,
+    /// Route `refill_requests` through the per-request reference scan
+    /// (the oracle twin of the equivalence test).
+    #[cfg(test)]
+    reference_refill: bool,
 }
 
 impl SwarmWorkload {
@@ -136,10 +147,14 @@ impl SwarmWorkload {
             choker: Choker::new(params.bt),
             have,
             peers: BTreeMap::new(),
+            availability: vec![0; params.piece_count],
+            inflight: vec![0; params.piece_count],
             round: 0,
             bootstrap,
             params,
             ledger,
+            #[cfg(test)]
+            reference_refill: false,
         }
     }
 
@@ -158,11 +173,6 @@ impl SwarmWorkload {
         }
     }
 
-    /// How many known peers advertise piece `i` (rarest-first key).
-    fn availability(&self, i: usize) -> usize {
-        self.peers.values().filter(|v| v.have.has(i)).count()
-    }
-
     /// Deterministic per-node tie-break among equally-rare pieces
     /// (splitmix-style hash of piece index and node id). Without it
     /// every leecher would chase the lowest index, all piece sets
@@ -178,12 +188,36 @@ impl SwarmWorkload {
         x ^ (x >> 31)
     }
 
-    /// How many peers `piece` is currently requested from.
-    fn inflight_count(&self, piece: u32) -> usize {
-        self.peers
-            .values()
-            .filter(|v| v.pending.contains_key(&piece))
-            .count()
+    /// Forget the contribution of a view that has left the peer map to
+    /// the per-piece counters.
+    fn uncount(&mut self, view: &PeerView) {
+        for i in view.have.iter_set() {
+            self.availability[i] -= 1;
+        }
+        for &piece in view.pending.keys() {
+            self.inflight[piece as usize] -= 1;
+        }
+    }
+
+    /// Recount `availability` and `inflight` from the views and compare.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let n = self.params.piece_count;
+        let (mut availability, mut inflight) = (vec![0u32; n], vec![0u32; n]);
+        for view in self.peers.values() {
+            for i in view.have.iter_set() {
+                availability[i] += 1;
+            }
+            for &piece in view.pending.keys() {
+                inflight[piece as usize] += 1;
+            }
+        }
+        if availability != self.availability {
+            return Err("availability counters out of sync".into());
+        }
+        if inflight != self.inflight {
+            return Err("inflight counters out of sync".into());
+        }
+        Ok(())
     }
 
     /// Top up the request pipeline to `peer` with rarest-first picks.
@@ -197,29 +231,35 @@ impl SwarmWorkload {
     /// policy-ordered budget has nothing to prefer — persistent
     /// demand at every unchoking peer is what lets strict priority
     /// actually starve the low-ranked.
+    ///
+    /// Each pass is one [`picker::rarest`] call: a pick only changes
+    /// the picked piece's `inflight`, and that piece is then pending
+    /// here and out of the candidate set.
     fn refill_requests(&mut self, peer: PeerId, io: &mut WorkloadIo) {
-        for max_copies in [0usize, 1] {
-            loop {
-                let Some(view) = self.peers.get(&peer) else {
-                    return;
-                };
-                if !view.they_unchoke || view.pending.len() >= self.params.pipeline {
-                    return;
-                }
-                let pick = self
-                    .have
-                    .iter_missing()
-                    .filter(|&i| view.have.has(i))
-                    .filter(|&i| !view.pending.contains_key(&(i as u32)))
-                    .filter(|&i| self.inflight_count(i as u32) <= max_copies)
-                    .min_by_key(|&i| (self.availability(i), self.tie_break(i), i));
-                let Some(piece) = pick else { break };
-                let round = self.round;
-                self.peers
-                    .get_mut(&peer)
-                    .expect("view exists")
-                    .pending
-                    .insert(piece as u32, round);
+        #[cfg(test)]
+        if self.reference_refill {
+            return self.refill_requests_reference(peer, io);
+        }
+        for max_copies in [0u32, 1] {
+            let Some(view) = self.peers.get(&peer) else {
+                return;
+            };
+            if !view.they_unchoke || view.pending.len() >= self.params.pipeline {
+                return;
+            }
+            let room = self.params.pipeline - view.pending.len();
+            let wanted = self.have.wanted_from([&view.have]);
+            let candidates = iter_ones(&wanted).filter(|&i| {
+                self.inflight[i] <= max_copies && !view.pending.contains_key(&(i as u32))
+            });
+            let picks = picker::rarest(candidates, room, |i| {
+                (self.availability[i], self.tie_break(i))
+            });
+            let round = self.round;
+            let view = self.peers.get_mut(&peer).expect("view exists");
+            for piece in picks {
+                view.pending.insert(piece as u32, round);
+                self.inflight[piece] += 1;
                 io.send(
                     peer,
                     SwarmFrame::Request {
@@ -249,7 +289,9 @@ impl SwarmWorkload {
             };
             // data implies an upload slot, even if the Unchoke was lost
             view.they_unchoke = true;
-            view.pending.remove(&piece);
+            if view.pending.remove(&piece).is_some() {
+                self.inflight[piece as usize] -= 1;
+            }
             view.recv_window += size;
         }
         if self.have.set(piece as usize) {
@@ -269,6 +311,7 @@ impl SwarmWorkload {
                     .expect("view exists")
                     .pending
                     .remove(&piece);
+                self.inflight[piece as usize] -= 1;
                 io.send(q, SwarmFrame::Cancel { piece });
             }
             state.record_piece_download(peer, Bytes(size), now);
@@ -467,8 +510,10 @@ impl Workload for SwarmWorkload {
         _state: &mut NodeState,
         io: &mut WorkloadIo,
     ) {
-        self.peers
-            .insert(peer, PeerView::new(self.params.piece_count));
+        let fresh = PeerView::new(self.params.piece_count);
+        if let Some(old) = self.peers.insert(peer, fresh) {
+            self.uncount(&old);
+        }
         io.send(peer, self.bitfield_frame());
     }
 
@@ -481,7 +526,9 @@ impl Workload for SwarmWorkload {
     ) {
         // pending requests die with the view; their pieces become
         // requestable from someone else immediately
-        self.peers.remove(&peer);
+        if let Some(view) = self.peers.remove(&peer) {
+            self.uncount(&view);
+        }
     }
 
     fn on_frame(
@@ -502,6 +549,12 @@ impl Workload for SwarmWorkload {
                                 have.set(i);
                             }
                         }
+                        for i in view.have.iter_set() {
+                            self.availability[i] -= 1;
+                        }
+                        for i in have.iter_set() {
+                            self.availability[i] += 1;
+                        }
                         view.have = have;
                     }
                     self.refill_requests(peer, io);
@@ -510,7 +563,9 @@ impl Workload for SwarmWorkload {
             SwarmFrame::Have { piece } => {
                 if (piece as usize) < self.params.piece_count {
                     if let Some(view) = self.peers.get_mut(&peer) {
-                        view.have.set(piece as usize);
+                        if view.have.set(piece as usize) {
+                            self.availability[piece as usize] += 1;
+                        }
                     }
                     self.refill_requests(peer, io);
                 }
@@ -539,6 +594,9 @@ impl Workload for SwarmWorkload {
                     view.they_unchoke = false;
                     // outstanding requests will never be served;
                     // release the pieces for other peers
+                    for &piece in view.pending.keys() {
+                        self.inflight[piece as usize] -= 1;
+                    }
                     view.pending.clear();
                 }
             }
@@ -562,7 +620,13 @@ impl Workload for SwarmWorkload {
         let timeout = self.params.request_timeout_rounds;
         let round = self.round;
         for view in self.peers.values_mut() {
-            view.pending.retain(|_, sent| round - *sent < timeout);
+            view.pending.retain(|&piece, sent| {
+                let keep = round - *sent < timeout;
+                if !keep {
+                    self.inflight[piece as usize] -= 1;
+                }
+                keep
+            });
         }
         // serve last round's grants, then reassign slots from the live
         // reputation engine
@@ -626,6 +690,56 @@ mod tests {
 
     fn ledger() -> Arc<Mutex<SwarmLedger>> {
         Arc::new(Mutex::new(SwarmLedger::default()))
+    }
+
+    /// The picker `refill_requests` replaced, kept as its oracle: one
+    /// full scan of the file per request, availability and in-flight
+    /// copies recounted from the views each time.
+    impl SwarmWorkload {
+        fn availability_scan(&self, i: usize) -> usize {
+            self.peers.values().filter(|v| v.have.has(i)).count()
+        }
+
+        fn inflight_scan(&self, piece: u32) -> usize {
+            self.peers
+                .values()
+                .filter(|v| v.pending.contains_key(&piece))
+                .count()
+        }
+
+        pub(super) fn refill_requests_reference(&mut self, peer: PeerId, io: &mut WorkloadIo) {
+            for max_copies in [0usize, 1] {
+                loop {
+                    let Some(view) = self.peers.get(&peer) else {
+                        return;
+                    };
+                    if !view.they_unchoke || view.pending.len() >= self.params.pipeline {
+                        return;
+                    }
+                    let pick = (0..self.params.piece_count)
+                        .filter(|&i| !self.have.has(i))
+                        .filter(|&i| view.have.has(i))
+                        .filter(|&i| !view.pending.contains_key(&(i as u32)))
+                        .filter(|&i| self.inflight_scan(i as u32) <= max_copies)
+                        .min_by_key(|&i| (self.availability_scan(i), self.tie_break(i), i));
+                    let Some(piece) = pick else { break };
+                    let round = self.round;
+                    self.peers
+                        .get_mut(&peer)
+                        .expect("view exists")
+                        .pending
+                        .insert(piece as u32, round);
+                    // the handlers this twin shares keep the counters
+                    self.inflight[piece] += 1;
+                    io.send(
+                        peer,
+                        SwarmFrame::Request {
+                            piece: piece as u32,
+                        },
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -808,6 +922,155 @@ mod tests {
             .filter(|(_, f)| matches!(f, SwarmFrame::Request { .. }))
             .count();
         assert!(rerequests >= 1, "timeout must re-request: {:?}", io.frames);
+    }
+
+    /// The select-k `refill_requests` and the per-request reference
+    /// scan, fed the same handler calls.
+    struct Twins {
+        kernel: (SwarmWorkload, NodeState),
+        reference: (SwarmWorkload, NodeState),
+    }
+
+    impl Twins {
+        fn new(me: PeerId, params: SwarmParams) -> Self {
+            let build = |reference_refill| {
+                let mut w = SwarmWorkload::new(me, params, vec![], ledger());
+                w.reference_refill = reference_refill;
+                (w, state_for(me))
+            };
+            Twins {
+                kernel: build(false),
+                reference: build(true),
+            }
+        }
+
+        /// Run one handler on both twins; the frames must agree and
+        /// both counter sets must recount. Returns the frames.
+        fn drive(
+            &mut self,
+            handler: impl Fn(&mut SwarmWorkload, &mut NodeState, &mut WorkloadIo),
+        ) -> Vec<(PeerId, SwarmFrame)> {
+            let run = |(w, state): &mut (SwarmWorkload, NodeState)| {
+                let mut io = WorkloadIo::default();
+                handler(w, state, &mut io);
+                w.check_invariants().unwrap();
+                io.frames
+            };
+            let kernel = run(&mut self.kernel);
+            let reference = run(&mut self.reference);
+            assert_eq!(kernel, reference);
+            kernel
+        }
+
+        fn frame(&mut self, from: PeerId, frame: SwarmFrame) -> Vec<(PeerId, SwarmFrame)> {
+            self.drive(|w, state, io| w.on_frame(from, frame.clone(), Seconds(0), state, io))
+        }
+
+        fn bitfield(&mut self, from: PeerId, has: impl Fn(usize) -> bool) {
+            let n = self.kernel.0.params.piece_count;
+            self.frame(
+                from,
+                SwarmFrame::Bitfield {
+                    piece_count: n as u32,
+                    bits: pack_bits(n, has),
+                },
+            );
+        }
+    }
+
+    fn requests(frames: &[(PeerId, SwarmFrame)]) -> Vec<(PeerId, u32)> {
+        frames
+            .iter()
+            .filter_map(|(q, f)| match f {
+                SwarmFrame::Request { piece } => Some((*q, *piece)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn kernel_refill_emits_the_reference_request_sequence() {
+        let me = PeerId(9);
+        let [a, b, c, d] = [1, 2, 3, 4].map(PeerId);
+        let mut p = params(false, PeerBehaviour::Cooperator);
+        p.piece_count = 70; // one full word and a 6-bit tail
+        p.pipeline = 3;
+        p.request_timeout_rounds = 2;
+        let mut t = Twins::new(me, p);
+        for q in [a, b, c, d] {
+            t.drive(|w, state, io| w.on_established(q, Seconds(0), state, io));
+        }
+        t.bitfield(a, |_| true);
+        t.bitfield(b, |i| i % 2 == 0);
+        t.bitfield(c, |i| i >= 60);
+        t.bitfield(d, |i| [0, 63, 64, 69].contains(&i));
+
+        // unchokes fill each pipeline from pieces nobody else fetches
+        let from_a = requests(&t.frame(a, SwarmFrame::Unchoke));
+        let from_b = requests(&t.frame(b, SwarmFrame::Unchoke));
+        let from_c = requests(&t.frame(c, SwarmFrame::Unchoke));
+        assert_eq!((from_a.len(), from_b.len(), from_c.len()), (3, 3, 3));
+        let mut distinct: Vec<u32> = [&from_a[..], &from_b[..], &from_c[..]]
+            .concat()
+            .iter()
+            .map(|&(_, piece)| piece)
+            .collect();
+        distinct.sort();
+        distinct.dedup();
+        assert_eq!(distinct.len(), 9, "first pass never duplicates");
+
+        // haves: a new piece, a repeat, an out-of-range index
+        t.frame(d, SwarmFrame::Have { piece: 5 });
+        t.frame(c, SwarmFrame::Have { piece: 65 });
+        t.frame(c, SwarmFrame::Have { piece: 70 });
+        // a replaced bitfield withdraws what the old one advertised
+        t.bitfield(d, |i| i == 5 || i == 69);
+
+        // a piece arrives: Have broadcast and the pipeline tops up
+        let (_, first) = from_a[0];
+        let size = p.piece_size.0;
+        let after_piece = t.frame(a, SwarmFrame::Piece { piece: first, size });
+        assert_eq!(requests(&after_piece).len(), 1);
+
+        // a choke drops b's pending; the next unchoke re-requests
+        t.frame(b, SwarmFrame::Choke);
+        assert_eq!(requests(&t.frame(b, SwarmFrame::Unchoke)).len(), 3);
+
+        // two silent rounds time every request out and refill
+        t.drive(|w, state, io| w.on_choke_round(Seconds(10), state, io));
+        let after_timeout = t.drive(|w, state, io| w.on_choke_round(Seconds(20), state, io));
+        assert!(!requests(&after_timeout).is_empty(), "timeout re-requests");
+
+        // a close, a reconnect, and a re-establish over a live view
+        t.drive(|w, state, io| w.on_closed(c, Seconds(21), state, io));
+        t.drive(|w, state, io| w.on_established(c, Seconds(22), state, io));
+        t.bitfield(c, |i| i >= 50);
+        t.drive(|w, state, io| w.on_established(d, Seconds(22), state, io));
+        t.frame(c, SwarmFrame::Unchoke);
+
+        // endgame: four pieces left, both a and b hold them; start
+        // both pipelines empty
+        t.frame(a, SwarmFrame::Choke);
+        t.frame(b, SwarmFrame::Choke);
+        t.frame(c, SwarmFrame::Choke);
+        for (w, _) in [&mut t.kernel, &mut t.reference] {
+            for i in (0..70).filter(|i| ![2, 4, 6, 8].contains(i)) {
+                w.have.set(i);
+            }
+        }
+        let endgame_a = requests(&t.frame(a, SwarmFrame::Unchoke));
+        let endgame_b = requests(&t.frame(b, SwarmFrame::Unchoke));
+        assert_eq!((endgame_a.len(), endgame_b.len()), (3, 3));
+        let duplicated: Vec<u32> = endgame_b
+            .iter()
+            .map(|&(_, piece)| piece)
+            .filter(|piece| endgame_a.iter().any(|(_, other)| other == piece))
+            .collect();
+        assert_eq!(duplicated.len(), 2, "second pass duplicates: {endgame_b:?}");
+        // first arrival of a duplicated piece cancels the other copy
+        let piece = duplicated[0];
+        let after_dup = t.frame(a, SwarmFrame::Piece { piece, size });
+        assert!(after_dup.contains(&(b, SwarmFrame::Cancel { piece })));
     }
 
     /// Batched choke scoring decides what per-pair scoring decides: on

@@ -21,6 +21,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 # missing docs on public items under #![warn(missing_docs)] crates).
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 cargo fmt --all --check
+# results/ must be what this checkout's experiment binaries write
+# (~45 s: five figure binaries at paper scale, byte-for-byte diff).
+bash scripts/check_results.sh
 # The benchmark of record compiles against this workspace's public
 # items; its smoke run (all four workloads at small sizes plus its own
 # gates) makes a deletion it depends on fail here, not at the driver.
