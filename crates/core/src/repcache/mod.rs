@@ -18,6 +18,18 @@
 //! node last had an incident edge change
 //! ([`ContributionGraph::changed_since`]), and the engine remembers the
 //! version its memo was last synchronized to.
+//!
+//! The graph sits in a private two-state slot. **Owned** is a plain
+//! `ContributionGraph` and the only state a per-peer engine (`sim`,
+//! `node`, `swarm`) ever sees. **Frozen** is an `Arc` the engine
+//! shares with the epoch views a sharded service published
+//! (`shard::epoch`): publishing is O(1), reads deref either state, and
+//! the first [`ReputationEngine::graph_mut`] after a freeze thaws the
+//! slot — a move when no view is alive, one copy of the graph when a
+//! reader outlives the write (`ShardStats::graph_copies` counts
+//! those).
+
+use std::sync::Arc;
 
 use crate::history::PrivateHistory;
 use crate::message::BarterCastMessage;
@@ -33,10 +45,21 @@ pub mod memo;
 pub use backend::CacheStats;
 pub use memo::{MemoCache, DEFAULT_CACHE_BUDGET};
 
+/// The engine's graph: writable in place, or shared with published
+/// epoch views until the next write.
+// the owned variant stays inline: it is the state every per-peer engine
+// lives in, and a `Box` would put a pointer hop on each of its reads
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone)]
+enum GraphSlot {
+    Owned(ContributionGraph),
+    Frozen(Arc<ContributionGraph>),
+}
+
 /// Subjective reputation evaluation with memoization.
 #[derive(Debug, Clone)]
 pub struct ReputationEngine {
-    graph: ContributionGraph,
+    graph: GraphSlot,
     metric: ReputationMetric,
     /// The flow kernel for the configured method; it invalidates its
     /// own per-version state lazily, so the engine never issues reset
@@ -52,6 +75,23 @@ pub struct ReputationEngine {
     misses: u64,
     /// Entries dropped by graph-change invalidation (diagnostics).
     invalidated: u64,
+    /// Thaws that had to copy the graph because a reader still held it.
+    graph_copies: u64,
+}
+
+impl GraphSlot {
+    fn get(&self) -> &ContributionGraph {
+        match self {
+            GraphSlot::Owned(graph) => graph,
+            GraphSlot::Frozen(shared) => shared,
+        }
+    }
+
+    /// Move the slot out, leaving an empty owned graph (no allocation)
+    /// for the caller to overwrite.
+    fn take(&mut self) -> GraphSlot {
+        std::mem::replace(self, GraphSlot::Owned(ContributionGraph::new()))
+    }
 }
 
 impl Default for ReputationEngine {
@@ -65,7 +105,7 @@ impl ReputationEngine {
     /// (two-hop bounded maxflow, arctan metric with 2 GB unit).
     pub fn new() -> Self {
         ReputationEngine {
-            graph: ContributionGraph::new(),
+            graph: GraphSlot::Owned(ContributionGraph::new()),
             metric: ReputationMetric::default(),
             kernel: FlowKernel::new(Method::DEPLOYED),
             memo: MemoCache::default(),
@@ -73,6 +113,7 @@ impl ReputationEngine {
             hits: 0,
             misses: 0,
             invalidated: 0,
+            graph_copies: 0,
         }
     }
 
@@ -131,13 +172,13 @@ impl ReputationEngine {
     /// memo; that is a semantic requirement of the method, not a
     /// capacity fallback.
     fn sync(&mut self) {
-        let version = self.graph.version();
+        let version = self.graph().version();
         if version == self.cached_version {
             return;
         }
         match self.method() {
             Method::Bounded(k) if k <= 2 => {
-                let (graph, since) = (&self.graph, self.cached_version);
+                let (graph, since) = (self.graph.get(), self.cached_version);
                 let removed = self.memo.retain(|&(i, j)| {
                     !graph.changed_since(i, since) && !graph.changed_since(j, since)
                 });
@@ -155,16 +196,17 @@ impl ReputationEngine {
     /// repeatedly as the history grows is safe and cheap).
     pub fn absorb_private(&mut self, history: &PrivateHistory) {
         let me = history.owner();
+        let graph = self.graph_mut();
         for (peer, totals) in history.iter() {
-            self.graph.merge_record(me, peer, totals.up);
-            self.graph.merge_record(peer, me, totals.down);
+            graph.merge_record(me, peer, totals.up);
+            graph.merge_record(peer, me, totals.down);
         }
     }
 
     /// Merge one gossiped message into the subjective graph. Returns
     /// the number of changed edges.
     pub fn absorb_message(&mut self, msg: &BarterCastMessage) -> usize {
-        msg.apply(&mut self.graph)
+        msg.apply(self.graph_mut())
     }
 
     /// The maxflow method this engine evaluates Equation 1 with
@@ -176,12 +218,54 @@ impl ReputationEngine {
 
     /// Direct read-only access to the subjective graph.
     pub fn graph(&self) -> &ContributionGraph {
-        &self.graph
+        self.graph.get()
     }
 
     /// Mutable access (used by tests and by the deployment model).
+    /// The first call after a freeze thaws the slot.
     pub fn graph_mut(&mut self) -> &mut ContributionGraph {
-        &mut self.graph
+        if let GraphSlot::Frozen(_) = self.graph {
+            self.thaw();
+        }
+        match &mut self.graph {
+            GraphSlot::Owned(graph) => graph,
+            GraphSlot::Frozen(_) => unreachable!("thaw leaves the slot owned"),
+        }
+    }
+
+    /// Share the graph with a reader: the slot turns frozen (a move of
+    /// the struct header into the `Arc`, no edge is copied) and stays
+    /// so until the next [`ReputationEngine::graph_mut`].
+    pub(crate) fn freeze(&mut self) -> Arc<ContributionGraph> {
+        let shared = match self.graph.take() {
+            GraphSlot::Owned(graph) => Arc::new(graph),
+            GraphSlot::Frozen(shared) => shared,
+        };
+        self.graph = GraphSlot::Frozen(Arc::clone(&shared));
+        shared
+    }
+
+    /// Take the graph back for writing: a move when the engine holds
+    /// the only reference, otherwise the one copy a write pays for a
+    /// reader that outlives it. Out of line so the owned-state write
+    /// path stays one predictable branch.
+    #[cold]
+    #[inline(never)]
+    fn thaw(&mut self) {
+        let graph = match self.graph.take() {
+            GraphSlot::Owned(graph) => graph,
+            GraphSlot::Frozen(shared) => Arc::try_unwrap(shared).unwrap_or_else(|shared| {
+                self.graph_copies += 1;
+                ContributionGraph::clone(&shared)
+            }),
+        };
+        self.graph = GraphSlot::Owned(graph);
+    }
+
+    /// Thaws that had to copy the graph because an epoch view (or a
+    /// clone of this engine) still held it.
+    pub(crate) fn graph_copies(&self) -> u64 {
+        self.graph_copies
     }
 
     /// The two directed maxflows of Equation 1:
@@ -190,8 +274,8 @@ impl ReputationEngine {
     /// kernel instead).
     pub fn flows(&self, i: PeerId, j: PeerId) -> (Bytes, Bytes) {
         (
-            maxflow::compute(&self.graph, j, i, self.method()),
-            maxflow::compute(&self.graph, i, j, self.method()),
+            maxflow::compute(self.graph(), j, i, self.method()),
+            maxflow::compute(self.graph(), i, j, self.method()),
         )
     }
 
@@ -207,8 +291,8 @@ impl ReputationEngine {
             return r;
         }
         self.misses += 1;
-        let toward = self.kernel.flow(&self.graph, j, i);
-        let away = self.kernel.flow(&self.graph, i, j);
+        let toward = self.kernel.flow(self.graph.get(), j, i);
+        let away = self.kernel.flow(self.graph.get(), i, j);
         let r = self.metric.eval(toward, away);
         self.memo.insert((i, j), r);
         r
@@ -248,7 +332,7 @@ impl ReputationEngine {
             self.misses += 1;
             if flows.is_none() {
                 // `None` (method without a sweep) costs one match per miss
-                if let Some(swept) = self.kernel.all_flows_from(&self.graph, i) {
+                if let Some(swept) = self.kernel.all_flows_from(self.graph.get(), i) {
                     // memoize the entire single-source result set;
                     // entries already memoized are left alone (same
                     // graph version, hence identical values)
@@ -273,8 +357,8 @@ impl ReputationEngine {
                     self.metric.eval(pair.toward, pair.away)
                 }
                 None => {
-                    let toward = self.kernel.flow(&self.graph, j, i);
-                    let away = self.kernel.flow(&self.graph, i, j);
+                    let toward = self.kernel.flow(self.graph.get(), j, i);
+                    let away = self.kernel.flow(self.graph.get(), i, j);
                     self.metric.eval(toward, away)
                 }
             };
@@ -400,6 +484,44 @@ mod tests {
         assert_eq!(e.reputation(p(0), p(3)), 0.0);
         let mut unbounded = e.clone().with_method(Method::Dinic);
         assert!(unbounded.reputation(p(0), p(3)) > 0.0);
+    }
+
+    #[test]
+    fn clones_of_a_frozen_engine_diverge_on_either_sides_write() {
+        // 3 -> 2 -> 1 -> 0: three hops, out of the deployed reach until
+        // a shortcut 3 -> 1 is written
+        let chain = || {
+            let mut e = ReputationEngine::new();
+            for i in (1..=3).rev() {
+                e.graph_mut()
+                    .add_transfer(p(i), p(i - 1), Bytes::from_gb(1));
+            }
+            e.freeze();
+            e
+        };
+        for write_to_clone in [false, true] {
+            let mut original = chain();
+            let mut cloned = original.clone();
+            assert!(std::ptr::eq(original.graph(), cloned.graph()));
+            let (writer, other) = if write_to_clone {
+                (&mut cloned, &mut original)
+            } else {
+                (&mut original, &mut cloned)
+            };
+            writer
+                .graph_mut()
+                .add_transfer(p(3), p(1), Bytes::from_gb(1));
+            assert_eq!(writer.graph_copies(), 1);
+            assert!(writer.reputation(p(0), p(3)) > 0.0);
+            assert_eq!(other.reputation(p(0), p(3)), 0.0);
+            assert_eq!(other.graph().edge(p(3), p(1)), Bytes::ZERO);
+            // the other side now holds the only reference: its own
+            // write moves the graph back without a copy
+            other
+                .graph_mut()
+                .add_transfer(p(3), p(1), Bytes::from_mb(1));
+            assert_eq!(other.graph_copies(), 0);
+        }
     }
 
     #[test]

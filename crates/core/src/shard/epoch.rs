@@ -1,14 +1,18 @@
 //! Epoch-consistent shard snapshots.
 //!
 //! A shard **publishes** an epoch by freezing its current replica
-//! graph (owned subgraph + replicated boundary edges) into an
-//! immutable, `Arc`-shared [`EpochView`]. Readers on other threads
-//! evaluate Equation 1 against the view without taking any lock; the
-//! writer keeps mutating its live graph and publishes a fresh epoch
-//! when it wants the changes visible. Because the view is a frozen
-//! value, a reader can never observe a torn cut: every query against
-//! epoch `e` sees exactly the graph state at publication of `e`,
-//! which equals replaying the shard's mutations up to the
+//! graph (owned subgraph + replicated boundary edges) behind an `Arc`
+//! that the live engine and the [`EpochView`] then share: a view is a
+//! reference to the very bytes the engine read at publication, not a
+//! copy of them, and publishing is O(1). Readers on other threads
+//! evaluate Equation 1 against the view without taking any lock. The
+//! shard's first write after a publication takes the graph back: by
+//! move when every view of it has been dropped, by one copy of that
+//! shard's graph when a view is still alive, which then keeps the old
+//! bytes to itself. Either way nothing a view can reach is ever
+//! written, so a reader can never observe a torn cut: every query
+//! against epoch `e` sees exactly the graph state at publication of
+//! `e`, which equals replaying the shard's mutations up to the
 //! recorded version and nothing after it (pinned by
 //! `tests/epoch_snapshot.rs`).
 //!
@@ -29,7 +33,8 @@ use bartercast_util::units::{Bytes, PeerId};
 use bartercast_util::FxHashMap;
 
 /// An immutable snapshot of one shard's replica graph, safe to read
-/// from any thread while the owning shard keeps writing.
+/// from any thread while the owning shard keeps writing. It shares the
+/// graph with the shard's live engine until that engine next writes.
 #[derive(Debug)]
 pub struct EpochView {
     shard: usize,
@@ -37,18 +42,18 @@ pub struct EpochView {
     version: u64,
     method: Method,
     metric: ReputationMetric,
-    graph: ContributionGraph,
+    graph: Arc<ContributionGraph>,
 }
 
 impl EpochView {
-    /// Freeze `graph` (a clone of the shard's replica at publication
-    /// time) into epoch number `epoch` for `shard`.
+    /// Epoch number `epoch` of `shard` over `graph`, the shard's
+    /// replica as frozen at publication time.
     pub(crate) fn new(
         shard: usize,
         epoch: u64,
         method: Method,
         metric: ReputationMetric,
-        graph: ContributionGraph,
+        graph: Arc<ContributionGraph>,
     ) -> Arc<Self> {
         let version = graph.version();
         Arc::new(EpochView {
@@ -148,20 +153,14 @@ mod tests {
         e
     }
 
-    fn freeze(e: &ReputationEngine) -> Arc<EpochView> {
-        EpochView::new(
-            0,
-            1,
-            e.method(),
-            ReputationMetric::default(),
-            e.graph().clone(),
-        )
+    fn freeze(e: &mut ReputationEngine) -> Arc<EpochView> {
+        EpochView::new(0, 1, e.method(), ReputationMetric::default(), e.freeze())
     }
 
     #[test]
     fn epoch_matches_live_engine_bitwise() {
         let mut e = chain_engine();
-        let view = freeze(&e);
+        let view = freeze(&mut e);
         let targets: Vec<PeerId> = (0..5).map(p).collect();
         for i in 0..5 {
             let live = e.reputations_from(p(i), &targets);
@@ -181,7 +180,7 @@ mod tests {
     fn epoch_is_immune_to_later_writes() {
         let mut e = chain_engine();
         let before = e.reputations_from(p(0), &[p(1), p(2), p(3)]);
-        let view = freeze(&e);
+        let view = freeze(&mut e);
         e.graph_mut().add_transfer(p(2), p(1), Bytes::from_gb(50));
         assert_ne!(
             e.reputations_from(p(0), &[p(1), p(2), p(3)]),
@@ -198,13 +197,7 @@ mod tests {
     fn bounded_one_and_zero_match_live() {
         for k in [0usize, 1] {
             let mut e = chain_engine().with_method(Method::Bounded(k));
-            let view = EpochView::new(
-                0,
-                1,
-                e.method(),
-                ReputationMetric::default(),
-                e.graph().clone(),
-            );
+            let view = freeze(&mut e);
             let targets: Vec<PeerId> = (0..4).map(p).collect();
             for i in 0..4 {
                 let live = e.reputations_from(p(i), &targets);
@@ -220,8 +213,8 @@ mod tests {
 
     #[test]
     fn metadata_reflects_publication() {
-        let e = chain_engine();
-        let view = freeze(&e);
+        let mut e = chain_engine();
+        let view = freeze(&mut e);
         assert_eq!(view.shard(), 0);
         assert_eq!(view.epoch(), 1);
         assert_eq!(view.version(), e.graph().version());
@@ -229,10 +222,18 @@ mod tests {
         assert_eq!(view.graph().edge_count(), e.graph().edge_count());
     }
 
+    /// Compile-time: a view may be moved to, and shared between,
+    /// reader threads.
+    #[test]
+    fn views_are_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<EpochView>();
+    }
+
     #[test]
     fn self_reputation_is_zero_on_epoch() {
-        let e = chain_engine();
-        let view = freeze(&e);
+        let mut e = chain_engine();
+        let view = freeze(&mut e);
         assert_eq!(view.reputation(p(0), p(0)), 0.0);
         assert_eq!(view.reputations_from(p(0), &[p(0)]), vec![0.0]);
     }

@@ -31,9 +31,16 @@
 //! [`ShardedEngine::publish_all`] freezes each shard's replica into an
 //! immutable [`EpochView`] ([`epoch`]); readers on other threads
 //! evaluate against the views lock-free while owners keep writing.
-//! The shard-aware sweep scheduler in `sim::sweep` drains each
-//! shard's evaluators on that shard's live engine and steals tail
-//! work across shards through the epochs.
+//! An epoch is a reference, not a copy: the view and the live engine
+//! share one graph behind an `Arc`, publishing is O(1), and a shard's
+//! first write after a publication copies that shard's graph only if
+//! a view of it is still alive ([`ShardStats::graph_copies`] counts
+//! those; a service that drops its views before it writes again pays
+//! none). The service keeps no view itself, for a reference held here
+//! would make every post-publish write copy. The shard-aware sweep
+//! scheduler in `sim::sweep` drains each shard's evaluators on that
+//! shard's live engine and steals tail work across shards through the
+//! epochs.
 
 pub mod boundary;
 pub mod epoch;
@@ -52,11 +59,10 @@ pub use boundary::{shards_in_mask, BoundaryIndex, MAX_SHARDS};
 pub use epoch::EpochView;
 pub use partition::{CommunityPartitioner, HashPartitioner, Partitioner};
 
-/// One shard: a live engine plus its most recently published epoch.
+/// One shard: a live engine plus its publication counter.
 #[derive(Debug)]
 struct Shard {
     engine: ReputationEngine,
-    epoch: Option<Arc<EpochView>>,
     epochs_published: u64,
 }
 
@@ -78,6 +84,10 @@ pub struct ShardStats {
     pub backfills: u64,
     /// Total epochs published across all shards.
     pub epochs_published: u64,
+    /// Writes that had to copy a shard's graph because an epoch view
+    /// of it was still alive, summed over shards. Zero when readers
+    /// drop their views before the next write reaches the shard.
+    pub graph_copies: u64,
 }
 
 /// A reputation service whose contribution graph is partitioned across
@@ -108,7 +118,6 @@ impl ShardedEngine {
             shards: (0..shards)
                 .map(|_| Shard {
                     engine: ReputationEngine::new(),
-                    epoch: None,
                     epochs_published: 0,
                 })
                 .collect(),
@@ -255,19 +264,19 @@ impl ShardedEngine {
     }
 
     /// Freeze shard `s`'s current replica into a fresh epoch and
-    /// return it (also retained as the shard's current epoch).
+    /// return it. O(1): the view shares the replica with the live
+    /// engine, which copies it only if it writes while the view (or an
+    /// earlier one of the same graph) is alive.
     pub fn publish_epoch(&mut self, s: usize) -> Arc<EpochView> {
         let shard = &mut self.shards[s];
         shard.epochs_published += 1;
-        let view = EpochView::new(
+        EpochView::new(
             s,
             shard.epochs_published,
             self.method,
             self.metric,
-            shard.engine.graph().clone(),
-        );
-        shard.epoch = Some(Arc::clone(&view));
-        view
+            shard.engine.freeze(),
+        )
     }
 
     /// Publish a fresh epoch for every shard, in shard order.
@@ -275,11 +284,6 @@ impl ShardedEngine {
         (0..self.shards.len())
             .map(|s| self.publish_epoch(s))
             .collect()
-    }
-
-    /// The most recently published epoch of shard `s`, if any.
-    pub fn epoch(&self, s: usize) -> Option<Arc<EpochView>> {
-        self.shards[s].epoch.clone()
     }
 
     /// Every authoritative edge `(from, to, weight)` exactly once:
@@ -297,20 +301,29 @@ impl ShardedEngine {
         out
     }
 
+    /// The authoritative edge count and the locality (the fraction of
+    /// those edges whose endpoints share an owner shard, `1.0` on an
+    /// empty service) in one allocation-free pass: each union-graph
+    /// edge is counted once, on its tail's owner shard.
+    fn edge_census(&self) -> (usize, f64) {
+        let (mut authoritative, mut local) = (0usize, 0usize);
+        for (s, shard) in self.shards.iter().enumerate() {
+            for (f, t, _) in shard.engine.graph().edges() {
+                if self.shard_of(f) == s {
+                    authoritative += 1;
+                    local += usize::from(self.shard_of(t) == s);
+                }
+            }
+        }
+        if authoritative == 0 {
+            return (0, 1.0);
+        }
+        (authoritative, local as f64 / authoritative as f64)
+    }
+
     /// Authoritative edge count (each union-graph edge counted once).
     pub fn authoritative_edge_count(&self) -> usize {
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(s, shard)| {
-                shard
-                    .engine
-                    .graph()
-                    .edges()
-                    .filter(|&(f, _, _)| self.shard_of(f) == s)
-                    .count()
-            })
-            .sum()
+        self.edge_census().0
     }
 
     /// Rebuild the service with a new shard count and partitioner,
@@ -331,32 +344,21 @@ impl ShardedEngine {
     /// Fraction of authoritative edges with co-owned endpoints
     /// (shard-local edges). `1.0` on an empty service.
     pub fn locality(&self) -> f64 {
-        let edges = self.authoritative_edges();
-        if edges.is_empty() {
-            return 1.0;
-        }
-        let local = edges
-            .iter()
-            .filter(|&&(f, t, _)| self.shard_of(f) == self.shard_of(t))
-            .count();
-        local as f64 / edges.len() as f64
+        self.edge_census().1
     }
 
     /// Aggregate replication / locality / epoch diagnostics.
     pub fn stats(&self) -> ShardStats {
-        let authoritative = self.authoritative_edge_count();
-        let replica: usize = self
-            .shards
-            .iter()
-            .map(|s| s.engine.graph().edge_count())
-            .sum();
+        let (authoritative_edges, locality) = self.edge_census();
+        let shards = &self.shards;
         ShardStats {
-            shards: self.shards.len(),
-            authoritative_edges: authoritative,
-            replica_edges: replica,
-            locality: self.locality(),
+            shards: shards.len(),
+            authoritative_edges,
+            replica_edges: shards.iter().map(|s| s.engine.graph().edge_count()).sum(),
+            locality,
             backfills: self.boundary.backfills(),
-            epochs_published: self.shards.iter().map(|s| s.epochs_published).sum(),
+            epochs_published: shards.iter().map(|s| s.epochs_published).sum(),
+            graph_copies: shards.iter().map(|s| s.engine.graph_copies()).sum(),
         }
     }
 
@@ -541,9 +543,69 @@ mod tests {
         svc.add_transfer(p(1), p(0), Bytes::from_gb(10));
         assert_eq!(views[s].reputation(p(0), p(1)).to_bits(), before.to_bits());
         assert!(svc.reputation(p(0), p(1)) > before);
-        assert_eq!(svc.epoch(s).unwrap().epoch(), 1);
-        svc.publish_epoch(s);
-        assert_eq!(svc.epoch(s).unwrap().epoch(), 2);
+        assert_eq!(views[s].epoch(), 1);
+        assert_eq!(svc.publish_epoch(s).epoch(), 2);
+    }
+
+    /// One edge on an 8-shard service: a write to it is delivered to
+    /// the two endpoints' owner shards at most.
+    fn one_edge_service() -> ShardedEngine {
+        let mut svc = ShardedEngine::new(8);
+        svc.add_transfer(p(1), p(0), Bytes::from_mb(100));
+        svc
+    }
+
+    fn shares_live_graph(svc: &ShardedEngine, view: &EpochView) -> bool {
+        std::ptr::eq(view.graph(), svc.shard_engine(view.shard()).graph())
+    }
+
+    #[test]
+    fn a_view_is_a_reference_to_the_live_graph() {
+        let mut svc = one_edge_service();
+        let first = svc.publish_all();
+        let second = svc.publish_all();
+        for (a, b) in first.iter().zip(&second) {
+            assert!(shares_live_graph(&svc, a), "shard {}", a.shard());
+            assert!(std::ptr::eq(a.graph(), b.graph()), "shard {}", a.shard());
+            assert_eq!((a.epoch(), b.epoch()), (1, 2));
+        }
+        assert_eq!(svc.stats().graph_copies, 0);
+    }
+
+    #[test]
+    fn a_write_a_view_outlives_copies_the_written_shards_only() {
+        let mut svc = one_edge_service();
+        let views = svc.publish_all();
+        let owner = svc.shard_of(p(0));
+        let before = views[owner].reputation(p(0), p(1));
+        svc.add_transfer(p(1), p(0), Bytes::from_gb(10));
+        let written =
+            |view: &EpochView| svc.shard_engine(view.shard()).graph().version() != view.version();
+        let delivered = views.iter().filter(|v| written(v)).count();
+        assert!((1..=2).contains(&delivered), "delivered to {delivered}");
+        assert_eq!(svc.stats().graph_copies, delivered as u64);
+        for view in &views {
+            assert_eq!(shares_live_graph(&svc, view), !written(view));
+        }
+        // a second write finds the written shards owned again
+        svc.add_transfer(p(1), p(0), Bytes::from_gb(10));
+        assert_eq!(svc.stats().graph_copies, delivered as u64);
+        assert_eq!(
+            views[owner].reputation(p(0), p(1)).to_bits(),
+            before.to_bits()
+        );
+        assert!(svc.reputation(p(0), p(1)) > before);
+    }
+
+    #[test]
+    fn a_write_after_the_views_are_dropped_copies_nothing() {
+        let mut svc = one_edge_service();
+        let views = svc.publish_all();
+        let before = views[svc.shard_of(p(0))].reputation(p(0), p(1));
+        drop(views);
+        svc.add_transfer(p(1), p(0), Bytes::from_gb(10));
+        assert_eq!(svc.stats().graph_copies, 0);
+        assert!(svc.reputation(p(0), p(1)) > before);
     }
 
     #[test]

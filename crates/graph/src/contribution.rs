@@ -219,35 +219,6 @@ impl ContributionGraph {
         })
     }
 
-    /// The set of nodes within `hops` directed-or-reverse hops of
-    /// `center` (including `center`). The deployed BarterCast evaluates
-    /// maxflow only on the 2-hop neighbourhood of the evaluating peer.
-    pub fn neighbourhood(&self, center: PeerId, hops: usize) -> FxHashSet<PeerId> {
-        let mut seen: FxHashSet<PeerId> = FxHashSet::default();
-        seen.insert(center);
-        let mut frontier = vec![center];
-        for _ in 0..hops {
-            let mut next = Vec::new();
-            for &n in &frontier {
-                for (m, _) in self.out_edges(n) {
-                    if seen.insert(m) {
-                        next.push(m);
-                    }
-                }
-                for (m, _) in self.in_edges(n) {
-                    if seen.insert(m) {
-                        next.push(m);
-                    }
-                }
-            }
-            frontier = next;
-            if frontier.is_empty() {
-                break;
-            }
-        }
-        seen
-    }
-
     /// Internal consistency check: the in-adjacency mirrors the
     /// out-adjacency exactly. Used by tests and `debug_assert!`s.
     pub fn check_invariants(&self) -> Result<(), String> {
@@ -358,24 +329,6 @@ mod tests {
         assert!(v1 > v0);
         g.merge_record(p(1), p(2), Bytes::from_kb(1)); // stale, no-op
         assert_eq!(g.version(), v1);
-    }
-
-    #[test]
-    fn neighbourhood_hops() {
-        // chain 1 -> 2 -> 3 -> 4
-        let mut g = ContributionGraph::new();
-        g.add_transfer(p(1), p(2), Bytes::from_mb(1));
-        g.add_transfer(p(2), p(3), Bytes::from_mb(1));
-        g.add_transfer(p(3), p(4), Bytes::from_mb(1));
-        let n0 = g.neighbourhood(p(1), 0);
-        assert_eq!(n0.len(), 1);
-        let n1 = g.neighbourhood(p(1), 1);
-        assert!(n1.contains(&p(2)) && !n1.contains(&p(3)));
-        let n2 = g.neighbourhood(p(1), 2);
-        assert!(n2.contains(&p(3)) && !n2.contains(&p(4)));
-        // neighbourhood follows reverse edges too
-        let n1_rev = g.neighbourhood(p(4), 1);
-        assert!(n1_rev.contains(&p(3)));
     }
 
     /// The nodes among `1..=6` that `changed_since` reports.

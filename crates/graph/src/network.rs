@@ -23,9 +23,8 @@ pub(crate) struct Arc {
 
 /// A residual flow network with dense node indices.
 ///
-/// Build one from a [`ContributionGraph`] with [`FlowNetwork::from_graph`]
-/// (whole graph) or [`FlowNetwork::from_subgraph`] (restricted node set,
-/// used for the deployed two-hop evaluation), then run any algorithm in
+/// Build one from a [`ContributionGraph`] with
+/// [`FlowNetwork::from_graph`], then run any algorithm in
 /// [`crate::maxflow`]. Call [`FlowNetwork::reset`] to restore original
 /// capacities between runs.
 #[derive(Debug, Clone)]
@@ -45,12 +44,6 @@ impl FlowNetwork {
     /// Build the network containing every edge of `graph`.
     pub fn from_graph(graph: &ContributionGraph) -> Self {
         Self::build(graph.edges())
-    }
-
-    /// Build the network restricted to edges whose both endpoints
-    /// satisfy `keep`.
-    pub fn from_subgraph<F: Fn(PeerId) -> bool>(graph: &ContributionGraph, keep: F) -> Self {
-        Self::build(graph.edges().filter(|&(f, t, _)| keep(f) && keep(t)))
     }
 
     /// Build a network from an explicit edge list. Node indices are
@@ -195,15 +188,6 @@ mod tests {
         assert!(net.node(p(9)).is_none());
         let n1 = net.node(p(1)).unwrap();
         assert_eq!(net.peer(n1), p(1));
-    }
-
-    #[test]
-    fn subgraph_filters_endpoints() {
-        let g = diamond();
-        let net = FlowNetwork::from_subgraph(&g, |id| id != p(2));
-        // edges touching peer 2 are gone
-        assert_eq!(net.arc_count(), 2);
-        assert!(net.node(p(2)).is_none());
     }
 
     #[test]

@@ -461,6 +461,10 @@ pub struct ShardScaleReport {
     pub checksum: u64,
     /// Fraction of authoritative edges that are shard-local.
     pub locality: f64,
+    /// Shard graphs copied because a write found an epoch view alive
+    /// (`ShardStats::graph_copies`); zero for this ingest-then-sweep
+    /// run, whose sweep drops its views before returning.
+    pub graph_copies: u64,
     /// Authoritative (union-graph) edge count.
     pub authoritative_edges: usize,
     /// Total replica edges across shards.
@@ -583,6 +587,7 @@ pub fn run_shard_scale(config: &ShardScaleConfig) -> ShardScaleReport {
         stolen: outcome.stolen,
         checksum,
         locality: stats.locality,
+        graph_copies: stats.graph_copies,
         authoritative_edges: stats.authoritative_edges,
         replica_edges: stats.replica_edges,
     }
@@ -736,6 +741,7 @@ mod tests {
             four.locality
         );
         assert!(four.records_per_sec > 0.0);
+        assert_eq!(four.graph_copies, 0, "no write met a live epoch view");
     }
 
     #[test]

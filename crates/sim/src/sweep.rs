@@ -352,10 +352,12 @@ pub fn sharded_reputations(
 /// (memoized, synced to the live graph); only when its own shards run
 /// dry does it **steal across shards**, evaluating tail tasks against
 /// the epoch views published at sweep start. During the sweep no writer
-/// runs — the service is `&mut`-borrowed — so each epoch equals its
-/// shard's live graph and stolen results are bit-identical to
-/// owner-evaluated ones; threads only gather `(position, values)`
-/// pairs, so the output is independent of the schedule.
+/// runs — the service is `&mut`-borrowed — so each epoch *is* its
+/// shard's live graph (publishing shares it, copying nothing) and
+/// stolen results are bit-identical to owner-evaluated ones; threads
+/// only gather `(position, values)` pairs, so the output is independent
+/// of the schedule. The views are dropped before returning, so the
+/// service's next write takes each graph back by move.
 pub fn sharded_reputations_timed(
     service: &mut ShardedEngine,
     evaluators: &[PeerId],
@@ -742,6 +744,9 @@ mod tests {
         assert_eq!(outcome.task_us.len(), evaluators.len());
         assert!(outcome.task_us.iter().all(|&(s, us)| s < 4 && us >= 0.0));
         assert!(outcome.wall_ms >= 0.0);
+        // the sweep kept no view: the next write copies no graph
+        svc.add_transfer(PeerId(0), PeerId(1), Bytes(1));
+        assert_eq!(svc.stats().graph_copies, 0);
     }
 
     proptest! {

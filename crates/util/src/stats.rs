@@ -115,7 +115,7 @@ pub fn percentile(sorted: &[f64], q: f64) -> Option<f64> {
 /// Returns `None` when fewer than two pairs or zero variance on either
 /// axis. Used to quantify the Figure 1b consistency claim (net
 /// contribution vs. system reputation).
-pub fn pearson(xs: &[f64], ys: &[f64]) -> Option<f64> {
+fn pearson(xs: &[f64], ys: &[f64]) -> Option<f64> {
     if xs.len() != ys.len() || xs.len() < 2 {
         return None;
     }
