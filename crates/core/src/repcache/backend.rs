@@ -15,7 +15,6 @@ pub struct CacheStats {
     /// Entries dropped by the LRU budget since construction.
     pub evictions: u64,
     /// Entries dropped because a graph change dirtied one of their
-    /// endpoints (for `k ≥ 3`, their k-hop neighbourhood; for
-    /// unbounded methods, any edge).
+    /// endpoints (for `k ≥ 3` and unbounded methods, any edge).
     pub invalidated: u64,
 }

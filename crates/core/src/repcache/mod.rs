@@ -11,13 +11,17 @@
 //!
 //! * [`backend`] — the consolidated [`CacheStats`].
 //! * [`memo`] — the [`MemoCache`] per-entry LRU bounding the memory
-//!   the memoized reputations can take.
+//!   the memoized reputations can take, with per-endpoint chains that
+//!   drop every entry naming one peer without scanning the rest.
 //!
-//! Invalidation (the private `sync`, run by every query) needs no
-//! structure of its own: the graph records the version at which each
-//! node last had an incident edge change
-//! ([`ContributionGraph::changed_since`]), and the engine remembers the
-//! version its memo was last synchronized to.
+//! Invalidation (the private `sync`, run by every query) keeps no
+//! structure of its own: the graph lists the nodes whose incident
+//! edges changed ([`ContributionGraph::changed_nodes_since`]), the
+//! memo drops those nodes' entries ([`MemoCache::remove_node`]), and
+//! the engine remembers the version its memo was last synchronized
+//! to. As the graph's one reader of that list, the engine also tells
+//! an owned graph what it may forget
+//! ([`ContributionGraph::forget_changes_through`]).
 //!
 //! The graph sits in a private two-state slot. **Owned** is a plain
 //! `ContributionGraph` and the only state a per-peer engine (`sim`,
@@ -160,11 +164,18 @@ impl ReputationEngine {
     /// bounds ≤ 2, a changed edge `(a, b)` can only alter `flow(s, t)`
     /// when `s = a` or `t = b`, so the entry `(i, j)` — which combines
     /// `flow(j → i)` and `flow(i → j)` — is affected exactly when `i`
-    /// or `j` is an endpoint of a changed edge. The graph answers that
-    /// per node from its change versions, which never truncate, so
-    /// entries whose pairs avoid every changed endpoint are provably
+    /// or `j` is an endpoint of a changed edge. The graph lists the
+    /// nodes that moved since the memo's version
+    /// ([`ContributionGraph::changed_nodes_since`]) and the memo drops
+    /// each one's entries through its per-endpoint chains, so the cost
+    /// is O(changed nodes + evicted entries), not a scan of the memo.
+    /// Entries whose pairs avoid every changed endpoint are provably
     /// unchanged and survive — across arbitrarily long gaps between
-    /// syncs.
+    /// syncs. An owned graph then forgets the changes the memo has
+    /// caught up with; a frozen one is never written (that would thaw
+    /// it), so its list waits for the next owned-state sync. A graph
+    /// swapped in whole may have forgotten past the memo's version;
+    /// the list cannot answer for it and the memo is cleared.
     ///
     /// Every other method — `Bounded(k)` with `k ≥ 3` and the
     /// unbounded algorithms — lets an edge away from both endpoints
@@ -176,18 +187,22 @@ impl ReputationEngine {
         if version == self.cached_version {
             return;
         }
-        match self.method() {
-            Method::Bounded(k) if k <= 2 => {
-                let (graph, since) = (self.graph.get(), self.cached_version);
-                let removed = self.memo.retain(|&(i, j)| {
-                    !graph.changed_since(i, since) && !graph.changed_since(j, since)
-                });
-                self.invalidated += removed as u64;
+        let walk = matches!(self.method(), Method::Bounded(k) if k <= 2);
+        match self.graph.get().changed_nodes_since(self.cached_version) {
+            _ if self.memo.is_empty() => {}
+            Some(changed) if walk => {
+                for node in changed {
+                    self.invalidated += self.memo.remove_node(node) as u64;
+                }
             }
+            // `k ≥ 3`, unbounded, or a list that cannot answer
             _ => {
                 self.invalidated += self.memo.len() as u64;
                 self.memo.clear();
             }
+        }
+        if let GraphSlot::Owned(graph) = &mut self.graph {
+            graph.forget_changes_through(version);
         }
         self.cached_version = version;
     }
@@ -338,9 +353,11 @@ impl ReputationEngine {
                     // graph version, hence identical values)
                     let mut inserted = FxHashSet::default();
                     for (&peer, pair) in &swept {
-                        if peer != i && self.memo.peek(&(i, peer)).is_none() {
-                            self.memo
-                                .insert((i, peer), self.metric.eval(pair.toward, pair.away));
+                        if peer != i
+                            && self
+                                .memo
+                                .insert_with((i, peer), || self.metric.eval(pair.toward, pair.away))
+                        {
                             inserted.insert(peer);
                         }
                     }
@@ -364,9 +381,7 @@ impl ReputationEngine {
             };
             // peers absent from the sweep have zero flow either way;
             // memoize them too so repeat queries hit
-            if self.memo.peek(&(i, j)).is_none() {
-                self.memo.insert((i, j), value);
-            }
+            self.memo.insert_with((i, j), || value);
             if let Some(f) = fresh.as_mut() {
                 f.remove(&j);
             }
@@ -388,10 +403,39 @@ impl ReputationEngine {
     }
 }
 
+/// The reference oracle for `sync`.
+#[cfg(test)]
+impl ReputationEngine {
+    /// The whole-memo scan `sync`'s walk replaced: every entry is
+    /// checked against the graph, both endpoints. Run before a query,
+    /// it leaves that query's own `sync` nothing to do.
+    fn sync_by_scan(&mut self) {
+        let version = self.graph().version();
+        if version == self.cached_version {
+            return;
+        }
+        match self.method() {
+            Method::Bounded(k) if k <= 2 => {
+                let (graph, since) = (self.graph.get(), self.cached_version);
+                let removed = self.memo.retain(|&(i, j)| {
+                    !graph.changed_since(i, since) && !graph.changed_since(j, since)
+                });
+                self.invalidated += removed as u64;
+            }
+            _ => {
+                self.invalidated += self.memo.len() as u64;
+                self.memo.clear();
+            }
+        }
+        self.cached_version = version;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use bartercast_util::units::Seconds;
+    use proptest::prelude::*;
 
     fn p(i: u32) -> PeerId {
         PeerId(i)
@@ -785,6 +829,123 @@ mod tests {
             hits_before + 1,
             "hot entry survived the churn"
         );
+    }
+
+    /// One write to both engines: `add_transfer` or `merge_record`.
+    fn write_both(a: &mut ReputationEngine, b: &mut ReputationEngine, w: (u32, u32, u64, bool)) {
+        let (from, to, bytes, merge) = (p(w.0), p(w.1), Bytes(w.2), w.3);
+        for e in [a, b] {
+            if merge {
+                e.graph_mut().merge_record(from, to, bytes);
+            } else {
+                e.graph_mut().add_transfer(from, to, bytes);
+            }
+        }
+    }
+
+    /// The same query on both engines, the oracle synchronized by the
+    /// whole-memo scan first; the answers must agree bitwise.
+    fn query_both(
+        walk: &mut ReputationEngine,
+        scan: &mut ReputationEngine,
+        i: u32,
+        targets: &[PeerId],
+        batch: bool,
+    ) -> Result<(), TestCaseError> {
+        // the scan stands in for `sync` exactly where the query runs it
+        // (a point self-query answers 0.0 before synchronizing)
+        if batch || p(i) != targets[0] {
+            scan.sync_by_scan();
+        }
+        let (got, want) = if batch {
+            (
+                walk.reputations_from(p(i), targets),
+                scan.reputations_from(p(i), targets),
+            )
+        } else {
+            let j = targets[0];
+            (
+                vec![walk.reputation(p(i), j)],
+                vec![scan.reputation(p(i), j)],
+            )
+        };
+        let bits = |v: &[f64]| v.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&got), bits(&want), "R_{}({:?})", i, targets);
+        Ok(())
+    }
+
+    /// Both engines' counters, recency order and values, bitwise.
+    fn same_memo(walk: &ReputationEngine, scan: &ReputationEngine) -> Result<(), TestCaseError> {
+        prop_assert_eq!(walk.stats(), scan.stats());
+        let bits = |e: &ReputationEngine| {
+            e.memo
+                .by_recency()
+                .into_iter()
+                .map(|(k, v)| (k, v.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        prop_assert_eq!(bits(walk), bits(scan));
+        prop_assert!(
+            walk.memo.check_chains().is_ok(),
+            "{:?}",
+            walk.memo.check_chains()
+        );
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The changed-endpoint walk evicts exactly what the whole-memo
+        /// scan did, step by step: one random stream of writes (single,
+        /// or gaps of up to 5,000 between syncs), point and batch
+        /// queries from several evaluators (targets include peers the
+        /// graph has not seen yet) and freeze → query → write, through
+        /// one engine on `sync` and one on the scan oracle.
+        #[test]
+        fn changed_endpoint_walk_evicts_exactly_what_the_scan_did(
+            ops in prop::collection::vec((0u8..12, 0u32..12, 0u32..12, 1u64..5_000), 1..60),
+            budget in 0usize..4,
+            method in 0usize..3,
+        ) {
+            let budget = [1, 3, 8, DEFAULT_CACHE_BUDGET][budget];
+            let method = [Method::Bounded(1), Method::DEPLOYED, Method::Bounded(3)][method];
+            let mut walk = ReputationEngine::new()
+                .with_method(method)
+                .with_cache_budget(budget);
+            let mut scan = walk.clone();
+            for &(op, a, b, w) in &ops {
+                let targets: Vec<PeerId> = (0..5).map(|t| p((b + 3 * t) % 14)).collect();
+                match op {
+                    0..=3 => write_both(&mut walk, &mut scan, (a, b, w, op % 2 == 1)),
+                    4 => {
+                        // a gap: up to 5,000 writes before the next sync
+                        let mut x = w;
+                        for _ in 0..w {
+                            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                            let (f, t) = ((x >> 33) as u32 % 12, (x >> 45) as u32 % 12);
+                            write_both(&mut walk, &mut scan, (f, t, 1 + (x >> 20) % 999, x & 1 == 1));
+                        }
+                    }
+                    5..=7 => query_both(&mut walk, &mut scan, a, &targets, false)?,
+                    8..=10 => query_both(&mut walk, &mut scan, a, &targets, true)?,
+                    _ => {
+                        // a query while frozen never trims (or thaws) the
+                        // graph; the write after it thaws, by a copy when
+                        // the reader is still alive
+                        let views = (walk.freeze(), scan.freeze());
+                        query_both(&mut walk, &mut scan, a, &targets, true)?;
+                        prop_assert!(std::ptr::eq(&*views.0, walk.graph()));
+                        if w % 2 == 0 {
+                            drop(views);
+                        }
+                        write_both(&mut walk, &mut scan, (a, b, w, false));
+                    }
+                }
+                same_memo(&walk, &scan)?;
+                prop_assert!(walk.graph().check_invariants().is_ok());
+            }
+        }
     }
 
     #[test]

@@ -598,6 +598,41 @@ mod tests {
     }
 
     #[test]
+    fn queries_on_frozen_shards_never_write_the_shared_graph() {
+        // warm every shard's memo, write, publish: each shard's next
+        // query synchronizes (evicting changed endpoints) while frozen
+        let mut svc = ShardedEngine::new(4);
+        let edges = batch();
+        let (first, rest) = edges.split_at(60);
+        for &(f, t, w) in first {
+            svc.add_transfer(p(f), p(t), Bytes(w));
+        }
+        let targets: Vec<PeerId> = (0..24).map(p).collect();
+        for i in 0..24 {
+            svc.reputations_from(p(i), &targets);
+        }
+        for &(f, t, w) in rest {
+            svc.add_transfer(p(f), p(t), Bytes(w));
+        }
+        let views = svc.publish_all();
+        let invalidated_before: u64 = (0..4)
+            .map(|s| svc.shard_engine(s).stats().invalidated)
+            .sum();
+        for s in 0..4 {
+            let evaluator = (0..24).map(p).find(|&i| svc.shard_of(i) == s).unwrap();
+            svc.reputations_from(evaluator, &targets);
+        }
+        let invalidated: u64 = (0..4)
+            .map(|s| svc.shard_engine(s).stats().invalidated)
+            .sum();
+        assert!(invalidated > invalidated_before, "the frozen syncs evicted");
+        for view in &views {
+            assert!(shares_live_graph(&svc, view), "shard {}", view.shard());
+        }
+        assert_eq!(svc.stats().graph_copies, 0);
+    }
+
+    #[test]
     fn a_write_after_the_views_are_dropped_copies_nothing() {
         let mut svc = one_edge_service();
         let views = svc.publish_all();

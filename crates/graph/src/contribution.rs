@@ -54,6 +54,15 @@ pub struct ContributionGraph {
     /// count), so a reader can fall arbitrarily far behind and still
     /// get an exact answer from [`ContributionGraph::changed_since`].
     changed_at: Vec<u64>,
+    /// The nodes whose `changed_at` is above `dirty_floor`, each once,
+    /// in the order they first moved above it: what
+    /// [`ContributionGraph::changed_nodes_since`] walks. A node joins
+    /// only from at or below the floor, so the list never outgrows the
+    /// node count.
+    dirty: Vec<u32>,
+    /// Versions at or below this are forgotten by `dirty` (moved only
+    /// by [`ContributionGraph::forget_changes_through`]).
+    dirty_floor: u64,
 }
 
 impl ContributionGraph {
@@ -132,10 +141,15 @@ impl ContributionGraph {
     }
 
     /// Record a changed edge: both endpoints become dirty at the
-    /// current version.
+    /// current version, joining the dirty list if they were clean.
     fn log_change(&mut self, from: u32, to: u32) {
-        self.changed_at[from as usize] = self.version;
-        self.changed_at[to as usize] = self.version;
+        for node in [from, to] {
+            let at = &mut self.changed_at[node as usize];
+            if *at <= self.dirty_floor {
+                self.dirty.push(node);
+            }
+            *at = self.version;
+        }
     }
 
     /// Whether `node` has been an endpoint of an edge changed after
@@ -148,6 +162,39 @@ impl ContributionGraph {
         self.index
             .get(&node)
             .is_some_and(|&i| self.changed_at[i as usize] > since)
+    }
+
+    /// Every node that has been an endpoint of an edge changed after
+    /// version `since`, each once, in O(nodes changed since the last
+    /// [`ContributionGraph::forget_changes_through`]); the set
+    /// [`ContributionGraph::changed_since`] answers node by node.
+    /// `None` when `since` lies below the forgotten floor, where the
+    /// list can no longer tell.
+    pub fn changed_nodes_since(&self, since: u64) -> Option<impl Iterator<Item = PeerId> + '_> {
+        (since >= self.dirty_floor).then(|| {
+            self.dirty
+                .iter()
+                .filter(move |&&n| self.changed_at[n as usize] > since)
+                .map(|&n| self.ids[n as usize])
+        })
+    }
+
+    /// Forget the changes at or before version `through` (clamped to
+    /// the current version): [`ContributionGraph::changed_nodes_since`]
+    /// stops answering for any earlier `since`. Meant for the graph's
+    /// one reader of changes, once it has caught up to `through`.
+    pub fn forget_changes_through(&mut self, through: u64) {
+        let through = through.min(self.version);
+        if through <= self.dirty_floor {
+            return;
+        }
+        self.dirty_floor = through;
+        if through == self.version {
+            self.dirty.clear();
+        } else {
+            let changed_at = &self.changed_at;
+            self.dirty.retain(|&n| changed_at[n as usize] > through);
+        }
     }
 
     /// The aggregated bytes `from` has uploaded to `to` (zero if no edge).
@@ -259,6 +306,20 @@ impl ContributionGraph {
                 "reverse arena holds {} slots for {forward} edges",
                 self.rev.len()
             ));
+        }
+        let mut listed = vec![false; self.ids.len()];
+        for &n in &self.dirty {
+            if std::mem::replace(&mut listed[n as usize], true) {
+                return Err(format!("{} listed dirty twice", self.ids[n as usize]));
+            }
+        }
+        for (n, &at) in self.changed_at.iter().enumerate() {
+            if listed[n] != (at > self.dirty_floor) {
+                return Err(format!(
+                    "{} changed at {at}, floor {}, listed {}",
+                    self.ids[n], self.dirty_floor, listed[n]
+                ));
+            }
         }
         Ok(())
     }
@@ -386,6 +447,32 @@ mod tests {
             vec![p(1), p(2)],
             "untouched nodes must stay clean"
         );
+    }
+
+    #[test]
+    fn changed_nodes_since_lists_each_moved_node_once() {
+        let mut g = ContributionGraph::new();
+        g.add_transfer(p(1), p(2), Bytes(1));
+        let v = g.version();
+        for i in 0..100u64 {
+            g.add_transfer(p(3), p(4), Bytes(i + 1));
+            g.merge_record(p(2), p(3), Bytes(i + 1));
+        }
+        let list = |g: &ContributionGraph, since| {
+            let mut nodes: Vec<PeerId> = g.changed_nodes_since(since).unwrap().collect();
+            nodes.sort();
+            nodes
+        };
+        assert_eq!(list(&g, 0), vec![p(1), p(2), p(3), p(4)]);
+        assert_eq!(list(&g, v), vec![p(2), p(3), p(4)]);
+        g.forget_changes_through(v);
+        assert!(g.changed_nodes_since(v - 1).is_none(), "below the floor");
+        assert_eq!(list(&g, v), vec![p(2), p(3), p(4)]);
+        g.forget_changes_through(g.version());
+        assert!(list(&g, g.version()).is_empty());
+        g.add_transfer(p(4), p(5), Bytes(1));
+        assert_eq!(list(&g, g.version() - 1), vec![p(4), p(5)]);
+        g.check_invariants().unwrap();
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!   cut separates s from t and its capacity equals the flow value;
 //! * the CSR-backed `ContributionGraph` is observationally equivalent
 //!   to a plain map-of-maps model under random interleaved
-//!   `add_transfer` / `merge_record` sequences.
+//!   `add_transfer` / `merge_record` sequences, dirty-node list and
+//!   `forget_changes_through` trims included.
 
 use bartercast_graph::contribution::ContributionGraph;
 use bartercast_graph::maxflow::{self, Method};
@@ -262,21 +263,31 @@ proptest! {
     /// The CSR arena behind `ContributionGraph` is observationally
     /// equivalent to the old hash-of-hash adjacency: same edges, same
     /// totals, same counts, same dirty sets, under any interleaving of
-    /// the two mutation entry points.
+    /// the two mutation entry points. Random `forget_changes_through`
+    /// calls trim the dirty list; for every `since` at or above the
+    /// last one, `changed_nodes_since` still yields exactly the model's
+    /// dirty set, each node once, from a list no longer than the node
+    /// count.
     #[test]
     fn csr_adjacency_matches_hashmap_model(
-        ops in prop::collection::vec((0u32..9, 0u32..9, 1u64..200, prop::bool::ANY), 1..60),
+        ops in prop::collection::vec((0u32..9, 0u32..9, 1u64..200, prop::bool::ANY, 0u8..6), 1..60),
         since_at in 0usize..60,
     ) {
         let mut g = ContributionGraph::new();
         let mut out: BTreeMap<u32, BTreeMap<u32, u64>> = BTreeMap::new();
         let mut inc: BTreeMap<u32, BTreeMap<u32, u64>> = BTreeMap::new();
         let mut model_dirty: BTreeSet<u32> = BTreeSet::new();
-        let mut since = 0u64;
-        for (i, &(f, t, w, merge)) in ops.iter().enumerate() {
+        let mut model_at: BTreeMap<u32, u64> = BTreeMap::new();
+        let (mut since, mut version, mut floor) = (0u64, 0u64, 0u64);
+        for (i, &(f, t, w, merge, forget)) in ops.iter().enumerate() {
             if i == since_at {
                 since = g.version();
                 model_dirty.clear();
+            }
+            if forget == 0 {
+                // anywhere from the last floor up to the current version
+                floor += w % (version - floor + 1);
+                g.forget_changes_through(floor);
             }
             let effective = if merge {
                 let cur = out.get(&f).and_then(|m| m.get(&t)).copied().unwrap_or(0);
@@ -297,9 +308,24 @@ proptest! {
                 eff
             };
             if effective {
+                version += 1;
                 model_dirty.insert(f);
                 model_dirty.insert(t);
+                model_at.insert(f, version);
+                model_at.insert(t, version);
             }
+            prop_assert_eq!(g.version(), version);
+            if floor > 0 {
+                prop_assert!(g.changed_nodes_since(floor - 1).is_none(), "below floor {floor}");
+            }
+            for s in floor..=version {
+                let mut got: Vec<u32> = g.changed_nodes_since(s).unwrap().map(|n| n.0).collect();
+                got.sort_unstable();
+                let expect: Vec<u32> =
+                    model_at.iter().filter(|&(_, &at)| at > s).map(|(&n, _)| n).collect();
+                prop_assert_eq!(got, expect, "changed_nodes_since({s}), floor {floor}");
+            }
+            prop_assert!(g.changed_nodes_since(floor).unwrap().count() <= g.node_count());
         }
         g.check_invariants().unwrap();
         let model_nodes: BTreeSet<u32> =
