@@ -130,6 +130,7 @@ impl Bitfield {
     }
 
     /// Fraction of pieces present in `[0, 1]`.
+    #[cfg(test)]
     pub fn completeness(&self) -> f64 {
         if self.len == 0 {
             1.0
@@ -171,6 +172,7 @@ impl Bitfield {
     }
 
     /// Iterate over the pieces missing.
+    #[cfg(test)]
     pub fn iter_missing(&self) -> impl Iterator<Item = usize> + '_ {
         // the complement's phantom tail bits all sort after `len - 1`
         ones(self.bits.iter().map(|&word| !word)).take_while(move |&i| i < self.len)

@@ -106,11 +106,6 @@ impl Swarm {
         self.piece_size
     }
 
-    /// Total file size.
-    pub fn file_size(&self) -> Bytes {
-        self.piece_size * self.piece_count as u64
-    }
-
     /// Current member ids (arbitrary order).
     pub fn members(&self) -> impl Iterator<Item = PeerId> + '_ {
         self.members.keys().copied()

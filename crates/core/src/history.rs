@@ -140,11 +140,13 @@ impl PrivateHistory {
     }
 
     /// Piece-transfer provenance with `peer`, if any piece ever moved.
+    #[cfg(test)]
     pub fn provenance(&self, peer: PeerId) -> Option<PieceProvenance> {
         self.provenance.get(&peer).copied()
     }
 
     /// Summed piece provenance across all peers.
+    #[cfg(test)]
     pub fn total_provenance(&self) -> PieceProvenance {
         let mut total = PieceProvenance::default();
         for p in self.provenance.values() {

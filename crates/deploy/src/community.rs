@@ -40,6 +40,20 @@ mod rand_distr_shim {
     }
 }
 
+/// Median download volume of active peers, in MB: most move a few
+/// hundred MB to a few GB over the month the §5.5 observer watches
+/// (DESIGN.md, "Substitutions", item 2).
+const MEDIAN_DOWNLOAD_MB: f64 = 1500.0;
+
+/// Log-normal sigma of download volumes: the heavy upper tail into TB
+/// that Figure 4a shows.
+const DOWNLOAD_SIGMA: f64 = 1.6;
+
+/// Mean number of transfer partners per active peer, which bounds how
+/// many observed peers share a partner with the observer and so the
+/// negative mass of Figure 4b (EXPERIMENTS.md, Figure 4b).
+const MEAN_DEGREE: f64 = 18.0;
+
 /// Community generation parameters.
 #[derive(Debug, Clone)]
 pub struct CommunityConfig {
@@ -47,14 +61,8 @@ pub struct CommunityConfig {
     pub peers: usize,
     /// Fraction with exactly zero transfers (fresh installs).
     pub install_only_fraction: f64,
-    /// Median download volume of active peers, in MB.
-    pub median_download_mb: f64,
-    /// Log-normal sigma of download volumes.
-    pub download_sigma: f64,
     /// Fraction of active peers that are altruists (ratio >> 1).
     pub altruist_fraction: f64,
-    /// Mean number of transfer partners per active peer.
-    pub mean_degree: f64,
 }
 
 impl Default for CommunityConfig {
@@ -62,10 +70,7 @@ impl Default for CommunityConfig {
         CommunityConfig {
             peers: 5000,
             install_only_fraction: 0.25,
-            median_download_mb: 1500.0,
-            download_sigma: 1.6,
             altruist_fraction: 0.02,
-            mean_degree: 18.0,
         }
     }
 }
@@ -88,7 +93,7 @@ impl Community {
         assert!(config.peers >= 2);
         let mut rng = StdRng::seed_from_u64(seed);
         let n = config.peers;
-        let mu = config.median_download_mb.ln();
+        let mu = MEDIAN_DOWNLOAD_MB.ln();
 
         let mut download_target = vec![0f64; n]; // in MB
         let mut upload_target = vec![0f64; n];
@@ -96,7 +101,7 @@ impl Community {
             if rng.gen_bool(config.install_only_fraction) {
                 continue; // install-only: both stay zero
             }
-            let down = sample_lognormal(&mut rng, mu, config.download_sigma);
+            let down = sample_lognormal(&mut rng, mu, DOWNLOAD_SIGMA);
             // sharing ratio: most below 1 (lazy tendency), altruists far above
             let ratio = if rng.gen_bool(config.altruist_fraction) {
                 rng.gen_range(2.0..20.0)
@@ -120,7 +125,7 @@ impl Community {
         let mut transfers: FxHashMap<(PeerId, PeerId), Bytes> = FxHashMap::default();
         let mut up_left = upload_target.clone();
         let mut down_left = download_target.clone();
-        let target_edges = (n as f64 * config.mean_degree) as usize;
+        let target_edges = (n as f64 * MEAN_DEGREE) as usize;
         let mut up_pool: Vec<usize> = (0..n).filter(|&i| up_left[i] > 1.0).collect();
         let mut down_pool: Vec<usize> = (0..n).filter(|&i| down_left[i] > 1.0).collect();
         for _ in 0..target_edges {

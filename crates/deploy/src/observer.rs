@@ -25,8 +25,6 @@ pub struct ObserverConfig {
     /// Distinct community peers the observer meets over the month
     /// (each delivers at least one message).
     pub meetings: usize,
-    /// BarterCast record-selection parameters.
-    pub bartercast: BarterCastConfig,
     /// How many community peers the observer itself exchanged data
     /// with while participating (its own private history size).
     pub own_partners: usize,
@@ -36,7 +34,6 @@ impl Default for ObserverConfig {
     fn default() -> Self {
         ObserverConfig {
             meetings: 9000,
-            bartercast: BarterCastConfig::default(),
             own_partners: 800,
         }
     }
@@ -93,11 +90,6 @@ impl Observer {
             history: PrivateHistory::new(id),
             messages_logged: 0,
         }
-    }
-
-    /// The observer's peer id.
-    pub fn id(&self) -> PeerId {
-        self.id
     }
 
     /// Run the observation, sampling the reputation split at
@@ -186,7 +178,8 @@ impl Observer {
             if h.is_empty() {
                 continue; // install-only peers have nothing to report
             }
-            let msg = BarterCastMessage::from_history(&h, config.bartercast);
+            // the paper's Nh = Nr = 10 (§3.4, §5.1)
+            let msg = BarterCastMessage::from_history(&h, BarterCastConfig::default());
             self.engine.absorb_message(&msg);
             self.messages_logged += 1;
         }
@@ -229,7 +222,6 @@ mod tests {
         ObserverConfig {
             meetings: 600,
             own_partners: 20,
-            ..Default::default()
         }
     }
 

@@ -8,7 +8,6 @@ fn config(peers: usize, install_only: f64, altruists: f64) -> CommunityConfig {
         peers,
         install_only_fraction: install_only,
         altruist_fraction: altruists,
-        ..Default::default()
     }
 }
 
@@ -61,7 +60,6 @@ proptest! {
             &ObserverConfig {
                 meetings: 200,
                 own_partners: 20,
-                ..Default::default()
             },
             seed,
         );

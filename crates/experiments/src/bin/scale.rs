@@ -3,7 +3,7 @@
 //! mechanism").
 //!
 //! ```text
-//! cargo run -p bartercast-experiments --release --bin scale [-- --quick]
+//! cargo run -p bartercast-experiments --release --bin scale [-- --quick] [--seed N]
 //! ```
 //!
 //! Sweeps the population size and reports, per size: probe subjective
@@ -11,16 +11,15 @@
 //! sharer-vs-freerider discrimination accuracy, and gossip volume.
 //! Writes `results/scale.csv`.
 
-use bartercast_experiments::output;
+use bartercast_experiments::{output, Scale};
 use bartercast_sim::scale::{run_scale, ScaleConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let sizes: &[usize] = if quick {
-        &[300, 1_000, 3_000]
-    } else {
-        &[1_000, 10_000, 100_000]
+    let seed = Scale::seed_from_flag(&args);
+    let sizes: &[usize] = match Scale::from_flag(&args) {
+        Scale::Quick => &[300, 1_000, 3_000],
+        Scale::Paper => &[1_000, 10_000, 100_000],
     };
     let mut w = output::csv(
         "scale",
@@ -42,7 +41,7 @@ fn main() {
             peers: n,
             probes: 100.min(n / 10).max(10),
             rounds: 30,
-            seed: 42,
+            seed,
             ..Default::default()
         };
         let start = std::time::Instant::now();

@@ -26,7 +26,6 @@ pub fn run(scale: Scale, seed: u64) -> DeploymentReport {
         Scale::Quick => ObserverConfig {
             meetings: 1800,
             own_partners: 100,
-            ..Default::default()
         },
     };
     let community = Community::generate(&community_cfg, seed);

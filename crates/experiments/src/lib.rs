@@ -94,12 +94,4 @@ impl Scale {
             },
         }
     }
-
-    /// Horizon in days for this scale's trace.
-    pub fn horizon_days(self) -> f64 {
-        match self {
-            Scale::Paper => 7.0,
-            Scale::Quick => 4.0,
-        }
-    }
 }

@@ -3,7 +3,7 @@
 use bartercast_util::csv::CsvWriter;
 use std::fs::File;
 use std::io::BufWriter;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Directory experiment CSVs are written to (created on demand).
 pub fn results_dir() -> PathBuf {
@@ -35,11 +35,4 @@ pub fn write_xy(name: &str, header: &[&str], rows: &[(f64, f64)]) {
     }
     w.finish().expect("flush csv");
     announce(name);
-}
-
-/// True iff `path` exists (used by tests).
-pub fn exists(name: &str) -> bool {
-    Path::new(&results_dir())
-        .join(format!("{name}.csv"))
-        .exists()
 }

@@ -10,8 +10,8 @@
 //!   `k = 2`. Both are bit-identical to per-pair bounded evaluation,
 //!   and [`bounded_flow_maps`] is the one place that selects them (the
 //!   shard epoch views call it too). Every other method — `Bounded(k)`
-//!   with `k ≥ 3` and the unbounded algorithms — has no sweep and
-//!   returns `None`; the caller evaluates it pair by pair.
+//!   with `k ≥ 3` and `Dinic` — has no sweep and returns `None`; the
+//!   caller evaluates it pair by pair.
 //!
 //! The flow network is keyed by [`ContributionGraph::version`], so a
 //! burst of queries against an unchanged graph shares one construction
@@ -164,13 +164,7 @@ mod tests {
     #[test]
     fn pairwise_supports_everything_but_has_no_sweep() {
         let g = chain();
-        for method in [
-            Method::FordFulkerson,
-            Method::EdmondsKarp,
-            Method::Dinic,
-            Method::PushRelabel,
-            Method::Bounded(3),
-        ] {
+        for method in [Method::Dinic, Method::Bounded(3)] {
             let mut b = FlowKernel::new(method);
             assert!(b.all_flows_from(&g, p(0)).is_none(), "{method:?}");
             assert_eq!(b.flow(&g, p(2), p(0)), Bytes::from_mb(200), "{method:?}");

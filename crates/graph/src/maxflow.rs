@@ -1,18 +1,7 @@
 //! Maximum-flow algorithms.
 //!
-//! Five interchangeable implementations over [`FlowNetwork`]:
+//! The reputation engine evaluates one of two [`Method`]s:
 //!
-//! * [`ford_fulkerson`] — depth-first augmenting paths, a faithful
-//!   rendering of the paper's Algorithm 1 ("for finding the paths in
-//!   line 5 we use a common depth-first search").
-//! * [`edmonds_karp`] — breadth-first (shortest) augmenting paths,
-//!   strongly polynomial.
-//! * [`dinic`] — level graphs + blocking flows, the unbounded method
-//!   the ablation study runs against the bounded ones.
-//! * [`push_relabel`] — FIFO preflow-push. Like Ford–Fulkerson and
-//!   Edmonds–Karp it is a differential-test oracle for [`dinic`], not
-//!   part of the ablation study (a non-augmenting-path algorithm fails
-//!   differently from the augmenting-path family).
 //! * [`bounded`] — augmenting paths restricted to at most `max_edges`
 //!   edges. With [`DEPLOYED_MAX_PATH_LEN`]` = 2` this is the variant
 //!   BarterCast actually deploys (§3.2). For `max_edges = 2` the result
@@ -22,6 +11,19 @@
 //!   another, so the value is the one this shortest-path-first order
 //!   yields and is evaluated pair by pair; for `max_edges ≥ n − 1` it
 //!   degenerates to plain Ford–Fulkerson.
+//! * [`dinic`] — level graphs + blocking flows, the unbounded method
+//!   the ablation study runs against the bounded ones.
+//!
+//! Three more unbounded algorithms are kept as reference oracles for
+//! [`dinic`] and the min-cut certificates; no [`Method`] selects them:
+//!
+//! * [`ford_fulkerson`] — depth-first augmenting paths, a faithful
+//!   rendering of the paper's Algorithm 1 ("for finding the paths in
+//!   line 5 we use a common depth-first search").
+//! * [`edmonds_karp`] — breadth-first (shortest) augmenting paths,
+//!   strongly polynomial.
+//! * [`push_relabel`] — FIFO preflow-push: a non-augmenting-path
+//!   algorithm fails differently from the augmenting-path family.
 //!
 //! All of them mutate arc capacities in place; [`FlowNetwork::reset`]
 //! restores the original graph.
@@ -34,17 +36,11 @@ use std::collections::VecDeque;
 /// The path-length bound used by the deployed BarterCast (§3.2).
 pub const DEPLOYED_MAX_PATH_LEN: usize = 2;
 
-/// Which maxflow algorithm to run.
+/// Which maxflow algorithm the reputation engine runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Method {
-    /// DFS augmenting paths (paper Algorithm 1).
-    FordFulkerson,
-    /// BFS augmenting paths.
-    EdmondsKarp,
-    /// Dinic's algorithm.
+    /// Dinic's algorithm: the unbounded maxflow.
     Dinic,
-    /// FIFO push–relabel (preflow-push).
-    PushRelabel,
     /// Augmenting paths of at most the given number of edges.
     Bounded(usize),
 }
@@ -90,10 +86,7 @@ pub fn compute_on(net: &mut FlowNetwork, source: PeerId, target: PeerId, method:
     }
     net.reset();
     let flow = match method {
-        Method::FordFulkerson => ford_fulkerson(net, s, t),
-        Method::EdmondsKarp => edmonds_karp(net, s, t),
         Method::Dinic => dinic(net, s, t),
-        Method::PushRelabel => push_relabel(net, s, t),
         Method::Bounded(k) => bounded(net, s, t, k),
     };
     Bytes(flow)
@@ -235,9 +228,9 @@ fn dinic_dfs(
 
 /// FIFO push–relabel (preflow-push) maximum flow.
 ///
-/// The fourth unbounded algorithm, kept as a differential-test oracle:
-/// unlike the augmenting-path family it saturates arcs eagerly and
-/// relabels nodes, so it shares no failure mode with the other three.
+/// A differential-test oracle for [`dinic`]: unlike the augmenting-path
+/// family it saturates arcs eagerly and relabels nodes, so it shares no
+/// failure mode with the other three.
 /// Uses the standard FIFO active-node queue; no gap heuristic (graphs
 /// here are small enough not to need it).
 pub fn push_relabel(net: &mut FlowNetwork, s: u32, t: u32) -> u64 {
@@ -411,16 +404,32 @@ mod tests {
         g
     }
 
+    type Kernel = fn(&mut FlowNetwork, u32, u32) -> u64;
+
+    /// Every kernel in this module, the oracles included.
+    const KERNELS: [(&str, Kernel); 5] = [
+        ("ford_fulkerson", ford_fulkerson),
+        ("edmonds_karp", edmonds_karp),
+        ("dinic", dinic),
+        ("push_relabel", push_relabel),
+        ("bounded_2", |net, s, t| bounded(net, s, t, 2)),
+    ];
+
+    /// `s → t` by `kernel` on a fresh network of `g`, and the network
+    /// it leaves behind.
+    fn run(g: &ContributionGraph, s: u32, t: u32, kernel: Kernel) -> (u64, FlowNetwork, u32, u32) {
+        let mut net = FlowNetwork::from_graph(g);
+        let (s, t) = (net.node(p(s)).unwrap(), net.node(p(t)).unwrap());
+        (kernel(&mut net, s, t), net, s, t)
+    }
+
     #[test]
     fn clrs_example_all_methods() {
         let g = clrs_graph();
-        for m in [
-            Method::FordFulkerson,
-            Method::EdmondsKarp,
-            Method::Dinic,
-            Method::PushRelabel,
-            Method::Bounded(100),
-        ] {
+        for (name, kernel) in &KERNELS[..4] {
+            assert_eq!(run(&g, 0, 5, *kernel).0, 23, "{name}");
+        }
+        for m in [Method::Dinic, Method::Bounded(100)] {
             assert_eq!(compute(&g, p(0), p(5), m), Bytes(23), "method {m:?}");
         }
     }
@@ -486,25 +495,10 @@ mod tests {
     #[test]
     fn conservation_holds_for_all_methods() {
         let g = clrs_graph();
-        for m in [
-            Method::FordFulkerson,
-            Method::EdmondsKarp,
-            Method::Dinic,
-            Method::PushRelabel,
-            Method::Bounded(2),
-        ] {
-            let mut net = FlowNetwork::from_graph(&g);
-            let s = net.node(p(0)).unwrap();
-            let t = net.node(p(5)).unwrap();
-            net.reset();
-            match m {
-                Method::FordFulkerson => ford_fulkerson(&mut net, s, t),
-                Method::EdmondsKarp => edmonds_karp(&mut net, s, t),
-                Method::Dinic => dinic(&mut net, s, t),
-                Method::PushRelabel => push_relabel(&mut net, s, t),
-                Method::Bounded(k) => bounded(&mut net, s, t, k),
-            };
-            net.check_conservation(s, t).unwrap();
+        for (name, kernel) in KERNELS {
+            let (_, net, s, t) = run(&g, 0, 5, kernel);
+            net.check_conservation(s, t)
+                .unwrap_or_else(|e| panic!("{name}: {e:?}"));
         }
     }
 
@@ -518,7 +512,7 @@ mod tests {
         g.add_transfer(p(1), p(2), Bytes(1));
         g.add_transfer(p(1), p(3), Bytes(1));
         g.add_transfer(p(2), p(3), Bytes(1));
-        assert_eq!(compute(&g, p(0), p(3), Method::FordFulkerson), Bytes(2));
+        assert_eq!(run(&g, 0, 3, ford_fulkerson).0, 2);
     }
 
     #[test]

@@ -118,6 +118,7 @@ impl FlowNetwork {
     }
 
     /// Number of forward arcs (residual twins not counted).
+    #[cfg(test)]
     pub fn arc_count(&self) -> usize {
         self.arcs.len() / 2
     }
@@ -128,6 +129,7 @@ impl FlowNetwork {
     }
 
     /// Peer id of a dense index.
+    #[cfg(test)]
     pub fn peer(&self, node: u32) -> PeerId {
         self.ids[node as usize]
     }

@@ -2,7 +2,7 @@
 //! graph, using random graphs.
 //!
 //! Verified invariants:
-//! * all three unbounded algorithms agree on every random graph;
+//! * all four unbounded algorithms agree on every random graph;
 //! * the max-flow/min-cut certificate holds for every computed flow;
 //! * flow conservation holds at every interior node;
 //! * bounded flow is monotone in the bound and converges to the
@@ -32,6 +32,19 @@ fn edges_strategy(n: u32, max_edges: usize) -> impl Strategy<Value = Vec<(u32, u
     prop::collection::vec((0..n, 0..n, 1u64..1000), 0..max_edges)
 }
 
+/// One of the `maxflow` kernels, engine method or reference oracle.
+type Kernel = fn(&mut FlowNetwork, u32, u32) -> u64;
+
+/// `s → t` maxflow of `g` by `kernel`: zero when either endpoint is
+/// absent or they coincide, as `maxflow::compute` answers.
+fn flow_by(g: &ContributionGraph, s: u32, t: u32, kernel: Kernel) -> Bytes {
+    let mut net = FlowNetwork::from_graph(g);
+    match (net.node(PeerId(s)), net.node(PeerId(t))) {
+        (Some(si), Some(ti)) if si != ti => Bytes(kernel(&mut net, si, ti)),
+        _ => Bytes::ZERO,
+    }
+}
+
 fn build(edges: &[(u32, u32, u64)]) -> ContributionGraph {
     let mut g = ContributionGraph::new();
     for &(f, t, c) in edges {
@@ -48,10 +61,10 @@ proptest! {
     #[test]
     fn unbounded_methods_agree(edges in edges_strategy(12, 40), s in 0u32..12, t in 0u32..12) {
         let g = build(&edges);
-        let ff = maxflow::compute(&g, PeerId(s), PeerId(t), Method::FordFulkerson);
-        let ek = maxflow::compute(&g, PeerId(s), PeerId(t), Method::EdmondsKarp);
+        let ff = flow_by(&g, s, t, maxflow::ford_fulkerson);
+        let ek = flow_by(&g, s, t, maxflow::edmonds_karp);
         let dn = maxflow::compute(&g, PeerId(s), PeerId(t), Method::Dinic);
-        let pr = maxflow::compute(&g, PeerId(s), PeerId(t), Method::PushRelabel);
+        let pr = flow_by(&g, s, t, maxflow::push_relabel);
         prop_assert_eq!(ff, ek);
         prop_assert_eq!(ek, dn);
         prop_assert_eq!(dn, pr);
@@ -109,7 +122,7 @@ proptest! {
     #[test]
     fn flow_bounded_by_degrees(edges in edges_strategy(10, 30), s in 0u32..10, t in 0u32..10) {
         let g = build(&edges);
-        let f = maxflow::compute(&g, PeerId(s), PeerId(t), Method::EdmondsKarp);
+        let f = flow_by(&g, s, t, maxflow::edmonds_karp);
         let out_s: u64 = g.out_edges(PeerId(s)).map(|(_, b)| b.0).sum();
         let in_t: u64 = g.in_edges(PeerId(t)).map(|(_, b)| b.0).sum();
         prop_assert!(f.0 <= out_s);
@@ -215,10 +228,15 @@ proptest! {
     #[test]
     fn compute_is_deterministic(edges in edges_strategy(10, 30), s in 0u32..10, t in 0u32..10) {
         let g = build(&edges);
-        for m in [Method::FordFulkerson, Method::EdmondsKarp, Method::Dinic, Method::PushRelabel, Method::Bounded(2)] {
-            let a = maxflow::compute(&g, PeerId(s), PeerId(t), m);
-            let b = maxflow::compute(&g, PeerId(s), PeerId(t), m);
-            prop_assert_eq!(a, b);
+        let kernels: [Kernel; 5] = [
+            maxflow::ford_fulkerson,
+            maxflow::edmonds_karp,
+            maxflow::dinic,
+            maxflow::push_relabel,
+            |n, s, t| maxflow::bounded(n, s, t, 2),
+        ];
+        for kernel in kernels {
+            prop_assert_eq!(flow_by(&g, s, t, kernel), flow_by(&g, s, t, kernel));
         }
     }
 
@@ -236,7 +254,7 @@ proptest! {
         if si == ti {
             return Ok(());
         }
-        type Backend = (&'static str, fn(&mut FlowNetwork, u32, u32) -> u64);
+        type Backend = (&'static str, Kernel);
         let backends: [Backend; 5] = [
             ("ford_fulkerson", maxflow::ford_fulkerson),
             ("edmonds_karp", maxflow::edmonds_karp),

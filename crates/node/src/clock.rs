@@ -33,10 +33,9 @@ impl Clock for SystemClock {
 /// Simulated time: a base instant plus an explicitly advanced offset.
 ///
 /// `now()` is `base + offset`; nothing moves until
-/// [`VirtualClock::advance_to`] (or [`advance`](VirtualClock::advance))
-/// is called, so a single-threaded driver has total control over the
-/// event schedule. The offset is monotone: advancing to a past instant
-/// is a no-op rather than a rewind.
+/// [`VirtualClock::advance_to`] is called, so a single-threaded driver
+/// has total control over the event schedule. The offset is monotone:
+/// advancing to a past instant is a no-op rather than a rewind.
 #[derive(Debug)]
 pub struct VirtualClock {
     base: Instant,
@@ -56,12 +55,6 @@ impl VirtualClock {
             base: Instant::now(),
             offset_nanos: AtomicU64::new(0),
         }
-    }
-
-    /// Advance time by `d`.
-    pub fn advance(&self, d: Duration) {
-        self.offset_nanos
-            .fetch_add(d.as_nanos() as u64, Ordering::SeqCst);
     }
 
     /// Advance time to `t` (no-op if `t` is not in the future).
@@ -92,7 +85,7 @@ mod tests {
         let t0 = c.now();
         std::thread::sleep(Duration::from_millis(2));
         assert_eq!(c.now(), t0, "virtual time must ignore wall time");
-        c.advance(Duration::from_secs(1));
+        c.advance_to(t0 + Duration::from_secs(1));
         assert_eq!(c.now(), t0 + Duration::from_secs(1));
     }
 

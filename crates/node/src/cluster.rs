@@ -36,6 +36,11 @@ use std::io;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Megabytes for each seed history's `i → i+1` transfer; later uplinks
+/// scale it so every edge weight is distinct, which keeps the expected
+/// edge set free of max-merge ties (see module docs).
+const BASE_MB: u64 = 16;
+
 /// Cluster parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterConfig {
@@ -44,9 +49,6 @@ pub struct ClusterConfig {
     /// How many ring neighbors each node uploads to when seeding
     /// histories (each transfer is recorded by both parties).
     pub uplinks: usize,
-    /// Megabytes for the `i → i+1` transfer; later uplinks scale it so
-    /// every edge weight is distinct.
-    pub base_mb: u64,
     /// Transport adversity (loss, delay, fragmentation, seed).
     pub mem: MemConfig,
     /// Per-node runtime configuration; the per-node RNG seed is derived
@@ -68,7 +70,6 @@ impl Default for ClusterConfig {
         ClusterConfig {
             n: 8,
             uplinks: 2,
-            base_mb: 16,
             mem: MemConfig::default(),
             node,
         }
@@ -125,7 +126,7 @@ impl Cluster {
                 if j == i {
                     continue;
                 }
-                let amount = Bytes::from_mb(config.base_mb * (i as u64 + 1) * k as u64);
+                let amount = Bytes::from_mb(BASE_MB * (i as u64 + 1) * k as u64);
                 let when = Seconds((i * config.uplinks + k) as u64);
                 histories[i].record_upload(PeerId(j as u32), amount, when);
                 histories[j].record_download(PeerId(i as u32), amount, when);

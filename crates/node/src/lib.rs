@@ -34,9 +34,6 @@
 //!   [`Cluster`] for wall-clock integration tests and
 //!   [`DeterministicCluster`], the same
 //!   population on the lockstep driver;
-//! * [`loadgen`] — the overload load-generator: thousands of scripted
-//!   dialers hammering one node to measure shed rates and latency
-//!   tails;
 //! * [`stats`] — relaxed-atomic counters snapshotted as
 //!   [`NodeStats`], including the split
 //!   `shed_accept`/`shed_session` overload accounting.
@@ -45,7 +42,6 @@
 
 pub mod clock;
 pub mod cluster;
-pub mod loadgen;
 pub mod lockstep;
 pub mod mem;
 pub mod node;
@@ -59,7 +55,6 @@ pub mod workload;
 
 pub use clock::{Clock, SystemClock, VirtualClock};
 pub use cluster::{Cluster, ClusterConfig, DeterministicCluster};
-pub use loadgen::{LoadGenConfig, LoadGenReport};
 pub use lockstep::Lockstep;
 pub use mem::{MemConfig, MemTransport};
 pub use node::{Node, NodeConfig};

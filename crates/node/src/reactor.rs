@@ -52,7 +52,7 @@
 //! dropped at its bounded queue (`shed_session`).
 
 use crate::clock::Clock;
-use crate::session::{Direction, Session, SessionConfig, SessionEvent};
+use crate::session::{Direction, Session, SessionEvent, HANDSHAKE_TIMEOUT};
 use crate::stats::NodeCounters;
 use crate::timer::{TimerKind, TimerWheel};
 use crate::transport::{
@@ -75,6 +75,28 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+/// Neighbours sampled from the peer-sampling view per exchange tick
+/// (§3.4; DESIGN.md, "Node runtime").
+const EXCHANGE_FANOUT: usize = 3;
+
+/// Random extra fraction added to each backoff delay so a rebooted
+/// cluster doesn't thunder back in lockstep (DESIGN.md, "Node runtime",
+/// backoff defaults).
+const BACKOFF_JITTER: f64 = 0.5;
+
+/// Inbound connections adopted per poll cycle; bounds how long one
+/// accept storm can starve established sessions (DESIGN.md, "Node
+/// runtime").
+const ACCEPT_BURST: usize = 128;
+
+/// Timer granularity: deadline resolution of the timer set (DESIGN.md,
+/// "Node runtime").
+const TICK_GRANULARITY: Duration = Duration::from_millis(1);
+
+/// How long a graceful shutdown waits for sessions to drain and `Bye`
+/// before force-closing the stragglers (DESIGN.md, "Node runtime").
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(1);
+
 /// Tunables for one node. The defaults are production-flavored
 /// (seconds-scale exchanges); tests and the cluster harness shrink the
 /// intervals to milliseconds.
@@ -82,38 +104,23 @@ use std::time::{Duration, Instant};
 pub struct NodeConfig {
     /// How often the node pushes its history to sampled neighbors.
     pub exchange_interval: Duration,
-    /// Neighbors addressed per exchange tick.
-    pub fanout: usize,
     /// First reconnect delay after a failure; doubles per consecutive
     /// failure.
     pub backoff_base: Duration,
     /// Ceiling on the exponential backoff.
     pub backoff_max: Duration,
-    /// Random extra fraction (`0.0..=1.0`) added to each backoff delay
-    /// so a rebooted cluster doesn't thunder back in lockstep.
-    pub backoff_jitter: f64,
     /// Capacity of each session's outbound message queue; overflow is
     /// shed and counted in `shed_session`.
     pub outbound_queue: usize,
     /// Hard cap on concurrent sessions; inbound connections beyond it
     /// are accepted-then-dropped and counted in `shed_accept`.
     pub max_sessions: usize,
-    /// Inbound connections adopted per poll cycle; bounds how long one
-    /// accept storm can starve established sessions.
-    pub accept_burst: usize,
-    /// Timer granularity (deadline resolution).
-    pub tick_granularity: Duration,
-    /// How long a graceful shutdown waits for sessions to drain and
-    /// `Bye` before force-closing the stragglers.
-    pub drain_timeout: Duration,
     /// Every Nth exchange tick pushes the full advertised slice instead
     /// of sending digests — the fallback that bounds any staleness the
     /// watermark delta cannot see (slice-membership swaps stamped in
     /// the past, lost `Digest`/`Delta` frames). `0` disables the
     /// fallback entirely (digests only).
     pub full_sync_every: u64,
-    /// Per-session protocol timeouts.
-    pub session: SessionConfig,
     /// Top-`Nh`/`Nr` selection for outgoing BarterCast messages.
     pub bartercast: BarterCastConfig,
     /// Peer-sampling view parameters.
@@ -128,17 +135,11 @@ impl Default for NodeConfig {
     fn default() -> Self {
         NodeConfig {
             exchange_interval: Duration::from_secs(10),
-            fanout: 3,
             backoff_base: Duration::from_millis(100),
             backoff_max: Duration::from_secs(30),
-            backoff_jitter: 0.5,
             outbound_queue: 16,
             max_sessions: 4096,
-            accept_burst: 128,
-            tick_granularity: Duration::from_millis(1),
-            drain_timeout: Duration::from_secs(1),
             full_sync_every: 16,
-            session: SessionConfig::default(),
             bartercast: BarterCastConfig::default(),
             pss: PssConfig::default(),
             seed: 0xBC,
@@ -442,7 +443,7 @@ impl Reactor {
             listener.register_waker(&wake, LISTENER_TOKEN);
         }
         let now = clock.now();
-        let mut wheel = TimerWheel::new(now, config.tick_granularity);
+        let mut wheel = TimerWheel::new(now, TICK_GRANULARITY);
         wheel.schedule(now, TimerKind::Exchange);
         let engine = ReputationEngine::from_private(&history);
         let mut pss = PssNode::new(id, config.pss);
@@ -538,11 +539,6 @@ impl Reactor {
         }
     }
 
-    /// This reactor's peer id.
-    pub fn id(&self) -> PeerId {
-        self.id
-    }
-
     /// Shared handle to the operational counters.
     pub fn counters(&self) -> Arc<NodeCounters> {
         Arc::clone(&self.counters)
@@ -557,17 +553,6 @@ impl Reactor {
     /// [`Reactor::wait`] (e.g. for shutdown).
     pub fn wake_handle(&self) -> Arc<WakeQueue> {
         Arc::clone(&self.wake)
-    }
-
-    /// Live session count (pending + established).
-    pub fn session_count(&self) -> usize {
-        self.sessions.len()
-    }
-
-    /// Whether a graceful drain has been requested and every session
-    /// has finished.
-    pub fn drained(&self) -> bool {
-        self.draining && self.sessions.is_empty()
     }
 
     /// One full cycle: wakes → timers → delayed frames → accepts →
@@ -598,12 +583,7 @@ impl Reactor {
                 }
                 TimerKind::SessionCheck { token } => {
                     if let Some(session) = self.sessions.get_mut(&token) {
-                        match session.check_deadlines(
-                            now,
-                            &self.config.session,
-                            &self.counters,
-                            &mut events,
-                        ) {
+                        match session.check_deadlines(now, &self.counters, &mut events) {
                             Some(next) => {
                                 self.wheel.schedule(next, TimerKind::SessionCheck { token })
                             }
@@ -637,7 +617,7 @@ impl Reactor {
 
         // 4. inbound connections, up to the accept burst
         let mut accepted = 0;
-        while accepted < self.config.accept_burst {
+        while accepted < ACCEPT_BURST {
             match self.listener.try_accept() {
                 Ok(Some(conn)) => {
                     accepted += 1;
@@ -655,7 +635,7 @@ impl Reactor {
                 Err(_) => break, // listener died; keep serving sessions
             }
         }
-        if accepted == self.config.accept_burst {
+        if accepted == ACCEPT_BURST {
             // burst limit hit with possibly more queued: make sure the
             // next cycle services the listener even without a new wake
             self.ready.insert(LISTENER_TOKEN);
@@ -763,7 +743,7 @@ impl Reactor {
 
     /// Drive the reactor until `shutdown` is flagged, then drain
     /// gracefully: every session gets a `Bye` and up to
-    /// `config.drain_timeout` to flush before being force-closed.
+    /// `DRAIN_TIMEOUT` to flush before being force-closed.
     pub fn run(&mut self, shutdown: &AtomicBool) {
         loop {
             if shutdown.load(Ordering::Relaxed) && !self.draining {
@@ -791,7 +771,7 @@ impl Reactor {
     /// teardown and arm the force-close deadline.
     pub fn begin_shutdown(&mut self) {
         self.draining = true;
-        self.drain_deadline = Some(self.clock.now() + self.config.drain_timeout);
+        self.drain_deadline = Some(self.clock.now() + DRAIN_TIMEOUT);
         let tokens: Vec<u64> = self.sessions.keys().copied().collect();
         for token in tokens {
             if let Some(session) = self.sessions.get_mut(&token) {
@@ -829,10 +809,8 @@ impl Reactor {
         }
         self.sessions.insert(token, session);
         self.counters.session_adopted();
-        self.wheel.schedule(
-            now + self.config.session.handshake_timeout,
-            TimerKind::SessionCheck { token },
-        );
+        self.wheel
+            .schedule(now + HANDSHAKE_TIMEOUT, TimerKind::SessionCheck { token });
         self.ready.insert(token);
     }
 
@@ -887,7 +865,7 @@ impl Reactor {
             entry.consecutive_failures,
             self.config.backoff_base,
             self.config.backoff_max,
-            self.config.backoff_jitter,
+            BACKOFF_JITTER,
             &mut self.rng,
         );
         let retry_at = now + delay;
@@ -897,7 +875,7 @@ impl Reactor {
         }
     }
 
-    /// One exchange tick: sample `fanout` neighbors and run one
+    /// One exchange tick: sample `EXCHANGE_FANOUT` neighbors and run one
     /// anti-entropy round with each — a digest (unless the backoff says
     /// the peer answered nothing lately), the encode-once full slice on
     /// fallback ticks, a dial when no session exists yet.
@@ -909,7 +887,7 @@ impl Reactor {
         }
         let full_tick = self.config.full_sync_every > 0
             && self.tick_no.is_multiple_of(self.config.full_sync_every);
-        let targets = self.pss.sample_many(&mut self.rng, self.config.fanout);
+        let targets = self.pss.sample_many(&mut self.rng, EXCHANGE_FANOUT);
         for target in targets {
             if target == self.id {
                 continue;
@@ -1241,9 +1219,10 @@ mod tests {
             .map(|i| transport.connect(PeerId(10 + i), PeerId(1)).unwrap())
             .collect();
         r.poll_once();
-        assert_eq!(r.session_count(), 2, "cap must hold");
-        assert_eq!(r.counters.snapshot().shed_accept, 3);
-        assert_eq!(r.counters.snapshot().sessions_peak, 2);
+        let stats = r.counters.snapshot();
+        assert_eq!(stats.sessions_live, 2, "cap must hold");
+        assert_eq!(stats.shed_accept, 3);
+        assert_eq!(stats.sessions_peak, 2);
         // shed dialers observe EOF; adopted ones do not
         let mut eofs = 0;
         let deadline = Instant::now() + Duration::from_secs(2);

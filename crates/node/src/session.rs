@@ -115,24 +115,14 @@ pub enum SessionEvent {
     },
 }
 
-/// Tunables for one session.
-#[derive(Debug, Clone, Copy)]
-pub struct SessionConfig {
-    /// How long the handshake may take end-to-end.
-    pub handshake_timeout: Duration,
-    /// Inactivity limit after establishment: no inbound bytes for this
-    /// long and the session is torn down as dead.
-    pub idle_timeout: Duration,
-}
+/// How long the handshake may take end-to-end (DESIGN.md, "Node
+/// runtime", timeout defaults).
+pub(crate) const HANDSHAKE_TIMEOUT: Duration = Duration::from_millis(500);
 
-impl Default for SessionConfig {
-    fn default() -> Self {
-        SessionConfig {
-            handshake_timeout: Duration::from_millis(500),
-            idle_timeout: Duration::from_secs(30),
-        }
-    }
-}
+/// Inactivity limit after establishment: no inbound bytes for this long
+/// and the session is torn down as dead — three exchange intervals of
+/// the default 10 s (DESIGN.md, "Node runtime", timeout defaults).
+const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SessionState {
@@ -231,19 +221,9 @@ impl Session {
         }
     }
 
-    /// The reactor token this session was created with.
-    pub fn token(&self) -> u64 {
-        self.token
-    }
-
     /// The peer on the other end, once the handshake has completed.
     pub fn remote(&self) -> Option<PeerId> {
         self.remote
-    }
-
-    /// Which side of the connection we are.
-    pub fn direction(&self) -> Direction {
-        self.direction
     }
 
     /// Whether the session has reached its terminal state.
@@ -649,15 +629,12 @@ impl Session {
     pub fn check_deadlines(
         &mut self,
         now: Instant,
-        config: &SessionConfig,
         counters: &NodeCounters,
         events: &mut Vec<SessionEvent>,
     ) -> Option<Instant> {
         let deadline = match self.state {
-            SessionState::Handshake => self.started_at + config.handshake_timeout,
-            SessionState::Exchange | SessionState::Draining => {
-                self.last_activity + config.idle_timeout
-            }
+            SessionState::Handshake => self.started_at + HANDSHAKE_TIMEOUT,
+            SessionState::Exchange | SessionState::Draining => self.last_activity + IDLE_TIMEOUT,
             SessionState::Closed { .. } => return None,
         };
         if now >= deadline {
@@ -789,33 +766,17 @@ mod tests {
         let (conn_a, _mute) = pair(&t);
         let counters = NodeCounters::default();
         let mut pool = BufPool::new();
-        let config = SessionConfig {
-            handshake_timeout: Duration::from_millis(50),
-            ..SessionConfig::default()
-        };
         let t0 = Instant::now();
         let mut s = Session::new(1, conn_a, Direction::Initiator, t0);
         let mut events = Vec::new();
         s.pump(PeerId(0), t0, &mut pool, &counters, &mut events);
         // before the deadline: still waiting, and a re-check is scheduled
         let next = s
-            .check_deadlines(
-                t0 + Duration::from_millis(10),
-                &config,
-                &counters,
-                &mut events,
-            )
+            .check_deadlines(t0 + Duration::from_millis(10), &counters, &mut events)
             .expect("still pending");
-        assert_eq!(next, t0 + Duration::from_millis(50));
+        assert_eq!(next, t0 + HANDSHAKE_TIMEOUT);
         // past the deadline: closed unclean, counted as failed
-        assert!(s
-            .check_deadlines(
-                t0 + Duration::from_millis(51),
-                &config,
-                &counters,
-                &mut events
-            )
-            .is_none());
+        assert!(s.check_deadlines(next, &counters, &mut events).is_none());
         assert!(s.is_closed());
         assert!(matches!(
             events.last().unwrap(),

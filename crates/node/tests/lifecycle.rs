@@ -15,66 +15,59 @@ use bartercast_core::codec::BufPool;
 use bartercast_core::{BarterCastMessage, PrivateHistory, TransferRecord};
 use bartercast_node::backoff_delay;
 use bartercast_node::mem::{MemConfig, MemTransport};
-use bartercast_node::node::{Node, NodeConfig};
-use bartercast_node::session::{Direction, Session, SessionConfig, SessionEvent};
+use bartercast_node::session::{Direction, Session, SessionEvent};
 use bartercast_node::stats::NodeCounters;
 use bartercast_node::transport::Transport;
 use bartercast_node::wire::{self, Envelope};
+use bartercast_node::{Lockstep, NodeConfig};
 use bartercast_util::units::{Bytes, PeerId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A half-open peer: sends its Hello, establishes, then never speaks
 /// again. The node's idle deadline must reap the session and the peer
-/// must see the close.
+/// must see the close. On virtual time the default 30 s deadline costs
+/// nothing.
 #[test]
 fn half_open_peer_hits_the_idle_timeout() {
-    let transport = Arc::new(MemTransport::new(MemConfig::default()));
-    let node = Node::spawn(
-        PeerId(0),
-        Arc::clone(&transport) as Arc<dyn Transport>,
-        vec![],
-        PrivateHistory::new(PeerId(0)),
-        NodeConfig {
-            exchange_interval: Duration::from_secs(3600), // stay passive
-            session: SessionConfig {
-                handshake_timeout: Duration::from_millis(200),
-                idle_timeout: Duration::from_millis(150),
-            },
-            ..NodeConfig::default()
-        },
-    )
-    .unwrap();
-
-    let mut conn = transport.connect(PeerId(9), PeerId(0)).unwrap();
+    let mut lockstep = Lockstep::new(MemConfig::default());
+    lockstep
+        .spawn(
+            PeerId(0),
+            vec![],
+            PrivateHistory::new(PeerId(0)),
+            NodeConfig::default(),
+        )
+        .unwrap();
+    let mut conn = lockstep.transport().connect(PeerId(9), PeerId(0)).unwrap();
     conn.try_send(&wire::encode_envelope(&Envelope::Hello {
         peer: PeerId(9),
         version: wire::NODE_PROTOCOL_VERSION,
     }))
     .unwrap();
     // ...and then silence. The node must establish, wait out the idle
-    // deadline, and close — which we observe as EOF on our side.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    let mut saw_eof = false;
-    let mut buf = [0u8; 4096];
-    while Instant::now() < deadline {
-        match conn.try_recv(&mut buf) {
-            Ok(Some(0)) | Err(_) => {
-                saw_eof = true;
-                break;
-            }
-            Ok(Some(_)) => {} // the node's Hello; drain and ignore
-            Ok(None) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
-    assert!(saw_eof, "half-open session was never reaped");
-    let stats = node.shutdown();
+    // deadline, and close.
+    let stats = |l: &Lockstep| l.stats()[&PeerId(0)];
+    assert!(lockstep.run_until(|l| stats(l).sessions_closed == 1, Duration::from_secs(60)));
+    let reaped_at = lockstep.elapsed();
+    assert!(
+        reaped_at >= Duration::from_secs(30) && reaped_at < Duration::from_secs(31),
+        "reaped at {reaped_at:?}, not at the idle deadline"
+    );
+    let stats = stats(&lockstep);
     assert_eq!(stats.sessions_opened, 1, "handshake did complete");
-    assert_eq!(stats.sessions_closed, 1, "idle reap counts as a close");
     assert_eq!(stats.sessions_live, 0);
     assert_eq!(stats.protocol_errors, 0);
+    // the peer observes the close as EOF once the node's Hello is read
+    let mut buf = [0u8; 4096];
+    loop {
+        match conn.try_recv(&mut buf) {
+            Ok(Some(0)) | Err(_) => break,
+            Ok(Some(_)) => {} // the node's Hello; drain and ignore
+            Ok(None) => panic!("the reaped session left the peer hanging"),
+        }
+    }
 }
 
 /// Feed a session a Records frame split at an arbitrary byte boundary,

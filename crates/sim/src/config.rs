@@ -6,12 +6,11 @@ use bartercast_core::message::BarterCastConfig;
 use bartercast_core::metric::ReputationMetric;
 use bartercast_core::policy::ReputationPolicy;
 use bartercast_graph::maxflow::Method;
-use bartercast_util::units::Bytes;
 use bartercast_util::units::Seconds;
 
 /// A peer's long-term behaviour class (§5.1): lazy freeriders
 /// "immediately leave the swarm after finishing a download", sharers
-/// "share every downloaded file for 10 hours".
+/// "share every downloaded file for 10 hours" (`engine::SEED_TIME`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Behaviour {
     /// Seeds each completed file for the configured seed time.
@@ -19,6 +18,10 @@ pub enum Behaviour {
     /// Leaves each swarm the moment its download completes.
     Freerider,
 }
+
+/// Fraction of (non-archival) peers that are lazy freeriders: §5.1
+/// splits the active population 50/50.
+pub(crate) const FREERIDER_FRACTION: f64 = 0.5;
 
 /// Full configuration of one simulation run.
 #[derive(Debug, Clone)]
@@ -30,11 +33,6 @@ pub struct SimConfig {
     /// use 30–60 s rounds for speed (the dynamics at day scale are
     /// unchanged).
     pub round: Seconds,
-    /// Fraction of (non-archival) peers that are lazy freeriders
-    /// (paper: 0.5).
-    pub freerider_fraction: f64,
-    /// How long sharers seed each completed file (paper: 10 hours).
-    pub seed_time: Seconds,
     /// The reputation policy every obeying peer enforces (§4.2).
     pub policy: ReputationPolicy,
     /// Optional private-tracker ratio enforcement. When set it
@@ -50,49 +48,17 @@ pub struct SimConfig {
     pub bt: BtConfig,
     /// Adversary model (§5.4).
     pub adversary: AdversaryModel,
-    /// Mean interval between a peer's random (PSS-sampled) gossip
-    /// meetings.
-    pub gossip_interval: Seconds,
-    /// Minimum interval between BarterCast message exchanges with the
-    /// same transfer partner. Peers exchange messages with peers they
-    /// meet, and transfer partners are met continuously (§3.4's `Nr`
-    /// "most recently seen" selection presumes exactly this).
-    pub partner_exchange_interval: Seconds,
-    /// How stale a cached reputation may get before the policy
-    /// recomputes it from the subjective graph.
-    pub reputation_refresh: Seconds,
     /// Maxflow variant (deployed: two-hop bounded).
     pub maxflow: Method,
     /// Reputation metric (deployed: arctan with 2 GB unit).
     pub metric: ReputationMetric,
     /// Interval between system-reputation samples (Figure 1a).
     pub reputation_sample_interval: Seconds,
-    /// Optional misreport auditing (an extension beyond the paper —
-    /// see `bartercast_core::audit`). When set, every peer cross-checks
-    /// the messages it receives and the report carries
-    /// detection-quality statistics.
-    pub audit: Option<AuditConfig>,
-}
-
-/// Parameters of the optional misreport auditing extension.
-#[derive(Debug, Clone, Copy)]
-pub struct AuditConfig {
-    /// Tolerance factor (source claim vs. target confirmation).
-    pub factor: f64,
-    /// Absolute staleness slack.
-    pub slack: Bytes,
-    /// Marks needed before a peer counts as a suspect.
-    pub min_marks: u32,
-}
-
-impl Default for AuditConfig {
-    fn default() -> Self {
-        AuditConfig {
-            factor: 4.0,
-            slack: Bytes::from_mb(512),
-            min_marks: 3,
-        }
-    }
+    /// Misreport auditing (an extension beyond the paper — see
+    /// `bartercast_core::audit`). When set, every peer cross-checks the
+    /// messages it receives and the report carries detection-quality
+    /// statistics.
+    pub audit: bool,
 }
 
 impl Default for SimConfig {
@@ -100,8 +66,6 @@ impl Default for SimConfig {
         SimConfig {
             seed: 1,
             round: Seconds(30),
-            freerider_fraction: 0.5,
-            seed_time: Seconds::from_hours(10),
             policy: ReputationPolicy::None,
             ratio: None,
             bartercast: BarterCastConfig::default(),
@@ -111,13 +75,10 @@ impl Default for SimConfig {
                 optimistic_period: Seconds(30),
             },
             adversary: AdversaryModel::None,
-            gossip_interval: Seconds::from_hours(1),
-            partner_exchange_interval: Seconds::from_hours(2),
-            reputation_refresh: Seconds::from_minutes(10),
             maxflow: Method::DEPLOYED,
             metric: ReputationMetric::default(),
             reputation_sample_interval: Seconds::from_hours(6),
-            audit: None,
+            audit: false,
         }
     }
 }
@@ -128,11 +89,7 @@ impl SimConfig {
     pub fn validate(&self) {
         assert!(self.round.0 > 0, "round must be positive");
         assert!(
-            (0.0..=1.0).contains(&self.freerider_fraction),
-            "freerider fraction out of range"
-        );
-        assert!(
-            self.adversary.fraction() <= self.freerider_fraction + 1e-9,
+            self.adversary.fraction() <= FREERIDER_FRACTION + 1e-9,
             "disobeying peers are drawn from the freeriders (§5.4), so the \
              adversary fraction cannot exceed the freerider fraction"
         );
@@ -158,8 +115,6 @@ mod tests {
     fn default_is_valid_and_paper_like() {
         let c = SimConfig::default();
         c.validate();
-        assert_eq!(c.freerider_fraction, 0.5);
-        assert_eq!(c.seed_time, Seconds::from_hours(10));
         assert_eq!(c.bartercast.nh, 10);
         assert_eq!(c.bartercast.nr, 10);
     }

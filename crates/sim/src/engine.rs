@@ -4,7 +4,7 @@
 //!
 //! 1. plays back trace events — session starts/ends, file requests —
 //!    and behaviour events: freeriders leave a swarm the instant their
-//!    download completes, sharers seed for the configured 10 hours;
+//!    download completes, sharers seed for `SEED_TIME` (§5.1: 10 hours);
 //! 2. recomputes every online member's unchoke set (tit-for-tat,
 //!    optimistic rotation, reputation policy) at the unchoke period;
 //! 3. allocates bandwidth: an uploader's uplink is split evenly over
@@ -19,7 +19,7 @@
 //! Runs are fully deterministic given `(trace, SimConfig)`.
 
 use crate::adversary::{AdversaryModel, Conduct};
-use crate::config::{Behaviour, SimConfig};
+use crate::config::{Behaviour, SimConfig, FREERIDER_FRACTION};
 use crate::metrics::{GroupSeries, PeerOutcome, SimReport};
 use crate::peer::SimPeer;
 use bartercast_bt::choke::Candidate;
@@ -33,6 +33,41 @@ use bartercast_util::{FxHashMap, FxHashSet};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+
+/// How long sharers seed each completed file: §5.1's "share every
+/// downloaded file for 10 hours".
+const SEED_TIME: Seconds = Seconds::from_hours(10);
+
+/// Mean interval between a peer's random (PSS-sampled) gossip
+/// meetings: §5.1's hourly meetings (EXPERIMENTS.md, "Calibration
+/// decisions", item 5).
+const GOSSIP_INTERVAL: Seconds = Seconds::from_hours(1);
+
+/// Minimum interval between BarterCast message exchanges with the same
+/// transfer partner. Peers exchange messages with peers they meet, and
+/// transfer partners are met continuously (§3.4's `Nr` "most recently
+/// seen" selection presumes exactly this; EXPERIMENTS.md, "Calibration
+/// decisions", item 5).
+const PARTNER_EXCHANGE_INTERVAL: Seconds = Seconds::from_hours(2);
+
+/// How stale a cached reputation may get before the policy recomputes
+/// it from the subjective graph: well inside the hourly gossip cadence,
+/// so a meeting's records reach the choke decisions within one refresh.
+const REPUTATION_REFRESH: Seconds = Seconds::from_minutes(10);
+
+/// Audit tolerance factor: a source claim is flagged above this many
+/// times the target's confirmation (plus `AUDIT_SLACK`). The
+/// `sim run --audit` extension beyond the paper (EXPERIMENTS.md,
+/// "Misreport auditing"; `bartercast_core::audit`).
+const AUDIT_FACTOR: f64 = 4.0;
+
+/// Audit staleness slack: the absolute allowance for one witness's
+/// cumulative total lagging the other's between meetings.
+const AUDIT_SLACK: Bytes = Bytes::from_mb(512);
+
+/// Discrepancy marks a peer needs, summed over every auditor, before
+/// it counts as a suspect.
+const AUDIT_MIN_MARKS: u32 = 3;
 
 /// One flow assignment for a round: uploader → downloader within a
 /// swarm, carrying `bytes`.
@@ -121,7 +156,7 @@ impl Simulation {
         // Behaviour split over non-archival peers.
         let mut regular: Vec<usize> = (0..n).filter(|i| !archival.contains(i)).collect();
         regular.shuffle(&mut rng);
-        let freerider_count = (regular.len() as f64 * config.freerider_fraction).round() as usize;
+        let freerider_count = (regular.len() as f64 * FREERIDER_FRACTION).round() as usize;
         let freeriders: FxHashSet<usize> = regular.iter().take(freerider_count).copied().collect();
 
         // Disobeying peers are "a random selection from [the]
@@ -167,8 +202,11 @@ impl Simulation {
                     pss_config,
                     engine,
                 );
-                if let Some(a) = config.audit {
-                    peer.auditor = Some(bartercast_core::audit::Auditor::new(a.factor, a.slack));
+                if config.audit {
+                    peer.auditor = Some(bartercast_core::audit::Auditor::new(
+                        AUDIT_FACTOR,
+                        AUDIT_SLACK,
+                    ));
                 }
                 peer
             })
@@ -182,7 +220,7 @@ impl Simulation {
             boot.shuffle(&mut rng);
             boot.truncate(10);
             peer.pss.bootstrap(boot);
-            peer.next_gossip = Seconds(rng.gen_range(0..config.gossip_interval.0.max(1)));
+            peer.next_gossip = Seconds(rng.gen_range(0..GOSSIP_INTERVAL.0));
         }
 
         // Swarms with their archival seeders joined from t = 0.
@@ -230,17 +268,6 @@ impl Simulation {
     /// Immutable peer access (tests, experiments).
     pub fn peers(&self) -> &[SimPeer] {
         &self.peers
-    }
-
-    /// Mutable peer access (reputation queries need `&mut` for the
-    /// engine's memoization).
-    pub fn peers_mut(&mut self) -> &mut [SimPeer] {
-        &mut self.peers
-    }
-
-    /// Immutable swarm access.
-    pub fn swarms(&self) -> &[Swarm] {
-        &self.swarms
     }
 
     /// Whether this peer is one of the archival initial seeders.
@@ -343,7 +370,7 @@ impl Simulation {
         if !self.now.0.is_multiple_of(period) {
             return;
         }
-        let epoch = self.now.0 / self.config.reputation_refresh.0.max(1);
+        let epoch = self.now.0 / REPUTATION_REFRESH.0;
         let policy = self.config.policy;
         // an active ratio policy replaces the reputation policy in
         // choke decisions (the third policy beside rank/ban)
@@ -495,7 +522,7 @@ impl Simulation {
         // who uploaded to *its own* sources — the two-hop paths the
         // maxflow depends on.
         let mut exchange_pairs: Vec<(usize, usize)> = Vec::new();
-        let interval = self.config.partner_exchange_interval;
+        let interval = PARTNER_EXCHANGE_INTERVAL;
         for f in &flows {
             if f.bytes == 0 || f.up == f.down {
                 continue;
@@ -549,8 +576,7 @@ impl Simulation {
                     self.swarms[s].leave(pid);
                 }
                 Behaviour::Sharer => {
-                    self.seeding_until
-                        .insert((d, s), self.now + self.config.seed_time);
+                    self.seeding_until.insert((d, s), self.now + SEED_TIME);
                 }
             }
         }
@@ -597,7 +623,7 @@ impl Simulation {
                 continue;
             }
             // schedule next meeting with jitter
-            let base = self.config.gossip_interval.0.max(1);
+            let base = GOSSIP_INTERVAL.0;
             let jitter = self.rng.gen_range(0..=base / 2);
             self.peers[i].next_gossip = self.now + Seconds(base + jitter);
             // pick an online, reachable partner from the PSS view
@@ -738,7 +764,7 @@ impl Simulation {
                 }
             })
             .collect();
-        let audit = self.config.audit.map(|acfg| {
+        let audit = self.config.audit.then(|| {
             // aggregate marks and cross-checked incident counts across
             // all peers' auditors; suspicion needs both volume and a
             // high marked/checked ratio (see `bartercast_core::audit`)
@@ -763,7 +789,7 @@ impl Simulation {
                     .iter()
                     .filter(|(&q, &m)| {
                         let checked = total_checked.get(&q).copied().unwrap_or(0).max(1);
-                        m >= acfg.min_marks && m as f64 / checked as f64 >= 0.5
+                        m >= AUDIT_MIN_MARKS && m as f64 / checked as f64 >= 0.5
                     })
                     .map(|(&p, _)| p)
                     .collect();
@@ -926,7 +952,7 @@ mod tests {
                 for &s in p.completed.keys() {
                     finished += 1;
                     assert!(
-                        !sim.swarms()[s].contains(p.id),
+                        !sim.swarms[s].contains(p.id),
                         "freerider {} still in swarm {s} after completing it",
                         p.id
                     );
@@ -949,7 +975,7 @@ mod tests {
         let mut sim = Simulation::new(trace, cfg);
         let unchoke_sets = |sim: &Simulation| {
             let mut sets = std::collections::BTreeMap::new();
-            for (s, swarm) in sim.swarms().iter().enumerate() {
+            for (s, swarm) in sim.swarms.iter().enumerate() {
                 for pid in swarm.members() {
                     sets.insert((s, pid), swarm.member(pid).unwrap().unchoked.clone());
                 }
@@ -979,7 +1005,6 @@ mod tests {
     fn adversary_fraction_capped_by_freeriders() {
         let mut cfg = small_config();
         cfg.adversary = AdversaryModel::Ignore { fraction: 0.5 };
-        cfg.freerider_fraction = 0.5;
         let sim = Simulation::new(small_trace(2), cfg);
         let silent = sim
             .peers()
@@ -1078,7 +1103,7 @@ mod tests {
             fraction: 0.3,
             claim: bartercast_util::units::Bytes::from_gb(100),
         };
-        cfg.audit = Some(crate::config::AuditConfig::default());
+        cfg.audit = true;
         let report = Simulation::new(small_trace(12), cfg).run();
         let audit = report.audit.expect("auditing enabled");
         assert!(audit.liar_count > 0);
@@ -1097,7 +1122,7 @@ mod tests {
     #[test]
     fn auditing_stays_quiet_without_liars() {
         let mut cfg = small_config();
-        cfg.audit = Some(crate::config::AuditConfig::default());
+        cfg.audit = true;
         let report = Simulation::new(small_trace(13), cfg).run();
         let audit = report.audit.expect("auditing enabled");
         assert_eq!(audit.liar_count, 0);

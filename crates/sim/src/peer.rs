@@ -45,7 +45,7 @@ pub struct SimPeer {
     /// frontier cache. A repeat of an identical message models a
     /// digest round that concluded "in sync" and is suppressed.
     pub delivered_frontier: FxHashMap<PeerId, u64>,
-    /// Reputation cache refreshed every `reputation_refresh` epoch:
+    /// Reputation cache refreshed every `REPUTATION_REFRESH` epoch:
     /// `target -> (epoch, value)`.
     rep_cache: FxHashMap<PeerId, (u64, f64)>,
     /// Ground-truth totals for metrics (what the peer *really* moved).
@@ -120,9 +120,10 @@ impl SimPeer {
         }
     }
 
-    /// Policy-facing reputation of `target`, recomputed at most once
-    /// per refresh epoch (`epoch = now / reputation_refresh`).
-    pub fn reputation_of(&mut self, target: PeerId, epoch: u64) -> f64 {
+    /// One target's epoch-cached reputation: the per-target reference
+    /// [`SimPeer::reputations_of`] is checked against.
+    #[cfg(test)]
+    fn reputation_of(&mut self, target: PeerId, epoch: u64) -> f64 {
         if let Some(&(e, v)) = self.rep_cache.get(&target) {
             if e == epoch {
                 return v;
@@ -133,9 +134,9 @@ impl SimPeer {
         v
     }
 
-    /// Batch form of [`SimPeer::reputation_of`]: reputations of all
-    /// `targets` in order, at most one recomputation per refresh epoch
-    /// each. Targets missing from the epoch cache are evaluated
+    /// Policy-facing reputations of all `targets` in order, at most one
+    /// recomputation per refresh epoch (`epoch = now /
+    /// REPUTATION_REFRESH`) each. Targets missing from the epoch cache are evaluated
     /// together through the engine's single-source batch path, which
     /// shares one two-hop traversal across all of them.
     pub fn reputations_of(&mut self, targets: &[PeerId], epoch: u64) -> Vec<f64> {

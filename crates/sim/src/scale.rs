@@ -49,6 +49,19 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Transfers each peer initiates per synthetic round: one upload to
+/// one of its stable partners (EXPERIMENTS.md, "Beyond the paper",
+/// Scalability).
+const TRANSFERS_PER_PEER: usize = 1;
+
+/// Gossip messages each probe hears per round from random peers, on
+/// top of its transfer partners (EXPERIMENTS.md, "Beyond the paper",
+/// Scalability).
+const GOSSIP_PER_PROBE: usize = 20;
+
+/// Fraction of the population that freerides: §5.1's 50/50 split.
+const FREERIDER_FRACTION: f64 = 0.5;
+
 /// Scalability-study parameters.
 #[derive(Debug, Clone)]
 pub struct ScaleConfig {
@@ -58,16 +71,8 @@ pub struct ScaleConfig {
     pub probes: usize,
     /// Synthetic protocol rounds.
     pub rounds: usize,
-    /// Transfers initiated per peer per round.
-    pub transfers_per_peer: usize,
-    /// Gossip messages each probe receives per round.
-    pub gossip_per_probe: usize,
-    /// Freerider fraction.
-    pub freerider_fraction: f64,
     /// RNG seed.
     pub seed: u64,
-    /// BarterCast record-selection parameters.
-    pub bartercast: BarterCastConfig,
     /// Probability each gossip message is lost in transit. Survivors
     /// are absorbed within the round they were sent in.
     pub message_loss: f64,
@@ -79,11 +84,7 @@ impl Default for ScaleConfig {
             peers: 10_000,
             probes: 100,
             rounds: 30,
-            transfers_per_peer: 1,
-            gossip_per_probe: 20,
-            freerider_fraction: 0.5,
             seed: 1,
-            bartercast: BarterCastConfig::default(),
             message_loss: 0.0,
         }
     }
@@ -175,7 +176,7 @@ fn run_scale_ordered(config: &ScaleConfig, reverse: bool) -> ScaleReport {
     // behaviour split
     let behaviours: Vec<Behaviour> = (0..n)
         .map(|_| {
-            if rng.gen_bool(config.freerider_fraction) {
+            if rng.gen_bool(FREERIDER_FRACTION) {
                 Behaviour::Freerider
             } else {
                 Behaviour::Sharer
@@ -236,7 +237,7 @@ fn run_scale_ordered(config: &ScaleConfig, reverse: bool) -> ScaleReport {
         // 1. synthetic transfers: uploader i pushes to a random partner
         //    (shared-RNG phase: population state, inherently serial)
         for i in 0..n {
-            for _ in 0..config.transfers_per_peer {
+            for _ in 0..TRANSFERS_PER_PEER {
                 // sharers upload ~5x what freeriders do
                 let mb = match behaviours[i] {
                     Behaviour::Sharer => rng.gen_range(20..120),
@@ -253,7 +254,7 @@ fn run_scale_ordered(config: &ScaleConfig, reverse: bool) -> ScaleReport {
         }
         // 2. gossip into the probes: each probe hears its transfer
         //    counterparties — upload targets *and* upload sources, met
-        //    continuously — plus `gossip_per_probe` random peers. The
+        //    continuously — plus `GOSSIP_PER_PROBE` random peers. The
         //    sources' messages are what carry the j -> k edges of the
         //    two-hop paths j -> k -> probe (k reports its own top
         //    uploaders, §3.4). Per-probe state only: runs in parallel.
@@ -266,7 +267,7 @@ fn run_scale_ordered(config: &ScaleConfig, reverse: bool) -> ScaleReport {
                 .iter()
                 .copied()
                 .chain(sources[probe.peer].iter().copied())
-                .chain((0..config.gossip_per_probe).map(|_| probe.rng.gen_range(0..n)))
+                .chain((0..GOSSIP_PER_PROBE).map(|_| probe.rng.gen_range(0..n)))
                 .collect();
             for sender in senders {
                 if sender == probe.peer {
@@ -282,7 +283,11 @@ fn run_scale_ordered(config: &ScaleConfig, reverse: bool) -> ScaleReport {
                 // delay: deliveries never crossed a round boundary and
                 // absorption is an order-free max-merge.
                 let _delay: u64 = probe.rng.gen_range(0..=600);
-                let msg = BarterCastMessage::from_history(&histories[sender], config.bartercast);
+                // the paper's Nh = Nr = 10 (§5.1)
+                let msg = BarterCastMessage::from_history(
+                    &histories[sender],
+                    BarterCastConfig::default(),
+                );
                 probe.engine.absorb_message(&msg);
                 probe.messages += 1;
             }

@@ -2,7 +2,7 @@
 //!
 //! Two kinds of parallelism live here:
 //!
-//! * [`run_configs`] / [`sweep`] — the Figure 2c/3a/3b experiments run
+//! * [`run_configs`] — the Figure 2c/3a/3b experiments run
 //!   the same trace under several configurations; runs are independent
 //!   and fan out one-per-thread.
 //! * [`system_reputation_sums`] — the Equation-2 sweep inside one
@@ -61,17 +61,6 @@ pub fn run_configs(trace: &Trace, configs: Vec<SimConfig>) -> Vec<SimReport> {
         }
     });
     slots.into_iter().map(|s| s.expect("slot filled")).collect()
-}
-
-/// Convenience: sweep one parameter via a closure from items to
-/// configurations.
-pub fn sweep<T, F>(trace: &Trace, items: &[T], make: F) -> Vec<SimReport>
-where
-    T: Clone,
-    F: FnMut(&T) -> SimConfig,
-{
-    let configs: Vec<SimConfig> = items.iter().map(make).collect();
-    run_configs(trace, configs)
 }
 
 /// Below this many evaluators the thread-spawn overhead outweighs the
@@ -538,11 +527,11 @@ mod tests {
     #[test]
     fn sweep_preserves_order() {
         let trace = tiny_trace();
-        let deltas = [-0.3, -0.5, -0.7];
-        let reports = sweep(&trace, &deltas, |&d| SimConfig {
-            policy: ReputationPolicy::Ban { delta: d },
+        let configs = [-0.3, -0.5, -0.7].map(|delta| SimConfig {
+            policy: ReputationPolicy::Ban { delta },
             ..cfg()
         });
+        let reports = run_configs(&trace, configs.to_vec());
         assert_eq!(reports.len(), 3);
         // determinism: rerunning any single config gives the same totals
         let again = Simulation::new(

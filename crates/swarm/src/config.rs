@@ -83,19 +83,9 @@ pub struct SwarmParams {
     /// round-robin seeding feeds freeriders at full speed and no
     /// policy can show suppression.
     pub upload_pieces_per_round: usize,
-    /// Piece uploads served per choke round by a node holding the
-    /// complete content. Keep this *above* the leecher budget: the
-    /// seeder's injection rate bounds aggregate cooperator demand,
-    /// and when injection is the bottleneck every node's surplus
-    /// capacity drains to the freeriders (the only peers who always
-    /// want something) no matter how the policy orders them.
-    pub seed_upload_pieces_per_round: usize,
     /// Re-request a pending piece after this many rounds without the
     /// piece arriving (recovers frames lost by the transport).
     pub request_timeout_rounds: u64,
-    /// Re-advertise the full bitfield every this many rounds so lost
-    /// `Have` frames cannot starve interest tracking forever.
-    pub bitfield_refresh_rounds: u64,
 }
 
 impl Default for SwarmParams {
@@ -118,9 +108,7 @@ impl Default for SwarmParams {
             },
             pipeline: 4,
             upload_pieces_per_round: 1,
-            seed_upload_pieces_per_round: 3,
             request_timeout_rounds: 3,
-            bitfield_refresh_rounds: 8,
         }
     }
 }
@@ -132,10 +120,9 @@ impl SwarmParams {
         assert!(self.piece_size.0 > 0, "pieces must have a size");
         assert!(self.pipeline > 0, "pipeline must admit requests");
         assert!(
-            self.upload_pieces_per_round > 0 && self.seed_upload_pieces_per_round > 0,
-            "upload budgets must be positive"
+            self.upload_pieces_per_round > 0,
+            "upload budget must be positive"
         );
         assert!(self.request_timeout_rounds > 0, "timeout must be positive");
-        assert!(self.bitfield_refresh_rounds > 0, "refresh must be positive");
     }
 }

@@ -69,14 +69,6 @@ impl SwarmLedger {
     pub fn progress_of(&self, peer: PeerId) -> PeerProgress {
         self.progress.get(&peer).copied().unwrap_or_default()
     }
-
-    /// Every peer that completed, with its completion round.
-    pub fn completions(&self) -> Vec<(PeerId, u64)> {
-        self.progress
-            .iter()
-            .filter_map(|(&p, pr)| pr.completed_round.map(|r| (p, r)))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -95,6 +87,7 @@ mod tests {
         assert_eq!(l.progress_of(PeerId(1)).pieces, 1);
         assert_eq!(l.progress_of(PeerId(1)).downloaded, Bytes(100));
         assert_eq!(l.progress_of(PeerId(2)).uploaded, Bytes(200));
-        assert_eq!(l.completions(), vec![(PeerId(1), 7)]);
+        assert_eq!(l.progress_of(PeerId(1)).completed_round, Some(7));
+        assert_eq!(l.progress_of(PeerId(2)).completed_round, None);
     }
 }

@@ -70,6 +70,19 @@ use std::sync::{Arc, Mutex};
 /// dropped (the requester re-requests after its timeout).
 const REQUEST_QUEUE_CAP: usize = 64;
 
+/// Piece uploads served per choke round by a node holding the complete
+/// content. Kept *above* the leecher budget: the seeder's injection
+/// rate bounds aggregate cooperator demand, and when injection is the
+/// bottleneck every node's surplus capacity drains to the freeriders
+/// (the only peers who always want something) no matter how the policy
+/// orders them (DESIGN.md, "Scarcity model").
+const SEED_UPLOAD_PIECES_PER_ROUND: usize = 3;
+
+/// Re-advertise the full bitfield every this many rounds so lost
+/// `Have` frames cannot starve interest tracking forever (see "Loss
+/// robustness" above).
+const BITFIELD_REFRESH_ROUNDS: u64 = 8;
+
 /// What this node believes about one connected peer.
 #[derive(Debug)]
 struct PeerView {
@@ -200,6 +213,7 @@ impl SwarmWorkload {
     }
 
     /// Recount `availability` and `inflight` from the views and compare.
+    #[cfg(test)]
     pub fn check_invariants(&self) -> Result<(), String> {
         let n = self.params.piece_count;
         let (mut availability, mut inflight) = (vec![0u32; n], vec![0u32; n]);
@@ -367,7 +381,7 @@ impl SwarmWorkload {
         }
         let seeding = self.have.is_complete();
         let mut budget = if seeding {
-            self.params.seed_upload_pieces_per_round
+            SEED_UPLOAD_PIECES_PER_ROUND
         } else {
             self.params.upload_pieces_per_round
         };
@@ -648,10 +662,7 @@ impl Workload for SwarmWorkload {
         }
         // periodic loss repair: re-advertise the bitfield and re-dial
         // bootstrap peers we lost
-        if self
-            .round
-            .is_multiple_of(self.params.bitfield_refresh_rounds)
-        {
+        if self.round.is_multiple_of(BITFIELD_REFRESH_ROUNDS) {
             for &peer in &targets {
                 io.send(peer, self.bitfield_frame());
             }

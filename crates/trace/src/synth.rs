@@ -12,8 +12,8 @@
 //!   window plus random extra sessions;
 //! * staggered file requests: each peer requests a subset of the
 //!   swarms at random times inside its sessions;
-//! * common ADSL bandwidth (3 MBps down / 512 KBps up) and a
-//!   configurable fraction of unconnectable (NATed) peers.
+//! * common ADSL bandwidth (3 MBps down / 512 KBps up) and a fixed
+//!   fraction of unconnectable (NATed) peers.
 //!
 //! All randomness flows from one seed, so a `(SynthConfig, seed)` pair
 //! defines the trace exactly.
@@ -24,6 +24,28 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+/// Fraction of regular peers behind NATs, which reach only connectable
+/// peers: the §5.1 traces record each peer's connectability, and the
+/// synthetic trace draws it (DESIGN.md, "Substitutions", item 1).
+const UNCONNECTABLE_FRACTION: f64 = 0.2;
+
+/// Mean number of swarms each peer requests: with 10 swarms, every
+/// peer wants most of the week's files (EXPERIMENTS.md, "Calibration
+/// decisions", item 2).
+const REQUESTS_PER_PEER: f64 = 10.0;
+
+/// Uplink of the archival initial seeders. Kept below the regular
+/// uplink so the always-on seeders bootstrap the swarms without
+/// absorbing all demand — the community's own sharers must carry the
+/// load, as in the paper's private-tracker setting (EXPERIMENTS.md,
+/// "Calibration decisions", item 3).
+const SEEDER_UP_BW: Bandwidth = Bandwidth::from_kbps(32);
+
+/// Probability a file is a small "audio" file rather than a large
+/// "movie" file: §5.1's "mostly audio and movie files", tilted to
+/// movies (EXPERIMENTS.md, "Calibration decisions", item 2).
+const SMALL_FILE_PROB: f64 = 0.15;
+
 /// Generator parameters. Defaults match the paper's simulation setup.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SynthConfig {
@@ -33,24 +55,12 @@ pub struct SynthConfig {
     pub swarms: usize,
     /// Trace length (paper: one week).
     pub horizon: Seconds,
-    /// Fraction of peers that are behind NATs.
-    pub unconnectable_fraction: f64,
-    /// Mean number of swarms each peer requests.
-    pub requests_per_peer: f64,
     /// Downlink (paper: 3 MBps).
     pub down_bw: Bandwidth,
     /// Uplink (paper: 512 KBps).
     pub up_bw: Bandwidth,
-    /// Uplink of the archival initial seeders. Kept below the regular
-    /// uplink so the always-on seeders bootstrap the swarms without
-    /// absorbing all demand — the community's own sharers must carry
-    /// the load, as in the paper's private-tracker setting.
-    pub seeder_up_bw: Bandwidth,
     /// Piece size for all swarms.
     pub piece_size: Bytes,
-    /// Probability a file is a small "audio" file rather than a
-    /// large "movie" file.
-    pub small_file_prob: f64,
     /// Optional heterogeneous access-link mix. When non-empty, each
     /// regular peer draws its `(down, up)` from these weighted classes
     /// instead of the flat `down_bw`/`up_bw` pair (the paper models
@@ -96,13 +106,9 @@ impl Default for SynthConfig {
             peers: 100,
             swarms: 10,
             horizon: Seconds::from_days(7),
-            unconnectable_fraction: 0.2,
-            requests_per_peer: 10.0,
             down_bw: Bandwidth::from_mbps(3),
             up_bw: Bandwidth::from_kbps(512),
-            seeder_up_bw: Bandwidth::from_kbps(32),
             piece_size: Bytes::from_mb(1),
-            small_file_prob: 0.15,
             bandwidth_classes: Vec::new(),
         }
     }
@@ -130,11 +136,6 @@ impl TraceBuilder {
         TraceBuilder { config }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &SynthConfig {
-        &self.config
-    }
-
     /// Generate a trace. Identical `(config, seed)` pairs give
     /// identical traces.
     pub fn build(&self, seed: u64) -> Trace {
@@ -149,7 +150,7 @@ impl TraceBuilder {
         // Swarm files: log-uniform audio (30-120 MB) or movie (500-2000 MB).
         let swarms: Vec<SwarmTrace> = (0..cfg.swarms)
             .map(|i| {
-                let small = rng.gen_bool(cfg.small_file_prob);
+                let small = rng.gen_bool(SMALL_FILE_PROB);
                 let (lo, hi) = if small {
                     (30.0, 120.0)
                 } else {
@@ -187,7 +188,7 @@ impl TraceBuilder {
                     random_requests(&mut rng, cfg)
                 };
                 let (down_bw, up_bw) = if is_initial_seeder {
-                    (cfg.down_bw, cfg.seeder_up_bw)
+                    (cfg.down_bw, SEEDER_UP_BW)
                 } else if cfg.bandwidth_classes.is_empty() {
                     (cfg.down_bw, cfg.up_bw)
                 } else {
@@ -198,7 +199,7 @@ impl TraceBuilder {
                     peer,
                     sessions,
                     requests,
-                    connectable: is_initial_seeder || !rng.gen_bool(cfg.unconnectable_fraction),
+                    connectable: is_initial_seeder || !rng.gen_bool(UNCONNECTABLE_FRACTION),
                     down_bw,
                     up_bw,
                 }
@@ -304,7 +305,7 @@ fn diurnal_sessions(rng: &mut StdRng, horizon: Seconds) -> Vec<Session> {
 }
 
 fn random_requests(rng: &mut StdRng, cfg: &SynthConfig) -> Vec<FileRequest> {
-    let mean = cfg.requests_per_peer;
+    let mean = REQUESTS_PER_PEER;
     // Poisson-ish: sample count from a geometric-like distribution
     // around the mean, clamped to the number of swarms.
     let count = ((mean * rng.gen_range(0.5..1.5)).round() as usize).clamp(1, cfg.swarms);

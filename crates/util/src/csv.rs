@@ -13,7 +13,6 @@ use std::path::Path;
 pub struct CsvWriter<W: Write> {
     out: W,
     columns: usize,
-    rows_written: usize,
 }
 
 impl CsvWriter<BufWriter<File>> {
@@ -35,7 +34,6 @@ impl<W: Write> CsvWriter<W> {
         Ok(CsvWriter {
             out,
             columns: header.len(),
-            rows_written: 0,
         })
     }
 
@@ -54,14 +52,7 @@ impl<W: Write> CsvWriter<W> {
             fields.len(),
             self.columns
         );
-        writeln!(self.out, "{}", encode_row(fields.into_iter()))?;
-        self.rows_written += 1;
-        Ok(())
-    }
-
-    /// Number of data rows written so far (excluding the header).
-    pub fn rows_written(&self) -> usize {
-        self.rows_written
+        writeln!(self.out, "{}", encode_row(fields.into_iter()))
     }
 
     /// Flush and return the inner writer.
@@ -134,7 +125,6 @@ mod tests {
             let mut w = CsvWriter::new(&mut buf, &["day", "sharers", "freeriders"]).unwrap();
             w.row(["1", "800.0", "950.0"]).unwrap();
             w.row(["2", "900.0", "700.0"]).unwrap();
-            assert_eq!(w.rows_written(), 2);
             w.finish().unwrap();
         }
         let text = String::from_utf8(buf).unwrap();

@@ -12,20 +12,12 @@ pub struct Running {
     n: u64,
     mean: f64,
     m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl Running {
     /// Create an empty accumulator.
     pub fn new() -> Self {
-        Running {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
+        Running::default()
     }
 
     /// Add one observation.
@@ -34,8 +26,6 @@ impl Running {
         let d = x - self.mean;
         self.mean += d / self.n as f64;
         self.m2 += d * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
     }
 
     /// Number of observations so far.
@@ -61,16 +51,6 @@ impl Running {
         }
     }
 
-    /// Minimum observation (`None` if empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-
-    /// Maximum observation (`None` if empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
-    }
-
     /// Merge another accumulator into this one (parallel reduction).
     pub fn merge(&mut self, other: &Running) {
         if other.n == 0 {
@@ -87,8 +67,6 @@ impl Running {
         self.mean += delta * n2 / total;
         self.m2 += other.m2 + delta * delta * n1 * n2 / total;
         self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -215,11 +193,6 @@ impl Ecdf {
             .enumerate()
             .map(move |(i, &x)| (x, (i + 1) as f64 / n))
     }
-
-    /// The underlying sorted sample.
-    pub fn sorted(&self) -> &[f64] {
-        &self.sorted
-    }
 }
 
 #[cfg(test)]
@@ -235,8 +208,6 @@ mod tests {
         assert_eq!(r.count(), 8);
         assert!((r.mean() - 5.0).abs() < 1e-12);
         assert!((r.variance() - 32.0 / 7.0).abs() < 1e-12);
-        assert_eq!(r.min(), Some(2.0));
-        assert_eq!(r.max(), Some(9.0));
     }
 
     #[test]

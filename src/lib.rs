@@ -25,7 +25,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use bartercast::core::{PrivateHistory, ReputationEngine};
+//! use bartercast::core::{BarterCastConfig, BarterCastMessage, PrivateHistory, ReputationEngine};
 //! use bartercast::util::units::{Bytes, PeerId, Seconds};
 //!
 //! // Peer 0's private view: it uploaded 100 MB to peer 1 and
@@ -38,7 +38,24 @@
 //! let mut engine = ReputationEngine::from_private(&hist);
 //! // Peer 2 fed us data: positive reputation. Peer 1 only took: negative.
 //! assert!(engine.reputation(me, PeerId(2)) > 0.0);
-//! assert!(engine.reputation(me, PeerId(1)) < 0.0);
+//! let before = engine.reputation(me, PeerId(1));
+//! assert!(before < 0.0);
+//!
+//! // Peer 1 gossips its own history: it seeded 2 GB to peer 2. That
+//! // earns it indirect credit along 1 -> 2 -> 0, capped by the 300 MB
+//! // peer 0 actually received from peer 2 (§3.4's lie containment).
+//! let mut peer1 = PrivateHistory::new(PeerId(1));
+//! peer1.record_download(me, Bytes::from_mb(100), Seconds(10));
+//! peer1.record_upload(PeerId(2), Bytes::from_gb(2), Seconds(30));
+//! let msg = BarterCastMessage::from_history(&peer1, BarterCastConfig::default());
+//! assert!(engine.absorb_message(&msg) > 0);
+//! assert!(engine.reputation(me, PeerId(1)) > before);
+//!
+//! // The two maxflows behind Equation 1.
+//! let (toward, away) = engine.flows(me, PeerId(1));
+//! println!("maxflow(1 -> 0) = {toward}, maxflow(0 -> 1) = {away}");
+//! assert_eq!(toward, Bytes::from_mb(300));
+//! assert_eq!(away, Bytes::from_mb(100));
 //! ```
 
 pub use bartercast_bt as bt;

@@ -5,7 +5,6 @@
 use bartercast::core::policy::ReputationPolicy;
 use bartercast::graph::analysis;
 use bartercast::sim::adversary::AdversaryModel;
-use bartercast::sim::config::AuditConfig;
 use bartercast::sim::scale::{run_scale, ScaleConfig};
 use bartercast::sim::{SimConfig, Simulation};
 use bartercast::trace::{SynthConfig, TraceBuilder};
@@ -42,7 +41,7 @@ fn audited_lying_run_reports_detection_quality() {
             claim: Bytes::from_gb(100),
         },
         policy: ReputationPolicy::Ban { delta: -0.5 },
-        audit: Some(AuditConfig::default()),
+        audit: true,
         ..config()
     };
     let report = Simulation::new(trace(2), cfg).run();
