@@ -111,6 +111,11 @@ impl Swarm {
         self.members.keys().copied()
     }
 
+    /// Current members with their state, in [`Swarm::members`] order.
+    pub fn member_states(&self) -> impl Iterator<Item = (PeerId, &Member)> + '_ {
+        self.members.iter().map(|(&id, m)| (id, m))
+    }
+
     /// Number of members.
     pub fn member_count(&self) -> usize {
         self.members.len()

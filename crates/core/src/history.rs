@@ -248,9 +248,62 @@ impl PrivateHistory {
     /// recently seen, deduplicated. Ordering among selected peers is
     /// deterministic (by the selection keys, then peer id).
     pub fn select_peers(&self, nh: usize, nr: usize) -> Vec<PeerId> {
-        let mut by_upload: Vec<(PeerId, TransferTotals)> =
+        let mut entries: Vec<(PeerId, TransferTotals)> =
             self.entries.iter().map(|(&k, &v)| (k, v)).collect();
-        // "highest upload to i" = bytes i downloaded from them
+        let mut selected: Vec<PeerId> = Vec::with_capacity(nh + nr);
+        for (p, t) in top(&mut entries, nh, by_upload) {
+            if !t.down.is_zero() {
+                selected.push(*p);
+            }
+        }
+        for (p, _) in top(&mut entries, nr, by_recency) {
+            if !selected.contains(p) {
+                selected.push(*p);
+            }
+        }
+        selected
+    }
+}
+
+type Entry = (PeerId, TransferTotals);
+
+/// "Highest upload to i" first (bytes i downloaded from them), then
+/// peer id: a total order, since ids are unique.
+fn by_upload(a: &Entry, b: &Entry) -> std::cmp::Ordering {
+    b.1.down.cmp(&a.1.down).then(a.0.cmp(&b.0))
+}
+
+/// Most recently seen first, then peer id.
+fn by_recency(a: &Entry, b: &Entry) -> std::cmp::Ordering {
+    b.1.last_seen.cmp(&a.1.last_seen).then(a.0.cmp(&b.0))
+}
+
+/// The first `k` of `entries` under the total order `cmp`, sorted:
+/// the prefix a full sort would yield, at the cost of a selection plus
+/// a sort of `k` entries. Reorders `entries`.
+fn top(
+    entries: &mut [Entry],
+    k: usize,
+    mut cmp: impl FnMut(&Entry, &Entry) -> std::cmp::Ordering,
+) -> &[Entry] {
+    let k = k.min(entries.len());
+    if k == 0 {
+        return &[];
+    }
+    if k < entries.len() {
+        entries.select_nth_unstable_by(k - 1, &mut cmp);
+    }
+    let kept = &mut entries[..k];
+    kept.sort_unstable_by(cmp);
+    kept
+}
+
+/// The reference oracle for `select_peers`.
+#[cfg(test)]
+impl PrivateHistory {
+    /// The selection by two full sorts that `top` replaced.
+    fn select_peers_by_full_sort(&self, nh: usize, nr: usize) -> Vec<PeerId> {
+        let mut by_upload: Vec<Entry> = self.entries.iter().map(|(&k, &v)| (k, v)).collect();
         by_upload.sort_by(|a, b| b.1.down.cmp(&a.1.down).then(a.0.cmp(&b.0)));
         let mut selected: Vec<PeerId> = Vec::with_capacity(nh + nr);
         for (p, t) in by_upload.iter().take(nh) {
@@ -258,8 +311,7 @@ impl PrivateHistory {
                 selected.push(*p);
             }
         }
-        let mut by_recent: Vec<(PeerId, TransferTotals)> =
-            self.entries.iter().map(|(&k, &v)| (k, v)).collect();
+        let mut by_recent: Vec<Entry> = self.entries.iter().map(|(&k, &v)| (k, v)).collect();
         by_recent.sort_by(|a, b| b.1.last_seen.cmp(&a.1.last_seen).then(a.0.cmp(&b.0)));
         for (p, _) in by_recent.iter().take(nr) {
             if !selected.contains(p) {
@@ -273,6 +325,7 @@ impl PrivateHistory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn p(i: u32) -> PeerId {
         PeerId(i)
@@ -438,5 +491,37 @@ mod tests {
         let b = h.select_peers(3, 0);
         assert_eq!(a, b);
         assert_eq!(a, vec![p(1), p(2), p(3)]); // tie-broken by id
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The top-k selection returns exactly what the two full sorts
+        /// did. Few distinct `down` and `last_seen` values, so the id
+        /// tie-break decides most places, zero uploaders among them,
+        /// and `nh`, `nr` at 0, 1, len − 1, len and past the end.
+        #[test]
+        fn selection_equals_the_full_sort(
+            records in prop::collection::vec((1u32..48, 0u64..3, 0u64..4, any::<bool>()), 0..40),
+            nh in 0usize..5,
+            nr in 0usize..5,
+        ) {
+            let mut h = PrivateHistory::new(p(0));
+            for &(peer, down, seen, touch) in &records {
+                if touch {
+                    h.touch(p(peer), Seconds(seen));
+                } else {
+                    h.record_download(p(peer), Bytes(down), Seconds(seen));
+                }
+            }
+            let len = h.len();
+            let sizes = [0, 1, len.saturating_sub(1), len, len + 3];
+            let (nh, nr) = (sizes[nh], sizes[nr]);
+            prop_assert_eq!(
+                h.select_peers(nh, nr),
+                h.select_peers_by_full_sort(nh, nr),
+                "nh {} nr {} over {} entries", nh, nr, len
+            );
+        }
     }
 }

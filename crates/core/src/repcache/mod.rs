@@ -72,6 +72,12 @@ pub struct ReputationEngine {
     /// Memoized `(evaluator, target)` reputations under a per-entry
     /// LRU budget.
     memo: MemoCache,
+    /// The last single-source sweep's flows, reused call to call so a
+    /// sweep allocates only when it outgrows every earlier one.
+    sweep: FxHashMap<PeerId, FlowPair>,
+    /// Peers the current batch's sweep newly memoized and the batch has
+    /// not yet asked for (see [`ReputationEngine::reputations_from`]).
+    fresh: FxHashSet<PeerId>,
     /// Graph version the memo cache was last synchronized to;
     /// [`ReputationEngine::sync`] is the single place that moves it.
     cached_version: u64,
@@ -113,6 +119,8 @@ impl ReputationEngine {
             metric: ReputationMetric::default(),
             kernel: FlowKernel::new(Method::DEPLOYED),
             memo: MemoCache::default(),
+            sweep: FxHashMap::default(),
+            fresh: FxHashSet::default(),
             cached_version: 0,
             hits: 0,
             misses: 0,
@@ -329,15 +337,15 @@ impl ReputationEngine {
         // first miss; `fresh` tracks the entries it inserted, which
         // still count as misses the first time they are requested so
         // hit/miss totals stay comparable with per-pair accounting
-        let mut flows: Option<FxHashMap<PeerId, FlowPair>> = None;
-        let mut fresh: Option<FxHashSet<PeerId>> = None;
+        let mut swept: Option<bool> = None;
+        self.fresh.clear();
         let mut out = Vec::with_capacity(targets.len());
         for &j in targets {
             if j == i {
                 out.push(0.0);
                 continue;
             }
-            if !fresh.as_ref().is_some_and(|f| f.contains(&j)) {
+            if !self.fresh.contains(&j) {
                 if let Some(r) = self.memo.get(&(i, j)) {
                     self.hits += 1;
                     out.push(r);
@@ -345,49 +353,49 @@ impl ReputationEngine {
                 }
             }
             self.misses += 1;
-            if flows.is_none() {
-                // `None` (method without a sweep) costs one match per miss
-                if let Some(swept) = self.kernel.all_flows_from(self.graph.get(), i) {
-                    // memoize the entire single-source result set;
-                    // entries already memoized are left alone (same
-                    // graph version, hence identical values)
-                    let mut inserted = FxHashSet::default();
-                    for (&peer, pair) in &swept {
-                        if peer != i
-                            && self
-                                .memo
-                                .insert_with((i, peer), || self.metric.eval(pair.toward, pair.away))
-                        {
-                            inserted.insert(peer);
-                        }
-                    }
-                    flows = Some(swept);
-                    fresh = Some(inserted);
-                }
-            }
-            // compute the output value straight from the flows (never
-            // read back through the memo, whose budget may already
-            // have evicted this call's own insertions)
-            let value = match &flows {
-                Some(swept) => {
-                    let pair = swept.get(&j).copied().unwrap_or_default();
-                    self.metric.eval(pair.toward, pair.away)
-                }
-                None => {
-                    let toward = self.kernel.flow(self.graph.get(), j, i);
-                    let away = self.kernel.flow(self.graph.get(), i, j);
-                    self.metric.eval(toward, away)
-                }
+            // `false` (method without a sweep) is decided once per batch
+            let value = if *swept.get_or_insert_with(|| self.sweep_and_memoize(i)) {
+                // straight from the flows, never read back through the
+                // memo, whose budget may already have evicted this
+                // call's own insertions
+                let pair = self.sweep.get(&j).copied().unwrap_or_default();
+                self.metric.eval(pair.toward, pair.away)
+            } else {
+                let toward = self.kernel.flow(self.graph.get(), j, i);
+                let away = self.kernel.flow(self.graph.get(), i, j);
+                self.metric.eval(toward, away)
             };
             // peers absent from the sweep have zero flow either way;
             // memoize them too so repeat queries hit
             self.memo.insert_with((i, j), || value);
-            if let Some(f) = fresh.as_mut() {
-                f.remove(&j);
-            }
+            self.fresh.remove(&j);
             out.push(value);
         }
         out
+    }
+
+    /// Sweep evaluator `i` into the reused buffer and memoize the
+    /// **entire** single-source result set, noting in `fresh` the
+    /// entries it inserted; entries already memoized are left alone
+    /// (same graph version, hence identical values). `false` when the
+    /// method has no sweep.
+    fn sweep_and_memoize(&mut self, i: PeerId) -> bool {
+        if !self
+            .kernel
+            .all_flows_from(self.graph.get(), i, &mut self.sweep)
+        {
+            return false;
+        }
+        for (&peer, pair) in &self.sweep {
+            if peer != i
+                && self
+                    .memo
+                    .insert_with((i, peer), || self.metric.eval(pair.toward, pair.away))
+            {
+                self.fresh.insert(peer);
+            }
+        }
+        true
     }
 
     /// One snapshot of the cache counters: hits, misses, live entries,
@@ -723,7 +731,9 @@ mod tests {
         for (f, t, mb) in [(3, 2, 100), (2, 1, 80), (1, 0, 60), (3, 1, 10)] {
             e.graph_mut().add_transfer(p(f), p(t), Bytes::from_mb(mb));
         }
-        assert!(e.kernel.all_flows_from(e.graph(), p(0)).is_none());
+        assert!(!e
+            .kernel
+            .all_flows_from(e.graph(), p(0), &mut FxHashMap::default()));
         let targets = [p(1), p(2), p(3)];
         let batch = e.clone().reputations_from(p(0), &targets);
         for (&j, r) in targets.iter().zip(batch) {
@@ -789,6 +799,69 @@ mod tests {
             e.reputation(p(0), p(2)).to_bits(),
             engine_with_chain().reputation(p(0), p(2)).to_bits()
         );
+    }
+
+    /// One engine whose sweep buffer serves evaluator after evaluator
+    /// answers bitwise what a fresh engine answers each time, with the
+    /// hit/miss accounting the per-call maps had. The evaluators reach
+    /// different peer sets, so an entry of one sweep left in the
+    /// buffer would read as flow in the next.
+    #[test]
+    fn reused_sweep_buffer_matches_fresh_engines() {
+        // {0, 1, 2, 3} and {5, 6, 7}, bridged by 3 -> 6; 9 is isolated
+        let edges = [
+            (1, 0, 100),
+            (2, 1, 50),
+            (0, 3, 30),
+            (3, 2, 25),
+            (6, 5, 80),
+            (7, 6, 40),
+            (5, 7, 20),
+            (3, 6, 10),
+            (9, 9, 1),
+        ];
+        // pinned from the engine with per-call sweep maps, on this
+        // same query sequence
+        let expected = [
+            (Method::Bounded(1), (9, 24, 30, 6)),
+            (Method::DEPLOYED, (11, 22, 34, 6)),
+        ];
+        for (method, (hits, misses, entries, invalidated)) in expected {
+            let mut shared = ReputationEngine::new().with_method(method);
+            for &(f, t, mb) in &edges {
+                shared
+                    .graph_mut()
+                    .add_transfer(p(f), p(t), Bytes::from_mb(mb));
+            }
+            for (step, i) in (0u32..).zip([0, 5, 0, 9, 5, 2, 7, 0, 3, 6]) {
+                if step == 4 {
+                    // a write between queries: `sync` evicts 5's and 6's
+                    shared
+                        .graph_mut()
+                        .add_transfer(p(6), p(5), Bytes::from_mb(1));
+                }
+                // a repeated target, and targets the evaluator's sweep
+                // memoized on an earlier step
+                let a = p(3 * step % 11);
+                let targets = [a, p((3 * step + 4) % 11), a, p((3 * step + 7) % 11)];
+                let mut cold = ReputationEngine::new().with_method(method);
+                *cold.graph_mut() = shared.graph().clone();
+                let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(shared.reputations_from(p(i), &targets)),
+                    bits(cold.reputations_from(p(i), &targets)),
+                    "{method:?}: R_{i}({targets:?}) at step {step}"
+                );
+            }
+            let want = CacheStats {
+                hits,
+                misses,
+                entries,
+                evictions: 0,
+                invalidated,
+            };
+            assert_eq!(shared.stats(), want, "{method:?}");
+        }
     }
 
     #[test]

@@ -17,19 +17,18 @@
 //! `tests/epoch_snapshot.rs`).
 //!
 //! Evaluation is **pure** — no memo cache, no sync — and calls the
-//! monolithic engine's bounded sweep
-//! (`graph::backend::bounded_flow_maps`): the flow totals are
-//! order-independent `u64` sums over the evaluator's two-hop
-//! neighbourhood (`graph::ssat`), and the metric maps the same two
-//! `u64`s through the same `f64` expression, so epoch reads are
-//! bit-identical to live-engine reads at the same graph state.
+//! monolithic engine's bounded sweep (`graph::ssat::sweep_into`): the
+//! flow totals are order-independent `u64` sums over the evaluator's
+//! two-hop neighbourhood, and the metric maps the same two `u64`s
+//! through the same `f64` expression, so epoch reads are bit-identical
+//! to live-engine reads at the same graph state.
 
 use std::sync::Arc;
 
 use crate::metric::ReputationMetric;
-use bartercast_graph::backend::bounded_flow_maps;
-use bartercast_graph::{ContributionGraph, Method};
-use bartercast_util::units::{Bytes, PeerId};
+use bartercast_graph::ssat;
+use bartercast_graph::{ContributionGraph, FlowPair, Method};
+use bartercast_util::units::PeerId;
 use bartercast_util::FxHashMap;
 
 /// An immutable snapshot of one shard's replica graph, safe to read
@@ -91,13 +90,16 @@ impl EpochView {
         &self.graph
     }
 
-    /// The two directed bounded-flow maps of evaluator `i`:
-    /// `(toward, away)` with `toward[j] = maxflow(j → i)` and
-    /// `away[j] = maxflow(i → j)`, exactly as the live engine's
-    /// bounded sweep computes them.
-    fn flow_maps(&self, i: PeerId) -> (FxHashMap<PeerId, Bytes>, FxHashMap<PeerId, Bytes>) {
-        bounded_flow_maps(&self.graph, i, self.method)
-            .expect("ShardedEngine::with_method admits only Bounded(k ≤ 2)")
+    /// Both bounded flows between evaluator `i` and every peer:
+    /// `flows[j] = (maxflow(j → i), maxflow(i → j))`, exactly as the
+    /// live engine's bounded sweep computes them.
+    fn flow_maps(&self, i: PeerId) -> FxHashMap<PeerId, FlowPair> {
+        let Method::Bounded(hops) = self.method else {
+            unreachable!("ShardedEngine::with_method admits only Bounded(k ≤ 2)")
+        };
+        let mut flows = FxHashMap::default();
+        ssat::sweep_into(&self.graph, i, hops, &mut flows);
+        flows
     }
 
     /// Subjective reputation `R_i(j)` (Equation 1) at this epoch.
@@ -108,28 +110,23 @@ impl EpochView {
         if i == j {
             return 0.0;
         }
-        let (toward, away) = self.flow_maps(i);
-        self.metric.eval(
-            toward.get(&j).copied().unwrap_or_default(),
-            away.get(&j).copied().unwrap_or_default(),
-        )
+        let pair = self.flow_maps(i).get(&j).copied().unwrap_or_default();
+        self.metric.eval(pair.toward, pair.away)
     }
 
     /// `R_i(j)` for every `j` in `targets`, in order — the epoch
     /// analogue of `ReputationEngine::reputations_from`, sharing one
     /// two-hop sweep across all targets.
     pub fn reputations_from(&self, i: PeerId, targets: &[PeerId]) -> Vec<f64> {
-        let (toward, away) = self.flow_maps(i);
+        let flows = self.flow_maps(i);
         targets
             .iter()
             .map(|&j| {
                 if i == j {
                     0.0
                 } else {
-                    self.metric.eval(
-                        toward.get(&j).copied().unwrap_or_default(),
-                        away.get(&j).copied().unwrap_or_default(),
-                    )
+                    let pair = flows.get(&j).copied().unwrap_or_default();
+                    self.metric.eval(pair.toward, pair.away)
                 }
             })
             .collect()
@@ -140,6 +137,7 @@ impl EpochView {
 mod tests {
     use super::*;
     use crate::repcache::ReputationEngine;
+    use bartercast_util::units::Bytes;
 
     fn p(i: u32) -> PeerId {
         PeerId(i)

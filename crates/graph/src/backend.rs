@@ -6,12 +6,11 @@
 //!   [`FlowNetwork`].
 //! * Batch sweeps ([`FlowKernel::all_flows_from`]) exist for the path
 //!   bounds whose flows have a closed form, `k ≤ 2`: direct edges for
-//!   `k = 1`, the two-hop sum ([`crate::ssat`]) for the deployed
-//!   `k = 2`. Both are bit-identical to per-pair bounded evaluation,
-//!   and [`bounded_flow_maps`] is the one place that selects them (the
-//!   shard epoch views call it too). Every other method — `Bounded(k)`
-//!   with `k ≥ 3` and `Dinic` — has no sweep and returns `None`; the
-//!   caller evaluates it pair by pair.
+//!   `k = 1`, the two-hop sum for the deployed `k = 2`, both in the one
+//!   pass [`crate::ssat::sweep_into`] (the shard epoch views call it
+//!   too), bit-identical to per-pair bounded evaluation. Every other
+//!   method — `Bounded(k)` with `k ≥ 3` and `Dinic` — has no sweep and
+//!   returns `false`; the caller evaluates it pair by pair.
 //!
 //! The flow network is keyed by [`ContributionGraph::version`], so a
 //! burst of queries against an unchanged graph shares one construction
@@ -83,42 +82,24 @@ impl FlowKernel {
     }
 
     /// Both Equation-1 flows from evaluator `i` to **every** reachable
-    /// peer in one sweep, or `None` when the method has no sweep (see
-    /// [`bounded_flow_maps`]; the caller then falls back to per-pair
-    /// [`FlowKernel::flow`] calls). Peers absent from the returned map
-    /// have zero flow in both directions.
+    /// peer in one sweep ([`ssat::sweep_into`]) written into `flows`,
+    /// which the caller owns and may reuse: `true` when the method has
+    /// a sweep, `false` (and `flows` untouched) when it has none and
+    /// the caller falls back to per-pair [`FlowKernel::flow`] calls.
+    /// Peers absent from `flows` have zero flow in both directions.
     pub fn all_flows_from(
         &self,
         graph: &ContributionGraph,
         i: PeerId,
-    ) -> Option<FxHashMap<PeerId, FlowPair>> {
-        let (toward, away) = bounded_flow_maps(graph, i, self.method)?;
-        let mut flows: FxHashMap<PeerId, FlowPair> = FxHashMap::default();
-        for (&j, &t) in &toward {
-            flows.entry(j).or_default().toward = t;
+        flows: &mut FxHashMap<PeerId, FlowPair>,
+    ) -> bool {
+        match self.method {
+            Method::Bounded(k) if k <= 2 => {
+                ssat::sweep_into(graph, i, k, flows);
+                true
+            }
+            _ => false,
         }
-        for (&j, &a) in &away {
-            flows.entry(j).or_default().away = a;
-        }
-        Some(flows)
-    }
-}
-
-/// The two directed flow maps of evaluator `i` under a path bound with
-/// a closed form: `(toward, away)` with `toward[j] = maxflow(j → i)`
-/// and `away[j] = maxflow(i → j)`, absent peers having zero flow.
-/// `Some` exactly for `Bounded(0)`, `Bounded(1)` (direct edges) and
-/// `Bounded(2)` ([`crate::ssat`]); `None` for every other method.
-pub fn bounded_flow_maps(
-    graph: &ContributionGraph,
-    i: PeerId,
-    method: Method,
-) -> Option<(FxHashMap<PeerId, Bytes>, FxHashMap<PeerId, Bytes>)> {
-    match method {
-        Method::Bounded(0) => Some((FxHashMap::default(), FxHashMap::default())),
-        Method::Bounded(1) => Some((graph.in_edges(i).collect(), graph.out_edges(i).collect())),
-        Method::Bounded(2) => Some((ssat::flows_into(graph, i), ssat::flows_from(graph, i))),
-        _ => None,
     }
 }
 
@@ -142,7 +123,8 @@ mod tests {
     fn ssat_sweep_matches_point_queries() {
         let g = chain();
         let mut b = FlowKernel::new(Method::DEPLOYED);
-        let flows = b.all_flows_from(&g, p(0)).expect("ssat has a sweep");
+        let mut flows = FxHashMap::default();
+        assert!(b.all_flows_from(&g, p(0), &mut flows), "ssat has a sweep");
         for j in [p(1), p(2)] {
             let pair = flows.get(&j).copied().unwrap_or_default();
             assert_eq!(pair.toward, b.flow(&g, j, p(0)), "toward {j}");
@@ -154,7 +136,8 @@ mod tests {
     fn ssat_bounded_one_reads_direct_edges() {
         let g = chain();
         let mut b = FlowKernel::new(Method::Bounded(1));
-        let flows = b.all_flows_from(&g, p(0)).unwrap();
+        let mut flows = FxHashMap::default();
+        assert!(b.all_flows_from(&g, p(0), &mut flows));
         // only the direct 1 -> 0 edge reaches peer 0 within one hop
         assert_eq!(flows.get(&p(1)).unwrap().toward, Bytes::from_mb(200));
         assert!(!flows.contains_key(&p(2)));
@@ -166,7 +149,8 @@ mod tests {
         let g = chain();
         for method in [Method::Dinic, Method::Bounded(3)] {
             let mut b = FlowKernel::new(method);
-            assert!(b.all_flows_from(&g, p(0)).is_none(), "{method:?}");
+            let mut flows = FxHashMap::default();
+            assert!(!b.all_flows_from(&g, p(0), &mut flows), "{method:?}");
             assert_eq!(b.flow(&g, p(2), p(0)), Bytes::from_mb(200), "{method:?}");
         }
     }

@@ -26,10 +26,16 @@
 //! in-direction pass needed for the `maxflow(j → i)` side of
 //! Equation 1.
 //!
-//! Both functions return exactly the values `maxflow::compute` returns
-//! for `Method::Bounded(2)` (bit-identical `u64` totals; the property
-//! tests in `tests/proptests.rs` pin this), so callers may substitute
-//! them freely for per-pair computation.
+//! [`sweep_into`] is the pass the reputation engine and the shard
+//! epoch views run: both directions at once, for any path bound
+//! `k ≤ 2`, written into one caller-owned [`FlowPair`] map that the
+//! engine reuses from call to call. [`flows_from`] and [`flows_into`]
+//! are its one-direction, `k = 2` oracles.
+//!
+//! All three return exactly the values `maxflow::compute` returns for
+//! `Method::Bounded(k)` (bit-identical `u64` totals; the property tests
+//! in `tests/proptests.rs` pin this), so callers may substitute them
+//! freely for per-pair computation.
 //!
 //! The traversal is expressed entirely through
 //! [`ContributionGraph::out_edges`] / [`ContributionGraph::in_edges`],
@@ -37,9 +43,58 @@
 //! `crate::csr`) without code changes: the two-hop neighbourhood walk
 //! now reads contiguous edge slots instead of chasing hash buckets.
 
+use crate::backend::FlowPair;
 use crate::contribution::ContributionGraph;
 use bartercast_util::units::{Bytes, PeerId};
 use bartercast_util::FxHashMap;
+
+/// Both Equation-1 flows of evaluator `i` under the path bound `hops ≤
+/// 2`, for every peer at once: after the call `flows[j]` holds
+/// `toward = flow(j → i)` and `away = flow(i → j)`, and a peer absent
+/// from `flows` has zero flow both ways. `flows` is cleared first, so
+/// one map can serve call after call.
+///
+/// # Panics
+/// If `hops > 2`: longer paths share edges and have no closed form.
+pub fn sweep_into(
+    graph: &ContributionGraph,
+    i: PeerId,
+    hops: usize,
+    flows: &mut FxHashMap<PeerId, FlowPair>,
+) {
+    assert!(hops <= 2, "no single-source sweep for {hops}-hop paths");
+    flows.clear();
+    if hops == 0 {
+        return;
+    }
+    half_sweep(flows, i, hops, |p| graph.in_edges(p), |f| &mut f.toward);
+    half_sweep(flows, i, hops, |p| graph.out_edges(p), |f| &mut f.away);
+}
+
+/// One direction of [`sweep_into`]: `edges(p)` walks away from `i`
+/// (in-edges for `toward`, out-edges for `away`) and `side` picks the
+/// field the flows add into.
+fn half_sweep<I: Iterator<Item = (PeerId, Bytes)>>(
+    flows: &mut FxHashMap<PeerId, FlowPair>,
+    i: PeerId,
+    hops: usize,
+    edges: impl Fn(PeerId) -> I,
+    side: fn(&mut FlowPair) -> &mut Bytes,
+) {
+    for (j, c) in edges(i) {
+        *side(flows.entry(j).or_default()) += c;
+    }
+    if hops < 2 {
+        return;
+    }
+    for (m, c_im) in edges(i) {
+        for (j, c_mj) in edges(m) {
+            if j != i {
+                *side(flows.entry(j).or_default()) += Bytes(c_im.0.min(c_mj.0));
+            }
+        }
+    }
+}
 
 /// Two-hop bounded maxflow from `source` to every reachable target.
 ///

@@ -10,7 +10,9 @@
 //! * adding capacity never decreases maxflow;
 //! * `merge_record` is idempotent and order-insensitive (max-merge);
 //! * the SSAT kernel reproduces per-pair `Bounded(2)` flows exactly,
-//!   in both directions, including absent and saturated nodes;
+//!   in both directions, including absent and saturated nodes, and
+//!   the fused pass reproduces `Bounded(0 | 1 | 2)` through one reused
+//!   map;
 //! * all five methods' flows carry a min-cut certificate: the residual
 //!   cut separates s from t and its capacity equals the flow value;
 //! * the CSR-backed `ContributionGraph` is observationally equivalent
@@ -24,6 +26,7 @@ use bartercast_graph::mincut;
 use bartercast_graph::network::FlowNetwork;
 use bartercast_graph::ssat;
 use bartercast_util::units::{Bytes, PeerId};
+use bartercast_util::FxHashMap;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -203,6 +206,41 @@ proptest! {
         // the kernel must never report the source as its own target
         prop_assert!(!out.contains_key(&source));
         prop_assert!(!into.contains_key(&source));
+    }
+
+    /// The fused pass the engine runs equals both one-direction oracles
+    /// and per-pair `Bounded(k)` flows for `k ∈ {0, 1, 2}`, on graphs
+    /// fed self-loops (which the graph ignores) and from evaluators the
+    /// graph may not hold. One map serves every call, as the engine's
+    /// buffer does, so a stale entry would read as flow.
+    #[test]
+    fn fused_sweep_matches_oracles_for_every_closed_form_bound(
+        edges in edges_strategy(10, 40),
+        evaluators in prop::collection::vec(0u32..12, 1..4),
+    ) {
+        let mut g = ContributionGraph::new();
+        for &(f, t, c) in &edges {
+            g.add_transfer(PeerId(f), PeerId(t), Bytes(c));
+        }
+        let mut flows = FxHashMap::default();
+        for &e in &evaluators {
+            let i = PeerId(e);
+            let (into, from) = (ssat::flows_into(&g, i), ssat::flows_from(&g, i));
+            for hops in [2, 0, 1] {
+                ssat::sweep_into(&g, i, hops, &mut flows);
+                prop_assert!(!flows.contains_key(&i), "sweep_into({i}, {hops}) names i");
+                for j in (0..12u32).map(PeerId) {
+                    let pair = flows.get(&j).copied().unwrap_or_default();
+                    let method = Method::Bounded(hops);
+                    prop_assert_eq!(pair.toward, maxflow::compute(&g, j, i, method), "toward {} -> {} k={}", j, i, hops);
+                    prop_assert_eq!(pair.away, maxflow::compute(&g, i, j, method), "away {} -> {} k={}", i, j, hops);
+                    if hops == 2 {
+                        prop_assert_eq!(pair.toward, into.get(&j).copied().unwrap_or_default());
+                        prop_assert_eq!(pair.away, from.get(&j).copied().unwrap_or_default());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

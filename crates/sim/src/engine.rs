@@ -23,7 +23,7 @@ use crate::config::{Behaviour, SimConfig, FREERIDER_FRACTION};
 use crate::metrics::{GroupSeries, PeerOutcome, SimReport};
 use crate::peer::SimPeer;
 use bartercast_bt::choke::Candidate;
-use bartercast_bt::swarm::Swarm;
+use bartercast_bt::swarm::{Member, Swarm};
 use bartercast_core::ReputationEngine;
 use bartercast_gossip::{shuffle, PssConfig};
 use bartercast_trace::model::Trace;
@@ -112,6 +112,47 @@ pub struct Simulation {
     download_started: FxHashMap<(usize, usize), Seconds>,
     /// Per-swarm (completions, total completion seconds, peak members).
     swarm_stats: Vec<(usize, u64, usize)>,
+    /// When set, every choke instant checks the table-built candidate
+    /// lists against the per-pair scan and adds the candidates compared.
+    #[cfg(test)]
+    scan_oracle: Option<usize>,
+}
+
+/// What a choke candidate test reads of one swarm member.
+#[derive(Clone, Copy)]
+struct Row<'a> {
+    id: PeerId,
+    online: bool,
+    connectable: bool,
+    member: &'a Member,
+}
+
+impl Row<'_> {
+    /// This member's candidates among `table`'s rows, in table order.
+    fn candidates(&self, table: &[Row]) -> Vec<Candidate> {
+        let mine = &self.member.bitfield;
+        // an uploader holding nothing interests no one
+        if mine.count() == 0 {
+            return Vec::new();
+        }
+        let (recv, sent) = (&self.member.recv_last, &self.member.sent_last);
+        table
+            .iter()
+            .filter(|q| {
+                q.id != self.id
+                    && q.online
+                    && (self.connectable || q.connectable)
+                    // a complete candidate wants nothing
+                    && !q.member.bitfield.is_complete()
+                    && q.member.bitfield.interested_in(mine)
+            })
+            .map(|q| Candidate {
+                peer: q.id,
+                rate_to_me: recv.get(&q.id).copied().unwrap_or(0),
+                rate_from_me: sent.get(&q.id).copied().unwrap_or(0),
+            })
+            .collect()
+    }
 }
 
 /// Order-sensitive FNV-1a content hash of a message (sender plus every
@@ -257,6 +298,8 @@ impl Simulation {
             trace,
             peers,
             swarms,
+            #[cfg(test)]
+            scan_oracle: None,
         }
     }
 
@@ -376,38 +419,20 @@ impl Simulation {
         // choke decisions (the third policy beside rank/ban)
         let ratio = self.config.ratio;
         for s in 0..self.swarms.len() {
-            let member_ids: Vec<PeerId> = self.swarms[s].members().collect();
-            for &pid in &member_ids {
+            let lists = self.candidate_lists(s);
+            #[cfg(test)]
+            if let Some(compared) = self.scan_oracle {
+                let by_scan = self.candidate_lists_by_scan(s);
+                assert_eq!(lists, by_scan, "swarm {s} at {}", self.now);
+                let listed = by_scan.iter().flat_map(|(_, c)| c).flatten().count();
+                self.scan_oracle = Some(compared + listed);
+            }
+            for (pid, candidates) in lists {
                 let i = pid.index();
-                if !self.peers[i].online {
+                let Some(candidates) = candidates else {
                     self.swarms[s].member_mut(pid).unwrap().unchoked.clear();
                     continue;
-                }
-                // interested, reachable candidates
-                let mut candidates: Vec<Candidate> = Vec::new();
-                for &qid in &member_ids {
-                    if qid == pid {
-                        continue;
-                    }
-                    let q = qid.index();
-                    if !self.peers[q].online {
-                        continue;
-                    }
-                    if !self.connectable_pair(i, q) {
-                        continue;
-                    }
-                    if !self.swarms[s].interested(qid, pid) {
-                        continue;
-                    }
-                    let m = self.swarms[s].member(pid).unwrap();
-                    candidates.push(Candidate {
-                        peer: qid,
-                        rate_to_me: m.recv_last.get(&qid).copied().unwrap_or(0),
-                        rate_from_me: m.sent_last.get(&qid).copied().unwrap_or(0),
-                    });
-                }
-                // deterministic candidate order
-                candidates.sort_by_key(|c| c.peer);
+                };
                 // scores first (separate borrow of self.peers[i])
                 let scores = crate::sweep::score_candidates(
                     &mut self.peers[i],
@@ -434,6 +459,34 @@ impl Simulation {
                 member.sent_last.clear();
             }
         }
+    }
+
+    /// Every member of swarm `s` in member order, each online one with
+    /// its choke candidates: the other online members it can reach that
+    /// want one of its pieces, by id, each with the member's rates to
+    /// and from it over the last period. `None` marks an offline member.
+    ///
+    /// Nothing a list reads moves during the choke phase (only the
+    /// transfer phase sets bits and rates), so one table of the swarm,
+    /// sorted by id, serves every member's list.
+    fn candidate_lists(&self, s: usize) -> Vec<(PeerId, Option<Vec<Candidate>>)> {
+        let rows: Vec<Row> = self.swarms[s]
+            .member_states()
+            .map(|(id, member)| {
+                let peer = &self.peers[id.index()];
+                Row {
+                    id,
+                    online: peer.online,
+                    connectable: peer.connectable,
+                    member,
+                }
+            })
+            .collect();
+        let mut table = rows.clone();
+        table.sort_unstable_by_key(|row| row.id);
+        rows.iter()
+            .map(|me| (me.id, me.online.then(|| me.candidates(&table))))
+            .collect()
     }
 
     /// Allocate bandwidth and move bytes/pieces.
@@ -852,6 +905,45 @@ impl Simulation {
     }
 }
 
+/// The reference oracle for `candidate_lists`.
+#[cfg(test)]
+impl Simulation {
+    /// The per-pair scan the member table replaced: for each online
+    /// member, every other member tested through the peer and swarm
+    /// lookups, then sorted by id.
+    fn candidate_lists_by_scan(&self, s: usize) -> Vec<(PeerId, Option<Vec<Candidate>>)> {
+        let member_ids: Vec<PeerId> = self.swarms[s].members().collect();
+        member_ids
+            .iter()
+            .map(|&pid| {
+                let i = pid.index();
+                if !self.peers[i].online {
+                    return (pid, None);
+                }
+                let mut candidates: Vec<Candidate> = Vec::new();
+                for &qid in &member_ids {
+                    let q = qid.index();
+                    if qid == pid
+                        || !self.peers[q].online
+                        || !self.connectable_pair(i, q)
+                        || !self.swarms[s].interested(qid, pid)
+                    {
+                        continue;
+                    }
+                    let m = self.swarms[s].member(pid).unwrap();
+                    candidates.push(Candidate {
+                        peer: qid,
+                        rate_to_me: m.recv_last.get(&qid).copied().unwrap_or(0),
+                        rate_from_me: m.sent_last.get(&qid).copied().unwrap_or(0),
+                    });
+                }
+                candidates.sort_by_key(|c| c.peer);
+                (pid, Some(candidates))
+            })
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -999,6 +1091,23 @@ mod tests {
             before = after;
         }
         assert!(boundary_changes >= 10, "unchoke sets barely moved");
+    }
+
+    /// At every choke instant of a small rank run, the member table
+    /// builds exactly the candidate lists the per-pair scan did.
+    #[test]
+    fn choke_table_matches_the_per_pair_scan() {
+        let mut cfg = small_config();
+        cfg.policy = ReputationPolicy::Rank;
+        let trace = small_trace(3);
+        let horizon = trace.horizon;
+        let mut sim = Simulation::new(trace, cfg);
+        sim.scan_oracle = Some(0);
+        while sim.now() < horizon {
+            sim.step();
+        }
+        let compared = sim.scan_oracle.unwrap();
+        assert!(compared > 1_000, "only {compared} candidates compared");
     }
 
     #[test]
