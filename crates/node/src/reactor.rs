@@ -44,7 +44,11 @@
 //! must I run next" and "would a cycle do anything now" — cost the
 //! same however many timers and sessions exist, and a driver pumping
 //! many reactors ([`Lockstep`](crate::Lockstep)) can skip the idle
-//! ones. The reactor never sleeps except in its single wait point, and
+//! ones. A cycle likewise touches only what its own inputs name: it
+//! reaps exactly the sessions whose `Closed` events it produced, and in
+//! waker mode tries the listener only when [`LISTENER_TOKEN`] was woken
+//! (every queued connection notifies it; a full accept burst re-arms
+//! it). The reactor never sleeps except in its single wait point, and
 //! never blocks on I/O at all. Overload is shed at two distinct points:
 //! inbound connections beyond `max_sessions` are accepted and
 //! immediately dropped (`shed_accept` — the peer sees a reset rather
@@ -539,6 +543,11 @@ impl Reactor {
         }
     }
 
+    /// The node's identity.
+    pub(crate) fn id(&self) -> PeerId {
+        self.id
+    }
+
     /// Shared handle to the operational counters.
     pub fn counters(&self) -> Arc<NodeCounters> {
         Arc::clone(&self.counters)
@@ -615,32 +624,37 @@ impl Reactor {
             self.ready.insert(token);
         }
 
-        // 4. inbound connections, up to the accept burst
-        let mut accepted = 0;
-        while accepted < ACCEPT_BURST {
-            match self.listener.try_accept() {
-                Ok(Some(conn)) => {
-                    accepted += 1;
-                    if self.draining || self.sessions.len() >= self.config.max_sessions {
-                        // accepted-then-dropped: the peer sees an
-                        // immediate close, not a hanging backlog
-                        NodeCounters::inc(&self.counters.shed_accept);
-                        drop(conn);
-                    } else {
-                        self.adopt(conn, Direction::Responder, now);
+        // 4. inbound connections, up to the accept burst — in waker
+        // mode only when the listener was woken, since every queued
+        // connection notifies it
+        if !self.targeted || self.ready.contains(&LISTENER_TOKEN) {
+            let mut accepted = 0;
+            while accepted < ACCEPT_BURST {
+                match self.listener.try_accept() {
+                    Ok(Some(conn)) => {
+                        accepted += 1;
+                        if self.draining || self.sessions.len() >= self.config.max_sessions {
+                            // accepted-then-dropped: the peer sees an
+                            // immediate close, not a hanging backlog
+                            NodeCounters::inc(&self.counters.shed_accept);
+                            drop(conn);
+                        } else {
+                            self.adopt(conn, Direction::Responder, now);
+                        }
+                        progress = true;
                     }
-                    progress = true;
+                    Ok(None) => break,
+                    Err(_) => break, // listener died; keep serving sessions
                 }
-                Ok(None) => break,
-                Err(_) => break, // listener died; keep serving sessions
             }
-        }
-        if accepted == ACCEPT_BURST {
-            // burst limit hit with possibly more queued: make sure the
-            // next cycle services the listener even without a new wake
-            self.ready.insert(LISTENER_TOKEN);
-        } else {
-            self.ready.remove(&LISTENER_TOKEN);
+            if accepted == ACCEPT_BURST {
+                // burst limit hit with possibly more queued: make sure
+                // the next cycle services the listener even without a
+                // new wake
+                self.ready.insert(LISTENER_TOKEN);
+            } else {
+                self.ready.remove(&LISTENER_TOKEN);
+            }
         }
 
         // 5. pump sessions
@@ -667,20 +681,25 @@ impl Reactor {
             }
         }
 
-        // 6. apply events, then reap the dead
+        // 6. apply events, then reap the dead: every close emits one
+        // `Closed` event, so the events name exactly the sessions to reap
+        let mut closed = Vec::new();
         if !events.is_empty() {
             progress = true;
+            closed.extend(events.iter().filter_map(|event| match event {
+                SessionEvent::Closed { token, .. } => Some(*token),
+                _ => None,
+            }));
             self.apply_events(events, now);
         }
-        let closed: Vec<u64> = self
-            .sessions
-            .iter()
-            .filter(|(_, s)| s.is_closed())
-            .map(|(t, _)| *t)
-            .collect();
+        closed.sort_unstable();
         for token in closed {
             self.reap(token);
         }
+        debug_assert!(
+            self.sessions.values().all(|s| !s.is_closed()),
+            "a closed session outlived its poll"
+        );
 
         progress
     }
@@ -1124,6 +1143,7 @@ impl Reactor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::VirtualClock;
     use crate::lockstep::Lockstep;
     use crate::mem::{MemConfig, MemTransport};
     use bartercast_util::units::Seconds;
@@ -1244,5 +1264,57 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         assert_eq!(eofs, 3, "exactly the shed dialers see EOF");
+    }
+
+    /// A reactor on virtual time over a fresh in-process network.
+    fn virtual_reactor() -> (Reactor, Arc<MemTransport>, Arc<VirtualClock>) {
+        let clock = Arc::new(VirtualClock::new());
+        let transport = Arc::new(MemTransport::with_clock(
+            MemConfig::default(),
+            Arc::clone(&clock) as Arc<dyn Clock>,
+        ));
+        let r = Reactor::new(
+            PeerId(1),
+            Arc::clone(&transport) as Arc<dyn Transport>,
+            vec![],
+            PrivateHistory::new(PeerId(1)),
+            fast_config(9),
+            Arc::clone(&clock) as Arc<dyn Clock>,
+        )
+        .unwrap();
+        (r, transport, clock)
+    }
+
+    /// A full accept burst re-arms the listener token, so the dials it
+    /// left queued are adopted on the next poll without a new wake.
+    #[test]
+    fn a_full_accept_burst_rearms_the_listener() {
+        let (mut r, transport, _clock) = virtual_reactor();
+        let _dialers: Vec<Box<dyn Conn>> = (0..ACCEPT_BURST as u32 + 5)
+            .map(|i| transport.connect(PeerId(10 + i), PeerId(1)).unwrap())
+            .collect();
+        r.poll_once();
+        assert_eq!(r.sessions.len(), ACCEPT_BURST);
+        assert!(r.ready.contains(&LISTENER_TOKEN), "listener re-armed");
+        assert!(r.wake.is_empty(), "no new wake arrived");
+        r.poll_once();
+        assert_eq!(r.sessions.len(), ACCEPT_BURST + 5);
+        assert!(!r.ready.contains(&LISTENER_TOKEN), "queue drained");
+        assert_eq!(r.counters.snapshot().sessions_live, ACCEPT_BURST as u64 + 5);
+    }
+
+    /// A session whose handshake deadline expires is reaped by the poll
+    /// that expired it.
+    #[test]
+    fn a_handshake_timeout_is_reaped_in_the_same_poll() {
+        let (mut r, transport, clock) = virtual_reactor();
+        let _silent = transport.connect(PeerId(10), PeerId(1)).unwrap();
+        r.poll_once();
+        assert_eq!(r.sessions.len(), 1, "adopted, awaiting Hello");
+        clock.advance_to(clock.now() + HANDSHAKE_TIMEOUT);
+        r.poll_once();
+        assert!(r.sessions.is_empty(), "expired and reaped");
+        let stats = r.counters.snapshot();
+        assert_eq!((stats.sessions_failed, stats.sessions_live), (1, 0));
     }
 }

@@ -35,6 +35,7 @@ use bartercast_util::units::PeerId;
 use std::collections::{BTreeSet, HashMap};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -54,6 +55,8 @@ pub const LISTENER_TOKEN: u64 = u64::MAX;
 struct WakeInner {
     ready: BTreeSet<u64>,
     kicked: bool,
+    /// A driver's runnable bitset and this queue's slot in it.
+    link: Option<(Arc<[AtomicU64]>, usize)>,
 }
 
 /// A set of woken tokens plus a condvar to sleep on.
@@ -62,11 +65,18 @@ struct WakeInner {
 /// here when they become readable; the reactor drains the set (in
 /// ascending token order, so pump order is deterministic) and sleeps on
 /// it when idle. [`WakeQueue::kick`] wakes a sleeper without marking
-/// any token ready — the shutdown path.
+/// any token ready — the shutdown path. The lockstep driver also links
+/// each reactor's queue to that reactor's bit in its runnable set, so a
+/// notify tells the driver which reactor to poll.
 #[derive(Default)]
 pub struct WakeQueue {
     inner: Mutex<WakeInner>,
     cv: Condvar,
+}
+
+/// Set bit `slot` of a bitset of 64-bit words.
+pub(crate) fn set_bit(bits: &[AtomicU64], slot: usize) {
+    bits[slot / 64].fetch_or(1 << (slot % 64), Ordering::Relaxed);
 }
 
 impl WakeQueue {
@@ -75,10 +85,20 @@ impl WakeQueue {
         Self::default()
     }
 
-    /// Mark `token` ready and wake any sleeper.
+    /// From now on every [`WakeQueue::notify`] also sets bit `slot` of
+    /// `bits`, replacing any earlier link.
+    pub(crate) fn link(&self, bits: Arc<[AtomicU64]>, slot: usize) {
+        self.inner.lock().expect("wake lock").link = Some((bits, slot));
+    }
+
+    /// Mark `token` ready, set the linked runnable bit, and wake any
+    /// sleeper.
     pub fn notify(&self, token: u64) {
         let mut inner = self.inner.lock().expect("wake lock");
         inner.ready.insert(token);
+        if let Some((bits, slot)) = &inner.link {
+            set_bit(bits, *slot);
+        }
         self.cv.notify_all();
     }
 
@@ -529,6 +549,19 @@ mod tests {
         let drained: Vec<u64> = q.drain().into_iter().collect();
         assert_eq!(drained, vec![1, 5, 9]);
         assert!(q.drain().is_empty());
+    }
+
+    #[test]
+    fn a_linked_wake_queue_marks_its_slot_on_notify() {
+        let bits: Arc<[AtomicU64]> = (0..2).map(|_| AtomicU64::new(0)).collect();
+        let q = WakeQueue::new();
+        q.notify(1);
+        assert_eq!(bits[1].load(Ordering::Relaxed), 0, "not linked yet");
+        q.link(Arc::clone(&bits), 70);
+        q.notify(2);
+        assert_eq!(bits[0].load(Ordering::Relaxed), 0);
+        assert_eq!(bits[1].load(Ordering::Relaxed), 1 << 6);
+        assert_eq!(q.drain().into_iter().collect::<Vec<_>>(), vec![1, 2]);
     }
 
     #[test]

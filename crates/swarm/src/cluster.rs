@@ -234,8 +234,10 @@ impl SwarmCluster {
         self.specs.remove(&id);
     }
 
-    /// Apply every scheduled event whose instant has been reached.
-    fn apply_due_events(&mut self) -> io::Result<()> {
+    /// Apply every scheduled event whose instant has been reached —
+    /// what [`Self::run_until`] does at each step boundary, for callers
+    /// that step the driver themselves.
+    pub fn apply_due_events(&mut self) -> io::Result<()> {
         while self.next_event < self.events.len()
             && self.events[self.next_event].at <= self.lockstep.elapsed()
         {
@@ -312,6 +314,11 @@ impl SwarmCluster {
     /// Virtual time elapsed since boot.
     pub fn elapsed(&self) -> Duration {
         self.lockstep.elapsed()
+    }
+
+    /// The driver underneath.
+    pub fn lockstep_mut(&mut self) -> &mut Lockstep {
+        &mut self.lockstep
     }
 
     /// The shared ground-truth ledger, snapshotted.
