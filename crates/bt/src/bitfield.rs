@@ -4,7 +4,7 @@
 ///
 /// Bits live in 64-bit words, piece `i` at bit `i % 64` of word
 /// `i / 64`. **Invariant:** no bit at or beyond `len` is ever set, so
-/// whole-word operations ([`Bitfield::words`], [`Bitfield::wanted_from`],
+/// whole-word operations ([`Bitfield::words`], [`Bitfield::wanted_words`],
 /// interest, iteration) never see a phantom piece in the last word.
 ///
 /// ```
@@ -28,7 +28,7 @@ pub struct Bitfield {
 
 /// Indices of the set bits of a word slice, ascending (bit `b` of word
 /// `w` is index `64 w + b`).
-pub fn iter_ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+pub(crate) fn iter_ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
     ones(words.iter().copied())
 }
 
@@ -149,21 +149,20 @@ impl Bitfield {
             .any(|(&mine, &theirs)| theirs & !mine != 0)
     }
 
-    /// The pieces `self` lacks and at least one of `offers` has, as
-    /// words (`OR` of the offers `& !self`); read them with
-    /// [`iter_ones`].
-    pub fn wanted_from<'a>(&self, offers: impl IntoIterator<Item = &'a Bitfield>) -> Vec<u64> {
-        let mut wanted = vec![0u64; self.bits.len()];
-        for offer in offers {
-            debug_assert_eq!(self.len, offer.len);
-            for (w, &theirs) in wanted.iter_mut().zip(&offer.bits) {
-                *w |= theirs;
-            }
-        }
-        for (w, &mine) in wanted.iter_mut().zip(&self.bits) {
-            *w &= !mine;
-        }
-        wanted
+    /// The pieces `self` lacks and at least one of `offers` has, one
+    /// word at a time (`OR` of the offers' words `& !self`'s): the
+    /// candidate stream of [`crate::picker::rarest`].
+    pub fn wanted_words<'a>(
+        &'a self,
+        offers: &'a [&'a Bitfield],
+    ) -> impl Iterator<Item = u64> + 'a {
+        debug_assert!(offers.iter().all(|offer| offer.len == self.len));
+        self.bits.iter().enumerate().map(move |(w, &mine)| {
+            offers
+                .iter()
+                .fold(0, |theirs, offer| theirs | offer.bits[w])
+                & !mine
+        })
     }
 
     /// Iterate over the pieces present.
@@ -293,10 +292,10 @@ mod tests {
                         "interest at len {len}"
                     );
                 }
-                let wanted = mine.wanted_from([&theirs, &third]);
+                let wanted: Vec<u64> = mine.wanted_words(&[&theirs, &third]).collect();
                 assert!(iter_ones(&wanted)
                     .eq((0..len).filter(|&i| !mine.has(i) && (theirs.has(i) || third.has(i)))));
-                assert!(iter_ones(&mine.wanted_from([])).next().is_none());
+                assert!(mine.wanted_words(&[]).all(|w| w == 0));
             }
         }
     }

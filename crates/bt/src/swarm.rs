@@ -1,7 +1,7 @@
 //! Per-swarm protocol state: members, bitfields, piece accounting and
 //! rarest-first selection.
 
-use crate::bitfield::{iter_ones, Bitfield};
+use crate::bitfield::Bitfield;
 use crate::choke::Choker;
 use crate::config::BtConfig;
 use crate::picker;
@@ -208,19 +208,19 @@ impl Swarm {
         if k == 0 {
             return Vec::new();
         }
-        let offers = providers
+        let offers: Vec<&Bitfield> = providers
             .iter()
             .filter_map(|p| self.members.get(p))
-            .map(|m| &m.bitfield);
-        let wanted = d.bitfield.wanted_from(offers);
-        picker::rarest(iter_ones(&wanted), k, |i| {
+            .map(|m| &m.bitfield)
+            .collect();
+        picker::rarest(d.bitfield.wanted_words(&offers), k, |i| {
             let tie = if salt == 0 {
                 i as u64
             } else {
                 // multiply-xor mix; any fixed bijection works here
                 (i as u64 ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15)
             };
-            (self.availability[i], tie)
+            Some(picker::key(self.availability[i], tie))
         })
     }
 

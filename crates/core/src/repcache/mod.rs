@@ -303,7 +303,11 @@ impl ReputationEngine {
     }
 
     /// Subjective reputation `R_i(j)` (§3.3, Equation 1), memoized
-    /// until the graph changes.
+    /// until the graph changes. A miss computes the two flows of this
+    /// one pair and memoizes one entry; for the deployed bounds
+    /// (`k ≤ 2`) that reads only the two peers' adjacency
+    /// ([`FlowKernel::flow`]). A caller asking for many targets of one
+    /// evaluator wants [`ReputationEngine::reputations_from`].
     pub fn reputation(&mut self, i: PeerId, j: PeerId) -> f64 {
         if i == j {
             return 0.0;

@@ -1,16 +1,24 @@
 //! [`FlowKernel`]: the one flow evaluator behind the reputation
 //! engine, fixed by the configured [`Method`].
 //!
-//! * Point queries ([`FlowKernel::flow`]) evaluate one directed flow
-//!   with the configured method on a shared, lazily rebuilt
-//!   [`FlowNetwork`].
-//! * Batch sweeps ([`FlowKernel::all_flows_from`]) exist for the path
-//!   bounds whose flows have a closed form, `k ≤ 2`: direct edges for
-//!   `k = 1`, the two-hop sum for the deployed `k = 2`, both in the one
-//!   pass [`crate::ssat::sweep_into`] (the shard epoch views call it
-//!   too), bit-identical to per-pair bounded evaluation. Every other
-//!   method — `Bounded(k)` with `k ≥ 3` and `Dinic` — has no sweep and
-//!   returns `false`; the caller evaluates it pair by pair.
+//! * Point queries ([`FlowKernel::flow`]) on the path bounds with a
+//!   closed form, `k ≤ 2`, read only the two endpoints' adjacency:
+//!   `c(s, t) + Σ_m min(c(s, m), c(m, t))` (the direct edge alone for
+//!   `k = 1`, nothing for `k = 0`), joining `out_edges(s)` with
+//!   `in_edges(t)` through one scratch map the kernel reuses, in
+//!   O(deg⁺ s + deg⁻ t). Every other method — `Bounded(k)` with
+//!   `k ≥ 3` and `Dinic` — runs on a shared, lazily rebuilt
+//!   [`FlowNetwork`], which the closed-form bounds never build.
+//! * Batch sweeps ([`FlowKernel::all_flows_from`]) exist for the same
+//!   bounds, `k ≤ 2`: one pass [`crate::ssat::sweep_into`] (the shard
+//!   epoch views call it too) yields the flows between one evaluator
+//!   and every peer at once, bit-identical to per-pair bounded
+//!   evaluation. Every other method has no sweep and returns `false`;
+//!   the caller evaluates it pair by pair.
+//!
+//! The caller picks between the two, because only the caller knows how
+//! many targets it asks for: a point query costs the two endpoints'
+//! degrees, a sweep the evaluator's whole two-hop ball.
 //!
 //! The flow network is keyed by [`ContributionGraph::version`], so a
 //! burst of queries against an unchanged graph shares one construction
@@ -58,7 +66,12 @@ impl VersionedNet {
 #[derive(Debug, Clone)]
 pub struct FlowKernel {
     method: Method,
+    /// The residual network of `Bounded(k ≥ 3)` and `Dinic`; never
+    /// built for the closed-form bounds.
     net: VersionedNet,
+    /// `c(s, m)` per out-neighbour `m` of the current point query's
+    /// source, reused query to query.
+    middles: FxHashMap<PeerId, Bytes>,
 }
 
 impl FlowKernel {
@@ -67,6 +80,7 @@ impl FlowKernel {
         FlowKernel {
             method,
             net: VersionedNet::default(),
+            middles: FxHashMap::default(),
         }
     }
 
@@ -78,7 +92,40 @@ impl FlowKernel {
     /// Directed flow `s → t`. Zero when either endpoint is absent or
     /// `s == t`.
     pub fn flow(&mut self, graph: &ContributionGraph, s: PeerId, t: PeerId) -> Bytes {
-        maxflow::compute_on(self.net.at(graph), s, t, self.method)
+        match self.method {
+            Method::Bounded(k) if k <= 2 => self.closed_form(graph, s, t, k),
+            method => maxflow::compute_on(self.net.at(graph), s, t, method),
+        }
+    }
+
+    /// `flow(s, t)` for `hops ≤ 2`: the direct edge plus, for two hops,
+    /// `min(c(s, m), c(m, t))` over every middle `m` — the out-neighbours
+    /// of `s` that are in-neighbours of `t`. Neither adjacency lists a
+    /// self-loop, so no middle is `s` or `t`.
+    fn closed_form(
+        &mut self,
+        graph: &ContributionGraph,
+        s: PeerId,
+        t: PeerId,
+        hops: usize,
+    ) -> Bytes {
+        if hops == 0 || s == t {
+            return Bytes::ZERO;
+        }
+        if hops == 1 {
+            return graph.edge(s, t);
+        }
+        self.middles.clear();
+        self.middles.extend(graph.out_edges(s));
+        let mut flow = Bytes::ZERO;
+        for (m, c_mt) in graph.in_edges(t) {
+            if m == s {
+                flow += c_mt;
+            } else if let Some(&c_sm) = self.middles.get(&m) {
+                flow += c_sm.min(c_mt);
+            }
+        }
+        flow
     }
 
     /// Both Equation-1 flows from evaluator `i` to **every** reachable
@@ -122,14 +169,38 @@ mod tests {
     #[test]
     fn ssat_sweep_matches_point_queries() {
         let g = chain();
-        let mut b = FlowKernel::new(Method::DEPLOYED);
+        let b = FlowKernel::new(Method::DEPLOYED);
         let mut flows = FxHashMap::default();
         assert!(b.all_flows_from(&g, p(0), &mut flows), "ssat has a sweep");
         for j in [p(1), p(2)] {
             let pair = flows.get(&j).copied().unwrap_or_default();
-            assert_eq!(pair.toward, b.flow(&g, j, p(0)), "toward {j}");
-            assert_eq!(pair.away, b.flow(&g, p(0), j), "away {j}");
+            let compute = |s, t| maxflow::compute(&g, s, t, Method::DEPLOYED);
+            assert_eq!(pair.toward, compute(j, p(0)), "toward {j}");
+            assert_eq!(pair.away, compute(p(0), j), "away {j}");
         }
+    }
+
+    /// The closed-form bounds answer point queries from the endpoints'
+    /// adjacency alone: the residual network is never built.
+    #[test]
+    fn closed_form_point_queries_never_build_the_network() {
+        let mut g = chain();
+        // a direct edge beside the two-hop path, and a two-cycle
+        g.add_transfer(p(2), p(0), Bytes::from_mb(7));
+        g.add_transfer(p(0), p(2), Bytes::from_mb(5));
+        for k in 0..=2 {
+            let mut b = FlowKernel::new(Method::Bounded(k));
+            for s in 0..4 {
+                for t in 0..4 {
+                    let want = maxflow::compute(&g, p(s), p(t), Method::Bounded(k));
+                    assert_eq!(b.flow(&g, p(s), p(t)), want, "k={k}: {s} -> {t}");
+                }
+            }
+            assert!(b.net.net.is_none(), "k={k} built a residual network");
+        }
+        let mut dinic = FlowKernel::new(Method::Dinic);
+        dinic.flow(&g, p(2), p(0));
+        assert!(dinic.net.net.is_some());
     }
 
     #[test]

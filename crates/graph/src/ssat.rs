@@ -30,7 +30,9 @@
 //! epoch views run: both directions at once, for any path bound
 //! `k ≤ 2`, written into one caller-owned [`FlowPair`] map that the
 //! engine reuses from call to call. [`flows_from`] and [`flows_into`]
-//! are its one-direction, `k = 2` oracles.
+//! are its one-direction, `k = 2` oracles. A single pair needs none of
+//! this: [`FlowKernel::flow`](crate::FlowKernel::flow) evaluates the
+//! same sum from `s`'s out-edges and `t`'s in-edges alone.
 //!
 //! All three return exactly the values `maxflow::compute` returns for
 //! `Method::Bounded(k)` (bit-identical `u64` totals; the property tests

@@ -13,6 +13,8 @@
 //!   in both directions, including absent and saturated nodes, and
 //!   the fused pass reproduces `Bounded(0 | 1 | 2)` through one reused
 //!   map;
+//! * `FlowKernel`'s point closed form for `Bounded(0 | 1 | 2)` equals
+//!   per-pair bounded maxflow and the sweep's entry, both directions;
 //! * all five methods' flows carry a min-cut certificate: the residual
 //!   cut separates s from t and its capacity equals the flow value;
 //! * the CSR-backed `ContributionGraph` is observationally equivalent
@@ -25,6 +27,7 @@ use bartercast_graph::maxflow::{self, Method};
 use bartercast_graph::mincut;
 use bartercast_graph::network::FlowNetwork;
 use bartercast_graph::ssat;
+use bartercast_graph::FlowKernel;
 use bartercast_util::units::{Bytes, PeerId};
 use bartercast_util::FxHashMap;
 use proptest::prelude::*;
@@ -238,6 +241,44 @@ proptest! {
                         prop_assert_eq!(pair.toward, into.get(&j).copied().unwrap_or_default());
                         prop_assert_eq!(pair.away, from.get(&j).copied().unwrap_or_default());
                     }
+                }
+            }
+        }
+    }
+
+    /// The point query of a closed-form kernel — `out_edges(s)` joined
+    /// with `in_edges(t)` — equals bounded maxflow on a `FlowNetwork`
+    /// and the `sweep_into` entry, in both directions, for `k ∈ {0, 1,
+    /// 2}`. Mirrored edges make two-cycles back to the source; every
+    /// direct edge puts one endpoint in the other's adjacency, where a
+    /// middle could be mistaken for it; targets include the evaluator
+    /// itself and ids the graph never saw. One kernel answers every
+    /// query, so a stale scratch entry would read as flow.
+    #[test]
+    fn point_closed_form_is_the_bounded_maxflow(
+        edges in edges_strategy(8, 40),
+        mirrored in prop::collection::vec((0u32..8, 0u32..8, 1u64..1000), 0..8),
+        evaluators in prop::collection::vec(0u32..10, 1..4),
+    ) {
+        let mut g = build(&edges);
+        for &(a, b, c) in &mirrored {
+            g.add_transfer(PeerId(a), PeerId(b), Bytes(c));
+            g.add_transfer(PeerId(b), PeerId(a), Bytes(c));
+        }
+        let mut net = FlowNetwork::from_graph(&g);
+        let mut flows = FxHashMap::default();
+        for k in 0..=2 {
+            let method = Method::Bounded(k);
+            let mut kernel = FlowKernel::new(method);
+            for &e in &evaluators {
+                let i = PeerId(e);
+                ssat::sweep_into(&g, i, k, &mut flows);
+                for j in (0..10u32).map(PeerId) {
+                    let (toward, away) = (kernel.flow(&g, j, i), kernel.flow(&g, i, j));
+                    prop_assert_eq!(toward, maxflow::compute_on(&mut net, j, i, method), "{} -> {} k={}", j, i, k);
+                    prop_assert_eq!(away, maxflow::compute_on(&mut net, i, j, method), "{} -> {} k={}", i, j, k);
+                    let pair = flows.get(&j).copied().unwrap_or_default();
+                    prop_assert_eq!((pair.toward, pair.away), (toward, away), "sweep({}) at {} k={}", i, j, k);
                 }
             }
         }

@@ -1110,6 +1110,26 @@ mod tests {
         assert!(compared > 1_000, "only {compared} candidates compared");
     }
 
+    /// Every reputation a small rank run's choke scoring computes — one
+    /// point query per epoch-cache miss — equals, bitwise, what the
+    /// single-source sweep it replaced computes on the same graph.
+    #[test]
+    fn choke_scoring_matches_the_sweep() {
+        let mut cfg = small_config();
+        cfg.policy = ReputationPolicy::Rank;
+        let trace = small_trace(3);
+        let horizon = trace.horizon;
+        let mut sim = Simulation::new(trace, cfg);
+        for peer in &mut sim.peers {
+            peer.sweep_oracle = Some(0);
+        }
+        while sim.now() < horizon {
+            sim.step();
+        }
+        let compared: usize = sim.peers.iter().filter_map(|p| p.sweep_oracle).sum();
+        assert!(compared > 200, "only {compared} scoring queries compared");
+    }
+
     #[test]
     fn adversary_fraction_capped_by_freeriders() {
         let mut cfg = small_config();

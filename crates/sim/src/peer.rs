@@ -54,6 +54,11 @@ pub struct SimPeer {
     pub real_down: Bytes,
     /// Swarms whose download completed: `swarm index -> completion time`.
     pub completed: FxHashMap<usize, Seconds>,
+    /// When set, every point query [`SimPeer::reputations_of`] makes is
+    /// checked against a single-source sweep on a memo-less twin of the
+    /// engine, and the targets compared are added.
+    #[cfg(test)]
+    pub(crate) sweep_oracle: Option<usize>,
 }
 
 impl SimPeer {
@@ -88,6 +93,8 @@ impl SimPeer {
             real_up: Bytes::ZERO,
             real_down: Bytes::ZERO,
             completed: FxHashMap::default(),
+            #[cfg(test)]
+            sweep_oracle: None,
         }
     }
 
@@ -120,44 +127,49 @@ impl SimPeer {
         }
     }
 
-    /// One target's epoch-cached reputation: the per-target reference
-    /// [`SimPeer::reputations_of`] is checked against.
-    #[cfg(test)]
-    fn reputation_of(&mut self, target: PeerId, epoch: u64) -> f64 {
-        if let Some(&(e, v)) = self.rep_cache.get(&target) {
-            if e == epoch {
-                return v;
-            }
-        }
-        let v = self.engine.reputation(self.id, target);
-        self.rep_cache.insert(target, (epoch, v));
-        v
-    }
-
     /// Policy-facing reputations of all `targets` in order, at most one
     /// recomputation per refresh epoch (`epoch = now /
-    /// REPUTATION_REFRESH`) each. Targets missing from the epoch cache are evaluated
-    /// together through the engine's single-source batch path, which
-    /// shares one two-hop traversal across all of them.
+    /// REPUTATION_REFRESH`) each. A target missing from the epoch cache
+    /// is a point query ([`ReputationEngine::reputation`]): a choke
+    /// round misses on one or two targets, which the two-hop closed
+    /// form answers from the endpoints' adjacency, where a sweep would
+    /// traverse and memoize the evaluator's whole two-hop ball.
     pub fn reputations_of(&mut self, targets: &[PeerId], epoch: u64) -> Vec<f64> {
-        let missing: Vec<PeerId> = targets
+        targets
             .iter()
-            .copied()
-            .filter(|t| !matches!(self.rep_cache.get(t), Some(&(e, _)) if e == epoch))
-            .collect();
-        if !missing.is_empty() {
-            let values = self.engine.reputations_from(self.id, &missing);
-            for (&t, &v) in missing.iter().zip(&values) {
-                self.rep_cache.insert(t, (epoch, v));
-            }
-        }
-        targets.iter().map(|t| self.rep_cache[t].1).collect()
+            .map(|&t| match self.rep_cache.get(&t) {
+                Some(&(e, v)) if e == epoch => v,
+                _ => {
+                    let v = self.engine.reputation(self.id, t);
+                    #[cfg(test)]
+                    self.check_against_sweep(t, v);
+                    self.rep_cache.insert(t, (epoch, v));
+                    v
+                }
+            })
+            .collect()
     }
 
     /// Net ground-truth contribution (upload − download) in bytes,
     /// possibly negative — the x-axis of Figure 1b.
     pub fn net_contribution(&self) -> f64 {
         self.real_up.0 as f64 - self.real_down.0 as f64
+    }
+}
+
+/// The reference oracle for the point queries of `reputations_of`.
+#[cfg(test)]
+impl SimPeer {
+    /// With the oracle on, recompute `R_self(target)` by the sweep the
+    /// point query replaced, on a twin whose memo is empty (so the
+    /// sweep computes what it returns), and compare bitwise.
+    fn check_against_sweep(&mut self, target: PeerId, value: f64) {
+        if let Some(compared) = self.sweep_oracle {
+            let mut twin = self.engine.clone().with_method(self.engine.method());
+            let swept = twin.reputations_from(self.id, &[target])[0];
+            assert_eq!(value.to_bits(), swept.to_bits(), "R_{}({target})", self.id);
+            self.sweep_oracle = Some(compared + 1);
+        }
     }
 }
 
@@ -211,38 +223,53 @@ mod tests {
         assert!(msg.records.iter().all(|r| r.up == Bytes::from_gb(100)));
     }
 
+    /// The point queries `reputations_of` makes equal, bitwise, a
+    /// single-source sweep on a twin peer fed the same transfers: in
+    /// the epoch they are first asked in, from the epoch cache for the
+    /// rest of it, and again in the next epoch after a record that
+    /// opens two-hop paths through a middle.
     #[test]
     fn batch_reputations_match_single_queries() {
-        let mut a = peer(0, Conduct::Honest);
-        a.note_download(PeerId(1), Bytes::from_mb(500), Seconds(1));
-        a.note_download(PeerId(2), Bytes::from_gb(2), Seconds(2));
-        a.note_upload(PeerId(3), Bytes::from_mb(80), Seconds(3));
-        let mut b = peer(0, Conduct::Honest);
-        b.note_download(PeerId(1), Bytes::from_mb(500), Seconds(1));
-        b.note_download(PeerId(2), Bytes::from_gb(2), Seconds(2));
-        b.note_upload(PeerId(3), Bytes::from_mb(80), Seconds(3));
-
+        let build = || {
+            let mut p = peer(0, Conduct::Honest);
+            p.note_download(PeerId(1), Bytes::from_mb(500), Seconds(1));
+            p.note_download(PeerId(2), Bytes::from_gb(2), Seconds(2));
+            p.note_upload(PeerId(3), Bytes::from_mb(80), Seconds(3));
+            p
+        };
+        let (mut a, mut twin) = (build(), build());
         let targets = [PeerId(1), PeerId(2), PeerId(3), PeerId(9), PeerId(0)];
-        let batch = a.reputations_of(&targets, 4);
-        for (&t, &r) in targets.iter().zip(&batch) {
-            assert_eq!(r.to_bits(), b.reputation_of(t, 4).to_bits(), "target {t}");
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        let swept = |twin: &mut SimPeer| bits(twin.engine.reputations_from(twin.id, &targets));
+
+        let before = bits(a.reputations_of(&targets, 4));
+        assert_eq!(before, swept(&mut twin));
+        // 3 -> 1 makes 1 a middle both ways: 3 -> 1 -> 0 and 0 -> 3 -> 1
+        for p in [&mut a, &mut twin] {
+            p.engine
+                .graph_mut()
+                .merge_record(PeerId(3), PeerId(1), Bytes::from_mb(300));
         }
-        // second call hits the epoch cache
-        assert_eq!(a.reputations_of(&targets, 4), batch);
+        // the epoch cache serves the first values until the epoch ends
+        assert_eq!(bits(a.reputations_of(&targets, 4)), before);
+        let after = bits(a.reputations_of(&targets, 5));
+        assert_eq!(after, swept(&mut twin));
+        assert_ne!(after, before, "the middle moved no reputation");
     }
 
     #[test]
     fn reputation_cache_respects_epochs() {
         let mut p = peer(0, Conduct::Honest);
         p.note_download(PeerId(1), Bytes::from_mb(500), Seconds(1));
-        let r1 = p.reputation_of(PeerId(1), 0);
+        let of = |p: &mut SimPeer, epoch| p.reputations_of(&[PeerId(1)], epoch)[0];
+        let r1 = of(&mut p, 0);
         assert!(r1 > 0.0);
         // graph changes, but same epoch: cached value returned
         p.note_download(PeerId(1), Bytes::from_gb(5), Seconds(2));
-        let r2 = p.reputation_of(PeerId(1), 0);
+        let r2 = of(&mut p, 0);
         assert_eq!(r1, r2);
         // new epoch: recomputed
-        let r3 = p.reputation_of(PeerId(1), 1);
+        let r3 = of(&mut p, 1);
         assert!(r3 > r2);
     }
 }

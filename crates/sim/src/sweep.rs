@@ -137,11 +137,11 @@ pub fn system_reputation_sums(
 /// `candidate -> PeerScore` map. A plain `ReputationPolicy::None` run
 /// never consults the engine and returns an empty map (the choker
 /// substitutes [`PeerScore::NEUTRAL`]); rank/ban score all candidates
-/// through the peer's epoch-cached batch path, sharing one two-hop
-/// traversal; an active [`RatioPolicy`] instead reads the lifetime
-/// `up`/`down` totals the peer's subjective contribution graph holds
-/// for each candidate — the decentralised stand-in for a private
-/// tracker's ledger.
+/// through the peer's epoch cache, a point query per miss
+/// ([`SimPeer::reputations_of`]); an active [`RatioPolicy`] instead
+/// reads the lifetime `up`/`down` totals the peer's subjective
+/// contribution graph holds for each candidate — the decentralised
+/// stand-in for a private tracker's ledger.
 pub fn score_candidates(
     peer: &mut SimPeer,
     policy: &ReputationPolicy,

@@ -56,7 +56,6 @@
 
 use crate::config::{PeerBehaviour, SwarmParams, SwarmPolicy};
 use crate::ledger::SwarmLedger;
-use bartercast_bt::bitfield::iter_ones;
 use bartercast_bt::choke::{Candidate, PeerScore};
 use bartercast_bt::{picker, Bitfield, ChokePolicy, Choker, Role};
 use bartercast_core::policy::ReputationPolicy;
@@ -248,7 +247,8 @@ impl SwarmWorkload {
     ///
     /// Each pass is one [`picker::rarest`] call: a pick only changes
     /// the picked piece's `inflight`, and that piece is then pending
-    /// here and out of the candidate set.
+    /// here and out of the candidate set. A piece pending here or
+    /// in flight too often is keyed `None`, which leaves it out.
     fn refill_requests(&mut self, peer: PeerId, io: &mut WorkloadIo) {
         #[cfg(test)]
         if self.reference_refill {
@@ -262,12 +262,9 @@ impl SwarmWorkload {
                 return;
             }
             let room = self.params.pipeline - view.pending.len();
-            let wanted = self.have.wanted_from([&view.have]);
-            let candidates = iter_ones(&wanted).filter(|&i| {
-                self.inflight[i] <= max_copies && !view.pending.contains_key(&(i as u32))
-            });
-            let picks = picker::rarest(candidates, room, |i| {
-                (self.availability[i], self.tie_break(i))
+            let picks = picker::rarest(self.have.wanted_words(&[&view.have]), room, |i| {
+                (self.inflight[i] <= max_copies && !view.pending.contains_key(&(i as u32)))
+                    .then(|| picker::key(self.availability[i], self.tie_break(i)))
             });
             let round = self.round;
             let view = self.peers.get_mut(&peer).expect("view exists");
