@@ -16,18 +16,18 @@
 //! recorded version and nothing after it (pinned by
 //! `tests/epoch_snapshot.rs`).
 //!
-//! Evaluation is **pure** — no memo cache, no sync — and calls the
-//! monolithic engine's bounded sweep (`graph::ssat::sweep_into`): the
-//! flow totals are order-independent `u64` sums over the evaluator's
-//! two-hop neighbourhood, and the metric maps the same two `u64`s
-//! through the same `f64` expression, so epoch reads are bit-identical
-//! to live-engine reads at the same graph state.
+//! Evaluation is the live engine's own batch
+//! (`repcache::swept_reputations`): one bounded sweep of the
+//! evaluator's two-hop neighbourhood, whose flow totals are
+//! order-independent `u64` sums, then the metric per target, so epoch
+//! reads are bit-identical to live-engine reads at the same graph
+//! state.
 
 use std::sync::Arc;
 
 use crate::metric::ReputationMetric;
-use bartercast_graph::ssat;
-use bartercast_graph::{ContributionGraph, FlowPair, Method};
+use crate::repcache::swept_reputations;
+use bartercast_graph::{ContributionGraph, Method};
 use bartercast_util::units::PeerId;
 use bartercast_util::FxHashMap;
 
@@ -90,46 +90,16 @@ impl EpochView {
         &self.graph
     }
 
-    /// Both bounded flows between evaluator `i` and every peer:
-    /// `flows[j] = (maxflow(j → i), maxflow(i → j))`, exactly as the
-    /// live engine's bounded sweep computes them.
-    fn flow_maps(&self, i: PeerId) -> FxHashMap<PeerId, FlowPair> {
+    /// `R_i(j)` (Equation 1) for every `j` in `targets`, in order, at
+    /// this epoch: the live engine's `ReputationEngine::reputations_from`
+    /// on the frozen graph, one two-hop sweep across all targets, into
+    /// a map of the call's own since a view is shared between threads.
+    pub fn reputations_from(&self, i: PeerId, targets: &[PeerId]) -> Vec<f64> {
         let Method::Bounded(hops) = self.method else {
             unreachable!("ShardedEngine::with_method admits only Bounded(k ≤ 2)")
         };
         let mut flows = FxHashMap::default();
-        ssat::sweep_into(&self.graph, i, hops, &mut flows);
-        flows
-    }
-
-    /// Subjective reputation `R_i(j)` (Equation 1) at this epoch.
-    ///
-    /// Bit-identical to `ReputationEngine::reputation(i, j)` on a live
-    /// engine holding the same graph state.
-    pub fn reputation(&self, i: PeerId, j: PeerId) -> f64 {
-        if i == j {
-            return 0.0;
-        }
-        let pair = self.flow_maps(i).get(&j).copied().unwrap_or_default();
-        self.metric.eval(pair.toward, pair.away)
-    }
-
-    /// `R_i(j)` for every `j` in `targets`, in order — the epoch
-    /// analogue of `ReputationEngine::reputations_from`, sharing one
-    /// two-hop sweep across all targets.
-    pub fn reputations_from(&self, i: PeerId, targets: &[PeerId]) -> Vec<f64> {
-        let flows = self.flow_maps(i);
-        targets
-            .iter()
-            .map(|&j| {
-                if i == j {
-                    0.0
-                } else {
-                    let pair = flows.get(&j).copied().unwrap_or_default();
-                    self.metric.eval(pair.toward, pair.away)
-                }
-            })
-            .collect()
+        swept_reputations(&self.graph, i, hops, self.metric, targets, &mut flows)
     }
 }
 
@@ -232,7 +202,6 @@ mod tests {
     fn self_reputation_is_zero_on_epoch() {
         let mut e = chain_engine();
         let view = freeze(&mut e);
-        assert_eq!(view.reputation(p(0), p(0)), 0.0);
         assert_eq!(view.reputations_from(p(0), &[p(0)]), vec![0.0]);
     }
 }

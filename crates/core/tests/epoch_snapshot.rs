@@ -164,7 +164,7 @@ fn empty_shard_epoch_serves_neutral_answers() {
         }
         saw_empty = true;
         assert_eq!(view.graph().node_count(), 0, "shard {s} should be empty");
-        assert_eq!(view.reputation(p(0), p(1)), 0.0);
+        assert_eq!(view.reputations_from(p(0), &[p(1)]), vec![0.0]);
         assert_eq!(
             view.reputations_from(p(5), &[p(0), p(1), p(5)]),
             vec![0.0, 0.0, 0.0]

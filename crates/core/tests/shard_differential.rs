@@ -84,7 +84,7 @@ fn assert_identical(
         let j = (i * 7 + 3) % nodes;
         assert_eq!(
             mono.reputation(p(i), p(j)).to_bits(),
-            svc.reputation(p(i), p(j)).to_bits(),
+            svc.reputations_from(p(i), &[p(j)])[0].to_bits(),
             "{context}: point query R_{i}({j}) diverged"
         );
     }

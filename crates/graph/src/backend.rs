@@ -9,12 +9,11 @@
 //!   O(deg⁺ s + deg⁻ t). Every other method — `Bounded(k)` with
 //!   `k ≥ 3` and `Dinic` — runs on a shared, lazily rebuilt
 //!   [`FlowNetwork`], which the closed-form bounds never build.
-//! * Batch sweeps ([`FlowKernel::all_flows_from`]) exist for the same
-//!   bounds, `k ≤ 2`: one pass [`crate::ssat::sweep_into`] (the shard
-//!   epoch views call it too) yields the flows between one evaluator
-//!   and every peer at once, bit-identical to per-pair bounded
-//!   evaluation. Every other method has no sweep and returns `false`;
-//!   the caller evaluates it pair by pair.
+//! * Batch sweeps exist for the same bounds, `k ≤ 2`
+//!   ([`FlowKernel::sweep_bound`]): one pass [`crate::ssat::sweep_into`]
+//!   yields the flows between one evaluator and every peer at once,
+//!   bit-identical to per-pair bounded evaluation. Every other method
+//!   has no sweep; the caller evaluates it pair by pair.
 //!
 //! The caller picks between the two, because only the caller knows how
 //! many targets it asks for: a point query costs the two endpoints'
@@ -27,7 +26,6 @@
 use crate::contribution::ContributionGraph;
 use crate::maxflow::{self, Method};
 use crate::network::FlowNetwork;
-use crate::ssat;
 use bartercast_util::units::{Bytes, PeerId};
 use bartercast_util::FxHashMap;
 
@@ -92,9 +90,20 @@ impl FlowKernel {
     /// Directed flow `s → t`. Zero when either endpoint is absent or
     /// `s == t`.
     pub fn flow(&mut self, graph: &ContributionGraph, s: PeerId, t: PeerId) -> Bytes {
+        match self.sweep_bound() {
+            Some(k) => self.closed_form(graph, s, t, k),
+            None => maxflow::compute_on(self.net.at(graph), s, t, self.method),
+        }
+    }
+
+    /// The path bound `k` when the method is `Bounded(k ≤ 2)`, whose
+    /// flows have a closed form and a single-source sweep
+    /// ([`crate::ssat::sweep_into`]); `None` for every other method,
+    /// which is evaluated pair by pair on the residual network.
+    pub fn sweep_bound(&self) -> Option<usize> {
         match self.method {
-            Method::Bounded(k) if k <= 2 => self.closed_form(graph, s, t, k),
-            method => maxflow::compute_on(self.net.at(graph), s, t, method),
+            Method::Bounded(k) if k <= 2 => Some(k),
+            _ => None,
         }
     }
 
@@ -127,32 +136,12 @@ impl FlowKernel {
         }
         flow
     }
-
-    /// Both Equation-1 flows from evaluator `i` to **every** reachable
-    /// peer in one sweep ([`ssat::sweep_into`]) written into `flows`,
-    /// which the caller owns and may reuse: `true` when the method has
-    /// a sweep, `false` (and `flows` untouched) when it has none and
-    /// the caller falls back to per-pair [`FlowKernel::flow`] calls.
-    /// Peers absent from `flows` have zero flow in both directions.
-    pub fn all_flows_from(
-        &self,
-        graph: &ContributionGraph,
-        i: PeerId,
-        flows: &mut FxHashMap<PeerId, FlowPair>,
-    ) -> bool {
-        match self.method {
-            Method::Bounded(k) if k <= 2 => {
-                ssat::sweep_into(graph, i, k, flows);
-                true
-            }
-            _ => false,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ssat;
 
     fn p(i: u32) -> PeerId {
         PeerId(i)
@@ -170,8 +159,9 @@ mod tests {
     fn ssat_sweep_matches_point_queries() {
         let g = chain();
         let b = FlowKernel::new(Method::DEPLOYED);
+        assert_eq!(b.sweep_bound(), Some(2), "ssat has a sweep");
         let mut flows = FxHashMap::default();
-        assert!(b.all_flows_from(&g, p(0), &mut flows), "ssat has a sweep");
+        ssat::sweep_into(&g, p(0), 2, &mut flows);
         for j in [p(1), p(2)] {
             let pair = flows.get(&j).copied().unwrap_or_default();
             let compute = |s, t| maxflow::compute(&g, s, t, Method::DEPLOYED);
@@ -207,8 +197,9 @@ mod tests {
     fn ssat_bounded_one_reads_direct_edges() {
         let g = chain();
         let mut b = FlowKernel::new(Method::Bounded(1));
+        assert_eq!(b.sweep_bound(), Some(1));
         let mut flows = FxHashMap::default();
-        assert!(b.all_flows_from(&g, p(0), &mut flows));
+        ssat::sweep_into(&g, p(0), 1, &mut flows);
         // only the direct 1 -> 0 edge reaches peer 0 within one hop
         assert_eq!(flows.get(&p(1)).unwrap().toward, Bytes::from_mb(200));
         assert!(!flows.contains_key(&p(2)));
@@ -220,8 +211,7 @@ mod tests {
         let g = chain();
         for method in [Method::Dinic, Method::Bounded(3)] {
             let mut b = FlowKernel::new(method);
-            let mut flows = FxHashMap::default();
-            assert!(!b.all_flows_from(&g, p(0), &mut flows), "{method:?}");
+            assert_eq!(b.sweep_bound(), None, "{method:?}");
             assert_eq!(b.flow(&g, p(2), p(0)), Bytes::from_mb(200), "{method:?}");
         }
     }

@@ -12,6 +12,12 @@
 //! network construction — therefore scans contiguous slots instead of
 //! chasing hash buckets; the hash map here only interns peer ids to
 //! dense indices once per node.
+//!
+//! Every effective mutation bumps [`ContributionGraph::version`], the
+//! graph's one change signal. It does not record which nodes moved: a
+//! reader that keeps state derived from the graph (the engine's memo
+//! for the per-pair methods, their residual network) drops it whole
+//! when the version moves.
 
 use crate::csr::AdjArena;
 use bartercast_util::units::{Bytes, PeerId};
@@ -48,21 +54,6 @@ pub struct ContributionGraph {
     rev: AdjArena,
     edge_count: usize,
     version: u64,
-    /// Per-node change tracking: the version at which each node last
-    /// had an incident edge change. Indexed densely and never
-    /// truncated (it is bounded by the node count, not the mutation
-    /// count), so a reader can fall arbitrarily far behind and still
-    /// get an exact answer from [`ContributionGraph::changed_since`].
-    changed_at: Vec<u64>,
-    /// The nodes whose `changed_at` is above `dirty_floor`, each once,
-    /// in the order they first moved above it: what
-    /// [`ContributionGraph::changed_nodes_since`] walks. A node joins
-    /// only from at or below the floor, so the list never outgrows the
-    /// node count.
-    dirty: Vec<u32>,
-    /// Versions at or below this are forgotten by `dirty` (moved only
-    /// by [`ContributionGraph::forget_changes_through`]).
-    dirty_floor: u64,
 }
 
 impl ContributionGraph {
@@ -71,8 +62,8 @@ impl ContributionGraph {
         Self::default()
     }
 
-    /// Monotone counter bumped on every mutation; used by reputation
-    /// caches for invalidation.
+    /// Monotone counter bumped on every effective mutation (see the
+    /// module docs).
     pub fn version(&self) -> u64 {
         self.version
     }
@@ -86,7 +77,6 @@ impl ContributionGraph {
         let r = self.rev.add_node();
         debug_assert_eq!(i, r);
         self.ids.push(id);
-        self.changed_at.push(0);
         self.index.insert(id, i);
         i
     }
@@ -111,7 +101,6 @@ impl ContributionGraph {
             }
         }
         self.version += 1;
-        self.log_change(f, t);
     }
 
     /// Merge a gossiped record about the pair `(from, to)`: the stored
@@ -136,65 +125,7 @@ impl ContributionGraph {
             }
         }
         self.version += 1;
-        self.log_change(f, t);
         true
-    }
-
-    /// Record a changed edge: both endpoints become dirty at the
-    /// current version, joining the dirty list if they were clean.
-    fn log_change(&mut self, from: u32, to: u32) {
-        for node in [from, to] {
-            let at = &mut self.changed_at[node as usize];
-            if *at <= self.dirty_floor {
-                self.dirty.push(node);
-            }
-            *at = self.version;
-        }
-    }
-
-    /// Whether `node` has been an endpoint of an edge changed after
-    /// version `since`; `false` for a node the graph has never seen.
-    ///
-    /// Always answerable: the per-node versions never truncate, so a
-    /// reader may fall arbitrarily far behind between reads without
-    /// losing precision.
-    pub fn changed_since(&self, node: PeerId, since: u64) -> bool {
-        self.index
-            .get(&node)
-            .is_some_and(|&i| self.changed_at[i as usize] > since)
-    }
-
-    /// Every node that has been an endpoint of an edge changed after
-    /// version `since`, each once, in O(nodes changed since the last
-    /// [`ContributionGraph::forget_changes_through`]); the set
-    /// [`ContributionGraph::changed_since`] answers node by node.
-    /// `None` when `since` lies below the forgotten floor, where the
-    /// list can no longer tell.
-    pub fn changed_nodes_since(&self, since: u64) -> Option<impl Iterator<Item = PeerId> + '_> {
-        (since >= self.dirty_floor).then(|| {
-            self.dirty
-                .iter()
-                .filter(move |&&n| self.changed_at[n as usize] > since)
-                .map(|&n| self.ids[n as usize])
-        })
-    }
-
-    /// Forget the changes at or before version `through` (clamped to
-    /// the current version): [`ContributionGraph::changed_nodes_since`]
-    /// stops answering for any earlier `since`. Meant for the graph's
-    /// one reader of changes, once it has caught up to `through`.
-    pub fn forget_changes_through(&mut self, through: u64) {
-        let through = through.min(self.version);
-        if through <= self.dirty_floor {
-            return;
-        }
-        self.dirty_floor = through;
-        if through == self.version {
-            self.dirty.clear();
-        } else {
-            let changed_at = &self.changed_at;
-            self.dirty.retain(|&n| changed_at[n as usize] > through);
-        }
     }
 
     /// The aggregated bytes `from` has uploaded to `to` (zero if no edge).
@@ -307,20 +238,6 @@ impl ContributionGraph {
                 self.rev.len()
             ));
         }
-        let mut listed = vec![false; self.ids.len()];
-        for &n in &self.dirty {
-            if std::mem::replace(&mut listed[n as usize], true) {
-                return Err(format!("{} listed dirty twice", self.ids[n as usize]));
-            }
-        }
-        for (n, &at) in self.changed_at.iter().enumerate() {
-            if listed[n] != (at > self.dirty_floor) {
-                return Err(format!(
-                    "{} changed at {at}, floor {}, listed {}",
-                    self.ids[n], self.dirty_floor, listed[n]
-                ));
-            }
-        }
         Ok(())
     }
 }
@@ -392,35 +309,6 @@ mod tests {
         assert_eq!(g.version(), v1);
     }
 
-    /// The nodes among `1..=6` that `changed_since` reports.
-    fn changed(g: &ContributionGraph, since: u64) -> Vec<PeerId> {
-        (1..=6)
-            .map(p)
-            .filter(|&n| g.changed_since(n, since))
-            .collect()
-    }
-
-    #[test]
-    fn changed_since_reports_exact_endpoints() {
-        let mut g = ContributionGraph::new();
-        let v0 = g.version();
-        g.add_transfer(p(1), p(2), Bytes::from_mb(1));
-        let v1 = g.version();
-        g.merge_record(p(3), p(4), Bytes::from_mb(2));
-        let v2 = g.version();
-        g.add_transfer(p(1), p(2), Bytes::from_mb(1));
-
-        assert_eq!(changed(&g, v0), vec![p(1), p(2), p(3), p(4)]);
-        assert_eq!(changed(&g, v1), vec![p(1), p(2), p(3), p(4)]);
-        assert_eq!(
-            changed(&g, v2),
-            vec![p(1), p(2)],
-            "3 and 4 last changed at v2"
-        );
-        assert!(changed(&g, g.version()).is_empty());
-        assert!(!g.changed_since(p(77), v0), "absent node never changed");
-    }
-
     #[test]
     fn ineffective_mutations_not_logged() {
         let mut g = ContributionGraph::new();
@@ -429,50 +317,9 @@ mod tests {
         g.add_transfer(p(1), p(1), Bytes::from_mb(1)); // self edge: ignored
         g.add_transfer(p(1), p(2), Bytes::ZERO); // zero: ignored
         g.merge_record(p(1), p(2), Bytes::from_mb(4)); // stale: ignored
-        assert!(changed(&g, v).is_empty());
-    }
-
-    #[test]
-    fn dirty_tracking_survives_arbitrarily_long_gaps() {
-        let mut g = ContributionGraph::new();
-        g.add_transfer(p(5), p(6), Bytes(1));
-        let v = g.version();
-        // far more mutations than a bounded change log would hold: the
-        // per-node versions must stay exact, not truncate
-        for i in 0..10_000u64 {
-            g.add_transfer(p(1), p(2), Bytes(i + 1));
-        }
-        assert_eq!(
-            changed(&g, v),
-            vec![p(1), p(2)],
-            "untouched nodes must stay clean"
-        );
-    }
-
-    #[test]
-    fn changed_nodes_since_lists_each_moved_node_once() {
-        let mut g = ContributionGraph::new();
-        g.add_transfer(p(1), p(2), Bytes(1));
-        let v = g.version();
-        for i in 0..100u64 {
-            g.add_transfer(p(3), p(4), Bytes(i + 1));
-            g.merge_record(p(2), p(3), Bytes(i + 1));
-        }
-        let list = |g: &ContributionGraph, since| {
-            let mut nodes: Vec<PeerId> = g.changed_nodes_since(since).unwrap().collect();
-            nodes.sort();
-            nodes
-        };
-        assert_eq!(list(&g, 0), vec![p(1), p(2), p(3), p(4)]);
-        assert_eq!(list(&g, v), vec![p(2), p(3), p(4)]);
-        g.forget_changes_through(v);
-        assert!(g.changed_nodes_since(v - 1).is_none(), "below the floor");
-        assert_eq!(list(&g, v), vec![p(2), p(3), p(4)]);
-        g.forget_changes_through(g.version());
-        assert!(list(&g, g.version()).is_empty());
-        g.add_transfer(p(4), p(5), Bytes(1));
-        assert_eq!(list(&g, g.version() - 1), vec![p(4), p(5)]);
-        g.check_invariants().unwrap();
+        assert_eq!(g.version(), v, "no reader sees a change");
+        assert_eq!(g.edge(p(1), p(2)), Bytes::from_mb(10));
+        assert_eq!((g.node_count(), g.edge_count()), (2, 1));
     }
 
     #[test]

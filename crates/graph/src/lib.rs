@@ -24,8 +24,8 @@
 //!   yields its bounded maxflow to (or from) every other peer at once.
 //! * [`backend`] — [`FlowKernel`], the one evaluator the reputation
 //!   engine holds: per-pair flow with the configured method (the
-//!   closed form over the two endpoints' adjacency for `k ≤ 2`), plus
-//!   the single-source sweep for the same bounds.
+//!   closed form over the two endpoints' adjacency for `k ≤ 2`), and
+//!   which methods have the single-source [`ssat`] sweep.
 //! * [`mincut`] — source- and sink-side minimum cuts, used by tests to
 //!   verify the max-flow/min-cut theorem on every computed flow.
 //! * [`analysis`] — graph statistics, the §3.2 two-hop coverage

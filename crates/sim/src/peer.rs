@@ -55,8 +55,8 @@ pub struct SimPeer {
     /// Swarms whose download completed: `swarm index -> completion time`.
     pub completed: FxHashMap<usize, Seconds>,
     /// When set, every point query [`SimPeer::reputations_of`] makes is
-    /// checked against a single-source sweep on a memo-less twin of the
-    /// engine, and the targets compared are added.
+    /// checked against a single-source sweep on a twin of the engine,
+    /// and the targets compared are added.
     #[cfg(test)]
     pub(crate) sweep_oracle: Option<usize>,
 }
@@ -133,7 +133,7 @@ impl SimPeer {
     /// is a point query ([`ReputationEngine::reputation`]): a choke
     /// round misses on one or two targets, which the two-hop closed
     /// form answers from the endpoints' adjacency, where a sweep would
-    /// traverse and memoize the evaluator's whole two-hop ball.
+    /// traverse the evaluator's whole two-hop ball.
     pub fn reputations_of(&mut self, targets: &[PeerId], epoch: u64) -> Vec<f64> {
         targets
             .iter()
@@ -161,11 +161,11 @@ impl SimPeer {
 #[cfg(test)]
 impl SimPeer {
     /// With the oracle on, recompute `R_self(target)` by the sweep the
-    /// point query replaced, on a twin whose memo is empty (so the
-    /// sweep computes what it returns), and compare bitwise.
+    /// point query replaced, on a twin (so the engine's own counters
+    /// stay as the run left them), and compare bitwise.
     fn check_against_sweep(&mut self, target: PeerId, value: f64) {
         if let Some(compared) = self.sweep_oracle {
-            let mut twin = self.engine.clone().with_method(self.engine.method());
+            let mut twin = self.engine.clone();
             let swept = twin.reputations_from(self.id, &[target])[0];
             assert_eq!(value.to_bits(), swept.to_bits(), "R_{}({target})", self.id);
             self.sweep_oracle = Some(compared + 1);

@@ -338,7 +338,7 @@ pub fn sharded_reputations(
 /// queues, each LPT-ordered by k-hop ball cost, with one atomic claim
 /// counter per shard. Worker `w` owns the live engines of shards
 /// `w, w + W, w + 2W, …` and drains their queues through those engines
-/// (memoized, synced to the live graph); only when its own shards run
+/// (each reusing its sweep buffer); only when its own shards run
 /// dry does it **steal across shards**, evaluating tail tasks against
 /// the epoch views published at sweep start. During the sweep no writer
 /// runs — the service is `&mut`-borrowed — so each epoch *is* its
