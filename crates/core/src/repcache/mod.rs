@@ -8,8 +8,9 @@
 //! Under the path bounds `k ≤ 2` a reputation is computed, not
 //! remembered. A point query is the closed form over the two
 //! endpoints' adjacency ([`FlowKernel::flow`]), and a batch is one
-//! single-source sweep into a buffer the engine reuses (the crate's
-//! `swept_reputations`, which the shard epoch views call too).
+//! single-source sweep into a buffer the engine reuses, read out by
+//! the crate's `swept_reputations`, which the sharded service calls
+//! too.
 //! Nothing is kept in step with the graph, so a write costs the engine
 //! nothing. `Bounded(k ≥ 3)` and `Dinic` pay a maxflow per pair, and
 //! an edge away from both endpoints can reroute the flow between them:
@@ -97,20 +98,16 @@ impl Default for ReputationEngine {
     }
 }
 
-/// `R_i(j)` for every `j` in `targets`, in order, from one sweep of
-/// evaluator `i` under the path bound `hops ≤ 2`
-/// ([`ssat::sweep_into`]) into `flows`, which the caller owns and may
-/// reuse. The one evaluation behind the live engine's batch and the
-/// shard epoch views' reads, so the two are bit-identical on one graph.
+/// `R_i(j)` for every `j` in `targets`, in order, read from `flows`,
+/// a sweep of evaluator `i` ([`ssat::sweep_adjacency`]). The one
+/// evaluation behind the live engine's batch and the sharded service's
+/// reads, so the two are bit-identical wherever their sweeps are.
 pub(crate) fn swept_reputations(
-    graph: &ContributionGraph,
+    flows: &FxHashMap<PeerId, FlowPair>,
     i: PeerId,
-    hops: usize,
     metric: ReputationMetric,
     targets: &[PeerId],
-    flows: &mut FxHashMap<PeerId, FlowPair>,
 ) -> Vec<f64> {
-    ssat::sweep_into(graph, i, hops, flows);
     targets
         .iter()
         .map(|&j| {
@@ -304,14 +301,8 @@ impl ReputationEngine {
             return targets.iter().map(|&j| self.reputation(i, j)).collect();
         };
         self.misses += targets.iter().filter(|&&j| j != i).count() as u64;
-        swept_reputations(
-            self.graph.get(),
-            i,
-            hops,
-            self.metric,
-            targets,
-            &mut self.sweep,
-        )
+        ssat::sweep_into(self.graph.get(), i, hops, &mut self.sweep);
+        swept_reputations(&self.sweep, i, self.metric, targets)
     }
 
     /// One snapshot of the counters: memo hits, flow evaluations, live

@@ -1,67 +1,69 @@
-//! Epoch-consistent shard snapshots.
+//! Epoch-consistent snapshots of the sharded service.
 //!
-//! A shard **publishes** an epoch by freezing its current replica
-//! graph (owned subgraph + replicated boundary edges) behind an `Arc`
-//! that the live engine and the [`EpochView`] then share: a view is a
-//! reference to the very bytes the engine read at publication, not a
-//! copy of them, and publishing is O(1). Readers on other threads
-//! evaluate Equation 1 against the view without taking any lock. The
-//! shard's first write after a publication takes the graph back: by
-//! move when every view of it has been dropped, by one copy of that
-//! shard's graph when a view is still alive, which then keeps the old
-//! bytes to itself. Either way nothing a view can reach is ever
-//! written, so a reader can never observe a torn cut: every query
-//! against epoch `e` sees exactly the graph state at publication of
-//! `e`, which equals replaying the shard's mutations up to the
-//! recorded version and nothing after it (pinned by
-//! `tests/epoch_snapshot.rs`).
+//! A publication **freezes every shard's graph** behind an `Arc` that
+//! the shard's live engine and the [`EpochView`]s then share: a view
+//! holds the whole set of shard graphs plus the partitioner, so it is
+//! a consistent cut of the service, not of one shard, and it answers
+//! any evaluator. It is a reference to the very bytes the engines held
+//! at publication, not a copy of them, and publishing is O(1) per
+//! shard. Readers on other threads evaluate Equation 1 against a view
+//! without taking any lock. A shard's first write after a publication
+//! takes its graph back: by move when every view of it has been
+//! dropped, by one copy of that shard's graph when a view is still
+//! alive, which then keeps the old bytes to itself. A write reaches
+//! only its edge's one or two owner shards, so it copies at most
+//! those. Either way nothing a view can reach is ever written, so a
+//! reader can never observe a torn cut: every query against epoch `e`
+//! sees exactly the service's state at publication of `e`, which
+//! equals replaying its mutations up to that point and nothing after
+//! it (pinned by `tests/epoch_snapshot.rs`).
 //!
-//! Evaluation is the live engine's own batch
-//! (`repcache::swept_reputations`): one bounded sweep of the
-//! evaluator's two-hop neighbourhood, whose flow totals are
+//! Evaluation is the live service's own (`shard::owner_reputations`):
+//! one bounded sweep of the evaluator's two-hop neighbourhood reading
+//! each node at its owner shard, whose flow totals are
 //! order-independent `u64` sums, then the metric per target, so epoch
-//! reads are bit-identical to live-engine reads at the same graph
-//! state.
+//! reads are bit-identical to live reads at the same state.
 
 use std::sync::Arc;
 
+use super::{owner_reputations, Partitioner};
 use crate::metric::ReputationMetric;
-use crate::repcache::swept_reputations;
-use bartercast_graph::{ContributionGraph, Method};
-use bartercast_util::units::PeerId;
+use bartercast_graph::{ContributionGraph, FlowPair, Method};
+use bartercast_util::units::{Bytes, PeerId};
 use bartercast_util::FxHashMap;
 
-/// An immutable snapshot of one shard's replica graph, safe to read
-/// from any thread while the owning shard keeps writing. It shares the
-/// graph with the shard's live engine until that engine next writes.
+/// An immutable snapshot of every shard's graph, safe to read from any
+/// thread while the shards keep writing, and tagged with the shard it
+/// was published for. It shares each graph with that shard's live
+/// engine until the engine next writes.
 #[derive(Debug)]
 pub struct EpochView {
     shard: usize,
     epoch: u64,
-    version: u64,
     method: Method,
     metric: ReputationMetric,
-    graph: Arc<ContributionGraph>,
+    graphs: Arc<[Arc<ContributionGraph>]>,
+    partitioner: Arc<dyn Partitioner>,
 }
 
 impl EpochView {
-    /// Epoch number `epoch` of `shard` over `graph`, the shard's
-    /// replica as frozen at publication time.
+    /// Epoch number `epoch` of `shard` over `graphs`, every shard's
+    /// graph as frozen at publication time, indexed by `partitioner`.
     pub(crate) fn new(
         shard: usize,
         epoch: u64,
         method: Method,
         metric: ReputationMetric,
-        graph: Arc<ContributionGraph>,
+        graphs: Arc<[Arc<ContributionGraph>]>,
+        partitioner: Arc<dyn Partitioner>,
     ) -> Arc<Self> {
-        let version = graph.version();
         Arc::new(EpochView {
             shard,
             epoch,
-            version,
             method,
             metric,
-            graph,
+            graphs,
+            partitioner,
         })
     }
 
@@ -75,9 +77,9 @@ impl EpochView {
         self.epoch
     }
 
-    /// The replica-graph version frozen into this epoch.
+    /// The shard's graph version frozen into this epoch.
     pub fn version(&self) -> u64 {
-        self.version
+        self.graph().version()
     }
 
     /// The bounded-flow method the snapshot evaluates with.
@@ -85,21 +87,52 @@ impl EpochView {
         self.method
     }
 
-    /// The frozen replica graph.
+    /// The shard's own frozen graph: the edges touching a peer it
+    /// owns.
     pub fn graph(&self) -> &ContributionGraph {
-        &self.graph
+        &self.graphs[self.shard]
+    }
+
+    /// The frozen graph of `peer`'s owner shard, which holds all of
+    /// `peer`'s edges.
+    fn owner_graph(&self, peer: PeerId) -> &ContributionGraph {
+        &self.graphs[self.partitioner.shard_of(peer, self.graphs.len())]
+    }
+
+    /// `peer`'s out-edges at this epoch, read at its owner shard.
+    pub fn out_edges(&self, peer: PeerId) -> impl Iterator<Item = (PeerId, Bytes)> + '_ {
+        self.owner_graph(peer).out_edges(peer)
+    }
+
+    /// `peer`'s in-edges at this epoch, read at its owner shard.
+    pub fn in_edges(&self, peer: PeerId) -> impl Iterator<Item = (PeerId, Bytes)> + '_ {
+        self.owner_graph(peer).in_edges(peer)
     }
 
     /// `R_i(j)` (Equation 1) for every `j` in `targets`, in order, at
-    /// this epoch: the live engine's `ReputationEngine::reputations_from`
-    /// on the frozen graph, one two-hop sweep across all targets, into
-    /// a map of the call's own since a view is shared between threads.
+    /// this epoch, for any evaluator `i`: the live service's
+    /// `ShardedEngine::reputations_from` on the frozen cut, into a map
+    /// of the call's own since a view is shared between threads.
     pub fn reputations_from(&self, i: PeerId, targets: &[PeerId]) -> Vec<f64> {
-        let Method::Bounded(hops) = self.method else {
-            unreachable!("ShardedEngine::with_method admits only Bounded(k ≤ 2)")
-        };
-        let mut flows = FxHashMap::default();
-        swept_reputations(&self.graph, i, hops, self.metric, targets, &mut flows)
+        self.reputations_with(i, targets, &mut FxHashMap::default())
+    }
+
+    /// [`EpochView::reputations_from`] sweeping into `flows`, which the
+    /// caller owns and may reuse from call to call.
+    pub fn reputations_with(
+        &self,
+        i: PeerId,
+        targets: &[PeerId],
+        flows: &mut FxHashMap<PeerId, FlowPair>,
+    ) -> Vec<f64> {
+        owner_reputations(
+            |p| self.owner_graph(p),
+            i,
+            self.method,
+            self.metric,
+            targets,
+            flows,
+        )
     }
 }
 
@@ -107,7 +140,7 @@ impl EpochView {
 mod tests {
     use super::*;
     use crate::repcache::ReputationEngine;
-    use bartercast_util::units::Bytes;
+    use crate::shard::HashPartitioner;
 
     fn p(i: u32) -> PeerId {
         PeerId(i)
@@ -121,8 +154,16 @@ mod tests {
         e
     }
 
+    /// A one-shard view of `e`'s graph.
     fn freeze(e: &mut ReputationEngine) -> Arc<EpochView> {
-        EpochView::new(0, 1, e.method(), ReputationMetric::default(), e.freeze())
+        EpochView::new(
+            0,
+            1,
+            e.method(),
+            ReputationMetric::default(),
+            Arc::from([e.freeze()]),
+            Arc::new(HashPartitioner),
+        )
     }
 
     #[test]

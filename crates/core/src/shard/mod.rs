@@ -1,48 +1,53 @@
 //! Sharded reputation service: `ContributionGraph` ownership
-//! partitioned across N shards, each with its own engine over an
-//! arena-backed subgraph, queryable shard-parallel
-//! through epoch-consistent snapshots.
+//! partitioned across N shards, each storing the edges of the peers it
+//! owns in an arena-backed subgraph, queryable shard-parallel through
+//! epoch-consistent snapshots.
 //!
-//! ## Ownership and replication
+//! ## Ownership without replication
 //!
 //! A [`Partitioner`] assigns every peer to exactly one **owner shard**
-//! ([`partition`]). A shard's [`ReputationEngine`] holds a replica
-//! graph containing (a) all edges incident to its owned peers and
-//! (b) the boundary closure those peers' bounded sweeps read: with
-//! the service restricted to `Method::Bounded(k ≤ 2)`, evaluator
-//! `i`'s sweep touches only `in(i)`, `out(i)`, `in(m)` for
-//! in-neighbours `m`, and `out(m)` for out-neighbours `m`
-//! (`graph::ssat`). The [`BoundaryIndex`] tracks which shards need
-//! which nodes' adjacency replicated ([`boundary`]) and every edge
-//! mutation is delivered to exactly the subscribed shards, with the
-//! **tail's owner authoritative** for the edge weight.
+//! ([`partition`]). Shard `s` stores exactly the edges with an
+//! endpoint it owns: a mutation of `(f, t)` is written to `owner(f)`
+//! and, when it differs, to `owner(t)`, so a shard-local edge is
+//! stored once and a cross-shard edge twice, at the same weight. The
+//! **tail's owner is authoritative**: it counts the edge in
+//! [`ShardStats::authoritative_edges`] and reports whether a merge
+//! changed it.
+//!
+//! With the service restricted to `Method::Bounded(k ≤ 2)`, a sweep
+//! from evaluator `i` reads only `in(i)`, `out(i)`, `in(m)` for
+//! in-neighbours `m` and `out(m)` for out-neighbours `m`
+//! (`graph::ssat`). Each of those is one node's adjacency, and a
+//! node's owner holds all of it, so every query runs
+//! `ssat::sweep_adjacency` reading each node at its owner shard, and
+//! nothing is copied between shards to serve it.
 //!
 //! ## Bit-identity
 //!
-//! Because a shard's replica contains the evaluator's full two-hop
-//! ego subgraph, and the bounded-flow closed form is an
-//! order-independent sum of `u64` minima, every sharded
-//! `reputations_from` is **bitwise equal** to the monolithic engine
-//! on the union graph — at any shard count, under any mutation
-//! interleaving. `tests/shard_differential.rs` pins this.
+//! The sweep reads exactly the adjacency it would read on the union
+//! graph, and the bounded-flow closed form is an order-independent sum
+//! of `u64` minima, so every sharded `reputations_from` is **bitwise
+//! equal** to the monolithic engine on the union graph — at any shard
+//! count, under any mutation interleaving.
+//! `tests/shard_differential.rs` pins this.
 //!
 //! ## Epochs
 //!
-//! [`ShardedEngine::publish_all`] freezes each shard's replica into an
-//! immutable [`EpochView`] ([`epoch`]); readers on other threads
-//! evaluate against the views lock-free while owners keep writing.
-//! An epoch is a reference, not a copy: the view and the live engine
-//! share one graph behind an `Arc`, publishing is O(1), and a shard's
-//! first write after a publication copies that shard's graph only if
-//! a view of it is still alive ([`ShardStats::graph_copies`] counts
-//! those; a service that drops its views before it writes again pays
-//! none). The service keeps no view itself, for a reference held here
-//! would make every post-publish write copy. The shard-aware sweep
-//! scheduler in `sim::sweep` drains each shard's evaluators on that
-//! shard's live engine and steals tail work across shards through the
-//! epochs.
+//! [`ShardedEngine::publish_all`] freezes every shard's graph, all at
+//! once, into [`EpochView`]s ([`epoch`]) that hold the whole set plus
+//! the partitioner: a view is a consistent cut of the service and
+//! answers any evaluator, whichever shard it is tagged with. Readers
+//! on other threads evaluate against the views lock-free while owners
+//! keep writing. A view is a reference, not a copy: each frozen graph
+//! is shared with its shard's live engine behind an `Arc`, publishing
+//! is O(1) per shard, and a write that reaches a shard (its one or two
+//! owner shards) copies that shard's graph only if a view of it is
+//! still alive ([`ShardStats::graph_copies`] counts those; a service
+//! that drops its views before it writes again pays none). The service
+//! keeps no view itself, for a reference held here would make every
+//! post-publish write copy. The shard-aware sweep scheduler in
+//! `sim::sweep` runs every evaluator on the views.
 
-pub mod boundary;
 pub mod epoch;
 pub mod partition;
 
@@ -50,16 +55,17 @@ use std::sync::Arc;
 
 use crate::message::BarterCastMessage;
 use crate::metric::ReputationMetric;
-use crate::repcache::ReputationEngine;
+use crate::repcache::{swept_reputations, ReputationEngine};
 use crate::PrivateHistory;
-use bartercast_graph::{ContributionGraph, Method};
+use bartercast_graph::{ssat, ContributionGraph, FlowPair, Method};
 use bartercast_util::units::{Bytes, PeerId};
+use bartercast_util::FxHashMap;
 
-pub use boundary::{shards_in_mask, BoundaryIndex, MAX_SHARDS};
 pub use epoch::EpochView;
 pub use partition::{CommunityPartitioner, HashPartitioner, Partitioner};
 
-/// One shard: a live engine plus its publication counter.
+/// One shard: a live engine holding the shard's graph, plus its
+/// publication counter.
 #[derive(Debug)]
 struct Shard {
     engine: ReputationEngine,
@@ -74,14 +80,12 @@ pub struct ShardStats {
     pub shards: usize,
     /// Authoritative (deduplicated) edge count across the service.
     pub authoritative_edges: usize,
-    /// Total edges stored across all shard replicas (≥ authoritative;
-    /// the ratio is the replication factor).
+    /// Total edges stored across all shards: every authoritative edge
+    /// once more for each cross-shard edge, which both owners store.
     pub replica_edges: usize,
     /// Fraction of authoritative edges whose endpoints share an owner
     /// shard.
     pub locality: f64,
-    /// Boundary-subscription backfills performed so far.
-    pub backfills: u64,
     /// Total epochs published across all shards.
     pub epochs_published: u64,
     /// Writes that had to copy a shard's graph because an epoch view
@@ -90,30 +94,53 @@ pub struct ShardStats {
     pub graph_copies: u64,
 }
 
+/// `R_i(j)` for every `j` in `targets`, in order, from one sweep of
+/// evaluator `i` into `flows` that reads every node's adjacency from
+/// `at_owner(node)`, the graph of the node's owner shard: the one
+/// evaluation behind the live service and its epoch views.
+pub(crate) fn owner_reputations<'g>(
+    at_owner: impl Fn(PeerId) -> &'g ContributionGraph,
+    i: PeerId,
+    method: Method,
+    metric: ReputationMetric,
+    targets: &[PeerId],
+    flows: &mut FxHashMap<PeerId, FlowPair>,
+) -> Vec<f64> {
+    let Method::Bounded(hops) = method else {
+        unreachable!("ShardedEngine::with_method admits only Bounded(k ≤ 2)")
+    };
+    ssat::sweep_adjacency(
+        i,
+        hops,
+        |p| at_owner(p).in_edges(p),
+        |p| at_owner(p).out_edges(p),
+        flows,
+    );
+    swept_reputations(flows, i, metric, targets)
+}
+
 /// A reputation service whose contribution graph is partitioned across
 /// shards, answering Equation-1 queries bit-identically to a single
 /// monolithic [`ReputationEngine`] holding the union graph.
 ///
 /// Restricted to `Method::Bounded(k ≤ 2)` — the deployed BarterCast
-/// configuration — whose two-hop locality is what makes owner-shard
-/// replicas sufficient (see the module docs).
+/// configuration — whose two-hop locality is what makes reading each
+/// node at its owner shard sufficient (see the module docs).
 #[derive(Debug)]
 pub struct ShardedEngine {
     shards: Vec<Shard>,
     partitioner: Arc<dyn Partitioner>,
-    boundary: BoundaryIndex,
     method: Method,
     metric: ReputationMetric,
+    /// The live queries' sweep, reused call to call.
+    sweep: FxHashMap<PeerId, FlowPair>,
 }
 
 impl ShardedEngine {
     /// A service with `shards` hash-partitioned shards and the
-    /// deployed configuration. Panics unless `1 ≤ shards ≤ 64`.
+    /// deployed configuration. Panics if `shards` is 0.
     pub fn new(shards: usize) -> Self {
-        assert!(
-            (1..=MAX_SHARDS).contains(&shards),
-            "shard count {shards} outside 1..={MAX_SHARDS}"
-        );
+        assert!(shards >= 1, "shard count {shards} must be at least 1");
         ShardedEngine {
             shards: (0..shards)
                 .map(|_| Shard {
@@ -122,9 +149,9 @@ impl ShardedEngine {
                 })
                 .collect(),
             partitioner: Arc::new(HashPartitioner),
-            boundary: BoundaryIndex::new(),
             method: Method::DEPLOYED,
             metric: ReputationMetric::default(),
+            sweep: FxHashMap::default(),
         }
     }
 
@@ -142,27 +169,19 @@ impl ShardedEngine {
 
     /// Override the bounded maxflow method. Panics unless the method
     /// is `Bounded(k)` with `k ≤ 2`: deeper bounds and unbounded flow
-    /// read beyond the replicated two-hop closure.
+    /// read beyond a node's own adjacency and its neighbours'.
     pub fn with_method(mut self, method: Method) -> Self {
         assert!(
             matches!(method, Method::Bounded(k) if k <= 2),
             "sharded service requires Bounded(k <= 2), got {method:?}"
         );
         self.method = method;
-        for shard in &mut self.shards {
-            let engine = std::mem::take(&mut shard.engine);
-            shard.engine = engine.with_method(method);
-        }
         self
     }
 
-    /// Override the reputation metric on every shard.
+    /// Override the reputation metric.
     pub fn with_metric(mut self, metric: ReputationMetric) -> Self {
         self.metric = metric;
-        for shard in &mut self.shards {
-            let engine = std::mem::take(&mut shard.engine);
-            shard.engine = engine.with_metric(metric);
-        }
         self
     }
 
@@ -181,16 +200,12 @@ impl ShardedEngine {
         self.partitioner.shard_of(peer, self.shards.len())
     }
 
-    /// Read-only access to shard `s`'s live engine.
+    /// Read-only access to shard `s`'s live engine, whose graph holds
+    /// exactly the edges touching a peer the shard owns. Its own
+    /// queries see only that subgraph; the service's answer for any
+    /// evaluator is [`ShardedEngine::reputations_from`].
     pub fn shard_engine(&self, s: usize) -> &ReputationEngine {
         &self.shards[s].engine
-    }
-
-    /// Mutable references to every shard's live engine, in shard
-    /// order — the handle the shard-aware sweep scheduler distributes
-    /// across worker threads.
-    pub fn shard_engines_mut(&mut self) -> Vec<&mut ReputationEngine> {
-        self.shards.iter_mut().map(|s| &mut s.engine).collect()
     }
 
     /// Record `amount` more bytes transferred `from → to` (delta), as
@@ -249,19 +264,28 @@ impl ShardedEngine {
         }
     }
 
-    /// `R_i(j)` for every `j` in `targets`, answered by `i`'s owner
-    /// shard. Bit-identical to the monolithic engine on the union
-    /// graph.
+    /// `R_i(j)` for every `j` in `targets`: one sweep reading `i` and
+    /// each of its neighbours at that node's owner shard.
+    /// Bit-identical to the monolithic engine on the union graph.
     pub fn reputations_from(&mut self, i: PeerId, targets: &[PeerId]) -> Vec<f64> {
-        let s = self.shard_of(i);
-        self.shards[s].engine.reputations_from(i, targets)
+        let (shards, partitioner) = (&self.shards, &*self.partitioner);
+        owner_reputations(
+            |p| shards[partitioner.shard_of(p, shards.len())].engine.graph(),
+            i,
+            self.method,
+            self.metric,
+            targets,
+            &mut self.sweep,
+        )
     }
 
-    /// Freeze shard `s`'s current replica into a fresh epoch and
-    /// return it. O(1): the view shares the replica with the live
-    /// engine, which copies it only if it writes while the view (or an
-    /// earlier one of the same graph) is alive.
-    pub fn publish_epoch(&mut self, s: usize) -> Arc<EpochView> {
+    /// Freeze every shard's graph, together, for a set of views.
+    fn freeze_all(&mut self) -> Arc<[Arc<ContributionGraph>]> {
+        self.shards.iter_mut().map(|s| s.engine.freeze()).collect()
+    }
+
+    /// Epoch `s` over `graphs`, counted as one more publication of `s`.
+    fn view(&mut self, s: usize, graphs: Arc<[Arc<ContributionGraph>]>) -> Arc<EpochView> {
         let shard = &mut self.shards[s];
         shard.epochs_published += 1;
         EpochView::new(
@@ -269,14 +293,26 @@ impl ShardedEngine {
             shard.epochs_published,
             self.method,
             self.metric,
-            shard.engine.freeze(),
+            graphs,
+            Arc::clone(&self.partitioner),
         )
     }
 
-    /// Publish a fresh epoch for every shard, in shard order.
+    /// Freeze the service into a fresh epoch of shard `s` and return
+    /// it. O(1) per shard: the view shares every shard's graph with
+    /// that shard's live engine, which copies it only if it writes
+    /// while the view (or an earlier one of the same graph) is alive.
+    pub fn publish_epoch(&mut self, s: usize) -> Arc<EpochView> {
+        let graphs = self.freeze_all();
+        self.view(s, graphs)
+    }
+
+    /// Publish a fresh epoch for every shard, in shard order, all over
+    /// one frozen cut.
     pub fn publish_all(&mut self) -> Vec<Arc<EpochView>> {
+        let graphs = self.freeze_all();
         (0..self.shards.len())
-            .map(|s| self.publish_epoch(s))
+            .map(|s| self.view(s, Arc::clone(&graphs)))
             .collect()
     }
 
@@ -341,7 +377,7 @@ impl ShardedEngine {
         self.edge_census().1
     }
 
-    /// Aggregate replication / locality / epoch diagnostics.
+    /// Aggregate storage / locality / epoch diagnostics.
     pub fn stats(&self) -> ShardStats {
         let (authoritative_edges, locality) = self.edge_census();
         let shards = &self.shards;
@@ -350,16 +386,14 @@ impl ShardedEngine {
             authoritative_edges,
             replica_edges: shards.iter().map(|s| s.engine.graph().edge_count()).sum(),
             locality,
-            backfills: self.boundary.backfills(),
             epochs_published: shards.iter().map(|s| s.epochs_published).sum(),
             graph_copies: shards.iter().map(|s| s.engine.graph_copies()).sum(),
         }
     }
 
-    /// Deliver an edge mutation of `(from, to)` to every subscribed
-    /// shard, then extend subscriptions for the middle-node closure the
-    /// new adjacency creates (backfilling fresh subscribers from the
-    /// authoritative replicas).
+    /// Write an edge mutation of `(from, to)` to the tail's owner
+    /// shard and, when it is another shard, to the head's: the two
+    /// shards whose peers' sweeps read the edge.
     fn route(
         &mut self,
         from: PeerId,
@@ -368,43 +402,9 @@ impl ShardedEngine {
     ) {
         let tail_shard = self.shard_of(from);
         let head_shard = self.shard_of(to);
-        let mask = self
-            .boundary
-            .delivery_mask(from, to, tail_shard, head_shard);
-        for s in shards_in_mask(mask) {
-            apply(s, self.shards[s].engine.graph_mut());
-        }
-        // `to` is now an out-neighbour of `from`: from's owner sweeps
-        // read out(to). `from` is an in-neighbour of `to`: to's owner
-        // sweeps read in(from). Same-shard cases are trivially covered
-        // by ownership, so only cross-shard adjacency subscribes.
-        if tail_shard != head_shard {
-            if self.boundary.subscribe_out(to, tail_shard) {
-                self.backfill_out(to, head_shard, tail_shard);
-            }
-            if self.boundary.subscribe_in(from, head_shard) {
-                self.backfill_in(from, tail_shard, head_shard);
-            }
-        }
-    }
-
-    /// Copy all out-edges of `node` from the authoritative replica on
-    /// `src` into `dst` (max-merge: idempotent, no-op on agreement).
-    fn backfill_out(&mut self, node: PeerId, src: usize, dst: usize) {
-        let edges: Vec<(PeerId, Bytes)> = self.shards[src].engine.graph().out_edges(node).collect();
-        let dst_graph = self.shards[dst].engine.graph_mut();
-        for (t, w) in edges {
-            dst_graph.merge_record(node, t, w);
-        }
-    }
-
-    /// Copy all in-edges of `node` from the authoritative replica on
-    /// `src` into `dst`.
-    fn backfill_in(&mut self, node: PeerId, src: usize, dst: usize) {
-        let edges: Vec<(PeerId, Bytes)> = self.shards[src].engine.graph().in_edges(node).collect();
-        let dst_graph = self.shards[dst].engine.graph_mut();
-        for (f, w) in edges {
-            dst_graph.merge_record(f, node, w);
+        apply(tail_shard, self.shards[tail_shard].engine.graph_mut());
+        if head_shard != tail_shard {
+            apply(head_shard, self.shards[head_shard].engine.graph_mut());
         }
     }
 }
@@ -467,19 +467,42 @@ mod tests {
     }
 
     #[test]
-    fn replicas_agree_with_owner_on_every_masked_edge() {
-        let mut svc = ShardedEngine::new(4);
-        for &(f, t, w) in &batch() {
-            svc.add_transfer(p(f), p(t), Bytes(w));
-        }
-        for (f, t, w) in svc.authoritative_edges() {
-            for s in 0..4 {
-                let replica = svc.shard_engine(s).graph().edge(f, t);
-                assert!(
-                    replica == Bytes::ZERO || replica == w,
-                    "shard {s} stores {f}->{t} at {replica:?}, owner says {w:?}"
+    fn each_shard_stores_exactly_the_edges_touching_its_peers() {
+        for shards in [1usize, 2, 4, 8] {
+            let mut mono = monolith();
+            let mut svc = ShardedEngine::new(shards);
+            for (i, &(f, t, w)) in batch().iter().enumerate() {
+                if i % 3 == 0 {
+                    mono.graph_mut().add_transfer(p(f), p(t), Bytes(w));
+                    svc.add_transfer(p(f), p(t), Bytes(w));
+                } else {
+                    mono.graph_mut().merge_record(p(f), p(t), Bytes(w));
+                    svc.merge_record(p(f), p(t), Bytes(w));
+                }
+            }
+            let union: Vec<_> = mono.graph().edges().collect();
+            for s in 0..shards {
+                let touches = |f: PeerId, t: PeerId| svc.shard_of(f) == s || svc.shard_of(t) == s;
+                let mut expect: Vec<_> = union.iter().filter(|e| touches(e.0, e.1)).collect();
+                let mut stored: Vec<_> = svc.shard_engine(s).graph().edges().collect();
+                expect.sort();
+                stored.sort();
+                assert_eq!(
+                    stored.iter().collect::<Vec<_>>(),
+                    expect,
+                    "shards={shards} shard {s}"
                 );
             }
+            let cross = union
+                .iter()
+                .filter(|&&(f, t, _)| svc.shard_of(f) != svc.shard_of(t))
+                .count();
+            let stats = svc.stats();
+            assert_eq!(
+                stats.replica_edges,
+                stats.authoritative_edges + cross,
+                "shards={shards}"
+            );
         }
     }
 
@@ -541,8 +564,8 @@ mod tests {
         assert_eq!(svc.publish_epoch(s).epoch(), 2);
     }
 
-    /// One edge on an 8-shard service: a write to it is delivered to
-    /// the two endpoints' owner shards at most.
+    /// One edge on an 8-shard service: a write to it reaches the two
+    /// endpoints' owner shards at most.
     fn one_edge_service() -> ShardedEngine {
         let mut svc = ShardedEngine::new(8);
         svc.add_transfer(p(1), p(0), Bytes::from_mb(100));

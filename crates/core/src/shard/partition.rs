@@ -1,12 +1,11 @@
 //! Ownership partitioning: which shard owns which peer.
 //!
 //! Every peer is **owned** by exactly one shard — the shard whose
-//! replica graph is authoritative for the peer's incident edges and
-//! whose engine answers the peer's reputation queries. The assignment
-//! is a pure function of the peer id (and the partitioner's
-//! configuration), so it is total and disjoint by construction: any
-//! `PeerId`, including ones the service has never seen, maps to
-//! exactly one shard.
+//! graph holds all of the peer's incident edges, and where every sweep
+//! reads the peer's adjacency. The assignment is a pure function of
+//! the peer id (and the partitioner's configuration), so it is total
+//! and disjoint by construction: any `PeerId`, including ones the
+//! service has never seen, maps to exactly one shard.
 //!
 //! Two partitioners ship:
 //!
@@ -18,8 +17,8 @@
 //!   networks (PAPERS.md) observes that like-bandwidth peers cluster
 //!   into communities with sparse cross-links; labelling those
 //!   communities keeps intra-community edges shard-local, which is
-//!   what bounds the boundary-replication overhead of the sharded
-//!   service (see [`super::boundary`]).
+//!   what bounds the sharded service's cross-shard storage: a
+//!   cross-shard edge is stored at both endpoints' owners.
 
 use bartercast_util::units::PeerId;
 use bartercast_util::{FxHashMap, FxHasher};
@@ -32,7 +31,7 @@ use std::hash::{Hash, Hasher};
 /// configuration, and must return a value in `0..shards`. The sharded
 /// engine routes every mutation and query through this function, so a
 /// non-deterministic implementation would scatter a peer's edges
-/// across shards and break the replication invariant.
+/// across shards and break the ownership invariant.
 pub trait Partitioner: std::fmt::Debug + Send + Sync {
     /// The shard in `0..shards` that owns `peer`. Must be
     /// deterministic.

@@ -1,14 +1,15 @@
 //! Epoch-snapshot consistency under concurrent writes.
 //!
-//! A published [`EpochView`] is an immutable value: while the owning
-//! shard's writer keeps mutating the live graph, concurrent readers
+//! A published [`EpochView`] is an immutable value: while the
+//! service's writer keeps mutating the live shards, concurrent readers
 //! of the epoch must never observe a torn cut — every read equals the
 //! **pure epoch-version replay**, i.e. the answer of a fresh
 //! monolithic engine that applied exactly the mutations up to the
 //! publication point and nothing after it. The property here runs a
 //! real writer thread against real reader threads and compares every
 //! concurrent read bitwise against the replay; the deterministic
-//! tests cover the empty-shard and single-peer-shard edge cases the
+//! tests cover an empty shard's view, a cut that a write to other
+//! shards must not move, and a single-peer shard — cases the
 //! proptest's random populations may not isolate.
 
 use std::sync::Arc;
@@ -147,36 +148,87 @@ proptest! {
     }
 }
 
-/// An epoch published by a shard that owns no peers (and stores no
-/// edges) answers every query with the neutral reputation.
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Every view of a publication, an empty shard's included, is a cut of
+/// the whole service: it answers any evaluator exactly as the monolith
+/// did at publication, while the empty shard's own graph stays empty.
 #[test]
-fn empty_shard_epoch_serves_neutral_answers() {
+fn every_view_answers_any_evaluator_as_the_monolith() {
     let mut svc = ShardedEngine::new(8);
-    // two peers, one edge: at most a handful of the 8 shards are
-    // populated, the rest publish empty epochs
-    svc.add_transfer(p(1), p(0), Bytes::from_mb(100));
+    let mut mono = ReputationEngine::new();
+    // four peers: at least four of the 8 shards own none of them
+    for (f, t, mb) in [(1u32, 0u32, 100u64), (2, 1, 40), (0, 3, 25), (3, 2, 70)] {
+        svc.add_transfer(p(f), p(t), Bytes::from_mb(mb));
+        mono.graph_mut()
+            .add_transfer(p(f), p(t), Bytes::from_mb(mb));
+    }
     let views = svc.publish_all();
-    let populated: Vec<usize> = vec![svc.shard_of(p(0)), svc.shard_of(p(1))];
+    let populated: Vec<usize> = (0..4).map(|i| svc.shard_of(p(i))).collect();
+    let targets: Vec<PeerId> = (0..6).map(p).collect();
+    assert_ne!(
+        mono.reputations_from(p(0), &[p(2)]),
+        vec![0.0],
+        "vacuous fixture"
+    );
     let mut saw_empty = false;
     for (s, view) in views.iter().enumerate() {
-        if populated.contains(&s) {
-            continue;
+        for i in 0..6 {
+            assert_eq!(
+                bits(&view.reputations_from(p(i), &targets)),
+                bits(&mono.reputations_from(p(i), &targets)),
+                "view of shard {s}, evaluator {i}"
+            );
         }
-        saw_empty = true;
-        assert_eq!(view.graph().node_count(), 0, "shard {s} should be empty");
-        assert_eq!(view.reputations_from(p(0), &[p(1)]), vec![0.0]);
-        assert_eq!(
-            view.reputations_from(p(5), &[p(0), p(1), p(5)]),
-            vec![0.0, 0.0, 0.0]
-        );
+        if !populated.contains(&s) {
+            saw_empty = true;
+            assert_eq!(view.graph().node_count(), 0, "shard {s} should be empty");
+        }
     }
     assert!(saw_empty, "fixture must leave at least one shard empty");
 }
 
-/// A shard owning exactly one peer still replicates that peer's
-/// two-hop neighbourhood: its epoch answers the owned evaluator
+/// A view is a consistent cut: a write after publication to an edge
+/// whose endpoints both belong to other shards, through a middle node
+/// of the view's evaluator, moves the live answer but not the view's,
+/// and copies only the two shards it was written to.
+#[test]
+fn a_write_elsewhere_after_publication_leaves_the_cut_alone() {
+    // evaluator 0 on shard 0, its middle 1 on shard 1, target 2 on
+    // shard 2
+    let labels: FxHashMap<PeerId, u32> = (0..3).map(|i| (p(i), i)).collect();
+    let mut svc =
+        ShardedEngine::new(3).with_partitioner(Arc::new(CommunityPartitioner::new(labels)));
+    svc.add_transfer(p(0), p(1), Bytes::from_mb(500));
+    svc.add_transfer(p(2), p(1), Bytes::from_mb(300));
+    svc.add_transfer(p(1), p(0), Bytes::from_mb(200));
+    let targets = [p(1), p(2)];
+    let before = svc.reputations_from(p(0), &targets);
+    let view = svc.publish_epoch(0);
+    assert_eq!(bits(&view.reputations_from(p(0), &targets)), bits(&before));
+
+    svc.add_transfer(p(1), p(2), Bytes::from_mb(400));
+    assert_eq!(
+        bits(&view.reputations_from(p(0), &targets)),
+        bits(&before),
+        "the view moved with a write made after its publication"
+    );
+    let after = svc.reputations_from(p(0), &targets);
+    assert_ne!(after[1], before[1], "the write must move the live answer");
+    assert_eq!(
+        svc.stats().graph_copies,
+        2,
+        "only shards 1 and 2 were written"
+    );
+    assert!(std::ptr::eq(view.graph(), svc.shard_engine(0).graph()));
+}
+
+/// The epoch of a shard owning exactly one peer reads that peer's
+/// neighbours at their owner: it answers the owned evaluator
 /// bit-identically to the monolith, while a concurrent writer mutates
-/// other shards.
+/// the other shard.
 #[test]
 fn single_peer_shard_epoch_matches_monolith() {
     // community partition: peer 9 alone in community 1 → shard 1;

@@ -216,8 +216,9 @@ const PINNED_CHECKSUM: u64 = 0xc18154679b29fd84;
 
 /// On a planted-partition graph the community partitioner keeps every
 /// intra-community edge shard-local, while the structure-oblivious
-/// hash partitioner scatters them — the gap is the replication
-/// overhead the community assignment exists to avoid.
+/// hash partitioner scatters them — the gap is the cross-shard
+/// storage (each cross-shard edge kept at both owners) the community
+/// assignment exists to avoid.
 #[test]
 fn community_partitioner_is_local_on_planted_graph() {
     const COMMUNITIES: u32 = 8;
@@ -261,7 +262,7 @@ fn community_partitioner_is_local_on_planted_graph() {
     );
     assert!(
         community.stats().replica_edges <= hashed.stats().replica_edges,
-        "community partition must not replicate more than hash"
+        "community partition must not store more edges than hash"
     );
 }
 

@@ -26,13 +26,17 @@
 //! in-direction pass needed for the `maxflow(j → i)` side of
 //! Equation 1.
 //!
-//! [`sweep_into`] is the pass the reputation engine and the shard
-//! epoch views run: both directions at once, for any path bound
-//! `k ≤ 2`, written into one caller-owned [`FlowPair`] map that the
-//! engine reuses from call to call. [`flows_from`] and [`flows_into`]
-//! are its one-direction, `k = 2` oracles. A single pair needs none of
-//! this: [`FlowKernel::flow`](crate::FlowKernel::flow) evaluates the
-//! same sum from `s`'s out-edges and `t`'s in-edges alone.
+//! [`sweep_into`] is the pass the reputation engine runs: both
+//! directions at once, for any path bound `k ≤ 2`, written into one
+//! caller-owned [`FlowPair`] map that the engine reuses from call to
+//! call. It is [`sweep_adjacency`] over one graph; the sharded service
+//! runs that form directly, reading each node's edges at the shard
+//! that owns the node, since a sweep from `i` reads only `i`'s edges
+//! and one direction of each neighbour's. [`flows_from`] and
+//! [`flows_into`] are its one-direction, `k = 2` oracles. A single
+//! pair needs none of this:
+//! [`FlowKernel::flow`](crate::FlowKernel::flow) evaluates the same
+//! sum from `s`'s out-edges and `t`'s in-edges alone.
 //!
 //! All three return exactly the values `maxflow::compute` returns for
 //! `Method::Bounded(k)` (bit-identical `u64` totals; the property tests
@@ -64,16 +68,44 @@ pub fn sweep_into(
     hops: usize,
     flows: &mut FxHashMap<PeerId, FlowPair>,
 ) {
+    sweep_adjacency(
+        i,
+        hops,
+        |p| graph.in_edges(p),
+        |p| graph.out_edges(p),
+        flows,
+    );
+}
+
+/// [`sweep_into`] over any adjacency: `in_edges(p)` and `out_edges(p)`
+/// give node `p`'s edges, wherever they are stored. The sweep asks for
+/// `i`'s own edges and, under `hops = 2`, for `in(m)` of each
+/// in-neighbour `m` and `out(m)` of each out-neighbour — nothing else
+/// — so an adjacency split across stores answers it as long as each
+/// node's edges are read where that node's edges are kept whole.
+///
+/// # Panics
+/// If `hops > 2`: longer paths share edges and have no closed form.
+pub fn sweep_adjacency<I, O>(
+    i: PeerId,
+    hops: usize,
+    in_edges: impl Fn(PeerId) -> I,
+    out_edges: impl Fn(PeerId) -> O,
+    flows: &mut FxHashMap<PeerId, FlowPair>,
+) where
+    I: Iterator<Item = (PeerId, Bytes)>,
+    O: Iterator<Item = (PeerId, Bytes)>,
+{
     assert!(hops <= 2, "no single-source sweep for {hops}-hop paths");
     flows.clear();
     if hops == 0 {
         return;
     }
-    half_sweep(flows, i, hops, |p| graph.in_edges(p), |f| &mut f.toward);
-    half_sweep(flows, i, hops, |p| graph.out_edges(p), |f| &mut f.away);
+    half_sweep(flows, i, hops, in_edges, |f| &mut f.toward);
+    half_sweep(flows, i, hops, out_edges, |f| &mut f.away);
 }
 
-/// One direction of [`sweep_into`]: `edges(p)` walks away from `i`
+/// One direction of [`sweep_adjacency`]: `edges(p)` walks away from `i`
 /// (in-edges for `toward`, out-edges for `away`) and `side` picks the
 /// field the flows add into.
 fn half_sweep<I: Iterator<Item = (PeerId, Bytes)>>(

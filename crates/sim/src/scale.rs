@@ -28,8 +28,8 @@
 //! is ingested into a [`ShardedEngine`] partitioned by planted
 //! community (the stratified structure of real P2P populations —
 //! like-bandwidth peers cluster with sparse cross-links — is what
-//! keeps boundary replication small), swept shard-parallel through
-//! epoch snapshots, and checksummed so every shard count can be
+//! keeps the edges stored at two shards few), swept shard-parallel
+//! through epoch snapshots, and checksummed so every shard count can be
 //! pinned bit-identical to the monolith.
 //!
 //! Run via `cargo run -p bartercast-experiments --release --bin scale`
@@ -472,7 +472,8 @@ pub struct ShardScaleReport {
     pub graph_copies: u64,
     /// Authoritative (union-graph) edge count.
     pub authoritative_edges: usize,
-    /// Total replica edges across shards.
+    /// Total edges stored across shards (a cross-shard edge at both
+    /// owners).
     pub replica_edges: usize,
 }
 

@@ -1,6 +1,6 @@
 //! Parallel sweeps: parameter fan-out and the Equation-2 scheduler.
 //!
-//! Two kinds of parallelism live here:
+//! Three kinds of parallelism live here:
 //!
 //! * [`run_configs`] — the Figure 2c/3a/3b experiments run
 //!   the same trace under several configurations; runs are independent
@@ -16,6 +16,11 @@
 //!   sweep actually traverses), raw edge count for every per-pair
 //!   method — claimed by an atomic counter, so threads that finish
 //!   early pull the next pending evaluator instead of waiting.
+//! * [`sharded_reputations_timed`] — the same idea over a
+//!   `ShardedEngine`: per-shard cost-ordered queues, every task run on
+//!   the epoch views published at sweep start (each a consistent cut
+//!   of every shard, reading each node at its owner), a worker
+//!   draining its own shards' queues before it steals from the others.
 //!
 //! Every schedule is bit-identical by construction: threads only
 //! *gather* each evaluator's value vector, and the floating-point
@@ -31,9 +36,8 @@ use bartercast_bt::RatioPolicy;
 use bartercast_core::policy::ReputationPolicy;
 use bartercast_core::ShardedEngine;
 use bartercast_graph::maxflow::Method;
-use bartercast_graph::ContributionGraph;
 use bartercast_trace::model::Trace;
-use bartercast_util::units::PeerId;
+use bartercast_util::units::{Bytes, PeerId};
 use bartercast_util::FxHashMap;
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
@@ -194,18 +198,31 @@ fn gather_serial(peers: &mut [SimPeer], indices: &[usize], target_ids: &[PeerId]
 /// method runs per-pair flow over the whole graph and keeps the edge
 /// count as its cost.
 fn sweep_cost(peer: &SimPeer) -> usize {
+    let graph = peer.engine.graph();
     match peer.engine.method() {
-        Method::Bounded(k) if k <= 2 => ball_arc_cost(peer.engine.graph(), peer.id, k),
-        _ => peer.engine.graph().edge_count(),
+        Method::Bounded(k) if k <= 2 => {
+            ball_arc_cost(peer.id, k, |u| graph.out_edges(u), |u| graph.in_edges(u))
+        }
+        _ => graph.edge_count(),
     }
 }
 
 /// The number of arcs in `evaluator`'s forward and reverse k-hop balls
 /// (arcs whose tail/head lies within `k − 1` hops of it): the work a
-/// bounded-`k` single-source sweep actually performs.
-fn ball_arc_cost(graph: &ContributionGraph, evaluator: PeerId, k: usize) -> usize {
-    ball_arcs(evaluator, k, |u| graph.out_edges(u).map(|(v, _)| v))
-        + ball_arcs(evaluator, k, |u| graph.in_edges(u).map(|(v, _)| v))
+/// bounded-`k` single-source sweep actually performs. `out_edges` and
+/// `in_edges` give a node's adjacency wherever it is kept.
+fn ball_arc_cost<O, I>(
+    evaluator: PeerId,
+    k: usize,
+    out_edges: impl Fn(PeerId) -> O,
+    in_edges: impl Fn(PeerId) -> I,
+) -> usize
+where
+    O: Iterator<Item = (PeerId, Bytes)>,
+    I: Iterator<Item = (PeerId, Bytes)>,
+{
+    ball_arcs(evaluator, k, |u| out_edges(u).map(|(v, _)| v))
+        + ball_arcs(evaluator, k, |u| in_edges(u).map(|(v, _)| v))
 }
 
 /// Arcs scanned by a depth-`k` layered BFS from `source` following
@@ -336,17 +353,19 @@ pub fn sharded_reputations(
 /// The scheduler gives the work-stealing task list a **shard
 /// dimension**: evaluators are grouped by owner shard into per-shard
 /// queues, each LPT-ordered by k-hop ball cost, with one atomic claim
-/// counter per shard. Worker `w` owns the live engines of shards
-/// `w, w + W, w + 2W, …` and drains their queues through those engines
-/// (each reusing its sweep buffer); only when its own shards run
-/// dry does it **steal across shards**, evaluating tail tasks against
-/// the epoch views published at sweep start. During the sweep no writer
-/// runs — the service is `&mut`-borrowed — so each epoch *is* its
-/// shard's live graph (publishing shares it, copying nothing) and
-/// stolen results are bit-identical to owner-evaluated ones; threads
-/// only gather `(position, values)` pairs, so the output is independent
-/// of the schedule. The views are dropped before returning, so the
-/// service's next write takes each graph back by move.
+/// counter per shard. Every task runs on the epoch views published at
+/// sweep start, each worker sweeping into one flow map it reuses.
+/// Worker `w` drains the queues of shards `w, w + W, w + 2W, …` first;
+/// only when its own shards run dry does it **steal across shards**,
+/// taking tail tasks from the others' queues (`stolen` counts those).
+/// A view is a consistent cut of every shard and reads each node at
+/// its owner, so a task's answer does not depend on which queue or
+/// worker ran it, and during the sweep no writer runs — the service
+/// is `&mut`-borrowed — so the cut *is* the live state (publishing
+/// shares each graph, copying nothing). Threads only gather
+/// `(position, values)` pairs, so the output is independent of the
+/// schedule. The views are dropped before returning, so the service's
+/// next write takes each graph back by move.
 pub fn sharded_reputations_timed(
     service: &mut ShardedEngine,
     evaluators: &[PeerId],
@@ -365,18 +384,14 @@ pub fn sharded_reputations_timed(
     for (pos, &e) in evaluators.iter().enumerate() {
         queues[service.shard_of(e)].push((pos, e));
     }
-    for (s, queue) in queues.iter_mut().enumerate() {
-        let graph = epochs[s].graph();
-        let mut costed: Vec<(usize, usize, PeerId)> = queue
-            .drain(..)
-            .map(|(pos, e)| (ball_arc_cost(graph, e, k), pos, e))
-            .collect();
+    for (view, queue) in epochs.iter().zip(&mut queues) {
+        let cost = |e| ball_arc_cost(e, k, |u| view.out_edges(u), |u| view.in_edges(u));
+        let mut costed: Vec<(usize, usize, PeerId)> =
+            queue.drain(..).map(|(pos, e)| (cost(e), pos, e)).collect();
         costed.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
         queue.extend(costed.into_iter().map(|(_, pos, e)| (pos, e)));
     }
     let claims: Vec<AtomicUsize> = (0..shards).map(|_| AtomicUsize::new(0)).collect();
-    let mut engine_slots: Vec<Option<&mut bartercast_core::ReputationEngine>> =
-        service.shard_engines_mut().into_iter().map(Some).collect();
 
     let mut gathered: Vec<Option<Vec<f64>>> = Vec::new();
     gathered.resize_with(evaluators.len(), || None);
@@ -386,46 +401,34 @@ pub fn sharded_reputations_timed(
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
-            // worker w takes the live engines of shards ≡ w (mod W)
-            let mut own: Vec<(usize, &mut bartercast_core::ReputationEngine)> = engine_slots
-                .iter_mut()
-                .enumerate()
-                .filter(|(s, _)| s % workers == w)
-                .map(|(s, slot)| (s, slot.take().expect("engine taken once")))
-                .collect();
             let queues = &queues;
             let claims = &claims;
             let epochs = &epochs;
             handles.push(scope.spawn(move || {
+                let mut flows = FxHashMap::default();
                 let mut local: Vec<(usize, Vec<f64>, usize, f64)> = Vec::new();
                 let mut stolen = 0usize;
-                // phase 1: drain owned shards on their live engines
-                for (s, engine) in &mut own {
-                    loop {
-                        let t = claims[*s].fetch_add(1, Ordering::Relaxed);
-                        if t >= queues[*s].len() {
-                            break;
-                        }
-                        let (pos, e) = queues[*s][t];
-                        let t0 = Instant::now();
-                        let values = engine.reputations_from(e, targets);
-                        local.push((pos, values, *s, t0.elapsed().as_secs_f64() * 1e6));
-                    }
+                // drain one claim from shard `s`'s queue, if any is left
+                let mut run = |s: usize| {
+                    let t = claims[s].fetch_add(1, Ordering::Relaxed);
+                    let &(pos, e) = queues[s].get(t)?;
+                    let t0 = Instant::now();
+                    let values = epochs[s].reputations_with(e, targets, &mut flows);
+                    local.push((pos, values, s, t0.elapsed().as_secs_f64() * 1e6));
+                    Some(())
+                };
+                // phase 1: drain the owned shards
+                for s in (w..shards).step_by(workers) {
+                    while run(s).is_some() {}
                 }
-                // phase 2: steal the tail of other shards via epochs
+                // phase 2: steal the tail of other shards
                 loop {
                     let mut claimed_any = false;
-                    for (s, epoch) in epochs.iter().enumerate() {
-                        let t = claims[s].fetch_add(1, Ordering::Relaxed);
-                        if t >= queues[s].len() {
-                            continue;
+                    for s in 0..shards {
+                        if run(s).is_some() {
+                            claimed_any = true;
+                            stolen += 1;
                         }
-                        claimed_any = true;
-                        let (pos, e) = queues[s][t];
-                        let t0 = Instant::now();
-                        let values = epoch.reputations_from(e, targets);
-                        local.push((pos, values, s, t0.elapsed().as_secs_f64() * 1e6));
-                        stolen += 1;
                     }
                     if !claimed_any {
                         break;
@@ -482,8 +485,9 @@ mod tests {
     use super::*;
     use bartercast_core::ReputationEngine;
     use bartercast_gossip::PssConfig;
+    use bartercast_graph::ContributionGraph;
     use bartercast_trace::synth::{SynthConfig, TraceBuilder};
-    use bartercast_util::units::{Bandwidth, Bytes, Seconds};
+    use bartercast_util::units::{Bandwidth, Seconds};
     use proptest::prelude::*;
 
     fn tiny_trace() -> Trace {
@@ -596,10 +600,11 @@ mod tests {
                 }
             }
         }
-        let local = ball_arc_cost(&g, PeerId(0), 2);
+        let cost = |e, k| ball_arc_cost(PeerId(e), k, |u| g.out_edges(u), |u| g.in_edges(u));
+        let local = cost(0, 2);
         assert_eq!(local, 4, "distant clique must not inflate the cost");
-        assert!(ball_arc_cost(&g, PeerId(10), 2) > local);
-        assert_eq!(ball_arc_cost(&g, PeerId(0), 0), 0);
+        assert!(cost(10, 2) > local);
+        assert_eq!(cost(0, 0), 0);
     }
 
     #[test]

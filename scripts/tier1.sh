@@ -6,6 +6,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
+# Every mutant in mutants.txt must still be killed by the tests it
+# names (~1 min: one debug build in a scratch copy, then a rebuild of
+# the mutated crate per entry).
+bash scripts/mutants.sh
 # The vendored proptest never reads or writes regression files (shrunk
 # cases are pinned as explicit #[test]s); any proptest-regressions
 # entry in the tree means a test pulled in the real crate or something
