@@ -36,6 +36,7 @@ struct EdgeClaims {
 /// Cross-checks first-hand claims about contribution edges.
 ///
 /// ```
+/// use bartercast_core::frontier::{lying_slice, message_from_slice};
 /// use bartercast_core::{Auditor, BarterCastConfig, BarterCastMessage, PrivateHistory};
 /// use bartercast_util::units::{Bytes, PeerId, Seconds};
 ///
@@ -46,8 +47,8 @@ struct EdgeClaims {
 /// liar.record_upload(PeerId(1), Bytes::from_mb(50), Seconds(1));
 ///
 /// let mut auditor = Auditor::default();
-/// auditor.ingest(&BarterCastMessage::lying(
-///     &liar, BarterCastConfig::default(), Bytes::from_gb(100)));
+/// let lie = lying_slice(&liar, BarterCastConfig::default(), Bytes::from_gb(100));
+/// auditor.ingest(&message_from_slice(liar.owner(), &lie));
 /// auditor.ingest(&BarterCastMessage::from_history(
 ///     &victim, BarterCastConfig::default()));
 /// assert_eq!(auditor.flagged_edges(), 1);
@@ -156,12 +157,19 @@ impl Auditor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frontier::{lying_slice, message_from_slice};
     use crate::history::PrivateHistory;
     use crate::message::{BarterCastConfig, BarterCastMessage};
     use bartercast_util::units::Seconds;
 
     fn p(i: u32) -> PeerId {
         PeerId(i)
+    }
+
+    /// The message `liar` sends claiming `huge` uploads (§5.4).
+    fn lying_message(liar: &PrivateHistory, huge: Bytes) -> BarterCastMessage {
+        let slice = lying_slice(liar, BarterCastConfig::default(), huge);
+        message_from_slice(liar.owner(), &slice)
     }
 
     /// Two honest peers reporting the same transfer agree.
@@ -216,7 +224,7 @@ mod tests {
         // liar 9 claims 100 GB uploaded to peer 1
         let mut liar = PrivateHistory::new(p(9));
         liar.record_upload(p(1), Bytes::from_mb(100), Seconds(5));
-        let lie = BarterCastMessage::lying(&liar, BarterCastConfig::default(), Bytes::from_gb(100));
+        let lie = lying_message(&liar, Bytes::from_gb(100));
 
         let mut auditor = Auditor::default();
         auditor.ingest(&BarterCastMessage::from_history(
@@ -239,11 +247,7 @@ mod tests {
         for i in 1..=5 {
             liar.record_upload(p(i), Bytes::from_mb(10), Seconds(i as u64));
         }
-        auditor.ingest(&BarterCastMessage::lying(
-            &liar,
-            BarterCastConfig::default(),
-            Bytes::from_gb(100),
-        ));
+        auditor.ingest(&lying_message(&liar, Bytes::from_gb(100)));
         for i in 1..=5u32 {
             let mut h = PrivateHistory::new(p(i));
             h.record_download(p(9), Bytes::from_mb(10), Seconds(i as u64));
@@ -266,7 +270,7 @@ mod tests {
         honest.record_download(p(9), Bytes::from_mb(10), Seconds(1));
         let mut liar = PrivateHistory::new(p(9));
         liar.record_upload(p(1), Bytes::from_mb(10), Seconds(1));
-        let lie = BarterCastMessage::lying(&liar, BarterCastConfig::default(), Bytes::from_gb(50));
+        let lie = lying_message(&liar, Bytes::from_gb(50));
         let honest_msg = BarterCastMessage::from_history(&honest, BarterCastConfig::default());
         let mut auditor = Auditor::default();
         for _ in 0..5 {

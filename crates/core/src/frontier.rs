@@ -26,7 +26,7 @@
 
 use crate::history::{PrivateHistory, TransferTotals};
 use crate::message::{BarterCastConfig, BarterCastMessage, TransferRecord};
-use bartercast_util::units::{PeerId, Seconds};
+use bartercast_util::units::{Bytes, PeerId, Seconds};
 
 /// One record of the advertised slice with the recency stamp the
 /// frontier watermark is computed from ([`BarterCastMessage`] records
@@ -111,6 +111,22 @@ pub fn advertised_slice(history: &PrivateHistory, config: BarterCastConfig) -> V
         .into_iter()
         .filter_map(|peer| history.get(peer).map(|totals| SliceRecord { peer, totals }))
         .collect()
+}
+
+/// The slice a **selfish liar** advertises (§5.4, manipulation (2)):
+/// the peers and stamps of [`advertised_slice`], each record claiming
+/// `huge` uploaded to the peer and nothing downloaded from it.
+pub fn lying_slice(
+    history: &PrivateHistory,
+    config: BarterCastConfig,
+    huge: Bytes,
+) -> Vec<SliceRecord> {
+    let mut slice = advertised_slice(history, config);
+    for r in &mut slice {
+        r.totals.up = huge;
+        r.totals.down = Bytes::ZERO;
+    }
+    slice
 }
 
 /// Summarize a slice. XOR-folding per-record FNV hashes makes the
@@ -204,7 +220,6 @@ pub fn plan_sync(slice: &[SliceRecord], ours: Frontier, claim: Frontier) -> Sync
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bartercast_util::units::Bytes;
 
     fn p(i: u32) -> PeerId {
         PeerId(i)

@@ -67,25 +67,6 @@ impl BarterCastMessage {
         }
     }
 
-    /// Build the message a **selfish liar** sends (§5.4, manipulation
-    /// (2)): it claims to have uploaded `huge` to each of the peers it
-    /// knows and downloaded nothing.
-    pub fn lying(history: &PrivateHistory, config: BarterCastConfig, huge: Bytes) -> Self {
-        let records = history
-            .select_peers(config.nh, config.nr)
-            .into_iter()
-            .map(|peer| TransferRecord {
-                peer,
-                up: huge,
-                down: Bytes::ZERO,
-            })
-            .collect();
-        BarterCastMessage {
-            sender: history.owner(),
-            records,
-        }
-    }
-
     /// Apply this message to a receiver's subjective graph: each record
     /// `(j, up, down)` asserts edges `sender → j` of weight `up` and
     /// `j → sender` of weight `down`, merged with max semantics.
@@ -120,6 +101,7 @@ impl BarterCastMessage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frontier::{lying_slice, message_from_slice};
     use bartercast_util::units::Seconds;
 
     fn p(i: u32) -> PeerId {
@@ -186,7 +168,8 @@ mod tests {
     #[test]
     fn lying_message_claims_huge_uploads() {
         let h = sample_history();
-        let m = BarterCastMessage::lying(&h, BarterCastConfig::default(), Bytes::from_gb(100));
+        let lie = lying_slice(&h, BarterCastConfig::default(), Bytes::from_gb(100));
+        let m = message_from_slice(h.owner(), &lie);
         assert!(m.records.iter().all(|r| r.up == Bytes::from_gb(100)));
         assert!(m.records.iter().all(|r| r.down == Bytes::ZERO));
         let mut g = ContributionGraph::new();

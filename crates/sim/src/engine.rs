@@ -11,8 +11,10 @@
 //!    its active unchoke targets across swarms, downlinks cap incoming
 //!    flow proportionally, and transferred bytes turn into pieces via
 //!    rarest-first credit;
-//! 4. performs gossip meetings through the PSS, exchanging BarterCast
-//!    messages (subject to the adversary model);
+//! 4. performs gossip meetings through the PSS: each side advertises
+//!    its §3.4 slice (subject to the adversary model) and the other
+//!    absorbs what [`frontier::plan_sync`] sends against its stored
+//!    claim, the plan a live node runs on a digest;
 //! 5. samples metrics: per-round download speeds and periodic system
 //!    reputations (Equation 2).
 //!
@@ -24,7 +26,8 @@ use crate::metrics::{GroupSeries, PeerOutcome, SimReport};
 use crate::peer::SimPeer;
 use bartercast_bt::choke::Candidate;
 use bartercast_bt::swarm::{Member, Swarm};
-use bartercast_core::ReputationEngine;
+use bartercast_core::frontier::{self, SliceRecord, SyncPlan};
+use bartercast_core::{BarterCastMessage, ReputationEngine};
 use bartercast_gossip::{shuffle, PssConfig};
 use bartercast_trace::model::Trace;
 use bartercast_util::stats::Running;
@@ -101,9 +104,6 @@ pub struct Simulation {
     overall_speed_sharers: Running,
     overall_speed_freeriders: Running,
     messages_delivered: u64,
-    /// Records withheld because the recipient's delivered-frontier
-    /// cache already matched the sender's message (the sim analogue of
-    /// the node runtime's digest-gated sync concluding "in sync").
     records_suppressed: u64,
     meetings: u64,
     pieces_transferred: u64,
@@ -153,28 +153,6 @@ impl Row<'_> {
             })
             .collect()
     }
-}
-
-/// Order-sensitive FNV-1a content hash of a message (sender plus every
-/// record). Deliberately *not* `DefaultHasher`: SipHash keys are
-/// randomized per process, and this hash feeds the deterministic
-/// delivered-frontier cache, so two runs must agree on it.
-fn message_hash(msg: &bartercast_core::BarterCastMessage) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    let mut mix = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h = (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-        }
-    };
-    mix(u64::from(msg.sender.0));
-    for r in &msg.records {
-        mix(u64::from(r.peer.0));
-        mix(r.up.0);
-        mix(r.down.0);
-    }
-    h
 }
 
 impl Simulation {
@@ -720,40 +698,43 @@ impl Simulation {
         shuffle(&mut a.pss, &mut b.pss, &mut self.rng);
         a.history.touch(b.id, self.now);
         b.history.touch(a.id, self.now);
-        // message exchange, both directions, per conduct. A message
-        // identical to the last one this recipient absorbed from the
-        // same sender models a digest round concluding "in sync": the
-        // records stay home (max-merge would make them no-ops anyway)
-        // and only the suppression counter moves. Auditors still see
-        // every message — the runtime's auditor sits on the receive
-        // path, and repeats are part of what it audits.
-        let msg_ab = a.outgoing_message(bc, lie_claim);
-        let msg_ba = b.outgoing_message(bc, lie_claim);
-        if let Some(m) = msg_ab {
-            let hash = message_hash(&m);
-            if b.auditor.is_none() && b.delivered_frontier.get(&a.id) == Some(&hash) {
-                self.records_suppressed += m.records.len() as u64;
-            } else {
-                b.engine.absorb_message(&m);
-                if let Some(aud) = b.auditor.as_mut() {
-                    aud.ingest(&m);
-                }
-                b.delivered_frontier.insert(a.id, hash);
-                self.messages_delivered += 1;
-            }
+        let (a_id, b_id) = (a.id, b.id);
+        let from_a = a.outgoing_slice(bc, lie_claim);
+        let from_b = b.outgoing_slice(bc, lie_claim);
+        if let Some(slice) = from_a {
+            self.deliver(a_id, &slice, hi);
         }
-        if let Some(m) = msg_ba {
-            let hash = message_hash(&m);
-            if a.auditor.is_none() && a.delivered_frontier.get(&b.id) == Some(&hash) {
-                self.records_suppressed += m.records.len() as u64;
-            } else {
-                a.engine.absorb_message(&m);
-                if let Some(aud) = a.auditor.as_mut() {
-                    aud.ingest(&m);
-                }
-                a.delivered_frontier.insert(b.id, hash);
+        if let Some(slice) = from_b {
+            self.deliver(b_id, &slice, lo);
+        }
+    }
+
+    /// Peer `from` advertises `slice` to the peer at index `to`, which
+    /// absorbs exactly the records [`frontier::plan_sync`] sends
+    /// against its claim on `from` and then stores the slice's frontier
+    /// as its next claim. Records the plan keeps home count as
+    /// suppressed, as on a live node. An auditor ingests the whole
+    /// slice: it sits on the receive path and audits repeats too.
+    fn deliver(&mut self, from: PeerId, slice: &[SliceRecord], to: usize) {
+        let to = &mut self.peers[to];
+        let ours = frontier::frontier_of(slice);
+        let claim = to.claims.get(&from).copied().unwrap_or_default();
+        let sent = match frontier::plan_sync(slice, ours, claim) {
+            SyncPlan::InSync => 0,
+            SyncPlan::Send { records, .. } => {
+                let sent = records.len();
+                to.engine.absorb_message(&BarterCastMessage {
+                    sender: from,
+                    records,
+                });
+                to.claims.insert(from, ours);
                 self.messages_delivered += 1;
+                sent
             }
+        };
+        self.records_suppressed += (slice.len() - sent) as u64;
+        if let Some(auditor) = to.auditor.as_mut() {
+            auditor.ingest(&frontier::message_from_slice(from, slice));
         }
     }
 
@@ -973,6 +954,94 @@ mod tests {
             },
             ..Default::default()
         }
+    }
+
+    /// A sim whose peer 0 holds three records, stamped at 10, 20 and
+    /// 30 s, that it advertises to peer 1.
+    fn delivery_pair() -> (Simulation, PeerId) {
+        let mut sim = Simulation::new(small_trace(1), small_config());
+        let h = &mut sim.peers[0].history;
+        h.record_download(PeerId(1001), Bytes::from_mb(100), Seconds(10));
+        h.record_download(PeerId(1002), Bytes::from_mb(50), Seconds(20));
+        h.record_upload(PeerId(1003), Bytes::from_mb(10), Seconds(30));
+        let from = sim.peers[0].id;
+        (sim, from)
+    }
+
+    fn slice_of(sim: &Simulation) -> Vec<SliceRecord> {
+        frontier::advertised_slice(&sim.peers[0].history, sim.config.bartercast)
+    }
+
+    /// With no write between two deliveries the second is in sync: the
+    /// whole slice stays home. After one write, exactly the records
+    /// stamped at or after the stored claim's watermark move.
+    #[test]
+    fn deliver_sends_what_the_plan_sends() {
+        let (mut sim, from) = delivery_pair();
+        let slice = slice_of(&sim);
+        assert_eq!(slice.len(), 3);
+        sim.deliver(from, &slice, 1);
+        assert_eq!((sim.messages_delivered, sim.records_suppressed), (1, 0));
+        let claim = frontier::frontier_of(&slice);
+        assert_eq!(sim.peers[1].claims.get(&from), Some(&claim));
+        let edge = |sim: &Simulation| sim.peers[1].engine.graph().edge(PeerId(1001), from);
+        assert_eq!(edge(&sim), Bytes::from_mb(100));
+
+        sim.deliver(from, &slice, 1);
+        assert_eq!((sim.messages_delivered, sim.records_suppressed), (1, 3));
+
+        sim.peers[0]
+            .history
+            .record_download(PeerId(1001), Bytes::from_mb(5), Seconds(40));
+        let slice = slice_of(&sim);
+        let fresh = slice
+            .iter()
+            .filter(|r| r.totals.last_seen >= claim.max_ts)
+            .count();
+        assert_eq!(fresh, 2, "the write at 40 s and the record at 30 s");
+        sim.deliver(from, &slice, 1);
+        assert_eq!(sim.messages_delivered, 2);
+        assert_eq!(sim.records_suppressed, 3 + (slice.len() - fresh) as u64);
+        assert_eq!(edge(&sim), Bytes::from_mb(105));
+        let stamp = frontier::frontier_of(&slice);
+        assert_eq!(sim.peers[1].claims.get(&from), Some(&stamp));
+    }
+
+    /// An auditor ingests the whole advertised slice, whether the plan
+    /// sends none of it or a delta.
+    #[test]
+    fn an_auditor_sees_the_whole_slice() {
+        let (mut sim, from) = delivery_pair();
+        let slice = slice_of(&sim);
+        sim.deliver(from, &slice, 1);
+        // a fresh auditor that has heard every counterparty confirm
+        // its side: each record of `from` it then sees cross-checks the
+        // record's two edges
+        let audited = |sim: &mut Simulation, slice: &[SliceRecord]| {
+            let mut auditor = bartercast_core::Auditor::default();
+            for r in slice {
+                auditor.ingest(&BarterCastMessage {
+                    sender: r.peer,
+                    records: vec![bartercast_core::TransferRecord {
+                        peer: from,
+                        up: r.totals.down,
+                        down: r.totals.up,
+                    }],
+                });
+            }
+            sim.peers[1].auditor = Some(auditor);
+            sim.deliver(from, slice, 1);
+            sim.peers[1].auditor.as_ref().unwrap().checked(from) as usize / 2
+        };
+        assert_eq!(audited(&mut sim, &slice), slice.len(), "in sync");
+        sim.peers[0].history.touch(PeerId(1002), Seconds(40));
+        let slice = slice_of(&sim);
+        let before = sim.records_suppressed;
+        assert_eq!(audited(&mut sim, &slice), slice.len(), "a delta");
+        assert!(
+            sim.records_suppressed > before,
+            "the delta left records home"
+        );
     }
 
     #[test]

@@ -96,11 +96,14 @@ pub struct SimReport {
     pub overall_speed_sharers: f64,
     /// Freerider counterpart.
     pub overall_speed_freeriders: f64,
-    /// Total BarterCast messages delivered.
+    /// BarterCast exchanges whose sync plan
+    /// ([`bartercast_core::frontier::plan_sync`]) sent records; an
+    /// exchange that found the receiver in sync is not counted.
     pub messages_delivered: u64,
-    /// Total records withheld by the delivered-frontier cache — the
-    /// sim analogue of the node runtime's digest-gated sync skipping a
-    /// redundant push.
+    /// Advertised records the sync plans kept home: the whole slice of
+    /// an in-sync exchange, the records older than the claim's
+    /// watermark of a delta. A live node counts the same into
+    /// `records_suppressed`.
     pub records_suppressed: u64,
     /// Total gossip meetings that occurred.
     pub meetings: u64,

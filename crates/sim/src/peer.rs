@@ -3,14 +3,18 @@
 use crate::adversary::Conduct;
 use crate::config::Behaviour;
 use bartercast_core::audit::Auditor;
+use bartercast_core::frontier::{self, Frontier, SliceRecord};
 use bartercast_core::history::PrivateHistory;
-use bartercast_core::message::{BarterCastConfig, BarterCastMessage};
+use bartercast_core::message::BarterCastConfig;
 use bartercast_core::ReputationEngine;
 use bartercast_gossip::{PssConfig, PssNode};
 use bartercast_util::units::{Bandwidth, Bytes, PeerId, Seconds};
 use bartercast_util::FxHashMap;
 
-/// Everything the simulator tracks for one peer.
+/// Everything the simulator tracks for one peer: its transfer table,
+/// subjective graph and gossip view, plus the frontier it last
+/// absorbed from each sender, which a meeting hands to
+/// [`frontier::plan_sync`] as the claim, as a live node's digest does.
 #[derive(Debug)]
 pub struct SimPeer {
     /// Identity.
@@ -40,11 +44,10 @@ pub struct SimPeer {
     /// Optional misreport auditor (extension; `None` in the paper's
     /// configuration).
     pub auditor: Option<Auditor>,
-    /// Content hash of the last message delivered by each sender —
-    /// the simulator's stand-in for the node runtime's per-peer
-    /// frontier cache. A repeat of an identical message models a
-    /// digest round that concluded "in sync" and is suppressed.
-    pub delivered_frontier: FxHashMap<PeerId, u64>,
+    /// Per sender, the [`Frontier`] stamp of the last slice this peer
+    /// absorbed from it: what the node runtime's frontier cache holds,
+    /// and the claim the next meeting plans against.
+    pub(crate) claims: FxHashMap<PeerId, Frontier>,
     /// Reputation cache refreshed every `REPUTATION_REFRESH` epoch:
     /// `target -> (epoch, value)`.
     rep_cache: FxHashMap<PeerId, (u64, f64)>,
@@ -88,7 +91,7 @@ impl SimPeer {
             next_gossip: Seconds::ZERO,
             last_partner_exchange: FxHashMap::default(),
             auditor: None,
-            delivered_frontier: FxHashMap::default(),
+            claims: FxHashMap::default(),
             rep_cache: FxHashMap::default(),
             real_up: Bytes::ZERO,
             real_down: Bytes::ZERO,
@@ -113,17 +116,17 @@ impl SimPeer {
         self.real_down += amount;
     }
 
-    /// The message this peer sends when meeting someone, depending on
-    /// its conduct. `None` for protocol ignorers.
-    pub fn outgoing_message(
+    /// The slice this peer advertises when meeting someone, depending
+    /// on its conduct. `None` for protocol ignorers.
+    pub(crate) fn outgoing_slice(
         &self,
         config: BarterCastConfig,
         lie_claim: Bytes,
-    ) -> Option<BarterCastMessage> {
+    ) -> Option<Vec<SliceRecord>> {
         match self.conduct {
-            Conduct::Honest => Some(BarterCastMessage::from_history(&self.history, config)),
+            Conduct::Honest => Some(frontier::advertised_slice(&self.history, config)),
             Conduct::Silent => None,
-            Conduct::Lying => Some(BarterCastMessage::lying(&self.history, config, lie_claim)),
+            Conduct::Lying => Some(frontier::lying_slice(&self.history, config, lie_claim)),
         }
     }
 
@@ -211,16 +214,16 @@ mod tests {
         let mut p = peer(0, Conduct::Honest);
         p.note_download(PeerId(1), Bytes::from_mb(5), Seconds(1));
         let cfg = BarterCastConfig::default();
-        assert!(p.outgoing_message(cfg, Bytes::from_gb(100)).is_some());
+        assert!(p.outgoing_slice(cfg, Bytes::from_gb(100)).is_some());
 
         let mut silent = peer(1, Conduct::Silent);
         silent.note_download(PeerId(2), Bytes::from_mb(5), Seconds(1));
-        assert!(silent.outgoing_message(cfg, Bytes::from_gb(100)).is_none());
+        assert!(silent.outgoing_slice(cfg, Bytes::from_gb(100)).is_none());
 
         let mut liar = peer(2, Conduct::Lying);
         liar.note_download(PeerId(3), Bytes::from_mb(5), Seconds(1));
-        let msg = liar.outgoing_message(cfg, Bytes::from_gb(100)).unwrap();
-        assert!(msg.records.iter().all(|r| r.up == Bytes::from_gb(100)));
+        let slice = liar.outgoing_slice(cfg, Bytes::from_gb(100)).unwrap();
+        assert!(slice.iter().all(|r| r.totals.up == Bytes::from_gb(100)));
     }
 
     /// The point queries `reputations_of` makes equal, bitwise, a

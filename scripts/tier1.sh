@@ -7,7 +7,7 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
 # Every mutant in mutants.txt must still be killed by the tests it
-# names (~1 min: one debug build in a scratch copy, then a rebuild of
+# names (~2 min: one debug build in a scratch copy, then a rebuild of
 # the mutated crate per entry).
 bash scripts/mutants.sh
 # The vendored proptest never reads or writes regression files (shrunk

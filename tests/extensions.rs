@@ -114,6 +114,7 @@ fn scale_study_smoke() {
 
 #[test]
 fn whitewashed_identities_do_not_inherit_audit_marks() {
+    use bartercast::core::frontier::{lying_slice, message_from_slice};
     use bartercast::core::identity::{IdentityRegistry, MachineId};
     use bartercast::core::{Auditor, BarterCastConfig, BarterCastMessage, PrivateHistory};
     use bartercast::util::units::PeerId;
@@ -126,11 +127,12 @@ fn whitewashed_identities_do_not_inherit_audit_marks() {
     let mut liar_history = PrivateHistory::new(liar);
     liar_history.record_upload(PeerId(500), Bytes::from_mb(10), Seconds(1));
     let mut auditor = Auditor::default();
-    auditor.ingest(&BarterCastMessage::lying(
+    let lie = lying_slice(
         &liar_history,
         BarterCastConfig::default(),
         Bytes::from_gb(100),
-    ));
+    );
+    auditor.ingest(&message_from_slice(liar, &lie));
     auditor.ingest(&BarterCastMessage::from_history(
         &victim,
         BarterCastConfig::default(),
