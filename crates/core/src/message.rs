@@ -5,6 +5,7 @@
 //! uploaded to and downloaded from `j`. The receiver max-merges these
 //! claims into its subjective contribution graph.
 
+use crate::frontier;
 use crate::history::PrivateHistory;
 use bartercast_graph::ContributionGraph;
 use bartercast_util::units::{Bytes, PeerId};
@@ -47,24 +48,12 @@ pub struct BarterCastMessage {
 }
 
 impl BarterCastMessage {
-    /// Build the message peer `history.owner()` would send, using the
-    /// §3.4 selection rule with the given config.
+    /// Build the message peer `history.owner()` would send: its
+    /// advertised slice under the §3.4 selection rule
+    /// ([`frontier::advertised_slice`]), stamps dropped.
     pub fn from_history(history: &PrivateHistory, config: BarterCastConfig) -> Self {
-        let records = history
-            .select_peers(config.nh, config.nr)
-            .into_iter()
-            .filter_map(|peer| {
-                history.get(peer).map(|t| TransferRecord {
-                    peer,
-                    up: t.up,
-                    down: t.down,
-                })
-            })
-            .collect();
-        BarterCastMessage {
-            sender: history.owner(),
-            records,
-        }
+        let slice = frontier::advertised_slice(history, config);
+        frontier::message_from_slice(history.owner(), &slice)
     }
 
     /// Apply this message to a receiver's subjective graph: each record

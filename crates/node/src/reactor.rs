@@ -186,17 +186,23 @@ pub struct NodeState {
     /// our next digest to that peer sends back.
     pub(crate) frontiers: HashMap<PeerId, Frontier>,
     /// Advertised-slice memo keyed on the history write version, so
-    /// digest-heavy steady state never recomputes the §3.4 selection.
+    /// digest-heavy steady state never recomputes the §3.4 selection
+    /// and a full push fans out one encoding.
     slice_memo: Option<SliceMemo>,
 }
 
-/// The advertised slice and its frontier, valid for one history
-/// version. Invalidation rides the history's existing write path: any
-/// mutation bumps [`PrivateHistory::version`].
+/// The advertised slice, its frontier and its full-push frame, valid
+/// for one history version. Invalidation rides the history's existing
+/// write path: any mutation bumps [`PrivateHistory::version`].
 struct SliceMemo {
     version: u64,
     slice: Vec<SliceRecord>,
     frontier: Frontier,
+    /// The slice as a stamped full `Delta` frame, encoded on first use
+    /// and shared (`Arc`) by every session it is pushed to. The stamp
+    /// seeds the receiver's frontier cache, so the digest round that
+    /// follows concludes in-sync.
+    frame: Option<Arc<[u8]>>,
 }
 
 impl NodeState {
@@ -224,21 +230,31 @@ impl NodeState {
             version,
             slice,
             frontier,
+            frame: None,
         });
     }
 
-    /// The full slice as a stamped `Delta` push — what peers get on
-    /// establishment and fallback ticks, so they can seed their
-    /// frontier cache from the stamp.
-    pub(crate) fn full_delta(&mut self, config: BarterCastConfig) -> DeltaMsg {
+    /// The full slice as an encoded stamped `Delta` frame — what peers
+    /// get on establishment and fallback ticks — with its record count
+    /// and the history version it was taken at. `None` while the slice
+    /// is empty.
+    pub(crate) fn full_frame(&mut self, config: BarterCastConfig) -> Option<(Arc<[u8]>, u32, u64)> {
         self.refresh_slice(config);
-        let memo = self.slice_memo.as_ref().expect("memo refreshed");
-        DeltaMsg {
-            sender: self.history.owner(),
-            full: true,
-            stamp: memo.frontier,
-            records: frontier::message_from_slice(self.history.owner(), &memo.slice).records,
+        let owner = self.history.owner();
+        let memo = self.slice_memo.as_mut().expect("memo refreshed");
+        if memo.slice.is_empty() {
+            return None;
         }
+        let frame = memo.frame.get_or_insert_with(|| {
+            let delta = DeltaMsg {
+                sender: owner,
+                full: true,
+                stamp: memo.frontier,
+                records: frontier::message_from_slice(owner, &memo.slice).records,
+            };
+            Arc::from(&wire::encode_envelope(&Envelope::Delta(delta))[..])
+        });
+        Some((Arc::clone(frame), memo.slice.len() as u32, memo.version))
     }
 
     /// Answer a digest claiming `claim`: returns our fresh frontier
@@ -403,9 +419,6 @@ pub struct Reactor {
     /// Monotone exchange-tick counter driving the full-sync fallback
     /// cadence and the per-peer digest backoff.
     tick_no: u64,
-    /// Encode-once memo of the full-slice frame, keyed on the history
-    /// version; `None` bytes mean the slice is empty.
-    full_cache: Option<FullCache>,
     /// Last tick a digest went to each peer.
     digest_tick: HashMap<PeerId, u64>,
     /// Consecutive digests to a peer without a `Delta` reply — the
@@ -416,15 +429,6 @@ pub struct Reactor {
     /// a reconnect whose slice has not changed opens with a digest
     /// instead of re-pushing records the peer already holds.
     pushed: HashMap<PeerId, u64>,
-}
-
-/// The full slice of one history version, encoded once as a stamped
-/// full `Delta` and fanned out as shared bytes to every session that
-/// needs it (the stamp seeds the receiver's frontier cache, so the
-/// digest round that follows concludes in-sync).
-struct FullCache {
-    version: u64,
-    delta_bytes: Option<(Arc<[u8]>, u32)>,
 }
 
 impl Reactor {
@@ -479,7 +483,6 @@ impl Reactor {
             boot: now,
             pool: BufPool::new(),
             tick_no: 0,
-            full_cache: None,
             digest_tick: HashMap::new(),
             sync_streak: HashMap::new(),
             pushed: HashMap::new(),
@@ -901,7 +904,7 @@ impl Reactor {
     fn exchange_tick(&mut self, now: Instant) {
         self.pss.tick();
         self.tick_no += 1;
-        if self.full_delta_bytes().is_none() {
+        if self.full_frame().is_none() {
             return; // nothing to gossip yet
         }
         let full_tick = self.config.full_sync_every > 0
@@ -930,13 +933,11 @@ impl Reactor {
         }
         let cap = self.config.outbound_queue;
         if full {
-            if let Some((bytes, records)) = self.full_delta_bytes() {
+            if let Some((bytes, records, version)) = self.full_frame() {
                 let session = self.sessions.get_mut(&token).expect("session exists");
                 if session.enqueue_shared(bytes, records, cap, &self.counters) {
                     NodeCounters::inc(&self.counters.full_syncs);
-                    if let Some(cache) = &self.full_cache {
-                        self.pushed.insert(target, cache.version);
-                    }
+                    self.pushed.insert(target, version);
                     self.ready.insert(token);
                 }
             }
@@ -981,25 +982,10 @@ impl Reactor {
         streak < 2 || self.tick_no - last >= 2
     }
 
-    /// The stamped full `Delta` frame for the current history, encoded
-    /// once per history version and shared (`Arc`) across every session
-    /// it fans out to. `None` while the history is empty.
-    fn full_delta_bytes(&mut self) -> Option<(Arc<[u8]>, u32)> {
+    /// [`NodeState::full_frame`] for the current history.
+    fn full_frame(&self) -> Option<(Arc<[u8]>, u32, u64)> {
         let mut st = self.state.lock().expect("state lock");
-        let version = st.history.version();
-        if self.full_cache.as_ref().map(|c| c.version) != Some(version) {
-            let delta = st.full_delta(self.config.bartercast);
-            let records = delta.records.len() as u32;
-            let delta_bytes = (records > 0).then(|| {
-                let frame = wire::encode_envelope(&Envelope::Delta(delta));
-                (Arc::from(&frame[..]), records)
-            });
-            self.full_cache = Some(FullCache {
-                version,
-                delta_bytes,
-            });
-        }
-        self.full_cache.as_ref().and_then(|c| c.delta_bytes.clone())
+        st.full_frame(self.config.bartercast)
     }
 
     fn apply_events(&mut self, events: Vec<SessionEvent>, now: Instant) {
@@ -1010,9 +996,8 @@ impl Reactor {
                     self.backoff.remove(&remote);
                     self.digest_tick.remove(&remote);
                     self.sync_streak.remove(&remote);
-                    if !self.ever_connected.insert(remote) {
-                        NodeCounters::inc(&self.counters.reconnects);
-                    }
+                    // a redial was counted where it was dialed
+                    self.ever_connected.insert(remote);
                     self.pss.bootstrap([remote]);
                     // notify the workload only for the session that
                     // became the peer's primary (duplicate dials race;
@@ -1040,14 +1025,6 @@ impl Reactor {
                             w.on_established(remote, secs, state, io)
                         });
                     }
-                }
-                SessionEvent::Records { from, msg, .. } => {
-                    let mut st = self.state.lock().expect("state lock");
-                    let changed = st.engine.absorb_message(&msg);
-                    if changed == 0 {
-                        NodeCounters::add(&self.counters.records_duplicate, msg.len() as u64);
-                    }
-                    let _ = from; // history stays private: only direct transfers enter it
                 }
                 SessionEvent::Digest { token, from, claim } => {
                     let (ours, plan, slice_len, version) = {
@@ -1264,6 +1241,42 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         assert_eq!(eofs, 3, "exactly the shed dialers see EOF");
+    }
+
+    /// The full-push frame lives in the slice memo: one encoding per
+    /// history version, a fresh one after a write, none for an empty
+    /// slice.
+    #[test]
+    fn the_full_frame_is_encoded_once_per_history_version() {
+        let cfg = BarterCastConfig::default();
+        let empty = PrivateHistory::new(PeerId(1));
+        let engine = ReputationEngine::from_private(&empty);
+        let mut st = NodeState::new(empty, engine);
+        assert!(
+            st.full_frame(cfg).is_none(),
+            "an empty slice pushes nothing"
+        );
+
+        st.history
+            .record_upload(PeerId(2), Bytes::from_mb(8), Seconds(1));
+        let (first, records, version) = st.full_frame(cfg).expect("one record");
+        let (again, _, same) = st.full_frame(cfg).expect("one record");
+        assert!(Arc::ptr_eq(&first, &again), "one encoding per version");
+        assert_eq!((records, same), (1, version));
+
+        st.history
+            .record_download(PeerId(3), Bytes::from_mb(4), Seconds(2));
+        let (fresh, records, after) = st.full_frame(cfg).expect("two records");
+        assert!(after > version && records == 2);
+        let slice = frontier::advertised_slice(&st.history, cfg);
+        let expected = Envelope::Delta(DeltaMsg {
+            sender: PeerId(1),
+            full: true,
+            stamp: frontier::frontier_of(&slice),
+            records: frontier::message_from_slice(PeerId(1), &slice).records,
+        });
+        // the payload follows the 4-byte length prefix
+        assert_eq!(wire::decode_envelope(&fresh[4..]).unwrap(), expected);
     }
 
     /// A reactor on virtual time over a fresh in-process network.

@@ -37,7 +37,7 @@ use crate::stats::NodeCounters;
 use crate::transport::Conn;
 use crate::wire::{self, Envelope, SwarmFrame};
 use bartercast_core::codec::{BufPool, FrameDecoder};
-use bartercast_core::{BarterCastMessage, DeltaMsg, Frontier};
+use bartercast_core::{DeltaMsg, Frontier};
 use bartercast_util::units::PeerId;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -65,15 +65,6 @@ pub enum SessionEvent {
         remote: PeerId,
         /// Which side we are.
         direction: Direction,
-    },
-    /// A `Records` envelope arrived.
-    Records {
-        /// Reactor-assigned session id.
-        token: u64,
-        /// Peer the session is established with.
-        from: PeerId,
-        /// The decoded BarterCast message.
-        msg: BarterCastMessage,
     },
     /// A `Digest` envelope arrived: the peer wants whatever its claim
     /// is missing from our advertised slice.
@@ -485,18 +476,10 @@ impl Session {
                     });
                 }
                 (SessionState::Handshake, _) => {
-                    // Records or Bye before Hello: protocol error
+                    // anything before the peer's Hello: protocol error
                     NodeCounters::inc(&counters.protocol_errors);
                     self.close(false, counters, events);
                     return true;
-                }
-                (SessionState::Exchange | SessionState::Draining, Envelope::Records(msg)) => {
-                    NodeCounters::add(&counters.records_received, msg.len() as u64);
-                    events.push(SessionEvent::Records {
-                        token: self.token,
-                        from: self.remote.expect("established session has a remote"),
-                        msg,
-                    });
                 }
                 (
                     SessionState::Exchange | SessionState::Draining,
@@ -549,7 +532,13 @@ impl Session {
                     self.close(true, counters, events);
                     return true;
                 }
-                (SessionState::Exchange | SessionState::Draining, Envelope::Hello { .. }) => {
+                (
+                    SessionState::Exchange | SessionState::Draining,
+                    Envelope::Hello { .. } | Envelope::Records(_),
+                ) => {
+                    // a second Hello, or the bare `Records` frame: records
+                    // travel only in a `Delta`, whose sender is checked
+                    // against the session peer above
                     NodeCounters::inc(&counters.protocol_errors);
                     self.close(false, counters, events);
                     return true;

@@ -59,7 +59,7 @@ node_counters! {
     /// Dials to a peer we had already had a session with — the
     /// reconnect path the backoff machinery exists for.
     reconnects,
-    /// Transfer records sent inside `Records` envelopes.
+    /// Transfer records sent inside `Delta` envelopes.
     records_sent,
     /// Transfer records received (before dedup).
     records_received,

@@ -7,11 +7,13 @@
 //! * [`Envelope::Hello`] — versioned handshake, sent once by each side
 //!   immediately after connect/accept. Carries the sender's peer id so
 //!   the acceptor learns who dialed it (transports don't expose that).
-//! * [`Envelope::Records`] — the paper's own message: the sender's
+//! * [`Envelope::Records`] — the paper's bare message: the sender's
 //!   top-`Nh`/`Nr` slice of its private history, re-using the
-//!   `bartercast-core` wire codec verbatim as the body. Accepted
-//!   inbound (load generators and replay tools send it); the reactor
-//!   itself only ever emits the stamped `Delta` below.
+//!   `bartercast-core` wire codec verbatim as the body. It still
+//!   decodes, but no session accepts it: records travel only in the
+//!   stamped `Delta` below, whose sender the session checks against
+//!   its peer, so an established session that receives `Records`
+//!   counts a protocol error and closes.
 //! * [`Envelope::Bye`] — explicit teardown, so the peer can distinguish
 //!   a graceful close from a severed connection.
 //! * [`Envelope::Digest`] — delta anti-entropy request: a compact

@@ -86,7 +86,7 @@ fn eight_lossy_churning_nodes_converge_bit_identically() {
     assert!(received > 0);
     // a lost Hello leaves the handshake asymmetric: the initiator
     // (which did get the responder's Hello) starts exchanging while
-    // the responder is still waiting, sees Records, and fails the
+    // the responder is still waiting, sees a Digest or Delta, and fails the
     // session as a protocol error — which backoff then retries. So a
     // few protocol errors are expected exhaust from loss, but they
     // must stay rare relative to the session count

@@ -4,13 +4,14 @@
 //! every admitted session to completion — all on one thread, on
 //! virtual time, so every count is exact and repeats bit for bit.
 //!
-//! Each dialer sends its whole script (`Hello`, two `Records`, `Bye`)
+//! Each dialer sends its whole script (`Hello`, two full `Delta`s of
+//! its own records, `Bye`)
 //! the moment it dials. The lockstep driver does not track frames in
 //! flight toward a dialer, so a dialer that waited for the reactor's
 //! `Hello` before streaming could be overtaken by a clock jump to an
 //! idle timeout.
 
-use bartercast_core::{BarterCastMessage, PrivateHistory, TransferRecord};
+use bartercast_core::{DeltaMsg, Frontier, PrivateHistory, TransferRecord};
 use bartercast_node::transport::{Conn, Transport};
 use bartercast_node::wire::{self, Envelope};
 use bartercast_node::{Lockstep, MemConfig, NodeConfig, NodeStats};
@@ -26,8 +27,10 @@ const RECORDS_PER_FRAME: u64 = 4;
 /// Dial the target as `id` and put the whole script on the wire.
 fn dial(lockstep: &Lockstep, id: PeerId) -> Box<dyn Conn> {
     let mut conn = lockstep.transport().connect(id, TARGET).unwrap();
-    let records = Envelope::Records(BarterCastMessage {
+    let records = Envelope::Delta(DeltaMsg {
         sender: id,
+        full: true,
+        stamp: Frontier::default(),
         records: (0..RECORDS_PER_FRAME)
             .map(|k| TransferRecord {
                 peer: PeerId(k as u32 + 1),

@@ -1,15 +1,16 @@
-//! What the single lockstep driver and the single outbound dialect
+//! What the single lockstep driver and the single record dialect
 //! guarantee: record-only clusters converge at any size on the default
 //! config, get leave/join churn from the same driver the swarm uses,
-//! and a reactor refuses every handshake but its own version while
-//! still absorbing the paper's bare `Records` message.
+//! a reactor refuses every handshake but its own version and every
+//! record frame but a `Delta` from its session peer, and a redial is
+//! counted once.
 
 use bartercast_core::{BarterCastMessage, PrivateHistory, TransferRecord};
 use bartercast_node::cluster::{ClusterConfig, DeterministicCluster};
 use bartercast_node::transport::{Conn, Transport};
 use bartercast_node::wire::{self, Envelope};
-use bartercast_node::{Lockstep, MemConfig, NodeConfig};
-use bartercast_util::units::{Bytes, PeerId};
+use bartercast_node::{Lockstep, MemConfig, NodeConfig, NodeStats};
+use bartercast_util::units::{Bytes, PeerId, Seconds};
 use std::time::Duration;
 
 /// Above `pss.view_size + 1` = 21 nodes the full-membership bootstrap
@@ -116,7 +117,7 @@ fn dial(lockstep: &Lockstep, from: PeerId, version: u8) -> Box<dyn Conn> {
 }
 
 #[test]
-fn v2_hello_is_refused_and_bare_records_are_absorbed() {
+fn v2_hello_and_bare_records_are_refused() {
     let mut lockstep = Lockstep::new(MemConfig::default());
     lockstep
         .spawn(
@@ -134,10 +135,12 @@ fn v2_hello_is_refused_and_bare_records_are_absorbed() {
     assert!(lockstep.run_until(|l| stats(l).protocol_errors == 1, Duration::from_secs(1)));
     assert_eq!(stats(&lockstep).sessions_opened, 0);
 
-    // the paper's message from a current-version dialer is applied
+    // a current-version dialer sends the bare `Records` frame under
+    // another peer's name: the session refuses the frame, not just
+    // the forged sender, and nothing reaches the graph
     let mut v3 = dial(&lockstep, PeerId(9), wire::NODE_PROTOCOL_VERSION);
     let records = Envelope::Records(BarterCastMessage {
-        sender: PeerId(9),
+        sender: PeerId(7),
         records: vec![TransferRecord {
             peer: PeerId(5),
             up: Bytes(4096),
@@ -145,12 +148,51 @@ fn v2_hello_is_refused_and_bare_records_are_absorbed() {
         }],
     });
     assert!(v3.try_send(&wire::encode_envelope(&records)).unwrap());
-    assert!(lockstep.run_until(|l| stats(l).records_received == 1, Duration::from_secs(1)));
-    assert_eq!(
-        lockstep.edges()[&PeerId(0)],
-        [(PeerId(9), PeerId(5), Bytes(4096))]
-    );
+    assert!(lockstep.run_until(|l| stats(l).protocol_errors == 2, Duration::from_secs(1)));
+    lockstep.run_until(|_| false, Duration::from_millis(100));
     let end = stats(&lockstep);
-    assert_eq!((end.sessions_opened, end.protocol_errors), (1, 1));
-    assert_eq!(end.records_sent, 0, "the reactor never emits `Records`");
+    assert_eq!(
+        (end.sessions_opened, end.sessions_closed, end.sessions_live),
+        (1, 1, 0),
+        "the v3 session opened once and closed on the frame"
+    );
+    assert_eq!((end.records_received, end.protocol_errors), (0, 2));
+    assert!(lockstep.edges()[&PeerId(0)].is_empty());
+}
+
+/// `reconnects` counts dials to a peer already met, once each: after
+/// one forced disconnect of a two-node cluster, it equals the redials.
+/// Only node 0 gossips (node 1 has no history and no bootstrap), so
+/// first contact is one dial; on the lossless transport every dial
+/// establishes at both ends, so each connection is two
+/// `sessions_opened` and every connection but the first is a redial.
+#[test]
+fn reconnects_count_each_redial_once() {
+    let mut lockstep = Lockstep::new(MemConfig::default());
+    let mut history = PrivateHistory::new(PeerId(0));
+    history.record_upload(PeerId(1), Bytes::from_mb(4), Seconds(1));
+    lockstep
+        .spawn(PeerId(0), vec![PeerId(1)], history, NodeConfig::default())
+        .unwrap();
+    lockstep
+        .spawn(
+            PeerId(1),
+            vec![],
+            PrivateHistory::new(PeerId(1)),
+            NodeConfig::default(),
+        )
+        .unwrap();
+    let opened = |l: &Lockstep| -> u64 { l.stats().values().map(|s| s.sessions_opened).sum() };
+    assert!(lockstep.run_until(|l| opened(l) == 2, Duration::from_secs(1)));
+
+    assert_eq!(lockstep.transport().disconnect(PeerId(0)), 1);
+    assert!(lockstep.run_until(|l| opened(l) >= 4, Duration::from_secs(5)));
+    lockstep.run_until(|_| false, Duration::from_secs(5));
+
+    let stats = lockstep.stats();
+    let sum = |f: fn(&NodeStats) -> u64| -> u64 { stats.values().map(f).sum() };
+    assert_eq!(sum(|s| s.sessions_failed), 0, "every dial established");
+    let redials = sum(|s| s.sessions_opened) / 2 - 1;
+    assert!(redials >= 1);
+    assert_eq!(sum(|s| s.reconnects), redials);
 }
