@@ -34,6 +34,7 @@ pub mod history;
 pub mod identity;
 pub mod message;
 pub mod metric;
+pub mod peer;
 pub mod policy;
 pub mod repcache;
 pub mod shard;
@@ -43,6 +44,7 @@ pub use frontier::{DeltaMsg, Frontier, SliceRecord, SyncPlan};
 pub use history::{PieceProvenance, PrivateHistory, TransferTotals};
 pub use message::{BarterCastConfig, BarterCastMessage, TransferRecord};
 pub use metric::{reputation_from_flows, ReputationMetric};
+pub use peer::PeerState;
 pub use policy::{PolicyDecision, ReputationPolicy};
 pub use repcache::{CacheStats, ReputationEngine};
 pub use shard::{

@@ -1,0 +1,141 @@
+//! One peer's protocol state and the two steps of a BarterCast
+//! exchange (§3.4) over it: the sender [`answer`](PeerState::answer)s
+//! the receiver's claim on its advertised slice with a [`SyncPlan`],
+//! and the receiver [`absorb`](PeerState::absorb)s the planned records,
+//! keeping the sender's stamp as its next claim. The simulator, the
+//! live node and the observer all exchange through this one type.
+
+use crate::frontier::{self, Frontier, SliceRecord, SyncPlan};
+use crate::history::PrivateHistory;
+use crate::message::{BarterCastConfig, BarterCastMessage, TransferRecord};
+use crate::repcache::ReputationEngine;
+use bartercast_util::units::{Bytes, PeerId, Seconds};
+use bartercast_util::FxHashMap;
+
+/// A peer's private history, its subjective graph, the claim it holds
+/// on each sender's slice and the memo of its own advertised slice.
+#[derive(Debug)]
+pub struct PeerState {
+    /// The peer's own transfer table. Every write bumps its version,
+    /// which the slice memo is keyed on.
+    pub history: PrivateHistory,
+    /// The subjective graph and the Equation 1 evaluator over it.
+    pub engine: ReputationEngine,
+    /// Per sender, the [`Frontier`] stamp of the last slice absorbed
+    /// from it: the claim the next exchange with it plans against.
+    claims: FxHashMap<PeerId, Frontier>,
+    /// The advertised slice and its frontier at one history version.
+    advertised: Option<(u64, Vec<SliceRecord>, Frontier)>,
+}
+
+impl PeerState {
+    /// A state over `history` whose engine has absorbed it.
+    pub fn new(history: PrivateHistory, mut engine: ReputationEngine) -> PeerState {
+        engine.absorb_private(&history);
+        PeerState {
+            history,
+            engine,
+            claims: FxHashMap::default(),
+            advertised: None,
+        }
+    }
+
+    /// The slice this peer advertises under `config` and its frontier,
+    /// recomputed only when the history has been written since.
+    pub fn advertised(&mut self, config: BarterCastConfig) -> (&[SliceRecord], Frontier) {
+        let version = self.history.version();
+        if self.advertised.as_ref().map(|a| a.0) != Some(version) {
+            let slice = frontier::advertised_slice(&self.history, config);
+            let stamp = frontier::frontier_of(&slice);
+            self.advertised = Some((version, slice, stamp));
+        }
+        let (_, slice, stamp) = self.advertised.as_ref().expect("memo refreshed");
+        (slice, *stamp)
+    }
+
+    /// Answer a receiver that claims `claim` on this peer's slice: our
+    /// frontier stamp, the sync plan, and the slice length (what stays
+    /// home is the length minus the plan's records).
+    pub fn answer(
+        &mut self,
+        config: BarterCastConfig,
+        claim: Frontier,
+    ) -> (Frontier, SyncPlan, usize) {
+        let (slice, stamp) = self.advertised(config);
+        (stamp, frontier::plan_sync(slice, stamp, claim), slice.len())
+    }
+
+    /// The claim to send `from`: the stamp of the last slice absorbed
+    /// from it, or the empty claim.
+    pub fn claim(&self, from: PeerId) -> Frontier {
+        self.claims.get(&from).copied().unwrap_or_default()
+    }
+
+    /// Max-merge `records` sent by `from` into the subjective graph and
+    /// keep `stamp` as the next claim on `from`. Returns the number of
+    /// edges that changed.
+    pub fn absorb(&mut self, from: PeerId, stamp: Frontier, records: Vec<TransferRecord>) -> usize {
+        let changed = self.engine.absorb_message(&BarterCastMessage {
+            sender: from,
+            records,
+        });
+        self.claims.insert(from, stamp);
+        changed
+    }
+
+    /// Account an upload of `amount` bytes to `peer`: the history gains
+    /// the bytes and the graph edge is max-merged to the new private
+    /// total, so a gossiped claim above that total is not added onto.
+    pub fn record_upload(&mut self, peer: PeerId, amount: Bytes, now: Seconds) {
+        self.history.record_upload(peer, amount, now);
+        self.merge_own(peer);
+    }
+
+    /// The mirror of [`PeerState::record_upload`].
+    pub fn record_download(&mut self, peer: PeerId, amount: Bytes, now: Seconds) {
+        self.history.record_download(peer, amount, now);
+        self.merge_own(peer);
+    }
+
+    /// [`PeerState::record_upload`] of one completed piece.
+    pub fn record_piece_upload(&mut self, peer: PeerId, amount: Bytes, now: Seconds) {
+        self.history.record_piece_upload(peer, amount, now);
+        self.merge_own(peer);
+    }
+
+    /// [`PeerState::record_download`] of one completed piece.
+    pub fn record_piece_download(&mut self, peer: PeerId, amount: Bytes, now: Seconds) {
+        self.history.record_piece_download(peer, amount, now);
+        self.merge_own(peer);
+    }
+
+    /// Max-merge both edges with `peer` to the private totals.
+    fn merge_own(&mut self, peer: PeerId) {
+        let me = self.history.owner();
+        if let Some(totals) = self.history.get(peer) {
+            let graph = self.engine.graph_mut();
+            graph.merge_record(me, peer, totals.up);
+            graph.merge_record(peer, me, totals.down);
+        }
+    }
+
+    /// This peer's reputation of `peer` (Equation 1).
+    pub fn reputation(&mut self, peer: PeerId) -> f64 {
+        let me = self.history.owner();
+        self.engine.reputation(me, peer)
+    }
+
+    /// [`PeerState::reputation`] of every peer in `peers`, in order,
+    /// from one single-source sweep.
+    pub fn reputations(&mut self, peers: &[PeerId]) -> Vec<f64> {
+        let me = self.history.owner();
+        self.engine.reputations_from(me, peers)
+    }
+
+    /// The subjective graph as a sorted edge list `(from, to, bytes)`.
+    pub fn subjective_edges(&self) -> Vec<(PeerId, PeerId, Bytes)> {
+        let mut edges: Vec<_> = self.engine.graph().edges().collect();
+        edges.sort_unstable();
+        edges
+    }
+}

@@ -9,9 +9,10 @@
 //! Equation 1 reputations for every peer it has seen.
 
 use crate::community::Community;
+use bartercast_core::frontier;
 use bartercast_core::history::PrivateHistory;
-use bartercast_core::message::{BarterCastConfig, BarterCastMessage};
-use bartercast_core::ReputationEngine;
+use bartercast_core::message::BarterCastConfig;
+use bartercast_core::{PeerState, ReputationEngine};
 use bartercast_util::stats::Ecdf;
 use bartercast_util::units::{Bytes, PeerId, Seconds};
 use bartercast_util::FxHashSet;
@@ -74,9 +75,7 @@ impl DeploymentReport {
 /// The customized measurement peer.
 #[derive(Debug)]
 pub struct Observer {
-    id: PeerId,
-    engine: ReputationEngine,
-    history: PrivateHistory,
+    state: PeerState,
     messages_logged: u64,
 }
 
@@ -85,9 +84,7 @@ impl Observer {
     pub fn new(community_size: usize) -> Self {
         let id = PeerId(community_size as u32);
         Observer {
-            id,
-            engine: ReputationEngine::new(),
-            history: PrivateHistory::new(id),
+            state: PeerState::new(PrivateHistory::new(id), ReputationEngine::new()),
             messages_logged: 0,
         }
     }
@@ -151,10 +148,9 @@ impl Observer {
             // that gave more than it took from most partners
             let ratio = rng.gen_range(0.8..2.0);
             let up = Bytes((down.0 as f64 * ratio) as u64);
-            self.history.record_download(peer, down, Seconds(1));
-            self.history.record_upload(peer, up, Seconds(1));
+            self.state.record_download(peer, down, Seconds(1));
+            self.state.record_upload(peer, up, Seconds(1));
         }
-        self.engine.absorb_private(&self.history);
 
         // BarterCast exchanges happen when peers meet, so the observer
         // certainly holds a message from each of its own transfer
@@ -179,17 +175,19 @@ impl Observer {
                 continue; // install-only peers have nothing to report
             }
             // the paper's Nh = Nr = 10 (§3.4, §5.1)
-            let msg = BarterCastMessage::from_history(&h, BarterCastConfig::default());
-            self.engine.absorb_message(&msg);
+            let slice = frontier::advertised_slice(&h, BarterCastConfig::default());
+            let records = frontier::message_from_slice(sender, &slice).records;
+            self.state
+                .absorb(sender, frontier::frontier_of(&slice), records);
             self.messages_logged += 1;
         }
 
         // Compute the observer's reputation of every community peer.
         let reputations: Vec<f64> = (0..n)
-            .map(|i| self.engine.reputation(self.id, PeerId(i as u32)))
+            .map(|i| self.state.reputation(PeerId(i as u32)))
             .collect();
         let peers_in_graph = {
-            let nodes: FxHashSet<PeerId> = self.engine.graph().nodes();
+            let nodes: FxHashSet<PeerId> = self.state.engine.graph().nodes();
             nodes.len().saturating_sub(1) // exclude the observer itself
         };
         let mut nets = community.net_contributions();

@@ -58,7 +58,7 @@ pub use cluster::{Cluster, ClusterConfig, DeterministicCluster};
 pub use lockstep::Lockstep;
 pub use mem::{MemConfig, MemTransport};
 pub use node::{Node, NodeConfig};
-pub use reactor::{backoff_delay, NodeState, Reactor};
+pub use reactor::{backoff_delay, Reactor};
 pub use stats::{NodeCounters, NodeStats};
 pub use transport::{Conn, Listener, TcpTransport, Transport, WakeQueue};
 pub use wire::SwarmFrame;

@@ -54,10 +54,10 @@
 
 use crate::clock::{Clock, VirtualClock};
 use crate::mem::{MemConfig, MemTransport};
-use crate::reactor::{NodeConfig, NodeState, Reactor};
+use crate::reactor::{NodeConfig, Reactor};
 use crate::stats::{NodeCounters, NodeStats};
 use crate::transport::{set_bit, Transport};
-use bartercast_core::PrivateHistory;
+use bartercast_core::{PeerState, PrivateHistory};
 use bartercast_util::units::{Bytes, PeerId};
 use std::collections::BTreeMap;
 use std::io;
@@ -69,7 +69,7 @@ use std::time::{Duration, Instant};
 pub type Edges = Vec<(PeerId, PeerId, Bytes)>;
 
 /// What is observable of a node, live or retired.
-type Observed = (Arc<NodeCounters>, Arc<Mutex<NodeState>>);
+type Observed = (Arc<NodeCounters>, Arc<Mutex<PeerState>>);
 
 /// Reactors driven in lockstep on one virtual clock (see module docs).
 pub struct Lockstep {
@@ -318,7 +318,7 @@ impl Lockstep {
     pub fn all_from_pieces(&self) -> bool {
         self.observed().values().all(|(_, state)| {
             let state = state.lock().expect("state lock");
-            state.history().all_from_pieces()
+            state.history.all_from_pieces()
         })
     }
 }

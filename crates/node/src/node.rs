@@ -11,7 +11,7 @@
 //!
 //! The handle itself only holds the shared pieces the outside world
 //! needs: the counters (for [`Node::stats`]), the node state (for
-//! [`Node::subjective_edges`] / [`Node::reputation_of`]), the shutdown
+//! [`Node::subjective_edges`]), the shutdown
 //! flag, and the reactor's wake queue so [`Node::shutdown`] can
 //! interrupt a parked reactor immediately instead of waiting out its
 //! poll timeout.
@@ -35,7 +35,7 @@ pub use crate::reactor::NodeConfig;
 pub struct Node {
     id: PeerId,
     counters: Arc<NodeCounters>,
-    state: Arc<Mutex<crate::reactor::NodeState>>,
+    state: Arc<Mutex<bartercast_core::PeerState>>,
     shutdown: Arc<AtomicBool>,
     wake: Arc<WakeQueue>,
     reactor: Option<JoinHandle<()>>,
@@ -97,13 +97,6 @@ impl Node {
     /// across nodes.
     pub fn subjective_edges(&self) -> Vec<(PeerId, PeerId, Bytes)> {
         self.state.lock().expect("state lock").subjective_edges()
-    }
-
-    /// This node's subjective reputation of `peer` (Equation 1 over the
-    /// merged graph).
-    pub fn reputation_of(&self, peer: PeerId) -> f64 {
-        let me = self.id;
-        self.state.lock().expect("state lock").reputation(me, peer)
     }
 
     fn stop(&mut self) {

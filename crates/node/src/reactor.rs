@@ -65,12 +65,12 @@ use crate::transport::{
 use crate::wire::{self, Envelope};
 use crate::workload::{Workload, WorkloadIo};
 use bartercast_core::codec::BufPool;
-use bartercast_core::frontier::{self, SliceRecord};
+use bartercast_core::frontier;
 use bartercast_core::message::BarterCastConfig;
 use bartercast_core::repcache::ReputationEngine;
-use bartercast_core::{BarterCastMessage, DeltaMsg, Frontier, PrivateHistory, SyncPlan};
+use bartercast_core::{DeltaMsg, PeerState, PrivateHistory, SyncPlan};
 use bartercast_gossip::{PssConfig, PssNode};
-use bartercast_util::units::{Bytes, PeerId, Seconds};
+use bartercast_util::units::{PeerId, Seconds};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -176,161 +176,6 @@ struct Backoff {
     not_before: Option<Instant>,
 }
 
-/// Node state the reactor owns exclusively (behind a mutex only so
-/// snapshots can be taken from the outside).
-pub struct NodeState {
-    pub(crate) history: PrivateHistory,
-    pub(crate) engine: ReputationEngine,
-    /// Freshest frontier stamp each peer has reported for *its own*
-    /// advertised slice (carried on its `Delta` replies) — the claim
-    /// our next digest to that peer sends back.
-    pub(crate) frontiers: HashMap<PeerId, Frontier>,
-    /// Advertised-slice memo keyed on the history write version, so
-    /// digest-heavy steady state never recomputes the §3.4 selection
-    /// and a full push fans out one encoding.
-    slice_memo: Option<SliceMemo>,
-}
-
-/// The advertised slice, its frontier and its full-push frame, valid
-/// for one history version. Invalidation rides the history's existing
-/// write path: any mutation bumps [`PrivateHistory::version`].
-struct SliceMemo {
-    version: u64,
-    slice: Vec<SliceRecord>,
-    frontier: Frontier,
-    /// The slice as a stamped full `Delta` frame, encoded on first use
-    /// and shared (`Arc`) by every session it is pushed to. The stamp
-    /// seeds the receiver's frontier cache, so the digest round that
-    /// follows concludes in-sync.
-    frame: Option<Arc<[u8]>>,
-}
-
-impl NodeState {
-    /// Build a state directly from its parts — for driving a
-    /// [`Workload`] without a reactor (unit tests, tools).
-    pub fn new(history: PrivateHistory, engine: ReputationEngine) -> NodeState {
-        NodeState {
-            history,
-            engine,
-            frontiers: HashMap::new(),
-            slice_memo: None,
-        }
-    }
-
-    /// Rebuild the advertised-slice memo if the history has been
-    /// written since it was last built.
-    fn refresh_slice(&mut self, config: BarterCastConfig) {
-        let version = self.history.version();
-        if self.slice_memo.as_ref().map(|m| m.version) == Some(version) {
-            return;
-        }
-        let slice = frontier::advertised_slice(&self.history, config);
-        let frontier = frontier::frontier_of(&slice);
-        self.slice_memo = Some(SliceMemo {
-            version,
-            slice,
-            frontier,
-            frame: None,
-        });
-    }
-
-    /// The full slice as an encoded stamped `Delta` frame — what peers
-    /// get on establishment and fallback ticks — with its record count
-    /// and the history version it was taken at. `None` while the slice
-    /// is empty.
-    pub(crate) fn full_frame(&mut self, config: BarterCastConfig) -> Option<(Arc<[u8]>, u32, u64)> {
-        self.refresh_slice(config);
-        let owner = self.history.owner();
-        let memo = self.slice_memo.as_mut().expect("memo refreshed");
-        if memo.slice.is_empty() {
-            return None;
-        }
-        let frame = memo.frame.get_or_insert_with(|| {
-            let delta = DeltaMsg {
-                sender: owner,
-                full: true,
-                stamp: memo.frontier,
-                records: frontier::message_from_slice(owner, &memo.slice).records,
-            };
-            Arc::from(&wire::encode_envelope(&Envelope::Delta(delta))[..])
-        });
-        Some((Arc::clone(frame), memo.slice.len() as u32, memo.version))
-    }
-
-    /// Answer a digest claiming `claim`: returns our fresh frontier
-    /// stamp, the sync plan, and the slice length (the baseline the
-    /// suppression accounting subtracts the plan's records from).
-    pub(crate) fn sync_plan(
-        &mut self,
-        config: BarterCastConfig,
-        claim: Frontier,
-    ) -> (Frontier, SyncPlan, usize) {
-        self.refresh_slice(config);
-        let memo = self.slice_memo.as_ref().expect("memo refreshed");
-        (
-            memo.frontier,
-            frontier::plan_sync(&memo.slice, memo.frontier, claim),
-            memo.slice.len(),
-        )
-    }
-
-    /// The subjective contribution graph as a sorted edge list
-    /// `(from, to, bytes)` — the convergence check compares these
-    /// across nodes.
-    pub fn subjective_edges(&self) -> Vec<(PeerId, PeerId, Bytes)> {
-        let mut edges: Vec<_> = self.engine.graph().edges().collect();
-        edges.sort_unstable();
-        edges
-    }
-
-    /// Subjective reputation of `peer` as seen from `me` (Equation 1
-    /// over the merged graph).
-    pub fn reputation(&mut self, me: PeerId, peer: PeerId) -> f64 {
-        self.engine.reputation(me, peer)
-    }
-
-    /// [`NodeState::reputation`] of every peer in `peers`, in order,
-    /// from one single-source sweep — what a choke round scoring all
-    /// its candidates at once should call.
-    pub fn reputations_from(&mut self, me: PeerId, peers: &[PeerId]) -> Vec<f64> {
-        self.engine.reputations_from(me, peers)
-    }
-
-    /// Read access to the node's private transfer history.
-    pub fn history(&self) -> &PrivateHistory {
-        &self.history
-    }
-
-    /// Read access to the reputation engine (graph queries; use
-    /// [`NodeState::reputation`] for Equation-1 evaluations).
-    pub fn engine(&self) -> &ReputationEngine {
-        &self.engine
-    }
-
-    /// Account one completed piece *upload* of `amount` bytes to
-    /// `peer`: the private history gains the bytes (with piece
-    /// provenance), and the subjective graph's `me → peer` edge is
-    /// max-merged to the new private total so the next choke round
-    /// sees it immediately.
-    pub fn record_piece_upload(&mut self, peer: PeerId, amount: Bytes, now: Seconds) {
-        self.history.record_piece_upload(peer, amount, now);
-        let me = self.history.owner();
-        if let Some(totals) = self.history.get(peer) {
-            self.engine.graph_mut().merge_record(me, peer, totals.up);
-        }
-    }
-
-    /// Account one completed piece *download* of `amount` bytes from
-    /// `peer` — the mirror of [`NodeState::record_piece_upload`].
-    pub fn record_piece_download(&mut self, peer: PeerId, amount: Bytes, now: Seconds) {
-        self.history.record_piece_download(peer, amount, now);
-        let me = self.history.owner();
-        if let Some(totals) = self.history.get(peer) {
-            self.engine.graph_mut().merge_record(peer, me, totals.down);
-        }
-    }
-}
-
 /// Sessions whose connection holds a frame that becomes readable at a
 /// future instant (mem-transport delay injection): the reactor must
 /// wake itself then, because no external notify will. Indexed by token
@@ -399,7 +244,12 @@ pub struct Reactor {
     rng: StdRng,
     backoff: HashMap<PeerId, Backoff>,
     ever_connected: HashSet<PeerId>,
-    state: Arc<Mutex<NodeState>>,
+    state: Arc<Mutex<PeerState>>,
+    /// The advertised slice as a stamped full `Delta` frame, its record
+    /// count and the history version it was encoded at: what every
+    /// session gets on establishment and fallback ticks. The stamp
+    /// seeds the receiver's claim, so the next digest round is in sync.
+    full: Option<(Arc<[u8]>, u32, u64)>,
     counters: Arc<NodeCounters>,
     config: NodeConfig,
     /// Waker mode: pump exactly the woken tokens. Fd mode: pump all.
@@ -453,7 +303,6 @@ impl Reactor {
         let now = clock.now();
         let mut wheel = TimerWheel::new(now, TICK_GRANULARITY);
         wheel.schedule(now, TimerKind::Exchange);
-        let engine = ReputationEngine::from_private(&history);
         let mut pss = PssNode::new(id, config.pss);
         pss.bootstrap(bootstrap);
         Ok(Reactor {
@@ -472,7 +321,8 @@ impl Reactor {
             rng: StdRng::seed_from_u64(config.seed ^ (((id.0 as u64) << 32) | 0xA5A5)),
             backoff: HashMap::new(),
             ever_connected: HashSet::new(),
-            state: Arc::new(Mutex::new(NodeState::new(history, engine))),
+            state: Arc::new(Mutex::new(PeerState::new(history, ReputationEngine::new()))),
+            full: None,
             counters: Arc::new(NodeCounters::default()),
             config,
             targeted,
@@ -507,7 +357,7 @@ impl Reactor {
     /// state locked, then apply the batched [`WorkloadIo`].
     fn with_workload<F>(&mut self, now: Instant, f: F)
     where
-        F: FnOnce(&mut dyn Workload, Seconds, &mut NodeState, &mut WorkloadIo),
+        F: FnOnce(&mut dyn Workload, Seconds, &mut PeerState, &mut WorkloadIo),
     {
         let Some(mut workload) = self.workload.take() else {
             return;
@@ -557,7 +407,7 @@ impl Reactor {
     }
 
     /// Shared handle to the node state (history + reputation engine).
-    pub fn state(&self) -> Arc<Mutex<NodeState>> {
+    pub fn state(&self) -> Arc<Mutex<PeerState>> {
         Arc::clone(&self.state)
     }
 
@@ -946,10 +796,7 @@ impl Reactor {
         if !self.should_digest(target) {
             return;
         }
-        let claim = {
-            let st = self.state.lock().expect("state lock");
-            st.frontiers.get(&target).copied().unwrap_or_default()
-        };
+        let claim = self.state.lock().expect("state lock").claim(target);
         let session = self.sessions.get_mut(&token).expect("session exists");
         let digest = Envelope::Digest {
             sender: self.id,
@@ -982,10 +829,25 @@ impl Reactor {
         streak < 2 || self.tick_no - last >= 2
     }
 
-    /// [`NodeState::full_frame`] for the current history.
-    fn full_frame(&self) -> Option<(Arc<[u8]>, u32, u64)> {
+    /// The full-push frame of the current history, encoded once per
+    /// version. `None` while the slice is empty.
+    fn full_frame(&mut self) -> Option<(Arc<[u8]>, u32, u64)> {
         let mut st = self.state.lock().expect("state lock");
-        st.full_frame(self.config.bartercast)
+        let version = st.history.version();
+        if self.full.as_ref().map(|f| f.2) != Some(version) {
+            let (slice, stamp) = st.advertised(self.config.bartercast);
+            self.full = (!slice.is_empty()).then(|| {
+                let delta = DeltaMsg {
+                    sender: self.id,
+                    full: true,
+                    stamp,
+                    records: frontier::message_from_slice(self.id, slice).records,
+                };
+                let frame = wire::encode_envelope(&Envelope::Delta(delta));
+                (Arc::from(&frame[..]), slice.len() as u32, version)
+            });
+        }
+        self.full.clone()
     }
 
     fn apply_events(&mut self, events: Vec<SessionEvent>, now: Instant) {
@@ -1014,10 +876,7 @@ impl Reactor {
                         // digest instead, pulling any news without
                         // re-sending records the peer has.
                         if !self.draining {
-                            let version = {
-                                let st = self.state.lock().expect("state lock");
-                                st.history.version()
-                            };
+                            let version = self.state.lock().expect("state lock").history.version();
                             let fresh = self.pushed.get(&remote) != Some(&version);
                             self.sync_with(token, remote, fresh);
                         }
@@ -1027,17 +886,15 @@ impl Reactor {
                     }
                 }
                 SessionEvent::Digest { token, from, claim } => {
-                    let (ours, plan, slice_len, version) = {
-                        let mut st = self.state.lock().expect("state lock");
-                        let (ours, plan, slice_len) = st.sync_plan(self.config.bartercast, claim);
-                        (ours, plan, slice_len, st.history.version())
-                    };
+                    let mut st = self.state.lock().expect("state lock");
+                    let (ours, plan, slice_len) = st.answer(self.config.bartercast, claim);
                     // in sync, or about to be sent the rest: either
                     // way the peer holds our slice at this version, so
                     // a later reconnect opens with a digest instead of
                     // a redundant full push. Optimistic under loss —
                     // the digest round repairs a dropped reply.
-                    self.pushed.insert(from, version);
+                    self.pushed.insert(from, st.history.version());
+                    drop(st);
                     match plan {
                         SyncPlan::InSync => {
                             // the whole slice stayed off the wire
@@ -1071,20 +928,9 @@ impl Reactor {
                 }
                 SessionEvent::Delta { from, msg, .. } => {
                     let n = msg.records.len() as u64;
-                    {
-                        let mut st = self.state.lock().expect("state lock");
-                        if n > 0 {
-                            let exchange = BarterCastMessage {
-                                sender: msg.sender,
-                                records: msg.records,
-                            };
-                            let changed = st.engine.absorb_message(&exchange);
-                            if changed == 0 {
-                                NodeCounters::add(&self.counters.records_duplicate, n);
-                            }
-                        }
-                        // the peer's fresh stamp is our next claim
-                        st.frontiers.insert(from, msg.stamp);
+                    let mut st = self.state.lock().expect("state lock");
+                    if st.absorb(from, msg.stamp, msg.records) == 0 && n > 0 {
+                        NodeCounters::add(&self.counters.records_duplicate, n);
                     }
                     // news arrived: probe this peer eagerly again
                     self.sync_streak.remove(&from);
@@ -1123,7 +969,7 @@ mod tests {
     use crate::clock::VirtualClock;
     use crate::lockstep::Lockstep;
     use crate::mem::{MemConfig, MemTransport};
-    use bartercast_util::units::Seconds;
+    use bartercast_util::units::{Bytes, Seconds};
 
     fn fast_config(seed: u64) -> NodeConfig {
         NodeConfig {
@@ -1243,32 +1089,33 @@ mod tests {
         assert_eq!(eofs, 3, "exactly the shed dialers see EOF");
     }
 
-    /// The full-push frame lives in the slice memo: one encoding per
-    /// history version, a fresh one after a write, none for an empty
-    /// slice.
+    /// The full-push frame is encoded once per history version, afresh
+    /// after a write, and not at all for an empty slice.
     #[test]
     fn the_full_frame_is_encoded_once_per_history_version() {
-        let cfg = BarterCastConfig::default();
-        let empty = PrivateHistory::new(PeerId(1));
-        let engine = ReputationEngine::from_private(&empty);
-        let mut st = NodeState::new(empty, engine);
-        assert!(
-            st.full_frame(cfg).is_none(),
-            "an empty slice pushes nothing"
-        );
+        let (mut r, _transport, _clock) = virtual_reactor();
+        assert!(r.full_frame().is_none(), "an empty slice pushes nothing");
+        let state = r.state();
 
-        st.history
+        state
+            .lock()
+            .unwrap()
+            .history
             .record_upload(PeerId(2), Bytes::from_mb(8), Seconds(1));
-        let (first, records, version) = st.full_frame(cfg).expect("one record");
-        let (again, _, same) = st.full_frame(cfg).expect("one record");
+        let (first, records, version) = r.full_frame().expect("one record");
+        let (again, _, same) = r.full_frame().expect("one record");
         assert!(Arc::ptr_eq(&first, &again), "one encoding per version");
         assert_eq!((records, same), (1, version));
 
-        st.history
+        state
+            .lock()
+            .unwrap()
+            .history
             .record_download(PeerId(3), Bytes::from_mb(4), Seconds(2));
-        let (fresh, records, after) = st.full_frame(cfg).expect("two records");
+        let (fresh, records, after) = r.full_frame().expect("two records");
         assert!(after > version && records == 2);
-        let slice = frontier::advertised_slice(&st.history, cfg);
+        let slice =
+            frontier::advertised_slice(&state.lock().unwrap().history, fast_config(9).bartercast);
         let expected = Envelope::Delta(DeltaMsg {
             sender: PeerId(1),
             full: true,

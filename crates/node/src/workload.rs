@@ -16,14 +16,14 @@
 //! frames and timers. `crates/swarm` implements the trait on top of
 //! the `bt` building blocks.
 //!
-//! Every callback gets the node's [`NodeState`] (private history +
+//! Every callback gets the node's [`PeerState`] (private history +
 //! reputation engine) under the reactor's own lock, plus the current
 //! virtual time as whole [`Seconds`] since reactor boot — the
 //! resolution the BarterCast history timestamps use. Callbacks run on
 //! the reactor thread; they must not block.
 
-use crate::reactor::NodeState;
 use crate::wire::SwarmFrame;
+use bartercast_core::PeerState;
 use bartercast_util::units::{PeerId, Seconds};
 
 /// Outgoing actions a workload callback batches up for the reactor to
@@ -57,19 +57,19 @@ impl WorkloadIo {
 pub trait Workload: Send {
     /// Called once when the workload is attached, before any session
     /// exists — dial initial targets here.
-    fn on_start(&mut self, now: Seconds, state: &mut NodeState, io: &mut WorkloadIo);
+    fn on_start(&mut self, now: Seconds, state: &mut PeerState, io: &mut WorkloadIo);
 
     /// A session with `peer` completed its handshake (either side).
     fn on_established(
         &mut self,
         peer: PeerId,
         now: Seconds,
-        state: &mut NodeState,
+        state: &mut PeerState,
         io: &mut WorkloadIo,
     );
 
     /// The session with `peer` closed (any reason).
-    fn on_closed(&mut self, peer: PeerId, now: Seconds, state: &mut NodeState, io: &mut WorkloadIo);
+    fn on_closed(&mut self, peer: PeerId, now: Seconds, state: &mut PeerState, io: &mut WorkloadIo);
 
     /// A swarm frame arrived from `peer` on an established session.
     fn on_frame(
@@ -77,11 +77,11 @@ pub trait Workload: Send {
         peer: PeerId,
         frame: SwarmFrame,
         now: Seconds,
-        state: &mut NodeState,
+        state: &mut PeerState,
         io: &mut WorkloadIo,
     );
 
     /// The periodic choke round fired: recompute unchoke sets, serve
     /// queued requests, refill pipelines.
-    fn on_choke_round(&mut self, now: Seconds, state: &mut NodeState, io: &mut WorkloadIo);
+    fn on_choke_round(&mut self, now: Seconds, state: &mut PeerState, io: &mut WorkloadIo);
 }

@@ -55,8 +55,9 @@ pub enum Conduct {
     Honest,
     /// Sends nothing.
     Silent,
-    /// Sends fabricated messages.
-    Lying,
+    /// Sends fabricated messages claiming this much uploaded to every
+    /// advertised peer.
+    Lying(Bytes),
 }
 
 #[cfg(test)]

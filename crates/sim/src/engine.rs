@@ -26,8 +26,8 @@ use crate::metrics::{GroupSeries, PeerOutcome, SimReport};
 use crate::peer::SimPeer;
 use bartercast_bt::choke::Candidate;
 use bartercast_bt::swarm::{Member, Swarm};
-use bartercast_core::frontier::{self, SliceRecord, SyncPlan};
-use bartercast_core::{BarterCastMessage, ReputationEngine};
+use bartercast_core::frontier::{self, SyncPlan};
+use bartercast_core::ReputationEngine;
 use bartercast_gossip::{shuffle, PssConfig};
 use bartercast_trace::model::Trace;
 use bartercast_util::stats::Running;
@@ -202,7 +202,7 @@ impl Simulation {
                 let conduct = if disobeying.contains(&idx) {
                     match config.adversary {
                         AdversaryModel::Ignore { .. } => Conduct::Silent,
-                        AdversaryModel::Lie { .. } => Conduct::Lying,
+                        AdversaryModel::Lie { claim, .. } => Conduct::Lying(claim),
                         AdversaryModel::None => Conduct::Honest,
                     }
                 } else {
@@ -570,17 +570,12 @@ impl Simulation {
                 exchange_pairs.push((a, b));
             }
         }
-        let bc = self.config.bartercast;
-        let lie_claim = match self.config.adversary {
-            AdversaryModel::Lie { claim, .. } => claim,
-            _ => Bytes::from_gb(100),
-        };
         for (a, b) in exchange_pairs {
             let b_id = self.peers[b].id;
             let a_id = self.peers[a].id;
             self.peers[a].last_partner_exchange.insert(b_id, self.now);
             self.peers[b].last_partner_exchange.insert(a_id, self.now);
-            self.meet(a, b, bc, lie_claim);
+            self.meet(a, b);
             self.meetings += 1;
         }
         // 5. convert credit to pieces, detect completions
@@ -644,11 +639,6 @@ impl Simulation {
 
     /// Gossip meetings: PSS shuffle + BarterCast message exchange.
     fn gossip_phase(&mut self) {
-        let lie_claim = match self.config.adversary {
-            AdversaryModel::Lie { claim, .. } => claim,
-            _ => Bytes::from_gb(100),
-        };
-        let bc = self.config.bartercast;
         for i in 0..self.peers.len() {
             if !self.peers[i].online || self.now < self.peers[i].next_gossip {
                 continue;
@@ -674,23 +664,14 @@ impl Simulation {
             }
             let Some(j) = partner else { continue };
             self.meetings += 1;
-            self.meet(i, j, bc, lie_claim);
+            self.meet(i, j);
         }
     }
 
     /// One meeting between peers `i` and `j`.
-    fn meet(
-        &mut self,
-        i: usize,
-        j: usize,
-        bc: bartercast_core::message::BarterCastConfig,
-        lie_claim: Bytes,
-    ) {
-        // PSS shuffle (split borrow)
-        debug_assert_ne!(i, j);
-        let (lo, hi) = if i < j { (i, j) } else { (j, i) };
-        let (left, right) = self.peers.split_at_mut(hi);
-        let (a, b) = (&mut left[lo], &mut right[0]);
+    fn meet(&mut self, i: usize, j: usize) {
+        let (lo, hi) = (i.min(j), i.max(j));
+        let (a, b) = pair_mut(&mut self.peers, lo, hi);
         // age views so shuffle-merged fresh descriptors can evict old
         // ones — without this, views freeze at their bootstrap content
         a.pss.tick();
@@ -699,42 +680,35 @@ impl Simulation {
         a.history.touch(b.id, self.now);
         b.history.touch(a.id, self.now);
         let (a_id, b_id) = (a.id, b.id);
-        let from_a = a.outgoing_slice(bc, lie_claim);
-        let from_b = b.outgoing_slice(bc, lie_claim);
-        if let Some(slice) = from_a {
-            self.deliver(a_id, &slice, hi);
-        }
-        if let Some(slice) = from_b {
-            self.deliver(b_id, &slice, lo);
-        }
+        self.deliver(a_id, hi);
+        self.deliver(b_id, lo);
     }
 
-    /// Peer `from` advertises `slice` to the peer at index `to`, which
-    /// absorbs exactly the records [`frontier::plan_sync`] sends
-    /// against its claim on `from` and then stores the slice's frontier
-    /// as its next claim. Records the plan keeps home count as
-    /// suppressed, as on a live node. An auditor ingests the whole
-    /// slice: it sits on the receive path and audits repeats too.
-    fn deliver(&mut self, from: PeerId, slice: &[SliceRecord], to: usize) {
-        let to = &mut self.peers[to];
-        let ours = frontier::frontier_of(slice);
-        let claim = to.claims.get(&from).copied().unwrap_or_default();
-        let sent = match frontier::plan_sync(slice, ours, claim) {
+    /// Peer `from` answers, as its conduct does, the claim the peer at
+    /// index `to` holds on it, and the receiver absorbs exactly the
+    /// records the plan sends, keeping the stamp as its next claim.
+    /// Records the plan keeps home count as suppressed, as on a live
+    /// node. An auditor ingests the whole slice: it sits on the receive
+    /// path and audits repeats too.
+    fn deliver(&mut self, from: PeerId, to: usize) {
+        let (sender, receiver) = pair_mut(&mut self.peers, from.index(), to);
+        let claim = receiver.claim(from);
+        let Some((stamp, plan, slice)) = sender.answer_by_conduct(self.config.bartercast, claim)
+        else {
+            return;
+        };
+        let sent = match plan {
             SyncPlan::InSync => 0,
             SyncPlan::Send { records, .. } => {
                 let sent = records.len();
-                to.engine.absorb_message(&BarterCastMessage {
-                    sender: from,
-                    records,
-                });
-                to.claims.insert(from, ours);
+                receiver.absorb(from, stamp, records);
                 self.messages_delivered += 1;
                 sent
             }
         };
         self.records_suppressed += (slice.len() - sent) as u64;
-        if let Some(auditor) = to.auditor.as_mut() {
-            auditor.ingest(&frontier::message_from_slice(from, slice));
+        if let Some(auditor) = receiver.auditor.as_mut() {
+            auditor.ingest(&frontier::message_from_slice(from, &slice));
         }
     }
 
@@ -833,7 +807,7 @@ impl Simulation {
             let liars: Vec<PeerId> = self
                 .peers
                 .iter()
-                .filter(|p| p.conduct == Conduct::Lying)
+                .filter(|p| matches!(p.conduct, Conduct::Lying(_)))
                 .map(|p| p.id)
                 .collect();
             let true_pos = suspects.iter().filter(|s| liars.contains(s)).count();
@@ -925,10 +899,23 @@ impl Simulation {
     }
 }
 
+/// The peers at indices `i` and `j` (distinct), mutably.
+fn pair_mut(peers: &mut [SimPeer], i: usize, j: usize) -> (&mut SimPeer, &mut SimPeer) {
+    let (left, right) = peers.split_at_mut(i.max(j));
+    let (lo, hi) = (&mut left[i.min(j)], &mut right[0]);
+    if i < j {
+        (lo, hi)
+    } else {
+        (hi, lo)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bartercast_core::frontier::SliceRecord;
     use bartercast_core::policy::ReputationPolicy;
+    use bartercast_core::BarterCastMessage;
     use bartercast_trace::synth::{SynthConfig, TraceBuilder};
     use bartercast_util::units::Seconds;
 
@@ -980,14 +967,14 @@ mod tests {
         let (mut sim, from) = delivery_pair();
         let slice = slice_of(&sim);
         assert_eq!(slice.len(), 3);
-        sim.deliver(from, &slice, 1);
+        sim.deliver(from, 1);
         assert_eq!((sim.messages_delivered, sim.records_suppressed), (1, 0));
         let claim = frontier::frontier_of(&slice);
-        assert_eq!(sim.peers[1].claims.get(&from), Some(&claim));
+        assert_eq!(sim.peers[1].claim(from), claim);
         let edge = |sim: &Simulation| sim.peers[1].engine.graph().edge(PeerId(1001), from);
         assert_eq!(edge(&sim), Bytes::from_mb(100));
 
-        sim.deliver(from, &slice, 1);
+        sim.deliver(from, 1);
         assert_eq!((sim.messages_delivered, sim.records_suppressed), (1, 3));
 
         sim.peers[0]
@@ -999,12 +986,12 @@ mod tests {
             .filter(|r| r.totals.last_seen >= claim.max_ts)
             .count();
         assert_eq!(fresh, 2, "the write at 40 s and the record at 30 s");
-        sim.deliver(from, &slice, 1);
+        sim.deliver(from, 1);
         assert_eq!(sim.messages_delivered, 2);
         assert_eq!(sim.records_suppressed, 3 + (slice.len() - fresh) as u64);
         assert_eq!(edge(&sim), Bytes::from_mb(105));
         let stamp = frontier::frontier_of(&slice);
-        assert_eq!(sim.peers[1].claims.get(&from), Some(&stamp));
+        assert_eq!(sim.peers[1].claim(from), stamp);
     }
 
     /// An auditor ingests the whole advertised slice, whether the plan
@@ -1013,7 +1000,7 @@ mod tests {
     fn an_auditor_sees_the_whole_slice() {
         let (mut sim, from) = delivery_pair();
         let slice = slice_of(&sim);
-        sim.deliver(from, &slice, 1);
+        sim.deliver(from, 1);
         // a fresh auditor that has heard every counterparty confirm
         // its side: each record of `from` it then sees cross-checks the
         // record's two edges
@@ -1030,7 +1017,7 @@ mod tests {
                 });
             }
             sim.peers[1].auditor = Some(auditor);
-            sim.deliver(from, slice, 1);
+            sim.deliver(from, 1);
             sim.peers[1].auditor.as_ref().unwrap().checked(from) as usize / 2
         };
         assert_eq!(audited(&mut sim, &slice), slice.len(), "in sync");

@@ -3,18 +3,20 @@
 use crate::adversary::Conduct;
 use crate::config::Behaviour;
 use bartercast_core::audit::Auditor;
-use bartercast_core::frontier::{self, Frontier, SliceRecord};
+use bartercast_core::frontier::{self, Frontier, SliceRecord, SyncPlan};
 use bartercast_core::history::PrivateHistory;
 use bartercast_core::message::BarterCastConfig;
-use bartercast_core::ReputationEngine;
+use bartercast_core::{PeerState, ReputationEngine};
 use bartercast_gossip::{PssConfig, PssNode};
 use bartercast_util::units::{Bandwidth, Bytes, PeerId, Seconds};
 use bartercast_util::FxHashMap;
+use std::borrow::Cow;
+use std::ops::{Deref, DerefMut};
 
-/// Everything the simulator tracks for one peer: its transfer table,
-/// subjective graph and gossip view, plus the frontier it last
-/// absorbed from each sender, which a meeting hands to
-/// [`frontier::plan_sync`] as the claim, as a live node's digest does.
+/// Everything the simulator tracks for one peer: its protocol state
+/// (transfer table, subjective graph, claims on each sender), reached
+/// through `Deref` as a live node's is through its lock, plus its
+/// gossip view, bandwidth and ground truth.
 #[derive(Debug)]
 pub struct SimPeer {
     /// Identity.
@@ -31,10 +33,8 @@ pub struct SimPeer {
     pub up_bw: Bandwidth,
     /// Currently online (driven by the trace).
     pub online: bool,
-    /// The peer's own transfer table (§3.4).
-    pub history: PrivateHistory,
-    /// Subjective graph + maxflow + metric.
-    pub engine: ReputationEngine,
+    /// History, subjective graph and claims: what a live node holds.
+    state: PeerState,
     /// Peer sampling service node.
     pub pss: PssNode,
     /// Next scheduled gossip meeting.
@@ -44,10 +44,6 @@ pub struct SimPeer {
     /// Optional misreport auditor (extension; `None` in the paper's
     /// configuration).
     pub auditor: Option<Auditor>,
-    /// Per sender, the [`Frontier`] stamp of the last slice this peer
-    /// absorbed from it: what the node runtime's frontier cache holds,
-    /// and the claim the next meeting plans against.
-    pub(crate) claims: FxHashMap<PeerId, Frontier>,
     /// Reputation cache refreshed every `REPUTATION_REFRESH` epoch:
     /// `target -> (epoch, value)`.
     rep_cache: FxHashMap<PeerId, (u64, f64)>,
@@ -85,13 +81,11 @@ impl SimPeer {
             down_bw,
             up_bw,
             online: false,
-            history: PrivateHistory::new(id),
-            engine,
+            state: PeerState::new(PrivateHistory::new(id), engine),
             pss: PssNode::new(id, pss_config),
             next_gossip: Seconds::ZERO,
             last_partner_exchange: FxHashMap::default(),
             auditor: None,
-            claims: FxHashMap::default(),
             rep_cache: FxHashMap::default(),
             real_up: Bytes::ZERO,
             real_down: Bytes::ZERO,
@@ -101,33 +95,39 @@ impl SimPeer {
         }
     }
 
-    /// Record an upload of `amount` to `to` at `now` (private history,
-    /// subjective graph, ground truth).
+    /// Record an upload of `amount` to `to` at `now`
+    /// ([`PeerState::record_upload`], and the ground truth).
     pub fn note_upload(&mut self, to: PeerId, amount: Bytes, now: Seconds) {
-        self.history.record_upload(to, amount, now);
-        self.engine.graph_mut().add_transfer(self.id, to, amount);
+        self.state.record_upload(to, amount, now);
         self.real_up += amount;
     }
 
     /// Record a download of `amount` from `from` at `now`.
     pub fn note_download(&mut self, from: PeerId, amount: Bytes, now: Seconds) {
-        self.history.record_download(from, amount, now);
-        self.engine.graph_mut().add_transfer(from, self.id, amount);
+        self.state.record_download(from, amount, now);
         self.real_down += amount;
     }
 
-    /// The slice this peer advertises when meeting someone, depending
-    /// on its conduct. `None` for protocol ignorers.
-    pub(crate) fn outgoing_slice(
-        &self,
+    /// Answer `claim` as this peer's conduct does: an honest peer
+    /// through [`PeerState::answer`], a §5.4 liar by planning over its
+    /// lying slice, a protocol ignorer not at all. Returns the stamp,
+    /// the plan and the slice advertised.
+    pub(crate) fn answer_by_conduct(
+        &mut self,
         config: BarterCastConfig,
-        lie_claim: Bytes,
-    ) -> Option<Vec<SliceRecord>> {
-        match self.conduct {
-            Conduct::Honest => Some(frontier::advertised_slice(&self.history, config)),
-            Conduct::Silent => None,
-            Conduct::Lying => Some(frontier::lying_slice(&self.history, config, lie_claim)),
-        }
+        claim: Frontier,
+    ) -> Option<(Frontier, SyncPlan, Cow<'_, [SliceRecord]>)> {
+        let slice = match self.conduct {
+            Conduct::Honest => {
+                let (stamp, plan, _) = self.state.answer(config, claim);
+                return Some((stamp, plan, Cow::Borrowed(self.advertised(config).0)));
+            }
+            Conduct::Silent => return None,
+            Conduct::Lying(claimed) => frontier::lying_slice(&self.history, config, claimed),
+        };
+        let stamp = frontier::frontier_of(&slice);
+        let plan = frontier::plan_sync(&slice, stamp, claim);
+        Some((stamp, plan, slice.into()))
     }
 
     /// Policy-facing reputations of all `targets` in order, at most one
@@ -143,7 +143,7 @@ impl SimPeer {
             .map(|&t| match self.rep_cache.get(&t) {
                 Some(&(e, v)) if e == epoch => v,
                 _ => {
-                    let v = self.engine.reputation(self.id, t);
+                    let v = self.state.reputation(t);
                     #[cfg(test)]
                     self.check_against_sweep(t, v);
                     self.rep_cache.insert(t, (epoch, v));
@@ -157,6 +157,20 @@ impl SimPeer {
     /// possibly negative — the x-axis of Figure 1b.
     pub fn net_contribution(&self) -> f64 {
         self.real_up.0 as f64 - self.real_down.0 as f64
+    }
+}
+
+impl Deref for SimPeer {
+    type Target = PeerState;
+
+    fn deref(&self) -> &PeerState {
+        &self.state
+    }
+}
+
+impl DerefMut for SimPeer {
+    fn deref_mut(&mut self) -> &mut PeerState {
+        &mut self.state
     }
 }
 
@@ -214,16 +228,35 @@ mod tests {
         let mut p = peer(0, Conduct::Honest);
         p.note_download(PeerId(1), Bytes::from_mb(5), Seconds(1));
         let cfg = BarterCastConfig::default();
-        assert!(p.outgoing_slice(cfg, Bytes::from_gb(100)).is_some());
+        let empty = Frontier::default();
+        assert!(p.answer_by_conduct(cfg, empty).is_some());
 
         let mut silent = peer(1, Conduct::Silent);
         silent.note_download(PeerId(2), Bytes::from_mb(5), Seconds(1));
-        assert!(silent.outgoing_slice(cfg, Bytes::from_gb(100)).is_none());
+        assert!(silent.answer_by_conduct(cfg, empty).is_none());
 
-        let mut liar = peer(2, Conduct::Lying);
+        let mut liar = peer(2, Conduct::Lying(Bytes::from_gb(100)));
         liar.note_download(PeerId(3), Bytes::from_mb(5), Seconds(1));
-        let slice = liar.outgoing_slice(cfg, Bytes::from_gb(100)).unwrap();
+        let (_, _, slice) = liar.answer_by_conduct(cfg, empty).unwrap();
         assert!(slice.iter().all(|r| r.totals.up == Bytes::from_gb(100)));
+    }
+
+    /// A gossiped claim that raises the peer's own edge above its
+    /// private total is not added onto by a later real transfer: the
+    /// edge is max-merged to the private total, as on a live node.
+    #[test]
+    fn a_transfer_is_merged_not_added_onto_a_gossiped_claim() {
+        let mut p = peer(0, Conduct::Honest);
+        // peer 1 reports downloading 100 MB from peer 0
+        let (up, down) = (Bytes::ZERO, Bytes::from_mb(100));
+        let claim = bartercast_core::TransferRecord {
+            peer: p.id,
+            up,
+            down,
+        };
+        p.absorb(PeerId(1), Frontier::default(), vec![claim]);
+        p.note_upload(PeerId(1), Bytes::from_mb(10), Seconds(1));
+        assert_eq!(p.engine.graph().edge(p.id, PeerId(1)), down);
     }
 
     /// The point queries `reputations_of` makes equal, bitwise, a
@@ -243,7 +276,7 @@ mod tests {
         let (mut a, mut twin) = (build(), build());
         let targets = [PeerId(1), PeerId(2), PeerId(3), PeerId(9), PeerId(0)];
         let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
-        let swept = |twin: &mut SimPeer| bits(twin.engine.reputations_from(twin.id, &targets));
+        let swept = |twin: &mut SimPeer| bits(twin.reputations(&targets));
 
         let before = bits(a.reputations_of(&targets, 4));
         assert_eq!(before, swept(&mut twin));

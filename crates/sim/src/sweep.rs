@@ -183,10 +183,7 @@ pub fn score_candidates(
 fn gather_serial(peers: &mut [SimPeer], indices: &[usize], target_ids: &[PeerId]) -> Vec<Vec<f64>> {
     indices
         .iter()
-        .map(|&i| {
-            let evaluator = peers[i].id;
-            peers[i].engine.reputations_from(evaluator, target_ids)
-        })
+        .map(|&i| peers[i].reputations(target_ids))
         .collect()
 }
 
@@ -301,8 +298,7 @@ fn gather_stealing(
                         .expect("task mutex poisoned")
                         .take()
                         .expect("each task claimed exactly once");
-                    let evaluator = peer.id;
-                    local.push((pos, peer.engine.reputations_from(evaluator, target_ids)));
+                    local.push((pos, peer.reputations(target_ids)));
                 }
                 local
             }));

@@ -7,9 +7,8 @@
 //! rounds with batched [`WorkloadIo`] output. Completed piece
 //! transfers are the **only** writes into the node's BarterCast state:
 //! the uploader calls
-//! [`NodeState::record_piece_upload`](bartercast_node::NodeState::record_piece_upload)
-//! at send time, the downloader
-//! [`record_piece_download`](bartercast_node::NodeState::record_piece_download)
+//! [`PeerState::record_piece_upload`] at send time, the downloader
+//! [`record_piece_download`](PeerState::record_piece_download)
 //! at receipt, and the reactor's existing gossip spreads the resulting
 //! history records over the wire. Each choke round then reads the
 //! *live* engine back — Equation-1 reputations and graph totals feed
@@ -59,8 +58,9 @@ use crate::ledger::SwarmLedger;
 use bartercast_bt::choke::{Candidate, PeerScore};
 use bartercast_bt::{picker, Bitfield, ChokePolicy, Choker, Role};
 use bartercast_core::policy::ReputationPolicy;
+use bartercast_core::PeerState;
 use bartercast_node::wire::{bit_set, pack_bits};
-use bartercast_node::{NodeState, SwarmFrame, Workload, WorkloadIo};
+use bartercast_node::{SwarmFrame, Workload, WorkloadIo};
 use bartercast_util::units::{Bytes, PeerId, Seconds};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -288,7 +288,7 @@ impl SwarmWorkload {
         piece: u32,
         size: u64,
         now: Seconds,
-        state: &mut NodeState,
+        state: &mut PeerState,
         io: &mut WorkloadIo,
     ) {
         if piece as usize >= self.params.piece_count {
@@ -345,9 +345,9 @@ impl SwarmWorkload {
     /// The live engine's view of `peers`, as the choke policies
     /// consume it: Equation-1 reputations (all from one single-source
     /// sweep) plus the subjective graph's lifetime transfer totals.
-    fn peer_scores(&self, state: &mut NodeState, peers: &[PeerId]) -> BTreeMap<PeerId, PeerScore> {
-        let reputations = state.reputations_from(self.me, peers);
-        let graph = state.engine().graph();
+    fn peer_scores(&self, state: &mut PeerState, peers: &[PeerId]) -> BTreeMap<PeerId, PeerScore> {
+        let reputations = state.reputations(peers);
+        let graph = state.engine.graph();
         let mut scores = BTreeMap::new();
         for (&peer, reputation) in peers.iter().zip(reputations) {
             let score = PeerScore {
@@ -372,7 +372,7 @@ impl SwarmWorkload {
     /// Equation-1 view is uniformly negative (nothing ever flows
     /// *toward* it), so reputation ordering carries no signal there
     /// and §4.1 round-robin seeding applies instead.
-    fn serve_requests(&mut self, now: Seconds, state: &mut NodeState, io: &mut WorkloadIo) {
+    fn serve_requests(&mut self, now: Seconds, state: &mut PeerState, io: &mut WorkloadIo) {
         if self.freerider() {
             return;
         }
@@ -453,7 +453,7 @@ impl SwarmWorkload {
 
     /// Recompute the unchoke set through the live reputation engine
     /// and notify peers of slot changes.
-    fn recompute_unchokes(&mut self, state: &mut NodeState, io: &mut WorkloadIo) {
+    fn recompute_unchokes(&mut self, state: &mut PeerState, io: &mut WorkloadIo) {
         let unchoked: Vec<PeerId> = if self.freerider() {
             Vec::new() // lazy freeriders never grant slots
         } else {
@@ -508,7 +508,7 @@ impl SwarmWorkload {
 }
 
 impl Workload for SwarmWorkload {
-    fn on_start(&mut self, _now: Seconds, _state: &mut NodeState, io: &mut WorkloadIo) {
+    fn on_start(&mut self, _now: Seconds, _state: &mut PeerState, io: &mut WorkloadIo) {
         for &peer in &self.bootstrap {
             io.dial(peer);
         }
@@ -518,7 +518,7 @@ impl Workload for SwarmWorkload {
         &mut self,
         peer: PeerId,
         _now: Seconds,
-        _state: &mut NodeState,
+        _state: &mut PeerState,
         io: &mut WorkloadIo,
     ) {
         let fresh = PeerView::new(self.params.piece_count);
@@ -532,7 +532,7 @@ impl Workload for SwarmWorkload {
         &mut self,
         peer: PeerId,
         _now: Seconds,
-        _state: &mut NodeState,
+        _state: &mut PeerState,
         _io: &mut WorkloadIo,
     ) {
         // pending requests die with the view; their pieces become
@@ -547,7 +547,7 @@ impl Workload for SwarmWorkload {
         peer: PeerId,
         frame: SwarmFrame,
         now: Seconds,
-        state: &mut NodeState,
+        state: &mut PeerState,
         io: &mut WorkloadIo,
     ) {
         match frame {
@@ -625,7 +625,7 @@ impl Workload for SwarmWorkload {
         }
     }
 
-    fn on_choke_round(&mut self, now: Seconds, state: &mut NodeState, io: &mut WorkloadIo) {
+    fn on_choke_round(&mut self, now: Seconds, state: &mut PeerState, io: &mut WorkloadIo) {
         self.round += 1;
         // expire stale requests so lost Request/Piece frames recover
         let timeout = self.params.request_timeout_rounds;
@@ -679,10 +679,8 @@ mod tests {
     use bartercast_core::policy::ReputationPolicy;
     use bartercast_core::{PrivateHistory, ReputationEngine};
 
-    fn state_for(me: PeerId) -> NodeState {
-        let history = PrivateHistory::new(me);
-        let engine = ReputationEngine::from_private(&history);
-        NodeState::new(history, engine)
+    fn state_for(me: PeerId) -> PeerState {
+        PeerState::new(PrivateHistory::new(me), ReputationEngine::new())
     }
 
     fn params(seed_initial: bool, behaviour: PeerBehaviour) -> SwarmParams {
@@ -835,8 +833,8 @@ mod tests {
         );
         assert!(w.have.has(first as usize));
         // history took the download, with piece provenance
-        assert_eq!(state.history().get(seeder).unwrap().down, Bytes(size));
-        assert!(state.history().all_from_pieces());
+        assert_eq!(state.history.get(seeder).unwrap().down, Bytes(size));
+        assert!(state.history.all_from_pieces());
         // ledger matched
         assert_eq!(shared.lock().unwrap().progress_of(me).pieces, 1);
         // Have broadcast + pipeline refilled
@@ -935,8 +933,8 @@ mod tests {
     /// The select-k `refill_requests` and the per-request reference
     /// scan, fed the same handler calls.
     struct Twins {
-        kernel: (SwarmWorkload, NodeState),
-        reference: (SwarmWorkload, NodeState),
+        kernel: (SwarmWorkload, PeerState),
+        reference: (SwarmWorkload, PeerState),
     }
 
     impl Twins {
@@ -956,9 +954,9 @@ mod tests {
         /// both counter sets must recount. Returns the frames.
         fn drive(
             &mut self,
-            handler: impl Fn(&mut SwarmWorkload, &mut NodeState, &mut WorkloadIo),
+            handler: impl Fn(&mut SwarmWorkload, &mut PeerState, &mut WorkloadIo),
         ) -> Vec<(PeerId, SwarmFrame)> {
-            let run = |(w, state): &mut (SwarmWorkload, NodeState)| {
+            let run = |(w, state): &mut (SwarmWorkload, PeerState)| {
                 let mut io = WorkloadIo::default();
                 handler(w, state, &mut io);
                 w.check_invariants().unwrap();
@@ -1083,16 +1081,15 @@ mod tests {
 
     /// Batched choke scoring decides what per-pair scoring decides: on
     /// a graph with direct and two-hop flows, the scores are bitwise
-    /// the per-pair `NodeState::reputation` values, and the unchoke set
+    /// the per-pair `PeerState::reputation` values, and the unchoke set
     /// and the serve order equal those computed from them.
     #[test]
     fn batched_scoring_matches_per_pair_decisions() {
         let me = PeerId(0);
         let peers: Vec<PeerId> = (1..=7).map(PeerId).collect();
         let state_with_graph = || {
-            let history = PrivateHistory::new(me);
-            let mut engine = ReputationEngine::from_private(&history);
-            let graph = engine.graph_mut();
+            let mut state = PeerState::new(PrivateHistory::new(me), ReputationEngine::new());
+            let graph = state.engine.graph_mut();
             for (k, &q) in peers.iter().enumerate() {
                 let k = k as u64 + 1;
                 let next = peers[k as usize % peers.len()];
@@ -1101,7 +1098,7 @@ mod tests {
                 graph.merge_record(q, next, Bytes::from_mb(37 * k));
                 graph.merge_record(next, q, Bytes::from_mb(11 * (8 - k)));
             }
-            NodeState::new(history, engine)
+            state
         };
         let mut p = params(false, PeerBehaviour::Cooperator);
         p.policy = SwarmPolicy::Reputation(ReputationPolicy::Rank);
@@ -1123,8 +1120,8 @@ mod tests {
         let per_pair: BTreeMap<PeerId, PeerScore> = peers
             .iter()
             .map(|&q| {
-                let reputation = twin.reputation(me, q);
-                let graph = twin.engine().graph();
+                let reputation = twin.reputation(q);
+                let graph = twin.engine.graph();
                 let (up, down) = (graph.total_up(q), graph.total_down(q));
                 (
                     q,
