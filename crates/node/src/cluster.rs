@@ -1,21 +1,20 @@
-//! The in-process cluster harness.
+//! The in-process record-only cluster harness.
 //!
-//! [`Cluster::boot`] starts `n` full [`Node`]s on one shared
-//! [`MemTransport`], seeds each with a deterministic private history
-//! (node `i` uploads to its next few ring neighbors, and both parties
-//! record the transfer — the paper's symmetric bookkeeping), and
-//! exposes the two operations integration tests need:
+//! [`Cluster::seed_histories`] gives each of `n` nodes a deterministic
+//! private history (node `i` uploads to its next few ring neighbors,
+//! and both parties record the transfer — the paper's symmetric
+//! bookkeeping), and [`Cluster::expected_edges`] is the
+//! gossip-reachable record set, i.e. the union of what every node's
+//! top-`Nh`/`Nr` message advertises. Because merges are max-merges,
+//! that target is independent of message order, loss, and timing —
+//! convergence is bit-identical across runs by construction.
 //!
-//! * [`Cluster::run_until_converged`] — poll until every node's
-//!   subjective graph equals the gossip-reachable record set, i.e. the
-//!   union of what every node's top-`Nh`/`Nr` message advertises.
-//!   Because merges are max-merges, that target is independent of
-//!   message order, loss, and timing — convergence is bit-identical
-//!   across runs by construction, which the tier-1 cluster test
-//!   asserts with two seeded runs.
-//! * [`Cluster::force_disconnect`] — sever every live connection of
-//!   one peer through the transport kill-switch, exercising the
-//!   reconnect/backoff machinery mid-run.
+//! [`DeterministicCluster`] boots that population on a [`Lockstep`]
+//! driver over one shared [`MemTransport`] and exposes what
+//! integration tests need: [`DeterministicCluster::run_until_converged`]
+//! and [`DeterministicCluster::force_disconnect`], which severs every
+//! live connection of one peer through the transport kill-switch,
+//! exercising the reconnect/backoff machinery mid-run.
 //!
 //! The harness keeps `nh`/`nr` large enough that every node's message
 //! covers its whole (small) history; with partial advertisement the
@@ -25,7 +24,7 @@
 
 use crate::lockstep::{Edges, Lockstep};
 use crate::mem::{MemConfig, MemTransport};
-use crate::node::{Node, NodeConfig};
+use crate::reactor::NodeConfig;
 use crate::stats::NodeStats;
 use crate::transport::Transport;
 use bartercast_core::message::BarterCastConfig;
@@ -33,8 +32,7 @@ use bartercast_core::{BarterCastMessage, PrivateHistory};
 use bartercast_graph::ContributionGraph;
 use bartercast_util::units::{Bytes, PeerId, Seconds};
 use std::io;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Megabytes for each seed history's `i → i+1` transfer; later uplinks
 /// scale it so every edge weight is distinct, which keeps the expected
@@ -102,12 +100,9 @@ fn boot_inputs(
     })
 }
 
-/// A booted cluster.
-pub struct Cluster {
-    nodes: Vec<Node>,
-    transport: Arc<MemTransport>,
-    expected: Vec<(PeerId, PeerId, Bytes)>,
-}
+/// The record-only population: every node's seed history and the edge
+/// set gossip must converge to. A namespace, holding no state.
+pub struct Cluster;
 
 impl Cluster {
     /// Deterministic seed history for node `i` of `n`: it uploads to
@@ -149,91 +144,9 @@ impl Cluster {
         edges.sort_unstable();
         edges
     }
-
-    /// Boot all nodes with full-membership bootstrap views. BarterCast
-    /// messages carry only the *sender's* own transfers (no relaying),
-    /// so a record is gossip-reachable exactly when its owner can
-    /// eventually talk to everyone — the sampled overlay over full
-    /// membership guarantees that.
-    pub fn boot(config: ClusterConfig) -> io::Result<Cluster> {
-        let transport = Arc::new(MemTransport::new(config.mem));
-        let histories = Self::seed_histories(&config);
-        let expected = Self::expected_edges(&histories, config.node.bartercast);
-        let nodes = boot_inputs(&config, histories)
-            .map(|(id, bootstrap, history, node_config)| {
-                let transport = Arc::clone(&transport) as Arc<dyn Transport>;
-                Node::spawn(id, transport, bootstrap, history, node_config)
-            })
-            .collect::<io::Result<Vec<Node>>>()?;
-        Ok(Cluster {
-            nodes,
-            transport,
-            expected,
-        })
-    }
-
-    /// The edge set every node must converge to.
-    pub fn expected(&self) -> &[(PeerId, PeerId, Bytes)] {
-        &self.expected
-    }
-
-    /// The booted nodes.
-    pub fn nodes(&self) -> &[Node] {
-        &self.nodes
-    }
-
-    /// The shared transport (for loss counters).
-    pub fn transport(&self) -> &MemTransport {
-        &self.transport
-    }
-
-    /// Whether every node's subjective graph currently equals the
-    /// expected set.
-    pub fn converged(&self) -> bool {
-        self.nodes
-            .iter()
-            .all(|node| node.subjective_edges() == self.expected)
-    }
-
-    /// Sever every live connection touching `peer`; returns how many
-    /// were cut. The node's listener survives, so the cluster heals by
-    /// reconnecting.
-    pub fn force_disconnect(&self, peer: PeerId) -> usize {
-        self.transport.disconnect(peer)
-    }
-
-    /// Poll until [`Cluster::converged`] or the deadline passes.
-    /// Returns whether convergence was reached.
-    pub fn run_until_converged(&self, deadline: Duration) -> bool {
-        let until = Instant::now() + deadline;
-        loop {
-            if self.converged() {
-                return true;
-            }
-            if Instant::now() >= until {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-    }
-
-    /// Diagnostic: each node's current edge count versus expected,
-    /// for convergence-failure messages.
-    pub fn progress(&self) -> Vec<(PeerId, usize)> {
-        self.nodes
-            .iter()
-            .map(|n| (n.id(), n.subjective_edges().len()))
-            .collect()
-    }
-
-    /// Shut every node down gracefully, returning per-node stats in
-    /// node-id order.
-    pub fn shutdown(self) -> Vec<NodeStats> {
-        self.nodes.into_iter().map(Node::shutdown).collect()
-    }
 }
 
-/// A lockstep cluster: the same `n` reactors as [`Cluster`] on a
+/// A lockstep cluster: the [`Cluster`] population as `n` reactors on a
 /// [`Lockstep`] driver — a swarm with no workload. Two runs with the
 /// same config produce bitwise-identical [`NodeStats`] and converged
 /// graphs, which the determinism regression test asserts.
@@ -243,9 +156,12 @@ pub struct DeterministicCluster {
 }
 
 impl DeterministicCluster {
-    /// Boot `n` reactors with the same seed histories and
-    /// full-membership bootstrap as [`Cluster::boot`]. Nothing runs
-    /// until [`Self::step`] is called.
+    /// Boot `n` reactors with the [`Cluster::seed_histories`] and
+    /// full-membership bootstrap views. BarterCast messages carry only
+    /// the *sender's* own transfers (no relaying), so a record is
+    /// gossip-reachable exactly when its owner can eventually talk to
+    /// everyone — the sampled overlay over full membership guarantees
+    /// that. Nothing runs until [`Self::step`] is called.
     pub fn boot(config: ClusterConfig) -> io::Result<DeterministicCluster> {
         let mut lockstep = Lockstep::new(config.mem);
         let histories = Cluster::seed_histories(&config);
@@ -326,7 +242,7 @@ impl DeterministicCluster {
 fn all_hold(lockstep: &Lockstep, expected: &Edges) -> bool {
     lockstep
         .reactors()
-        .all(|r| r.state().lock().expect("state lock").subjective_edges() == *expected)
+        .all(|r| r.state().subjective_edges() == *expected)
 }
 
 #[cfg(test)]
@@ -368,24 +284,6 @@ mod tests {
             cluster.expected().len()
         );
         let stats = cluster.stats();
-        assert!(stats.iter().all(|s| s.protocol_errors == 0));
-        assert!(stats.iter().map(|s| s.records_received).sum::<u64>() > 0);
-    }
-
-    #[test]
-    fn tiny_lossless_cluster_converges() {
-        let cluster = Cluster::boot(ClusterConfig {
-            n: 3,
-            ..ClusterConfig::default()
-        })
-        .unwrap();
-        assert!(
-            cluster.run_until_converged(Duration::from_secs(20)),
-            "no convergence: progress={:?} expected={}",
-            cluster.progress(),
-            cluster.expected().len()
-        );
-        let stats = cluster.shutdown();
         assert!(stats.iter().all(|s| s.protocol_errors == 0));
         assert!(stats.iter().map(|s| s.records_received).sum::<u64>() > 0);
     }

@@ -26,14 +26,14 @@
 //! * [`session`] — the per-connection state machine, pumped by the
 //!   reactor on readiness instead of owning a thread;
 //! * [`reactor`] — the coordinator: one poll loop driving every
-//!   session, timer, accept, and dial of a node;
-//! * [`node`] — the thin public handle over one reactor thread;
+//!   session, timer, accept, and dial of a node, and owning its peer
+//!   state; [`Reactor::run`] drives it on the caller's thread on the
+//!   wall clock;
 //! * [`lockstep`] — the [`Lockstep`] driver: many reactors pumped on
 //!   one thread over one virtual clock, with spawn/retire churn;
-//! * [`cluster`] — the record-only harnesses: threaded
-//!   [`Cluster`] for wall-clock integration tests and
-//!   [`DeterministicCluster`], the same
-//!   population on the lockstep driver;
+//! * [`cluster`] — the record-only population ([`Cluster`]'s seed
+//!   histories and expected edge set) and [`DeterministicCluster`],
+//!   that population on the lockstep driver;
 //! * [`stats`] — relaxed-atomic counters snapshotted as
 //!   [`NodeStats`], including the split
 //!   `shed_accept`/`shed_session` overload accounting.
@@ -44,7 +44,6 @@ pub mod clock;
 pub mod cluster;
 pub mod lockstep;
 pub mod mem;
-pub mod node;
 pub mod reactor;
 pub mod session;
 pub mod stats;
@@ -57,8 +56,7 @@ pub use clock::{Clock, SystemClock, VirtualClock};
 pub use cluster::{Cluster, ClusterConfig, DeterministicCluster};
 pub use lockstep::Lockstep;
 pub use mem::{MemConfig, MemTransport};
-pub use node::{Node, NodeConfig};
-pub use reactor::{backoff_delay, Reactor};
+pub use reactor::{backoff_delay, NodeConfig, Reactor};
 pub use stats::{NodeCounters, NodeStats};
 pub use transport::{Conn, Listener, TcpTransport, Transport, WakeQueue};
 pub use wire::SwarmFrame;

@@ -62,14 +62,14 @@ use bartercast_util::units::{Bytes, PeerId};
 use std::collections::BTreeMap;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A sorted subjective edge list `(from, to, bytes)`.
 pub type Edges = Vec<(PeerId, PeerId, Bytes)>;
 
 /// What is observable of a node, live or retired.
-type Observed = (Arc<NodeCounters>, Arc<Mutex<PeerState>>);
+type Observed<'a> = (Arc<NodeCounters>, &'a PeerState);
 
 /// Reactors driven in lockstep on one virtual clock (see module docs).
 pub struct Lockstep {
@@ -83,7 +83,8 @@ pub struct Lockstep {
     wakes: Vec<Option<Instant>>,
     /// Membership changed since the slots were last linked.
     relink: bool,
-    departed: BTreeMap<PeerId, Observed>,
+    /// Retired nodes' final counters and state.
+    departed: BTreeMap<PeerId, (Arc<NodeCounters>, PeerState)>,
     polls: u64,
     /// The slots the last step polled, in order.
     #[cfg(any(test, feature = "scan-oracle"))]
@@ -145,10 +146,8 @@ impl Lockstep {
     /// No-op for an unknown id.
     pub fn retire(&mut self, id: PeerId) {
         if let Ok(slot) = self.reactors.binary_search_by_key(&id, Reactor::id) {
-            let reactor = self.reactors.remove(slot);
-            self.departed
-                .insert(id, (reactor.counters(), reactor.state()));
-            drop(reactor);
+            let departed = self.reactors.remove(slot).into_parts();
+            self.departed.insert(id, departed);
             self.transport.disconnect(id);
             self.relink = true;
         }
@@ -292,11 +291,16 @@ impl Lockstep {
         self.reactors.iter()
     }
 
-    fn observed(&self) -> BTreeMap<PeerId, Observed> {
-        let mut all = self.departed.clone();
-        let live = self.reactors.iter();
-        all.extend(live.map(|r| (r.id(), (r.counters(), r.state()))));
-        all
+    fn observed(&self) -> BTreeMap<PeerId, Observed<'_>> {
+        let departed = self
+            .departed
+            .iter()
+            .map(|(&id, (c, s))| (id, (Arc::clone(c), s)));
+        let live = self
+            .reactors
+            .iter()
+            .map(|r| (r.id(), (r.counters(), r.state())));
+        departed.chain(live).collect()
     }
 
     /// Per-node counter snapshots in id order (live + retired).
@@ -309,17 +313,16 @@ impl Lockstep {
     /// Per-node subjective edge lists in id order (live + retired).
     pub fn edges(&self) -> BTreeMap<PeerId, Edges> {
         let all = self.observed().into_iter();
-        all.map(|(id, (_, state))| (id, state.lock().expect("state lock").subjective_edges()))
+        all.map(|(id, (_, state))| (id, state.subjective_edges()))
             .collect()
     }
 
     /// Whether every node's private history (live + retired) was fed
     /// exclusively by piece transfers.
     pub fn all_from_pieces(&self) -> bool {
-        self.observed().values().all(|(_, state)| {
-            let state = state.lock().expect("state lock");
-            state.history.all_from_pieces()
-        })
+        self.observed()
+            .values()
+            .all(|(_, state)| state.history.all_from_pieces())
     }
 }
 
@@ -438,6 +441,26 @@ mod tests {
             stats[3].sessions_opened > 0 && polls > steps.len() as u64,
             "the run exercised nothing"
         );
+    }
+
+    /// A retired node's edges and counters stay observable, and the
+    /// survivor keeps the record it learnt from it.
+    #[test]
+    fn a_retired_nodes_state_stays_observable() {
+        let mut cluster = DeterministicCluster::boot(ClusterConfig {
+            n: 3,
+            ..ClusterConfig::default()
+        })
+        .expect("boot");
+        assert!(cluster.run_until_converged(Duration::from_secs(30)));
+        let converged = cluster.expected().to_vec();
+        cluster.lockstep_mut().retire(PeerId(1));
+        let lockstep = cluster.lockstep_mut();
+        assert_eq!(lockstep.reactors().count(), 2);
+        let edges = lockstep.edges();
+        assert_eq!(edges.len(), 3, "the retired node is still listed");
+        assert!(edges.values().all(|e| *e == converged), "{edges:?}");
+        assert!(lockstep.stats()[&PeerId(1)].records_received > 0);
     }
 
     /// A linked wake queue marks its slot on notify and only then.

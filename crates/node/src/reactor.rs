@@ -76,7 +76,7 @@ use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Neighbours sampled from the peer-sampling view per exchange tick
@@ -220,9 +220,10 @@ impl DelayedFrames {
     }
 }
 
-/// One node's entire runtime, as pollable state. [`Node`](crate::Node)
-/// runs it on a dedicated thread; [`Lockstep`](crate::Lockstep) pumps
-/// several of them on one thread over virtual time.
+/// One node's entire runtime, as pollable state, owning its
+/// [`PeerState`]. [`Reactor::run`] drives it on the caller's thread on
+/// the wall clock; [`Lockstep`](crate::Lockstep) pumps several of them
+/// on one thread over virtual time.
 pub struct Reactor {
     id: PeerId,
     transport: Arc<dyn Transport>,
@@ -244,7 +245,7 @@ pub struct Reactor {
     rng: StdRng,
     backoff: HashMap<PeerId, Backoff>,
     ever_connected: HashSet<PeerId>,
-    state: Arc<Mutex<PeerState>>,
+    state: PeerState,
     /// The advertised slice as a stamped full `Delta` frame, its record
     /// count and the history version it was encoded at: what every
     /// session gets on establishment and fallback ticks. The stamp
@@ -321,7 +322,7 @@ impl Reactor {
             rng: StdRng::seed_from_u64(config.seed ^ (((id.0 as u64) << 32) | 0xA5A5)),
             backoff: HashMap::new(),
             ever_connected: HashSet::new(),
-            state: Arc::new(Mutex::new(PeerState::new(history, ReputationEngine::new()))),
+            state: PeerState::new(history, ReputationEngine::new()),
             full: None,
             counters: Arc::new(NodeCounters::default()),
             config,
@@ -353,8 +354,8 @@ impl Reactor {
         self.with_workload(now, |w, secs, state, io| w.on_start(secs, state, io));
     }
 
-    /// Run `f` against the attached workload (if any) with the node
-    /// state locked, then apply the batched [`WorkloadIo`].
+    /// Run `f` against the attached workload (if any) and the node
+    /// state, then apply the batched [`WorkloadIo`].
     fn with_workload<F>(&mut self, now: Instant, f: F)
     where
         F: FnOnce(&mut dyn Workload, Seconds, &mut PeerState, &mut WorkloadIo),
@@ -364,10 +365,7 @@ impl Reactor {
         };
         let mut io = WorkloadIo::default();
         let secs = Seconds(now.saturating_duration_since(self.boot).as_secs());
-        {
-            let mut state = self.state.lock().expect("state lock");
-            f(workload.as_mut(), secs, &mut state, &mut io);
-        }
+        f(workload.as_mut(), secs, &mut self.state, &mut io);
         self.workload = Some(workload);
         self.deliver_io(io, now);
     }
@@ -406,12 +404,19 @@ impl Reactor {
         Arc::clone(&self.counters)
     }
 
-    /// Shared handle to the node state (history + reputation engine).
-    pub fn state(&self) -> Arc<Mutex<PeerState>> {
-        Arc::clone(&self.state)
+    /// The node state (history + reputation engine).
+    pub fn state(&self) -> &PeerState {
+        &self.state
     }
 
-    /// The wake queue — external threads kick it to interrupt
+    /// Give up the reactor, keeping what outlives it: the counters and
+    /// the node state.
+    pub(crate) fn into_parts(self) -> (Arc<NodeCounters>, PeerState) {
+        (self.counters, self.state)
+    }
+
+    /// The wake queue: the lockstep driver links it to its runnable
+    /// bitset, and another thread kicks it to interrupt
     /// [`Reactor::wait`] (e.g. for shutdown).
     pub fn wake_handle(&self) -> Arc<WakeQueue> {
         Arc::clone(&self.wake)
@@ -613,9 +618,12 @@ impl Reactor {
         }
     }
 
-    /// Drive the reactor until `shutdown` is flagged, then drain
-    /// gracefully: every session gets a `Bye` and up to
-    /// `DRAIN_TIMEOUT` to flush before being force-closed.
+    /// The wall-clock driver: poll on the caller's thread, parking in
+    /// [`Reactor::wait`] when idle, until `shutdown` is flagged, then
+    /// drain gracefully: every session gets a `Bye` and up to
+    /// `DRAIN_TIMEOUT` to flush before being force-closed. Another
+    /// thread that raises the flag can [`WakeQueue::kick`] the
+    /// [`Reactor::wake_handle`] to cut a park short.
     pub fn run(&mut self, shutdown: &AtomicBool) {
         loop {
             if shutdown.load(Ordering::Relaxed) && !self.draining {
@@ -796,7 +804,7 @@ impl Reactor {
         if !self.should_digest(target) {
             return;
         }
-        let claim = self.state.lock().expect("state lock").claim(target);
+        let claim = self.state.claim(target);
         let session = self.sessions.get_mut(&token).expect("session exists");
         let digest = Envelope::Digest {
             sender: self.id,
@@ -832,10 +840,9 @@ impl Reactor {
     /// The full-push frame of the current history, encoded once per
     /// version. `None` while the slice is empty.
     fn full_frame(&mut self) -> Option<(Arc<[u8]>, u32, u64)> {
-        let mut st = self.state.lock().expect("state lock");
-        let version = st.history.version();
+        let version = self.state.history.version();
         if self.full.as_ref().map(|f| f.2) != Some(version) {
-            let (slice, stamp) = st.advertised(self.config.bartercast);
+            let (slice, stamp) = self.state.advertised(self.config.bartercast);
             self.full = (!slice.is_empty()).then(|| {
                 let delta = DeltaMsg {
                     sender: self.id,
@@ -876,7 +883,7 @@ impl Reactor {
                         // digest instead, pulling any news without
                         // re-sending records the peer has.
                         if !self.draining {
-                            let version = self.state.lock().expect("state lock").history.version();
+                            let version = self.state.history.version();
                             let fresh = self.pushed.get(&remote) != Some(&version);
                             self.sync_with(token, remote, fresh);
                         }
@@ -886,15 +893,13 @@ impl Reactor {
                     }
                 }
                 SessionEvent::Digest { token, from, claim } => {
-                    let mut st = self.state.lock().expect("state lock");
-                    let (ours, plan, slice_len) = st.answer(self.config.bartercast, claim);
+                    let (ours, plan, slice_len) = self.state.answer(self.config.bartercast, claim);
                     // in sync, or about to be sent the rest: either
                     // way the peer holds our slice at this version, so
                     // a later reconnect opens with a digest instead of
                     // a redundant full push. Optimistic under loss —
                     // the digest round repairs a dropped reply.
-                    self.pushed.insert(from, st.history.version());
-                    drop(st);
+                    self.pushed.insert(from, self.state.history.version());
                     match plan {
                         SyncPlan::InSync => {
                             // the whole slice stayed off the wire
@@ -928,8 +933,7 @@ impl Reactor {
                 }
                 SessionEvent::Delta { from, msg, .. } => {
                     let n = msg.records.len() as u64;
-                    let mut st = self.state.lock().expect("state lock");
-                    if st.absorb(from, msg.stamp, msg.records) == 0 && n > 0 {
+                    if self.state.absorb(from, msg.stamp, msg.records) == 0 && n > 0 {
                         NodeCounters::add(&self.counters.records_duplicate, n);
                     }
                     // news arrived: probe this peer eagerly again
@@ -969,6 +973,7 @@ mod tests {
     use crate::clock::VirtualClock;
     use crate::lockstep::Lockstep;
     use crate::mem::{MemConfig, MemTransport};
+    use crate::stats::NodeStats;
     use bartercast_util::units::{Bytes, Seconds};
 
     fn fast_config(seed: u64) -> NodeConfig {
@@ -1040,6 +1045,87 @@ mod tests {
         assert!(converged, "no convergence: {:?}", lockstep.stats());
     }
 
+    /// Two reactors on one in-process network, each bootstrapped with
+    /// the other, each under [`Reactor::run`] on its own thread. Once
+    /// `stop_when` holds for both counter sets (or 10 s pass) the flag
+    /// is raised and both queues kicked; returns the reactors from
+    /// `join` and how long the shutdown took.
+    fn run_pair(stop_when: fn(&NodeStats) -> bool) -> (Vec<Reactor>, Duration) {
+        let transport = Arc::new(MemTransport::new(MemConfig::default()));
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let mut watch = Vec::new();
+        let threads: Vec<_> = [
+            (PeerId(0), PeerId(1), history_with_upload(0, 1, 64), 1),
+            (PeerId(1), PeerId(0), history_with_upload(1, 2, 32), 2),
+        ]
+        .into_iter()
+        .map(|(id, peer, history, seed)| {
+            let mut r = Reactor::new(
+                id,
+                Arc::clone(&transport) as Arc<dyn Transport>,
+                vec![peer],
+                history,
+                fast_config(seed),
+                Arc::new(crate::clock::SystemClock),
+            )
+            .unwrap();
+            watch.push((r.counters(), r.wake_handle()));
+            let shutdown = Arc::clone(&shutdown);
+            std::thread::spawn(move || {
+                r.run(&shutdown);
+                r
+            })
+        })
+        .collect();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !watch.iter().all(|(c, _)| stop_when(&c.snapshot())) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let started = Instant::now();
+        shutdown.store(true, Ordering::Relaxed);
+        for (_, wake) in &watch {
+            wake.kick(); // interrupt a parked reactor immediately
+        }
+        let reactors = threads.into_iter().map(|h| h.join().unwrap()).collect();
+        (reactors, started.elapsed())
+    }
+
+    /// Two wall-clock reactors learn each other's records; stopping
+    /// them through the flag drains every session, promptly.
+    #[test]
+    fn two_nodes_converge_to_each_others_records() {
+        let (reactors, took) = run_pair(|s| s.records_received > 0);
+        let edges: Vec<_> = reactors
+            .iter()
+            .map(|r| r.state().subjective_edges())
+            .collect();
+        // 0→1 (a's upload) and 1→2 (b's upload) on both
+        assert_eq!(edges[0].len(), 2, "no convergence: {edges:?}");
+        assert_eq!(edges[0], edges[1]);
+        let stats: Vec<_> = reactors.iter().map(|r| r.counters().snapshot()).collect();
+        assert!(stats.iter().map(|s| s.sessions_opened).sum::<u64>() >= 1);
+        assert!(stats.iter().map(|s| s.records_received).sum::<u64>() >= 2);
+        assert!(
+            stats.iter().all(|s| s.sessions_live == 0),
+            "shutdown must reap every session: {stats:?}"
+        );
+        assert!(took < Duration::from_secs(5), "shutdown took {took:?}");
+    }
+
+    /// A flag raised while both reactors hold a live session still
+    /// drains, reaps everything and returns promptly.
+    #[test]
+    fn shutdown_is_prompt_and_joins_everything() {
+        let (reactors, took) = run_pair(|s| s.sessions_opened > 0);
+        assert!(took < Duration::from_secs(5), "shutdown took {took:?}");
+        for r in &reactors {
+            let stats = r.counters().snapshot();
+            assert!(stats.sessions_opened > 0, "{stats:?}");
+            assert_eq!(stats.sessions_live, 0, "shutdown must reap every session");
+            assert_eq!(stats.protocol_errors, 0);
+        }
+    }
+
     /// Inbound connections beyond `max_sessions` are shed at accept and
     /// counted, while existing sessions keep working.
     #[test]
@@ -1095,11 +1181,8 @@ mod tests {
     fn the_full_frame_is_encoded_once_per_history_version() {
         let (mut r, _transport, _clock) = virtual_reactor();
         assert!(r.full_frame().is_none(), "an empty slice pushes nothing");
-        let state = r.state();
 
-        state
-            .lock()
-            .unwrap()
+        r.state
             .history
             .record_upload(PeerId(2), Bytes::from_mb(8), Seconds(1));
         let (first, records, version) = r.full_frame().expect("one record");
@@ -1107,15 +1190,12 @@ mod tests {
         assert!(Arc::ptr_eq(&first, &again), "one encoding per version");
         assert_eq!((records, same), (1, version));
 
-        state
-            .lock()
-            .unwrap()
+        r.state
             .history
             .record_download(PeerId(3), Bytes::from_mb(4), Seconds(2));
         let (fresh, records, after) = r.full_frame().expect("two records");
         assert!(after > version && records == 2);
-        let slice =
-            frontier::advertised_slice(&state.lock().unwrap().history, fast_config(9).bartercast);
+        let slice = frontier::advertised_slice(&r.state.history, fast_config(9).bartercast);
         let expected = Envelope::Delta(DeltaMsg {
             sender: PeerId(1),
             full: true,

@@ -21,7 +21,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// them.
 macro_rules! node_counters {
     ($($(#[$doc:meta])* $name:ident,)*) => {
-        /// Live counters shared between a node's threads.
+        /// Live counters: the reactor bumps them, any thread may
+        /// snapshot them mid-run.
         #[derive(Debug, Default)]
         pub struct NodeCounters {
             $($(#[$doc])* pub $name: AtomicU64,)*

@@ -8,16 +8,18 @@
 //! histories — so two runs with the same configuration must produce
 //! *bit-identical* edge sets, which is asserted explicitly.
 
+use bartercast_node::clock::SystemClock;
 use bartercast_node::cluster::{Cluster, ClusterConfig, DeterministicCluster};
 use bartercast_node::mem::MemConfig;
-use bartercast_node::node::{Node, NodeConfig};
+use bartercast_node::reactor::{NodeConfig, Reactor};
 use bartercast_node::transport::{TcpTransport, Transport};
 use bartercast_util::units::{Bytes, PeerId};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn lossy_config(seed: u64) -> ClusterConfig {
-    ClusterConfig {
+    let mut config = ClusterConfig {
         n: 8,
         mem: MemConfig {
             loss: 0.05,
@@ -25,7 +27,9 @@ fn lossy_config(seed: u64) -> ClusterConfig {
             ..MemConfig::default()
         },
         ..ClusterConfig::default()
-    }
+    };
+    config.node.seed = seed;
+    config
 }
 
 /// One full run: boot, churn, converge; returns the converged edge set
@@ -36,34 +40,35 @@ fn run(
     Vec<(PeerId, PeerId, Bytes)>,
     Vec<bartercast_node::NodeStats>,
 ) {
-    let cluster = Cluster::boot(lossy_config(seed)).expect("boot");
+    let mut cluster = DeterministicCluster::boot(lossy_config(seed)).expect("boot");
 
-    // let gossip start, then cut every node's live connections once —
-    // the reconnect path has to heal each of the 8 injected faults
-    std::thread::sleep(Duration::from_millis(100));
+    // let gossip start, then cut every node's live connections once,
+    // 10 ms apart — the reconnect path has to heal each of the 8
+    // injected faults
+    let ms = Duration::from_millis;
     for i in 0..8u32 {
+        while cluster.elapsed() < ms(100 + 10 * u64::from(i)) {
+            assert!(cluster.step());
+        }
         cluster.force_disconnect(PeerId(i));
-        std::thread::sleep(Duration::from_millis(10));
     }
 
     assert!(
         cluster.run_until_converged(Duration::from_secs(60)),
-        "cluster did not converge under loss+churn: progress={:?} expected={} frames_dropped={}",
+        "cluster did not converge under loss+churn after {:?} virtual: \
+         progress={:?} expected={} frames_dropped={}",
+        cluster.elapsed(),
         cluster.progress(),
         cluster.expected().len(),
         cluster.transport().frames_dropped()
     );
-    let edges = cluster.nodes()[0].subjective_edges();
-    for node in cluster.nodes() {
-        assert_eq!(
-            node.subjective_edges(),
-            edges,
-            "node {:?} disagrees after convergence",
-            node.id()
-        );
+    let all = cluster.edges();
+    let edges = all[0].clone();
+    for (i, node) in all.iter().enumerate() {
+        assert_eq!(*node, edges, "node {i} disagrees after convergence");
     }
     assert_eq!(edges, cluster.expected(), "converged to the wrong set");
-    (edges, cluster.shutdown())
+    (edges, cluster.stats())
 }
 
 #[test]
@@ -109,16 +114,7 @@ fn eight_lossy_churning_nodes_converge_bit_identically() {
 /// drift.
 #[test]
 fn delta_sync_keeps_duplicate_ratio_low() {
-    let mut config = ClusterConfig {
-        mem: MemConfig {
-            loss: 0.05,
-            seed: 0xBC00,
-            ..MemConfig::default()
-        },
-        ..ClusterConfig::default()
-    };
-    config.node.seed = 0xBC00;
-    let mut cluster = DeterministicCluster::boot(config).expect("boot");
+    let mut cluster = DeterministicCluster::boot(lossy_config(0xBC00)).expect("boot");
     assert!(
         cluster.run_until_converged(Duration::from_secs(60)),
         "no convergence after {:?} virtual: progress={:?}",
@@ -144,7 +140,8 @@ fn delta_sync_keeps_duplicate_ratio_low() {
 
 /// The seeded population over real loopback sockets: the only
 /// multi-node run through `TcpTransport` and the reactor's `poll(2)`
-/// path. Four nodes keep OS socket churn modest.
+/// path. Four reactors share one wall-clock loop on this thread; four
+/// nodes keep OS socket churn modest.
 #[test]
 fn four_tcp_nodes_converge() {
     if !TcpTransport::loopback_available() {
@@ -158,7 +155,7 @@ fn four_tcp_nodes_converge() {
     let histories = Cluster::seed_histories(&config);
     let expected = Cluster::expected_edges(&histories, config.node.bartercast);
     let transport = Arc::new(TcpTransport::new());
-    let nodes: Vec<Node> = histories
+    let mut reactors: Vec<Reactor> = histories
         .into_iter()
         .enumerate()
         .map(|(i, history)| {
@@ -166,7 +163,7 @@ fn four_tcp_nodes_converge() {
                 .filter(|&j| j != i)
                 .map(|j| PeerId(j as u32))
                 .collect();
-            Node::spawn(
+            Reactor::new(
                 PeerId(i as u32),
                 Arc::clone(&transport) as Arc<dyn Transport>,
                 bootstrap,
@@ -175,23 +172,38 @@ fn four_tcp_nodes_converge() {
                     seed: config.node.seed.wrapping_add(i as u64),
                     ..config.node
                 },
+                Arc::new(SystemClock),
             )
             .expect("boot tcp node")
         })
         .collect();
     let deadline = Instant::now() + Duration::from_secs(60);
-    while !nodes.iter().all(|n| n.subjective_edges() == expected) {
+    while !reactors
+        .iter()
+        .all(|r| r.state().subjective_edges() == expected)
+    {
         assert!(
             Instant::now() < deadline,
             "tcp cluster did not converge: {:?}",
-            nodes
+            reactors
                 .iter()
-                .map(|n| n.subjective_edges().len())
+                .map(|r| r.state().subjective_edges().len())
                 .collect::<Vec<_>>()
         );
-        std::thread::sleep(Duration::from_millis(10));
+        let mut progress = false;
+        for r in &mut reactors {
+            progress |= r.poll_once();
+        }
+        if !progress {
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
-    let stats: Vec<_> = nodes.into_iter().map(Node::shutdown).collect();
+    // drain every reactor through its own shutdown path
+    let stop = AtomicBool::new(true);
+    for r in &mut reactors {
+        r.run(&stop);
+    }
+    let stats: Vec<_> = reactors.iter().map(|r| r.counters().snapshot()).collect();
     assert!(stats.iter().all(|s| s.protocol_errors == 0), "{stats:?}");
     assert!(stats.iter().map(|s| s.records_received).sum::<u64>() > 0);
 }

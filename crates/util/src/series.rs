@@ -58,15 +58,6 @@ impl BucketSeries {
     pub fn counts(&self) -> Vec<u64> {
         self.buckets.iter().map(|r| r.count()).collect()
     }
-
-    /// Merge another series with identical geometry (parallel reduction).
-    pub fn merge(&mut self, other: &BucketSeries) {
-        assert_eq!(self.bucket_width, other.bucket_width);
-        assert_eq!(self.buckets.len(), other.buckets.len());
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            a.merge(b);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -92,19 +83,6 @@ mod tests {
         s.push(-1.0, 1.0);
         s.push(99.0, 3.0);
         assert_eq!(s.counts(), vec![1, 1]);
-    }
-
-    #[test]
-    fn merge_combines_buckets() {
-        let mut a = BucketSeries::new(3.0, 1.0);
-        let mut b = BucketSeries::new(3.0, 1.0);
-        a.push(0.5, 10.0);
-        b.push(0.5, 20.0);
-        b.push(2.5, 7.0);
-        a.merge(&b);
-        let means = a.means();
-        assert_eq!(means[0], (0.5, 15.0));
-        assert_eq!(means[1], (2.5, 7.0));
     }
 
     #[test]

