@@ -47,6 +47,4 @@ pub use metric::{reputation_from_flows, ReputationMetric};
 pub use peer::PeerState;
 pub use policy::{PolicyDecision, ReputationPolicy};
 pub use repcache::{CacheStats, ReputationEngine};
-pub use shard::{
-    CommunityPartitioner, EpochView, HashPartitioner, Partitioner, ShardStats, ShardedEngine,
-};
+pub use shard::{EpochView, HashPartitioner, Partitioner, ShardStats, ShardedEngine};

@@ -17,18 +17,6 @@
 //! their answers are memoized in a plain map that is cleared whenever
 //! [`ContributionGraph::version`] moves. [`backend`] holds the
 //! [`CacheStats`] counters.
-//!
-//! The graph sits in a private two-state slot. **Owned** is a plain
-//! `ContributionGraph` and the only state a per-peer engine (`sim`,
-//! `node`, `swarm`) ever sees. **Frozen** is an `Arc` the engine
-//! shares with the epoch views a sharded service published
-//! (`shard::epoch`): publishing is O(1), reads deref either state, and
-//! the first [`ReputationEngine::graph_mut`] after a freeze thaws the
-//! slot — a move when no view is alive, one copy of the graph when a
-//! reader outlives the write (`ShardStats::graph_copies` counts
-//! those).
-
-use std::sync::Arc;
 
 use crate::history::PrivateHistory;
 use crate::message::BarterCastMessage;
@@ -42,21 +30,10 @@ pub mod backend;
 
 pub use backend::CacheStats;
 
-/// The engine's graph: writable in place, or shared with published
-/// epoch views until the next write.
-// the owned variant stays inline: it is the state every per-peer engine
-// lives in, and a `Box` would put a pointer hop on each of its reads
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-enum GraphSlot {
-    Owned(ContributionGraph),
-    Frozen(Arc<ContributionGraph>),
-}
-
 /// Subjective reputation evaluation.
 #[derive(Debug, Clone)]
 pub struct ReputationEngine {
-    graph: GraphSlot,
+    graph: ContributionGraph,
     metric: ReputationMetric,
     /// The flow kernel for the configured method; it invalidates its
     /// own per-version state lazily, so the engine never issues reset
@@ -73,23 +50,6 @@ pub struct ReputationEngine {
     misses: u64,
     /// Memo entries dropped because the graph changed (diagnostics).
     invalidated: u64,
-    /// Thaws that had to copy the graph because a reader still held it.
-    graph_copies: u64,
-}
-
-impl GraphSlot {
-    fn get(&self) -> &ContributionGraph {
-        match self {
-            GraphSlot::Owned(graph) => graph,
-            GraphSlot::Frozen(shared) => shared,
-        }
-    }
-
-    /// Move the slot out, leaving an empty owned graph (no allocation)
-    /// for the caller to overwrite.
-    fn take(&mut self) -> GraphSlot {
-        std::mem::replace(self, GraphSlot::Owned(ContributionGraph::new()))
-    }
 }
 
 impl Default for ReputationEngine {
@@ -125,7 +85,7 @@ impl ReputationEngine {
     /// (two-hop bounded maxflow, arctan metric with 2 GB unit).
     pub fn new() -> Self {
         ReputationEngine {
-            graph: GraphSlot::Owned(ContributionGraph::new()),
+            graph: ContributionGraph::new(),
             metric: ReputationMetric::default(),
             kernel: FlowKernel::new(Method::DEPLOYED),
             memo: FxHashMap::default(),
@@ -134,7 +94,6 @@ impl ReputationEngine {
             hits: 0,
             misses: 0,
             invalidated: 0,
-            graph_copies: 0,
         }
     }
 
@@ -200,54 +159,12 @@ impl ReputationEngine {
 
     /// Direct read-only access to the subjective graph.
     pub fn graph(&self) -> &ContributionGraph {
-        self.graph.get()
+        &self.graph
     }
 
     /// Mutable access (used by tests and by the deployment model).
-    /// The first call after a freeze thaws the slot.
     pub fn graph_mut(&mut self) -> &mut ContributionGraph {
-        if let GraphSlot::Frozen(_) = self.graph {
-            self.thaw();
-        }
-        match &mut self.graph {
-            GraphSlot::Owned(graph) => graph,
-            GraphSlot::Frozen(_) => unreachable!("thaw leaves the slot owned"),
-        }
-    }
-
-    /// Share the graph with a reader: the slot turns frozen (a move of
-    /// the struct header into the `Arc`, no edge is copied) and stays
-    /// so until the next [`ReputationEngine::graph_mut`].
-    pub(crate) fn freeze(&mut self) -> Arc<ContributionGraph> {
-        let shared = match self.graph.take() {
-            GraphSlot::Owned(graph) => Arc::new(graph),
-            GraphSlot::Frozen(shared) => shared,
-        };
-        self.graph = GraphSlot::Frozen(Arc::clone(&shared));
-        shared
-    }
-
-    /// Take the graph back for writing: a move when the engine holds
-    /// the only reference, otherwise the one copy a write pays for a
-    /// reader that outlives it. Out of line so the owned-state write
-    /// path stays one predictable branch.
-    #[cold]
-    #[inline(never)]
-    fn thaw(&mut self) {
-        let graph = match self.graph.take() {
-            GraphSlot::Owned(graph) => graph,
-            GraphSlot::Frozen(shared) => Arc::try_unwrap(shared).unwrap_or_else(|shared| {
-                self.graph_copies += 1;
-                ContributionGraph::clone(&shared)
-            }),
-        };
-        self.graph = GraphSlot::Owned(graph);
-    }
-
-    /// Thaws that had to copy the graph because an epoch view (or a
-    /// clone of this engine) still held it.
-    pub(crate) fn graph_copies(&self) -> u64 {
-        self.graph_copies
+        &mut self.graph
     }
 
     /// The two directed maxflows of Equation 1:
@@ -280,8 +197,8 @@ impl ReputationEngine {
             }
         }
         self.misses += 1;
-        let toward = self.kernel.flow(self.graph.get(), j, i);
-        let away = self.kernel.flow(self.graph.get(), i, j);
+        let toward = self.kernel.flow(&self.graph, j, i);
+        let away = self.kernel.flow(&self.graph, i, j);
         let r = self.metric.eval(toward, away);
         if memoized {
             self.memo.insert((i, j), r);
@@ -301,7 +218,7 @@ impl ReputationEngine {
             return targets.iter().map(|&j| self.reputation(i, j)).collect();
         };
         self.misses += targets.iter().filter(|&&j| j != i).count() as u64;
-        ssat::sweep_into(self.graph.get(), i, hops, &mut self.sweep);
+        ssat::sweep_into(&self.graph, i, hops, &mut self.sweep);
         swept_reputations(&self.sweep, i, self.metric, targets)
     }
 
@@ -432,44 +349,6 @@ mod tests {
         assert_eq!(e.reputation(p(0), p(3)), 0.0);
         let mut unbounded = e.clone().with_method(Method::Dinic);
         assert!(unbounded.reputation(p(0), p(3)) > 0.0);
-    }
-
-    #[test]
-    fn clones_of_a_frozen_engine_diverge_on_either_sides_write() {
-        // 3 -> 2 -> 1 -> 0: three hops, out of the deployed reach until
-        // a shortcut 3 -> 1 is written
-        let chain = || {
-            let mut e = ReputationEngine::new();
-            for i in (1..=3).rev() {
-                e.graph_mut()
-                    .add_transfer(p(i), p(i - 1), Bytes::from_gb(1));
-            }
-            e.freeze();
-            e
-        };
-        for write_to_clone in [false, true] {
-            let mut original = chain();
-            let mut cloned = original.clone();
-            assert!(std::ptr::eq(original.graph(), cloned.graph()));
-            let (writer, other) = if write_to_clone {
-                (&mut cloned, &mut original)
-            } else {
-                (&mut original, &mut cloned)
-            };
-            writer
-                .graph_mut()
-                .add_transfer(p(3), p(1), Bytes::from_gb(1));
-            assert_eq!(writer.graph_copies(), 1);
-            assert!(writer.reputation(p(0), p(3)) > 0.0);
-            assert_eq!(other.reputation(p(0), p(3)), 0.0);
-            assert_eq!(other.graph().edge(p(3), p(1)), Bytes::ZERO);
-            // the other side now holds the only reference: its own
-            // write moves the graph back without a copy
-            other
-                .graph_mut()
-                .add_transfer(p(3), p(1), Bytes::from_mb(1));
-            assert_eq!(other.graph_copies(), 0);
-        }
     }
 
     #[test]

@@ -7,21 +7,18 @@
 //! and disjoint by construction: any `PeerId`, including ones the
 //! service has never seen, maps to exactly one shard.
 //!
-//! Two partitioners ship:
-//!
-//! * [`HashPartitioner`] — FxHash of the peer id modulo the shard
-//!   count. Uniform, zero-configuration, oblivious to graph structure.
-//! * [`CommunityPartitioner`] — an explicit `peer → community` label
-//!   map with communities assigned round-robin to shards, falling back
-//!   to the hash assignment for unlabeled peers. Stratification in P2P
-//!   networks (PAPERS.md) observes that like-bandwidth peers cluster
-//!   into communities with sparse cross-links; labelling those
-//!   communities keeps intra-community edges shard-local, which is
-//!   what bounds the sharded service's cross-shard storage: a
-//!   cross-shard edge is stored at both endpoints' owners.
+//! [`HashPartitioner`], the default, takes FxHash of the peer id
+//! modulo the shard count: uniform, zero-configuration, oblivious to
+//! graph structure. A caller that knows its population's communities
+//! plugs in its own [`Partitioner`]: stratification in P2P networks
+//! (PAPERS.md) observes that like-bandwidth peers cluster into
+//! communities with sparse cross-links, and keeping a community on one
+//! shard keeps its edges shard-local, which is what bounds the sharded
+//! service's cross-shard storage: a cross-shard edge is stored at both
+//! endpoints' owners.
 
 use bartercast_util::units::PeerId;
-use bartercast_util::{FxHashMap, FxHasher};
+use bartercast_util::FxHasher;
 use std::hash::{Hash, Hasher};
 
 /// A total assignment of peers to shards.
@@ -38,15 +35,6 @@ pub trait Partitioner: std::fmt::Debug + Send + Sync {
     fn shard_of(&self, peer: PeerId, shards: usize) -> usize;
 }
 
-/// The FxHash assignment of `peer` to one of `shards` buckets — shared
-/// so that [`CommunityPartitioner`]'s fallback agrees with
-/// [`HashPartitioner`] exactly.
-fn hash_shard(peer: PeerId, shards: usize) -> usize {
-    let mut h = FxHasher::default();
-    peer.hash(&mut h);
-    (h.finish() % shards as u64) as usize
-}
-
 /// Structure-oblivious default: FxHash of the peer id modulo the shard
 /// count.
 #[derive(Debug, Clone, Copy, Default)]
@@ -54,47 +42,9 @@ pub struct HashPartitioner;
 
 impl Partitioner for HashPartitioner {
     fn shard_of(&self, peer: PeerId, shards: usize) -> usize {
-        hash_shard(peer, shards)
-    }
-}
-
-/// Community-label partitioning: labelled peers go to
-/// `community % shards`, unlabelled peers fall back to the
-/// [`HashPartitioner`] assignment.
-///
-/// Labels typically come from an offline clustering of the
-/// contribution graph (or, in the synthetic scale study, from the
-/// planted communities themselves). Peers of one community always land
-/// on one shard, so every intra-community edge is shard-local.
-#[derive(Debug, Clone, Default)]
-pub struct CommunityPartitioner {
-    labels: FxHashMap<PeerId, u32>,
-}
-
-impl CommunityPartitioner {
-    /// A partitioner using `labels` (`peer → community`), hashing
-    /// unlabelled peers.
-    pub fn new(labels: FxHashMap<PeerId, u32>) -> Self {
-        CommunityPartitioner { labels }
-    }
-
-    /// The community label of `peer`, if it has one.
-    pub fn label(&self, peer: PeerId) -> Option<u32> {
-        self.labels.get(&peer).copied()
-    }
-
-    /// Number of labelled peers.
-    pub fn labelled(&self) -> usize {
-        self.labels.len()
-    }
-}
-
-impl Partitioner for CommunityPartitioner {
-    fn shard_of(&self, peer: PeerId, shards: usize) -> usize {
-        match self.labels.get(&peer) {
-            Some(&community) => community as usize % shards,
-            None => hash_shard(peer, shards),
-        }
+        let mut h = FxHasher::default();
+        peer.hash(&mut h);
+        (h.finish() % shards as u64) as usize
     }
 }
 
@@ -132,22 +82,6 @@ mod tests {
                 "shard {s} starved: {c} of 8000 peers"
             );
         }
-    }
-
-    #[test]
-    fn community_labels_override_hash() {
-        let mut labels = FxHashMap::default();
-        labels.insert(p(1), 0);
-        labels.insert(p(2), 0);
-        labels.insert(p(3), 5);
-        let part = CommunityPartitioner::new(labels);
-        assert_eq!(part.shard_of(p(1), 4), part.shard_of(p(2), 4));
-        assert_eq!(part.shard_of(p(3), 4), 1); // 5 % 4
-                                               // unlabelled falls back to the hash assignment
-        assert_eq!(part.shard_of(p(99), 4), HashPartitioner.shard_of(p(99), 4));
-        assert_eq!(part.labelled(), 3);
-        assert_eq!(part.label(p(3)), Some(5));
-        assert_eq!(part.label(p(99)), None);
     }
 
     #[test]

@@ -12,9 +12,7 @@
 //! shards must not move, and a single-peer shard — cases the
 //! proptest's random populations may not isolate.
 
-use std::sync::Arc;
-
-use bartercast_core::{CommunityPartitioner, ReputationEngine, ShardedEngine};
+use bartercast_core::{ReputationEngine, ShardedEngine};
 use bartercast_util::units::{Bytes, PeerId};
 use bartercast_util::FxHashMap;
 use proptest::prelude::*;
@@ -23,41 +21,38 @@ fn p(i: u32) -> PeerId {
     PeerId(i)
 }
 
+/// One delta transfer `from → to`.
 #[derive(Debug, Clone, Copy)]
 struct Op {
-    merge: bool,
     from: u32,
     to: u32,
     amount: u64,
 }
 
 fn op_strategy(max_node: u32) -> impl Strategy<Value = Op> {
-    (any::<bool>(), 0..max_node, 0..max_node, 0u64..2_000_000_000).prop_map(
-        |(merge, from, to, amount)| Op {
-            merge,
-            from,
-            to,
-            amount,
-        },
-    )
+    (0..max_node, 0..max_node, 0u64..2_000_000_000).prop_map(|(from, to, amount)| Op {
+        from,
+        to,
+        amount,
+    })
 }
 
 fn apply_sharded(svc: &mut ShardedEngine, op: Op) {
-    if op.merge {
-        svc.merge_record(p(op.from), p(op.to), Bytes(op.amount));
-    } else {
-        svc.add_transfer(p(op.from), p(op.to), Bytes(op.amount));
-    }
+    svc.add_transfer(p(op.from), p(op.to), Bytes(op.amount));
 }
 
 fn apply_mono(mono: &mut ReputationEngine, op: Op) {
-    if op.merge {
-        mono.graph_mut()
-            .merge_record(p(op.from), p(op.to), Bytes(op.amount));
-    } else {
-        mono.graph_mut()
-            .add_transfer(p(op.from), p(op.to), Bytes(op.amount));
-    }
+    mono.graph_mut()
+        .add_transfer(p(op.from), p(op.to), Bytes(op.amount));
+}
+
+/// The first `count` peer ids the service places on shard `s`.
+fn owned_by(svc: &ShardedEngine, s: usize, count: usize) -> Vec<PeerId> {
+    (0..)
+        .map(p)
+        .filter(|&i| svc.shard_of(i) == s)
+        .take(count)
+        .collect()
 }
 
 proptest! {
@@ -154,7 +149,7 @@ fn bits(values: &[f64]) -> Vec<u64> {
 
 /// Every view of a publication, an empty shard's included, is a cut of
 /// the whole service: it answers any evaluator exactly as the monolith
-/// did at publication, while the empty shard's own graph stays empty.
+/// did at publication.
 #[test]
 fn every_view_answers_any_evaluator_as_the_monolith() {
     let mut svc = ShardedEngine::new(8);
@@ -182,10 +177,7 @@ fn every_view_answers_any_evaluator_as_the_monolith() {
                 "view of shard {s}, evaluator {i}"
             );
         }
-        if !populated.contains(&s) {
-            saw_empty = true;
-            assert_eq!(view.graph().node_count(), 0, "shard {s} should be empty");
-        }
+        saw_empty |= !populated.contains(&s);
     }
     assert!(saw_empty, "fixture must leave at least one shard empty");
 }
@@ -196,33 +188,34 @@ fn every_view_answers_any_evaluator_as_the_monolith() {
 /// and copies only the two shards it was written to.
 #[test]
 fn a_write_elsewhere_after_publication_leaves_the_cut_alone() {
-    // evaluator 0 on shard 0, its middle 1 on shard 1, target 2 on
-    // shard 2
-    let labels: FxHashMap<PeerId, u32> = (0..3).map(|i| (p(i), i)).collect();
-    let mut svc =
-        ShardedEngine::new(3).with_partitioner(Arc::new(CommunityPartitioner::new(labels)));
-    svc.add_transfer(p(0), p(1), Bytes::from_mb(500));
-    svc.add_transfer(p(2), p(1), Bytes::from_mb(300));
-    svc.add_transfer(p(1), p(0), Bytes::from_mb(200));
-    let targets = [p(1), p(2)];
-    let before = svc.reputations_from(p(0), &targets);
-    let view = svc.publish_epoch(0);
-    assert_eq!(bits(&view.reputations_from(p(0), &targets)), bits(&before));
-
-    svc.add_transfer(p(1), p(2), Bytes::from_mb(400));
+    // evaluator on shard 0, its middle on shard 1, target on shard 2
+    let mut svc = ShardedEngine::new(3);
+    let [evaluator, middle, target] = [0, 1, 2].map(|s| owned_by(&svc, s, 1)[0]);
+    svc.add_transfer(evaluator, middle, Bytes::from_mb(500));
+    svc.add_transfer(target, middle, Bytes::from_mb(300));
+    svc.add_transfer(middle, evaluator, Bytes::from_mb(200));
+    let targets = [middle, target];
+    let before = svc.reputations_from(evaluator, &targets);
+    let views = svc.publish_all();
+    let view = &views[0];
     assert_eq!(
-        bits(&view.reputations_from(p(0), &targets)),
+        bits(&view.reputations_from(evaluator, &targets)),
+        bits(&before)
+    );
+
+    svc.add_transfer(middle, target, Bytes::from_mb(400));
+    assert_eq!(
+        bits(&view.reputations_from(evaluator, &targets)),
         bits(&before),
         "the view moved with a write made after its publication"
     );
-    let after = svc.reputations_from(p(0), &targets);
+    let after = svc.reputations_from(evaluator, &targets);
     assert_ne!(after[1], before[1], "the write must move the live answer");
     assert_eq!(
         svc.stats().graph_copies,
         2,
         "only shards 1 and 2 were written"
     );
-    assert!(std::ptr::eq(view.graph(), svc.shard_engine(0).graph()));
 }
 
 /// The epoch of a shard owning exactly one peer reads that peer's
@@ -231,17 +224,13 @@ fn a_write_elsewhere_after_publication_leaves_the_cut_alone() {
 /// the other shard.
 #[test]
 fn single_peer_shard_epoch_matches_monolith() {
-    // community partition: peer 9 alone in community 1 → shard 1;
-    // everyone else in community 0 → shard 0 (of 2 shards)
-    let mut labels = FxHashMap::default();
-    for i in 0..12u32 {
-        labels.insert(p(i), u32::from(i == 9));
-    }
-    let mut svc =
-        ShardedEngine::new(2).with_partitioner(Arc::new(CommunityPartitioner::new(labels)));
+    // twelve peers, `ids[9]` the only one on shard 1 (of 2 shards)
+    let mut svc = ShardedEngine::new(2);
+    let mut ids = owned_by(&svc, 0, 11);
+    ids.insert(9, owned_by(&svc, 1, 1)[0]);
     let mut mono = ReputationEngine::new();
     let ops = [
-        (0u32, 9u32, 700u64),
+        (0usize, 9usize, 700u64),
         (9, 2, 350),
         (2, 9, 125),
         (3, 4, 900),
@@ -250,35 +239,26 @@ fn single_peer_shard_epoch_matches_monolith() {
         (5, 6, 800),
     ];
     for &(f, t, mb) in &ops {
-        svc.add_transfer(p(f), p(t), Bytes::from_mb(mb));
+        svc.add_transfer(ids[f], ids[t], Bytes::from_mb(mb));
         mono.graph_mut()
-            .add_transfer(p(f), p(t), Bytes::from_mb(mb));
+            .add_transfer(ids[f], ids[t], Bytes::from_mb(mb));
     }
-    assert_eq!(svc.shard_of(p(9)), 1);
-    let lone = svc.publish_epoch(1);
-    let targets: Vec<PeerId> = (0..12).map(p).collect();
-    let expected: Vec<u64> = mono
-        .reputations_from(p(9), &targets)
-        .iter()
-        .map(|v| v.to_bits())
-        .collect();
+    let lone = ids[9];
+    assert_eq!(svc.shard_of(lone), 1);
+    let views = svc.publish_all();
+    let expected = bits(&mono.reputations_from(lone, &ids));
     std::thread::scope(|scope| {
         let writer = scope.spawn(|| {
             for round in 1..50u64 {
-                svc.add_transfer(p(3), p(4), Bytes::from_mb(round));
-                svc.merge_record(p(5), p(6), Bytes::from_gb(round));
+                svc.add_transfer(ids[3], ids[4], Bytes::from_mb(round));
+                svc.add_transfer(ids[5], ids[6], Bytes::from_gb(round));
             }
         });
-        let lone = &lone;
-        let targets = &targets;
-        let expected = &expected;
+        let view = &views[1];
+        let (ids, expected) = (&ids, &expected);
         let reader = scope.spawn(move || {
             for _ in 0..20 {
-                let got: Vec<u64> = lone
-                    .reputations_from(p(9), targets)
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect();
+                let got = bits(&view.reputations_from(lone, ids));
                 assert_eq!(&got, expected, "lone-peer epoch diverged from monolith");
             }
         });

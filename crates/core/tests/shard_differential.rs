@@ -4,11 +4,11 @@
 //! for any mutation history and any shard count, every subjective
 //! reputation equals the monolithic [`ReputationEngine`]'s answer on
 //! the union graph, bit for bit. The properties here drive both
-//! engines with random mutation batches — delta transfers and
-//! max-merged gossip records, node populations that grow mid-run,
-//! queries interleaved densely or withheld across long sync gaps —
-//! and compare `reputations_from` / `reputation` via `f64::to_bits`
-//! at shard counts {1, 2, 4, 8}.
+//! engines with random batches of delta transfers — node populations
+//! that grow mid-run, queries interleaved densely or withheld across
+//! long sync gaps, hash and community partitions — and compare
+//! `reputations_from` / `reputation` via `f64::to_bits` at shard
+//! counts {1, 2, 4, 8}.
 //!
 //! A 64-node pinned fixture closes the loop against history: its
 //! all-pairs checksum is a hard-coded constant, so a regression that
@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use bartercast_core::{CommunityPartitioner, HashPartitioner, ReputationEngine, ShardedEngine};
+use bartercast_core::{HashPartitioner, Partitioner, ReputationEngine, ShardedEngine};
 use bartercast_util::units::{Bytes, PeerId};
 use bartercast_util::FxHashMap;
 use proptest::prelude::*;
@@ -28,42 +28,43 @@ fn p(i: u32) -> PeerId {
     PeerId(i)
 }
 
-/// One graph mutation: `merge == false` is a delta `add_transfer`,
-/// `merge == true` a max-merged gossip record.
+/// One delta transfer `from → to`.
 #[derive(Debug, Clone, Copy)]
 struct Op {
-    merge: bool,
     from: u32,
     to: u32,
     amount: u64,
 }
 
 fn op_strategy(max_node: u32) -> impl Strategy<Value = Op> {
-    (any::<bool>(), 0..max_node, 0..max_node, 0u64..2_000_000_000).prop_map(
-        |(merge, from, to, amount)| Op {
-            merge,
-            from,
-            to,
-            amount,
-        },
-    )
+    (0..max_node, 0..max_node, 0u64..2_000_000_000).prop_map(|(from, to, amount)| Op {
+        from,
+        to,
+        amount,
+    })
 }
 
 fn apply_mono(mono: &mut ReputationEngine, op: Op) {
-    if op.merge {
-        mono.graph_mut()
-            .merge_record(p(op.from), p(op.to), Bytes(op.amount));
-    } else {
-        mono.graph_mut()
-            .add_transfer(p(op.from), p(op.to), Bytes(op.amount));
-    }
+    mono.graph_mut()
+        .add_transfer(p(op.from), p(op.to), Bytes(op.amount));
 }
 
 fn apply_sharded(svc: &mut ShardedEngine, op: Op) {
-    if op.merge {
-        svc.merge_record(p(op.from), p(op.to), Bytes(op.amount));
-    } else {
-        svc.add_transfer(p(op.from), p(op.to), Bytes(op.amount));
+    svc.add_transfer(p(op.from), p(op.to), Bytes(op.amount));
+}
+
+/// Community-label partitioning: labelled peers go to
+/// `community % shards`, unlabelled ones where the hash partitioner
+/// puts them.
+#[derive(Debug)]
+struct Communities(FxHashMap<PeerId, u32>);
+
+impl Partitioner for Communities {
+    fn shard_of(&self, peer: PeerId, shards: usize) -> usize {
+        match self.0.get(&peer) {
+            Some(&community) => community as usize % shards,
+            None => HashPartitioner.shard_of(peer, shards),
+        }
     }
 }
 
@@ -136,7 +137,7 @@ proptest! {
         }
     }
 
-    /// The community partitioner is just another total assignment:
+    /// A community partition is just another total assignment:
     /// bit-identity must hold under it too, including for unlabeled
     /// (hash-fallback) peers.
     #[test]
@@ -151,7 +152,7 @@ proptest! {
         for shards in SHARD_COUNTS {
             let mut mono = ReputationEngine::new();
             let mut svc = ShardedEngine::new(shards)
-                .with_partitioner(Arc::new(CommunityPartitioner::new(labels.clone())));
+                .with_partitioner(Arc::new(Communities(labels.clone())));
             for &op in &ops {
                 apply_mono(&mut mono, op);
                 apply_sharded(&mut svc, op);
@@ -160,28 +161,12 @@ proptest! {
                 &format!("shards={shards} community partition"));
         }
     }
-
-    /// Repartitioning a live service (new shard count, new
-    /// partitioner) preserves every reputation bit-for-bit.
-    #[test]
-    fn repartition_is_invisible_to_queries(
-        ops in prop::collection::vec(op_strategy(24), 10..80),
-        new_shards in 1usize..9,
-    ) {
-        let mut mono = ReputationEngine::new();
-        let mut svc = ShardedEngine::new(4);
-        for &op in &ops {
-            apply_mono(&mut mono, op);
-            apply_sharded(&mut svc, op);
-        }
-        svc.repartition(new_shards, Arc::new(HashPartitioner));
-        assert_identical(&mut mono, &mut svc, 24,
-            &format!("after repartition to {new_shards}"));
-    }
 }
 
-/// Deterministic 64-node, 512-edge fixture from a fixed LCG stream.
-fn pinned_ops() -> Vec<Op> {
+/// Deterministic 64-node, 512-edge fixture from a fixed LCG stream:
+/// `(merge, op)`, a max-merged gossip record where `merge` is set and
+/// a delta transfer otherwise.
+fn pinned_ops() -> Vec<(bool, Op)> {
     let mut x = 0x243f6a8885a308d3u64; // pi digits, nothing up the sleeve
     let mut step = move || {
         x = x
@@ -193,12 +178,12 @@ fn pinned_ops() -> Vec<Op> {
         .map(|_| {
             let a = step();
             let b = step();
-            Op {
-                merge: a & 1 == 1,
+            let op = Op {
                 from: ((a >> 33) % 64) as u32,
                 to: ((b >> 33) % 64) as u32,
                 amount: b % 4_000_000_000,
-            }
+            };
+            (a & 1 == 1, op)
         })
         .collect()
 }
@@ -214,7 +199,7 @@ fn all_pairs_checksum(values: impl Iterator<Item = f64>) -> u64 {
 /// lockstep — moves this constant and must be a conscious decision.
 const PINNED_CHECKSUM: u64 = 0xc18154679b29fd84;
 
-/// On a planted-partition graph the community partitioner keeps every
+/// On a planted-partition graph a community partition keeps every
 /// intra-community edge shard-local, while the structure-oblivious
 /// hash partitioner scatters them — the gap is the cross-shard
 /// storage (each cross-shard edge kept at both owners) the community
@@ -241,8 +226,7 @@ fn community_partitioner_is_local_on_planted_graph() {
             svc.add_transfer(p(base), p(((c + 1) % COMMUNITIES) * SIZE), Bytes(10));
         }
     };
-    let mut community =
-        ShardedEngine::new(SHARDS).with_partitioner(Arc::new(CommunityPartitioner::new(labels)));
+    let mut community = ShardedEngine::new(SHARDS).with_partitioner(Arc::new(Communities(labels)));
     build(&mut community);
     let mut hashed = ShardedEngine::new(SHARDS);
     build(&mut hashed);
@@ -250,18 +234,19 @@ fn community_partitioner_is_local_on_planted_graph() {
     // 256 intra edges vs 8 cross links: only cross links may be remote
     let intra = (COMMUNITIES * SIZE * 2) as f64;
     let total = intra + COMMUNITIES as f64;
+    let (community, hashed) = (community.stats(), hashed.stats());
     assert!(
-        community.locality() >= intra / total,
+        community.locality >= intra / total,
         "community locality {} below the intra-community fraction",
-        community.locality()
+        community.locality
     );
     assert!(
-        hashed.locality() < 0.5,
+        hashed.locality < 0.5,
         "hash partitioner should scatter the planted graph, locality {}",
-        hashed.locality()
+        hashed.locality
     );
     assert!(
-        community.stats().replica_edges <= hashed.stats().replica_edges,
+        community.replica_edges <= hashed.replica_edges,
         "community partition must not store more edges than hash"
     );
 }
@@ -270,8 +255,13 @@ fn community_partitioner_is_local_on_planted_graph() {
 fn pinned_64_node_fixture_checksum() {
     let targets: Vec<PeerId> = (0..64).map(p).collect();
     let mut mono = ReputationEngine::new();
-    for &op in &pinned_ops() {
-        apply_mono(&mut mono, op);
+    for (merge, op) in pinned_ops() {
+        if merge {
+            mono.graph_mut()
+                .merge_record(p(op.from), p(op.to), Bytes(op.amount));
+        } else {
+            apply_mono(&mut mono, op);
+        }
     }
     let mono_sum =
         all_pairs_checksum((0..64).flat_map(|i| mono.reputations_from(p(i), &targets).into_iter()));
@@ -279,10 +269,13 @@ fn pinned_64_node_fixture_checksum() {
         mono_sum, PINNED_CHECKSUM,
         "monolithic all-pairs checksum moved: got {mono_sum:#018x}"
     );
+    // the service ingests the fixture's union graph, one transfer of
+    // each edge's final weight onto the absent edge
+    let union: Vec<_> = mono.graph().edges().collect();
     for shards in SHARD_COUNTS {
         let mut svc = ShardedEngine::new(shards);
-        for &op in &pinned_ops() {
-            apply_sharded(&mut svc, op);
+        for &(from, to, weight) in &union {
+            svc.add_transfer(from, to, weight);
         }
         let sum = all_pairs_checksum(
             (0..64).flat_map(|i| svc.reputations_from(p(i), &targets).into_iter()),

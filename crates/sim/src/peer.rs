@@ -14,9 +14,9 @@ use std::borrow::Cow;
 use std::ops::{Deref, DerefMut};
 
 /// Everything the simulator tracks for one peer: its protocol state
-/// (transfer table, subjective graph, claims on each sender), reached
-/// through `Deref` as a live node's is through its lock, plus its
-/// gossip view, bandwidth and ground truth.
+/// (transfer table, subjective graph, claims on each sender), the
+/// `PeerState` a live node's reactor owns, reached through `Deref`,
+/// plus its gossip view, bandwidth and ground truth.
 #[derive(Debug)]
 pub struct SimPeer {
     /// Identity.

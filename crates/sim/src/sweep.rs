@@ -18,9 +18,9 @@
 //!   early pull the next pending evaluator instead of waiting.
 //! * [`sharded_reputations_timed`] — the same idea over a
 //!   `ShardedEngine`: per-shard cost-ordered queues, every task run on
-//!   the epoch views published at sweep start (each a consistent cut
-//!   of every shard, reading each node at its owner), a worker
-//!   draining its own shards' queues before it steals from the others.
+//!   the epoch view published at sweep start (a consistent cut of
+//!   every shard, reading each node at its owner), a worker draining
+//!   its own shards' queues before it steals from the others.
 //!
 //! Every schedule is bit-identical by construction: threads only
 //! *gather* each evaluator's value vector, and the floating-point
@@ -327,29 +327,19 @@ pub struct ShardedSweepOutcome {
     pub task_us: Vec<(usize, f64)>,
     /// Wall-clock time of the whole threaded sweep, milliseconds.
     pub wall_ms: f64,
-    /// Tasks completed in the tail-steal phase against epoch views
-    /// rather than on the owner's live engine.
+    /// Tasks a worker claimed from another worker's shard queues in
+    /// the tail-steal phase.
     pub stolen: usize,
 }
 
-/// Shard-parallel Equation-1 sweeps: `reputations_from(e, targets)`
-/// for every `e` in `evaluators`, bit-identical to the monolithic
-/// engine at any worker count. See [`sharded_reputations_timed`].
-pub fn sharded_reputations(
-    service: &mut ShardedEngine,
-    evaluators: &[PeerId],
-    targets: &[PeerId],
-    workers: usize,
-) -> Vec<Vec<f64>> {
-    sharded_reputations_timed(service, evaluators, targets, workers).values
-}
-
-/// Shard-parallel sweep with per-task timing.
+/// Shard-parallel Equation-1 sweeps with per-task timing:
+/// `reputations_from(e, targets)` for every `e` in `evaluators`,
+/// bit-identical to the monolithic engine at any worker count.
 ///
 /// The scheduler gives the work-stealing task list a **shard
 /// dimension**: evaluators are grouped by owner shard into per-shard
 /// queues, each LPT-ordered by k-hop ball cost, with one atomic claim
-/// counter per shard. Every task runs on the epoch views published at
+/// counter per shard. Every task runs on the epoch view published at
 /// sweep start, each worker sweeping into one flow map it reuses.
 /// Worker `w` drains the queues of shards `w, w + W, w + 2W, …` first;
 /// only when its own shards run dry does it **steal across shards**,
@@ -360,7 +350,7 @@ pub fn sharded_reputations(
 /// is `&mut`-borrowed — so the cut *is* the live state (publishing
 /// shares each graph, copying nothing). Threads only gather
 /// `(position, values)` pairs, so the output is independent of the
-/// schedule. The views are dropped before returning, so the service's
+/// schedule. The view is dropped before returning, so the service's
 /// next write takes each graph back by move.
 pub fn sharded_reputations_timed(
     service: &mut ShardedEngine,
@@ -374,14 +364,16 @@ pub fn sharded_reputations_timed(
         Method::Bounded(k) => k,
         other => unreachable!("sharded service is always bounded, got {other:?}"),
     };
-    let epochs = service.publish_all();
+    // every shard's entry is the same view of the whole service
+    let views = service.publish_all();
+    let view = &*views[0];
     // per-shard claimable queues, costliest evaluator first (LPT)
     let mut queues: Vec<Vec<(usize, PeerId)>> = vec![Vec::new(); shards];
     for (pos, &e) in evaluators.iter().enumerate() {
         queues[service.shard_of(e)].push((pos, e));
     }
-    for (view, queue) in epochs.iter().zip(&mut queues) {
-        let cost = |e| ball_arc_cost(e, k, |u| view.out_edges(u), |u| view.in_edges(u));
+    let cost = |e| ball_arc_cost(e, k, |u| view.out_edges(u), |u| view.in_edges(u));
+    for queue in &mut queues {
         let mut costed: Vec<(usize, usize, PeerId)> =
             queue.drain(..).map(|(pos, e)| (cost(e), pos, e)).collect();
         costed.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
@@ -399,7 +391,6 @@ pub fn sharded_reputations_timed(
         for w in 0..workers {
             let queues = &queues;
             let claims = &claims;
-            let epochs = &epochs;
             handles.push(scope.spawn(move || {
                 let mut flows = FxHashMap::default();
                 let mut local: Vec<(usize, Vec<f64>, usize, f64)> = Vec::new();
@@ -409,7 +400,7 @@ pub fn sharded_reputations_timed(
                     let t = claims[s].fetch_add(1, Ordering::Relaxed);
                     let &(pos, e) = queues[s].get(t)?;
                     let t0 = Instant::now();
-                    let values = epochs[s].reputations_with(e, targets, &mut flows);
+                    let values = view.reputations_with(e, targets, &mut flows);
                     local.push((pos, values, s, t0.elapsed().as_secs_f64() * 1e6));
                     Some(())
                 };
@@ -451,29 +442,6 @@ pub fn sharded_reputations_timed(
         wall_ms: started.elapsed().as_secs_f64() * 1e3,
         stolen: stolen_total,
     }
-}
-
-/// Equation-2 numerators over a sharded service: for each target in
-/// `evaluators`, the sum of `R_j(target)` over every other evaluator
-/// `j`. Values are gathered shard-parallel ([`sharded_reputations`])
-/// and reduced serially in input order, so the sums are bit-identical
-/// at any shard and worker count.
-pub fn sharded_reputation_sums(
-    service: &mut ShardedEngine,
-    evaluators: &[PeerId],
-    workers: usize,
-) -> Vec<f64> {
-    let gathered = sharded_reputations(service, evaluators, evaluators, workers);
-    let mut sums = vec![0.0; evaluators.len()];
-    for (pos, values) in gathered.iter().enumerate() {
-        let evaluator = evaluators[pos];
-        for (k, &target) in evaluators.iter().enumerate() {
-            if target != evaluator {
-                sums[k] += values[k];
-            }
-        }
-    }
-    sums
 }
 
 #[cfg(test)]
@@ -689,7 +657,8 @@ mod tests {
         for shards in [1usize, 2, 4, 8] {
             for workers in [1usize, 2, 3, 8] {
                 let (mut svc, mut mono) = sharded_fixture(shards, n, 42);
-                let swept = sharded_reputations(&mut svc, &evaluators, &evaluators, workers);
+                let swept =
+                    sharded_reputations_timed(&mut svc, &evaluators, &evaluators, workers).values;
                 for (pos, &e) in evaluators.iter().enumerate() {
                     let expect = mono.reputations_from(e, &evaluators);
                     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -708,17 +677,24 @@ mod tests {
         let n = 40u32;
         let evaluators: Vec<PeerId> = (0..n).map(PeerId).collect();
         let (mut svc, mut mono) = sharded_fixture(4, n, 7);
-        let sums = sharded_reputation_sums(&mut svc, &evaluators, 3);
-        // serial monolithic reference, reduced in the same input order
-        let mut expect = vec![0.0; evaluators.len()];
-        for &e in &evaluators {
-            let values = mono.reputations_from(e, &evaluators);
-            for (k, &target) in evaluators.iter().enumerate() {
-                if target != e {
-                    expect[k] += values[k];
+        let gathered = sharded_reputations_timed(&mut svc, &evaluators, &evaluators, 3).values;
+        let serial: Vec<Vec<f64>> = evaluators
+            .iter()
+            .map(|&e| mono.reputations_from(e, &evaluators))
+            .collect();
+        // Equation-2 sums, reduced in input order
+        let reduce = |gathered: &[Vec<f64>]| {
+            let mut sums = vec![0.0; evaluators.len()];
+            for (values, &e) in gathered.iter().zip(&evaluators) {
+                for (k, &target) in evaluators.iter().enumerate() {
+                    if target != e {
+                        sums[k] += values[k];
+                    }
                 }
             }
-        }
+            sums
+        };
+        let (sums, expect) = (reduce(&gathered), reduce(&serial));
         for (a, b) in expect.iter().zip(&sums) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
