@@ -89,10 +89,14 @@ impl ContributionGraph {
         }
         let f = self.intern(from);
         let t = self.intern(to);
-        match self.fwd.weight_mut(f, t) {
-            Some(w) => {
-                *w += amount.0;
-                *self.rev.weight_mut(t, f).expect("in-adjacency mirrors out") += amount.0;
+        match self.fwd.slot_mut(f, t) {
+            Some(slot) => {
+                let w = slot.weight + amount.0;
+                slot.weight = w;
+                self.rev
+                    .slot_mut(t, f)
+                    .expect("in-adjacency mirrors out")
+                    .weight = w;
             }
             None => {
                 self.fwd.push(f, t, amount.0);
@@ -112,11 +116,14 @@ impl ContributionGraph {
         }
         let f = self.intern(from);
         let t = self.intern(to);
-        match self.fwd.weight_mut(f, t) {
-            Some(w) if total.0 <= *w => return false,
-            Some(w) => {
-                *w = total.0;
-                *self.rev.weight_mut(t, f).expect("in-adjacency mirrors out") = total.0;
+        match self.fwd.slot_mut(f, t) {
+            Some(slot) if total.0 <= slot.weight => return false,
+            Some(slot) => {
+                slot.weight = total.0;
+                self.rev
+                    .slot_mut(t, f)
+                    .expect("in-adjacency mirrors out")
+                    .weight = total.0;
             }
             None => {
                 self.fwd.push(f, t, total.0);
@@ -197,9 +204,14 @@ impl ContributionGraph {
         })
     }
 
-    /// Internal consistency check: the in-adjacency mirrors the
-    /// out-adjacency exactly. Used by tests and `debug_assert!`s.
+    /// Internal consistency check: both arenas' blocks tile them
+    /// exactly, and the in-adjacency mirrors the out-adjacency. Used by
+    /// tests.
     pub fn check_invariants(&self) -> Result<(), String> {
+        self.fwd
+            .check()
+            .map_err(|e| format!("out-adjacency: {e}"))?;
+        self.rev.check().map_err(|e| format!("in-adjacency: {e}"))?;
         if self.fwd.node_count() != self.ids.len() || self.rev.node_count() != self.ids.len() {
             return Err(format!(
                 "arena node counts {}/{} != interned {}",
@@ -219,9 +231,9 @@ impl ContributionGraph {
                 if u == e.other {
                     return Err(format!("self edge at {f}"));
                 }
-                let back = self.rev.weight(e.other, u).unwrap_or(0);
-                if back != e.weight {
-                    return Err(format!("in/out mismatch {f}->{t}: {} vs {back}", e.weight));
+                let (w, back) = (e.weight, self.rev.weight(e.other, u).unwrap_or(0));
+                if back != w {
+                    return Err(format!("in/out mismatch {f}->{t}: {w} vs {back}"));
                 }
                 forward += 1;
             }
@@ -346,8 +358,9 @@ mod tests {
 
     #[test]
     fn heavy_churn_keeps_arena_consistent() {
-        // enough interleaved growth to force block relocation and
-        // compaction underneath, with invariants checked throughout
+        // enough interleaved growth to relocate blocks through several
+        // size classes and reuse vacated ones, with the allocator and
+        // mirror invariants checked throughout
         let mut g = ContributionGraph::new();
         for round in 0..50u32 {
             for node in 0..40u32 {

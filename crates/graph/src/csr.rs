@@ -1,43 +1,76 @@
 //! Arena-backed compressed-sparse-row adjacency storage.
 //!
-//! One contiguous arena of `(neighbour, weight)` slots plus a per-node
-//! `(start, len, cap)` span — the CSR layout every flow kernel in this
-//! crate walks. Unlike a textbook CSR (frozen offset arrays built in
-//! one pass), the arena is **incrementally appendable**: a node whose
-//! span is full relocates its block to the arena tail with doubled
-//! capacity (amortized `O(1)` per append), leaving a hole behind. When
-//! holes exceed half the arena, [`AdjArena::compact`] rewrites it into
-//! dense span order, so iteration stays contiguous in the steady state
-//! while gossip keeps appending edges between compactions.
+//! One contiguous arena of 12-byte `(neighbour, weight)` slots plus a
+//! per-node `(start, len)` span — the CSR layout every flow kernel in
+//! this crate walks. Unlike a textbook CSR (frozen offset arrays built
+//! in one pass), the arena is **incrementally appendable**. A node's
+//! slots sit in one block of a power-of-two size class (4, 8, 16, …
+//! slots), so the block's capacity follows from its length. A node
+//! whose block is full relocates to a block of the next class
+//! (amortized `O(1)` per append).
 //!
-//! Per-node slot order is insertion order and survives relocation and
-//! compaction, so every traversal over the arena is deterministic —
-//! the property the bit-identity differential suites lean on.
+//! Relocation reuses what it vacates. Each size class keeps an
+//! intrusive free list: one head per class, and a free block's first
+//! slot links to the next free block of its class. A relocation pops a
+//! block of its new class when the list has one and appends at the
+//! arena tail only when it is empty; the vacated block goes onto its
+//! own class's list. Nothing is ever compacted.
+//!
+//! **Waste bound.** A node never shrinks, so a tail block of class `c`
+//! is appended only while every earlier one is held by a node still
+//! in class `c`: the free class-`c` blocks are at most the nodes that
+//! have since left class `c`. The free slots therefore never exceed
+//! the live blocks' capacity, and a live block is more than half full
+//! (class 0 aside, which holds at least one of its four slots), so the
+//! arena never holds more than four slots per live slot, however
+//! gossip interleaves the nodes' growth. That worst case is nodes
+//! growing in lockstep, when no vacated block finds a taker. When new
+//! nodes keep arriving, as under gossip, they take the small blocks
+//! older nodes vacated.
+//!
+//! Per-node slot order is insertion order and survives every
+//! relocation and reuse, so every traversal over the arena is
+//! deterministic — the property the bit-identity differential suites
+//! lean on.
 
 /// One adjacency slot: a neighbour (dense node index) and the edge
-/// weight toward it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// weight toward it, packed into 12 bytes. Fields are only ever read
+/// and written by value (a reference to `weight` would be unaligned).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[repr(C, packed(4))]
 pub(crate) struct EdgeSlot {
-    /// Dense index of the neighbouring node.
+    /// Dense index of the neighbouring node; in a free block's first
+    /// slot, the start of the next free block of its class.
     pub other: u32,
     /// Aggregated edge weight in bytes.
     pub weight: u64,
 }
 
+const _: () = assert!(std::mem::size_of::<EdgeSlot>() == 12);
+
 /// Per-node span into the arena: `len` live slots starting at `start`,
-/// inside a block of `cap` reserved slots.
+/// inside a block of `block_cap(len)` slots.
 #[derive(Debug, Clone, Copy, Default)]
 struct Span {
     start: u32,
     len: u32,
-    cap: u32,
 }
 
-/// Smallest block a node's first edge reserves.
+/// Smallest block a node's first edge reserves (size class 0).
 const MIN_BLOCK: u32 = 4;
 
-/// Arena size below which compaction is never worth the copy.
-const COMPACT_FLOOR: usize = 1024;
+/// End of a free list.
+const NIL: u32 = u32::MAX;
+
+/// Slots in the block that holds `len` live slots.
+fn block_cap(len: u32) -> u32 {
+    len.next_power_of_two().max(MIN_BLOCK)
+}
+
+/// Size class of a block of `cap` slots (`cap = MIN_BLOCK << class`).
+fn class_of(cap: u32) -> usize {
+    (cap.trailing_zeros() - MIN_BLOCK.trailing_zeros()) as usize
+}
 
 /// An incrementally appendable CSR adjacency arena.
 #[derive(Debug, Clone, Default)]
@@ -46,14 +79,15 @@ pub(crate) struct AdjArena {
     spans: Vec<Span>,
     /// Live slots (Σ span.len), for the edge-count invariant checks.
     live: usize,
-    /// Slots abandoned by block relocation; drives compaction.
-    dead: usize,
+    /// Per size class, the start of the first free block (`NIL` when
+    /// none); grown on demand.
+    free: Vec<u32>,
 }
 
 impl AdjArena {
     /// Register one more node; returns its dense index.
     pub fn add_node(&mut self) -> u32 {
-        let i = self.spans.len() as u32;
+        let i = u32::try_from(self.spans.len()).expect("node index exceeds u32");
         self.spans.push(Span::default());
         i
     }
@@ -75,15 +109,15 @@ impl AdjArena {
         &self.entries[s.start as usize..(s.start + s.len) as usize]
     }
 
-    /// Mutable weight of the `node → other` slot, if present. A linear
-    /// scan of the node's span: degrees here are gossip neighbourhood
-    /// sizes, and the span is one cache-resident block.
-    pub fn weight_mut(&mut self, node: u32, other: u32) -> Option<&mut u64> {
+    /// The `node → other` slot, if present, to read and set its weight
+    /// through. A linear scan of the node's span: degrees here are
+    /// gossip neighbourhood sizes, and the span is one cache-resident
+    /// block.
+    pub fn slot_mut(&mut self, node: u32, other: u32) -> Option<&mut EdgeSlot> {
         let s = self.spans[node as usize];
         self.entries[s.start as usize..(s.start + s.len) as usize]
             .iter_mut()
             .find(|e| e.other == other)
-            .map(|e| &mut e.weight)
     }
 
     /// Read-only weight of the `node → other` slot, if present.
@@ -95,62 +129,92 @@ impl AdjArena {
     }
 
     /// Append a new slot to `node` (the caller has checked it is not
-    /// already present). Relocates the node's block to the arena tail
-    /// when full, and compacts the whole arena once holes dominate.
+    /// already present), relocating the node's block when it is full.
     pub fn push(&mut self, node: u32, other: u32, weight: u64) {
         let s = self.spans[node as usize];
-        if s.len == s.cap {
+        if s.len == 0 || s.len == block_cap(s.len) {
             self.relocate(node);
         }
         let s = &mut self.spans[node as usize];
         self.entries[(s.start + s.len) as usize] = EdgeSlot { other, weight };
         s.len += 1;
         self.live += 1;
-        if self.dead > self.entries.len() / 2 && self.entries.len() >= COMPACT_FLOOR {
-            self.compact();
-        }
     }
 
-    /// Move `node`'s block to the arena tail with doubled capacity.
+    /// Move `node`'s slots into a block of the next size class, reusing
+    /// a free one when its class has one, and free the vacated block.
     fn relocate(&mut self, node: u32) {
         let s = self.spans[node as usize];
-        let new_cap = (s.cap * 2).max(MIN_BLOCK);
-        let new_start = self.entries.len() as u32;
-        self.entries.reserve(new_cap as usize);
-        for i in 0..s.len {
-            let slot = self.entries[(s.start + i) as usize];
-            self.entries.push(slot);
-        }
-        self.entries.resize(
-            new_start as usize + new_cap as usize,
-            EdgeSlot {
-                other: 0,
-                weight: 0,
-            },
-        );
-        self.dead += s.cap as usize;
-        self.spans[node as usize] = Span {
-            start: new_start,
-            len: s.len,
-            cap: new_cap,
+        let new_cap = (s.len * 2).max(MIN_BLOCK);
+        let class = class_of(new_cap);
+        let new_start = match self.free.get(class).copied().filter(|&b| b != NIL) {
+            Some(block) => {
+                self.free[class] = self.entries[block as usize].other;
+                block
+            }
+            None => {
+                let start = self.entries.len();
+                let end = u32::try_from(start + new_cap as usize)
+                    .expect("adjacency arena exceeds u32 slots");
+                self.entries.resize(end as usize, EdgeSlot::default());
+                start as u32
+            }
         };
+        let from = s.start as usize;
+        self.entries
+            .copy_within(from..from + s.len as usize, new_start as usize);
+        if s.len > 0 {
+            let old = class_of(block_cap(s.len));
+            if self.free.len() <= old {
+                self.free.resize(old + 1, NIL);
+            }
+            self.entries[from].other = self.free[old];
+            self.free[old] = s.start;
+        }
+        self.spans[node as usize].start = new_start;
     }
 
-    /// Rewrite the arena in node order with no holes (each block's
-    /// capacity shrinks to its live length). Per-node slot order is
-    /// preserved.
-    pub fn compact(&mut self) {
-        let mut dense: Vec<EdgeSlot> = Vec::with_capacity(self.live);
-        for span in self.spans.iter_mut() {
-            let start = dense.len() as u32;
-            dense.extend_from_slice(
-                &self.entries[span.start as usize..(span.start + span.len) as usize],
-            );
-            span.start = start;
-            span.cap = span.len;
+    /// Allocator invariants: the live blocks and the free blocks tile
+    /// the arena exactly — each inside it, none overlapping another.
+    /// A free block is measured by the list it is on, so one on the
+    /// wrong class's list leaves a gap or an overlap in the tiling.
+    pub fn check(&self) -> Result<(), String> {
+        let mut blocks: Vec<(usize, usize, &str)> = self
+            .spans
+            .iter()
+            .filter(|s| s.len > 0)
+            .map(|s| (s.start as usize, block_cap(s.len) as usize, "live"))
+            .collect();
+        for (class, &head) in self.free.iter().enumerate() {
+            let mut block = head;
+            while block != NIL {
+                if blocks.len() > self.entries.len() {
+                    return Err(format!("free list of class {class} does not end"));
+                }
+                let Some(slot) = self.entries.get(block as usize) else {
+                    return Err(format!("free block {block} lies outside the arena"));
+                };
+                blocks.push((block as usize, (MIN_BLOCK << class) as usize, "free"));
+                block = slot.other;
+            }
         }
-        self.entries = dense;
-        self.dead = 0;
+        blocks.sort_unstable();
+        let mut end = 0;
+        for &(start, cap, kind) in &blocks {
+            if start != end {
+                return Err(format!(
+                    "{kind} block at {start} does not follow the block ending at {end}"
+                ));
+            }
+            end = start + cap;
+        }
+        if end != self.entries.len() {
+            return Err(format!(
+                "blocks end at {end} in an arena of {} slots",
+                self.entries.len()
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -171,45 +235,73 @@ mod tests {
         assert_eq!(a.slice(n0).len(), 20);
         assert_eq!(a.weight(n0, 105), Some(6));
         assert_eq!(a.weight(n0, 999), None);
-        *a.weight_mut(n1, 7).unwrap() += 1;
+        let slot = a.slot_mut(n1, 7).unwrap();
+        slot.weight += 1;
         assert_eq!(a.weight(n1, 7), Some(10));
         // insertion order survives growth
         let others: Vec<u32> = a.slice(n0).iter().map(|e| e.other).collect();
         assert_eq!(others, (100..120).collect::<Vec<u32>>());
+        a.check().unwrap();
     }
 
     #[test]
-    fn compaction_preserves_order_and_reclaims_holes() {
+    fn a_vacated_block_serves_the_next_relocation_of_its_class() {
         let mut a = AdjArena::default();
-        let nodes: Vec<u32> = (0..8).map(|_| a.add_node()).collect();
-        // interleave pushes so every node relocates several times
-        for round in 0..40u32 {
-            for &n in &nodes {
-                a.push(n, round, u64::from(round) + 1);
-            }
+        let (n0, n1, n2) = (a.add_node(), a.add_node(), a.add_node());
+        for i in 0..5 {
+            a.push(n0, 10 + i, 1);
         }
-        assert!(a.dead > 0, "interleaved growth must leave holes");
-        let before: Vec<Vec<EdgeSlot>> = nodes.iter().map(|&n| a.slice(n).to_vec()).collect();
-        a.compact();
-        assert_eq!(a.dead, 0);
-        assert_eq!(a.entries.len(), a.live);
-        for (i, &n) in nodes.iter().enumerate() {
-            assert_eq!(a.slice(n), &before[i][..], "node {n} order changed");
-        }
+        // n0 left its 4-slot block at 0 for an 8-slot block at 4
+        assert_eq!(a.entries.len(), 12);
+        a.push(n1, 1, 2);
+        assert_eq!(a.spans[n1 as usize].start, 0, "n1 reuses n0's old block");
+        assert_eq!(a.entries.len(), 12, "reuse appends nothing");
+        // the list is empty again, so the next class-0 block is new
+        a.push(n2, 1, 3);
+        assert_eq!(a.spans[n2 as usize].start, 12);
+        assert_eq!(a.entries.len(), 16);
+        a.check().unwrap();
+        assert_eq!(
+            a.slice(n1),
+            &[EdgeSlot {
+                other: 1,
+                weight: 2
+            }]
+        );
+        assert_eq!(
+            a.slice(n2),
+            &[EdgeSlot {
+                other: 1,
+                weight: 3
+            }]
+        );
+        let others: Vec<u32> = a.slice(n0).iter().map(|e| e.other).collect();
+        assert_eq!(others, vec![10, 11, 12, 13, 14]);
     }
 
     #[test]
-    fn automatic_compaction_bounds_waste() {
+    fn interleaved_growth_stays_inside_the_waste_bound() {
         let mut a = AdjArena::default();
         let nodes: Vec<u32> = (0..64).map(|_| a.add_node()).collect();
         for round in 0..200u32 {
-            for &n in &nodes {
-                a.push(n, round, 1);
+            for (k, &n) in nodes.iter().enumerate() {
+                // nodes start at different rounds, so blocks one node
+                // vacates serve another's relocation
+                if round as usize >= k {
+                    a.push(n, round, u64::from(round) + 1);
+                }
+            }
+            assert!(a.entries.len() <= 4 * a.len(), "round {round}");
+            if round % 16 == 0 {
+                a.check().unwrap();
             }
         }
-        // the arena may hold headroom, but holes stay under half + one
-        // relocation's worth of slack
-        assert!(a.dead <= a.entries.len() / 2 + a.entries.len() / 4);
-        assert_eq!(a.len(), 64 * 200);
+        a.check().unwrap();
+        assert_eq!(a.len(), (0..64).map(|k| 200 - k).sum::<usize>());
+        for (k, &n) in nodes.iter().enumerate() {
+            let got: Vec<(u32, u64)> = a.slice(n).iter().map(|e| (e.other, e.weight)).collect();
+            let want: Vec<(u32, u64)> = (k as u32..200).map(|r| (r, u64::from(r) + 1)).collect();
+            assert_eq!(got, want, "node {n} order changed");
+        }
     }
 }

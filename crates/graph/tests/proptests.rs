@@ -18,8 +18,9 @@
 //! * all five methods' flows carry a min-cut certificate: the residual
 //!   cut separates s from t and its capacity equals the flow value;
 //! * the CSR-backed `ContributionGraph` is observationally equivalent
-//!   to a plain map-of-maps model under random interleaved
-//!   `add_transfer` / `merge_record` sequences, version included.
+//!   to a map of insertion-ordered adjacency lists under random
+//!   interleaved `add_transfer` / `merge_record` sequences, edge order
+//!   and version included.
 
 use bartercast_graph::contribution::ContributionGraph;
 use bartercast_graph::maxflow::{self, Method};
@@ -357,33 +358,51 @@ proptest! {
     }
 
     /// The CSR arena behind `ContributionGraph` is observationally
-    /// equivalent to the old hash-of-hash adjacency: same edges, same
-    /// totals, same counts, and a version that moves exactly on the
-    /// effective mutations, under any interleaving of the two mutation
-    /// entry points.
+    /// equivalent to a map of insertion-ordered adjacency lists: same
+    /// edges in first-recorded order, same totals, same counts, and a
+    /// version that moves exactly on the effective mutations, under any
+    /// interleaving of the two mutation entry points. Forty ids and up
+    /// to 400 ops carry nodes through three or more block size classes
+    /// while their growth interleaves, so order is checked across
+    /// relocation and block reuse.
     #[test]
     fn csr_adjacency_matches_hashmap_model(
-        ops in prop::collection::vec((0u32..9, 0u32..9, 1u64..200, prop::bool::ANY), 1..60),
+        ops in prop::collection::vec((0u32..40, 0u32..40, 1u64..200, prop::bool::ANY), 1..400),
     ) {
+        /// The weight of `key` in an insertion-ordered list, inserting
+        /// it at the end when absent.
+        fn entry(list: &mut Vec<(u32, u64)>, key: u32) -> &mut u64 {
+            let at = match list.iter().position(|&(k, _)| k == key) {
+                Some(at) => at,
+                None => {
+                    list.push((key, 0));
+                    list.len() - 1
+                }
+            };
+            &mut list[at].1
+        }
         let mut g = ContributionGraph::new();
-        let mut out: BTreeMap<u32, BTreeMap<u32, u64>> = BTreeMap::new();
-        let mut inc: BTreeMap<u32, BTreeMap<u32, u64>> = BTreeMap::new();
+        let mut out: BTreeMap<u32, Vec<(u32, u64)>> = BTreeMap::new();
+        let mut inc: BTreeMap<u32, Vec<(u32, u64)>> = BTreeMap::new();
         let mut version = 0u64;
         for &(f, t, w, merge) in &ops {
             let effective = if merge {
-                let cur = out.get(&f).and_then(|m| m.get(&t)).copied().unwrap_or(0);
+                let cur = out
+                    .get(&f)
+                    .and_then(|l| l.iter().find(|&&(k, _)| k == t))
+                    .map_or(0, |&(_, w)| w);
                 let eff = f != t && w > cur;
                 if eff {
-                    out.entry(f).or_default().insert(t, w);
-                    inc.entry(t).or_default().insert(f, w);
+                    *entry(out.entry(f).or_default(), t) = w;
+                    *entry(inc.entry(t).or_default(), f) = w;
                 }
                 prop_assert_eq!(g.merge_record(PeerId(f), PeerId(t), Bytes(w)), eff);
                 eff
             } else {
                 let eff = f != t;
                 if eff {
-                    *out.entry(f).or_default().entry(t).or_default() += w;
-                    *inc.entry(t).or_default().entry(f).or_default() += w;
+                    *entry(out.entry(f).or_default(), t) += w;
+                    *entry(inc.entry(t).or_default(), f) += w;
                 }
                 g.add_transfer(PeerId(f), PeerId(t), Bytes(w));
                 eff
@@ -395,28 +414,20 @@ proptest! {
         let model_nodes: BTreeSet<u32> =
             out.keys().chain(inc.keys()).copied().collect();
         prop_assert_eq!(g.node_count(), model_nodes.len());
-        prop_assert_eq!(g.edge_count(), out.values().map(BTreeMap::len).sum::<usize>());
-        for f in 0..9u32 {
-            for t in 0..9u32 {
-                let expect = out.get(&f).and_then(|m| m.get(&t)).copied().unwrap_or(0);
+        prop_assert_eq!(g.edge_count(), out.values().map(Vec::len).sum::<usize>());
+        for f in 0..40u32 {
+            let expect_out = out.get(&f).cloned().unwrap_or_default();
+            let expect_in = inc.get(&f).cloned().unwrap_or_default();
+            for t in 0..40u32 {
+                let expect = expect_out.iter().find(|&&(k, _)| k == t).map_or(0, |&(_, w)| w);
                 prop_assert_eq!(g.edge(PeerId(f), PeerId(t)).0, expect, "edge ({f}, {t})");
             }
-            let mut got_out: Vec<(u32, u64)> =
+            let got_out: Vec<(u32, u64)> =
                 g.out_edges(PeerId(f)).map(|(id, b)| (id.0, b.0)).collect();
-            got_out.sort_unstable();
-            let expect_out: Vec<(u32, u64)> = out
-                .get(&f)
-                .map(|m| m.iter().map(|(&t, &w)| (t, w)).collect())
-                .unwrap_or_default();
-            prop_assert_eq!(got_out, expect_out, "out_edges({f})");
-            let mut got_in: Vec<(u32, u64)> =
+            prop_assert_eq!(&got_out, &expect_out, "out_edges({f})");
+            let got_in: Vec<(u32, u64)> =
                 g.in_edges(PeerId(f)).map(|(id, b)| (id.0, b.0)).collect();
-            got_in.sort_unstable();
-            let expect_in: Vec<(u32, u64)> = inc
-                .get(&f)
-                .map(|m| m.iter().map(|(&s, &w)| (s, w)).collect())
-                .unwrap_or_default();
-            prop_assert_eq!(got_in, expect_in, "in_edges({f})");
+            prop_assert_eq!(&got_in, &expect_in, "in_edges({f})");
             prop_assert_eq!(g.total_up(PeerId(f)).0, expect_out.iter().map(|&(_, w)| w).sum::<u64>());
             prop_assert_eq!(g.total_down(PeerId(f)).0, expect_in.iter().map(|&(_, w)| w).sum::<u64>());
         }
