@@ -199,16 +199,6 @@ impl PrivateHistory {
         self.entries.iter().map(|(&k, &v)| (k, v))
     }
 
-    /// Total bytes uploaded by the owner.
-    pub fn total_up(&self) -> Bytes {
-        self.entries.values().map(|e| e.up).sum()
-    }
-
-    /// Total bytes downloaded by the owner.
-    pub fn total_down(&self) -> Bytes {
-        self.entries.values().map(|e| e.down).sum()
-    }
-
     /// Bound the table to `max_entries`: half the slots go to the
     /// highest-volume entries and the rest to the most recently seen —
     /// the same two criteria the §3.4 record selection uses, so
@@ -341,8 +331,6 @@ mod tests {
         assert_eq!(t.up, Bytes::from_mb(25));
         assert_eq!(t.down, Bytes::from_mb(3));
         assert_eq!(t.last_seen, Seconds(11));
-        assert_eq!(h.total_up(), Bytes::from_mb(25));
-        assert_eq!(h.total_down(), Bytes::from_mb(3));
     }
 
     #[test]

@@ -8,14 +8,17 @@
 //!
 //! * every peer keeps a bounded [`PartialView`] of node descriptors
 //!   with ages;
-//! * on each gossip cycle a peer picks its **oldest** descriptor as
-//!   exchange partner, and the two peers swap random halves of their
-//!   views ([`shuffle`]);
-//! * descriptor ages ensure dead peers eventually wash out of views.
+//! * on each gossip cycle the driver ages the view ([`PssNode::tick`])
+//!   and picks the exchange partner; the two peers then swap random
+//!   subsets of their views ([`shuffle`]);
+//! * a full view replaces its oldest descriptor with a younger one, so
+//!   stale peers wash out of views.
 //!
-//! The simulator drives one [`PssNode`] per peer and uses
-//! [`PssNode::sample`] both for BarterCast meeting partners and for
-//! BitTorrent peer discovery.
+//! The partner choice belongs to the driver, not to this crate. The
+//! simulator drives one [`PssNode`] per peer and meets a
+//! [`PssNode::sample`]d peer, which also serves BitTorrent peer
+//! discovery; the live node calls [`PssNode::sample_many`] on its
+//! exchange tick.
 
 #![warn(missing_docs)]
 

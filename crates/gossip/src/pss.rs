@@ -1,4 +1,8 @@
 //! The Cyclon-style shuffle protocol over partial views.
+//!
+//! A [`PssNode`] ages its view once per cycle ([`PssNode::tick`]) and
+//! answers samples; which sampled peer it exchanges with is the
+//! driver's choice, not the node's.
 
 use crate::view::{Descriptor, PartialView};
 use bartercast_util::units::PeerId;
@@ -71,13 +75,6 @@ impl PssNode {
         }
     }
 
-    /// Pick the exchange partner for this cycle (oldest descriptor)
-    /// and age the view.
-    pub fn start_cycle(&mut self) -> Option<PeerId> {
-        self.view.age_all();
-        self.view.oldest().map(|d| d.peer)
-    }
-
     /// Age every descriptor by one cycle without selecting a partner.
     /// Drivers that pick gossip partners by other means (e.g. the
     /// simulator's meeting process) must still age the view, or
@@ -99,11 +96,6 @@ impl PssNode {
             .into_iter()
             .map(|d| d.peer)
             .collect()
-    }
-
-    /// Drop a peer that could not be contacted.
-    pub fn evict(&mut self, peer: PeerId) {
-        self.view.remove(peer);
     }
 }
 
@@ -143,12 +135,13 @@ mod tests {
     }
 
     #[test]
-    fn start_cycle_returns_oldest_and_ages() {
+    fn tick_ages_every_descriptor() {
         let mut n = PssNode::new(p(0), PssConfig::default());
-        n.bootstrap([p(1), p(2)]);
-        let partner = n.start_cycle();
-        assert!(partner.is_some());
-        assert!(n.view().entries().iter().all(|d| d.age == 1));
+        n.bootstrap([p(1), p(2), p(3)]);
+        n.tick();
+        n.tick();
+        let ages: Vec<u32> = n.view().entries().iter().map(|d| d.age).collect();
+        assert_eq!(ages, [2, 2, 2]);
     }
 
     #[test]
@@ -171,7 +164,9 @@ mod tests {
     #[test]
     fn convergence_full_connectivity() {
         // A ring of 20 nodes becomes well-mixed after a few cycles:
-        // every node's view fills up to capacity.
+        // every node's view fills up to capacity. Partners are picked
+        // the way the simulator picks them: age the view, then meet a
+        // sampled peer.
         let cfg = PssConfig {
             view_size: 10,
             shuffle_len: 5,
@@ -184,7 +179,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(42);
         for _ in 0..30 {
             for i in 0..n {
-                if let Some(partner) = nodes[i].start_cycle() {
+                nodes[i].tick();
+                if let Some(partner) = nodes[i].sample(&mut rng) {
                     let j = partner.0 as usize;
                     if i != j {
                         let (a, b) = if i < j {
@@ -207,15 +203,6 @@ mod tests {
                 node.owner()
             );
         }
-    }
-
-    #[test]
-    fn eviction_removes_dead_peer() {
-        let mut n = PssNode::new(p(0), PssConfig::default());
-        n.bootstrap([p(1)]);
-        n.evict(p(1));
-        let mut rng = StdRng::seed_from_u64(3);
-        assert_eq!(n.sample(&mut rng), None);
     }
 
     #[test]

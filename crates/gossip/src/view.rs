@@ -38,11 +38,6 @@ impl PartialView {
         self.owner
     }
 
-    /// Maximum number of descriptors.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Current descriptors.
     pub fn entries(&self) -> &[Descriptor] {
         &self.entries
@@ -92,17 +87,6 @@ impl PartialView {
             return;
         }
         self.entries.push(d);
-    }
-
-    /// Remove `peer` from the view (e.g. after a failed contact).
-    pub fn remove(&mut self, peer: PeerId) {
-        self.entries.retain(|d| d.peer != peer);
-    }
-
-    /// The descriptor with the highest age, the classic Cyclon
-    /// exchange-partner choice.
-    pub fn oldest(&self) -> Option<Descriptor> {
-        self.entries.iter().copied().max_by_key(|d| d.age)
     }
 
     /// A uniformly random descriptor.
@@ -181,17 +165,7 @@ mod tests {
         v.insert(d(1, 0));
         v.insert(d(2, 3));
         v.age_all();
-        assert_eq!(v.oldest().unwrap().peer, p(2));
-        assert_eq!(v.oldest().unwrap().age, 4);
-    }
-
-    #[test]
-    fn remove_peer() {
-        let mut v = PartialView::new(p(0), 4);
-        v.insert(d(1, 0));
-        v.remove(p(1));
-        assert!(v.is_empty());
-        assert_eq!(v.oldest(), None);
+        assert_eq!(v.entries(), [d(1, 1), d(2, 4)]);
     }
 
     #[test]

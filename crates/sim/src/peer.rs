@@ -215,7 +215,7 @@ mod tests {
         p.note_download(PeerId(2), Bytes::from_mb(30), Seconds(6));
         assert_eq!(p.real_up, Bytes::from_mb(10));
         assert_eq!(p.real_down, Bytes::from_mb(30));
-        assert_eq!(p.history.total_up(), Bytes::from_mb(10));
+        assert_eq!(p.history.get(PeerId(1)).unwrap().up, Bytes::from_mb(10));
         assert_eq!(
             p.engine.graph().edge(PeerId(2), PeerId(0)),
             Bytes::from_mb(30)

@@ -331,11 +331,6 @@ impl SwarmCluster {
         self.lockstep.transport()
     }
 
-    /// Live member specs, in id order.
-    pub fn members(&self) -> Vec<NodeSpec> {
-        self.specs.values().copied().collect()
-    }
-
     /// Per-node counter snapshots in id order — live nodes plus the
     /// final snapshots of departed ones.
     pub fn stats(&self) -> BTreeMap<PeerId, NodeStats> {

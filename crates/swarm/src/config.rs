@@ -16,16 +16,6 @@ pub enum PeerBehaviour {
     Freerider,
 }
 
-impl PeerBehaviour {
-    /// CSV label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            PeerBehaviour::Cooperator => "cooperator",
-            PeerBehaviour::Freerider => "freerider",
-        }
-    }
-}
-
 /// The choke policy a swarm run enforces — either one of the paper's
 /// reputation policies (none/rank/ban, §4.2) or the private-tracker
 /// ratio policy.

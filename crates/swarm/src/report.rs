@@ -1,4 +1,4 @@
-//! Per-peer outcome rows and CSV emission.
+//! Per-peer outcome rows.
 
 use crate::config::PeerBehaviour;
 use bartercast_util::units::{Bytes, PeerId};
@@ -46,78 +46,5 @@ impl SwarmReport {
         } else {
             Some(class.iter().sum::<f64>() / class.len() as f64)
         }
-    }
-
-    /// Freerider mean completeness over cooperator mean completeness —
-    /// the headline suppression number (Fig 2–3 analogue). `None`
-    /// when either class is absent or cooperators moved nothing.
-    pub fn freerider_completion_ratio(&self) -> Option<f64> {
-        let f = self.mean_completeness(PeerBehaviour::Freerider)?;
-        let c = self.mean_completeness(PeerBehaviour::Cooperator)?;
-        if c <= 0.0 {
-            None
-        } else {
-            Some(f / c)
-        }
-    }
-
-    /// Render as CSV (stable header, id order).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "peer,behaviour,policy,pieces,completeness,downloaded_bytes,uploaded_bytes,completed_round\n",
-        );
-        for r in &self.rows {
-            let completed = r.completed_round.map(|x| x.to_string()).unwrap_or_default();
-            out.push_str(&format!(
-                "{},{},{},{},{:.4},{},{},{}\n",
-                r.peer.0,
-                r.behaviour.label(),
-                r.policy,
-                r.pieces,
-                r.completeness,
-                r.downloaded.0,
-                r.uploaded.0,
-                completed
-            ));
-        }
-        out
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn row(id: u32, behaviour: PeerBehaviour, completeness: f64) -> SwarmRow {
-        SwarmRow {
-            peer: PeerId(id),
-            behaviour,
-            policy: "rank".into(),
-            pieces: (completeness * 32.0) as u64,
-            completeness,
-            downloaded: Bytes(0),
-            uploaded: Bytes(0),
-            completed_round: (completeness >= 1.0).then_some(9),
-        }
-    }
-
-    #[test]
-    fn ratio_and_csv() {
-        let report = SwarmReport {
-            rows: vec![
-                row(0, PeerBehaviour::Cooperator, 1.0),
-                row(1, PeerBehaviour::Cooperator, 1.0),
-                row(2, PeerBehaviour::Freerider, 0.25),
-            ],
-        };
-        assert_eq!(report.freerider_completion_ratio(), Some(0.25));
-        let csv = report.to_csv();
-        assert_eq!(csv.lines().count(), 4);
-        assert!(csv
-            .lines()
-            .nth(3)
-            .unwrap()
-            .starts_with("2,freerider,rank,8,0.2500"));
-        assert!(csv.lines().nth(1).unwrap().ends_with(",9"));
     }
 }

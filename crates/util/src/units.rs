@@ -81,24 +81,6 @@ impl Bytes {
         self.0 as f64 / (1024.0 * 1024.0 * 1024.0)
     }
 
-    /// Saturating subtraction.
-    #[inline]
-    pub fn saturating_sub(self, rhs: Bytes) -> Bytes {
-        Bytes(self.0.saturating_sub(rhs.0))
-    }
-
-    /// The smaller of two amounts.
-    #[inline]
-    pub fn min(self, rhs: Bytes) -> Bytes {
-        Bytes(self.0.min(rhs.0))
-    }
-
-    /// The larger of two amounts.
-    #[inline]
-    pub fn max(self, rhs: Bytes) -> Bytes {
-        Bytes(self.0.max(rhs.0))
-    }
-
     /// True iff zero.
     #[inline]
     pub fn is_zero(self) -> bool {
@@ -106,18 +88,21 @@ impl Bytes {
     }
 }
 
+/// Byte totals saturate at `u64::MAX` instead of overflowing: gossiped
+/// records carry untrusted totals, and the §3.2 flow sum over two of
+/// them must stay an upper bound, never wrap to a small number.
 impl Add for Bytes {
     type Output = Bytes;
     #[inline]
     fn add(self, rhs: Bytes) -> Bytes {
-        Bytes(self.0 + rhs.0)
+        Bytes(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign for Bytes {
     #[inline]
     fn add_assign(&mut self, rhs: Bytes) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -351,7 +336,7 @@ mod tests {
         let b = Bytes::from_mb(4);
         assert_eq!(a + b, Bytes::from_mb(14));
         assert_eq!(a - b, Bytes::from_mb(6));
-        assert_eq!(b.saturating_sub(a), Bytes::ZERO);
+        assert_eq!(Bytes(u64::MAX) + a, Bytes(u64::MAX));
         assert_eq!(a.min(b), b);
         assert_eq!(a.max(b), a);
         assert_eq!((a * 2).0, Bytes::from_mb(20).0);

@@ -32,3 +32,6 @@ bash scripts/check_results.sh
 # items; its smoke run (all four workloads at small sizes plus its own
 # gates) makes a deletion it depends on fail here, not at the driver.
 bash benchmark/run.sh --smoke
+# The counts of record (scripts/counts.txt) must come out exactly:
+# four traced `--seed 7` workload runs (~20 s warm).
+bash scripts/counts.sh
