@@ -14,8 +14,9 @@
 //!   the trace simulator and the live wire runtime, with the
 //!   private-tracker *ratio* policy ([`RatioPolicy`]) as a third
 //!   implementation beside rank/ban;
-//! * **rarest-first** piece selection ([`swarm`], over the select-k
-//!   kernel in [`picker`] that the live swarm's request pipeline shares);
+//! * **rarest-first** piece selection ([`swarm`], by availability
+//!   plane; the live swarm's request pipeline uses the select-k kernel
+//!   in [`picker`], in the same order);
 //! * leecher/seeder state per swarm with byte-credit accounting that
 //!   converts transferred bytes into completed pieces.
 //!

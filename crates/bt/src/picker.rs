@@ -1,4 +1,5 @@
-//! The rarest-first select-k kernel shared by both piece planes.
+//! The rarest-first select-k kernel of the live swarm's request
+//! pipeline.
 //!
 //! A downloader that may take `k` pieces picks them one at a time, each
 //! pick the minimum of the remaining candidates by `(availability,
@@ -7,9 +8,10 @@
 //! the picked piece's, and that piece has just left the candidate set —
 //! so the `k` sequential picks are exactly the `k` smallest of one
 //! fixed candidate set, in ascending order. [`rarest`] computes that in
-//! one pass instead of `k` re-scans; `bt::Swarm`'s byte-credit path and
-//! the live swarm's request pipeline both call it, each with its own
-//! candidate words and key.
+//! one pass instead of `k` re-scans. Its key may filter a piece out
+//! (`None`: the live swarm's pending and in-flight pieces), which is
+//! why `bt::Swarm`, whose candidates are never filtered, reads its
+//! availability planes instead and only keeps [`key`]'s order.
 
 /// The packed rarest-first key of a piece: availability in the high
 /// half, the tie-break in the low half, so one `u128` comparison orders
@@ -200,6 +202,13 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn key_orders_by_availability_before_tie() {
+        assert!(key(0, u64::MAX) < key(1, 0));
+        assert!(key(1, 5) < key(1, 6));
+        assert!(key(u32::MAX - 1, u64::MAX) < key(u32::MAX, 0));
     }
 
     #[test]

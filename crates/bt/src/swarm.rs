@@ -1,10 +1,18 @@
 //! Per-swarm protocol state: members, bitfields, piece accounting and
 //! rarest-first selection.
+//!
+//! Beside each piece's availability the swarm keeps its **planes**:
+//! plane `a` is the set of pieces whose availability is `a`, stored as
+//! words like a [`Bitfield`]. A completed piece moves one bit up a
+//! plane, a departure moves the leaver's bits down, and a seeder's
+//! arrival, which raises every piece by one, inserts an empty plane 0
+//! instead of touching each piece. Rarest-first then reads the wanted
+//! pieces plane by plane from the lowest, so a pick costs one AND per
+//! plane it passes rather than a key per wanted piece.
 
 use crate::bitfield::Bitfield;
 use crate::choke::Choker;
 use crate::config::BtConfig;
-use crate::picker;
 use bartercast_util::units::{Bytes, PeerId};
 use bartercast_util::FxHashMap;
 
@@ -56,6 +64,44 @@ impl Member {
     }
 }
 
+/// The pieces at one availability, as words over the file.
+#[derive(Debug, Clone)]
+struct Plane {
+    words: Vec<u64>,
+    /// Set bits of `words`.
+    count: usize,
+}
+
+impl Plane {
+    fn empty(words: usize) -> Self {
+        Plane {
+            words: vec![0; words],
+            count: 0,
+        }
+    }
+
+    fn insert(&mut self, i: usize) {
+        self.words[i / 64] |= 1 << (i % 64);
+        self.count += 1;
+    }
+
+    fn remove(&mut self, i: usize) {
+        self.words[i / 64] &= !(1 << (i % 64));
+        self.count -= 1;
+    }
+}
+
+/// The rarest-first tie-break of piece `i` under `salt`: a bijection of
+/// the index, so no two pieces tie. Salt 0 is the index itself.
+fn tie(i: usize, salt: u64) -> u64 {
+    if salt == 0 {
+        i as u64
+    } else {
+        // multiply-xor mix; any fixed bijection works here
+        (i as u64 ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    }
+}
+
 /// One swarm: a shared file and its current members.
 ///
 /// ```
@@ -80,6 +126,9 @@ pub struct Swarm {
     members: FxHashMap<PeerId, Member>,
     /// How many members hold each piece (for rarest-first).
     availability: Vec<u32>,
+    /// `planes[a]`: the pieces whose availability is `a`. The top plane
+    /// is never empty unless it is plane 0.
+    planes: Vec<Plane>,
 }
 
 impl Swarm {
@@ -93,6 +142,10 @@ impl Swarm {
             config,
             members: FxHashMap::default(),
             availability: vec![0; piece_count],
+            planes: vec![Plane {
+                words: Bitfield::full(piece_count).words().to_vec(),
+                count: piece_count,
+            }],
         }
     }
 
@@ -156,16 +209,45 @@ impl Swarm {
         for a in &mut self.availability {
             *a += 1;
         }
+        let words = self.planes[0].words.len();
+        self.planes.insert(0, Plane::empty(words));
         self.members.insert(peer, m);
     }
 
     /// Remove a member (departure), updating availability.
     pub fn leave(&mut self, peer: PeerId) {
-        if let Some(m) = self.members.remove(&peer) {
+        let Some(m) = self.members.remove(&peer) else {
+            return;
+        };
+        if m.bitfield.is_complete() {
+            // the inverse of `join_seeder`: every piece drops one plane
+            for a in &mut self.availability {
+                *a -= 1;
+            }
+            let bottom = self.planes.remove(0);
+            debug_assert_eq!(bottom.count, 0, "a seeder left a piece at availability 0");
+        } else {
             for i in m.bitfield.iter_set() {
+                let a = self.availability[i] as usize;
+                self.planes[a].remove(i);
+                self.planes[a - 1].insert(i);
                 self.availability[i] -= 1;
             }
         }
+        while self.planes.len() > 1 && self.planes.last().is_some_and(|p| p.count == 0) {
+            self.planes.pop();
+        }
+    }
+
+    /// One more member now holds piece `i`: its bit moves up a plane.
+    fn raise(&mut self, i: usize) {
+        let a = self.availability[i] as usize;
+        if a + 1 == self.planes.len() {
+            self.planes.push(Plane::empty(self.planes[0].words.len()));
+        }
+        self.planes[a].remove(i);
+        self.planes[a + 1].insert(i);
+        self.availability[i] += 1;
     }
 
     /// Whether `downloader` is interested in `uploader` (the uploader
@@ -203,7 +285,14 @@ impl Swarm {
     }
 
     /// The `k` rarest pieces `d` lacks and some provider has, in pick
-    /// order (see [`crate::picker`]). Unknown providers offer nothing.
+    /// order: by `(availability, tie)`, the order of `k` successive
+    /// min-picks under [`crate::picker::key`]. Unknown providers offer
+    /// nothing.
+    ///
+    /// The wanted words are ANDed with each plane from the lowest up.
+    /// A plane whose wanted pieces all fit in what is left of `k` is
+    /// taken whole; on the plane that overflows, the smallest ties
+    /// fill the rest. Ties are unique, so no index breaks them.
     fn rarest_k(&self, d: &Member, providers: &[PeerId], salt: u64, k: usize) -> Vec<usize> {
         if k == 0 {
             return Vec::new();
@@ -213,15 +302,36 @@ impl Swarm {
             .filter_map(|p| self.members.get(p))
             .map(|m| &m.bitfield)
             .collect();
-        picker::rarest(d.bitfield.wanted_words(&offers), k, |i| {
-            let tie = if salt == 0 {
-                i as u64
-            } else {
-                // multiply-xor mix; any fixed bijection works here
-                (i as u64 ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            };
-            Some(picker::key(self.availability[i], tie))
-        })
+        let wanted: Vec<u64> = d.bitfield.wanted_words(&offers).collect();
+        let mut unseen: usize = wanted.iter().map(|w| w.count_ones() as usize).sum();
+        let mut picked = Vec::new();
+        let mut level: Vec<(u64, usize)> = Vec::new();
+        for plane in &self.planes {
+            if unseen == 0 || picked.len() == k {
+                break;
+            }
+            if plane.count == 0 {
+                continue;
+            }
+            level.clear();
+            for (w, (&want, &have)) in wanted.iter().zip(&plane.words).enumerate() {
+                let mut word = want & have;
+                while word != 0 {
+                    let i = w * 64 + word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    level.push((tie(i, salt), i));
+                }
+            }
+            unseen -= level.len();
+            let room = k - picked.len();
+            if level.len() > room {
+                level.select_nth_unstable(room - 1);
+                level.truncate(room);
+            }
+            level.sort_unstable();
+            picked.extend(level.iter().map(|&(_, i)| i));
+        }
+        picked
     }
 
     /// Credit `bytes` of download toward `downloader`, completing
@@ -269,7 +379,9 @@ impl Swarm {
         };
         for &piece in &completed {
             d.bitfield.set(piece);
-            self.availability[piece] += 1;
+        }
+        for &piece in &completed {
+            self.raise(piece);
         }
         completed
     }
@@ -279,7 +391,9 @@ impl Swarm {
         self.availability[i]
     }
 
-    /// Consistency check: availability counters match member bitfields.
+    /// Consistency check: availability counters match member
+    /// bitfields, and the planes tile the pieces by availability with a
+    /// non-empty top plane.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut counts = vec![0u32; self.piece_count];
         for m in self.members.values() {
@@ -289,6 +403,24 @@ impl Swarm {
         }
         if counts != self.availability {
             return Err("availability counters out of sync".into());
+        }
+        let top = counts.iter().copied().max().unwrap_or(0) as usize;
+        if self.planes.len() != top + 1 {
+            return Err(format!(
+                "{} planes for a top availability of {top}",
+                self.planes.len()
+            ));
+        }
+        let mut expected = vec![Plane::empty(self.planes[0].words.len()); top + 1];
+        for (i, &a) in counts.iter().enumerate() {
+            expected[a as usize].insert(i);
+        }
+        for (a, (plane, want)) in self.planes.iter().zip(&expected).enumerate() {
+            if plane.words != want.words || plane.count != want.count {
+                return Err(format!(
+                    "plane {a} does not hold the pieces at availability {a}"
+                ));
+            }
         }
         Ok(())
     }
@@ -401,9 +533,8 @@ mod tests {
         s.join_leecher(p(2));
         // peer 2 grabs pieces 0..4 => availability 2 for those
         for i in 0..5 {
-            let m = s.member_mut(p(2)).unwrap();
-            m.bitfield.set(i);
-            s.availability[i] += 1;
+            s.member_mut(p(2)).unwrap().bitfield.set(i);
+            s.raise(i);
         }
         s.join_leecher(p(3));
         // for peer 3, pieces 5..9 (availability 1) are rarer than 0..4
@@ -419,7 +550,7 @@ mod tests {
         s.join_leecher(p(2));
         // peer 2 only has piece 7
         s.member_mut(p(2)).unwrap().bitfield.set(7);
-        s.availability[7] += 1;
+        s.raise(7);
         assert_eq!(s.rarest_wanted(p(1), &[p(2)]), Some(7));
         assert_eq!(s.rarest_wanted(p(1), &[]), None);
     }

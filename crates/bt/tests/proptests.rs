@@ -186,7 +186,9 @@ proptest! {
 
     /// The select-k credit path equals the per-piece rescan it
     /// replaced: same pieces in the same order, same leftover credit,
-    /// same availability, and nobody else's bitfield moves.
+    /// same availability, and nobody else's bitfield moves. Seeders
+    /// join and members leave between the credits, so the
+    /// availability planes are read after every way they move.
     #[test]
     fn credit_download_equals_the_per_piece_rescan(
         pieces in 1usize..200,
@@ -199,6 +201,7 @@ proptest! {
                 prop::bool::ANY,
                 any::<u64>(),
                 0u64..1000,
+                0u8..8,
             ),
             1..24,
         ),
@@ -216,8 +219,18 @@ proptest! {
         // ids above `leechers` are absent; providers repeat and may
         // name the downloader; credit runs from nothing to past the
         // file size in quarter pieces
-        for (downloader, providers, unsalted, salt, quarters) in calls {
+        for (downloader, providers, unsalted, salt, quarters, churn) in calls {
             let downloader = PeerId(downloader);
+            // one step in four changes the membership instead
+            match churn {
+                0 => s.join_seeder(downloader),
+                1 => s.leave(downloader),
+                _ => {}
+            }
+            if churn < 2 {
+                s.check_invariants().unwrap();
+                continue;
+            }
             let providers: Vec<PeerId> = providers.into_iter().map(PeerId).collect();
             let salt = if unsalted { 0 } else { salt | 1 };
             let bytes = Bytes(quarters * (piece_size.0 / 4));

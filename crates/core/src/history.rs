@@ -11,6 +11,7 @@
 
 use bartercast_util::units::{Bytes, PeerId, Seconds};
 use bartercast_util::{FxHashMap, FxHashSet};
+use std::cmp::Reverse;
 
 /// Aggregated transfer totals with one remote peer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -67,6 +68,49 @@ pub struct PrivateHistory {
     /// encoded exchange messages, frontiers) key their memos on this
     /// so invalidation rides the existing write path for free.
     version: u64,
+    /// The §3.4 selection at one `(nh, nr)`, kept current by every
+    /// write once [`PrivateHistory::keep_selection`] asked for it.
+    kept: Option<KeptSelection>,
+}
+
+/// The two ranked lists the §3.4 selection merges, for one `(nh, nr)`.
+/// An entry's `down` and `last_seen` only grow, so a write can only
+/// move the entry it changed *up* either list: offering that one entry
+/// keeps both lists exact.
+#[derive(Debug, Clone)]
+struct KeptSelection {
+    nh: usize,
+    nr: usize,
+    /// The `nh` best entries with a non-zero `down`, by [`by_upload`].
+    heavy: Vec<(Reverse<Bytes>, PeerId)>,
+    /// The `nr` best entries by [`by_recency`].
+    recent: Vec<(Reverse<Seconds>, PeerId)>,
+}
+
+impl KeptSelection {
+    /// Offer `peer`'s new totals to both lists.
+    fn offer(&mut self, peer: PeerId, t: TransferTotals) {
+        if !t.down.is_zero() {
+            offer(&mut self.heavy, self.nh, (Reverse(t.down), peer));
+        }
+        offer(&mut self.recent, self.nr, (Reverse(t.last_seen), peer));
+    }
+}
+
+/// Offer `entry` to `list`, the `cap` smallest entries in ascending
+/// order. An entry's key only ever decreases, so an entry not below a
+/// full list's last is not in the list (or is the unchanged last):
+/// the common case costs that one comparison.
+fn offer<K: Ord + Copy>(list: &mut Vec<(K, PeerId)>, cap: usize, entry: (K, PeerId)) {
+    if list.len() == cap && list.last().is_none_or(|&last| entry >= last) {
+        return;
+    }
+    if let Some(at) = list.iter().position(|e| e.1 == entry.1) {
+        list.remove(at);
+    }
+    let at = list.partition_point(|&e| e < entry);
+    list.insert(at, entry);
+    list.truncate(cap);
 }
 
 impl PrivateHistory {
@@ -77,6 +121,7 @@ impl PrivateHistory {
             entries: FxHashMap::default(),
             provenance: FxHashMap::default(),
             version: 0,
+            kept: None,
         }
     }
 
@@ -99,7 +144,7 @@ impl PrivateHistory {
         let e = self.entries.entry(peer).or_default();
         e.up += amount;
         e.last_seen = e.last_seen.max(now);
-        self.version += 1;
+        self.written(peer);
     }
 
     /// Record that the owner downloaded `amount` from `peer` at `now`.
@@ -110,7 +155,7 @@ impl PrivateHistory {
         let e = self.entries.entry(peer).or_default();
         e.down += amount;
         e.last_seen = e.last_seen.max(now);
-        self.version += 1;
+        self.written(peer);
     }
 
     /// Record one completed piece *upload* of `amount` bytes to
@@ -176,7 +221,16 @@ impl PrivateHistory {
         }
         let e = self.entries.entry(peer).or_default();
         e.last_seen = e.last_seen.max(now);
+        self.written(peer);
+    }
+
+    /// Bump the version after `peer`'s entry changed and offer the
+    /// entry to the kept selection.
+    fn written(&mut self, peer: PeerId) {
         self.version += 1;
+        if let Some(kept) = &mut self.kept {
+            kept.offer(peer, self.entries[&peer]);
+        }
     }
 
     /// Totals with `peer`, if any transfer or meeting happened.
@@ -230,6 +284,9 @@ impl PrivateHistory {
         self.entries.retain(|p, _| keep.contains(p));
         self.provenance.retain(|p, _| keep.contains(p));
         self.version += 1;
+        if let Some(kept) = self.kept.take() {
+            self.keep_selection(kept.nh, kept.nr);
+        }
         before - self.entries.len()
     }
 
@@ -237,21 +294,63 @@ impl PrivateHistory {
     /// highest upload **to** the owner, plus the `nr` peers most
     /// recently seen, deduplicated. Ordering among selected peers is
     /// deterministic (by the selection keys, then peer id).
+    ///
+    /// At the `(nh, nr)` of [`PrivateHistory::keep_selection`] this
+    /// merges the kept lists in `O(nh + nr)`; at any other it selects
+    /// from the whole table.
     pub fn select_peers(&self, nh: usize, nr: usize) -> Vec<PeerId> {
-        let mut entries: Vec<(PeerId, TransferTotals)> =
-            self.entries.iter().map(|(&k, &v)| (k, v)).collect();
-        let mut selected: Vec<PeerId> = Vec::with_capacity(nh + nr);
-        for (p, t) in top(&mut entries, nh, by_upload) {
-            if !t.down.is_zero() {
-                selected.push(*p);
-            }
-        }
-        for (p, _) in top(&mut entries, nr, by_recency) {
-            if !selected.contains(p) {
-                selected.push(*p);
+        let (heavy, recent) = match &self.kept {
+            Some(kept) if (kept.nh, kept.nr) == (nh, nr) => (
+                kept.heavy.iter().map(|e| e.1).collect(),
+                kept.recent.iter().map(|e| e.1).collect(),
+            ),
+            _ => self.select_by_scan(nh, nr),
+        };
+        let mut selected: Vec<PeerId> = heavy;
+        for p in recent {
+            if !selected.contains(&p) {
+                selected.push(p);
             }
         }
         selected
+    }
+
+    /// Keep the selection at `(nh, nr)` current on every write from
+    /// now on, so [`PrivateHistory::select_peers`] at those sizes reads
+    /// it instead of scanning the table. A call at other sizes rebuilds
+    /// it by one scan; at the kept sizes it costs nothing.
+    pub fn keep_selection(&mut self, nh: usize, nr: usize) {
+        if self.kept.as_ref().is_some_and(|k| (k.nh, k.nr) == (nh, nr)) {
+            return;
+        }
+        let (heavy, recent) = self.select_by_scan(nh, nr);
+        let key = |p: &PeerId| self.entries[p];
+        self.kept = Some(KeptSelection {
+            nh,
+            nr,
+            heavy: heavy.iter().map(|p| (Reverse(key(p).down), *p)).collect(),
+            recent: recent
+                .iter()
+                .map(|p| (Reverse(key(p).last_seen), *p))
+                .collect(),
+        });
+    }
+
+    /// The two ranked lists of the selection, from the whole table:
+    /// the top `nh` by upload to the owner (zero uploaders dropped)
+    /// and the top `nr` by recency.
+    fn select_by_scan(&self, nh: usize, nr: usize) -> (Vec<PeerId>, Vec<PeerId>) {
+        let mut entries: Vec<Entry> = self.entries.iter().map(|(&k, &v)| (k, v)).collect();
+        let heavy = top(&mut entries, nh, by_upload)
+            .iter()
+            .filter(|(_, t)| !t.down.is_zero())
+            .map(|e| e.0)
+            .collect();
+        let recent = top(&mut entries, nr, by_recency)
+            .iter()
+            .map(|e| e.0)
+            .collect();
+        (heavy, recent)
     }
 }
 
@@ -484,32 +583,55 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The top-k selection returns exactly what the two full sorts
-        /// did. Few distinct `down` and `last_seen` values, so the id
-        /// tie-break decides most places, zero uploaders among them,
-        /// and `nh`, `nr` at 0, 1, len − 1, len and past the end.
+        /// The selection returns exactly what the two full sorts did,
+        /// by the scan and from the kept lists, while `record_*`,
+        /// `touch`, `prune`, `keep_selection` and `select_peers`
+        /// interleave on one history. Few distinct `down` and
+        /// `last_seen` values, so the id tie-break decides most places,
+        /// zero uploaders among them, and `nh`, `nr` at 0, 1, len − 1,
+        /// len and past the end.
         #[test]
         fn selection_equals_the_full_sort(
-            records in prop::collection::vec((1u32..48, 0u64..3, 0u64..4, any::<bool>()), 0..40),
-            nh in 0usize..5,
-            nr in 0usize..5,
+            ops in prop::collection::vec(
+                (0u8..8, 1u32..48, 0u64..3, 0u64..4, 0usize..5, 0usize..5),
+                0..60,
+            ),
         ) {
             let mut h = PrivateHistory::new(p(0));
-            for &(peer, down, seen, touch) in &records {
-                if touch {
-                    h.touch(p(peer), Seconds(seen));
-                } else {
-                    h.record_download(p(peer), Bytes(down), Seconds(seen));
+            let mut kept = None;
+            for &(op, peer, amount, seen, nh, nr) in &ops {
+                let len = h.len();
+                let sizes = [0, 1, len.saturating_sub(1), len, len + 3];
+                let (nh, nr) = (sizes[nh], sizes[nr]);
+                let (peer, amount, seen) = (p(peer), Bytes(amount), Seconds(seen));
+                match op {
+                    0 | 1 => h.record_download(peer, amount, seen),
+                    2 => h.record_upload(peer, amount, seen),
+                    3 => h.record_piece_download(peer, amount, seen),
+                    4 => h.touch(peer, seen),
+                    5 => {
+                        h.prune(nh + nr);
+                    }
+                    6 => {
+                        h.keep_selection(nh, nr);
+                        kept = Some((nh, nr));
+                    }
+                    _ => {}
+                }
+                let len = h.len();
+                prop_assert_eq!(
+                    h.select_peers(nh, nr),
+                    h.select_peers_by_full_sort(nh, nr),
+                    "nh {} nr {} over {} entries", nh, nr, len
+                );
+                if let Some((nh, nr)) = kept {
+                    prop_assert_eq!(
+                        h.select_peers(nh, nr),
+                        h.select_peers_by_full_sort(nh, nr),
+                        "kept nh {} nr {} over {} entries", nh, nr, len
+                    );
                 }
             }
-            let len = h.len();
-            let sizes = [0, 1, len.saturating_sub(1), len, len + 3];
-            let (nh, nr) = (sizes[nh], sizes[nr]);
-            prop_assert_eq!(
-                h.select_peers(nh, nr),
-                h.select_peers_by_full_sort(nh, nr),
-                "nh {} nr {} over {} entries", nh, nr, len
-            );
         }
     }
 }

@@ -41,10 +41,12 @@ impl PeerState {
     }
 
     /// The slice this peer advertises under `config` and its frontier,
-    /// recomputed only when the history has been written since.
+    /// recomputed only when the history has been written since. The
+    /// history keeps the selection at `config`'s sizes from then on.
     pub fn advertised(&mut self, config: BarterCastConfig) -> (&[SliceRecord], Frontier) {
         let version = self.history.version();
         if self.advertised.as_ref().map(|a| a.0) != Some(version) {
+            self.history.keep_selection(config.nh, config.nr);
             let slice = frontier::advertised_slice(&self.history, config);
             let stamp = frontier::frontier_of(&slice);
             self.advertised = Some((version, slice, stamp));

@@ -7,11 +7,16 @@
 //!   end around 50 % of sharer speed;
 //! * **(c)** freerider speed under ban with δ ∈ {−0.3, −0.5, −0.7}:
 //!   the −0.3/−0.5 gap is smaller than the −0.5/−0.7 gap.
+//!
+//! At 100 peers where the freerider split lands can outweigh the
+//! policy, so [`run_seeds`] repeats panels (a) and (b)'s two runs over
+//! many seeds, and the shape checks read the medians.
 
 use crate::Scale;
 use bartercast_core::policy::ReputationPolicy;
 use bartercast_sim::sweep::run_configs;
 use bartercast_sim::SimReport;
+use bartercast_util::stats::percentile;
 
 /// One policy run's speed series.
 #[derive(Debug)]
@@ -87,6 +92,68 @@ pub fn run(scale: Scale, seed: u64) -> Fig2Data {
     }
 }
 
+/// The policies of [`run_seeds`]: panel (a)'s rank and panel (b)'s
+/// ban(−0.5), with their labels.
+pub const SEED_POLICIES: [(&str, ReputationPolicy); 2] = [
+    ("rank", ReputationPolicy::Rank),
+    ("ban(-0.5)", ReputationPolicy::Ban { delta: -0.5 }),
+];
+
+/// One seed's outcome under one policy.
+#[derive(Debug, Clone)]
+pub struct SeedRun {
+    /// The trace and simulation seed.
+    pub seed: u64,
+    /// The policy's label in [`SEED_POLICIES`].
+    pub policy: &'static str,
+    /// Freerider / sharer overall speed ratio.
+    pub ratio: Option<f64>,
+    /// Mean final system reputation of sharers.
+    pub sharer_reputation: f64,
+    /// Mean final system reputation of freeriders.
+    pub freerider_reputation: f64,
+}
+
+/// Panels (a) and (b)'s runs at every seed of `seeds`, each seed on
+/// its own trace with both policies in parallel. Rows come in seed
+/// order, then [`SEED_POLICIES`] order.
+pub fn run_seeds(scale: Scale, seeds: impl IntoIterator<Item = u64>) -> Vec<SeedRun> {
+    let mut runs = Vec::new();
+    for seed in seeds {
+        let base = scale.sim_config(seed);
+        let configs = SEED_POLICIES
+            .iter()
+            .map(|&(_, policy)| bartercast_sim::SimConfig {
+                policy,
+                ..base.clone()
+            })
+            .collect();
+        let reports = run_configs(&scale.trace(seed), configs);
+        for (&(policy, _), report) in SEED_POLICIES.iter().zip(reports) {
+            let (sharer_reputation, freerider_reputation) = report.mean_final_reputation();
+            runs.push(SeedRun {
+                seed,
+                policy,
+                ratio: report.freerider_speed_ratio(),
+                sharer_reputation,
+                freerider_reputation,
+            });
+        }
+    }
+    runs
+}
+
+/// `(q1, median, q3)` of `values`, or `None` when there are none.
+pub fn quartiles(values: &[f64]) -> Option<[f64; 3]> {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    Some([
+        percentile(&sorted, 0.25)?,
+        percentile(&sorted, 0.5)?,
+        percentile(&sorted, 0.75)?,
+    ])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,6 +172,18 @@ mod tests {
             "ban must be the stronger disincentive (paper: ~0.5 vs ~0.75): \
              ban {ban_ratio} vs rank {rank_ratio}"
         );
+    }
+
+    #[test]
+    fn seed_rows_come_per_seed_then_policy() {
+        let runs = run_seeds(Scale::Quick, [3, 1]);
+        let keys: Vec<(u64, &str)> = runs.iter().map(|r| (r.seed, r.policy)).collect();
+        assert_eq!(
+            keys,
+            [(3, "rank"), (3, "ban(-0.5)"), (1, "rank"), (1, "ban(-0.5)")]
+        );
+        assert_eq!(quartiles(&[4.0, 1.0, 3.0, 2.0, 5.0]), Some([2.0, 3.0, 4.0]));
+        assert_eq!(quartiles(&[]), None);
     }
 
     #[test]

@@ -91,7 +91,7 @@ impl ContributionGraph {
         let t = self.intern(to);
         match self.fwd.slot_mut(f, t) {
             Some(slot) => {
-                let w = slot.weight + amount.0;
+                let w = slot.weight.saturating_add(amount.0);
                 slot.weight = w;
                 self.rev
                     .slot_mut(t, f)

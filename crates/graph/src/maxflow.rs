@@ -123,7 +123,7 @@ pub fn ford_fulkerson(net: &mut FlowNetwork, s: u32, t: u32) -> u64 {
         if !found {
             break;
         }
-        total += augment(net, s, t, &parent_arc);
+        total = total.saturating_add(augment(net, s, t, &parent_arc));
     }
     total
 }
@@ -158,7 +158,7 @@ pub fn edmonds_karp(net: &mut FlowNetwork, s: u32, t: u32) -> u64 {
         if !found {
             break;
         }
-        total += augment(net, s, t, &parent_arc);
+        total = total.saturating_add(augment(net, s, t, &parent_arc));
     }
     total
 }
@@ -193,7 +193,7 @@ pub fn dinic(net: &mut FlowNetwork, s: u32, t: u32) -> u64 {
             if f == 0 {
                 break;
             }
-            total += f;
+            total = total.saturating_add(f);
         }
     }
     total
@@ -307,7 +307,7 @@ pub fn push_relabel(net: &mut FlowNetwork, s: u32, t: u32) -> u64 {
             }
         }
     }
-    excess[t as usize] as u64
+    u64::try_from(excess[t as usize]).unwrap_or(u64::MAX)
 }
 
 /// Maxflow restricted to augmenting paths of at most `max_edges` edges,
@@ -348,7 +348,7 @@ pub fn bounded(net: &mut FlowNetwork, s: u32, t: u32, max_edges: usize) -> u64 {
         if !found {
             break;
         }
-        total += augment(net, s, t, &parent_arc);
+        total = total.saturating_add(augment(net, s, t, &parent_arc));
     }
     total
 }

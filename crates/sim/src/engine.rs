@@ -612,17 +612,9 @@ impl Simulation {
     /// Per-round speed samples for peers with an active download.
     fn sample_speeds(&mut self, dt: Seconds, speed_bytes: &FxHashMap<usize, u64>) {
         let t_days = self.now.as_days();
-        for i in 0..self.peers.len() {
-            if self.archival.contains(&i) || !self.peers[i].online {
-                continue;
-            }
-            // actively leeching somewhere?
-            let pid = self.peers[i].id;
-            let leeching = self
-                .swarms
-                .iter()
-                .any(|sw| sw.member(pid).is_some_and(|m| !m.bitfield.is_complete()));
-            if !leeching {
+        let leeching = self.leeching();
+        for (i, &leeching) in leeching.iter().enumerate() {
+            if !leeching || self.archival.contains(&i) || !self.peers[i].online {
                 continue;
             }
             let bytes = speed_bytes.get(&i).copied().unwrap_or(0);
@@ -635,6 +627,20 @@ impl Simulation {
                 self.overall_speed_sharers.push(kbps);
             }
         }
+    }
+
+    /// Per peer index, whether the peer is leeching in some swarm: one
+    /// pass over every swarm's members.
+    fn leeching(&self) -> Vec<bool> {
+        let mut leeching = vec![false; self.peers.len()];
+        for swarm in &self.swarms {
+            for (pid, m) in swarm.member_states() {
+                if !m.bitfield.is_complete() {
+                    leeching[pid.index()] = true;
+                }
+            }
+        }
+        leeching
     }
 
     /// Gossip meetings: PSS shuffle + BarterCast message exchange.
@@ -1164,6 +1170,43 @@ mod tests {
         }
         let compared = sim.scan_oracle.unwrap();
         assert!(compared > 1_000, "only {compared} candidates compared");
+    }
+
+    /// At every step of a small run, the one-pass leeching set equals
+    /// the per-peer scan over every swarm it replaced, and both kinds
+    /// of member (complete and not) occur.
+    #[test]
+    fn leeching_set_matches_the_per_peer_scan() {
+        let trace = small_trace(3);
+        let horizon = trace.horizon;
+        let mut sim = Simulation::new(trace, small_config());
+        let (mut leechers, mut complete) = (0, 0);
+        while sim.now() < horizon {
+            sim.step();
+            let by_scan: Vec<bool> = sim
+                .peers
+                .iter()
+                .map(|p| {
+                    sim.swarms
+                        .iter()
+                        .any(|sw| sw.member(p.id).is_some_and(|m| !m.bitfield.is_complete()))
+                })
+                .collect();
+            assert_eq!(sim.leeching(), by_scan, "at {}", sim.now());
+            for swarm in &sim.swarms {
+                for (_, m) in swarm.member_states() {
+                    if m.bitfield.is_complete() {
+                        complete += 1;
+                    } else {
+                        leechers += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            leechers > 0 && complete > 0,
+            "{leechers} leechers, {complete} complete"
+        );
     }
 
     /// Every reputation a small rank run's choke scoring computes — one

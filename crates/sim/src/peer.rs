@@ -123,7 +123,10 @@ impl SimPeer {
                 return Some((stamp, plan, Cow::Borrowed(self.advertised(config).0)));
             }
             Conduct::Silent => return None,
-            Conduct::Lying(claimed) => frontier::lying_slice(&self.history, config, claimed),
+            Conduct::Lying(claimed) => {
+                self.history.keep_selection(config.nh, config.nr);
+                frontier::lying_slice(&self.history, config, claimed)
+            }
         };
         let stamp = frontier::frontier_of(&slice);
         let plan = frontier::plan_sync(&slice, stamp, claim);

@@ -168,14 +168,16 @@ pub fn score_candidates(
         .iter()
         .zip(reputations)
         .map(|(&q, reputation)| {
-            (
-                q,
-                PeerScore {
+            let score = match ratio {
+                // only the ratio policy reads the transfer totals
+                Some(_) => PeerScore {
                     reputation,
                     up: graph.total_up(q),
                     down: graph.total_down(q),
                 },
-            )
+                None => PeerScore::reputation_only(reputation),
+            };
+            (q, score)
         })
         .collect()
 }
@@ -223,15 +225,30 @@ where
 }
 
 /// Arcs scanned by a depth-`k` layered BFS from `source` following
-/// `neighbours`: every edge out of a node on a level `≤ k − 1`.
+/// `neighbours`: every edge out of a node on a level `≤ k − 1`. On a
+/// simple graph (no self-loop, no repeated arc: what both adjacencies
+/// it is called with hold) that is `deg(s)` for `k = 1` and
+/// `deg(s) + Σ_{v ∈ N(s)} deg(v)` for `k = 2`, counted without the
+/// BFS's visited map; deeper balls run [`ball_arcs_by_bfs`].
 fn ball_arcs<F, I>(source: PeerId, k: usize, neighbours: F) -> usize
 where
     F: Fn(PeerId) -> I,
     I: Iterator<Item = PeerId>,
 {
-    if k == 0 {
-        return 0;
+    match k {
+        0 => 0,
+        1 => neighbours(source).count(),
+        2 => neighbours(source).map(|v| 1 + neighbours(v).count()).sum(),
+        _ => ball_arcs_by_bfs(source, k, neighbours),
     }
+}
+
+/// [`ball_arcs`] by the layered BFS itself, for any `k`.
+fn ball_arcs_by_bfs<F, I>(source: PeerId, k: usize, neighbours: F) -> usize
+where
+    F: Fn(PeerId) -> I,
+    I: Iterator<Item = PeerId>,
+{
     let mut dist: FxHashMap<PeerId, usize> = FxHashMap::default();
     dist.insert(source, 0);
     let mut q = VecDeque::from([source]);
@@ -729,6 +746,30 @@ mod tests {
                 system_reputation_sums(&mut stealing_peers, &indices, SweepSchedule::WorkStealing);
             for (k, (s, w)) in serial.iter().zip(&stolen).enumerate() {
                 prop_assert_eq!(s.to_bits(), w.to_bits(), "target {} differs", k);
+            }
+        }
+
+        /// The `k ≤ 2` arc count equals the BFS it replaced on both
+        /// adjacencies it is called with: a peer's `ContributionGraph`
+        /// (`sweep_cost`) and the epoch view `sharded_reputations_timed`
+        /// costs its queues on. Evaluators past `n` have no edges.
+        #[test]
+        fn near_ball_cost_equals_the_bfs(seed in 0u64..1000, n in 2u32..40, shards in 1usize..5) {
+            let (mut svc, mono) = sharded_fixture(shards, n, seed);
+            let g = mono.graph();
+            let views = svc.publish_all();
+            let view = &*views[0];
+            for e in (0..n + 2).map(PeerId) {
+                for k in 0..=2 {
+                    let graph_out = |u| g.out_edges(u).map(|(v, _)| v);
+                    let graph_in = |u| g.in_edges(u).map(|(v, _)| v);
+                    let view_out = |u| view.out_edges(u).map(|(v, _)| v);
+                    let view_in = |u| view.in_edges(u).map(|(v, _)| v);
+                    prop_assert_eq!(ball_arcs(e, k, graph_out), ball_arcs_by_bfs(e, k, graph_out));
+                    prop_assert_eq!(ball_arcs(e, k, graph_in), ball_arcs_by_bfs(e, k, graph_in));
+                    prop_assert_eq!(ball_arcs(e, k, view_out), ball_arcs_by_bfs(e, k, view_out));
+                    prop_assert_eq!(ball_arcs(e, k, view_in), ball_arcs_by_bfs(e, k, view_in));
+                }
             }
         }
     }

@@ -11,8 +11,8 @@ cargo build --release -p bartercast-experiments
 bin="${CARGO_TARGET_DIR:-target}/release"
 fresh="$(mktemp -d)"
 trap 'rm -rf "$fresh"' EXIT
-for run in fig1 fig2 fig3 fig4 "fig4 evolution" ablation; do
-    # $run unquoted: "fig4 evolution" is a binary and its panel argument
+for run in fig1 fig2 "fig2 --seeds 1..10" fig3 fig4 "fig4 evolution" ablation; do
+    # $run unquoted: "fig4 evolution" is a binary and its argument
     BARTERCAST_RESULTS="$fresh" "$bin"/$run > /dev/null
 done
 if ! diff -r -x scale.csv results "$fresh"; then

@@ -26,7 +26,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 cargo fmt --all --check
 # results/ must be what this checkout's experiment binaries write
-# (~45 s: five figure binaries at paper scale, byte-for-byte diff).
+# (~55 s: the figure binaries at paper scale, Figure 2 over ten seeds
+# included, byte-for-byte diff).
 bash scripts/check_results.sh
 # The benchmark of record compiles against this workspace's public
 # items; its smoke run (all four workloads at small sizes plus its own
