@@ -22,22 +22,33 @@
 use bartercast_util::units::{Bytes, PeerId};
 use bartercast_util::FxHashMap;
 
-use crate::message::BarterCastMessage;
+use crate::message::{self, TransferRecord};
 
-/// One edge's two first-hand claims.
-#[derive(Debug, Clone, Copy, Default)]
-struct EdgeClaims {
-    /// Largest total claimed by the edge's source ("I uploaded this").
-    by_source: Option<Bytes>,
-    /// Largest total confirmed by the edge's target ("I downloaded this").
-    by_target: Option<Bytes>,
+/// One edge's two first-hand claims and what the audit concluded.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct EdgeAudit {
+    /// The largest total each witness claimed, in the order
+    /// [`message::claims`] names them: the edge's source ("I uploaded
+    /// this"), then its target ("I downloaded this").
+    by: [Option<Bytes>; 2],
+    /// Both witnesses heard: counted once in each endpoint's `checked`.
+    checked: bool,
+    /// Flagged: counted once in each endpoint's `marks`.
+    marked: bool,
+}
+
+/// One peer's discrepancy marks and cross-checked incident edges.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct PeerTally {
+    marks: u32,
+    checked: u32,
 }
 
 /// Cross-checks first-hand claims about contribution edges.
 ///
 /// ```
-/// use bartercast_core::frontier::{lying_slice, message_from_slice};
-/// use bartercast_core::{Auditor, BarterCastConfig, BarterCastMessage, PrivateHistory};
+/// use bartercast_core::frontier::{advertised_slice, lying_slice, records_of};
+/// use bartercast_core::{Auditor, BarterCastConfig, PrivateHistory};
 /// use bartercast_util::units::{Bytes, PeerId, Seconds};
 ///
 /// // the victim confirms a tiny download; the liar claims 100 GB
@@ -46,28 +57,22 @@ struct EdgeClaims {
 /// let mut liar = PrivateHistory::new(PeerId(9));
 /// liar.record_upload(PeerId(1), Bytes::from_mb(50), Seconds(1));
 ///
+/// let config = BarterCastConfig::default();
 /// let mut auditor = Auditor::default();
-/// let lie = lying_slice(&liar, BarterCastConfig::default(), Bytes::from_gb(100));
-/// auditor.ingest(&message_from_slice(liar.owner(), &lie));
-/// auditor.ingest(&BarterCastMessage::from_history(
-///     &victim, BarterCastConfig::default()));
+/// let lie = lying_slice(&liar, config, Bytes::from_gb(100));
+/// auditor.ingest(liar.owner(), &records_of(&lie));
+/// auditor.ingest(victim.owner(), &records_of(&advertised_slice(&victim, config)));
 /// assert_eq!((auditor.marks(PeerId(9)), auditor.marks(PeerId(1))), (1, 1));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Auditor {
-    claims: FxHashMap<(PeerId, PeerId), EdgeClaims>,
+    edges: FxHashMap<(PeerId, PeerId), EdgeAudit>,
+    peers: FxHashMap<PeerId, PeerTally>,
     /// A source claim is suspicious when it exceeds
     /// `target_claim * factor + slack`.
     factor: f64,
     /// Absolute slack (staleness allowance).
     slack: Bytes,
-    marks: FxHashMap<PeerId, u32>,
-    /// Cross-checked incident-edge counts per peer.
-    checked: FxHashMap<PeerId, u32>,
-    /// Edges already counted as cross-checked.
-    checked_edges: FxHashMap<(PeerId, PeerId), ()>,
-    /// Edges already marked, so one bad edge is counted once.
-    marked_edges: FxHashMap<(PeerId, PeerId), ()>,
 }
 
 impl Default for Auditor {
@@ -82,88 +87,86 @@ impl Auditor {
     pub fn new(factor: f64, slack: Bytes) -> Self {
         assert!(factor >= 1.0, "tolerance factor must be >= 1");
         Auditor {
-            claims: FxHashMap::default(),
+            edges: FxHashMap::default(),
+            peers: FxHashMap::default(),
             factor,
             slack,
-            marks: FxHashMap::default(),
-            checked: FxHashMap::default(),
-            checked_edges: FxHashMap::default(),
-            marked_edges: FxHashMap::default(),
         }
     }
 
-    /// Ingest one BarterCast message: each record `(peer, up, down)`
-    /// from `sender` carries a source-claim for `sender → peer` (the
-    /// `up` total) and a target-claim for `peer → sender` (the `down`
-    /// total).
-    pub fn ingest(&mut self, msg: &BarterCastMessage) {
-        for r in &msg.records {
-            if r.peer == msg.sender {
-                continue;
+    /// Ingest `records` received from `sender`: each carries the
+    /// sender's claim as one edge's source and as another's target
+    /// ([`message::claims`]), and each claimed edge is checked.
+    pub fn ingest(&mut self, sender: PeerId, records: &[TransferRecord]) {
+        for record in records {
+            let claims = message::claims(sender, record).into_iter().flatten();
+            for (witness, (edge, total)) in claims.enumerate() {
+                self.claim(edge, witness, total);
             }
-            {
-                let e = self.claims.entry((msg.sender, r.peer)).or_default();
-                e.by_source = Some(e.by_source.map_or(r.up, |b| b.max(r.up)));
-            }
-            self.check((msg.sender, r.peer));
-            {
-                let e = self.claims.entry((r.peer, msg.sender)).or_default();
-                e.by_target = Some(e.by_target.map_or(r.down, |b| b.max(r.down)));
-            }
-            self.check((r.peer, msg.sender));
         }
     }
 
-    fn check(&mut self, edge: (PeerId, PeerId)) {
-        let Some(c) = self.claims.get(&edge) else {
+    /// Max-merge `total` into `witness`'s claim on `edge`, then
+    /// cross-check the edge once both witnesses are heard: when the
+    /// source's claim exceeds the target's by more than the tolerance,
+    /// both witnesses get a mark, once per edge.
+    fn claim(&mut self, edge: (PeerId, PeerId), witness: usize, total: Bytes) {
+        let e = self.edges.entry(edge).or_default();
+        e.by[witness] = e.by[witness].max(Some(total));
+        let [Some(src), Some(dst)] = e.by else {
             return;
         };
-        let (Some(src), Some(dst)) = (c.by_source, c.by_target) else {
-            return;
-        };
-        if let std::collections::hash_map::Entry::Vacant(e) = self.checked_edges.entry(edge) {
-            e.insert(());
-            *self.checked.entry(edge.0).or_insert(0) += 1;
-            *self.checked.entry(edge.1).or_insert(0) += 1;
-        }
-        if self.marked_edges.contains_key(&edge) {
-            return;
-        }
+        let newly_checked = !std::mem::replace(&mut e.checked, true);
         let limit = dst.0 as f64 * self.factor + self.slack.0 as f64;
-        if (src.0 as f64) > limit {
-            self.marked_edges.insert(edge, ());
-            *self.marks.entry(edge.0).or_insert(0) += 1;
-            *self.marks.entry(edge.1).or_insert(0) += 1;
+        let newly_marked = !e.marked && (src.0 as f64) > limit;
+        e.marked |= newly_marked;
+        if newly_checked || newly_marked {
+            for peer in [edge.0, edge.1] {
+                let tally = self.peers.entry(peer).or_default();
+                tally.checked += u32::from(newly_checked);
+                tally.marks += u32::from(newly_marked);
+            }
         }
     }
 
     /// Discrepancy marks accumulated by `peer`.
     pub fn marks(&self, peer: PeerId) -> u32 {
-        self.marks.get(&peer).copied().unwrap_or(0)
+        self.peers.get(&peer).map_or(0, |t| t.marks)
     }
 
     /// Cross-checked incident edges of `peer`.
     pub fn checked(&self, peer: PeerId) -> u32 {
-        self.checked.get(&peer).copied().unwrap_or(0)
+        self.peers.get(&peer).map_or(0, |t| t.checked)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frontier::{lying_slice, message_from_slice};
+    use crate::frontier::{advertised_slice, lying_slice, records_of};
     use crate::history::PrivateHistory;
-    use crate::message::{BarterCastConfig, BarterCastMessage};
+    use crate::message::BarterCastConfig;
     use bartercast_util::units::Seconds;
 
     fn p(i: u32) -> PeerId {
         PeerId(i)
     }
 
-    /// The message `liar` sends claiming `huge` uploads (§5.4).
-    fn lying_message(liar: &PrivateHistory, huge: Bytes) -> BarterCastMessage {
+    /// The sender and records `history`'s owner advertises.
+    fn honest(history: &PrivateHistory) -> (PeerId, Vec<TransferRecord>) {
+        let slice = advertised_slice(history, BarterCastConfig::default());
+        (history.owner(), records_of(&slice))
+    }
+
+    /// The sender and records `liar` sends claiming `huge` uploads
+    /// (§5.4).
+    fn lying(liar: &PrivateHistory, huge: Bytes) -> (PeerId, Vec<TransferRecord>) {
         let slice = lying_slice(liar, BarterCastConfig::default(), huge);
-        message_from_slice(liar.owner(), &slice)
+        (liar.owner(), records_of(&slice))
+    }
+
+    fn ingest(auditor: &mut Auditor, (sender, records): &(PeerId, Vec<TransferRecord>)) {
+        auditor.ingest(*sender, records);
     }
 
     /// Two honest peers reporting the same transfer agree.
@@ -175,14 +178,8 @@ mod tests {
         b.record_download(p(0), Bytes::from_gb(2), Seconds(5));
 
         let mut auditor = Auditor::default();
-        auditor.ingest(&BarterCastMessage::from_history(
-            &a,
-            BarterCastConfig::default(),
-        ));
-        auditor.ingest(&BarterCastMessage::from_history(
-            &b,
-            BarterCastConfig::default(),
-        ));
+        ingest(&mut auditor, &honest(&a));
+        ingest(&mut auditor, &honest(&b));
         // both directions of the pair cross-checked, nothing marked
         assert_eq!((auditor.checked(p(0)), auditor.checked(p(1))), (2, 2));
         assert_eq!(auditor.marks(p(0)) + auditor.marks(p(1)), 0);
@@ -197,14 +194,8 @@ mod tests {
         // b's view lags: it has only seen 700 MB arrive so far
         b.record_download(p(0), Bytes::from_mb(700), Seconds(4));
         let mut auditor = Auditor::default();
-        auditor.ingest(&BarterCastMessage::from_history(
-            &a,
-            BarterCastConfig::default(),
-        ));
-        auditor.ingest(&BarterCastMessage::from_history(
-            &b,
-            BarterCastConfig::default(),
-        ));
+        ingest(&mut auditor, &honest(&a));
+        ingest(&mut auditor, &honest(&b));
         assert_eq!(auditor.marks(p(0)) + auditor.marks(p(1)), 0);
     }
 
@@ -212,19 +203,16 @@ mod tests {
     #[test]
     fn selfish_lie_is_flagged() {
         // honest peer 1 confirms only 100 MB downloaded from the liar
-        let mut honest = PrivateHistory::new(p(1));
-        honest.record_download(p(9), Bytes::from_mb(100), Seconds(5));
+        let mut victim = PrivateHistory::new(p(1));
+        victim.record_download(p(9), Bytes::from_mb(100), Seconds(5));
         // liar 9 claims 100 GB uploaded to peer 1
         let mut liar = PrivateHistory::new(p(9));
         liar.record_upload(p(1), Bytes::from_mb(100), Seconds(5));
-        let lie = lying_message(&liar, Bytes::from_gb(100));
+        let lie = lying(&liar, Bytes::from_gb(100));
 
         let mut auditor = Auditor::default();
-        auditor.ingest(&BarterCastMessage::from_history(
-            &honest,
-            BarterCastConfig::default(),
-        ));
-        auditor.ingest(&lie);
+        ingest(&mut auditor, &honest(&victim));
+        ingest(&mut auditor, &lie);
         // one flagged edge marks each of its two witnesses once
         assert_eq!(auditor.marks(p(9)), 1);
         assert_eq!(auditor.marks(p(1)), 1);
@@ -240,14 +228,11 @@ mod tests {
         for i in 1..=5 {
             liar.record_upload(p(i), Bytes::from_mb(10), Seconds(i as u64));
         }
-        auditor.ingest(&lying_message(&liar, Bytes::from_gb(100)));
+        ingest(&mut auditor, &lying(&liar, Bytes::from_gb(100)));
         for i in 1..=5u32 {
             let mut h = PrivateHistory::new(p(i));
             h.record_download(p(9), Bytes::from_mb(10), Seconds(i as u64));
-            auditor.ingest(&BarterCastMessage::from_history(
-                &h,
-                BarterCastConfig::default(),
-            ));
+            ingest(&mut auditor, &honest(&h));
         }
         assert_eq!(auditor.marks(p(9)), 5);
         for i in 1..=5u32 {
@@ -259,16 +244,16 @@ mod tests {
     /// Each bad edge is counted once even if re-reported.
     #[test]
     fn flags_are_per_edge_not_per_message() {
-        let mut honest = PrivateHistory::new(p(1));
-        honest.record_download(p(9), Bytes::from_mb(10), Seconds(1));
+        let mut victim = PrivateHistory::new(p(1));
+        victim.record_download(p(9), Bytes::from_mb(10), Seconds(1));
         let mut liar = PrivateHistory::new(p(9));
         liar.record_upload(p(1), Bytes::from_mb(10), Seconds(1));
-        let lie = lying_message(&liar, Bytes::from_gb(50));
-        let honest_msg = BarterCastMessage::from_history(&honest, BarterCastConfig::default());
+        let lie = lying(&liar, Bytes::from_gb(50));
+        let confirmed = honest(&victim);
         let mut auditor = Auditor::default();
         for _ in 0..5 {
-            auditor.ingest(&lie);
-            auditor.ingest(&honest_msg);
+            ingest(&mut auditor, &lie);
+            ingest(&mut auditor, &confirmed);
         }
         assert_eq!(auditor.marks(p(9)), 1);
     }

@@ -149,17 +149,16 @@ pub fn frontier_of(slice: &[SliceRecord]) -> Frontier {
 pub fn message_from_slice(owner: PeerId, slice: &[SliceRecord]) -> BarterCastMessage {
     BarterCastMessage {
         sender: owner,
-        records: slice.iter().map(transfer_record).collect(),
+        records: records_of(slice),
     }
 }
 
-/// A slice record as it travels: the totals without the stamp.
-fn transfer_record(r: &SliceRecord) -> TransferRecord {
-    TransferRecord {
-        peer: r.peer,
-        up: r.totals.up,
-        down: r.totals.down,
-    }
+/// A slice's records as they travel: the totals without the stamps.
+pub fn records_of(slice: &[SliceRecord]) -> Vec<TransferRecord> {
+    slice
+        .iter()
+        .map(|r| TransferRecord::of(r.peer, &r.totals))
+        .collect()
 }
 
 /// Decide what a digest claiming `claim` needs from a slice whose
@@ -194,7 +193,7 @@ pub fn plan_sync(slice: &[SliceRecord], ours: Frontier, claim: Frontier) -> Sync
     }
     let full = || SyncPlan::Send {
         full: true,
-        records: slice.iter().map(transfer_record).collect(),
+        records: records_of(slice),
     };
     if claim.count > ours.count || claim.max_ts > ours.max_ts {
         return full();
@@ -205,7 +204,7 @@ pub fn plan_sync(slice: &[SliceRecord], ours: Frontier, claim: Frontier) -> Sync
     let records: Vec<TransferRecord> = slice
         .iter()
         .filter(|r| r.totals.last_seen >= claim.max_ts)
-        .map(transfer_record)
+        .map(|r| TransferRecord::of(r.peer, &r.totals))
         .collect();
     if records.is_empty() {
         return full();

@@ -6,7 +6,7 @@
 //! claims into its subjective contribution graph.
 
 use crate::frontier;
-use crate::history::PrivateHistory;
+use crate::history::{PrivateHistory, TransferTotals};
 use bartercast_graph::ContributionGraph;
 use bartercast_util::units::{Bytes, PeerId};
 use serde::{Deserialize, Serialize};
@@ -38,6 +38,43 @@ pub struct TransferRecord {
     pub down: Bytes,
 }
 
+impl TransferRecord {
+    /// The record about `peer` from its owner's `totals` with it.
+    pub fn of(peer: PeerId, totals: &TransferTotals) -> Self {
+        TransferRecord {
+            peer,
+            up: totals.up,
+            down: totals.down,
+        }
+    }
+}
+
+/// The §3.4 rule for one received record, written once: the record
+/// `(peer, up, down)` from `sender` claims the edge `sender → peer` at
+/// `up`, as that edge's source, and the edge `peer → sender` at
+/// `down`, as its target. Returns `[source claim, target claim]`, each
+/// an edge `(from, to)` with its total. A self-record claims nothing.
+pub fn claims(sender: PeerId, record: &TransferRecord) -> Option<[((PeerId, PeerId), Bytes); 2]> {
+    (record.peer != sender).then_some([
+        ((sender, record.peer), record.up),
+        ((record.peer, sender), record.down),
+    ])
+}
+
+/// Max-merge the [`claims`] of `records`, sent by `sender`, into
+/// `graph`. Returns the number of edges that changed.
+pub fn merge_records(
+    graph: &mut ContributionGraph,
+    sender: PeerId,
+    records: &[TransferRecord],
+) -> usize {
+    let mut changed = 0;
+    for ((from, to), total) in records.iter().filter_map(|r| claims(sender, r)).flatten() {
+        changed += usize::from(graph.merge_record(from, to, total));
+    }
+    changed
+}
+
 /// A BarterCast message: the sender plus its selected records.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BarterCastMessage {
@@ -56,24 +93,10 @@ impl BarterCastMessage {
         frontier::message_from_slice(history.owner(), &slice)
     }
 
-    /// Apply this message to a receiver's subjective graph: each record
-    /// `(j, up, down)` asserts edges `sender → j` of weight `up` and
-    /// `j → sender` of weight `down`, merged with max semantics.
-    /// Returns the number of edges that actually changed.
+    /// Apply this message to a receiver's subjective graph
+    /// ([`merge_records`]). Returns the number of edges that changed.
     pub fn apply(&self, graph: &mut ContributionGraph) -> usize {
-        let mut changed = 0;
-        for r in &self.records {
-            if r.peer == self.sender {
-                continue; // malformed self-record, ignore
-            }
-            if graph.merge_record(self.sender, r.peer, r.up) {
-                changed += 1;
-            }
-            if graph.merge_record(r.peer, self.sender, r.down) {
-                changed += 1;
-            }
-        }
-        changed
+        merge_records(graph, self.sender, &self.records)
     }
 
     /// Number of records carried.

@@ -7,7 +7,7 @@
 
 use crate::frontier::{self, Frontier, SliceRecord, SyncPlan};
 use crate::history::PrivateHistory;
-use crate::message::{BarterCastConfig, BarterCastMessage, TransferRecord};
+use crate::message::{self, BarterCastConfig, TransferRecord};
 use crate::repcache::ReputationEngine;
 use bartercast_util::units::{Bytes, PeerId, Seconds};
 use bartercast_util::FxHashMap;
@@ -76,11 +76,8 @@ impl PeerState {
     /// Max-merge `records` sent by `from` into the subjective graph and
     /// keep `stamp` as the next claim on `from`. Returns the number of
     /// edges that changed.
-    pub fn absorb(&mut self, from: PeerId, stamp: Frontier, records: Vec<TransferRecord>) -> usize {
-        let changed = self.engine.absorb_message(&BarterCastMessage {
-            sender: from,
-            records,
-        });
+    pub fn absorb(&mut self, from: PeerId, stamp: Frontier, records: &[TransferRecord]) -> usize {
+        let changed = message::merge_records(self.engine.graph_mut(), from, records);
         self.claims.insert(from, stamp);
         changed
     }
@@ -111,13 +108,12 @@ impl PeerState {
         self.merge_own(peer);
     }
 
-    /// Max-merge both edges with `peer` to the private totals.
+    /// Max-merge both edges with `peer` to the private totals: the
+    /// record this peer would send about `peer`, received from itself.
     fn merge_own(&mut self, peer: PeerId) {
-        let me = self.history.owner();
         if let Some(totals) = self.history.get(peer) {
-            let graph = self.engine.graph_mut();
-            graph.merge_record(me, peer, totals.up);
-            graph.merge_record(peer, me, totals.down);
+            let own = TransferRecord::of(peer, &totals);
+            message::merge_records(self.engine.graph_mut(), self.history.owner(), &[own]);
         }
     }
 

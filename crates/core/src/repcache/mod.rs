@@ -19,7 +19,7 @@
 //! [`CacheStats`] counters.
 
 use crate::history::PrivateHistory;
-use crate::message::BarterCastMessage;
+use crate::message::{self, BarterCastMessage, TransferRecord};
 use crate::metric::ReputationMetric;
 use bartercast_graph::maxflow::{self, Method};
 use bartercast_graph::{ssat, ContributionGraph, FlowKernel, FlowPair};
@@ -136,12 +136,11 @@ impl ReputationEngine {
     /// Re-absorb the owner's private history (max-merge, so calling it
     /// repeatedly as the history grows is safe and cheap).
     pub fn absorb_private(&mut self, history: &PrivateHistory) {
-        let me = history.owner();
-        let graph = self.graph_mut();
-        for (peer, totals) in history.iter() {
-            graph.merge_record(me, peer, totals.up);
-            graph.merge_record(peer, me, totals.down);
-        }
+        let own: Vec<TransferRecord> = history
+            .iter()
+            .map(|(peer, totals)| TransferRecord::of(peer, &totals))
+            .collect();
+        message::merge_records(self.graph_mut(), history.owner(), &own);
     }
 
     /// Merge one gossiped message into the subjective graph. Returns

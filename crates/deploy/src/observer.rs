@@ -176,9 +176,9 @@ impl Observer {
             }
             // the paper's Nh = Nr = 10 (§3.4, §5.1)
             let slice = frontier::advertised_slice(&h, BarterCastConfig::default());
-            let records = frontier::message_from_slice(sender, &slice).records;
+            let records = frontier::records_of(&slice);
             self.state
-                .absorb(sender, frontier::frontier_of(&slice), records);
+                .absorb(sender, frontier::frontier_of(&slice), &records);
             self.messages_logged += 1;
         }
 

@@ -8,9 +8,10 @@
 //! Writes `results/fig2a_*.csv`, `results/fig2b_*.csv`,
 //! `results/fig2c_*.csv` and prints ASCII renderings. With `--seeds
 //! A..B` (both ends included) it instead runs panels (a) and (b)'s
-//! policies at every seed and writes `results/fig2_seeds.csv`: one row
-//! per seed and policy, then the `q1`, `median` and `q3` rows of each
-//! policy.
+//! policies and the no-policy control at every seed and writes
+//! `results/fig2_seeds.csv`: one row per seed and policy (speed ratio,
+//! final reputations, each group's share of bytes per uploader slot
+//! kind), then the `q1`, `median` and `q3` rows of each policy.
 
 use bartercast_experiments::output;
 use bartercast_experiments::{fig2, Scale};
@@ -35,49 +36,39 @@ fn seeds_from_flag(args: &[String]) -> Result<Option<RangeInclusive<u64>>, Strin
 fn over_seeds(scale: Scale, seeds: RangeInclusive<u64>) {
     eprintln!("running fig2 over seeds {seeds:?} at {scale:?} scale ...");
     let runs = fig2::run_seeds(scale, seeds);
-    let header = [
-        "seed",
-        "policy",
-        "overall_ratio",
-        "sharer_reputation",
-        "freerider_reputation",
-    ];
+    let columns = fig2::SeedRun::columns();
+    let mut header = vec!["seed", "policy"];
+    header.extend(columns.iter().map(String::as_str));
     let mut w = output::csv("fig2_seeds", &header);
     let cell = |v: Option<f64>| v.map(|v| format!("{v:.6}")).unwrap_or_default();
     for r in &runs {
-        w.row([
-            r.seed.to_string(),
-            r.policy.to_string(),
-            cell(r.ratio),
-            cell(Some(r.sharer_reputation)),
-            cell(Some(r.freerider_reputation)),
-        ])
+        let values = r.values().into_iter().map(cell);
+        w.row(
+            [r.seed.to_string(), r.policy.to_string()]
+                .into_iter()
+                .chain(values),
+        )
         .expect("write row");
     }
     for (policy, _) in fig2::SEED_POLICIES {
-        let column = |f: fn(&fig2::SeedRun) -> Option<f64>| {
-            let values: Vec<f64> = runs
-                .iter()
-                .filter(|r| r.policy == policy)
-                .filter_map(f)
-                .collect();
-            fig2::quartiles(&values)
-        };
-        let ratio = column(|r| r.ratio);
-        let sharers = column(|r| Some(r.sharer_reputation));
-        let freeriders = column(|r| Some(r.freerider_reputation));
+        let rows: Vec<Vec<Option<f64>>> = runs
+            .iter()
+            .filter(|r| r.policy == policy)
+            .map(fig2::SeedRun::values)
+            .collect();
+        let quartiles: Vec<Option<[f64; 3]>> = (0..columns.len())
+            .map(|c| fig2::quartiles(&rows.iter().filter_map(|v| v[c]).collect::<Vec<_>>()))
+            .collect();
         for (q, label) in ["q1", "median", "q3"].into_iter().enumerate() {
-            let at = |v: Option<[f64; 3]>| cell(v.map(|v| v[q]));
-            w.row([
-                label.to_string(),
-                policy.to_string(),
-                at(ratio),
-                at(sharers),
-                at(freeriders),
-            ])
+            let values = quartiles.iter().map(|v| cell(v.map(|v| v[q])));
+            w.row(
+                [label.to_string(), policy.to_string()]
+                    .into_iter()
+                    .chain(values),
+            )
             .expect("write row");
         }
-        if let (Some(r), Some(s), Some(f)) = (ratio, sharers, freeriders) {
+        if let [Some(r), Some(s), Some(f), ..] = quartiles[..] {
             println!(
                 "{policy}: median overall speed ratio = {:.3} (q1 {:.3}, q3 {:.3}); \
                  median reputation sharers {:+.3} / freeriders {:+.3}",

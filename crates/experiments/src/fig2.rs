@@ -9,13 +9,14 @@
 //!   the −0.3/−0.5 gap is smaller than the −0.5/−0.7 gap.
 //!
 //! At 100 peers where the freerider split lands can outweigh the
-//! policy, so [`run_seeds`] repeats panels (a) and (b)'s two runs over
-//! many seeds, and the shape checks read the medians.
+//! policy, so [`run_seeds`] repeats panels (a) and (b)'s two runs and
+//! their no-policy control over many seeds, and the shape checks read
+//! the medians.
 
 use crate::Scale;
 use bartercast_core::policy::ReputationPolicy;
 use bartercast_sim::sweep::run_configs;
-use bartercast_sim::SimReport;
+use bartercast_sim::{SimReport, SlotKind, SlotLedger};
 use bartercast_util::stats::percentile;
 
 /// One policy run's speed series.
@@ -92,9 +93,10 @@ pub fn run(scale: Scale, seed: u64) -> Fig2Data {
     }
 }
 
-/// The policies of [`run_seeds`]: panel (a)'s rank and panel (b)'s
-/// ban(−0.5), with their labels.
-pub const SEED_POLICIES: [(&str, ReputationPolicy); 2] = [
+/// The policies of [`run_seeds`]: the no-policy control, panel (a)'s
+/// rank and panel (b)'s ban(−0.5), with their labels.
+pub const SEED_POLICIES: [(&str, ReputationPolicy); 3] = [
+    ("none", ReputationPolicy::None),
     ("rank", ReputationPolicy::Rank),
     ("ban(-0.5)", ReputationPolicy::Ban { delta: -0.5 }),
 ];
@@ -112,10 +114,41 @@ pub struct SeedRun {
     pub sharer_reputation: f64,
     /// Mean final system reputation of freeriders.
     pub freerider_reputation: f64,
+    /// Bytes each group received per uploader slot kind.
+    pub slots: SlotLedger,
 }
 
-/// Panels (a) and (b)'s runs at every seed of `seeds`, each seed on
-/// its own trace with both policies in parallel. Rows come in seed
+impl SeedRun {
+    /// Names of [`SeedRun::values`]: the speed ratio, both groups'
+    /// reputations, then each group's share of bytes per slot kind.
+    pub fn columns() -> Vec<String> {
+        let mut columns: Vec<String> =
+            ["overall_ratio", "sharer_reputation", "freerider_reputation"]
+                .map(String::from)
+                .into();
+        for group in ["sharer", "freerider"] {
+            columns.extend(SlotKind::ALL.map(|k| format!("{group}_{}", k.label())));
+        }
+        columns
+    }
+
+    /// This run's value per [`SeedRun::columns`] entry; `None` where
+    /// the ratio is undefined.
+    pub fn values(&self) -> Vec<Option<f64>> {
+        let mut values = vec![
+            self.ratio,
+            Some(self.sharer_reputation),
+            Some(self.freerider_reputation),
+        ];
+        for freerider in [false, true] {
+            values.extend(self.slots.shares(freerider).map(Some));
+        }
+        values
+    }
+}
+
+/// The [`SEED_POLICIES`] runs at every seed of `seeds`, each seed on
+/// its own trace with its policies in parallel. Rows come in seed
 /// order, then [`SEED_POLICIES`] order.
 pub fn run_seeds(scale: Scale, seeds: impl IntoIterator<Item = u64>) -> Vec<SeedRun> {
     let mut runs = Vec::new();
@@ -137,6 +170,7 @@ pub fn run_seeds(scale: Scale, seeds: impl IntoIterator<Item = u64>) -> Vec<Seed
                 ratio: report.freerider_speed_ratio(),
                 sharer_reputation,
                 freerider_reputation,
+                slots: report.slots,
             });
         }
     }
@@ -180,8 +214,20 @@ mod tests {
         let keys: Vec<(u64, &str)> = runs.iter().map(|r| (r.seed, r.policy)).collect();
         assert_eq!(
             keys,
-            [(3, "rank"), (3, "ban(-0.5)"), (1, "rank"), (1, "ban(-0.5)")]
+            [
+                (3, "none"),
+                (3, "rank"),
+                (3, "ban(-0.5)"),
+                (1, "none"),
+                (1, "rank"),
+                (1, "ban(-0.5)")
+            ]
         );
+        for run in &runs {
+            assert_eq!(run.values().len(), SeedRun::columns().len());
+            let shares: f64 = run.values()[3..].iter().flatten().sum();
+            assert!((shares - 2.0).abs() < 1e-9, "each group's shares sum to 1");
+        }
         assert_eq!(quartiles(&[4.0, 1.0, 3.0, 2.0, 5.0]), Some([2.0, 3.0, 4.0]));
         assert_eq!(quartiles(&[]), None);
     }

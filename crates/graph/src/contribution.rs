@@ -87,24 +87,7 @@ impl ContributionGraph {
         if from == to || amount.is_zero() {
             return;
         }
-        let f = self.intern(from);
-        let t = self.intern(to);
-        match self.fwd.slot_mut(f, t) {
-            Some(slot) => {
-                let w = slot.weight.saturating_add(amount.0);
-                slot.weight = w;
-                self.rev
-                    .slot_mut(t, f)
-                    .expect("in-adjacency mirrors out")
-                    .weight = w;
-            }
-            None => {
-                self.fwd.push(f, t, amount.0);
-                self.rev.push(t, f, amount.0);
-                self.edge_count += 1;
-            }
-        }
-        self.version += 1;
+        self.upsert(from, to, |w| Some(w.saturating_add(amount.0)));
     }
 
     /// Merge a gossiped record about the pair `(from, to)`: the stored
@@ -114,20 +97,33 @@ impl ContributionGraph {
         if from == to || total.is_zero() {
             return false;
         }
-        let f = self.intern(from);
-        let t = self.intern(to);
-        match self.fwd.slot_mut(f, t) {
-            Some(slot) if total.0 <= slot.weight => return false,
+        self.upsert(from, to, |w| (total.0 > w).then_some(total.0))
+    }
+
+    /// The one write path: `weight` maps the stored `from → to` weight
+    /// (0 for a missing edge) to the new one, or to `None` to leave the
+    /// graph alone. A new weight is written to both mirrors (a missing
+    /// edge is pushed) and bumps the version. Returns whether it wrote.
+    fn upsert(
+        &mut self,
+        from: PeerId,
+        to: PeerId,
+        weight: impl FnOnce(u64) -> Option<u64>,
+    ) -> bool {
+        let (f, t) = (self.intern(from), self.intern(to));
+        let slot = self.fwd.slot_mut(f, t);
+        let Some(w) = weight(slot.as_ref().map_or(0, |s| s.weight)) else {
+            return false;
+        };
+        match slot {
             Some(slot) => {
-                slot.weight = total.0;
-                self.rev
-                    .slot_mut(t, f)
-                    .expect("in-adjacency mirrors out")
-                    .weight = total.0;
+                slot.weight = w;
+                let mirror = self.rev.slot_mut(t, f);
+                mirror.expect("in-adjacency mirrors out").weight = w;
             }
             None => {
-                self.fwd.push(f, t, total.0);
-                self.rev.push(t, f, total.0);
+                self.fwd.push(f, t, w);
+                self.rev.push(t, f, w);
                 self.edge_count += 1;
             }
         }

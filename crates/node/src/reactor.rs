@@ -848,7 +848,7 @@ impl Reactor {
                     sender: self.id,
                     full: true,
                     stamp,
-                    records: frontier::message_from_slice(self.id, slice).records,
+                    records: frontier::records_of(slice),
                 };
                 let frame = wire::encode_envelope(&Envelope::Delta(delta));
                 (Arc::from(&frame[..]), slice.len() as u32, version)
@@ -933,7 +933,7 @@ impl Reactor {
                 }
                 SessionEvent::Delta { from, msg, .. } => {
                     let n = msg.records.len() as u64;
-                    if self.state.absorb(from, msg.stamp, msg.records) == 0 && n > 0 {
+                    if self.state.absorb(from, msg.stamp, &msg.records) == 0 && n > 0 {
                         NodeCounters::add(&self.counters.records_duplicate, n);
                     }
                     // news arrived: probe this peer eagerly again
@@ -1200,7 +1200,7 @@ mod tests {
             sender: PeerId(1),
             full: true,
             stamp: frontier::frontier_of(&slice),
-            records: frontier::message_from_slice(PeerId(1), &slice).records,
+            records: frontier::records_of(&slice),
         });
         // the payload follows the 4-byte length prefix
         assert_eq!(wire::decode_envelope(&fresh[4..]).unwrap(), expected);

@@ -13,8 +13,9 @@
 //!    rarest-first credit;
 //! 4. performs gossip meetings through the PSS: each side advertises
 //!    its §3.4 slice (subject to the adversary model) and the other
-//!    absorbs what [`frontier::plan_sync`] sends against its stored
-//!    claim, the plan a live node runs on a digest;
+//!    absorbs what [`plan_sync`](bartercast_core::frontier::plan_sync)
+//!    sends against its stored claim, the plan a live node runs on a
+//!    digest;
 //! 5. samples metrics: per-round download speeds and periodic system
 //!    reputations (Equation 2).
 //!
@@ -22,11 +23,11 @@
 
 use crate::adversary::{AdversaryModel, Conduct};
 use crate::config::{Behaviour, SimConfig, FREERIDER_FRACTION};
-use crate::metrics::{GroupSeries, PeerOutcome, SimReport};
+use crate::metrics::{GroupSeries, PeerOutcome, SimReport, SlotKind, SlotLedger};
 use crate::peer::SimPeer;
 use bartercast_bt::choke::Candidate;
 use bartercast_bt::swarm::{Member, Swarm};
-use bartercast_core::frontier::{self, SyncPlan};
+use bartercast_core::frontier::SyncPlan;
 use bartercast_core::ReputationEngine;
 use bartercast_gossip::{shuffle, PssConfig};
 use bartercast_trace::model::Trace;
@@ -73,13 +74,14 @@ const AUDIT_SLACK: Bytes = Bytes::from_mb(512);
 const AUDIT_MIN_MARKS: u32 = 3;
 
 /// One flow assignment for a round: uploader → downloader within a
-/// swarm, carrying `bytes`.
+/// swarm, carrying `bytes` through an uploader's slot of `kind`.
 #[derive(Debug, Clone, Copy)]
 struct Flow {
     up: usize,
     down: usize,
     swarm: usize,
     bytes: u64,
+    kind: SlotKind,
 }
 
 /// A full simulation run.
@@ -107,6 +109,7 @@ pub struct Simulation {
     records_suppressed: u64,
     meetings: u64,
     pieces_transferred: u64,
+    slots: SlotLedger,
     next_reputation_sample: Seconds,
     /// Download start time per (peer, swarm), for completion-time stats.
     download_started: FxHashMap<(usize, usize), Seconds>,
@@ -264,6 +267,7 @@ impl Simulation {
             records_suppressed: 0,
             meetings: 0,
             pieces_transferred: 0,
+            slots: SlotLedger::default(),
             next_reputation_sample: config.reputation_sample_interval,
             download_started: FxHashMap::default(),
             swarm_stats: vec![(0, 0, 0); trace.swarm_count()],
@@ -479,7 +483,10 @@ impl Simulation {
                 if !self.peers[i].online {
                     continue;
                 }
-                let unchoked = self.swarms[s].member(pid).unwrap().unchoked.clone();
+                let member = self.swarms[s].member(pid).unwrap();
+                let unchoked = member.unchoked.clone();
+                let (role, optimistic) = (member.role(), member.choker.optimistic());
+                let archival = self.archival.contains(&i);
                 for qid in unchoked {
                     let q = qid.index();
                     if !self.swarms[s].contains(qid) || !self.peers[q].online {
@@ -493,6 +500,7 @@ impl Simulation {
                         down: q,
                         swarm: s,
                         bytes: 0,
+                        kind: SlotKind::of(archival, role, optimistic == Some(qid)),
                     });
                     uploads_per_peer[i] += 1;
                 }
@@ -541,6 +549,8 @@ impl Simulation {
                 let m = self.swarms[f.swarm].member_mut(down_id).unwrap();
                 *m.recv_last.entry(up_id).or_insert(0) += f.bytes;
             }
+            let freerider = self.peers[f.down].behaviour == Behaviour::Freerider;
+            self.slots.add(freerider, f.kind, f.bytes);
             let e = received.entry((f.down, f.swarm)).or_insert((0, Vec::new()));
             e.0 += f.bytes;
             e.1.push(up_id);
@@ -692,30 +702,28 @@ impl Simulation {
 
     /// Peer `from` answers, as its conduct does, the claim the peer at
     /// index `to` holds on it, and the receiver absorbs exactly the
-    /// records the plan sends, keeping the stamp as its next claim.
-    /// Records the plan keeps home count as suppressed, as on a live
-    /// node. An auditor ingests the whole slice: it sits on the receive
-    /// path and audits repeats too.
+    /// records the plan sends, keeping the stamp as its next claim. An
+    /// auditor audits those records, as a live node's would. Records
+    /// the plan keeps home count as suppressed, as on a live node.
     fn deliver(&mut self, from: PeerId, to: usize) {
         let (sender, receiver) = pair_mut(&mut self.peers, from.index(), to);
         let claim = receiver.claim(from);
-        let Some((stamp, plan, slice)) = sender.answer_by_conduct(self.config.bartercast, claim)
+        let Some((stamp, plan, len)) = sender.answer_by_conduct(self.config.bartercast, claim)
         else {
             return;
         };
         let sent = match plan {
             SyncPlan::InSync => 0,
             SyncPlan::Send { records, .. } => {
-                let sent = records.len();
-                receiver.absorb(from, stamp, records);
+                if let Some(auditor) = receiver.auditor.as_mut() {
+                    auditor.ingest(from, &records);
+                }
+                receiver.absorb(from, stamp, &records);
                 self.messages_delivered += 1;
-                sent
+                records.len()
             }
         };
-        self.records_suppressed += (slice.len() - sent) as u64;
-        if let Some(auditor) = receiver.auditor.as_mut() {
-            auditor.ingest(&frontier::message_from_slice(from, &slice));
-        }
+        self.records_suppressed += (len - sent) as u64;
     }
 
     /// Equation 2: the system reputation of peer `i` is the average of
@@ -862,6 +870,7 @@ impl Simulation {
             records_suppressed: self.records_suppressed,
             meetings: self.meetings,
             pieces_transferred: self.pieces_transferred,
+            slots: self.slots,
         }
     }
 }
@@ -919,9 +928,8 @@ fn pair_mut(peers: &mut [SimPeer], i: usize, j: usize) -> (&mut SimPeer, &mut Si
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bartercast_core::frontier::SliceRecord;
+    use bartercast_core::frontier::{self, SliceRecord};
     use bartercast_core::policy::ReputationPolicy;
-    use bartercast_core::BarterCastMessage;
     use bartercast_trace::synth::{SynthConfig, TraceBuilder};
     use bartercast_util::units::Seconds;
 
@@ -1000,41 +1008,68 @@ mod tests {
         assert_eq!(sim.peers[1].claim(from), stamp);
     }
 
-    /// An auditor ingests the whole advertised slice, whether the plan
-    /// sends none of it or a delta.
+    /// An auditor audits what its peer absorbs: nothing on an in-sync
+    /// delivery, exactly the delta's records on a delta. (No entry
+    /// point attaches an auditor mid-run: `SimConfig::audit` gives every
+    /// peer one from the start.)
     #[test]
-    fn an_auditor_sees_the_whole_slice() {
+    fn an_auditor_sees_what_the_receiver_absorbs() {
         let (mut sim, from) = delivery_pair();
-        let slice = slice_of(&sim);
         sim.deliver(from, 1);
         // a fresh auditor that has heard every counterparty confirm
         // its side: each record of `from` it then sees cross-checks the
         // record's two edges
-        let audited = |sim: &mut Simulation, slice: &[SliceRecord]| {
+        let audited = |sim: &mut Simulation| {
             let mut auditor = bartercast_core::Auditor::default();
-            for r in slice {
-                auditor.ingest(&BarterCastMessage {
-                    sender: r.peer,
-                    records: vec![bartercast_core::TransferRecord {
-                        peer: from,
-                        up: r.totals.down,
-                        down: r.totals.up,
-                    }],
-                });
+            for r in slice_of(sim) {
+                let (up, down) = (r.totals.down, r.totals.up);
+                let confirmed = bartercast_core::TransferRecord {
+                    peer: from,
+                    up,
+                    down,
+                };
+                auditor.ingest(r.peer, &[confirmed]);
             }
             sim.peers[1].auditor = Some(auditor);
             sim.deliver(from, 1);
-            sim.peers[1].auditor.as_ref().unwrap().checked(from) as usize / 2
+            sim.peers[1].auditor.as_ref().unwrap().checked(from) / 2
         };
-        assert_eq!(audited(&mut sim, &slice), slice.len(), "in sync");
+        assert_eq!(audited(&mut sim), 0, "in sync");
         sim.peers[0].history.touch(PeerId(1002), Seconds(40));
-        let slice = slice_of(&sim);
-        let before = sim.records_suppressed;
-        assert_eq!(audited(&mut sim, &slice), slice.len(), "a delta");
-        assert!(
-            sim.records_suppressed > before,
-            "the delta left records home"
-        );
+        let suppressed = sim.records_suppressed;
+        // the records stamped at 30 and 40 s go, the one at 10 s stays
+        assert_eq!(audited(&mut sim), 2, "a delta");
+        assert_eq!(sim.records_suppressed, suppressed + 1);
+    }
+
+    /// The slot ledger files every byte the transfer phase credits:
+    /// its total is the bytes all peers downloaded, per run and policy.
+    #[test]
+    fn the_slot_ledger_files_every_credited_byte() {
+        for policy in [ReputationPolicy::None, ReputationPolicy::Rank] {
+            let mut cfg = small_config();
+            cfg.policy = policy;
+            // one regular slot, so that optimistic slots carry bytes
+            cfg.bt.regular_slots = 1;
+            let mut sim = Simulation::new(small_trace(5), cfg);
+            while sim.now < sim.trace.horizon {
+                sim.step();
+            }
+            let credited: u64 = sim.peers.iter().map(|p| p.real_down.0).sum();
+            let report = sim.finish();
+            assert!(credited > 0, "data must move");
+            let filed = |kinds: &[SlotKind]| -> u64 {
+                let row = |group: &[u64; 5]| kinds.iter().map(|&k| group[k as usize]).sum::<u64>();
+                report.slots.bytes.iter().map(row).sum()
+            };
+            assert_eq!(filed(&SlotKind::ALL), credited, "{policy:?}");
+            let optimistic = [SlotKind::SeederOptimistic, SlotKind::LeecherOptimistic];
+            assert!(filed(&optimistic) > 0, "optimistic slots carried nothing");
+            assert!(
+                filed(&[SlotKind::Archival]) > 0,
+                "archival seeders carried nothing"
+            );
+        }
     }
 
     #[test]

@@ -35,4 +35,4 @@ pub mod sweep;
 pub use adversary::AdversaryModel;
 pub use config::{Behaviour, SimConfig};
 pub use engine::Simulation;
-pub use metrics::{GroupSeries, SimReport};
+pub use metrics::{GroupSeries, SimReport, SlotKind, SlotLedger};

@@ -1,5 +1,6 @@
 //! Measurement channels for Figures 1–3.
 
+use bartercast_bt::Role;
 use bartercast_util::series::BucketSeries;
 use bartercast_util::stats::Running;
 use bartercast_util::units::{PeerId, Seconds};
@@ -76,6 +77,88 @@ pub struct SwarmOutcome {
     pub peak_members: usize,
 }
 
+/// The upload slot a flow runs in: whose, and which of its slots
+/// (`bartercast_bt::choke`). Rank reorders only the optimistic slots;
+/// ban's admission gates every slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SlotKind {
+    /// Any slot of an archival initial seeder.
+    Archival,
+    /// A seeder's regular round-robin rotation.
+    SeederRegular,
+    /// A leecher's regular tit-for-tat slot.
+    LeecherRegular,
+    /// A seeder's optimistic slot.
+    SeederOptimistic,
+    /// A leecher's optimistic slot.
+    LeecherOptimistic,
+}
+
+impl SlotKind {
+    /// Every kind, in [`SlotLedger`] order.
+    pub const ALL: [SlotKind; 5] = [
+        SlotKind::Archival,
+        SlotKind::SeederRegular,
+        SlotKind::LeecherRegular,
+        SlotKind::SeederOptimistic,
+        SlotKind::LeecherOptimistic,
+    ];
+
+    /// The slot an uploader in `role`, `archival` or not, gives a
+    /// receiver that holds its optimistic slot or not.
+    pub fn of(archival: bool, role: Role, optimistic: bool) -> SlotKind {
+        match (archival, role, optimistic) {
+            (true, _, _) => SlotKind::Archival,
+            (false, Role::Seeder, false) => SlotKind::SeederRegular,
+            (false, Role::Leecher, false) => SlotKind::LeecherRegular,
+            (false, Role::Seeder, true) => SlotKind::SeederOptimistic,
+            (false, Role::Leecher, true) => SlotKind::LeecherOptimistic,
+        }
+    }
+
+    /// Column label.
+    pub fn label(self) -> &'static str {
+        match self {
+            SlotKind::Archival => "archival",
+            SlotKind::SeederRegular => "seeder_regular",
+            SlotKind::LeecherRegular => "leecher_regular",
+            SlotKind::SeederOptimistic => "seeder_optimistic",
+            SlotKind::LeecherOptimistic => "leecher_optimistic",
+        }
+    }
+}
+
+/// Bytes received per receiver group and uploader [`SlotKind`]: where
+/// the bandwidth a reputation policy could steer runs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SlotLedger {
+    /// `[sharers, freeriders]`, each in [`SlotKind::ALL`] order.
+    pub bytes: [[u64; 5]; 2],
+}
+
+impl SlotLedger {
+    /// Credit `bytes` a receiver (a freerider or not) got through a
+    /// slot of `kind`.
+    pub fn add(&mut self, freerider: bool, kind: SlotKind, bytes: u64) {
+        self.bytes[usize::from(freerider)][kind as usize] += bytes;
+    }
+
+    /// Each kind's share of the bytes one group (freeriders or sharers)
+    /// received, in [`SlotKind::ALL`] order; zeros when it received
+    /// none.
+    pub fn shares(&self, freerider: bool) -> [f64; 5] {
+        let row = self.bytes[usize::from(freerider)];
+        let total: u64 = row.iter().sum();
+        row.map(|b| {
+            if total == 0 {
+                0.0
+            } else {
+                b as f64 / total as f64
+            }
+        })
+    }
+}
+
 /// Everything one run produces.
 #[derive(Debug, Clone)]
 pub struct SimReport {
@@ -109,6 +192,8 @@ pub struct SimReport {
     pub meetings: u64,
     /// Total pieces transferred.
     pub pieces_transferred: u64,
+    /// Bytes received per group and uploader slot kind.
+    pub slots: SlotLedger,
 }
 
 impl SimReport {
@@ -218,6 +303,7 @@ mod tests {
             records_suppressed: 0,
             meetings: 5,
             pieces_transferred: 100,
+            slots: SlotLedger::default(),
         }
     }
 
@@ -236,5 +322,34 @@ mod tests {
         let (s, f) = r.mean_final_reputation();
         assert!((s - 0.12).abs() < 1e-12);
         assert!((f + 0.08).abs() < 1e-12);
+    }
+
+    #[test]
+    fn slot_kinds_split_archival_role_and_optimistic() {
+        use SlotKind::*;
+        let kinds: Vec<SlotKind> = [(Role::Seeder, false), (Role::Leecher, false)]
+            .into_iter()
+            .chain([(Role::Seeder, true), (Role::Leecher, true)])
+            .map(|(role, optimistic)| SlotKind::of(false, role, optimistic))
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                SeederRegular,
+                LeecherRegular,
+                SeederOptimistic,
+                LeecherOptimistic
+            ]
+        );
+        assert_eq!(SlotKind::of(true, Role::Seeder, true), Archival);
+        assert_eq!(SlotKind::of(true, Role::Seeder, false), Archival);
+        let mut ledger = SlotLedger::default();
+        ledger.add(true, LeecherOptimistic, 30);
+        ledger.add(true, Archival, 10);
+        ledger.add(false, SeederRegular, 5);
+        assert_eq!(ledger.bytes.iter().flatten().sum::<u64>(), 45);
+        assert_eq!(ledger.shares(true), [0.25, 0.0, 0.0, 0.0, 0.75]);
+        assert_eq!(ledger.shares(false), [0.0, 1.0, 0.0, 0.0, 0.0]);
+        assert_eq!(SlotLedger::default().shares(false), [0.0; 5]);
     }
 }

@@ -3,14 +3,13 @@
 use crate::adversary::Conduct;
 use crate::config::Behaviour;
 use bartercast_core::audit::Auditor;
-use bartercast_core::frontier::{self, Frontier, SliceRecord, SyncPlan};
+use bartercast_core::frontier::{self, Frontier, SyncPlan};
 use bartercast_core::history::PrivateHistory;
 use bartercast_core::message::BarterCastConfig;
 use bartercast_core::{PeerState, ReputationEngine};
 use bartercast_gossip::{PssConfig, PssNode};
 use bartercast_util::units::{Bandwidth, Bytes, PeerId, Seconds};
 use bartercast_util::FxHashMap;
-use std::borrow::Cow;
 use std::ops::{Deref, DerefMut};
 
 /// Everything the simulator tracks for one peer: its protocol state
@@ -111,26 +110,26 @@ impl SimPeer {
     /// Answer `claim` as this peer's conduct does: an honest peer
     /// through [`PeerState::answer`], a §5.4 liar by planning over its
     /// lying slice, a protocol ignorer not at all. Returns the stamp,
-    /// the plan and the slice advertised.
+    /// the plan and the slice length, as [`PeerState::answer`] does.
     pub(crate) fn answer_by_conduct(
         &mut self,
         config: BarterCastConfig,
         claim: Frontier,
-    ) -> Option<(Frontier, SyncPlan, Cow<'_, [SliceRecord]>)> {
-        let slice = match self.conduct {
-            Conduct::Honest => {
-                let (stamp, plan, _) = self.state.answer(config, claim);
-                return Some((stamp, plan, Cow::Borrowed(self.advertised(config).0)));
-            }
-            Conduct::Silent => return None,
+    ) -> Option<(Frontier, SyncPlan, usize)> {
+        match self.conduct {
+            Conduct::Honest => Some(self.state.answer(config, claim)),
+            Conduct::Silent => None,
             Conduct::Lying(claimed) => {
                 self.history.keep_selection(config.nh, config.nr);
-                frontier::lying_slice(&self.history, config, claimed)
+                let slice = frontier::lying_slice(&self.history, config, claimed);
+                let stamp = frontier::frontier_of(&slice);
+                Some((
+                    stamp,
+                    frontier::plan_sync(&slice, stamp, claim),
+                    slice.len(),
+                ))
             }
-        };
-        let stamp = frontier::frontier_of(&slice);
-        let plan = frontier::plan_sync(&slice, stamp, claim);
-        Some((stamp, plan, slice.into()))
+        }
     }
 
     /// Policy-facing reputations of all `targets` in order, at most one
@@ -240,8 +239,11 @@ mod tests {
 
         let mut liar = peer(2, Conduct::Lying(Bytes::from_gb(100)));
         liar.note_download(PeerId(3), Bytes::from_mb(5), Seconds(1));
-        let (_, _, slice) = liar.answer_by_conduct(cfg, empty).unwrap();
-        assert!(slice.iter().all(|r| r.totals.up == Bytes::from_gb(100)));
+        let (_, SyncPlan::Send { records, .. }, 1) = liar.answer_by_conduct(cfg, empty).unwrap()
+        else {
+            panic!("the empty claim gets the whole one-record slice");
+        };
+        assert_eq!(records[0].up, Bytes::from_gb(100));
     }
 
     /// A gossiped claim that raises the peer's own edge above its
@@ -257,7 +259,7 @@ mod tests {
             up,
             down,
         };
-        p.absorb(PeerId(1), Frontier::default(), vec![claim]);
+        p.absorb(PeerId(1), Frontier::default(), &[claim]);
         p.note_upload(PeerId(1), Bytes::from_mb(10), Seconds(1));
         assert_eq!(p.engine.graph().edge(p.id, PeerId(1)), down);
     }

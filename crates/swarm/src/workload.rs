@@ -344,16 +344,22 @@ impl SwarmWorkload {
 
     /// The live engine's view of `peers`, as the choke policies
     /// consume it: Equation-1 reputations (all from one single-source
-    /// sweep) plus the subjective graph's lifetime transfer totals.
+    /// sweep), plus the subjective graph's lifetime transfer totals
+    /// under the ratio policy, the only one that reads them.
     fn peer_scores(&self, state: &mut PeerState, peers: &[PeerId]) -> BTreeMap<PeerId, PeerScore> {
         let reputations = state.reputations(peers);
         let graph = state.engine.graph();
+        let reads_totals = matches!(self.params.policy, SwarmPolicy::Ratio(_));
         let mut scores = BTreeMap::new();
         for (&peer, reputation) in peers.iter().zip(reputations) {
-            let score = PeerScore {
-                reputation,
-                up: graph.total_up(peer),
-                down: graph.total_down(peer),
+            let score = if reads_totals {
+                PeerScore {
+                    reputation,
+                    up: graph.total_up(peer),
+                    down: graph.total_down(peer),
+                }
+            } else {
+                PeerScore::reputation_only(reputation)
             };
             scores.insert(peer, score);
         }
@@ -1081,8 +1087,9 @@ mod tests {
 
     /// Batched choke scoring decides what per-pair scoring decides: on
     /// a graph with direct and two-hop flows, the scores are bitwise
-    /// the per-pair `PeerState::reputation` values, and the unchoke set
-    /// and the serve order equal those computed from them.
+    /// the per-pair `PeerState::reputation` values (with the graph's
+    /// transfer totals under the ratio policy only), and the unchoke
+    /// set and the serve order equal those computed from them.
     #[test]
     fn batched_scoring_matches_per_pair_decisions() {
         let me = PeerId(0);
@@ -1117,7 +1124,7 @@ mod tests {
 
         // the reference: per-pair point queries on a twin state
         let mut twin = state_with_graph();
-        let per_pair: BTreeMap<PeerId, PeerScore> = peers
+        let with_totals: BTreeMap<PeerId, PeerScore> = peers
             .iter()
             .map(|&q| {
                 let reputation = twin.reputation(q);
@@ -1133,19 +1140,27 @@ mod tests {
                 )
             })
             .collect();
-        let reputations: Vec<f64> = per_pair.values().map(|s| s.reputation).collect();
+        let reputations: Vec<f64> = with_totals.values().map(|s| s.reputation).collect();
         assert!(reputations.iter().any(|&r| r > 0.0) && reputations.iter().any(|&r| r < 0.0));
-        let batched = w.peer_scores(&mut state, &peers);
-        for q in &peers {
-            assert_eq!(
-                batched[q].reputation.to_bits(),
-                per_pair[q].reputation.to_bits()
-            );
-            assert_eq!(
-                (batched[q].up, batched[q].down),
-                (per_pair[q].up, per_pair[q].down)
-            );
-        }
+        // each policy is scored with what it reads: rank the
+        // reputations alone, the ratio policy the transfer totals too
+        let per_pair: BTreeMap<PeerId, PeerScore> = with_totals
+            .iter()
+            .map(|(&q, s)| (q, PeerScore::reputation_only(s.reputation)))
+            .collect();
+        let bits = |scores: &BTreeMap<PeerId, PeerScore>| -> Vec<_> {
+            let bits = |s: &PeerScore| (s.reputation.to_bits(), s.up, s.down);
+            scores.iter().map(|(&q, s)| (q, bits(s))).collect()
+        };
+        assert_eq!(bits(&w.peer_scores(&mut state, &peers)), bits(&per_pair));
+        let mut ratio = params(false, PeerBehaviour::Cooperator);
+        ratio.policy = SwarmPolicy::Ratio(bartercast_bt::RatioPolicy::default());
+        let ratio = SwarmWorkload::new(me, ratio, vec![], ledger());
+        let scores = ratio.peer_scores(&mut state, &peers);
+        assert_eq!(bits(&scores), bits(&with_totals));
+        assert!(scores
+            .values()
+            .all(|s| s.up > Bytes::ZERO && s.down > Bytes::ZERO));
 
         // unchoke set
         let candidates: Vec<Candidate> = w

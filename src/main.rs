@@ -17,7 +17,7 @@
 use bartercast::core::policy::ReputationPolicy;
 use bartercast::deploy::{Community, CommunityConfig, Observer, ObserverConfig};
 use bartercast::sim::scale::{run_scale, ScaleConfig};
-use bartercast::sim::{SimConfig, Simulation};
+use bartercast::sim::{SimConfig, Simulation, SlotKind};
 use bartercast::trace::format::{parse_trace, write_trace};
 use bartercast::trace::{import_tracker_log, ImportConfig};
 use bartercast::trace::{SynthConfig, Trace, TraceBuilder};
@@ -76,7 +76,9 @@ impl Args {
     }
 }
 
-/// Parse `none`, `rank`, or `ban=-0.5` into a policy.
+/// Parse `none`, `rank`, or `ban=-0.5` into a policy. A ban threshold
+/// must lie in (−1, 0): reputations lie in (−1, 1), so δ ≤ −1 bans
+/// nobody, and a NaN threshold would admit everyone.
 fn parse_policy(text: &str) -> Result<ReputationPolicy, String> {
     match text {
         "none" => Ok(ReputationPolicy::None),
@@ -86,8 +88,8 @@ fn parse_policy(text: &str) -> Result<ReputationPolicy, String> {
                 let delta: f64 = delta
                     .parse()
                     .map_err(|_| format!("invalid ban threshold '{delta}'"))?;
-                if delta >= 0.0 {
-                    return Err("ban threshold must be negative".into());
+                if !(delta > -1.0 && delta < 0.0) {
+                    return Err(format!("ban threshold {delta} is not in (-1, 0)"));
                 }
                 Ok(ReputationPolicy::Ban { delta })
             } else {
@@ -297,6 +299,17 @@ fn sim_run(args: &Args) -> Result<(), String> {
             a.recall
         );
     }
+    let kinds: Vec<&str> = SlotKind::ALL.iter().map(|k| k.label()).collect();
+    println!("bytes received by uploader slot ({}):", kinds.join(" / "));
+    for (group, freerider) in [("sharers", false), ("freeriders", true)] {
+        let shares: Vec<String> = report
+            .slots
+            .shares(freerider)
+            .iter()
+            .map(|share| format!("{:.1}%", share * 100.0))
+            .collect();
+        println!("  {group:<10} {}", shares.join(" / "));
+    }
     println!(
         "{} meetings, {} messages, {} pieces",
         report.meetings, report.messages_delivered, report.pieces_transferred
@@ -399,6 +412,11 @@ mod tests {
             ReputationPolicy::Ban { delta: -0.5 }
         );
         assert!(parse_policy("ban=0.5").is_err());
+        for outside in ["NaN", "-inf", "inf", "-1", "-1.5", "0", "-0"] {
+            let text = format!("ban={outside}");
+            assert!(parse_policy(&text).is_err(), "{text} accepted");
+        }
+        assert!(parse_policy("ban=-0.999").is_ok());
         assert!(parse_policy("ban=x").is_err());
         assert!(parse_policy("tit-for-tat").is_err());
     }

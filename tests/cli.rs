@@ -52,7 +52,12 @@ fn trace_gen_stats_and_sim_run() {
         "sim", "run", "--trace", file, "--policy", "ban=-0.5", "--audit", "--seed", "5",
     ];
     let (first, _) = ok(&run);
-    for headline in ["final mean system reputation:", "audit:", "meetings,"] {
+    for headline in [
+        "final mean system reputation:",
+        "audit:",
+        "bytes received by uploader slot",
+        "meetings,",
+    ] {
         assert!(first.contains(headline), "no {headline:?} in:\n{first}");
     }
     assert_eq!(ok(&run).0, first, "sim run is deterministic per seed");
@@ -82,5 +87,24 @@ fn peer_counts_the_study_cannot_run_are_refused() {
         assert!(stderr.starts_with("error: "), "{args:?}:\n{stderr}");
         assert!(stderr.contains("USAGE:"), "{args:?}:\n{stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}:\n{stderr}");
+    }
+}
+
+/// A ban threshold outside (−1, 0) is refused: NaN would admit every
+/// candidate and empty every optimistic pool, and δ ≤ −1 bans nobody.
+#[test]
+fn ban_thresholds_outside_the_reputation_range_are_refused() {
+    for delta in ["NaN", "-inf", "-1"] {
+        let policy = format!("ban={delta}");
+        let args = [
+            "sim", "run", "--peers", "10", "--days", "1", "--policy", &policy,
+        ];
+        let out = bartercast(&args);
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}:\n{stderr}");
+        assert!(
+            stderr.starts_with(&format!("error: ban threshold {delta}")),
+            "{args:?}:\n{stderr}"
+        );
     }
 }

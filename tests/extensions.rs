@@ -114,9 +114,9 @@ fn scale_study_smoke() {
 
 #[test]
 fn whitewashed_identities_do_not_inherit_audit_marks() {
-    use bartercast::core::frontier::{lying_slice, message_from_slice};
+    use bartercast::core::frontier::{advertised_slice, lying_slice, records_of};
     use bartercast::core::identity::{IdentityRegistry, MachineId};
-    use bartercast::core::{Auditor, BarterCastConfig, BarterCastMessage, PrivateHistory};
+    use bartercast::core::{Auditor, BarterCastConfig, PrivateHistory};
     use bartercast::util::units::PeerId;
 
     let mut registry = IdentityRegistry::new();
@@ -132,11 +132,9 @@ fn whitewashed_identities_do_not_inherit_audit_marks() {
         BarterCastConfig::default(),
         Bytes::from_gb(100),
     );
-    auditor.ingest(&message_from_slice(liar, &lie));
-    auditor.ingest(&BarterCastMessage::from_history(
-        &victim,
-        BarterCastConfig::default(),
-    ));
+    auditor.ingest(liar, &records_of(&lie));
+    let confirmed = advertised_slice(&victim, BarterCastConfig::default());
+    auditor.ingest(victim.owner(), &records_of(&confirmed));
     assert!(auditor.marks(liar) > 0);
     // whitewash: the fresh identity has no marks — the audit trail,
     // like reputation, is identity-bound (§3.5's limits apply to both)
