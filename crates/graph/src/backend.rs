@@ -4,11 +4,11 @@
 //! * Point queries ([`FlowKernel::flow`]) on the path bounds with a
 //!   closed form, `k ≤ 2`, read only the two endpoints' adjacency:
 //!   `c(s, t) + Σ_m min(c(s, m), c(m, t))` (the direct edge alone for
-//!   `k = 1`, nothing for `k = 0`), joining `out_edges(s)` with
-//!   `in_edges(t)` through one scratch map the kernel reuses, in
-//!   O(deg⁺ s + deg⁻ t). Every other method — `Bounded(k)` with
-//!   `k ≥ 3` and `Dinic` — runs on a shared, lazily rebuilt
-//!   [`FlowNetwork`], which the closed-form bounds never build.
+//!   `k = 1`, nothing for `k = 0`), joining `s`'s out-slots with `t`'s
+//!   in-slots on dense node indices through one scratch vector the
+//!   kernel reuses, in O(deg⁺ s + deg⁻ t). Every other method —
+//!   `Bounded(k)` with `k ≥ 3` and `Dinic` — runs on a shared, lazily
+//!   rebuilt [`FlowNetwork`], which the closed-form bounds never build.
 //! * Batch sweeps exist for the same bounds, `k ≤ 2`
 //!   ([`FlowKernel::sweep_bound`]): one pass [`crate::ssat::sweep_into`]
 //!   yields the flows between one evaluator and every peer at once,
@@ -27,7 +27,6 @@ use crate::contribution::ContributionGraph;
 use crate::maxflow::{self, Method};
 use crate::network::FlowNetwork;
 use bartercast_util::units::{Bytes, PeerId};
-use bartercast_util::FxHashMap;
 
 /// The two directed Equation-1 flows of one `(evaluator, target)`
 /// pair, from the evaluator `i`'s point of view: `toward` is
@@ -67,9 +66,9 @@ pub struct FlowKernel {
     /// The residual network of `Bounded(k ≥ 3)` and `Dinic`; never
     /// built for the closed-form bounds.
     net: VersionedNet,
-    /// `c(s, m)` per out-neighbour `m` of the current point query's
-    /// source, reused query to query.
-    middles: FxHashMap<PeerId, Bytes>,
+    /// `c(s, m)` at dense index `m` during a two-hop point query, and
+    /// zero everywhere outside one, so it is reused query to query.
+    scratch: Vec<u64>,
 }
 
 impl FlowKernel {
@@ -78,7 +77,7 @@ impl FlowKernel {
         FlowKernel {
             method,
             net: VersionedNet::default(),
-            middles: FxHashMap::default(),
+            scratch: Vec::new(),
         }
     }
 
@@ -111,6 +110,12 @@ impl FlowKernel {
     /// `min(c(s, m), c(m, t))` over every middle `m` — the out-neighbours
     /// of `s` that are in-neighbours of `t`. Neither adjacency lists a
     /// self-loop, so no middle is `s` or `t`.
+    ///
+    /// The two-hop join runs on dense indices: the scratch takes `c(s,
+    /// m)` at each out-neighbour `m` and `u64::MAX` at `s` itself, so
+    /// one `min` per in-slot of `t` yields the middle's share, the
+    /// direct edge, or zero for a non-neighbour; the slots written are
+    /// then zeroed again.
     fn closed_form(
         &mut self,
         graph: &ContributionGraph,
@@ -124,15 +129,24 @@ impl FlowKernel {
         if hops == 1 {
             return graph.edge(s, t);
         }
-        self.middles.clear();
-        self.middles.extend(graph.out_edges(s));
+        let (Some(s), Some(t)) = (graph.node(s), graph.node(t)) else {
+            return Bytes::ZERO;
+        };
+        if self.scratch.len() < graph.node_count() {
+            self.scratch.resize(graph.node_count(), 0);
+        }
+        let out = graph.out_slots(s);
+        self.scratch[s as usize] = u64::MAX;
+        for e in out {
+            self.scratch[e.other as usize] = e.weight;
+        }
         let mut flow = Bytes::ZERO;
-        for (m, c_mt) in graph.in_edges(t) {
-            if m == s {
-                flow += c_mt;
-            } else if let Some(&c_sm) = self.middles.get(&m) {
-                flow += c_sm.min(c_mt);
-            }
+        for e in graph.in_slots(t) {
+            flow += Bytes(self.scratch[e.other as usize].min(e.weight));
+        }
+        self.scratch[s as usize] = 0;
+        for e in out {
+            self.scratch[e.other as usize] = 0;
         }
         flow
     }
@@ -142,6 +156,7 @@ impl FlowKernel {
 mod tests {
     use super::*;
     use crate::ssat;
+    use bartercast_util::FxHashMap;
 
     fn p(i: u32) -> PeerId {
         PeerId(i)
@@ -171,7 +186,8 @@ mod tests {
     }
 
     /// The closed-form bounds answer point queries from the endpoints'
-    /// adjacency alone: the residual network is never built.
+    /// adjacency alone: the residual network is never built, and the
+    /// join's scratch is all zero again after every query.
     #[test]
     fn closed_form_point_queries_never_build_the_network() {
         let mut g = chain();
@@ -184,6 +200,7 @@ mod tests {
                 for t in 0..4 {
                     let want = maxflow::compute(&g, p(s), p(t), Method::Bounded(k));
                     assert_eq!(b.flow(&g, p(s), p(t)), want, "k={k}: {s} -> {t}");
+                    assert!(b.scratch.iter().all(|&w| w == 0), "k={k}: {s} -> {t}");
                 }
             }
             assert!(b.net.net.is_none(), "k={k} built a residual network");

@@ -10,8 +10,9 @@
 //! one forward (out-edges), one reverse (in-edges). Every flow kernel
 //! that walks `out_edges`/`in_edges` — the SSAT closed form and
 //! network construction — therefore scans contiguous slots instead of
-//! chasing hash buckets; the hash map here only interns peer ids to
-//! dense indices once per node.
+//! chasing hash buckets. Peer ids map to dense indices through a
+//! [`PeerIndex`], which resolves the small ids real peers carry by one
+//! table read and hashes only the rest.
 //!
 //! Every effective mutation bumps [`ContributionGraph::version`], the
 //! graph's one change signal. It does not record which nodes moved: a
@@ -19,9 +20,111 @@
 //! for the per-pair methods, their residual network) drops it whole
 //! when the version moves.
 
-use crate::csr::AdjArena;
+use crate::csr::{AdjArena, EdgeSlot};
 use bartercast_util::units::{Bytes, PeerId};
 use bartercast_util::{FxHashMap, FxHashSet};
+
+/// Slots per page of [`PeerIndex`]'s direct table.
+const PAGE: usize = 256;
+
+/// A direct-table slot that holds no index.
+const VACANT: u32 = u32::MAX;
+
+/// Peer id → dense index, assigned in first-sighting order.
+///
+/// An id below [`PeerIndex::direct_bound`] when it is first interned
+/// goes into a direct table, read without hashing; every other id goes
+/// into a hash map. Neither tier ever hands an id to the other, so a
+/// lookup reads the table and, on a miss, the map. The table is held in
+/// pages of 256 slots, each allocated the first time an id lands in it,
+/// so it never reallocates a large block. The bound grows with the ids
+/// interned, so the pages never exceed `direct_bound() / 256 + 1`:
+/// about 32 B per interned id, whatever ids a hostile peer gossips.
+///
+/// ```
+/// use bartercast_graph::contribution::PeerIndex;
+/// use bartercast_util::units::PeerId;
+///
+/// let mut index = PeerIndex::default();
+/// assert_eq!(index.intern(PeerId(7)), (0, true));
+/// assert_eq!(index.intern(PeerId(u32::MAX)), (1, true)); // hashed
+/// assert_eq!(index.intern(PeerId(7)), (0, false));
+/// assert_eq!(index.get(PeerId(u32::MAX)), Some(1));
+/// assert_eq!(index.peer(1), PeerId(u32::MAX));
+/// assert_eq!(index.table_pages(), 1);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct PeerIndex {
+    /// Direct table: id `x` sits at `pages[x / 256][x % 256]`, or is
+    /// `VACANT` there.
+    pages: Vec<Option<Box<[u32; PAGE]>>>,
+    /// Ids at or above the direct bound when first interned.
+    far: FxHashMap<PeerId, u32>,
+    /// Dense index → peer id.
+    ids: Vec<PeerId>,
+}
+
+impl PeerIndex {
+    /// Ids below this bound go into the direct table when interned: a
+    /// fixed multiple of the interned count, plus slack for the first
+    /// ids.
+    pub fn direct_bound(&self) -> u64 {
+        8 * self.ids.len() as u64 + 1024
+    }
+
+    /// The dense index of `id`, if interned.
+    #[inline]
+    pub fn get(&self, id: PeerId) -> Option<u32> {
+        if let Some(Some(page)) = self.pages.get(id.0 as usize / PAGE) {
+            let i = page[id.0 as usize % PAGE];
+            if i != VACANT {
+                return Some(i);
+            }
+        }
+        if self.far.is_empty() {
+            return None;
+        }
+        self.far.get(&id).copied()
+    }
+
+    /// The dense index of `id`, interning it as the next index on first
+    /// sighting; the flag says whether it was new.
+    #[inline]
+    pub fn intern(&mut self, id: PeerId) -> (u32, bool) {
+        if let Some(i) = self.get(id) {
+            return (i, false);
+        }
+        let i = u32::try_from(self.ids.len()).expect("node index exceeds u32");
+        if u64::from(id.0) < self.direct_bound() {
+            let p = id.0 as usize / PAGE;
+            if p >= self.pages.len() {
+                self.pages.resize_with(p + 1, || None);
+            }
+            let page = self.pages[p].get_or_insert_with(|| Box::new([VACANT; PAGE]));
+            page[id.0 as usize % PAGE] = i;
+        } else {
+            self.far.insert(id, i);
+        }
+        self.ids.push(id);
+        (i, true)
+    }
+
+    /// The peer id of dense index `i`.
+    #[inline]
+    pub fn peer(&self, i: u32) -> PeerId {
+        self.ids[i as usize]
+    }
+
+    /// Every interned id, in dense-index order.
+    pub fn ids(&self) -> &[PeerId] {
+        &self.ids
+    }
+
+    /// Pages of the direct table allocated so far.
+    pub fn table_pages(&self) -> usize {
+        self.pages.iter().flatten().count()
+    }
+}
 
 /// A directed graph of aggregated byte transfers between peers.
 ///
@@ -44,10 +147,8 @@ use bartercast_util::{FxHashMap, FxHashSet};
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ContributionGraph {
-    /// Peer id → dense node index, assigned on first sighting.
-    index: FxHashMap<PeerId, u32>,
-    /// Dense node index → peer id.
-    ids: Vec<PeerId>,
+    /// Peer id ↔ dense node index, assigned on first sighting.
+    index: PeerIndex,
     /// Out-adjacency: `fwd.slice(u)` holds `(target, weight)` slots.
     fwd: AdjArena,
     /// In-adjacency mirror: `rev.slice(u)` holds `(source, weight)`.
@@ -70,14 +171,12 @@ impl ContributionGraph {
 
     /// Dense index of `id`, interning it on first sighting.
     fn intern(&mut self, id: PeerId) -> u32 {
-        if let Some(&i) = self.index.get(&id) {
-            return i;
+        let (i, new) = self.index.intern(id);
+        if new {
+            let f = self.fwd.add_node();
+            let r = self.rev.add_node();
+            debug_assert_eq!((f, r), (i, i));
         }
-        let i = self.fwd.add_node();
-        let r = self.rev.add_node();
-        debug_assert_eq!(i, r);
-        self.ids.push(id);
-        self.index.insert(id, i);
         i
     }
 
@@ -133,7 +232,7 @@ impl ContributionGraph {
 
     /// The aggregated bytes `from` has uploaded to `to` (zero if no edge).
     pub fn edge(&self, from: PeerId, to: PeerId) -> Bytes {
-        let (Some(&f), Some(&t)) = (self.index.get(&from), self.index.get(&to)) else {
+        let (Some(f), Some(t)) = (self.index.get(from), self.index.get(to)) else {
             return Bytes::ZERO;
         };
         Bytes(self.fwd.weight(f, t).unwrap_or(0))
@@ -142,23 +241,38 @@ impl ContributionGraph {
     /// Outgoing edges of `node` as `(target, bytes)`, in first-recorded
     /// order (deterministic — no hash-map iteration anywhere beneath).
     pub fn out_edges(&self, node: PeerId) -> impl Iterator<Item = (PeerId, Bytes)> + '_ {
-        self.index.get(&node).into_iter().flat_map(move |&u| {
-            self.fwd
-                .slice(u)
-                .iter()
-                .map(|e| (self.ids[e.other as usize], Bytes(e.weight)))
-        })
+        self.named(self.index.get(node).map_or(&[], |u| self.fwd.slice(u)))
     }
 
     /// Incoming edges of `node` as `(source, bytes)`, in first-recorded
     /// order.
     pub fn in_edges(&self, node: PeerId) -> impl Iterator<Item = (PeerId, Bytes)> + '_ {
-        self.index.get(&node).into_iter().flat_map(move |&u| {
-            self.rev
-                .slice(u)
-                .iter()
-                .map(|e| (self.ids[e.other as usize], Bytes(e.weight)))
-        })
+        self.named(self.index.get(node).map_or(&[], |u| self.rev.slice(u)))
+    }
+
+    /// `slots` as `(peer, bytes)`.
+    fn named<'a>(&'a self, slots: &'a [EdgeSlot]) -> impl Iterator<Item = (PeerId, Bytes)> + 'a {
+        slots
+            .iter()
+            .map(|e| (self.index.peer(e.other), Bytes(e.weight)))
+    }
+
+    /// The dense index of `node`, if it is in the graph.
+    #[inline]
+    pub(crate) fn node(&self, node: PeerId) -> Option<u32> {
+        self.index.get(node)
+    }
+
+    /// Out-adjacency slots of dense node `u`, in first-recorded order.
+    #[inline]
+    pub(crate) fn out_slots(&self, u: u32) -> &[EdgeSlot] {
+        self.fwd.slice(u)
+    }
+
+    /// In-adjacency slots of dense node `u`, in first-recorded order.
+    #[inline]
+    pub(crate) fn in_slots(&self, u: u32) -> &[EdgeSlot] {
+        self.rev.slice(u)
     }
 
     /// Total bytes `node` has uploaded (sum of out-edge weights).
@@ -173,12 +287,12 @@ impl ContributionGraph {
 
     /// Every node that appears as an endpoint of some edge.
     pub fn nodes(&self) -> FxHashSet<PeerId> {
-        self.ids.iter().copied().collect()
+        self.index.ids().iter().copied().collect()
     }
 
     /// Number of distinct nodes.
     pub fn node_count(&self) -> usize {
-        self.ids.len()
+        self.index.ids().len()
     }
 
     /// Number of directed edges with nonzero weight.
@@ -189,14 +303,10 @@ impl ContributionGraph {
     /// All edges as `(from, to, bytes)` triples, grouped by source in
     /// dense-node order (deterministic).
     pub fn edges(&self) -> impl Iterator<Item = (PeerId, PeerId, Bytes)> + '_ {
-        (0..self.ids.len() as u32).flat_map(move |u| {
-            self.fwd.slice(u).iter().map(move |e| {
-                (
-                    self.ids[u as usize],
-                    self.ids[e.other as usize],
-                    Bytes(e.weight),
-                )
-            })
+        let ids = self.index.ids();
+        (0..ids.len() as u32).flat_map(move |u| {
+            self.named(self.fwd.slice(u))
+                .map(move |(t, b)| (ids[u as usize], t, b))
         })
     }
 
@@ -208,19 +318,20 @@ impl ContributionGraph {
             .check()
             .map_err(|e| format!("out-adjacency: {e}"))?;
         self.rev.check().map_err(|e| format!("in-adjacency: {e}"))?;
-        if self.fwd.node_count() != self.ids.len() || self.rev.node_count() != self.ids.len() {
+        let ids = self.index.ids();
+        if self.fwd.node_count() != ids.len() || self.rev.node_count() != ids.len() {
             return Err(format!(
                 "arena node counts {}/{} != interned {}",
                 self.fwd.node_count(),
                 self.rev.node_count(),
-                self.ids.len()
+                ids.len()
             ));
         }
         let mut forward = 0usize;
-        for u in 0..self.ids.len() as u32 {
-            let f = self.ids[u as usize];
+        for u in 0..ids.len() as u32 {
+            let f = ids[u as usize];
             for e in self.fwd.slice(u) {
-                let t = self.ids[e.other as usize];
+                let t = ids[e.other as usize];
                 if e.weight == 0 {
                     return Err(format!("zero-weight edge {f}->{t}"));
                 }

@@ -3,14 +3,14 @@
 //! The maxflow algorithms operate on a compact arc-list representation:
 //! arcs are stored in pairs so that arc `a` and arc `a ^ 1` are each
 //! other's residual, the classic adjacency-list flow-network layout.
-//! Node ids are remapped to dense indices so the inner loops are pure
-//! array arithmetic (no hashing), and per-node arc lists live in one
+//! Node ids are remapped to dense indices (through the same
+//! [`PeerIndex`] the contribution graph uses) so the inner loops are
+//! pure array arithmetic (no hashing), and per-node arc lists live in one
 //! flat CSR array (`adj_off`/`adj_arcs`) instead of a `Vec` per node:
 //! a whole Dinic level sweep walks two contiguous allocations.
 
-use crate::contribution::ContributionGraph;
+use crate::contribution::{ContributionGraph, PeerIndex};
 use bartercast_util::units::{Bytes, PeerId};
-use bartercast_util::FxHashMap;
 
 /// One directed arc in the residual network.
 #[derive(Debug, Clone, Copy)]
@@ -36,8 +36,7 @@ pub struct FlowNetwork {
     /// order (the order the old per-node `Vec`s produced).
     adj_off: Vec<u32>,
     adj_arcs: Vec<u32>,
-    index: FxHashMap<PeerId, u32>,
-    ids: Vec<PeerId>,
+    index: PeerIndex,
 }
 
 impl FlowNetwork {
@@ -55,15 +54,14 @@ impl FlowNetwork {
             original_caps: Vec::new(),
             adj_off: Vec::new(),
             adj_arcs: Vec::new(),
-            index: FxHashMap::default(),
-            ids: Vec::new(),
+            index: PeerIndex::default(),
         };
         // First pass: intern endpoints and lay down the arc pairs; the
         // dense tail of each arc is recoverable from its residual twin
         // (`arcs[a ^ 1].to`), so no separate tail array is needed.
         for (f, t, b) in edges {
-            let fi = net.intern(f);
-            let ti = net.intern(t);
+            let fi = net.index.intern(f).0;
+            let ti = net.index.intern(t).0;
             net.arcs.push(Arc { to: ti, cap: b.0 });
             net.arcs.push(Arc { to: fi, cap: 0 });
             net.original_caps.push(b.0);
@@ -75,7 +73,7 @@ impl FlowNetwork {
         // increasing-arc-index order the old per-node `Vec` pushes
         // produced, which fixes the augmentation order of every
         // order-sensitive algorithm (bounded `k ≥ 3`, Ford–Fulkerson).
-        let n = net.ids.len();
+        let n = net.index.ids().len();
         let mut degree = vec![0u32; n + 1];
         for ai in 0..net.arcs.len() {
             degree[net.arcs[ai ^ 1].to as usize + 1] += 1;
@@ -94,16 +92,6 @@ impl FlowNetwork {
         net
     }
 
-    fn intern(&mut self, id: PeerId) -> u32 {
-        if let Some(&i) = self.index.get(&id) {
-            return i;
-        }
-        let i = self.ids.len() as u32;
-        self.ids.push(id);
-        self.index.insert(id, i);
-        i
-    }
-
     /// The arc indices incident to `node` (forward arcs and residual
     /// twins), in increasing arc-index order.
     #[inline]
@@ -114,7 +102,7 @@ impl FlowNetwork {
 
     /// Number of nodes in the network.
     pub fn node_count(&self) -> usize {
-        self.ids.len()
+        self.index.ids().len()
     }
 
     /// Number of forward arcs (residual twins not counted).
@@ -125,13 +113,13 @@ impl FlowNetwork {
 
     /// Dense index of a peer, if it appears in this network.
     pub fn node(&self, id: PeerId) -> Option<u32> {
-        self.index.get(&id).copied()
+        self.index.get(id)
     }
 
     /// Peer id of a dense index.
     #[cfg(test)]
     pub fn peer(&self, node: u32) -> PeerId {
-        self.ids[node as usize]
+        self.index.peer(node)
     }
 
     /// Restore all arcs to their original capacities (undo any flow).

@@ -20,9 +20,15 @@
 //! * the CSR-backed `ContributionGraph` is observationally equivalent
 //!   to a map of insertion-ordered adjacency lists under random
 //!   interleaved `add_transfer` / `merge_record` sequences, edge order
-//!   and version included.
+//!   and version included;
+//! * the paged `PeerIndex` behind it interns exactly as a plain hash
+//!   map would, under any interleaving of dense ids, ids far past the
+//!   table's bound and one id per table page, and never allocates more
+//!   pages than its bound allows;
+//! * the dense two-hop closed form equals `Bounded(0 | 1 | 2)` maxflow
+//!   on such ids with weights up to `u64::MAX`.
 
-use bartercast_graph::contribution::ContributionGraph;
+use bartercast_graph::contribution::{ContributionGraph, PeerIndex};
 use bartercast_graph::maxflow::{self, Method};
 use bartercast_graph::mincut;
 use bartercast_graph::network::FlowNetwork;
@@ -432,4 +438,217 @@ proptest! {
             prop_assert_eq!(g.total_down(PeerId(f)).0, expect_in.iter().map(|&(_, w)| w).sum::<u64>());
         }
     }
+}
+
+/// Peer ids that take every path through [`PeerIndex`]: small dense
+/// ids, ids past any bound it reaches here (`2^31`, `u32::MAX`), and
+/// one id per table page, which land in the table or the hash map
+/// depending on how many ids came before them.
+fn mixed_id() -> impl Strategy<Value = u32> {
+    (0u32..7 * 48).prop_map(|r| match r / 48 {
+        0..=3 => r % 24,
+        4 => [1 << 31, u32::MAX - 1, u32::MAX][r as usize % 3],
+        _ => (r % 48) * 256 + 255,
+    })
+}
+
+/// Every id [`mixed_id`] can draw, plus two no graph ever sees.
+fn id_universe() -> Vec<PeerId> {
+    (0u32..24)
+        .chain([1 << 31, u32::MAX - 1, u32::MAX, 5_000, u32::MAX - 2])
+        .chain((0u32..48).map(|page| page * 256 + 255))
+        .map(PeerId)
+        .collect()
+}
+
+/// Edge weights small enough to add up and close enough to `u64::MAX`
+/// that sums saturate.
+fn weight() -> impl Strategy<Value = u64> {
+    (0u8..4, 0u64..200).prop_map(|(pick, w)| match pick {
+        0 => u64::MAX - w / 2,
+        _ => w + 1,
+    })
+}
+
+/// `ContributionGraph` as it behaves when peer ids are interned
+/// through a plain `FxHashMap`: dense indices in first-sighting order
+/// and insertion-ordered adjacency lists.
+#[derive(Default)]
+struct HashInterned {
+    index: FxHashMap<PeerId, u32>,
+    ids: Vec<PeerId>,
+    out: Vec<Vec<(u32, u64)>>,
+    inc: Vec<Vec<(u32, u64)>>,
+}
+
+impl HashInterned {
+    fn intern(&mut self, id: PeerId) -> u32 {
+        if let Some(&i) = self.index.get(&id) {
+            return i;
+        }
+        let i = self.ids.len() as u32;
+        self.index.insert(id, i);
+        self.ids.push(id);
+        self.out.push(Vec::new());
+        self.inc.push(Vec::new());
+        i
+    }
+
+    /// Set `from → to` to `weight(stored)` unless it says `None`.
+    fn write(&mut self, from: PeerId, to: PeerId, weight: impl FnOnce(u64) -> Option<u64>) {
+        let (f, t) = (self.intern(from), self.intern(to));
+        let at = self.out[f as usize].iter().position(|&(k, _)| k == t);
+        let Some(w) = weight(at.map_or(0, |at| self.out[f as usize][at].1)) else {
+            return;
+        };
+        for (list, key) in [
+            (&mut self.out[f as usize], t),
+            (&mut self.inc[t as usize], f),
+        ] {
+            match list.iter_mut().find(|(k, _)| *k == key) {
+                Some(slot) => slot.1 = w,
+                None => list.push((key, w)),
+            }
+        }
+    }
+
+    fn named(&self, list: &[(u32, u64)]) -> Vec<(PeerId, Bytes)> {
+        list.iter()
+            .map(|&(k, w)| (self.ids[k as usize], Bytes(w)))
+            .collect()
+    }
+
+    fn adjacency(&self, lists: &[Vec<(u32, u64)>], id: PeerId) -> Vec<(PeerId, Bytes)> {
+        self.index
+            .get(&id)
+            .map_or_else(Vec::new, |&u| self.named(&lists[u as usize]))
+    }
+
+    fn edges(&self) -> Vec<(PeerId, PeerId, Bytes)> {
+        (0..self.ids.len())
+            .flat_map(|u| {
+                self.named(&self.out[u])
+                    .into_iter()
+                    .map(move |(t, b)| (self.ids[u], t, b))
+            })
+            .collect()
+    }
+}
+
+/// Whether the direct table of `index` holds at most
+/// `direct_bound() / 256 + 1` pages.
+fn table_is_bounded(index: &PeerIndex) -> bool {
+    index.table_pages() as u64 <= index.direct_bound() / 256 + 1
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Interning through the paged, bounded `PeerIndex` is invisible:
+    /// under any interleaving of dense, far and one-per-page ids the
+    /// graph's edges, adjacency, point reads, node count and
+    /// insertion order equal those of a graph that interns through a
+    /// plain hash map, and a bare `PeerIndex` fed the same ids hands
+    /// out the same dense indices while its table stays in bound.
+    #[test]
+    fn peer_index_matches_hash_interning(
+        ops in prop::collection::vec((mixed_id(), mixed_id(), weight(), prop::bool::ANY), 1..300),
+    ) {
+        let mut g = ContributionGraph::new();
+        let mut model = HashInterned::default();
+        let mut index = PeerIndex::default();
+        for &(f, t, w, merge) in &ops {
+            let (f, t) = (PeerId(f), PeerId(t));
+            if merge {
+                g.merge_record(f, t, Bytes(w));
+            } else {
+                g.add_transfer(f, t, Bytes(w));
+            }
+            if f == t {
+                continue;
+            }
+            model.write(f, t, |stored| {
+                if merge {
+                    (w > stored).then_some(w)
+                } else {
+                    Some(stored.saturating_add(w))
+                }
+            });
+            for id in [f, t] {
+                prop_assert_eq!(index.intern(id).0, model.index[&id], "index of {}", id);
+                prop_assert!(table_is_bounded(&index), "{} pages for {} ids", index.table_pages(), index.ids().len());
+            }
+        }
+        g.check_invariants().unwrap();
+        prop_assert_eq!(g.node_count(), model.ids.len());
+        prop_assert_eq!(index.ids(), &model.ids[..]);
+        prop_assert_eq!(g.edges().collect::<Vec<_>>(), model.edges());
+        let universe = id_universe();
+        for &a in &universe {
+            prop_assert_eq!(index.get(a), model.index.get(&a).copied(), "get({})", a);
+            prop_assert_eq!(g.out_edges(a).collect::<Vec<_>>(), model.adjacency(&model.out, a), "out_edges({})", a);
+            prop_assert_eq!(g.in_edges(a).collect::<Vec<_>>(), model.adjacency(&model.inc, a), "in_edges({})", a);
+            for &b in &universe {
+                let expect = model.adjacency(&model.out, a).into_iter().find(|&(k, _)| k == b);
+                prop_assert_eq!(g.edge(a, b), expect.map_or(Bytes::ZERO, |(_, w)| w), "edge({}, {})", a, b);
+            }
+        }
+    }
+
+    /// The dense closed form joins on the indices the paged index
+    /// hands out, wherever the ids landed: it equals bounded maxflow
+    /// for `k ∈ {0, 1, 2}` with weights near `u64::MAX`, where the
+    /// sum saturates. One kernel answers every query, so a scratch
+    /// slot left set by one query would read as flow in the next.
+    #[test]
+    fn dense_closed_form_is_the_bounded_maxflow_on_any_ids(
+        edges in prop::collection::vec((mixed_id(), mixed_id(), weight()), 0..40),
+        queries in prop::collection::vec((mixed_id(), mixed_id()), 1..40),
+    ) {
+        let mut g = ContributionGraph::new();
+        for &(f, t, w) in &edges {
+            g.add_transfer(PeerId(f), PeerId(t), Bytes(w));
+        }
+        let mut net = FlowNetwork::from_graph(&g);
+        for k in 0..=2 {
+            let method = Method::Bounded(k);
+            let mut kernel = FlowKernel::new(method);
+            for &(s, t) in &queries {
+                let (s, t) = (PeerId(s), PeerId(t));
+                prop_assert_eq!(kernel.flow(&g, s, t), maxflow::compute_on(&mut net, s, t, method), "{} -> {} k={}", s, t, k);
+            }
+        }
+    }
+}
+
+/// A hostile peer can only steer which tier an id lands in, not what
+/// the table costs: ids one per page, each as far out as the bound
+/// lets it land, interleaved with ids no table could hold, leave at
+/// most `direct_bound() / 256 + 1` pages (about 32 B per id).
+#[test]
+fn hostile_ids_cost_a_bounded_table() {
+    let mut index = PeerIndex::default();
+    for n in 0..20_000u32 {
+        let edge = index.direct_bound() as u32 - 1;
+        for id in [edge, u32::MAX - n, n * 256] {
+            index.intern(PeerId(id));
+            assert!(
+                table_is_bounded(&index),
+                "{} pages for {} ids",
+                index.table_pages(),
+                index.ids().len()
+            );
+        }
+    }
+    let table_bytes = index.table_pages() * 256 * 4;
+    assert!(
+        table_bytes <= 32 * index.ids().len() + 5 * 1024,
+        "{table_bytes} B"
+    );
+    // an id stays in the tier it was first interned in, even once
+    // the table reaches its page
+    for (i, &id) in index.ids().iter().enumerate() {
+        assert_eq!(index.get(id), Some(i as u32), "{id}");
+    }
+    assert_eq!(index.get(PeerId(20_000 * 256)), None);
 }

@@ -345,8 +345,13 @@ impl SwarmWorkload {
     /// The live engine's view of `peers`, as the choke policies
     /// consume it: Equation-1 reputations (all from one single-source
     /// sweep), plus the subjective graph's lifetime transfer totals
-    /// under the ratio policy, the only one that reads them.
+    /// under the ratio policy, the only one that reads them. Under
+    /// `none`, which reads no score, nothing is swept and every peer
+    /// scores [`PeerScore::NEUTRAL`].
     fn peer_scores(&self, state: &mut PeerState, peers: &[PeerId]) -> BTreeMap<PeerId, PeerScore> {
+        if self.params.policy == SwarmPolicy::Reputation(ReputationPolicy::None) {
+            return BTreeMap::new();
+        }
         let reputations = state.reputations(peers);
         let graph = state.engine.graph();
         let reads_totals = matches!(self.params.policy, SwarmPolicy::Ratio(_));
@@ -473,8 +478,6 @@ impl SwarmWorkload {
                     rate_from_me: v.sent_window,
                 })
                 .collect();
-            let peers: Vec<PeerId> = candidates.iter().map(|c| c.peer).collect();
-            let graph_totals = self.peer_scores(state, &peers);
             let role = if self.have.is_complete() {
                 Role::Seeder
             } else {
@@ -489,13 +492,17 @@ impl SwarmWorkload {
             // fall back to §4.1 round-robin. The ratio policy keeps
             // applying at both roles: its signal (gossip-derived
             // global up/down totals) does not depend on flows toward
-            // the evaluator.
-            let policy: &dyn ChokePolicy = match (&role, &self.params.policy) {
-                (Role::Seeder, SwarmPolicy::Reputation(_)) => &ReputationPolicy::None,
-                _ => self.params.policy.as_dyn(),
+            // the evaluator. Round-robin reads no score, so a seeder
+            // under rank or ban sweeps no reputation.
+            let peers: Vec<PeerId> = candidates.iter().map(|c| c.peer).collect();
+            let (policy, scores): (&dyn ChokePolicy, _) = match (&role, &self.params.policy) {
+                (Role::Seeder, SwarmPolicy::Reputation(_)) => {
+                    (&ReputationPolicy::None, BTreeMap::new())
+                }
+                _ => (self.params.policy.as_dyn(), self.peer_scores(state, &peers)),
             };
             self.choker.unchoke(role, &candidates, policy, |q| {
-                graph_totals.get(&q).copied().unwrap_or(PeerScore::NEUTRAL)
+                scores.get(&q).copied().unwrap_or(PeerScore::NEUTRAL)
             })
         };
         for (&peer, view) in self.peers.iter_mut() {
@@ -1083,6 +1090,40 @@ mod tests {
         let piece = duplicated[0];
         let after_dup = t.frame(a, SwarmFrame::Piece { piece, size });
         assert!(after_dup.contains(&(b, SwarmFrame::Cancel { piece })));
+    }
+
+    /// A complete node under rank chokes round-robin, which reads no
+    /// reputation, so its choke round sweeps none; a leecher's round
+    /// under the same policy does.
+    #[test]
+    fn seeder_choke_round_under_rank_sweeps_no_reputation() {
+        let me = PeerId(0);
+        for (seeder, sweeps) in [(true, false), (false, true)] {
+            let mut p = params(seeder, PeerBehaviour::Cooperator);
+            p.policy = SwarmPolicy::Reputation(ReputationPolicy::Rank);
+            let mut w = SwarmWorkload::new(me, p, vec![], ledger());
+            let mut state = state_for(me);
+            let mut io = WorkloadIo::default();
+            // a leecher holding one piece still interests empty peers
+            w.have.set(0);
+            for q in (1..=4).map(PeerId) {
+                w.on_established(q, Seconds(0), &mut state, &mut io);
+            }
+            let before = state.engine.stats().misses;
+            let mut io = WorkloadIo::default();
+            w.on_choke_round(Seconds(1), &mut state, &mut io);
+            assert!(
+                io.frames
+                    .iter()
+                    .any(|(_, f)| matches!(f, SwarmFrame::Unchoke)),
+                "seeder={seeder}: no slot granted"
+            );
+            assert_eq!(
+                state.engine.stats().misses > before,
+                sweeps,
+                "seeder={seeder}"
+            );
+        }
     }
 
     /// Batched choke scoring decides what per-pair scoring decides: on

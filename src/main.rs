@@ -5,7 +5,7 @@
 //! bartercast trace stats <FILE>
 //! bartercast trace import <TRACKER_LOG> [--out FILE]
 //! bartercast sim run     [--trace FILE] [--policy none|rank|ban=-0.5] [--seed S]
-//!                        [--days D] [--audit]
+//!                        [--days D] [--audit] [--liars F]
 //! bartercast deploy      [--peers N] [--seed S]
 //! bartercast scale       [--peers N] [--seed S]
 //! ```
@@ -17,7 +17,7 @@
 use bartercast::core::policy::ReputationPolicy;
 use bartercast::deploy::{Community, CommunityConfig, Observer, ObserverConfig};
 use bartercast::sim::scale::{run_scale, ScaleConfig};
-use bartercast::sim::{SimConfig, Simulation, SlotKind};
+use bartercast::sim::{AdversaryModel, SimConfig, Simulation, SlotKind};
 use bartercast::trace::format::{parse_trace, write_trace};
 use bartercast::trace::{import_tracker_log, ImportConfig};
 use bartercast::trace::{SynthConfig, Trace, TraceBuilder};
@@ -101,6 +101,19 @@ fn parse_policy(text: &str) -> Result<ReputationPolicy, String> {
     }
 }
 
+/// Parse `--liars F`: the fraction F of peers that gossip the §5.4
+/// lie. Liars are drawn from the freeriders, who are half the peers,
+/// so F must lie in [0, 0.5]; NaN and ±inf are refused.
+fn parse_liars(text: &str) -> Result<AdversaryModel, String> {
+    let fraction: f64 = text
+        .parse()
+        .map_err(|_| format!("invalid liar fraction '{text}'"))?;
+    if !(0.0..=0.5).contains(&fraction) {
+        return Err(format!("liar fraction {fraction} is not in [0, 0.5]"));
+    }
+    Ok(AdversaryModel::default_lie(fraction))
+}
+
 fn usage() -> &'static str {
     "bartercast — BarterCast (IPDPS 2009) reproduction\n\
      \n\
@@ -109,7 +122,7 @@ fn usage() -> &'static str {
        bartercast trace stats <FILE>\n\
        bartercast trace import <TRACKER_LOG> [--out FILE]\n\
        bartercast sim run     [--trace FILE] [--policy none|rank|ban=-0.5] [--seed S]\n\
-                              [--days D] [--peers N] [--audit]\n\
+                              [--days D] [--peers N] [--audit] [--liars F]\n\
        bartercast deploy      [--peers N] [--seed S]\n\
        bartercast scale       [--peers N] [--seed S]\n\
      \n\
@@ -256,9 +269,14 @@ fn sim_run(args: &Args) -> Result<(), String> {
     };
     let seed: u64 = args.parse("--seed", 42)?;
     let policy = parse_policy(args.value("--policy").unwrap_or("none"))?;
+    let adversary = match args.value("--liars") {
+        Some(text) => parse_liars(text)?,
+        None => AdversaryModel::None,
+    };
     let config = SimConfig {
         seed,
         policy,
+        adversary,
         audit: args.flag("--audit"),
         ..Default::default()
     };
@@ -419,6 +437,20 @@ mod tests {
         assert!(parse_policy("ban=-0.999").is_ok());
         assert!(parse_policy("ban=x").is_err());
         assert!(parse_policy("tit-for-tat").is_err());
+    }
+
+    #[test]
+    fn liar_parsing() {
+        assert_eq!(
+            parse_liars("0.2").unwrap(),
+            AdversaryModel::default_lie(0.2)
+        );
+        for inside in ["0", "0.5"] {
+            assert!(parse_liars(inside).is_ok(), "{inside} refused");
+        }
+        for outside in ["NaN", "inf", "-inf", "-0.1", "0.51", "1", "x"] {
+            assert!(parse_liars(outside).is_err(), "{outside} accepted");
+        }
     }
 
     #[test]

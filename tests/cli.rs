@@ -108,3 +108,33 @@ fn ban_thresholds_outside_the_reputation_range_are_refused() {
         );
     }
 }
+
+/// `--liars F` puts liars in the run, so `--audit` has someone to find;
+/// a fraction outside [0, 0.5] is refused like a bad ban threshold.
+#[test]
+fn sim_run_meets_liars() {
+    let (stdout, _) = ok(&[
+        "sim", "run", "--audit", "--liars", "0.2", "--peers", "60", "--days", "2", "--seed", "3",
+    ]);
+    let audit = stdout
+        .lines()
+        .find(|l| l.starts_with("audit: "))
+        .unwrap_or_else(|| panic!("no audit line in:\n{stdout}"));
+    let liars: usize = audit
+        .split(" of ")
+        .nth(1)
+        .and_then(|rest| rest.split(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no liar count in {audit:?}"));
+    assert!(liars > 0, "{audit}");
+    for fraction in ["NaN", "inf", "0.6"] {
+        let args = [
+            "sim", "run", "--peers", "10", "--days", "1", "--liars", fraction,
+        ];
+        let out = bartercast(&args);
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}:\n{stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}:\n{stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}:\n{stderr}");
+    }
+}
