@@ -24,6 +24,7 @@
 //! engine: it holds per-swarm protocol state and pure decision logic,
 //! while `bartercast-sim` owns time, bandwidth and the network.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bitfield;

@@ -13,7 +13,7 @@
 //! version yields a typed error instead of a panic, since messages
 //! arrive from untrusted peers.
 //!
-//! For byte-stream transports (the node runtime's TCP sessions), the
+//! For byte-stream transports (the node runtime's sessions), the
 //! message body above travels inside a length-delimited frame:
 //!
 //! ```text

@@ -169,7 +169,7 @@ pub fn records_of(slice: &[SliceRecord]) -> Vec<TransferRecord> {
 ///    current, nothing moves.
 /// 2. Claim *ahead* of us (`count` or `max_ts` exceeds ours) → full
 ///    resync. The claim was stamped against a slice we no longer
-///    advertise (restart, prune); the watermark is meaningless.
+///    advertise (a restart); the watermark is meaningless.
 /// 3. Same `count` and `max_ts` but different checksum → full resync:
 ///    slice membership swapped without moving the watermark.
 /// 4. Otherwise → partial delta of every record with
@@ -184,7 +184,7 @@ pub fn records_of(slice: &[SliceRecord]) -> Vec<TransferRecord> {
 /// write clock, so a record that changed since carries
 /// `last_seen >= stamp.max_ts` and case 4 includes it. Records that
 /// *entered* the slice with older stamps (selection swaps at equal
-/// totals, e.g. after a prune) are the one blind spot of the watermark
+/// totals) are the one blind spot of the watermark
 /// — they flip `count`/`checksum` and land in cases 2–3, and the
 /// periodic full-sync fallback bounds any residual staleness.
 pub fn plan_sync(slice: &[SliceRecord], ours: Frontier, claim: Frontier) -> SyncPlan {

@@ -10,7 +10,7 @@
 //! liars (§3.4).
 
 use bartercast_util::units::{Bytes, PeerId, Seconds};
-use bartercast_util::{FxHashMap, FxHashSet};
+use bartercast_util::FxHashMap;
 use std::cmp::Reverse;
 
 /// Aggregated transfer totals with one remote peer.
@@ -253,43 +253,6 @@ impl PrivateHistory {
         self.entries.iter().map(|(&k, &v)| (k, v))
     }
 
-    /// Bound the table to `max_entries`: half the slots go to the
-    /// highest-volume entries and the rest to the most recently seen —
-    /// the same two criteria the §3.4 record selection uses, so
-    /// pruning keeps exactly the entries messages are built from.
-    /// Long-running peers need this to keep state sublinear in
-    /// everyone-they-ever-met. Returns how many entries were evicted.
-    pub fn prune(&mut self, max_entries: usize) -> usize {
-        if self.entries.len() <= max_entries {
-            return 0;
-        }
-        // keep the top half by transfer volume, then fill the rest by
-        // recency — the same two criteria the §3.4 selection uses
-        let volume_slots = max_entries / 2;
-        let mut by_volume: Vec<PeerId> = self.entries.keys().copied().collect();
-        by_volume.sort_by_key(|p| {
-            let e = &self.entries[p];
-            (std::cmp::Reverse(e.up + e.down), *p)
-        });
-        let mut keep: FxHashSet<PeerId> = by_volume.iter().take(volume_slots).copied().collect();
-        let mut by_recency: Vec<PeerId> = self.entries.keys().copied().collect();
-        by_recency.sort_by_key(|p| (std::cmp::Reverse(self.entries[p].last_seen), *p));
-        for p in by_recency {
-            if keep.len() >= max_entries {
-                break;
-            }
-            keep.insert(p);
-        }
-        let before = self.entries.len();
-        self.entries.retain(|p, _| keep.contains(p));
-        self.provenance.retain(|p, _| keep.contains(p));
-        self.version += 1;
-        if let Some(kept) = self.kept.take() {
-            self.keep_selection(kept.nh, kept.nr);
-        }
-        before - self.entries.len()
-    }
-
     /// The paper's record selection (§3.4): the `nh` peers with the
     /// highest upload **to** the owner, plus the `nr` peers most
     /// recently seen, deduplicated. Ordering among selected peers is
@@ -509,41 +472,6 @@ mod tests {
     }
 
     #[test]
-    fn prune_keeps_recent_and_heavy_entries() {
-        let mut h = PrivateHistory::new(p(0));
-        // heavy, old entry
-        h.record_download(p(1), Bytes::from_gb(5), Seconds(1));
-        // light, recent entry
-        h.touch(p(2), Seconds(1000));
-        // light, old entries — the eviction candidates
-        for i in 3..=10 {
-            h.record_download(p(i), Bytes::from_kb(1), Seconds(2));
-        }
-        let evicted = h.prune(4);
-        assert_eq!(evicted, 6);
-        assert_eq!(h.len(), 4);
-        assert!(h.get(p(1)).is_some(), "heavy uploader kept");
-        assert!(h.get(p(2)).is_some(), "recent contact kept");
-    }
-
-    #[test]
-    fn prune_is_noop_under_limit() {
-        let mut h = PrivateHistory::new(p(0));
-        h.record_download(p(1), Bytes::from_mb(1), Seconds(1));
-        assert_eq!(h.prune(10), 0);
-        assert_eq!(h.len(), 1);
-    }
-
-    #[test]
-    fn prune_to_zero_empties_table() {
-        let mut h = PrivateHistory::new(p(0));
-        h.record_download(p(1), Bytes::from_mb(1), Seconds(1));
-        h.record_download(p(2), Bytes::from_mb(2), Seconds(2));
-        assert_eq!(h.prune(0), 2);
-        assert!(h.is_empty());
-    }
-
-    #[test]
     fn version_advances_on_every_mutation() {
         let mut h = PrivateHistory::new(p(0));
         let v0 = h.version();
@@ -554,10 +482,7 @@ mod tests {
         let v2 = h.version();
         assert!(v2 > v1);
         h.touch(p(3), Seconds(3));
-        let v3 = h.version();
-        assert!(v3 > v2);
-        h.prune(1);
-        assert!(h.version() > v3);
+        assert!(h.version() > v2);
         // read-only calls leave it alone
         let frozen = h.version();
         let _ = h.select_peers(4, 4);
@@ -585,15 +510,15 @@ mod tests {
 
         /// The selection returns exactly what the two full sorts did,
         /// by the scan and from the kept lists, while `record_*`,
-        /// `touch`, `prune`, `keep_selection` and `select_peers`
-        /// interleave on one history. Few distinct `down` and
+        /// `touch`, `keep_selection` and `select_peers` interleave on
+        /// one history. Few distinct `down` and
         /// `last_seen` values, so the id tie-break decides most places,
         /// zero uploaders among them, and `nh`, `nr` at 0, 1, len − 1,
         /// len and past the end.
         #[test]
         fn selection_equals_the_full_sort(
             ops in prop::collection::vec(
-                (0u8..8, 1u32..48, 0u64..3, 0u64..4, 0usize..5, 0usize..5),
+                (0u8..7, 1u32..48, 0u64..3, 0u64..4, 0usize..5, 0usize..5),
                 0..60,
             ),
         ) {
@@ -610,9 +535,6 @@ mod tests {
                     3 => h.record_piece_download(peer, amount, seen),
                     4 => h.touch(peer, seen),
                     5 => {
-                        h.prune(nh + nr);
-                    }
-                    6 => {
                         h.keep_selection(nh, nr);
                         kept = Some((nh, nr));
                     }

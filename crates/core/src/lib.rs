@@ -25,13 +25,13 @@
 //!
 //! [`ContributionGraph`]: bartercast_graph::ContributionGraph
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod audit;
 pub mod codec;
 pub mod frontier;
 pub mod history;
-pub mod identity;
 pub mod message;
 pub mod metric;
 pub mod peer;

@@ -20,6 +20,7 @@
 //! month, collects their BarterCast messages, and computes Equation 1
 //! reputations over the resulting subjective graph.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod community;

@@ -14,6 +14,8 @@
 //!
 //! Writes `results/ablation.csv`.
 
+#![forbid(unsafe_code)]
+
 use bartercast_core::message::BarterCastConfig;
 use bartercast_core::metric::ReputationMetric;
 use bartercast_experiments::{output, Scale};

@@ -7,6 +7,8 @@
 //! Writes `results/fig1a_*.csv` / `results/fig1b_scatter.csv` and
 //! prints ASCII renderings of both panels.
 
+#![forbid(unsafe_code)]
+
 use bartercast_experiments::output;
 use bartercast_experiments::{fig1, Scale};
 use bartercast_util::plot::{line_plot, Series};

@@ -13,6 +13,8 @@
 //! final reputations, each group's share of bytes per uploader slot
 //! kind), then the `q1`, `median` and `q3` rows of each policy.
 
+#![forbid(unsafe_code)]
+
 use bartercast_experiments::output;
 use bartercast_experiments::{fig2, Scale};
 use bartercast_util::plot::{line_plot, Series};

@@ -7,6 +7,8 @@
 //! Writes `results/fig3a_*.csv` / `results/fig3b_*.csv` and prints
 //! ASCII renderings of speed versus disobeying fraction.
 
+#![forbid(unsafe_code)]
+
 use bartercast_experiments::output;
 use bartercast_experiments::{fig3, Scale};
 use bartercast_util::plot::{line_plot, Series};

@@ -7,6 +7,8 @@
 //! Writes `results/fig4a_contributions.csv` /
 //! `results/fig4b_reputation_cdf.csv` and prints ASCII renderings.
 
+#![forbid(unsafe_code)]
+
 use bartercast_deploy::{Community, CommunityConfig, Observer, ObserverConfig};
 use bartercast_experiments::output;
 use bartercast_experiments::{fig4, Scale};

@@ -11,6 +11,8 @@
 //! sharer-vs-freerider discrimination accuracy, and gossip volume.
 //! Writes `results/scale.csv`.
 
+#![forbid(unsafe_code)]
+
 use bartercast_experiments::{output, Scale};
 use bartercast_sim::scale::{run_scale, ScaleConfig};
 

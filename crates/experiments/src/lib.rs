@@ -12,6 +12,7 @@
 //! * [`Scale::Quick`] — a reduced setup with the same qualitative
 //!   behaviour, for smoke tests and benches.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fig1;

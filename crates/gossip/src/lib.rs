@@ -20,6 +20,7 @@
 //! discovery; the live node calls [`PssNode::sample_many`] on its
 //! exchange tick.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod pss;

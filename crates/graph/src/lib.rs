@@ -31,6 +31,7 @@
 //! * [`analysis`] — graph statistics, the §3.2 two-hop coverage
 //!   measure, and DOT export.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analysis;

@@ -1,10 +1,11 @@
 //! Time sources for the reactor.
 //!
 //! The reactor never calls `Instant::now()` directly — it asks its
-//! [`Clock`]. In production that is [`SystemClock`] (a thin wrapper
-//! over `Instant::now`), but the deterministic cluster driver installs
-//! a [`VirtualClock`] instead: a monotonically advancing offset over a
-//! fixed base instant that only moves when the driver says so. Every
+//! [`Clock`]. [`SystemClock`] (a thin wrapper over `Instant::now`)
+//! times [`MemTransport::new`](crate::mem::MemTransport::new)'s pipes,
+//! but the deterministic cluster driver installs a [`VirtualClock`]
+//! instead: a monotonically advancing offset over a fixed base instant
+//! that only moves when the driver says so. Every
 //! time-dependent decision in the runtime — exchange ticks, idle
 //! timeouts, dial backoff expiry, and the in-flight delay schedule of
 //! the [`MemTransport`](crate::mem::MemTransport) — then becomes a

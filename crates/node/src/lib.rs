@@ -6,14 +6,13 @@
 //! thread-per-session. The layering:
 //!
 //! * [`transport`] — the non-blocking [`Transport`]
-//!   abstraction (frame-out/readiness-in), the [`WakeQueue`] readiness
-//!   mechanism, the `poll(2)` shim, and the loopback TCP
-//!   implementation;
+//!   abstraction (frame-out/readiness-in) and the [`WakeQueue`]
+//!   readiness mechanism;
 //! * [`mem`] — the deterministic in-process transport with seeded
 //!   delay, frame loss, fragmented reads, and a waker-based readiness
 //!   model whose adversity schedule is poll-order independent;
 //! * [`clock`] — the [`Clock`] abstraction:
-//!   [`SystemClock`] for production,
+//!   [`SystemClock`] for wall-clock pipes,
 //!   [`VirtualClock`] for lockstep determinism;
 //! * [`timer`] — the ordered [`TimerWheel`](timer::TimerWheel) carrying
 //!   exchange ticks, session deadlines, and dial-backoff retries;
@@ -27,8 +26,7 @@
 //!   reactor on readiness instead of owning a thread;
 //! * [`reactor`] — the coordinator: one poll loop driving every
 //!   session, timer, accept, and dial of a node, and owning its peer
-//!   state; [`Reactor::run`] drives it on the caller's thread on the
-//!   wall clock;
+//!   state;
 //! * [`lockstep`] — the [`Lockstep`] driver: many reactors pumped on
 //!   one thread over one virtual clock, with spawn/retire churn;
 //! * [`cluster`] — the record-only population ([`Cluster`]'s seed
@@ -38,6 +36,7 @@
 //!   [`NodeStats`], including the split
 //!   `shed_accept`/`shed_session` overload accounting.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod clock;
@@ -58,6 +57,6 @@ pub use lockstep::Lockstep;
 pub use mem::{MemConfig, MemTransport};
 pub use reactor::{backoff_delay, NodeConfig, Reactor};
 pub use stats::{NodeCounters, NodeStats};
-pub use transport::{Conn, Listener, TcpTransport, Transport, WakeQueue};
+pub use transport::{Conn, Listener, Transport, WakeQueue};
 pub use wire::SwarmFrame;
 pub use workload::{Workload, WorkloadIo};

@@ -4,9 +4,8 @@
 //!
 //! [`MemTransport`] gives the node runtime a socket-free network:
 //! connections are pairs of FIFO byte pipes guarded by a mutex, so the
-//! *same* session code that drives TCP runs deterministically inside
-//! one process. Three adversities are injected, all from seeded
-//! per-connection RNGs:
+//! session code runs deterministically inside one process. Three
+//! adversities are injected, all from seeded per-connection RNGs:
 //!
 //! * **loss** — each sent frame is dropped whole with probability
 //!   `loss` (frame-aligned, so the stream never desynchronizes; a
@@ -41,7 +40,7 @@
 //! prove the reconnect machinery works.
 
 use crate::clock::{Clock, SystemClock};
-use crate::transport::{Conn, Listener, ReadySource, Transport, WakeQueue};
+use crate::transport::{Conn, Listener, Transport, WakeQueue};
 use bartercast_util::units::PeerId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -318,10 +317,6 @@ impl Listener for MemListener {
             queue.notify(token);
         }
     }
-
-    fn ready_source(&self) -> ReadySource {
-        ReadySource::Waker
-    }
 }
 
 struct MemConn {
@@ -428,10 +423,6 @@ impl Conn for MemConn {
         if pending {
             queue.notify(token);
         }
-    }
-
-    fn ready_source(&self) -> ReadySource {
-        ReadySource::Waker
     }
 }
 

@@ -9,7 +9,7 @@
 //!                │                 Reactor                  │
 //!                │                                          │
 //!   WakeQueue ──▶│ drain wakes ─▶ fire timers ─▶ accept ─▶  │
-//!   (or poll(2)) │                                          │
+//!                │                                          │
 //!                │  pump ready sessions ─▶ apply events ─▶  │
 //!                │                                          │
 //!                │  reap closed ─▶ sleep until next wake    │
@@ -20,21 +20,12 @@
 //!          / DialRetry               (crate::session)
 //! ```
 //!
-//! Readiness arrives one of two ways, chosen by the transport's
-//! [`ReadySource`]:
-//!
-//! * **Waker mode** ([`MemTransport`](crate::mem::MemTransport)) —
-//!   each connection is registered with the reactor's [`WakeQueue`]
-//!   under its session token; a peer's send notifies the token and the
-//!   reactor pumps exactly the woken sessions, in sorted-token order.
-//!   Together with the transport's split send/receive RNG streams this
-//!   makes the frame schedule a pure function of the seeds.
-//! * **Fd mode** ([`TcpTransport`](crate::transport::TcpTransport)) —
-//!   the reactor collects raw fds and blocks in `poll(2)` via
-//!   [`wait_readiness`], then pumps
-//!   every session (readiness fan-in without per-fd dispatch keeps the
-//!   loop simple; sessions that have nothing report no progress
-//!   cheaply).
+//! Readiness arrives one way: each connection is registered with the
+//! reactor's [`WakeQueue`] under its session token; a peer's send
+//! notifies the token and the reactor pumps exactly the woken sessions,
+//! in sorted-token order. Together with
+//! [`MemTransport`](crate::mem::MemTransport)'s split send/receive RNG
+//! streams this makes the frame schedule a pure function of the seeds.
 //!
 //! All time-driven behaviour — the periodic exchange, handshake/idle
 //! deadlines, dial-backoff retries — lives on the [`TimerWheel`], an
@@ -45,11 +36,11 @@
 //! same however many timers and sessions exist, and a driver pumping
 //! many reactors ([`Lockstep`](crate::Lockstep)) can skip the idle
 //! ones. A cycle likewise touches only what its own inputs name: it
-//! reaps exactly the sessions whose `Closed` events it produced, and in
-//! waker mode tries the listener only when [`LISTENER_TOKEN`] was woken
-//! (every queued connection notifies it; a full accept burst re-arms
-//! it). The reactor never sleeps except in its single wait point, and
-//! never blocks on I/O at all. Overload is shed at two distinct points:
+//! reaps exactly the sessions whose `Closed` events it produced, and
+//! tries the listener only when [`LISTENER_TOKEN`] was woken (every
+//! queued connection notifies it; a full accept burst re-arms it). The
+//! reactor never sleeps and never blocks on I/O; the driver decides
+//! when to poll it. Overload is shed at two distinct points:
 //! inbound connections beyond `max_sessions` are accepted and
 //! immediately dropped (`shed_accept` — the peer sees a reset rather
 //! than a SYN backlog), and exchange messages to a slow peer are
@@ -59,9 +50,7 @@ use crate::clock::Clock;
 use crate::session::{Direction, Session, SessionEvent, HANDSHAKE_TIMEOUT};
 use crate::stats::NodeCounters;
 use crate::timer::{TimerKind, TimerWheel};
-use crate::transport::{
-    wait_readiness, Conn, FdInterest, Listener, ReadySource, Transport, WakeQueue, LISTENER_TOKEN,
-};
+use crate::transport::{Conn, Listener, Transport, WakeQueue, LISTENER_TOKEN};
 use crate::wire::{self, Envelope};
 use crate::workload::{Workload, WorkloadIo};
 use bartercast_core::codec::BufPool;
@@ -75,7 +64,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::io;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -96,10 +84,6 @@ const ACCEPT_BURST: usize = 128;
 /// Timer granularity: deadline resolution of the timer set (DESIGN.md,
 /// "Node runtime").
 const TICK_GRANULARITY: Duration = Duration::from_millis(1);
-
-/// How long a graceful shutdown waits for sessions to drain and `Bye`
-/// before force-closing the stragglers (DESIGN.md, "Node runtime").
-const DRAIN_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Tunables for one node. The defaults are production-flavored
 /// (seconds-scale exchanges); tests and the cluster harness shrink the
@@ -221,8 +205,7 @@ impl DelayedFrames {
 }
 
 /// One node's entire runtime, as pollable state, owning its
-/// [`PeerState`]. [`Reactor::run`] drives it on the caller's thread on
-/// the wall clock; [`Lockstep`](crate::Lockstep) pumps several of them
+/// [`PeerState`]. [`Lockstep`](crate::Lockstep) pumps several of them
 /// on one thread over virtual time.
 pub struct Reactor {
     id: PeerId,
@@ -230,7 +213,7 @@ pub struct Reactor {
     listener: Box<dyn Listener>,
     clock: Arc<dyn Clock>,
     wake: Arc<WakeQueue>,
-    /// Sorted so waker-mode pump order is deterministic.
+    /// Sorted so pump order is deterministic.
     sessions: BTreeMap<u64, Session>,
     next_token: u64,
     /// Established sessions by remote peer — the exchange tick's
@@ -253,10 +236,6 @@ pub struct Reactor {
     full: Option<(Arc<[u8]>, u32, u64)>,
     counters: Arc<NodeCounters>,
     config: NodeConfig,
-    /// Waker mode: pump exactly the woken tokens. Fd mode: pump all.
-    targeted: bool,
-    draining: bool,
-    drain_deadline: Option<Instant>,
     /// The attached transfer workload, if any (see [`Workload`]).
     workload: Option<Box<dyn Workload>>,
     /// Choke-round period for the attached workload.
@@ -284,7 +263,7 @@ pub struct Reactor {
 
 impl Reactor {
     /// Bind the listener and assemble a reactor. Nothing runs until
-    /// [`Reactor::poll_once`] (or [`Reactor::run`]) is called; the
+    /// [`Reactor::poll_once`] is called; the
     /// first exchange tick is scheduled for "now", matching the old
     /// runtime's fire-immediately behaviour.
     pub fn new(
@@ -297,10 +276,7 @@ impl Reactor {
     ) -> io::Result<Reactor> {
         let mut listener = transport.listen(id)?;
         let wake = Arc::new(WakeQueue::new());
-        let targeted = matches!(listener.ready_source(), ReadySource::Waker);
-        if targeted {
-            listener.register_waker(&wake, LISTENER_TOKEN);
-        }
+        listener.register_waker(&wake, LISTENER_TOKEN);
         let now = clock.now();
         let mut wheel = TimerWheel::new(now, TICK_GRANULARITY);
         wheel.schedule(now, TimerKind::Exchange);
@@ -326,9 +302,6 @@ impl Reactor {
             full: None,
             counters: Arc::new(NodeCounters::default()),
             config,
-            targeted,
-            draining: false,
-            drain_deadline: None,
             workload: None,
             choke_interval: Duration::from_secs(10),
             boot: now,
@@ -388,7 +361,7 @@ impl Reactor {
             }
         }
         for peer in io.dials {
-            if peer != self.id && !self.by_peer.contains_key(&peer) && !self.draining {
+            if peer != self.id && !self.by_peer.contains_key(&peer) {
                 self.dial(peer, now);
             }
         }
@@ -416,15 +389,14 @@ impl Reactor {
     }
 
     /// The wake queue: the lockstep driver links it to its runnable
-    /// bitset, and another thread kicks it to interrupt
-    /// [`Reactor::wait`] (e.g. for shutdown).
+    /// bitset.
     pub fn wake_handle(&self) -> Arc<WakeQueue> {
         Arc::clone(&self.wake)
     }
 
     /// One full cycle: wakes → timers → delayed frames → accepts →
-    /// pumps → events → reaping. Returns whether any progress was made,
-    /// so callers know when to park in [`Reactor::wait`]. Time is read
+    /// pumps → events → reaping. Returns whether any progress was made.
+    /// Time is read
     /// from the clock exactly once, at entry — under a virtual clock
     /// the whole cycle is a pure function of (state, seeds, now).
     pub fn poll_once(&mut self) -> bool {
@@ -441,12 +413,10 @@ impl Reactor {
         for kind in self.wheel.pop_due(now) {
             match kind {
                 TimerKind::Exchange => {
-                    if !self.draining {
-                        self.wheel
-                            .schedule(now + self.config.exchange_interval, TimerKind::Exchange);
-                        self.exchange_tick(now);
-                        progress = true;
-                    }
+                    self.wheel
+                        .schedule(now + self.config.exchange_interval, TimerKind::Exchange);
+                    self.exchange_tick(now);
+                    progress = true;
                 }
                 TimerKind::SessionCheck { token } => {
                     if let Some(session) = self.sessions.get_mut(&token) {
@@ -459,13 +429,13 @@ impl Reactor {
                     }
                 }
                 TimerKind::DialRetry { peer } => {
-                    if !self.draining && !self.by_peer.contains_key(&peer) {
+                    if !self.by_peer.contains_key(&peer) {
                         self.dial(peer, now);
                         progress = true;
                     }
                 }
                 TimerKind::ChokeRound => {
-                    if !self.draining && self.workload.is_some() {
+                    if self.workload.is_some() {
                         self.wheel
                             .schedule(now + self.choke_interval, TimerKind::ChokeRound);
                         self.with_workload(now, |w, secs, state, io| {
@@ -482,16 +452,16 @@ impl Reactor {
             self.ready.insert(token);
         }
 
-        // 4. inbound connections, up to the accept burst — in waker
-        // mode only when the listener was woken, since every queued
-        // connection notifies it
-        if !self.targeted || self.ready.contains(&LISTENER_TOKEN) {
+        // 4. inbound connections, up to the accept burst — only when
+        // the listener was woken, since every queued connection
+        // notifies it
+        if self.ready.contains(&LISTENER_TOKEN) {
             let mut accepted = 0;
             while accepted < ACCEPT_BURST {
                 match self.listener.try_accept() {
                     Ok(Some(conn)) => {
                         accepted += 1;
-                        if self.draining || self.sessions.len() >= self.config.max_sessions {
+                        if self.sessions.len() >= self.config.max_sessions {
                             // accepted-then-dropped: the peer sees an
                             // immediate close, not a hanging backlog
                             NodeCounters::inc(&self.counters.shed_accept);
@@ -515,16 +485,13 @@ impl Reactor {
             }
         }
 
-        // 5. pump sessions
-        let tokens: Vec<u64> = if self.targeted {
-            self.ready
-                .iter()
-                .copied()
-                .filter(|t| *t != LISTENER_TOKEN)
-                .collect()
-        } else {
-            self.sessions.keys().copied().collect()
-        };
+        // 5. pump the ready sessions
+        let tokens: Vec<u64> = self
+            .ready
+            .iter()
+            .copied()
+            .filter(|t| *t != LISTENER_TOKEN)
+            .collect();
         self.ready.retain(|t| *t == LISTENER_TOKEN);
         for token in tokens {
             if let Some(session) = self.sessions.get_mut(&token) {
@@ -579,99 +546,14 @@ impl Reactor {
     /// a delayed frame has landed. Every other part of a cycle
     /// (accepts, pumps, events, reaping) is reached only through one of
     /// those, so a cycle skipped while this is `false` would have been
-    /// a no-op. It may say `true` for a cycle that then finds nothing
-    /// (fd mode always does: readiness there is only learnt by
-    /// pumping), never the reverse.
+    /// a no-op. It may say `true` for a cycle that then finds nothing,
+    /// never the reverse.
     pub fn has_work(&self) -> bool {
-        if !self.targeted || !self.ready.is_empty() || !self.wake.is_empty() {
+        if !self.ready.is_empty() || !self.wake.is_empty() {
             return true;
         }
         let now = self.clock.now();
         self.wheel.has_due(now) || self.delayed.earliest().is_some_and(|at| at <= now)
-    }
-
-    /// Park until something happens: a wake notification (waker mode),
-    /// fd readiness (fd mode), or the next scheduled deadline.
-    pub fn wait(&mut self) {
-        let now = self.clock.now();
-        let until = self
-            .next_wake()
-            .map(|t| t.saturating_duration_since(now))
-            .unwrap_or(Duration::from_millis(50))
-            .min(Duration::from_millis(50));
-        if self.targeted {
-            for token in self.wake.wait(until) {
-                self.ready.insert(token);
-            }
-        } else {
-            let mut set = Vec::with_capacity(self.sessions.len() + 1);
-            if let ReadySource::Fd(fd) = self.listener.ready_source() {
-                set.push(FdInterest { fd, write: false });
-            }
-            for session in self.sessions.values_mut() {
-                let write = session.wants_write();
-                if let ReadySource::Fd(fd) = session.conn_mut().ready_source() {
-                    set.push(FdInterest { fd, write });
-                }
-            }
-            wait_readiness(&set, until.min(Duration::from_millis(10)));
-        }
-    }
-
-    /// The wall-clock driver: poll on the caller's thread, parking in
-    /// [`Reactor::wait`] when idle, until `shutdown` is flagged, then
-    /// drain gracefully: every session gets a `Bye` and up to
-    /// `DRAIN_TIMEOUT` to flush before being force-closed. Another
-    /// thread that raises the flag can [`WakeQueue::kick`] the
-    /// [`Reactor::wake_handle`] to cut a park short.
-    pub fn run(&mut self, shutdown: &AtomicBool) {
-        loop {
-            if shutdown.load(Ordering::Relaxed) && !self.draining {
-                self.begin_shutdown();
-            }
-            let progress = self.poll_once();
-            if self.draining {
-                if self.sessions.is_empty() {
-                    return;
-                }
-                if let Some(deadline) = self.drain_deadline {
-                    if self.clock.now() >= deadline {
-                        self.force_close_all();
-                        return;
-                    }
-                }
-            }
-            if !progress {
-                self.wait();
-            }
-        }
-    }
-
-    /// Flip into draining mode: ask every session for a graceful
-    /// teardown and arm the force-close deadline.
-    pub fn begin_shutdown(&mut self) {
-        self.draining = true;
-        self.drain_deadline = Some(self.clock.now() + DRAIN_TIMEOUT);
-        let tokens: Vec<u64> = self.sessions.keys().copied().collect();
-        for token in tokens {
-            if let Some(session) = self.sessions.get_mut(&token) {
-                session.begin_drain();
-            }
-            self.ready.insert(token);
-        }
-    }
-
-    fn force_close_all(&mut self) {
-        let mut events = Vec::new();
-        let tokens: Vec<u64> = self.sessions.keys().copied().collect();
-        for token in tokens {
-            if let Some(session) = self.sessions.get_mut(&token) {
-                session.force_close(&self.counters, &mut events);
-            }
-            self.reap(token);
-        }
-        // events are only Closed notifications for sessions already
-        // reaped; nothing else to apply
     }
 
     /// Take ownership of a connection as a new session: assign a token,
@@ -680,14 +562,9 @@ impl Reactor {
     fn adopt(&mut self, mut conn: Box<dyn Conn>, direction: Direction, now: Instant) {
         let token = self.next_token;
         self.next_token += 1;
-        if self.targeted {
-            conn.register_waker(&self.wake, token);
-        }
-        let mut session = Session::new(token, conn, direction, now);
-        if self.draining {
-            session.begin_drain();
-        }
-        self.sessions.insert(token, session);
+        conn.register_waker(&self.wake, token);
+        self.sessions
+            .insert(token, Session::new(token, conn, direction, now));
         self.counters.session_adopted();
         self.wheel
             .schedule(now + HANDSHAKE_TIMEOUT, TimerKind::SessionCheck { token });
@@ -750,9 +627,7 @@ impl Reactor {
         );
         let retry_at = now + delay;
         entry.not_before = Some(retry_at);
-        if !self.draining {
-            self.wheel.schedule(retry_at, TimerKind::DialRetry { peer });
-        }
+        self.wheel.schedule(retry_at, TimerKind::DialRetry { peer });
     }
 
     /// One exchange tick: sample `EXCHANGE_FANOUT` neighbors and run one
@@ -882,11 +757,9 @@ impl Reactor {
                         // already pushed at this version opens with a
                         // digest instead, pulling any news without
                         // re-sending records the peer has.
-                        if !self.draining {
-                            let version = self.state.history.version();
-                            let fresh = self.pushed.get(&remote) != Some(&version);
-                            self.sync_with(token, remote, fresh);
-                        }
+                        let version = self.state.history.version();
+                        let fresh = self.pushed.get(&remote) != Some(&version);
+                        self.sync_with(token, remote, fresh);
                         self.with_workload(now, |w, secs, state, io| {
                             w.on_established(remote, secs, state, io)
                         });
@@ -949,9 +822,7 @@ impl Reactor {
                 SessionEvent::Closed { token, clean } => {
                     let remote = self.sessions.get(&token).and_then(|s| s.remote());
                     if let (false, Some(peer)) = (clean, remote) {
-                        if !self.draining {
-                            self.arm_backoff(peer, now);
-                        }
+                        self.arm_backoff(peer, now);
                     }
                     if let Some(peer) = remote {
                         if self.by_peer.get(&peer) == Some(&token) {
@@ -973,7 +844,6 @@ mod tests {
     use crate::clock::VirtualClock;
     use crate::lockstep::Lockstep;
     use crate::mem::{MemConfig, MemTransport};
-    use crate::stats::NodeStats;
     use bartercast_util::units::{Bytes, Seconds};
 
     fn fast_config(seed: u64) -> NodeConfig {
@@ -1043,87 +913,6 @@ mod tests {
             Duration::from_secs(10),
         );
         assert!(converged, "no convergence: {:?}", lockstep.stats());
-    }
-
-    /// Two reactors on one in-process network, each bootstrapped with
-    /// the other, each under [`Reactor::run`] on its own thread. Once
-    /// `stop_when` holds for both counter sets (or 10 s pass) the flag
-    /// is raised and both queues kicked; returns the reactors from
-    /// `join` and how long the shutdown took.
-    fn run_pair(stop_when: fn(&NodeStats) -> bool) -> (Vec<Reactor>, Duration) {
-        let transport = Arc::new(MemTransport::new(MemConfig::default()));
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let mut watch = Vec::new();
-        let threads: Vec<_> = [
-            (PeerId(0), PeerId(1), history_with_upload(0, 1, 64), 1),
-            (PeerId(1), PeerId(0), history_with_upload(1, 2, 32), 2),
-        ]
-        .into_iter()
-        .map(|(id, peer, history, seed)| {
-            let mut r = Reactor::new(
-                id,
-                Arc::clone(&transport) as Arc<dyn Transport>,
-                vec![peer],
-                history,
-                fast_config(seed),
-                Arc::new(crate::clock::SystemClock),
-            )
-            .unwrap();
-            watch.push((r.counters(), r.wake_handle()));
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::spawn(move || {
-                r.run(&shutdown);
-                r
-            })
-        })
-        .collect();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !watch.iter().all(|(c, _)| stop_when(&c.snapshot())) && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let started = Instant::now();
-        shutdown.store(true, Ordering::Relaxed);
-        for (_, wake) in &watch {
-            wake.kick(); // interrupt a parked reactor immediately
-        }
-        let reactors = threads.into_iter().map(|h| h.join().unwrap()).collect();
-        (reactors, started.elapsed())
-    }
-
-    /// Two wall-clock reactors learn each other's records; stopping
-    /// them through the flag drains every session, promptly.
-    #[test]
-    fn two_nodes_converge_to_each_others_records() {
-        let (reactors, took) = run_pair(|s| s.records_received > 0);
-        let edges: Vec<_> = reactors
-            .iter()
-            .map(|r| r.state().subjective_edges())
-            .collect();
-        // 0→1 (a's upload) and 1→2 (b's upload) on both
-        assert_eq!(edges[0].len(), 2, "no convergence: {edges:?}");
-        assert_eq!(edges[0], edges[1]);
-        let stats: Vec<_> = reactors.iter().map(|r| r.counters().snapshot()).collect();
-        assert!(stats.iter().map(|s| s.sessions_opened).sum::<u64>() >= 1);
-        assert!(stats.iter().map(|s| s.records_received).sum::<u64>() >= 2);
-        assert!(
-            stats.iter().all(|s| s.sessions_live == 0),
-            "shutdown must reap every session: {stats:?}"
-        );
-        assert!(took < Duration::from_secs(5), "shutdown took {took:?}");
-    }
-
-    /// A flag raised while both reactors hold a live session still
-    /// drains, reaps everything and returns promptly.
-    #[test]
-    fn shutdown_is_prompt_and_joins_everything() {
-        let (reactors, took) = run_pair(|s| s.sessions_opened > 0);
-        assert!(took < Duration::from_secs(5), "shutdown took {took:?}");
-        for r in &reactors {
-            let stats = r.counters().snapshot();
-            assert!(stats.sessions_opened > 0, "{stats:?}");
-            assert_eq!(stats.sessions_live, 0, "shutdown must reap every session");
-            assert_eq!(stats.protocol_errors, 0);
-        }
     }
 
     /// Inbound connections beyond `max_sessions` are shed at accept and

@@ -7,15 +7,11 @@
 //! ```text
 //!            send Hello                 Hello received
 //!  Connect ───────────────▶ Handshake ─────────────────▶ Exchange
-//!                               │                            │
-//!                   timeout /   │       Bye received /       │
-//!                   bad proto   │       begin_drain()        │
-//!                               ▼                            ▼
-//!                      Closed{clean:false} ◀── timeout ── Draining
-//!                                                            │
-//!                                                  flush + send Bye
-//!                                                            ▼
-//!                                                   Closed{clean:true}
+//!                               │                        │       │
+//!                   timeout /   │  timeout / EOF /       │       │ Bye received:
+//!                   bad proto   │  bad frame             │       │ answer Bye
+//!                               ▼                        │       ▼
+//!                      Closed{clean:false} ◀─────────────┘  Closed{clean:true}
 //! ```
 //!
 //! [`Session::pump`] does one full readiness cycle: flush buffered
@@ -100,8 +96,9 @@ pub enum SessionEvent {
     Closed {
         /// Reactor-assigned session id.
         token: u64,
-        /// `true` for graceful teardown (`Bye` sent or received),
-        /// `false` for timeouts, resets, and protocol errors.
+        /// `true` for graceful teardown (the peer's `Bye` received and
+        /// answered), `false` for timeouts, EOF without `Bye`, resets,
+        /// and protocol errors.
         clean: bool,
     },
 }
@@ -121,9 +118,6 @@ enum SessionState {
     Handshake,
     /// Established; records flow both ways.
     Exchange,
-    /// Local teardown requested: flush the queue, send Bye, wait for
-    /// the flush (a peer Bye arriving first also completes the drain).
-    Draining,
     /// Terminal. The reactor reaps the session after seeing this.
     Closed { clean: bool },
 }
@@ -182,10 +176,6 @@ pub struct Session {
     started_at: Instant,
     last_activity: Instant,
     hello_sent: bool,
-    bye_sent: bool,
-    /// Drain was requested before establishment; honour it on entry to
-    /// `Exchange`.
-    drain_requested: bool,
     /// Whether `sessions_opened` was counted (controls whether close
     /// bumps `sessions_closed` or `sessions_failed`).
     counted_open: bool,
@@ -206,8 +196,6 @@ impl Session {
             started_at: now,
             last_activity: now,
             hello_sent: false,
-            bye_sent: false,
-            drain_requested: false,
             counted_open: false,
         }
     }
@@ -222,22 +210,15 @@ impl Session {
         matches!(self.state, SessionState::Closed { .. })
     }
 
-    /// Whether records can still be queued (established and not
-    /// tearing down).
+    /// Whether records can be queued (established and not closed).
     pub fn is_established(&self) -> bool {
         self.state == SessionState::Exchange
     }
 
     /// Access to the underlying connection, for readiness bookkeeping
-    /// (`next_ready_at`, `register_waker`, `ready_source`).
+    /// (`next_ready_at`).
     pub fn conn_mut(&mut self) -> &mut dyn Conn {
         self.conn.as_mut()
-    }
-
-    /// Whether the connection has buffered output waiting on write
-    /// readiness.
-    pub fn wants_write(&self) -> bool {
-        self.conn.wants_write() || !self.outbound.is_empty()
     }
 
     /// Queue an already-encoded full `Delta` frame whose bytes are
@@ -303,24 +284,6 @@ impl Session {
         }
         self.outbound.push_back(frame());
         true
-    }
-
-    /// Ask for a graceful teardown: drain the queue, send `Bye`, close
-    /// clean. Safe to call in any state.
-    pub fn begin_drain(&mut self) {
-        match self.state {
-            SessionState::Exchange => self.state = SessionState::Draining,
-            SessionState::Handshake => self.drain_requested = true,
-            _ => {}
-        }
-    }
-
-    /// Tear down immediately and unconditionally (reactor shutdown past
-    /// its drain deadline). Emits `Closed` and settles the counters.
-    pub fn force_close(&mut self, counters: &NodeCounters, events: &mut Vec<SessionEvent>) {
-        if !self.is_closed() {
-            self.close(false, counters, events);
-        }
     }
 
     fn close(&mut self, clean: bool, counters: &NodeCounters, events: &mut Vec<SessionEvent>) {
@@ -464,11 +427,7 @@ impl Session {
                     self.remote = Some(peer);
                     self.counted_open = true;
                     NodeCounters::inc(&counters.sessions_opened);
-                    self.state = if self.drain_requested {
-                        SessionState::Draining
-                    } else {
-                        SessionState::Exchange
-                    };
+                    self.state = SessionState::Exchange;
                     events.push(SessionEvent::Established {
                         token: self.token,
                         remote: peer,
@@ -481,10 +440,7 @@ impl Session {
                     self.close(false, counters, events);
                     return true;
                 }
-                (
-                    SessionState::Exchange | SessionState::Draining,
-                    Envelope::Digest { sender, claim },
-                ) => {
+                (SessionState::Exchange, Envelope::Digest { sender, claim }) => {
                     let from = self.remote.expect("established session has a remote");
                     if sender != from {
                         // a digest must speak for the session peer;
@@ -499,7 +455,7 @@ impl Session {
                         claim,
                     });
                 }
-                (SessionState::Exchange | SessionState::Draining, Envelope::Delta(msg)) => {
+                (SessionState::Exchange, Envelope::Delta(msg)) => {
                     let from = self.remote.expect("established session has a remote");
                     if msg.sender != from {
                         NodeCounters::inc(&counters.protocol_errors);
@@ -513,7 +469,7 @@ impl Session {
                         msg,
                     });
                 }
-                (SessionState::Exchange | SessionState::Draining, Envelope::Swarm(frame)) => {
+                (SessionState::Exchange, Envelope::Swarm(frame)) => {
                     if matches!(frame, SwarmFrame::Piece { .. }) {
                         NodeCounters::inc(&counters.pieces_received);
                     }
@@ -523,19 +479,14 @@ impl Session {
                         frame,
                     });
                 }
-                (SessionState::Exchange | SessionState::Draining, Envelope::Bye) => {
+                (SessionState::Exchange, Envelope::Bye) => {
                     // peer is done; answer in kind (best-effort — it may
                     // already be gone) so both logs agree, then close
-                    if !self.bye_sent {
-                        let _ = self.send_control(counters, pool, &Envelope::Bye);
-                    }
+                    let _ = self.send_control(counters, pool, &Envelope::Bye);
                     self.close(true, counters, events);
                     return true;
                 }
-                (
-                    SessionState::Exchange | SessionState::Draining,
-                    Envelope::Hello { .. } | Envelope::Records(_),
-                ) => {
+                (SessionState::Exchange, Envelope::Hello { .. } | Envelope::Records(_)) => {
                     // a second Hello, or the bare `Records` frame: records
                     // travel only in a `Delta`, whose sender is checked
                     // against the session peer above
@@ -547,19 +498,17 @@ impl Session {
             }
         }
 
-        // 4b. the EOF verdict, now that buffered frames have spoken.
-        // During a drain the peer closing after our Bye is a normal
-        // teardown race; anywhere else a silent close is unclean.
+        // 4b. the EOF verdict, now that buffered frames have spoken: a
+        // close without the peer's Bye is unclean
         if saw_eof {
-            let clean = self.state == SessionState::Draining && self.bye_sent;
-            self.close(clean, counters, events);
+            self.close(false, counters, events);
             return true;
         }
 
         // 5. write queued frames until the connection pushes back. The
         // bytes were encoded at enqueue time; a frame refused by
         // backpressure stays at the front untouched.
-        if matches!(self.state, SessionState::Exchange | SessionState::Draining) {
+        if self.state == SessionState::Exchange {
             while let Some(front) = self.outbound.front() {
                 match self.conn.try_send(front.bytes.as_slice()) {
                     Ok(true) => {
@@ -571,36 +520,6 @@ impl Session {
                         progress = true;
                     }
                     Ok(false) => break,
-                    Err(_) => {
-                        self.close(false, counters, events);
-                        return true;
-                    }
-                }
-            }
-        }
-
-        // 6. complete a drain: queue empty → Bye → flushed → closed
-        if self.state == SessionState::Draining && self.outbound.is_empty() {
-            if !self.bye_sent {
-                match self.send_control(counters, pool, &Envelope::Bye) {
-                    Ok(true) => {
-                        self.bye_sent = true;
-                        progress = true;
-                    }
-                    Ok(false) => {}
-                    Err(_) => {
-                        self.close(false, counters, events);
-                        return true;
-                    }
-                }
-            }
-            if self.bye_sent {
-                match self.conn.flush() {
-                    Ok(true) => {
-                        self.close(true, counters, events);
-                        return true;
-                    }
-                    Ok(false) => {}
                     Err(_) => {
                         self.close(false, counters, events);
                         return true;
@@ -623,7 +542,7 @@ impl Session {
     ) -> Option<Instant> {
         let deadline = match self.state {
             SessionState::Handshake => self.started_at + HANDSHAKE_TIMEOUT,
-            SessionState::Exchange | SessionState::Draining => self.last_activity + IDLE_TIMEOUT,
+            SessionState::Exchange => self.last_activity + IDLE_TIMEOUT,
             SessionState::Closed { .. } => return None,
         };
         if now >= deadline {
@@ -727,24 +646,81 @@ mod tests {
             matches!(&ev_b[1], SessionEvent::Delta { from: PeerId(0), msg, .. } if msg.sender == PeerId(0))
         );
 
-        // a graceful drain from one side closes both cleanly
-        a.begin_drain();
-        pump_until_quiet(&mut a, &mut b, &mut pool, &counters, &mut ev_a, &mut ev_b);
-        assert!(a.is_closed() && b.is_closed());
-        assert!(matches!(
-            ev_a.last().unwrap(),
-            SessionEvent::Closed { clean: true, .. }
-        ));
-        assert!(matches!(
-            ev_b.last().unwrap(),
-            SessionEvent::Closed { clean: true, .. }
-        ));
         let s = counters.snapshot();
         assert_eq!(s.sessions_opened, 2);
-        assert_eq!(s.sessions_closed, 2);
         assert_eq!(s.records_sent, 2);
         assert_eq!(s.records_received, 2);
         assert!(s.bytes_sent > 0 && s.bytes_received > 0);
+
+        // the one close path, driven from a raw end: the peer's Bye is
+        // answered with exactly one Bye and closes clean; a hang-up
+        // without a Bye closes unclean
+        let hello = |peer| Envelope::Hello {
+            peer: PeerId(peer),
+            version: wire::NODE_PROTOCOL_VERSION,
+        };
+        for bye in [true, false] {
+            let t = MemTransport::new(MemConfig::default());
+            let (mut raw, conn) = pair(&t);
+            let counters = NodeCounters::default();
+            let mut s = Session::new(30, conn, Direction::Responder, now);
+            let mut events = Vec::new();
+            assert!(raw.try_send(&wire::encode_envelope(&hello(0))).unwrap());
+            pump_alone(&mut s, &mut pool, &counters, &mut events);
+            assert!(s.is_established());
+            if bye {
+                assert!(raw
+                    .try_send(&wire::encode_envelope(&Envelope::Bye))
+                    .unwrap());
+                pump_alone(&mut s, &mut pool, &counters, &mut events);
+                drop(s); // the raw end reads to EOF
+                assert_eq!(read_frames(raw.as_mut()), vec![hello(1), Envelope::Bye]);
+            } else {
+                drop(raw);
+                pump_alone(&mut s, &mut pool, &counters, &mut events);
+            }
+            assert!(
+                matches!(events.last(), Some(SessionEvent::Closed { token: 30, clean }) if *clean == bye),
+                "bye={bye}: {events:?}"
+            );
+            assert_eq!(counters.snapshot().sessions_closed, 1);
+        }
+    }
+
+    /// Pump one session until it makes no progress, with real-time
+    /// sleeps to let delayed mem-pipe chunks become readable.
+    fn pump_alone(
+        s: &mut Session,
+        pool: &mut BufPool,
+        counters: &NodeCounters,
+        events: &mut Vec<SessionEvent>,
+    ) {
+        let mut idle_rounds = 0;
+        while idle_rounds < 5 {
+            if s.pump(PeerId(1), Instant::now(), pool, counters, events) {
+                idle_rounds = 0;
+            } else {
+                idle_rounds += 1;
+                std::thread::sleep(Duration::from_micros(300));
+            }
+        }
+    }
+
+    /// Every envelope a raw end reads before EOF.
+    fn read_frames(conn: &mut dyn Conn) -> Vec<Envelope> {
+        let mut decoder = FrameDecoder::new();
+        let deadline = Instant::now() + Duration::from_secs(2);
+        let mut buf = [0u8; 256];
+        while Instant::now() < deadline {
+            match conn.try_recv(&mut buf).unwrap() {
+                Some(0) => break,
+                Some(n) => decoder.feed(&buf[..n]),
+                None => std::thread::sleep(Duration::from_micros(100)),
+            }
+        }
+        std::iter::from_fn(|| decoder.next_frame().unwrap())
+            .map(|payload| wire::decode_envelope(&payload).unwrap())
+            .collect()
     }
 
     /// A session dialing a peer that never speaks must fail via its

@@ -8,15 +8,10 @@
 //! histories — so two runs with the same configuration must produce
 //! *bit-identical* edge sets, which is asserted explicitly.
 
-use bartercast_node::clock::SystemClock;
-use bartercast_node::cluster::{Cluster, ClusterConfig, DeterministicCluster};
+use bartercast_node::cluster::{ClusterConfig, DeterministicCluster};
 use bartercast_node::mem::MemConfig;
-use bartercast_node::reactor::{NodeConfig, Reactor};
-use bartercast_node::transport::{TcpTransport, Transport};
 use bartercast_util::units::{Bytes, PeerId};
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn lossy_config(seed: u64) -> ClusterConfig {
     let mut config = ClusterConfig {
@@ -136,74 +131,4 @@ fn delta_sync_keeps_duplicate_ratio_low() {
         "digest rounds should suppress more records than slip through \
          as duplicates: suppressed={suppressed} duplicate={duplicate}"
     );
-}
-
-/// The seeded population over real loopback sockets: the only
-/// multi-node run through `TcpTransport` and the reactor's `poll(2)`
-/// path. Four reactors share one wall-clock loop on this thread; four
-/// nodes keep OS socket churn modest.
-#[test]
-fn four_tcp_nodes_converge() {
-    if !TcpTransport::loopback_available() {
-        eprintln!("skipping: no loopback in this sandbox");
-        return;
-    }
-    let config = ClusterConfig {
-        n: 4,
-        ..ClusterConfig::default()
-    };
-    let histories = Cluster::seed_histories(&config);
-    let expected = Cluster::expected_edges(&histories, config.node.bartercast);
-    let transport = Arc::new(TcpTransport::new());
-    let mut reactors: Vec<Reactor> = histories
-        .into_iter()
-        .enumerate()
-        .map(|(i, history)| {
-            let bootstrap = (0..config.n)
-                .filter(|&j| j != i)
-                .map(|j| PeerId(j as u32))
-                .collect();
-            Reactor::new(
-                PeerId(i as u32),
-                Arc::clone(&transport) as Arc<dyn Transport>,
-                bootstrap,
-                history,
-                NodeConfig {
-                    seed: config.node.seed.wrapping_add(i as u64),
-                    ..config.node
-                },
-                Arc::new(SystemClock),
-            )
-            .expect("boot tcp node")
-        })
-        .collect();
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while !reactors
-        .iter()
-        .all(|r| r.state().subjective_edges() == expected)
-    {
-        assert!(
-            Instant::now() < deadline,
-            "tcp cluster did not converge: {:?}",
-            reactors
-                .iter()
-                .map(|r| r.state().subjective_edges().len())
-                .collect::<Vec<_>>()
-        );
-        let mut progress = false;
-        for r in &mut reactors {
-            progress |= r.poll_once();
-        }
-        if !progress {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-    // drain every reactor through its own shutdown path
-    let stop = AtomicBool::new(true);
-    for r in &mut reactors {
-        r.run(&stop);
-    }
-    let stats: Vec<_> = reactors.iter().map(|r| r.counters().snapshot()).collect();
-    assert!(stats.iter().all(|s| s.protocol_errors == 0), "{stats:?}");
-    assert!(stats.iter().map(|s| s.records_received).sum::<u64>() > 0);
 }

@@ -22,6 +22,7 @@
 //! * [`scale`] — the population-scale study from the paper's future
 //!   work ("simulations with up to 100,000 peers").
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adversary;

@@ -25,6 +25,7 @@
 //! ledger and churn schedule over the node crate's lockstep driver),
 //! [`report`] (per-peer CSV rows).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cluster;

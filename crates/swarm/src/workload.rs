@@ -342,33 +342,30 @@ impl SwarmWorkload {
         self.refill_requests(peer, io);
     }
 
-    /// The live engine's view of `peers`, as the choke policies
-    /// consume it: Equation-1 reputations (all from one single-source
-    /// sweep), plus the subjective graph's lifetime transfer totals
-    /// under the ratio policy, the only one that reads them. Under
-    /// `none`, which reads no score, nothing is swept and every peer
-    /// scores [`PeerScore::NEUTRAL`].
+    /// The live engine's view of `peers`, each policy scored with
+    /// only what it reads: Equation-1 reputations (all from one
+    /// single-source sweep) under rank and ban, the subjective graph's
+    /// lifetime transfer totals under ratio, which reads no reputation
+    /// and so sweeps none. Under `none`, which reads no score, every
+    /// peer scores [`PeerScore::NEUTRAL`].
     fn peer_scores(&self, state: &mut PeerState, peers: &[PeerId]) -> BTreeMap<PeerId, PeerScore> {
-        if self.params.policy == SwarmPolicy::Reputation(ReputationPolicy::None) {
-            return BTreeMap::new();
-        }
-        let reputations = state.reputations(peers);
-        let graph = state.engine.graph();
-        let reads_totals = matches!(self.params.policy, SwarmPolicy::Ratio(_));
-        let mut scores = BTreeMap::new();
-        for (&peer, reputation) in peers.iter().zip(reputations) {
-            let score = if reads_totals {
-                PeerScore {
-                    reputation,
+        match self.params.policy {
+            SwarmPolicy::Reputation(ReputationPolicy::None) => BTreeMap::new(),
+            SwarmPolicy::Reputation(_) => {
+                let reputations = state.reputations(peers);
+                let scores = reputations.into_iter().map(PeerScore::reputation_only);
+                peers.iter().copied().zip(scores).collect()
+            }
+            SwarmPolicy::Ratio(_) => {
+                let graph = state.engine.graph();
+                let score = |peer| PeerScore {
                     up: graph.total_up(peer),
                     down: graph.total_down(peer),
-                }
-            } else {
-                PeerScore::reputation_only(reputation)
-            };
-            scores.insert(peer, score);
+                    ..PeerScore::NEUTRAL
+                };
+                peers.iter().map(|&peer| (peer, score(peer))).collect()
+            }
         }
-        scores
     }
 
     /// Serve queued requests from last round's unchoke set, up to the
@@ -1094,13 +1091,20 @@ mod tests {
 
     /// A complete node under rank chokes round-robin, which reads no
     /// reputation, so its choke round sweeps none; a leecher's round
-    /// under the same policy does.
+    /// under the same policy does, and one under ratio, which reads
+    /// only transfer totals, does not.
     #[test]
     fn seeder_choke_round_under_rank_sweeps_no_reputation() {
         let me = PeerId(0);
-        for (seeder, sweeps) in [(true, false), (false, true)] {
+        let rank = SwarmPolicy::Reputation(ReputationPolicy::Rank);
+        let ratio = SwarmPolicy::Ratio(bartercast_bt::RatioPolicy::default());
+        for (seeder, policy, sweeps) in [
+            (true, rank, false),
+            (false, rank, true),
+            (false, ratio, false),
+        ] {
             let mut p = params(seeder, PeerBehaviour::Cooperator);
-            p.policy = SwarmPolicy::Reputation(ReputationPolicy::Rank);
+            p.policy = policy;
             let mut w = SwarmWorkload::new(me, p, vec![], ledger());
             let mut state = state_for(me);
             let mut io = WorkloadIo::default();
@@ -1116,21 +1120,21 @@ mod tests {
                 io.frames
                     .iter()
                     .any(|(_, f)| matches!(f, SwarmFrame::Unchoke)),
-                "seeder={seeder}: no slot granted"
+                "seeder={seeder} {policy:?}: no slot granted"
             );
             assert_eq!(
                 state.engine.stats().misses > before,
                 sweeps,
-                "seeder={seeder}"
+                "seeder={seeder} {policy:?}"
             );
         }
     }
 
     /// Batched choke scoring decides what per-pair scoring decides: on
-    /// a graph with direct and two-hop flows, the scores are bitwise
-    /// the per-pair `PeerState::reputation` values (with the graph's
-    /// transfer totals under the ratio policy only), and the unchoke
-    /// set and the serve order equal those computed from them.
+    /// a graph with direct and two-hop flows, the rank scores are
+    /// bitwise the per-pair `PeerState::reputation` values, the ratio
+    /// scores the graph's transfer totals at reputation 0, and the
+    /// unchoke set and the serve order equal those computed from them.
     #[test]
     fn batched_scoring_matches_per_pair_decisions() {
         let me = PeerId(0);
@@ -1184,10 +1188,22 @@ mod tests {
         let reputations: Vec<f64> = with_totals.values().map(|s| s.reputation).collect();
         assert!(reputations.iter().any(|&r| r > 0.0) && reputations.iter().any(|&r| r < 0.0));
         // each policy is scored with what it reads: rank the
-        // reputations alone, the ratio policy the transfer totals too
+        // reputations alone, the ratio policy the transfer totals alone
         let per_pair: BTreeMap<PeerId, PeerScore> = with_totals
             .iter()
             .map(|(&q, s)| (q, PeerScore::reputation_only(s.reputation)))
+            .collect();
+        let totals_only: BTreeMap<PeerId, PeerScore> = with_totals
+            .iter()
+            .map(|(&q, s)| {
+                (
+                    q,
+                    PeerScore {
+                        reputation: 0.0,
+                        ..*s
+                    },
+                )
+            })
             .collect();
         let bits = |scores: &BTreeMap<PeerId, PeerScore>| -> Vec<_> {
             let bits = |s: &PeerScore| (s.reputation.to_bits(), s.up, s.down);
@@ -1198,7 +1214,7 @@ mod tests {
         ratio.policy = SwarmPolicy::Ratio(bartercast_bt::RatioPolicy::default());
         let ratio = SwarmWorkload::new(me, ratio, vec![], ledger());
         let scores = ratio.peer_scores(&mut state, &peers);
-        assert_eq!(bits(&scores), bits(&with_totals));
+        assert_eq!(bits(&scores), bits(&totals_only));
         assert!(scores
             .values()
             .all(|s| s.up > Bytes::ZERO && s.down > Bytes::ZERO));

@@ -18,6 +18,7 @@
 //!   logs (started/heartbeat/completed/stopped events), the same
 //!   process the authors applied to the `filelist.org` scrape.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod format;

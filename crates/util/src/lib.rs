@@ -16,6 +16,7 @@
 //! * [`series`] — time-series accumulation helpers (per-day averages as
 //!   plotted in the paper's Figures 1–3).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod csv;

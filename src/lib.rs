@@ -58,6 +58,8 @@
 //! assert_eq!(away, Bytes::from_mb(100));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use bartercast_bt as bt;
 pub use bartercast_core as core;
 pub use bartercast_deploy as deploy;

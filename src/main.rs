@@ -14,6 +14,8 @@
 //! text interchange format (`bartercast-trace::format`); `sim run`
 //! accepts either such a file or generates a synthetic trace.
 
+#![forbid(unsafe_code)]
+
 use bartercast::core::policy::ReputationPolicy;
 use bartercast::deploy::{Community, CommunityConfig, Observer, ObserverConfig};
 use bartercast::sim::scale::{run_scale, ScaleConfig};

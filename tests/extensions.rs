@@ -115,12 +115,10 @@ fn scale_study_smoke() {
 #[test]
 fn whitewashed_identities_do_not_inherit_audit_marks() {
     use bartercast::core::frontier::{advertised_slice, lying_slice, records_of};
-    use bartercast::core::identity::{IdentityRegistry, MachineId};
     use bartercast::core::{Auditor, BarterCastConfig, PrivateHistory};
     use bartercast::util::units::PeerId;
 
-    let mut registry = IdentityRegistry::new();
-    let liar = registry.identity(MachineId(7));
+    let liar = PeerId(7);
     // liar gets caught
     let mut victim = PrivateHistory::new(PeerId(500));
     victim.record_download(liar, Bytes::from_mb(10), Seconds(1));
@@ -138,6 +136,6 @@ fn whitewashed_identities_do_not_inherit_audit_marks() {
     assert!(auditor.marks(liar) > 0);
     // whitewash: the fresh identity has no marks — the audit trail,
     // like reputation, is identity-bound (§3.5's limits apply to both)
-    let fresh = registry.whitewash(MachineId(7), MachineId(8));
+    let fresh = PeerId(8);
     assert_eq!(auditor.marks(fresh), 0);
 }
