@@ -135,14 +135,89 @@ impl ChokePolicy for ReputationPolicy {
     }
 }
 
+/// How hard candidates competed for one role's upload slots, summed
+/// over choke rounds. A slot policy can act only where candidates
+/// compete: in a round with no more admitted candidates than regular
+/// slots every one is served whatever the scores say.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ChokeCounts {
+    /// Choke rounds ([`Choker::unchoke`] calls).
+    pub rounds: u64,
+    /// Rounds with at least one candidate.
+    pub nonempty: u64,
+    /// Rounds that admitted more candidates than there are regular
+    /// slots.
+    pub oversubscribed: u64,
+    /// Rounds whose optimistic pool (admitted candidates outside the
+    /// regular slots) held two or more peers.
+    pub optimistic_contested: u64,
+    /// Admitted candidates, summed over rounds.
+    pub admitted: u64,
+}
+
+impl ChokeCounts {
+    /// The counts' labels, in [`ChokeCounts::values`] order.
+    pub const LABELS: [&'static str; 5] = [
+        "rounds",
+        "nonempty",
+        "oversubscribed",
+        "optimistic_contested",
+        "admitted",
+    ];
+
+    /// The counts in [`ChokeCounts::LABELS`] order.
+    pub fn values(&self) -> [u64; 5] {
+        [
+            self.rounds,
+            self.nonempty,
+            self.oversubscribed,
+            self.optimistic_contested,
+            self.admitted,
+        ]
+    }
+
+    fn add(&mut self, other: &ChokeCounts) {
+        self.rounds += other.rounds;
+        self.nonempty += other.nonempty;
+        self.oversubscribed += other.oversubscribed;
+        self.optimistic_contested += other.optimistic_contested;
+        self.admitted += other.admitted;
+    }
+}
+
+/// [`ChokeCounts`] per role of the choking peer.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Contention {
+    /// Rounds run as a leecher (tit-for-tat regular slots).
+    pub leecher: ChokeCounts,
+    /// Rounds run as a seeder (round-robin regular slots).
+    pub seeder: ChokeCounts,
+}
+
+impl Contention {
+    fn of_mut(&mut self, role: Role) -> &mut ChokeCounts {
+        match role {
+            Role::Leecher => &mut self.leecher,
+            Role::Seeder => &mut self.seeder,
+        }
+    }
+
+    /// Add `other`'s counts into these.
+    pub fn add(&mut self, other: &Contention) {
+        self.leecher.add(&other.leecher);
+        self.seeder.add(&other.seeder);
+    }
+}
+
 /// Per-(peer, swarm) choking state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Choker {
     config: BtConfig,
     optimistic: Option<PeerId>,
     rounds_since_rotation: u32,
     rotation_cursor: u64,
     seed_cursor: u64,
+    contention: Contention,
 }
 
 impl Choker {
@@ -154,6 +229,7 @@ impl Choker {
             rounds_since_rotation: 0,
             rotation_cursor: 0,
             seed_cursor: 0,
+            contention: Contention::default(),
         }
     }
 
@@ -162,13 +238,40 @@ impl Choker {
         self.optimistic
     }
 
+    /// This choker's contention counts over every round so far.
+    pub fn contention(&self) -> &Contention {
+        &self.contention
+    }
+
     /// Recompute the unchoke set for one period.
     ///
     /// `candidates` are the currently *interested* connected peers.
     /// `score` is consulted only when the policy requires it.
     /// Returns the unchoked peers (regular slots plus the optimistic
-    /// slot).
+    /// slot). An empty list returns at once with the state a full
+    /// round leaves: no optimistic peer, the rotation restarted, the
+    /// round-robin cursors untouched.
     pub fn unchoke<F>(
+        &mut self,
+        role: Role,
+        candidates: &[Candidate],
+        policy: &dyn ChokePolicy,
+        score: F,
+    ) -> Vec<PeerId>
+    where
+        F: FnMut(PeerId) -> PeerScore,
+    {
+        if candidates.is_empty() {
+            self.contention.of_mut(role).rounds += 1;
+            self.optimistic = None;
+            self.rounds_since_rotation = 0;
+            return Vec::new();
+        }
+        self.assign(role, candidates, policy, score)
+    }
+
+    /// [`Choker::unchoke`]'s full round, for any candidate list.
+    fn assign<F>(
         &mut self,
         role: Role,
         candidates: &[Candidate],
@@ -214,6 +317,12 @@ impl Choker {
                 }
             }
         };
+        let counts = self.contention.of_mut(role);
+        counts.rounds += 1;
+        counts.nonempty += u64::from(!candidates.is_empty());
+        counts.oversubscribed += u64::from(admitted.len() > self.config.regular_slots);
+        counts.optimistic_contested += u64::from(admitted.len() - unchoked.len() >= 2);
+        counts.admitted += admitted.len() as u64;
 
         // Optimistic slot.
         self.rounds_since_rotation += 1;
@@ -431,6 +540,64 @@ mod tests {
         });
         assert!(unchoked.is_empty());
         assert_eq!(ch.optimistic(), None);
+    }
+
+    /// An empty list's early return leaves exactly the state the full
+    /// round leaves (optimistic peer, rotation, both cursors and the
+    /// counts), across empty and non-empty lists in turn and both
+    /// roles.
+    #[test]
+    fn empty_list_return_equals_the_full_round() {
+        let lists = [
+            vec![
+                cand(1, 500, 0),
+                cand(2, 400, 0),
+                cand(8, 0, 0),
+                cand(9, 0, 0),
+            ],
+            vec![],
+            vec![cand(3, 5, 0), cand(9, 0, 0), cand(4, 0, 0)],
+            vec![],
+            vec![],
+            vec![cand(1, 0, 0), cand(2, 0, 0), cand(5, 0, 0), cand(6, 0, 0)],
+        ];
+        for role in [Role::Leecher, Role::Seeder] {
+            let (mut quick, mut full) = (Choker::new(cfg()), Choker::new(cfg()));
+            for round in 0..24 {
+                let list = &lists[round % lists.len()];
+                let neutral = |_| PeerScore::NEUTRAL;
+                let policy = &ReputationPolicy::Rank;
+                let got = quick.unchoke(role, list, policy, neutral);
+                let want = full.assign(role, list, policy, neutral);
+                assert_eq!(got, want, "{role:?} round {round}");
+                assert_eq!(quick, full, "{role:?} round {round}");
+            }
+            let c = quick.contention();
+            assert_eq!(c.leecher.rounds + c.seeder.rounds, 24);
+        }
+    }
+
+    /// Every call counts one round under the caller's role, and the
+    /// other counts follow the admitted list and the slot budget.
+    #[test]
+    fn contention_counts_every_call() {
+        let mut ch = Choker::new(cfg());
+        let ban = ReputationPolicy::Ban { delta: -0.5 };
+        let rep = |q: PeerId| PeerScore::reputation_only(if q == p(4) { -0.9 } else { 0.0 });
+        let four = vec![cand(1, 5, 0), cand(2, 4, 0), cand(3, 3, 0), cand(4, 2, 0)];
+        ch.unchoke(Role::Leecher, &four, &ban, rep); // 3 admitted, pool {3}
+        ch.unchoke(Role::Leecher, &[], &ban, rep);
+        ch.unchoke(Role::Seeder, &four[..2], &ban, rep); // 2 admitted, pool {}
+        let mut five = four.clone();
+        five.push(cand(5, 1, 0));
+        ch.unchoke(Role::Leecher, &five, &ban, rep); // 4 admitted, pool {3, 5}
+        let c = ch.contention();
+        assert_eq!(c.leecher.values(), [3, 2, 2, 1, 7]);
+        assert_eq!(c.seeder.values(), [1, 1, 0, 0, 2]);
+        let mut sum = Contention::default();
+        sum.add(c);
+        sum.add(c);
+        assert_eq!(sum.leecher.rounds + sum.seeder.rounds, 8);
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod ratio;
 pub mod swarm;
 
 pub use bitfield::Bitfield;
-pub use choke::{Candidate, ChokePolicy, Choker, PeerScore};
+pub use choke::{Candidate, ChokeCounts, ChokePolicy, Choker, Contention, PeerScore};
 pub use config::BtConfig;
 pub use ratio::RatioPolicy;
 pub use swarm::{Member, Role, Swarm};

@@ -9,12 +9,22 @@
 //! instead of touching each piece. Rarest-first then reads the wanted
 //! pieces plane by plane from the lowest, so a pick costs one AND per
 //! plane it passes rather than a key per wanted piece.
+//!
+//! On the plane where a salted pick selects, it need not key the
+//! plane's wanted pieces either. Below `2^b`, the piece count rounded
+//! up to a power of two, the salted tie of piece `i` is `H + j·MIX`
+//! (wrapping) with `H = (salt & !mask)·MIX` and `j = (i ^ salt) &
+//! mask`, so every salt orders the pieces by one table: the `2^b`
+//! values `j·MIX`, sorted once per swarm. A pick finds where `H`
+//! makes the table wrap past `2^64` and walks it from there, keeping
+//! the first pieces the plane offers.
 
 use crate::bitfield::Bitfield;
-use crate::choke::Choker;
+use crate::choke::{Choker, Contention};
 use crate::config::BtConfig;
 use bartercast_util::units::{Bytes, PeerId};
 use bartercast_util::FxHashMap;
+use std::sync::OnceLock;
 
 /// Whether a member still needs pieces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,6 +101,9 @@ impl Plane {
     }
 }
 
+/// The odd multiplier of the salted tie-break.
+const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// The rarest-first tie-break of piece `i` under `salt`: a bijection of
 /// the index, so no two pieces tie. Salt 0 is the index itself.
 fn tie(i: usize, salt: u64) -> u64 {
@@ -98,8 +111,18 @@ fn tie(i: usize, salt: u64) -> u64 {
         i as u64
     } else {
         // multiply-xor mix; any fixed bijection works here
-        (i as u64 ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        (i as u64 ^ salt).wrapping_mul(MIX)
     }
+}
+
+/// Every `j < bits` (a power of two) in ascending `j·MIX` order: the
+/// salted tie order of the pieces up to the wrap point and the low-bit
+/// flip of each salt (module docs).
+fn tie_order(bits: usize) -> Box<[u32]> {
+    let bits = u32::try_from(bits).expect("the rounded-up piece count fits in u32");
+    let mut order: Vec<u32> = (0..bits).collect();
+    order.sort_unstable_by_key(|&j| u64::from(j).wrapping_mul(MIX));
+    order.into_boxed_slice()
 }
 
 /// One swarm: a shared file and its current members.
@@ -129,6 +152,11 @@ pub struct Swarm {
     /// `planes[a]`: the pieces whose availability is `a`. The top plane
     /// is never empty unless it is plane 0.
     planes: Vec<Plane>,
+    /// [`tie_order`] of the piece count rounded up to a power of two,
+    /// built on the first salted pick that walks it.
+    tie_order: OnceLock<Box<[u32]>>,
+    /// The choke contention of members that have left.
+    departed: Contention,
 }
 
 impl Swarm {
@@ -146,6 +174,8 @@ impl Swarm {
                 words: Bitfield::full(piece_count).words().to_vec(),
                 count: piece_count,
             }],
+            tie_order: OnceLock::new(),
+            departed: Contention::default(),
         }
     }
 
@@ -219,6 +249,7 @@ impl Swarm {
         let Some(m) = self.members.remove(&peer) else {
             return;
         };
+        self.departed.add(m.choker.contention());
         if m.bitfield.is_complete() {
             // the inverse of `join_seeder`: every piece drops one plane
             for a in &mut self.availability {
@@ -292,7 +323,10 @@ impl Swarm {
     /// The wanted words are ANDed with each plane from the lowest up.
     /// A plane whose wanted pieces all fit in what is left of `k` is
     /// taken whole; on the plane that overflows, the smallest ties
-    /// fill the rest. Ties are unique, so no index breaks them.
+    /// fill the rest. Ties are unique, so no index breaks them. A
+    /// salted pick whose walk of the tie order ([`Swarm::walk`])
+    /// expects fewer reads than the plane has wanted pieces walks;
+    /// any other lists and keys the plane's wanted pieces.
     fn rarest_k(&self, d: &Member, providers: &[PeerId], salt: u64, k: usize) -> Vec<usize> {
         if k == 0 {
             return Vec::new();
@@ -304,6 +338,7 @@ impl Swarm {
             .collect();
         let wanted: Vec<u64> = d.bitfield.wanted_words(&offers).collect();
         let mut unseen: usize = wanted.iter().map(|w| w.count_ones() as usize).sum();
+        let bits = self.piece_count.next_power_of_two();
         let mut picked = Vec::new();
         let mut level: Vec<(u64, usize)> = Vec::new();
         for plane in &self.planes {
@@ -311,6 +346,21 @@ impl Swarm {
                 break;
             }
             if plane.count == 0 {
+                continue;
+            }
+            let here: usize = wanted
+                .iter()
+                .zip(&plane.words)
+                .map(|(&want, &have)| (want & have).count_ones() as usize)
+                .sum();
+            if here == 0 {
+                continue;
+            }
+            unseen -= here;
+            let room = k - picked.len();
+            // a walk reads about `room · 2^b / here` table entries
+            if salt != 0 && room.saturating_mul(bits) / here < here {
+                self.walk(&wanted, plane, salt, room, &mut picked);
                 continue;
             }
             level.clear();
@@ -322,8 +372,6 @@ impl Swarm {
                     level.push((tie(i, salt), i));
                 }
             }
-            unseen -= level.len();
-            let room = k - picked.len();
             if level.len() > room {
                 level.select_nth_unstable(room - 1);
                 level.truncate(room);
@@ -332,6 +380,36 @@ impl Swarm {
             picked.extend(level.iter().map(|&(_, i)| i));
         }
         picked
+    }
+
+    /// Append to `picked`, in tie order under `salt` (non-zero), the
+    /// first `room` pieces set in both `wanted` and `plane`; the plane
+    /// holds more than `room` of them. Walks the swarm's tie order
+    /// from the entry whose `j·MIX` first wraps past `2^64` once the
+    /// salt's high part `H` is added (the smallest sums), through the
+    /// end and round to the start; entry `j` is piece `j ^ (salt &
+    /// mask)`, and entries past the piece count are skipped.
+    fn walk(&self, wanted: &[u64], plane: &Plane, salt: u64, room: usize, picked: &mut Vec<usize>) {
+        let order = self
+            .tie_order
+            .get_or_init(|| tie_order(self.piece_count.next_power_of_two()));
+        let mask = (order.len() - 1) as u64;
+        let high = (salt & !mask).wrapping_mul(MIX);
+        let low = (salt & mask) as usize;
+        let wrap =
+            order.partition_point(|&j| u64::from(j).wrapping_mul(MIX).checked_add(high).is_some());
+        let (unwrapped, wrapped) = order.split_at(wrap);
+        let goal = picked.len() + room;
+        for &j in wrapped.iter().chain(unwrapped) {
+            let i = j as usize ^ low;
+            if i < self.piece_count && (wanted[i / 64] & plane.words[i / 64]) >> (i % 64) & 1 == 1 {
+                picked.push(i);
+                if picked.len() == goal {
+                    return;
+                }
+            }
+        }
+        unreachable!("the plane holds more than {room} wanted pieces");
     }
 
     /// Credit `bytes` of download toward `downloader`, completing
@@ -384,6 +462,16 @@ impl Swarm {
             self.raise(piece);
         }
         completed
+    }
+
+    /// The choke contention of every member this swarm has had: the
+    /// [`Choker::contention`] of those present plus those that left.
+    pub fn contention(&self) -> Contention {
+        let mut all = self.departed;
+        for m in self.members.values() {
+            all.add(m.choker.contention());
+        }
+        all
     }
 
     /// Swarm-wide availability of piece `i`.
@@ -553,6 +641,72 @@ mod tests {
         s.raise(7);
         assert_eq!(s.rarest_wanted(p(1), &[p(2)]), Some(7));
         assert_eq!(s.rarest_wanted(p(1), &[]), None);
+    }
+
+    /// The `k` rarest wanted pieces by sorting every one on
+    /// `(availability, tie)`.
+    fn by_sorting(s: &Swarm, d: PeerId, providers: &[PeerId], salt: u64, k: usize) -> Vec<usize> {
+        let mine = &s.member(d).unwrap().bitfield;
+        let mut keyed: Vec<(u32, u64, usize)> = (0..s.piece_count())
+            .filter(|&i| !mine.has(i))
+            .filter(|&i| {
+                providers
+                    .iter()
+                    .any(|&q| s.member(q).is_some_and(|m| m.bitfield.has(i)))
+            })
+            .map(|i| (s.availability(i), tie(i, salt), i))
+            .collect();
+        keyed.sort_unstable();
+        keyed.into_iter().take(k).map(|(_, _, i)| i).collect()
+    }
+
+    /// Each selection path in turn: salt 0 and a plane too thin for a
+    /// walk list the plane's wanted pieces and never build the tie
+    /// order; a salted pick of a few pieces from a thick plane walks
+    /// it, with the wrap point inside the table (high salt bits) and
+    /// at its end (none).
+    #[test]
+    fn each_selection_path_picks_the_sorted_prefix() {
+        let pieces = 1000; // 2^b = 1024: 24 entries past the file
+        let mut s = Swarm::new(pieces, Bytes::from_kb(64), BtConfig::default());
+        s.join_seeder(p(0));
+        s.join_leecher(p(1));
+        s.join_leecher(p(2));
+        for i in (0..pieces).step_by(3) {
+            s.member_mut(p(2)).unwrap().bitfield.set(i);
+            s.raise(i);
+        }
+        let providers = [p(0), p(2)];
+        // salt 0 lists whatever `room` is
+        assert_eq!(
+            s.rarest_k(s.member(p(1)).unwrap(), &providers, 0, 5),
+            by_sorting(&s, p(1), &providers, 0, 5)
+        );
+        // 667 wanted at availability 1: 600 · 1024 / 667 ≥ 667 lists
+        let salt = 0xDEAD_BEEF_0000_0377;
+        assert_eq!(
+            s.rarest_k(s.member(p(1)).unwrap(), &providers, salt, 600),
+            by_sorting(&s, p(1), &providers, salt, 600)
+        );
+        assert!(
+            s.tie_order.get().is_none(),
+            "a listed pick built the tie order"
+        );
+        for salt in [salt, 0x377, 1, u64::MAX, 1 << 63] {
+            for k in [1, 26, 64, 400] {
+                let want = by_sorting(&s, p(1), &providers, salt, k);
+                assert_eq!(
+                    s.rarest_k(s.member(p(1)).unwrap(), &providers, salt, k),
+                    want,
+                    "salt {salt:#x}, k {k}"
+                );
+            }
+        }
+        assert_eq!(
+            s.tie_order.get().map(|o| o.len()),
+            Some(1024),
+            "no pick walked"
+        );
     }
 
     #[test]

@@ -112,6 +112,29 @@ proptest! {
         }
     }
 
+    /// The round count equals the number of `unchoke` calls, per role,
+    /// empty lists included (`candidates()` yields empty lists too),
+    /// and no round admits more than its list.
+    #[test]
+    fn contention_rounds_count_unchoke_calls(
+        calls in prop::collection::vec((candidates(), prop::bool::ANY), 1..12),
+    ) {
+        let mut ch = Choker::new(config());
+        let (mut leecher, mut seeder, mut listed) = (0u64, 0u64, 0u64);
+        for (cands, as_seeder) in &calls {
+            let role = if *as_seeder { Role::Seeder } else { Role::Leecher };
+            ch.unchoke(role, cands, &ReputationPolicy::None, |_| PeerScore::NEUTRAL);
+            *if *as_seeder { &mut seeder } else { &mut leecher } += 1;
+            listed += cands.len() as u64;
+        }
+        let c = ch.contention();
+        prop_assert_eq!(c.leecher.rounds, leecher);
+        prop_assert_eq!(c.seeder.rounds, seeder);
+        prop_assert_eq!(c.leecher.admitted + c.seeder.admitted, listed, "none admits all");
+        let nonempty = calls.iter().filter(|(cands, _)| !cands.is_empty()).count() as u64;
+        prop_assert_eq!(c.leecher.nonempty + c.seeder.nonempty, nonempty);
+    }
+
     /// Under the ban policy, no peer below δ ever gets a slot.
     #[test]
     fn ban_policy_never_leaks_slots(
@@ -269,6 +292,47 @@ proptest! {
                 next.first().copied()
             );
         }
+    }
+
+    /// The tie-order walk equals the per-piece rescan at file sizes
+    /// where it runs: up to ~6,000 pieces (powers of two and others),
+    /// credit for 1 to 64 pieces, salts with and without bits above
+    /// the rounded-up piece count (the wrap point inside the table or
+    /// at its end), and a provider holding part of the file so the
+    /// rarest plane is thinner than the file.
+    #[test]
+    fn walked_credit_equals_the_per_piece_rescan(
+        pieces in (0u8..6, 1usize..6100).prop_map(|(pick, n)| match pick {
+            0 => 4096,
+            1 => 2048,
+            2 => 1024,
+            _ => n,
+        }),
+        partial in 0u64..600,
+        credits in prop::collection::vec((1u64..=64, any::<u64>(), prop::bool::ANY), 1..4),
+    ) {
+        let piece_size = Bytes::from_kb(16);
+        let mut s = Swarm::new(pieces, piece_size, config());
+        s.join_seeder(PeerId(0));
+        s.join_leecher(PeerId(1));
+        s.join_leecher(PeerId(2));
+        // peer 2's pieces sit a plane up
+        let _ = s.credit_download_salted(PeerId(2), &[PeerId(0)], piece_size * partial, 7);
+        for (room, salt, low_only) in credits {
+            let salt = if low_only {
+                (salt % pieces.next_power_of_two() as u64).max(1)
+            } else {
+                salt | 1 << 63
+            };
+            let providers = [PeerId(0), PeerId(2)];
+            let bytes = piece_size * room;
+            let before = s.clone();
+            let done = s.credit_download_salted(PeerId(1), &providers, bytes, salt);
+            let (expected, credit, _) = credit_by_rescanning(&before, PeerId(1), &providers, bytes, salt);
+            prop_assert_eq!(&done, &expected, "salt {:#x}, room {}", salt, room);
+            prop_assert_eq!(s.member(PeerId(1)).unwrap().credit, credit);
+        }
+        s.check_invariants().unwrap();
     }
 
     /// A leecher fed by a seeder always completes with enough credit,

@@ -43,9 +43,10 @@ pub struct ReputationEngine {
     /// reputations at graph version `memo_version`.
     memo: FxHashMap<(PeerId, PeerId), f64>,
     memo_version: u64,
-    /// `k ≤ 2` only: the last sweep's flows, reused call to call so a
-    /// sweep allocates only when it outgrows every earlier one.
-    sweep: FxHashMap<PeerId, FlowPair>,
+    /// `k ≤ 2` only: the last sweep's flows by dense node index
+    /// ([`ssat::sweep_dense`]), reused call to call so a sweep
+    /// allocates only when the graph outgrows every earlier one.
+    sweep: Vec<FlowPair>,
     hits: u64,
     misses: u64,
     /// Memo entries dropped because the graph changed (diagnostics).
@@ -58,12 +59,13 @@ impl Default for ReputationEngine {
     }
 }
 
-/// `R_i(j)` for every `j` in `targets`, in order, read from `flows`,
-/// a sweep of evaluator `i` ([`ssat::sweep_adjacency`]). The one
-/// evaluation behind the live engine's batch and the sharded service's
-/// reads, so the two are bit-identical wherever their sweeps are.
+/// `R_i(j)` for every `j` in `targets`, in order, where `flows(j)` reads
+/// `j`'s entry of a sweep of evaluator `i` ([`ssat::sweep_dense`] or
+/// [`ssat::sweep_adjacency`]). The one evaluation behind the live
+/// engine's batch and the sharded service's reads, so the two are
+/// bit-identical wherever their sweeps are.
 pub(crate) fn swept_reputations(
-    flows: &FxHashMap<PeerId, FlowPair>,
+    flows: impl Fn(PeerId) -> FlowPair,
     i: PeerId,
     metric: ReputationMetric,
     targets: &[PeerId],
@@ -74,7 +76,7 @@ pub(crate) fn swept_reputations(
             if j == i {
                 return 0.0;
             }
-            let pair = flows.get(&j).copied().unwrap_or_default();
+            let pair = flows(j);
             metric.eval(pair.toward, pair.away)
         })
         .collect()
@@ -90,7 +92,7 @@ impl ReputationEngine {
             kernel: FlowKernel::new(Method::DEPLOYED),
             memo: FxHashMap::default(),
             memo_version: 0,
-            sweep: FxHashMap::default(),
+            sweep: Vec::new(),
             hits: 0,
             misses: 0,
             invalidated: 0,
@@ -217,8 +219,14 @@ impl ReputationEngine {
             return targets.iter().map(|&j| self.reputation(i, j)).collect();
         };
         self.misses += targets.iter().filter(|&&j| j != i).count() as u64;
-        ssat::sweep_into(&self.graph, i, hops, &mut self.sweep);
-        swept_reputations(&self.sweep, i, self.metric, targets)
+        ssat::sweep_dense(&self.graph, i, hops, &mut self.sweep);
+        let (graph, sweep) = (&self.graph, &self.sweep);
+        let flows = |j| {
+            graph
+                .node(j)
+                .map_or_else(FlowPair::default, |u| sweep[u as usize])
+        };
+        swept_reputations(flows, i, self.metric, targets)
     }
 
     /// One snapshot of the counters: memo hits, flow evaluations, live

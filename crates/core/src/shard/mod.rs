@@ -186,6 +186,7 @@ fn owner_reputations<'g>(
         |p| at_owner(p).out_edges(p),
         flows,
     );
+    let flows = |j| flows.get(&j).copied().unwrap_or_default();
     swept_reputations(flows, i, ReputationMetric::default(), targets)
 }
 

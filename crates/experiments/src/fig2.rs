@@ -14,10 +14,13 @@
 //! the medians.
 
 use crate::Scale;
+use bartercast_bt::{ChokeCounts, Contention};
 use bartercast_core::policy::ReputationPolicy;
+use bartercast_graph::analysis::two_hop_coverage;
 use bartercast_sim::sweep::run_configs;
-use bartercast_sim::{SimReport, SlotKind, SlotLedger};
+use bartercast_sim::{Behaviour, SimReport, Simulation, SlotKind, SlotLedger};
 use bartercast_util::stats::percentile;
+use bartercast_util::stats::Running;
 
 /// One policy run's speed series.
 #[derive(Debug)]
@@ -116,11 +119,17 @@ pub struct SeedRun {
     pub freerider_reputation: f64,
     /// Bytes each group received per uploader slot kind.
     pub slots: SlotLedger,
+    /// Choke contention per role over the run.
+    pub contention: Contention,
+    /// Mean §3.2 [`two_hop_coverage`] of the final subjective graphs of
+    /// `[sharers, freeriders]`, archival peers excluded.
+    pub coverage: [f64; 2],
 }
 
 impl SeedRun {
     /// Names of [`SeedRun::values`]: the speed ratio, both groups'
-    /// reputations, then each group's share of bytes per slot kind.
+    /// reputations, each group's share of bytes per slot kind, each
+    /// role's contention counts, then each group's two-hop coverage.
     pub fn columns() -> Vec<String> {
         let mut columns: Vec<String> =
             ["overall_ratio", "sharer_reputation", "freerider_reputation"]
@@ -128,6 +137,12 @@ impl SeedRun {
                 .into();
         for group in ["sharer", "freerider"] {
             columns.extend(SlotKind::ALL.map(|k| format!("{group}_{}", k.label())));
+        }
+        for role in ["leecher", "seeder"] {
+            columns.extend(ChokeCounts::LABELS.map(|c| format!("{role}_choke_{c}")));
+        }
+        for group in ["sharer", "freerider"] {
+            columns.push(format!("{group}_two_hop_coverage"));
         }
         columns
     }
@@ -143,6 +158,10 @@ impl SeedRun {
         for freerider in [false, true] {
             values.extend(self.slots.shares(freerider).map(Some));
         }
+        for counts in [self.contention.leecher, self.contention.seeder] {
+            values.extend(counts.values().map(|c| Some(c as f64)));
+        }
+        values.extend(self.coverage.map(Some));
         values
     }
 }
@@ -154,15 +173,33 @@ pub fn run_seeds(scale: Scale, seeds: impl IntoIterator<Item = u64>) -> Vec<Seed
     let mut runs = Vec::new();
     for seed in seeds {
         let base = scale.sim_config(seed);
-        let configs = SEED_POLICIES
-            .iter()
-            .map(|&(_, policy)| bartercast_sim::SimConfig {
-                policy,
-                ..base.clone()
-            })
-            .collect();
-        let reports = run_configs(&scale.trace(seed), configs);
-        for (&(policy, _), report) in SEED_POLICIES.iter().zip(reports) {
+        let trace = scale.trace(seed);
+        let finished: Vec<(SimReport, [f64; 2])> = std::thread::scope(|scope| {
+            let handles: Vec<_> = SEED_POLICIES
+                .iter()
+                .map(|&(_, policy)| {
+                    let config = bartercast_sim::SimConfig {
+                        policy,
+                        ..base.clone()
+                    };
+                    let trace = trace.clone();
+                    scope.spawn(move || {
+                        let horizon = trace.horizon;
+                        let mut sim = Simulation::new(trace, config);
+                        while sim.now() < horizon {
+                            sim.step();
+                        }
+                        let coverage = final_coverage(&sim);
+                        (sim.run(), coverage)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("simulation thread panicked"))
+                .collect()
+        });
+        for (&(policy, _), (report, coverage)) in SEED_POLICIES.iter().zip(finished) {
             let (sharer_reputation, freerider_reputation) = report.mean_final_reputation();
             runs.push(SeedRun {
                 seed,
@@ -171,10 +208,26 @@ pub fn run_seeds(scale: Scale, seeds: impl IntoIterator<Item = u64>) -> Vec<Seed
                 sharer_reputation,
                 freerider_reputation,
                 slots: report.slots,
+                contention: report.contention,
+                coverage,
             });
         }
     }
     runs
+}
+
+/// Mean [`two_hop_coverage`] of the subjective graphs of `[sharers,
+/// freeriders]` in `sim`, archival peers excluded (0 for an empty
+/// group).
+fn final_coverage(sim: &Simulation) -> [f64; 2] {
+    let mut groups = [Running::new(), Running::new()];
+    for (i, peer) in sim.peers().iter().enumerate() {
+        if !sim.is_archival(i) {
+            let group = usize::from(peer.behaviour == Behaviour::Freerider);
+            groups[group].push(two_hop_coverage(peer.engine.graph()));
+        }
+    }
+    groups.map(|g| g.mean())
 }
 
 /// `(q1, median, q3)` of `values`, or `None` when there are none.
@@ -225,7 +278,7 @@ mod tests {
         );
         for run in &runs {
             assert_eq!(run.values().len(), SeedRun::columns().len());
-            let shares: f64 = run.values()[3..].iter().flatten().sum();
+            let shares: f64 = run.values()[3..13].iter().flatten().sum();
             assert!((shares - 2.0).abs() < 1e-9, "each group's shares sum to 1");
         }
         assert_eq!(quartiles(&[4.0, 1.0, 3.0, 2.0, 5.0]), Some([2.0, 3.0, 4.0]));

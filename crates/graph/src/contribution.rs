@@ -257,9 +257,10 @@ impl ContributionGraph {
             .map(|e| (self.index.peer(e.other), Bytes(e.weight)))
     }
 
-    /// The dense index of `node`, if it is in the graph.
+    /// The dense index of `node`, if it is in the graph: nodes are
+    /// numbered `0..node_count()` in the order they first appeared.
     #[inline]
-    pub(crate) fn node(&self, node: PeerId) -> Option<u32> {
+    pub fn node(&self, node: PeerId) -> Option<u32> {
         self.index.get(node)
     }
 

@@ -26,14 +26,16 @@
 //! in-direction pass needed for the `maxflow(j → i)` side of
 //! Equation 1.
 //!
-//! [`sweep_into`] is the pass the reputation engine runs: both
-//! directions at once, for any path bound `k ≤ 2`, written into one
-//! caller-owned [`FlowPair`] map that the engine reuses from call to
-//! call. It is [`sweep_adjacency`] over one graph; the sharded service
+//! [`sweep_into`] computes both directions at once, for any path bound
+//! `k ≤ 2`, written into one caller-owned [`FlowPair`] map reused from
+//! call to call. It is [`sweep_adjacency`] over one graph; the sharded service
 //! runs that form directly, reading each node's edges at the shard
 //! that owns the node, since a sweep from `i` reads only `i`'s edges
 //! and one direction of each neighbour's. [`flows_from`] and
-//! [`flows_into`] are its one-direction, `k = 2` oracles. A single
+//! [`flows_into`] are its one-direction, `k = 2` oracles. The
+//! reputation engine runs [`sweep_dense`], the same sums over the
+//! graph's dense node indices into a reused vector, with no hashing;
+//! [`sweep_into`] is its oracle. A single
 //! pair needs none of this:
 //! [`FlowKernel::flow`](crate::FlowKernel::flow) evaluates the same
 //! sum from `s`'s out-edges and `t`'s in-edges alone.
@@ -51,6 +53,7 @@
 
 use crate::backend::FlowPair;
 use crate::contribution::ContributionGraph;
+use crate::csr::EdgeSlot;
 use bartercast_util::units::{Bytes, PeerId};
 use bartercast_util::FxHashMap;
 
@@ -75,6 +78,47 @@ pub fn sweep_into(
         |p| graph.out_edges(p),
         flows,
     );
+}
+
+/// [`sweep_into`] on dense node indices: after the call `flows` has one
+/// entry per node of `graph`, and `flows[u]` holds the flows of the
+/// node whose dense index ([`ContributionGraph::node`]) is `u`. All
+/// entries are zeroed first, so one vector can serve call after call.
+///
+/// # Panics
+/// If `hops > 2`: longer paths share edges and have no closed form.
+pub fn sweep_dense(graph: &ContributionGraph, i: PeerId, hops: usize, flows: &mut Vec<FlowPair>) {
+    assert!(hops <= 2, "no single-source sweep for {hops}-hop paths");
+    flows.clear();
+    flows.resize(graph.node_count(), FlowPair::default());
+    let Some(i) = graph.node(i).filter(|_| hops > 0) else {
+        return;
+    };
+    dense_half(flows, i, hops, |u| graph.in_slots(u), |f| &mut f.toward);
+    dense_half(flows, i, hops, |u| graph.out_slots(u), |f| &mut f.away);
+}
+
+/// One direction of [`sweep_dense`], as [`half_sweep`] on dense slots.
+fn dense_half<'g>(
+    flows: &mut [FlowPair],
+    i: u32,
+    hops: usize,
+    slots: impl Fn(u32) -> &'g [EdgeSlot],
+    side: fn(&mut FlowPair) -> &mut Bytes,
+) {
+    for e in slots(i) {
+        *side(&mut flows[e.other as usize]) += Bytes(e.weight);
+    }
+    if hops < 2 {
+        return;
+    }
+    for im in slots(i) {
+        for mj in slots(im.other) {
+            if mj.other != i {
+                *side(&mut flows[mj.other as usize]) += Bytes(im.weight.min(mj.weight));
+            }
+        }
+    }
 }
 
 /// [`sweep_into`] over any adjacency: `in_edges(p)` and `out_edges(p)`

@@ -33,7 +33,7 @@ use bartercast_graph::maxflow::{self, Method};
 use bartercast_graph::mincut;
 use bartercast_graph::network::FlowNetwork;
 use bartercast_graph::ssat;
-use bartercast_graph::FlowKernel;
+use bartercast_graph::{FlowKernel, FlowPair};
 use bartercast_util::units::{Bytes, PeerId};
 use bartercast_util::FxHashMap;
 use proptest::prelude::*;
@@ -616,6 +616,41 @@ proptest! {
             for &(s, t) in &queries {
                 let (s, t) = (PeerId(s), PeerId(t));
                 prop_assert_eq!(kernel.flow(&g, s, t), maxflow::compute_on(&mut net, s, t, method), "{} -> {} k={}", s, t, k);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The dense sweep is `sweep_into` by another index: on graphs over
+    /// any ids, with weights whose sums saturate, every node's entry
+    /// equals the map's (zero where the map has none, the evaluator's
+    /// own included) for `k ∈ {0, 1, 2}`, and an evaluator outside the
+    /// graph gets all zeros. One vector serves every call, so an entry
+    /// left from one sweep would show in the next.
+    #[test]
+    fn dense_sweep_equals_sweep_into_on_any_ids(
+        edges in prop::collection::vec((mixed_id(), mixed_id(), weight()), 0..40),
+        evaluators in prop::collection::vec(mixed_id(), 1..12),
+    ) {
+        let mut g = ContributionGraph::new();
+        for &(f, t, w) in &edges {
+            g.add_transfer(PeerId(f), PeerId(t), Bytes(w));
+        }
+        let (mut dense, mut map) = (Vec::new(), FxHashMap::default());
+        for &i in &evaluators {
+            for hops in 0..=2 {
+                let i = PeerId(i);
+                ssat::sweep_dense(&g, i, hops, &mut dense);
+                ssat::sweep_into(&g, i, hops, &mut map);
+                prop_assert_eq!(dense.len(), g.node_count());
+                for j in id_universe() {
+                    let got = g.node(j).map_or_else(FlowPair::default, |u| dense[u as usize]);
+                    let want = map.get(&j).copied().unwrap_or_default();
+                    prop_assert_eq!(got, want, "{} -> {} k={}", i, j, hops);
+                }
             }
         }
     }

@@ -25,7 +25,7 @@ use crate::adversary::{AdversaryModel, Conduct};
 use crate::config::{Behaviour, SimConfig, FREERIDER_FRACTION};
 use crate::metrics::{GroupSeries, PeerOutcome, SimReport, SlotKind, SlotLedger};
 use crate::peer::SimPeer;
-use bartercast_bt::choke::Candidate;
+use bartercast_bt::choke::{Candidate, Contention};
 use bartercast_bt::swarm::{Member, Swarm};
 use bartercast_core::frontier::SyncPlan;
 use bartercast_core::ReputationEngine;
@@ -415,14 +415,19 @@ impl Simulation {
                     self.swarms[s].member_mut(pid).unwrap().unchoked.clear();
                     continue;
                 };
-                // scores first (separate borrow of self.peers[i])
-                let scores = crate::sweep::score_candidates(
-                    &mut self.peers[i],
-                    &policy,
-                    ratio.as_ref(),
-                    &candidates,
-                    epoch,
-                );
+                // scores first (separate borrow of self.peers[i]); an
+                // empty list is never scored
+                let scores = if candidates.is_empty() {
+                    FxHashMap::default()
+                } else {
+                    crate::sweep::score_candidates(
+                        &mut self.peers[i],
+                        &policy,
+                        ratio.as_ref(),
+                        &candidates,
+                        epoch,
+                    )
+                };
                 let role = self.swarms[s].member(pid).unwrap().role();
                 let dyn_policy: &dyn bartercast_bt::ChokePolicy = match ratio.as_ref() {
                     Some(r) => r,
@@ -871,6 +876,13 @@ impl Simulation {
             meetings: self.meetings,
             pieces_transferred: self.pieces_transferred,
             slots: self.slots,
+            contention: self
+                .swarms
+                .iter()
+                .fold(Contention::default(), |mut all, s| {
+                    all.add(&s.contention());
+                    all
+                }),
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Measurement channels for Figures 1–3.
 
-use bartercast_bt::Role;
+use bartercast_bt::{Contention, Role};
 use bartercast_util::series::BucketSeries;
 use bartercast_util::stats::Running;
 use bartercast_util::units::{PeerId, Seconds};
@@ -194,6 +194,9 @@ pub struct SimReport {
     pub pieces_transferred: u64,
     /// Bytes received per group and uploader slot kind.
     pub slots: SlotLedger,
+    /// Choke contention per role, summed over every member of every
+    /// swarm ([`bartercast_bt::Swarm::contention`]).
+    pub contention: Contention,
 }
 
 impl SimReport {
@@ -304,6 +307,7 @@ mod tests {
             meetings: 5,
             pieces_transferred: 100,
             slots: SlotLedger::default(),
+            contention: Contention::default(),
         }
     }
 

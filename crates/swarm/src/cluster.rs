@@ -33,6 +33,7 @@ use crate::config::{PeerBehaviour, SwarmParams};
 use crate::ledger::SwarmLedger;
 use crate::report::{SwarmReport, SwarmRow};
 use crate::workload::SwarmWorkload;
+use bartercast_bt::Contention;
 use bartercast_core::PrivateHistory;
 use bartercast_node::lockstep::{Edges, Lockstep};
 use bartercast_node::mem::{MemConfig, MemTransport};
@@ -377,6 +378,10 @@ impl SwarmCluster {
                 }
             })
             .collect();
-        SwarmReport { rows }
+        let mut contention = Contention::default();
+        for counts in ledger.contention.values() {
+            contention.add(counts);
+        }
+        SwarmReport { rows, contention }
     }
 }

@@ -13,6 +13,7 @@
 //! `BTreeMap`s keep every summary deterministically ordered, so two
 //! lockstep runs can compare ledgers bitwise.
 
+use bartercast_bt::Contention;
 use bartercast_util::units::{Bytes, PeerId};
 use std::collections::BTreeMap;
 
@@ -40,6 +41,9 @@ pub struct SwarmLedger {
     /// Bytes each `(uploader, downloader)` pair delivered, recorded
     /// at receipt on the downloader (`<= served` under loss).
     pub delivered: BTreeMap<(PeerId, PeerId), Bytes>,
+    /// Each node's choke contention so far, written after each of its
+    /// choke rounds.
+    pub contention: BTreeMap<PeerId, Contention>,
 }
 
 impl SwarmLedger {

@@ -1,6 +1,7 @@
 //! Per-peer outcome rows.
 
 use crate::config::PeerBehaviour;
+use bartercast_bt::Contention;
 use bartercast_util::units::{Bytes, PeerId};
 
 /// One peer's outcome under one policy run.
@@ -29,6 +30,8 @@ pub struct SwarmRow {
 pub struct SwarmReport {
     /// One row per peer ever in the swarm, in id order.
     pub rows: Vec<SwarmRow>,
+    /// Choke contention per role, summed over every node's choker.
+    pub contention: Contention,
 }
 
 impl SwarmReport {

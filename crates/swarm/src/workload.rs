@@ -498,9 +498,15 @@ impl SwarmWorkload {
                 }
                 _ => (self.params.policy.as_dyn(), self.peer_scores(state, &peers)),
             };
-            self.choker.unchoke(role, &candidates, policy, |q| {
+            let unchoked = self.choker.unchoke(role, &candidates, policy, |q| {
                 scores.get(&q).copied().unwrap_or(PeerScore::NEUTRAL)
-            })
+            });
+            self.ledger
+                .lock()
+                .expect("ledger lock")
+                .contention
+                .insert(self.me, *self.choker.contention());
+            unchoked
         };
         for (&peer, view) in self.peers.iter_mut() {
             let grant = unchoked.contains(&peer);

@@ -86,6 +86,10 @@ fn two_lossy_churning_runs_are_bitwise_identical() {
     );
     assert_eq!(a.stats(), b.stats(), "NodeStats diverged");
     assert_eq!(a.report().rows, b.report().rows, "report rows diverged");
+    // every node's choke rounds reach the report, departed ones' too
+    let contention = a.report().contention;
+    assert_eq!(contention, b.report().contention, "contention diverged");
+    assert!(contention.leecher.rounds > 0 && contention.seeder.rounds > 0);
 }
 
 #[test]

@@ -1,8 +1,14 @@
 #!/usr/bin/env bash
 # Mutation gate: every mutant in mutants.txt must be killed.
 #
-#   scripts/mutants.sh
+#   scripts/mutants.sh                  # every entry
+#   scripts/mutants.sh --changed [BASE] # only entries whose file changed
 #
+# `--changed` keeps the entries whose `file:` differs between the
+# working tree (untracked files included) and the merge base of BASE
+# (default HEAD~1, the parent of a one-commit change) and HEAD, so a
+# change runs the mutants of the files it touches; run the full list
+# at each re-anchor.
 # The working tree (tracked and untracked, ignored files excepted) is
 # copied once into a scratch directory under $TMPDIR. There the script
 # first runs every named test on the clean copy (each must pass), then,
@@ -18,10 +24,21 @@ set -euo pipefail
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 list="$repo/mutants.txt"
 
+filter="" changed=""
+case "${1:-}" in
+    '') ;;
+    --changed)
+        filter=1
+        base="$(cd "$repo" && git merge-base "${2:-HEAD~1}" HEAD)"
+        changed="$(cd "$repo" && { git diff --name-only "$base"; git ls-files --others --exclude-standard; })"
+        ;;
+    *) sed -n '2,12p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//' >&2; exit 2 ;;
+esac
+
 # parse mutants.txt into parallel arrays; `kill` lines join with a tab
 files=() olds=() news=() kills=() whys=()
 flush() {
-    if [ -n "$file" ]; then
+    if [ -n "$file" ] && { [ -z "$filter" ] || grep -qxF "$file" <<< "$changed"; }; then
         files+=("$file") olds+=("$old") news+=("$new") kills+=("$kill") whys+=("$why")
     fi
     file="" old="" new="" kill="" why=""
@@ -40,6 +57,10 @@ while IFS= read -r line || [ -n "$line" ]; do
     esac
 done < "$list"
 flush
+if [ ${#files[@]} -eq 0 ]; then
+    echo "mutants: no entry's file changed"
+    exit 0
+fi
 
 scratch="$(mktemp -d)"
 trap 'rm -rf "$scratch"' EXIT
@@ -84,7 +105,7 @@ EOF
 }
 
 status=0
-echo "mutants: ${#files[@]} entries, clean baseline first"
+echo "mutants: ${#files[@]} entries${filter:+ (files changed since $base)}, clean baseline first"
 for k in "${!files[@]}"; do
     while IFS= read -r test; do
         result="$(run_test "$test")"

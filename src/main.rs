@@ -16,6 +16,7 @@
 
 #![forbid(unsafe_code)]
 
+use bartercast::bt::ChokeCounts;
 use bartercast::core::policy::ReputationPolicy;
 use bartercast::deploy::{Community, CommunityConfig, Observer, ObserverConfig};
 use bartercast::sim::scale::{run_scale, ScaleConfig};
@@ -339,6 +340,14 @@ fn sim_run(args: &Args) -> Result<(), String> {
             "  swarm {}: {} completions, mean {:.1} h, peak {} members",
             s.swarm, s.completions, s.mean_completion_hours, s.peak_members
         );
+    }
+    println!("choke contention ({}):", ChokeCounts::LABELS.join(" / "));
+    for (role, counts) in [
+        ("leechers", report.contention.leecher),
+        ("seeders", report.contention.seeder),
+    ] {
+        let counts: Vec<String> = counts.values().iter().map(u64::to_string).collect();
+        println!("  {role:<10} {}", counts.join(" / "));
     }
     Ok(())
 }
