@@ -1,46 +1,27 @@
-//! Time sources for the reactor.
+//! The runtime's one time source.
 //!
-//! The reactor never calls `Instant::now()` directly — it asks its
-//! [`Clock`]. [`SystemClock`] (a thin wrapper over `Instant::now`)
-//! times [`MemTransport::new`](crate::mem::MemTransport::new)'s pipes,
-//! but the deterministic cluster driver installs a [`VirtualClock`]
-//! instead: a monotonically advancing offset over a fixed base instant
-//! that only moves when the driver says so. Every
+//! The reactor never calls `Instant::now()` — it asks its
+//! [`VirtualClock`]: a monotonically advancing offset over a fixed base
+//! instant that only moves when the driver says so. Every
 //! time-dependent decision in the runtime — exchange ticks, idle
 //! timeouts, dial backoff expiry, and the in-flight delay schedule of
-//! the [`MemTransport`](crate::mem::MemTransport) — then becomes a
-//! pure function of the event schedule, which is what makes two runs
-//! of the same seeded cluster bitwise identical.
+//! the [`MemTransport`](crate::mem::MemTransport) — is then a pure
+//! function of the event schedule, which is what makes two runs of the
+//! same seeded cluster bitwise identical.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::time::{Duration, Instant};
-
-/// A monotonic time source.
-pub trait Clock: Send + Sync {
-    /// The current instant. Must never go backwards.
-    fn now(&self) -> Instant;
-}
-
-/// Wall-clock time: `Instant::now()`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SystemClock;
-
-impl Clock for SystemClock {
-    fn now(&self) -> Instant {
-        Instant::now()
-    }
-}
 
 /// Simulated time: a base instant plus an explicitly advanced offset.
 ///
-/// `now()` is `base + offset`; nothing moves until
+/// [`VirtualClock::now`] is `base + offset`; nothing moves until
 /// [`VirtualClock::advance_to`] is called, so a single-threaded driver
 /// has total control over the event schedule. The offset is monotone:
 /// advancing to a past instant is a no-op rather than a rewind.
 #[derive(Debug)]
 pub struct VirtualClock {
     base: Instant,
-    offset_nanos: AtomicU64,
+    offset: Cell<Duration>,
 }
 
 impl Default for VirtualClock {
@@ -54,25 +35,24 @@ impl VirtualClock {
     pub fn new() -> Self {
         VirtualClock {
             base: Instant::now(),
-            offset_nanos: AtomicU64::new(0),
+            offset: Cell::new(Duration::ZERO),
         }
+    }
+
+    /// The current instant. Never goes backwards.
+    pub fn now(&self) -> Instant {
+        self.base + self.offset.get()
     }
 
     /// Advance time to `t` (no-op if `t` is not in the future).
     pub fn advance_to(&self, t: Instant) {
-        let target = t.saturating_duration_since(self.base).as_nanos() as u64;
-        self.offset_nanos.fetch_max(target, Ordering::SeqCst);
+        let target = t.saturating_duration_since(self.base);
+        self.offset.set(self.offset.get().max(target));
     }
 
     /// Virtual time elapsed since the clock was created.
     pub fn elapsed(&self) -> Duration {
-        Duration::from_nanos(self.offset_nanos.load(Ordering::SeqCst))
-    }
-}
-
-impl Clock for VirtualClock {
-    fn now(&self) -> Instant {
-        self.base + Duration::from_nanos(self.offset_nanos.load(Ordering::SeqCst))
+        self.offset.get()
     }
 }
 

@@ -2,18 +2,15 @@
 //!
 //! Everything below `crates/node` turns the passive BarterCast
 //! libraries (history, codec, reputation engine, gossip sampling) into
-//! a *running peer* — now as an event-driven reactor rather than
-//! thread-per-session. The layering:
+//! a *running peer*: an event-driven reactor over one in-process
+//! transport and one virtual clock, all on one thread. The layering:
 //!
-//! * [`transport`] — the non-blocking [`Transport`]
-//!   abstraction (frame-out/readiness-in) and the [`WakeQueue`]
-//!   readiness mechanism;
-//! * [`mem`] — the deterministic in-process transport with seeded
-//!   delay, frame loss, fragmented reads, and a waker-based readiness
-//!   model whose adversity schedule is poll-order independent;
-//! * [`clock`] — the [`Clock`] abstraction:
-//!   [`SystemClock`] for wall-clock pipes,
-//!   [`VirtualClock`] for lockstep determinism;
+//! * [`mem`] — [`MemTransport`], the one transport: non-blocking
+//!   connections (frame-out/readiness-in) with seeded delay, frame
+//!   loss and fragmented reads on a poll-order-independent schedule,
+//!   and the [`WakeQueue`] readiness mechanism;
+//! * [`clock`] — the [`VirtualClock`] every reactor and pipe is timed
+//!   by, advanced only by the driver;
 //! * [`timer`] — the ordered [`TimerWheel`](timer::TimerWheel) carrying
 //!   exchange ticks, session deadlines, and dial-backoff retries;
 //! * [`wire`] — session envelopes (versioned `Hello`, `Digest`/`Delta`
@@ -47,16 +44,14 @@ pub mod reactor;
 pub mod session;
 pub mod stats;
 pub mod timer;
-pub mod transport;
 pub mod wire;
 pub mod workload;
 
-pub use clock::{Clock, SystemClock, VirtualClock};
+pub use clock::VirtualClock;
 pub use cluster::{Cluster, ClusterConfig, DeterministicCluster};
 pub use lockstep::Lockstep;
-pub use mem::{MemConfig, MemTransport};
+pub use mem::{MemConfig, MemConn, MemListener, MemTransport, WakeQueue};
 pub use reactor::{backoff_delay, NodeConfig, Reactor};
 pub use stats::{NodeCounters, NodeStats};
-pub use transport::{Conn, Listener, Transport, WakeQueue};
 pub use wire::SwarmFrame;
 pub use workload::{Workload, WorkloadIo};

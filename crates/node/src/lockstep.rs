@@ -1,7 +1,7 @@
 //! The lockstep driver: many reactors, one thread, virtual time.
 //!
-//! [`Lockstep`] owns a [`VirtualClock`], the [`MemTransport`] built on
-//! it, and every live [`Reactor`], held sorted by peer id so that a
+//! [`Lockstep`] owns the [`MemTransport`], the [`VirtualClock`] it is
+//! timed by, and every live [`Reactor`], held sorted by peer id so that a
 //! reactor's *slot* is its position. The caller owns the world around
 //! it — which nodes exist, what they carry, when they come and go — and
 //! calls [`Lockstep::spawn`], [`Lockstep::retire`] and
@@ -13,7 +13,7 @@
 //! of asking every reactor:
 //!
 //! * each reactor's [`WakeQueue`](crate::WakeQueue) is linked to its
-//!   slot's bit in a shared runnable bitset, so the notify that
+//!   slot's bit in the driver's runnable bitset, so the notify that
 //!   delivers a frame, an EOF or an inbound connection also marks the
 //!   reactor runnable;
 //! * after each poll the driver caches the reactor's
@@ -52,39 +52,48 @@
 //! [`Lockstep::edges`] and [`Lockstep::all_from_pieces`] cover departed
 //! nodes too; a live node shadows an earlier departure under its id.
 
-use crate::clock::{Clock, VirtualClock};
+use crate::clock::VirtualClock;
 use crate::mem::{MemConfig, MemTransport};
 use crate::reactor::{NodeConfig, Reactor};
 use crate::stats::{NodeCounters, NodeStats};
-use crate::transport::{set_bit, Transport};
 use bartercast_core::{PeerState, PrivateHistory};
 use bartercast_util::units::{Bytes, PeerId};
+use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 /// A sorted subjective edge list `(from, to, bytes)`.
 pub type Edges = Vec<(PeerId, PeerId, Bytes)>;
 
 /// What is observable of a node, live or retired.
-type Observed<'a> = (Arc<NodeCounters>, &'a PeerState);
+type Observed<'a> = (&'a NodeCounters, &'a PeerState);
+
+/// The driver's runnable set: one bit per slot, in 64-bit words, held
+/// by the driver and by every linked wake queue.
+pub(crate) type Runnable = Rc<[Cell<u64>]>;
+
+/// Set bit `slot` of a bitset of 64-bit words.
+pub(crate) fn set_bit(bits: &[Cell<u64>], slot: usize) {
+    let word = &bits[slot / 64];
+    word.set(word.get() | 1 << (slot % 64));
+}
 
 /// Reactors driven in lockstep on one virtual clock (see module docs).
 pub struct Lockstep {
-    clock: Arc<VirtualClock>,
-    transport: Arc<MemTransport>,
+    /// The network every reactor speaks through, and its clock.
+    transport: MemTransport,
     /// The live reactors in id order; a reactor's slot is its index.
     reactors: Vec<Reactor>,
-    /// One bit per slot, set while the slot's reactor has work.
-    runnable: Arc<[AtomicU64]>,
+    /// One bit per slot, set while the slot's reactor has work; each
+    /// reactor's wake queue holds it too.
+    runnable: Runnable,
     /// Each slot's [`Reactor::next_wake`] as of its last poll.
     wakes: Vec<Option<Instant>>,
     /// Membership changed since the slots were last linked.
     relink: bool,
     /// Retired nodes' final counters and state.
-    departed: BTreeMap<PeerId, (Arc<NodeCounters>, PeerState)>,
+    departed: BTreeMap<PeerId, (NodeCounters, PeerState)>,
     polls: u64,
     /// The slots the last step polled, in order.
     #[cfg(any(test, feature = "scan-oracle"))]
@@ -95,16 +104,10 @@ impl Lockstep {
     /// An empty driver at virtual time zero, its transport shaped by
     /// `mem` (loss, delay, fragmentation, seed).
     pub fn new(mem: MemConfig) -> Lockstep {
-        let clock = Arc::new(VirtualClock::new());
-        let transport = Arc::new(MemTransport::with_clock(
-            mem,
-            Arc::clone(&clock) as Arc<dyn Clock>,
-        ));
         Lockstep {
-            clock,
-            transport,
+            transport: MemTransport::with_clock(mem, Rc::new(VirtualClock::new())),
             reactors: Vec::new(),
-            runnable: Arc::new([]),
+            runnable: Rc::new([]),
             wakes: Vec::new(),
             relink: false,
             departed: BTreeMap::new(),
@@ -124,21 +127,14 @@ impl Lockstep {
         bootstrap: Vec<PeerId>,
         history: PrivateHistory,
         config: NodeConfig,
-    ) -> io::Result<&mut Reactor> {
+    ) -> &mut Reactor {
         let Err(slot) = self.reactors.binary_search_by_key(&id, Reactor::id) else {
             panic!("node {id} is live");
         };
-        let reactor = Reactor::new(
-            id,
-            Arc::clone(&self.transport) as Arc<dyn Transport>,
-            bootstrap,
-            history,
-            config,
-            Arc::clone(&self.clock) as Arc<dyn Clock>,
-        )?;
+        let reactor = Reactor::new(id, &self.transport, bootstrap, history, config);
         self.reactors.insert(slot, reactor);
         self.relink = true;
-        Ok(&mut self.reactors[slot])
+        &mut self.reactors[slot]
     }
 
     /// Tear down one node, keeping its final counters and state; its
@@ -158,10 +154,10 @@ impl Lockstep {
     /// reactors themselves.
     fn link(&mut self) {
         let words = self.reactors.len().div_ceil(64);
-        self.runnable = (0..words).map(|_| AtomicU64::new(0)).collect();
+        self.runnable = (0..words).map(|_| Cell::new(0)).collect();
         self.wakes.clear();
         for (slot, reactor) in self.reactors.iter().enumerate() {
-            reactor.wake_handle().link(Arc::clone(&self.runnable), slot);
+            reactor.wake_handle().link(Rc::clone(&self.runnable), slot);
             if reactor.has_work() {
                 set_bit(&self.runnable, slot);
             }
@@ -172,7 +168,7 @@ impl Lockstep {
 
     /// Whether `slot`'s bit is set.
     fn is_runnable(&self, slot: usize) -> bool {
-        self.runnable[slot / 64].load(Ordering::Relaxed) & (1 << (slot % 64)) != 0
+        self.runnable[slot / 64].get() & (1 << (slot % 64)) != 0
     }
 
     /// Clear and return the lowest set bit at or above `from`.
@@ -180,10 +176,10 @@ impl Lockstep {
         let mut word = from / 64;
         let mut mask = !0u64 << (from % 64);
         while let Some(bits) = self.runnable.get(word) {
-            let set = bits.load(Ordering::Relaxed) & mask;
+            let set = bits.get() & mask;
             if set != 0 {
                 let bit = set.trailing_zeros();
-                bits.fetch_and(!(1 << bit), Ordering::Relaxed);
+                bits.set(bits.get() & !(1 << bit));
                 return Some(word * 64 + bit as usize);
             }
             word += 1;
@@ -203,7 +199,7 @@ impl Lockstep {
         }
         #[cfg(any(test, feature = "scan-oracle"))]
         self.polled.clear();
-        let now = self.clock.now();
+        let now = self.transport.clock().now();
         for (slot, wake) in self.wakes.iter().enumerate() {
             if wake.is_some_and(|at| at <= now) {
                 set_bit(&self.runnable, slot);
@@ -246,9 +242,8 @@ impl Lockstep {
     /// Move the clock to `at`, strictly forward so a deadline exactly
     /// at `now` can't stall the loop.
     fn advance_to(&self, at: Instant) {
-        let now = self.clock.now();
-        self.clock
-            .advance_to(at.max(now + Duration::from_micros(1)));
+        let clock = self.transport.clock();
+        clock.advance_to(at.max(clock.now() + Duration::from_micros(1)));
     }
 
     /// Step until `done` returns true or `max_virtual` has elapsed.
@@ -278,7 +273,7 @@ impl Lockstep {
 
     /// Virtual time elapsed since the driver was built.
     pub fn elapsed(&self) -> Duration {
-        self.clock.elapsed()
+        self.transport.clock().elapsed()
     }
 
     /// The shared transport (loss counters, forced disconnects).
@@ -292,10 +287,7 @@ impl Lockstep {
     }
 
     fn observed(&self) -> BTreeMap<PeerId, Observed<'_>> {
-        let departed = self
-            .departed
-            .iter()
-            .map(|(&id, (c, s))| (id, (Arc::clone(c), s)));
+        let departed = self.departed.iter().map(|(&id, (c, s))| (id, (c, s)));
         let live = self
             .reactors
             .iter()
@@ -405,9 +397,7 @@ mod tests {
                 let bootstrap = (0..8).map(PeerId).filter(|&p| p != victim).collect();
                 let history = PrivateHistory::new(victim);
                 let lockstep = cluster.lockstep_mut();
-                lockstep
-                    .spawn(victim, bootstrap, history, config.node)
-                    .expect("respawn");
+                lockstep.spawn(victim, bootstrap, history, config.node);
                 respawned = true;
             }
             let lockstep = cluster.lockstep_mut();
@@ -468,9 +458,7 @@ mod tests {
     fn notify_marks_the_linked_slot() {
         let mut lockstep = Lockstep::new(MemConfig::default());
         for id in [PeerId(7), PeerId(2)] {
-            lockstep
-                .spawn(id, vec![], PrivateHistory::new(id), NodeConfig::default())
-                .unwrap();
+            lockstep.spawn(id, vec![], PrivateHistory::new(id), NodeConfig::default());
         }
         assert!(lockstep.step(), "the first exchange ticks");
         assert!(!lockstep.is_runnable(0) && !lockstep.is_runnable(1));

@@ -1,10 +1,15 @@
-//! The in-process transport: duplex byte pipes with seeded delay,
-//! frame loss, and fragmented delivery — now non-blocking and
-//! waker-driven for the reactor.
+//! The in-process transport, the runtime's one network: duplex byte
+//! pipes addressed by [`PeerId`], non-blocking and waker-driven for the
+//! reactor, with seeded delay, frame loss and fragmented delivery.
 //!
-//! [`MemTransport`] gives the node runtime a socket-free network:
-//! connections are pairs of FIFO byte pipes guarded by a mutex, so the
-//! session code runs deterministically inside one process. Three
+//! The contract is frame-out / readiness-in. [`MemConn::try_send`] puts
+//! one whole frame in the pipe at once; [`MemConn::try_recv`] returns
+//! whatever bytes are ready (`Ok(None)` is the `WouldBlock` case),
+//! which the incremental
+//! [`FrameDecoder`](bartercast_core::codec::FrameDecoder) absorbs; and
+//! each endpoint pushes its token onto its reactor's [`WakeQueue`]
+//! whenever bytes, EOF or an inbound connection appear (drained in
+//! sorted order, which keeps the poll order reproducible). Three
 //! adversities are injected, all from seeded per-connection RNGs:
 //!
 //! * **loss** — each sent frame is dropped whole with probability
@@ -30,24 +35,27 @@
 //!   ordinal)`, not from a transport-global connection counter, so the
 //!   k-th `A → B` connection sees the same streams regardless of how
 //!   dials of *other* pairs interleave with it;
-//! * delays are computed against the transport's [`Clock`], so under a
-//!   [`VirtualClock`](crate::clock::VirtualClock) the whole frame
-//!   schedule is an exact function of the seeds — which is what the
-//!   lockstep cluster driver's bitwise-equality regression test pins.
+//! * delays are computed against the transport's [`VirtualClock`], so
+//!   the whole frame schedule is an exact function of the seeds — which
+//!   is what the lockstep cluster driver's bitwise-equality regression
+//!   test pins.
 //!
 //! [`MemTransport::disconnect`] severs every live pipe touching a
 //! peer — the forced-disconnect injection the cluster harness uses to
 //! prove the reconnect machinery works.
+//!
+//! Everything here lives on one thread: pipes, accept queues and wake
+//! queues are shared through `Rc` and `RefCell`.
 
-use crate::clock::{Clock, SystemClock};
-use crate::transport::{Conn, Listener, Transport, WakeQueue};
+use crate::clock::VirtualClock;
+use crate::lockstep::{set_bit, Runnable};
 use bartercast_util::units::PeerId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, VecDeque};
+use std::cell::{Cell, RefCell};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 /// Adversity knobs for the in-process network.
@@ -59,7 +67,7 @@ pub struct MemConfig {
     pub min_delay: Duration,
     /// Maximum one-way frame delay (inclusive).
     pub max_delay: Duration,
-    /// Largest fragment a single [`Conn::try_recv`] returns.
+    /// Largest fragment a single [`MemConn::try_recv`] returns.
     pub max_read_chunk: usize,
     /// Seed for every per-connection RNG (combined with the endpoint
     /// pair and a per-pair connection ordinal, so distinct connections
@@ -80,7 +88,50 @@ impl Default for MemConfig {
     }
 }
 
-type Watcher = (Arc<WakeQueue>, u64);
+/// The token a [`MemListener`] registers on its reactor's wake queue.
+pub const LISTENER_TOKEN: u64 = u64::MAX;
+
+/// A set of woken tokens.
+///
+/// Endpoints registered via `register_waker` push their token here
+/// when they become readable; the reactor drains the set (in ascending
+/// token order, so pump order is deterministic). The lockstep driver
+/// also links each reactor's queue to that reactor's bit in its
+/// runnable set, so a notify tells the driver which reactor to poll.
+#[derive(Default)]
+pub struct WakeQueue {
+    ready: RefCell<BTreeSet<u64>>,
+    /// A driver's runnable bitset and this queue's slot in it.
+    link: RefCell<Option<(Runnable, usize)>>,
+}
+
+impl WakeQueue {
+    /// From now on every [`WakeQueue::notify`] also sets bit `slot` of
+    /// `bits`, replacing any earlier link.
+    pub(crate) fn link(&self, bits: Runnable, slot: usize) {
+        *self.link.borrow_mut() = Some((bits, slot));
+    }
+
+    /// Mark `token` ready and set the linked runnable bit.
+    pub fn notify(&self, token: u64) {
+        self.ready.borrow_mut().insert(token);
+        if let Some((bits, slot)) = &*self.link.borrow() {
+            set_bit(bits, *slot);
+        }
+    }
+
+    /// Whether no token is ready.
+    pub fn is_empty(&self) -> bool {
+        self.ready.borrow().is_empty()
+    }
+
+    /// Take the currently ready tokens.
+    pub fn drain(&self) -> BTreeSet<u64> {
+        self.ready.take()
+    }
+}
+
+type Watcher = (Rc<WakeQueue>, u64);
 
 /// One direction of a connection: a FIFO of delayed byte chunks.
 #[derive(Default)]
@@ -100,34 +151,24 @@ impl PipeBuf {
             queue.notify(*token);
         }
     }
-}
 
-#[derive(Default)]
-struct Pipe {
-    buf: Mutex<PipeBuf>,
-}
-
-impl Pipe {
-    fn close(&self) {
-        let mut buf = self.buf.lock().expect("pipe lock");
-        buf.closed = true;
-        buf.wake_reader();
-    }
-
-    fn is_closed(&self) -> bool {
-        self.buf.lock().expect("pipe lock").closed
+    fn close(&mut self) {
+        self.closed = true;
+        self.wake_reader();
     }
 }
+
+type Pipe = RefCell<PipeBuf>;
 
 /// Accept queue for one listening peer.
 #[derive(Default)]
 struct AcceptQueue {
-    inner: Mutex<(VecDeque<MemConn>, Option<Watcher>)>,
+    inner: RefCell<(VecDeque<MemConn>, Option<Watcher>)>,
 }
 
 impl AcceptQueue {
     fn push(&self, conn: MemConn) {
-        let mut inner = self.inner.lock().expect("accept lock");
+        let mut inner = self.inner.borrow_mut();
         inner.0.push_back(conn);
         if let Some((queue, token)) = &inner.1 {
             queue.notify(*token);
@@ -139,20 +180,20 @@ impl AcceptQueue {
 struct LiveConn {
     a: PeerId,
     b: PeerId,
-    a_to_b: Arc<Pipe>,
-    b_to_a: Arc<Pipe>,
+    a_to_b: Rc<Pipe>,
+    b_to_a: Rc<Pipe>,
 }
 
 impl LiveConn {
     /// Both ends are gone (dropped or severed): nothing left to cut.
     fn vanished(&self) -> bool {
-        self.a_to_b.is_closed() && self.b_to_a.is_closed()
+        self.a_to_b.borrow().closed && self.b_to_a.borrow().closed
     }
 }
 
 #[derive(Default)]
 struct Registry {
-    listeners: HashMap<PeerId, Arc<AcceptQueue>>,
+    listeners: HashMap<PeerId, Rc<AcceptQueue>>,
     /// Every connection [`MemTransport::disconnect`] may still have to
     /// cut, plus vanished ones not pruned yet.
     live: Vec<LiveConn>,
@@ -176,58 +217,56 @@ impl Registry {
     }
 }
 
-/// The deterministic in-process transport. Cheap to clone; clones
-/// share the same network.
+/// The deterministic in-process network. Cheap to clone; clones share
+/// the same network and clock.
 #[derive(Clone)]
 pub struct MemTransport {
     config: MemConfig,
-    registry: Arc<Mutex<Registry>>,
-    frames_dropped: Arc<AtomicU64>,
-    clock: Arc<dyn Clock>,
+    registry: Rc<RefCell<Registry>>,
+    frames_dropped: Rc<Cell<u64>>,
+    clock: Rc<VirtualClock>,
 }
 
 impl MemTransport {
     /// An empty in-process network with the given adversity knobs,
-    /// running on wall-clock time.
-    pub fn new(config: MemConfig) -> Self {
-        Self::with_clock(config, Arc::new(SystemClock))
-    }
-
-    /// An empty in-process network whose delay schedule is computed
-    /// against `clock` — install a
-    /// [`VirtualClock`](crate::clock::VirtualClock) for fully
-    /// deterministic lockstep runs.
-    pub fn with_clock(config: MemConfig, clock: Arc<dyn Clock>) -> Self {
+    /// whose delay schedule is computed against `clock`.
+    pub fn with_clock(config: MemConfig, clock: Rc<VirtualClock>) -> Self {
         assert!((0.0..=1.0).contains(&config.loss));
         assert!(config.min_delay <= config.max_delay);
         assert!(config.max_read_chunk >= 1);
         MemTransport {
             config,
-            registry: Arc::new(Mutex::new(Registry::default())),
-            frames_dropped: Arc::new(AtomicU64::new(0)),
+            registry: Rc::default(),
+            frames_dropped: Rc::default(),
             clock,
         }
     }
 
+    /// The clock every pipe of this network is timed by.
+    pub fn clock(&self) -> &Rc<VirtualClock> {
+        &self.clock
+    }
+
     /// Frames silently dropped by loss injection so far.
     pub fn frames_dropped(&self) -> u64 {
-        self.frames_dropped.load(Ordering::Relaxed)
+        self.frames_dropped.get()
     }
-}
 
-impl Transport for MemTransport {
-    fn listen(&self, local: PeerId) -> io::Result<Box<dyn Listener>> {
-        let queue = Arc::new(AcceptQueue::default());
+    /// Bind an accept queue for `local`, replacing any earlier one.
+    /// Other peers can [`MemTransport::connect`] to it from now on.
+    pub fn listen(&self, local: PeerId) -> MemListener {
+        let queue = Rc::new(AcceptQueue::default());
         self.registry
-            .lock()
-            .expect("registry lock")
+            .borrow_mut()
             .listeners
-            .insert(local, Arc::clone(&queue));
-        Ok(Box::new(MemListener { queue }))
+            .insert(local, Rc::clone(&queue));
+        MemListener { queue }
     }
 
-    fn connect(&self, from: PeerId, to: PeerId) -> io::Result<Box<dyn Conn>> {
-        let mut reg = self.registry.lock().expect("registry lock");
+    /// Open a connection from `from` to `to`, queueing its other end on
+    /// `to`'s listener. Refused when `to` is not listening.
+    pub fn connect(&self, from: PeerId, to: PeerId) -> io::Result<MemConn> {
+        let mut reg = self.registry.borrow_mut();
         let queue = reg.listeners.get(&to).cloned().ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::ConnectionRefused,
@@ -239,13 +278,13 @@ impl Transport for MemTransport {
             *k += 1;
             *k
         };
-        let a_to_b = Arc::new(Pipe::default());
-        let b_to_a = Arc::new(Pipe::default());
+        let a_to_b = Rc::new(Pipe::default());
+        let b_to_a = Rc::new(Pipe::default());
         reg.track(LiveConn {
             a: from,
             b: to,
-            a_to_b: Arc::clone(&a_to_b),
-            b_to_a: Arc::clone(&b_to_a),
+            a_to_b: Rc::clone(&a_to_b),
+            b_to_a: Rc::clone(&b_to_a),
         });
         drop(reg);
         // four independent streams per connection: {initiator,
@@ -260,13 +299,13 @@ impl Transport for MemTransport {
                 .wrapping_add(stream)
         };
         let initiator = MemConn {
-            tx: Arc::clone(&a_to_b),
-            rx: Arc::clone(&b_to_a),
+            tx: Rc::clone(&a_to_b),
+            rx: Rc::clone(&b_to_a),
             config: self.config,
             tx_rng: StdRng::seed_from_u64(seed_for(1)),
             rx_rng: StdRng::seed_from_u64(seed_for(2)),
-            frames_dropped: Arc::clone(&self.frames_dropped),
-            clock: Arc::clone(&self.clock),
+            frames_dropped: Rc::clone(&self.frames_dropped),
+            clock: Rc::clone(&self.clock),
         };
         let acceptor = MemConn {
             tx: b_to_a,
@@ -274,22 +313,25 @@ impl Transport for MemTransport {
             config: self.config,
             tx_rng: StdRng::seed_from_u64(seed_for(3)),
             rx_rng: StdRng::seed_from_u64(seed_for(4)),
-            frames_dropped: Arc::clone(&self.frames_dropped),
-            clock: Arc::clone(&self.clock),
+            frames_dropped: Rc::clone(&self.frames_dropped),
+            clock: Rc::clone(&self.clock),
         };
         queue.push(acceptor);
-        Ok(Box::new(initiator))
+        Ok(initiator)
     }
 
-    fn disconnect(&self, peer: PeerId) -> usize {
-        let mut reg = self.registry.lock().expect("registry lock");
+    /// Forcibly sever every live connection touching `peer`, returning
+    /// how many were killed. The listener survives, so the peer can be
+    /// reconnected to — the harness's connection-churn injection point.
+    pub fn disconnect(&self, peer: PeerId) -> usize {
+        let mut reg = self.registry.borrow_mut();
         let mut killed = 0;
         reg.live.retain(|c| {
             if c.a == peer || c.b == peer {
                 // a vanished connection awaiting its prune is not live
                 killed += usize::from(!c.vanished());
-                c.a_to_b.close();
-                c.b_to_a.close();
+                c.a_to_b.borrow_mut().close();
+                c.b_to_a.borrow_mut().close();
                 false
             } else {
                 true
@@ -299,54 +341,64 @@ impl Transport for MemTransport {
     }
 }
 
-struct MemListener {
-    queue: Arc<AcceptQueue>,
+/// The accept queue bound to one local peer. Non-blocking.
+pub struct MemListener {
+    queue: Rc<AcceptQueue>,
 }
 
-impl Listener for MemListener {
-    fn try_accept(&mut self) -> io::Result<Option<Box<dyn Conn>>> {
-        let mut inner = self.queue.inner.lock().expect("accept lock");
-        Ok(inner.0.pop_front().map(|c| Box::new(c) as Box<dyn Conn>))
+impl MemListener {
+    /// The next pending inbound connection, or `None` when none is
+    /// queued right now.
+    pub fn try_accept(&mut self) -> Option<MemConn> {
+        self.queue.inner.borrow_mut().0.pop_front()
     }
 
-    fn register_waker(&mut self, queue: &Arc<WakeQueue>, token: u64) {
-        let mut inner = self.queue.inner.lock().expect("accept lock");
+    /// Hook this listener to a reactor wake queue: it notifies `token`
+    /// ([`LISTENER_TOKEN`] under the reactor) when connections arrive.
+    pub fn register_waker(&mut self, queue: &Rc<WakeQueue>, token: u64) {
+        let mut inner = self.queue.inner.borrow_mut();
         let pending = !inner.0.is_empty();
-        inner.1 = Some((Arc::clone(queue), token));
+        inner.1 = Some((Rc::clone(queue), token));
         if pending {
             queue.notify(token);
         }
     }
 }
 
-struct MemConn {
-    tx: Arc<Pipe>,
-    rx: Arc<Pipe>,
+/// One end of an established connection. All methods are
+/// non-blocking; dropping it closes both directions.
+pub struct MemConn {
+    tx: Rc<Pipe>,
+    rx: Rc<Pipe>,
     config: MemConfig,
     /// Consumed only on sends: one loss draw, then (if kept and the
     /// delay span is nonzero) one delay draw per frame.
     tx_rng: StdRng,
     /// Consumed only on successful reads: one fragment-cap draw each.
     rx_rng: StdRng,
-    frames_dropped: Arc<AtomicU64>,
-    clock: Arc<dyn Clock>,
+    frames_dropped: Rc<Cell<u64>>,
+    clock: Rc<VirtualClock>,
 }
 
 impl Drop for MemConn {
     fn drop(&mut self) {
         // closing our write side is the EOF the remote reader sees;
-        // closing our read side unblocks the remote writer with an
+        // closing our read side makes the remote writer's next send an
         // error instead of letting it fill an orphaned buffer
-        self.tx.close();
-        self.rx.close();
+        self.tx.borrow_mut().close();
+        self.rx.borrow_mut().close();
     }
 }
 
-impl Conn for MemConn {
-    fn try_send(&mut self, frame: &[u8]) -> io::Result<bool> {
+impl MemConn {
+    /// Send one whole frame: it lands in the pipe at once, readable
+    /// after its drawn delay, unless loss injection drops it whole (the
+    /// sender cannot tell). An error means the connection was severed
+    /// and is unusable.
+    pub fn try_send(&mut self, frame: &[u8]) -> io::Result<()> {
         if self.config.loss > 0.0 && self.tx_rng.gen_bool(self.config.loss) {
-            self.frames_dropped.fetch_add(1, Ordering::Relaxed);
-            return Ok(true); // dropped in flight; the sender cannot tell
+            self.frames_dropped.set(self.frames_dropped.get() + 1);
+            return Ok(()); // dropped in flight; the sender cannot tell
         }
         let span = self
             .config
@@ -359,7 +411,7 @@ impl Conn for MemConn {
             } else {
                 self.tx_rng.gen_range(0..=span)
             });
-        let mut buf = self.tx.buf.lock().expect("pipe lock");
+        let mut buf = self.tx.borrow_mut();
         if buf.closed {
             return Err(io::Error::new(
                 io::ErrorKind::BrokenPipe,
@@ -374,19 +426,19 @@ impl Conn for MemConn {
         buf.last_ready = Some(ready);
         buf.chunks.push_back((ready, frame.to_vec(), 0));
         buf.wake_reader();
-        Ok(true)
+        Ok(())
     }
 
-    fn flush(&mut self) -> io::Result<bool> {
-        Ok(true) // sends land in the pipe immediately; nothing buffers
-    }
-
-    fn try_recv(&mut self, buf: &mut [u8]) -> io::Result<Option<usize>> {
+    /// Read up to `buf.len()` stream bytes without blocking. Returns
+    /// `Ok(None)` when no data is ready (`WouldBlock`), `Ok(Some(0))`
+    /// on clean end-of-stream, and `Ok(Some(n))` for `n` bytes read
+    /// (any fragmentation is legal).
+    pub fn try_recv(&mut self, buf: &mut [u8]) -> io::Result<Option<usize>> {
         if buf.is_empty() {
             return Ok(Some(0));
         }
         let now = self.clock.now();
-        let mut pipe = self.rx.buf.lock().expect("pipe lock");
+        let mut pipe = self.rx.borrow_mut();
         if let Some((ready, bytes, offset)) = pipe.chunks.front_mut() {
             if *ready <= now {
                 // the cap draw happens only on an actual read, so the
@@ -411,15 +463,19 @@ impl Conn for MemConn {
         Ok(None)
     }
 
-    fn next_ready_at(&self) -> Option<Instant> {
-        let pipe = self.rx.buf.lock().expect("pipe lock");
+    /// When the oldest unread frame becomes readable (possibly already
+    /// past); `None` when nothing is in flight.
+    pub fn next_ready_at(&self) -> Option<Instant> {
+        let pipe = self.rx.borrow();
         pipe.chunks.front().map(|(ready, _, _)| *ready)
     }
 
-    fn register_waker(&mut self, queue: &Arc<WakeQueue>, token: u64) {
-        let mut pipe = self.rx.buf.lock().expect("pipe lock");
+    /// Hook this connection to a reactor wake queue under `token`: it
+    /// notifies the token whenever bytes or EOF become readable.
+    pub fn register_waker(&mut self, queue: &Rc<WakeQueue>, token: u64) {
+        let mut pipe = self.rx.borrow_mut();
         let pending = !pipe.chunks.is_empty() || pipe.closed;
-        pipe.watcher = Some((Arc::clone(queue), token));
+        pipe.watcher = Some((Rc::clone(queue), token));
         if pending {
             queue.notify(token);
         }
@@ -434,23 +490,25 @@ mod tests {
         PeerId(i)
     }
 
-    fn lossless() -> MemTransport {
-        MemTransport::new(MemConfig::default())
+    /// A fresh network on a fresh virtual clock.
+    fn net(config: MemConfig) -> MemTransport {
+        MemTransport::with_clock(config, Rc::new(VirtualClock::new()))
     }
 
-    fn accept_now(l: &mut Box<dyn Listener>) -> Box<dyn Conn> {
-        l.try_accept().unwrap().expect("inbound conn queued")
-    }
-
-    fn drain(conn: &mut Box<dyn Conn>, want: usize) -> Vec<u8> {
+    /// Read up to `want` bytes, advancing the virtual clock to each
+    /// in-flight frame's arrival; stops at EOF or when nothing is left
+    /// in flight.
+    fn drain(t: &MemTransport, conn: &mut MemConn, want: usize) -> Vec<u8> {
         let mut got = Vec::new();
-        let deadline = Instant::now() + Duration::from_secs(2);
-        while got.len() < want && Instant::now() < deadline {
+        while got.len() < want {
             let mut chunk = [0u8; 256];
             match conn.try_recv(&mut chunk).unwrap() {
                 Some(0) => break,
                 Some(n) => got.extend_from_slice(&chunk[..n]),
-                None => std::thread::sleep(Duration::from_micros(100)),
+                None => match conn.next_ready_at() {
+                    Some(at) if at > t.clock().now() => t.clock().advance_to(at),
+                    _ => break,
+                },
             }
         }
         got
@@ -458,58 +516,118 @@ mod tests {
 
     #[test]
     fn roundtrip_preserves_order_across_frames() {
-        let t = lossless();
-        let mut listener = t.listen(p(1)).unwrap();
+        let t = net(MemConfig::default());
+        let mut listener = t.listen(p(1));
         let mut a = t.connect(p(0), p(1)).unwrap();
-        let mut b = accept_now(&mut listener);
+        let mut b = listener.try_accept().unwrap();
         a.try_send(b"first-frame|").unwrap();
         a.try_send(b"second-frame").unwrap();
-        let got = drain(&mut b, 24);
+        let got = drain(&t, &mut b, 24);
         assert_eq!(&got, b"first-frame|second-frame");
     }
 
     #[test]
     fn reads_are_fragmented() {
-        let t = MemTransport::new(MemConfig {
+        let t = net(MemConfig {
             max_read_chunk: 3,
             ..MemConfig::default()
         });
-        let mut listener = t.listen(p(1)).unwrap();
+        let mut listener = t.listen(p(1));
         let mut a = t.connect(p(0), p(1)).unwrap();
-        let mut b = accept_now(&mut listener);
+        let mut b = listener.try_accept().unwrap();
         a.try_send(&[7u8; 32]).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(2);
-        loop {
-            let mut chunk = [0u8; 32];
-            if let Some(n) = b.try_recv(&mut chunk).unwrap() {
-                assert!(n <= 3, "fragment of {n} bytes exceeds the cap");
-                break;
-            }
-            assert!(Instant::now() < deadline, "no data arrived");
-        }
+        t.clock().advance_to(b.next_ready_at().expect("in flight"));
+        let mut chunk = [0u8; 32];
+        let n = b.try_recv(&mut chunk).unwrap().expect("arrived");
+        assert!(
+            (1..=3).contains(&n),
+            "fragment of {n} bytes exceeds the cap"
+        );
     }
 
     #[test]
     fn total_loss_delivers_nothing_but_counts() {
-        let t = MemTransport::new(MemConfig {
+        let t = net(MemConfig {
             loss: 1.0,
             ..MemConfig::default()
         });
-        let mut listener = t.listen(p(1)).unwrap();
+        let mut listener = t.listen(p(1));
         let mut a = t.connect(p(0), p(1)).unwrap();
-        let mut b = accept_now(&mut listener);
+        let mut b = listener.try_accept().unwrap();
         for _ in 0..10 {
             a.try_send(b"doomed").unwrap();
         }
         assert_eq!(t.frames_dropped(), 10);
-        std::thread::sleep(Duration::from_millis(2));
+        assert_eq!(b.next_ready_at(), None, "nothing in flight");
+        let clock = t.clock();
+        clock.advance_to(clock.now() + Duration::from_secs(1));
         let mut buf = [0u8; 8];
         assert_eq!(b.try_recv(&mut buf).unwrap(), None);
     }
 
+    /// With `min_delay == max_delay` a frame is in flight for exactly
+    /// that delay: unreadable a microsecond before `send + delay`,
+    /// readable at it.
+    #[test]
+    fn a_frame_lands_exactly_at_send_plus_delay() {
+        let delay = Duration::from_millis(5);
+        let t = net(MemConfig {
+            min_delay: delay,
+            max_delay: delay,
+            ..MemConfig::default()
+        });
+        let mut listener = t.listen(p(1));
+        let mut a = t.connect(p(0), p(1)).unwrap();
+        let mut b = listener.try_accept().unwrap();
+        let clock = t.clock();
+        clock.advance_to(clock.now() + Duration::from_millis(3));
+        let sent = clock.now();
+        a.try_send(b"late").unwrap();
+        assert_eq!(b.next_ready_at(), Some(sent + delay));
+        let mut buf = [0u8; 8];
+        assert_eq!(b.try_recv(&mut buf).unwrap(), None, "in flight at send");
+        clock.advance_to(sent + delay - Duration::from_micros(1));
+        assert_eq!(b.try_recv(&mut buf).unwrap(), None, "still in flight");
+        clock.advance_to(sent + delay);
+        assert!(b.try_recv(&mut buf).unwrap().is_some_and(|n| n > 0));
+    }
+
+    /// With a delay span each frame draws its own delay, but no frame
+    /// becomes readable before one sent ahead of it: the head's arrival
+    /// never moves backwards as the pipe drains, and the bytes come out
+    /// in send order.
+    #[test]
+    fn delayed_frames_keep_the_fifo_floor() {
+        let t = net(MemConfig {
+            max_delay: Duration::from_millis(10),
+            ..MemConfig::default()
+        });
+        let mut listener = t.listen(p(1));
+        let mut a = t.connect(p(0), p(1)).unwrap();
+        let mut b = listener.try_accept().unwrap();
+        let clock = t.clock();
+        for k in 0..64u8 {
+            a.try_send(&[k]).unwrap();
+            clock.advance_to(clock.now() + Duration::from_micros(50));
+        }
+        let (mut arrivals, mut bytes) = (Vec::new(), Vec::new());
+        while let Some(at) = b.next_ready_at() {
+            arrivals.push(at);
+            clock.advance_to(at);
+            let mut buf = [0u8; 1];
+            assert_eq!(b.try_recv(&mut buf).unwrap(), Some(1));
+            bytes.push(buf[0]);
+        }
+        assert_eq!(bytes, (0..64).collect::<Vec<u8>>());
+        assert!(
+            arrivals.windows(2).all(|w| w[0] <= w[1]),
+            "an arrival went backwards: {arrivals:?}"
+        );
+    }
+
     #[test]
     fn connect_without_listener_is_refused() {
-        let t = lossless();
+        let t = net(MemConfig::default());
         let err = match t.connect(p(0), p(5)) {
             Err(e) => e,
             Ok(_) => panic!("nobody is listening on peer 5"),
@@ -519,10 +637,10 @@ mod tests {
 
     #[test]
     fn disconnect_severs_both_directions_but_not_the_listener() {
-        let t = lossless();
-        let mut listener = t.listen(p(1)).unwrap();
+        let t = net(MemConfig::default());
+        let mut listener = t.listen(p(1));
         let mut a = t.connect(p(0), p(1)).unwrap();
-        let mut b = accept_now(&mut listener);
+        let mut b = listener.try_accept().unwrap();
         assert_eq!(t.disconnect(p(1)), 1);
         assert!(a.try_send(b"x").is_err(), "writer must observe the cut");
         let mut buf = [0u8; 4];
@@ -534,48 +652,51 @@ mod tests {
         // the listener survives: reconnection is possible
         let mut a2 = t.connect(p(0), p(1)).unwrap();
         a2.try_send(b"back").unwrap();
-        let mut b2 = accept_now(&mut listener);
-        assert_eq!(drain(&mut b2, 4), b"back");
+        let mut b2 = listener.try_accept().unwrap();
+        assert_eq!(drain(&t, &mut b2, 4), b"back");
     }
 
     #[test]
     fn dropping_a_conn_signals_eof_to_the_peer() {
-        let t = lossless();
-        let mut listener = t.listen(p(1)).unwrap();
+        let t = net(MemConfig::default());
+        let mut listener = t.listen(p(1));
         let a = t.connect(p(0), p(1)).unwrap();
-        let mut b = accept_now(&mut listener);
+        let mut b = listener.try_accept().unwrap();
         drop(a);
         let mut buf = [0u8; 4];
-        let deadline = Instant::now() + Duration::from_secs(1);
-        loop {
-            match b.try_recv(&mut buf).unwrap() {
-                Some(0) => break,
-                Some(_) => panic!("no data was ever sent"),
-                None => assert!(Instant::now() < deadline, "EOF never arrived"),
-            }
-        }
+        assert_eq!(b.try_recv(&mut buf).unwrap(), Some(0), "EOF at once");
     }
 
     #[test]
     fn same_seed_same_loss_pattern() {
-        let observe = |seed| {
-            let t = MemTransport::new(MemConfig {
-                loss: 0.5,
-                seed,
-                ..MemConfig::default()
-            });
-            let _listener = t.listen(p(1)).unwrap();
-            let mut a = t.connect(p(0), p(1)).unwrap();
-            let mut dropped = Vec::new();
-            for k in 0..64 {
-                let before = t.frames_dropped();
-                a.try_send(&[k]).unwrap();
-                dropped.push(t.frames_dropped() > before);
-            }
-            dropped
+        assert_eq!(loss_pattern(7, 0), loss_pattern(7, 0));
+        assert_ne!(
+            loss_pattern(7, 0),
+            loss_pattern(8, 0),
+            "different seeds should differ"
+        );
+    }
+
+    /// Which of 64 one-byte frames from peer 0 to peer 1 a half-lossy
+    /// network seeded `seed` drops, once `noise_dials` connections from
+    /// peer 8 to peer 9 were opened first.
+    fn loss_pattern(seed: u64, noise_dials: usize) -> Vec<bool> {
+        let t = net(MemConfig {
+            loss: 0.5,
+            seed,
+            ..MemConfig::default()
+        });
+        let (_l1, _l9) = (t.listen(p(1)), t.listen(p(9)));
+        for _ in 0..noise_dials {
+            drop(t.connect(p(8), p(9)).unwrap());
+        }
+        let mut a = t.connect(p(0), p(1)).unwrap();
+        let mut sent_lost = |k| {
+            let before = t.frames_dropped();
+            a.try_send(&[k]).unwrap();
+            t.frames_dropped() > before
         };
-        assert_eq!(observe(7), observe(7));
-        assert_ne!(observe(7), observe(8), "different seeds should differ");
+        (0..64).map(&mut sent_lost).collect()
     }
 
     /// Idle polls must not consume RNG state: the byte-fragment
@@ -584,18 +705,14 @@ mod tests {
     #[test]
     fn empty_polls_do_not_shift_the_fragment_schedule() {
         let observe = |idle_polls: usize| {
-            let clock = Arc::new(crate::clock::VirtualClock::new());
-            let t = MemTransport::with_clock(
-                MemConfig {
-                    max_read_chunk: 5,
-                    max_delay: Duration::ZERO,
-                    ..MemConfig::default()
-                },
-                clock,
-            );
-            let mut listener = t.listen(p(1)).unwrap();
+            let t = net(MemConfig {
+                max_read_chunk: 5,
+                max_delay: Duration::ZERO,
+                ..MemConfig::default()
+            });
+            let mut listener = t.listen(p(1));
             let mut a = t.connect(p(0), p(1)).unwrap();
-            let mut b = accept_now(&mut listener);
+            let mut b = listener.try_accept().unwrap();
             let mut buf = [0u8; 64];
             for _ in 0..idle_polls {
                 assert_eq!(b.try_recv(&mut buf).unwrap(), None);
@@ -619,10 +736,10 @@ mod tests {
     /// prune.
     #[test]
     fn live_list_stays_bounded_and_disconnect_counts_exactly() {
-        let t = lossless();
-        let _l1 = t.listen(p(1)).unwrap();
-        let _l2 = t.listen(p(2)).unwrap();
-        let tracked = |t: &MemTransport| t.registry.lock().unwrap().live.len();
+        let t = net(MemConfig::default());
+        let _l1 = t.listen(p(1));
+        let _l2 = t.listen(p(2));
+        let tracked = |t: &MemTransport| t.registry.borrow().live.len();
         let held: Vec<_> = (0..5).map(|_| t.connect(p(0), p(1)).unwrap()).collect();
         let other = t.connect(p(0), p(2)).unwrap();
         for _ in 0..10_000 {
@@ -640,26 +757,30 @@ mod tests {
     /// matter how many *other* pairs connected in between.
     #[test]
     fn pair_ordinal_seeding_ignores_other_pairs() {
-        let observe = |noise_dials: usize| {
-            let t = MemTransport::new(MemConfig {
-                loss: 0.5,
-                seed: 42,
-                ..MemConfig::default()
-            });
-            let _l1 = t.listen(p(1)).unwrap();
-            let _l9 = t.listen(p(9)).unwrap();
-            for _ in 0..noise_dials {
-                let _ = t.connect(p(8), p(9)).unwrap();
-            }
-            let mut a = t.connect(p(0), p(1)).unwrap();
-            let mut dropped = Vec::new();
-            for k in 0..64 {
-                let before = t.frames_dropped();
-                a.try_send(&[k]).unwrap();
-                dropped.push(t.frames_dropped() > before);
-            }
-            dropped
-        };
-        assert_eq!(observe(0), observe(5));
+        assert_eq!(loss_pattern(42, 0), loss_pattern(42, 5));
+    }
+
+    #[test]
+    fn wake_queue_drains_tokens_in_sorted_order() {
+        let q = WakeQueue::default();
+        q.notify(9);
+        q.notify(1);
+        q.notify(5);
+        let drained: Vec<u64> = q.drain().into_iter().collect();
+        assert_eq!(drained, vec![1, 5, 9]);
+        assert!(q.drain().is_empty());
+    }
+
+    #[test]
+    fn a_linked_wake_queue_marks_its_slot_on_notify() {
+        let bits: Rc<[Cell<u64>]> = (0..2).map(|_| Cell::new(0)).collect();
+        let q = WakeQueue::default();
+        q.notify(1);
+        assert_eq!(bits[1].get(), 0, "not linked yet");
+        q.link(Rc::clone(&bits), 70);
+        q.notify(2);
+        assert_eq!(bits[0].get(), 0);
+        assert_eq!(bits[1].get(), 1 << 6);
+        assert_eq!(q.drain().into_iter().collect::<Vec<_>>(), vec![1, 2]);
     }
 }

@@ -1,8 +1,5 @@
-//! The readiness-polled reactor: one thread, every session.
-//!
-//! The old runtime spent a thread per connection; the [`Reactor`]
-//! replaces all of them with a single poll loop over non-blocking
-//! connections:
+//! The readiness-polled reactor: one node's every session, one poll
+//! loop over non-blocking connections:
 //!
 //! ```text
 //!                ┌──────────────────────────────────────────┐
@@ -12,7 +9,7 @@
 //!                │                                          │
 //!                │  pump ready sessions ─▶ apply events ─▶  │
 //!                │                                          │
-//!                │  reap closed ─▶ sleep until next wake    │
+//!                │  reap closed                             │
 //!                └──────────────────────────────────────────┘
 //!                      ▲               │
 //!            TimerWheel┘               ▼
@@ -23,9 +20,9 @@
 //! Readiness arrives one way: each connection is registered with the
 //! reactor's [`WakeQueue`] under its session token; a peer's send
 //! notifies the token and the reactor pumps exactly the woken sessions,
-//! in sorted-token order. Together with
-//! [`MemTransport`](crate::mem::MemTransport)'s split send/receive RNG
-//! streams this makes the frame schedule a pure function of the seeds.
+//! in sorted-token order. Together with [`MemTransport`]'s split
+//! send/receive RNG streams this makes the frame schedule a pure
+//! function of the seeds.
 //!
 //! All time-driven behaviour — the periodic exchange, handshake/idle
 //! deadlines, dial-backoff retries — lives on the [`TimerWheel`], an
@@ -46,11 +43,10 @@
 //! than a SYN backlog), and exchange messages to a slow peer are
 //! dropped at its bounded queue (`shed_session`).
 
-use crate::clock::Clock;
+use crate::mem::{MemConn, MemListener, MemTransport, WakeQueue, LISTENER_TOKEN};
 use crate::session::{Direction, Session, SessionEvent, HANDSHAKE_TIMEOUT};
 use crate::stats::NodeCounters;
 use crate::timer::{TimerKind, TimerWheel};
-use crate::transport::{Conn, Listener, Transport, WakeQueue, LISTENER_TOKEN};
 use crate::wire::{self, Envelope};
 use crate::workload::{Workload, WorkloadIo};
 use bartercast_core::codec::BufPool;
@@ -63,8 +59,7 @@ use bartercast_util::units::{PeerId, Seconds};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::io;
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 /// Neighbours sampled from the peer-sampling view per exchange tick
@@ -161,7 +156,7 @@ struct Backoff {
 }
 
 /// Sessions whose connection holds a frame that becomes readable at a
-/// future instant (mem-transport delay injection): the reactor must
+/// future instant (the transport's delay injection): the reactor must
 /// wake itself then, because no external notify will. Indexed by token
 /// (each pump replaces or clears its session's entry) and ordered by
 /// instant (the earliest is a wake, the due prefix moves to `ready`).
@@ -209,10 +204,10 @@ impl DelayedFrames {
 /// on one thread over virtual time.
 pub struct Reactor {
     id: PeerId,
-    transport: Arc<dyn Transport>,
-    listener: Box<dyn Listener>,
-    clock: Arc<dyn Clock>,
-    wake: Arc<WakeQueue>,
+    /// The network this node speaks through, and the clock it reads.
+    transport: MemTransport,
+    listener: MemListener,
+    wake: Rc<WakeQueue>,
     /// Sorted so pump order is deterministic.
     sessions: BTreeMap<u64, Session>,
     next_token: u64,
@@ -233,8 +228,8 @@ pub struct Reactor {
     /// count and the history version it was encoded at: what every
     /// session gets on establishment and fallback ticks. The stamp
     /// seeds the receiver's claim, so the next digest round is in sync.
-    full: Option<(Arc<[u8]>, u32, u64)>,
-    counters: Arc<NodeCounters>,
+    full: Option<(Rc<[u8]>, u32, u64)>,
+    counters: NodeCounters,
     config: NodeConfig,
     /// The attached transfer workload, if any (see [`Workload`]).
     workload: Option<Box<dyn Workload>>,
@@ -262,31 +257,29 @@ pub struct Reactor {
 }
 
 impl Reactor {
-    /// Bind the listener and assemble a reactor. Nothing runs until
-    /// [`Reactor::poll_once`] is called; the
-    /// first exchange tick is scheduled for "now", matching the old
-    /// runtime's fire-immediately behaviour.
+    /// Bind the listener on `transport` and assemble a reactor timed by
+    /// the transport's clock. Nothing runs until
+    /// [`Reactor::poll_once`] is called; the first exchange tick is
+    /// scheduled for "now".
     pub fn new(
         id: PeerId,
-        transport: Arc<dyn Transport>,
+        transport: &MemTransport,
         bootstrap: Vec<PeerId>,
         history: PrivateHistory,
         config: NodeConfig,
-        clock: Arc<dyn Clock>,
-    ) -> io::Result<Reactor> {
-        let mut listener = transport.listen(id)?;
-        let wake = Arc::new(WakeQueue::new());
+    ) -> Reactor {
+        let mut listener = transport.listen(id);
+        let wake = Rc::new(WakeQueue::default());
         listener.register_waker(&wake, LISTENER_TOKEN);
-        let now = clock.now();
+        let now = transport.clock().now();
         let mut wheel = TimerWheel::new(now, TICK_GRANULARITY);
         wheel.schedule(now, TimerKind::Exchange);
         let mut pss = PssNode::new(id, config.pss);
         pss.bootstrap(bootstrap);
-        Ok(Reactor {
+        Reactor {
             id,
-            transport,
+            transport: transport.clone(),
             listener,
-            clock,
             wake,
             sessions: BTreeMap::new(),
             next_token: 0,
@@ -300,7 +293,7 @@ impl Reactor {
             ever_connected: HashSet::new(),
             state: PeerState::new(history, ReputationEngine::new()),
             full: None,
-            counters: Arc::new(NodeCounters::default()),
+            counters: NodeCounters::default(),
             config,
             workload: None,
             choke_interval: Duration::from_secs(10),
@@ -310,7 +303,7 @@ impl Reactor {
             digest_tick: HashMap::new(),
             sync_streak: HashMap::new(),
             pushed: HashMap::new(),
-        })
+        }
     }
 
     /// Attach a transfer workload: its choke round fires every
@@ -321,7 +314,7 @@ impl Reactor {
         assert!(choke_interval > Duration::ZERO);
         self.workload = Some(workload);
         self.choke_interval = choke_interval;
-        let now = self.clock.now();
+        let now = self.transport.clock().now();
         self.wheel
             .schedule(now + choke_interval, TimerKind::ChokeRound);
         self.with_workload(now, |w, secs, state, io| w.on_start(secs, state, io));
@@ -372,9 +365,9 @@ impl Reactor {
         self.id
     }
 
-    /// Shared handle to the operational counters.
-    pub fn counters(&self) -> Arc<NodeCounters> {
-        Arc::clone(&self.counters)
+    /// The operational counters.
+    pub fn counters(&self) -> &NodeCounters {
+        &self.counters
     }
 
     /// The node state (history + reputation engine).
@@ -384,23 +377,22 @@ impl Reactor {
 
     /// Give up the reactor, keeping what outlives it: the counters and
     /// the node state.
-    pub(crate) fn into_parts(self) -> (Arc<NodeCounters>, PeerState) {
+    pub(crate) fn into_parts(self) -> (NodeCounters, PeerState) {
         (self.counters, self.state)
     }
 
     /// The wake queue: the lockstep driver links it to its runnable
     /// bitset.
-    pub fn wake_handle(&self) -> Arc<WakeQueue> {
-        Arc::clone(&self.wake)
+    pub fn wake_handle(&self) -> Rc<WakeQueue> {
+        Rc::clone(&self.wake)
     }
 
     /// One full cycle: wakes → timers → delayed frames → accepts →
     /// pumps → events → reaping. Returns whether any progress was made.
-    /// Time is read
-    /// from the clock exactly once, at entry — under a virtual clock
+    /// Time is read from the virtual clock exactly once, at entry, so
     /// the whole cycle is a pure function of (state, seeds, now).
     pub fn poll_once(&mut self) -> bool {
-        let now = self.clock.now();
+        let now = self.transport.clock().now();
         let mut events: Vec<SessionEvent> = Vec::new();
         let mut progress = false;
 
@@ -458,22 +450,19 @@ impl Reactor {
         if self.ready.contains(&LISTENER_TOKEN) {
             let mut accepted = 0;
             while accepted < ACCEPT_BURST {
-                match self.listener.try_accept() {
-                    Ok(Some(conn)) => {
-                        accepted += 1;
-                        if self.sessions.len() >= self.config.max_sessions {
-                            // accepted-then-dropped: the peer sees an
-                            // immediate close, not a hanging backlog
-                            NodeCounters::inc(&self.counters.shed_accept);
-                            drop(conn);
-                        } else {
-                            self.adopt(conn, Direction::Responder, now);
-                        }
-                        progress = true;
-                    }
-                    Ok(None) => break,
-                    Err(_) => break, // listener died; keep serving sessions
+                let Some(conn) = self.listener.try_accept() else {
+                    break;
+                };
+                accepted += 1;
+                if self.sessions.len() >= self.config.max_sessions {
+                    // accepted-then-dropped: the peer sees an immediate
+                    // close, not a hanging backlog
+                    NodeCounters::inc(&self.counters.shed_accept);
+                    drop(conn);
+                } else {
+                    self.adopt(conn, Direction::Responder, now);
                 }
+                progress = true;
             }
             if accepted == ACCEPT_BURST {
                 // burst limit hit with possibly more queued: make sure
@@ -499,7 +488,7 @@ impl Reactor {
                     progress = true;
                 }
                 // a frame still in simulated flight needs a self-wake
-                match session.conn_mut().next_ready_at() {
+                match session.next_ready_at() {
                     Some(at) if at > now => self.delayed.insert(token, at),
                     _ => self.delayed.remove(token),
                 }
@@ -552,14 +541,14 @@ impl Reactor {
         if !self.ready.is_empty() || !self.wake.is_empty() {
             return true;
         }
-        let now = self.clock.now();
+        let now = self.transport.clock().now();
         self.wheel.has_due(now) || self.delayed.earliest().is_some_and(|at| at <= now)
     }
 
     /// Take ownership of a connection as a new session: assign a token,
     /// register its waker, count it live, and schedule its handshake
     /// deadline.
-    fn adopt(&mut self, mut conn: Box<dyn Conn>, direction: Direction, now: Instant) {
+    fn adopt(&mut self, mut conn: MemConn, direction: Direction, now: Instant) {
         let token = self.next_token;
         self.next_token += 1;
         conn.register_waker(&self.wake, token);
@@ -714,7 +703,7 @@ impl Reactor {
 
     /// The full-push frame of the current history, encoded once per
     /// version. `None` while the slice is empty.
-    fn full_frame(&mut self) -> Option<(Arc<[u8]>, u32, u64)> {
+    fn full_frame(&mut self) -> Option<(Rc<[u8]>, u32, u64)> {
         let version = self.state.history.version();
         if self.full.as_ref().map(|f| f.2) != Some(version) {
             let (slice, stamp) = self.state.advertised(self.config.bartercast);
@@ -726,7 +715,7 @@ impl Reactor {
                     records: frontier::records_of(slice),
                 };
                 let frame = wire::encode_envelope(&Envelope::Delta(delta));
-                (Arc::from(&frame[..]), slice.len() as u32, version)
+                (Rc::from(&frame[..]), slice.len() as u32, version)
             });
         }
         self.full.clone()
@@ -843,7 +832,7 @@ mod tests {
     use super::*;
     use crate::clock::VirtualClock;
     use crate::lockstep::Lockstep;
-    use crate::mem::{MemConfig, MemTransport};
+    use crate::mem::MemConfig;
     use bartercast_util::units::{Bytes, Seconds};
 
     fn fast_config(seed: u64) -> NodeConfig {
@@ -900,9 +889,7 @@ mod tests {
             (PeerId(0), PeerId(1), history_with_upload(0, 1, 64), 1),
             (PeerId(1), PeerId(0), history_with_upload(1, 2, 32), 2),
         ] {
-            lockstep
-                .spawn(id, vec![peer], history, fast_config(seed))
-                .unwrap();
+            lockstep.spawn(id, vec![peer], history, fast_config(seed));
         }
         // both must hold 0→1 (a's upload) and 1→2 (b's upload)
         let converged = lockstep.run_until(
@@ -919,21 +906,11 @@ mod tests {
     /// counted, while existing sessions keep working.
     #[test]
     fn sessions_beyond_the_cap_are_shed_at_accept() {
-        let transport = Arc::new(MemTransport::new(MemConfig::default()));
-        let clock: Arc<dyn Clock> = Arc::new(crate::clock::SystemClock);
-        let mut r = Reactor::new(
-            PeerId(1),
-            Arc::clone(&transport) as Arc<dyn Transport>,
-            vec![],
-            PrivateHistory::new(PeerId(1)),
-            NodeConfig {
-                max_sessions: 2,
-                ..fast_config(9)
-            },
-            clock,
-        )
-        .unwrap();
-        let mut dialers: Vec<Box<dyn Conn>> = (0..5)
+        let (mut r, transport) = virtual_reactor(NodeConfig {
+            max_sessions: 2,
+            ..fast_config(9)
+        });
+        let mut dialers: Vec<MemConn> = (0..5)
             .map(|i| transport.connect(PeerId(10 + i), PeerId(1)).unwrap())
             .collect();
         r.poll_once();
@@ -941,34 +918,29 @@ mod tests {
         assert_eq!(stats.sessions_live, 2, "cap must hold");
         assert_eq!(stats.shed_accept, 3);
         assert_eq!(stats.sessions_peak, 2);
-        // shed dialers observe EOF; adopted ones do not
-        let mut eofs = 0;
-        let deadline = Instant::now() + Duration::from_secs(2);
-        while eofs < 3 && Instant::now() < deadline {
-            eofs = 0;
-            for d in dialers.iter_mut() {
-                let mut buf = [0u8; 64];
-                loop {
-                    match d.try_recv(&mut buf) {
-                        Ok(Some(0)) | Err(_) => {
-                            eofs += 1;
-                            break;
-                        }
-                        Ok(Some(_)) => continue,
-                        Ok(None) => break,
-                    }
+        // shed dialers observe EOF; adopted ones read the reactor's
+        // Hello once it lands, and then nothing
+        let clock = transport.clock();
+        clock.advance_to(clock.now() + MemConfig::default().max_delay);
+        let eof = |d: &mut MemConn| {
+            let mut buf = [0u8; 64];
+            loop {
+                match d.try_recv(&mut buf).unwrap() {
+                    Some(0) => return true,
+                    Some(_) => continue,
+                    None => return false,
                 }
             }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(eofs, 3, "exactly the shed dialers see EOF");
+        };
+        let eofs: Vec<bool> = dialers.iter_mut().map(eof).collect();
+        assert_eq!(eofs.iter().filter(|&&e| e).count(), 3, "{eofs:?}");
     }
 
     /// The full-push frame is encoded once per history version, afresh
     /// after a write, and not at all for an empty slice.
     #[test]
     fn the_full_frame_is_encoded_once_per_history_version() {
-        let (mut r, _transport, _clock) = virtual_reactor();
+        let (mut r, _transport) = virtual_reactor(fast_config(9));
         assert!(r.full_frame().is_none(), "an empty slice pushes nothing");
 
         r.state
@@ -976,7 +948,7 @@ mod tests {
             .record_upload(PeerId(2), Bytes::from_mb(8), Seconds(1));
         let (first, records, version) = r.full_frame().expect("one record");
         let (again, _, same) = r.full_frame().expect("one record");
-        assert!(Arc::ptr_eq(&first, &again), "one encoding per version");
+        assert!(Rc::ptr_eq(&first, &again), "one encoding per version");
         assert_eq!((records, same), (1, version));
 
         r.state
@@ -995,31 +967,21 @@ mod tests {
         assert_eq!(wire::decode_envelope(&fresh[4..]).unwrap(), expected);
     }
 
-    /// A reactor on virtual time over a fresh in-process network.
-    fn virtual_reactor() -> (Reactor, Arc<MemTransport>, Arc<VirtualClock>) {
-        let clock = Arc::new(VirtualClock::new());
-        let transport = Arc::new(MemTransport::with_clock(
-            MemConfig::default(),
-            Arc::clone(&clock) as Arc<dyn Clock>,
-        ));
-        let r = Reactor::new(
-            PeerId(1),
-            Arc::clone(&transport) as Arc<dyn Transport>,
-            vec![],
-            PrivateHistory::new(PeerId(1)),
-            fast_config(9),
-            Arc::clone(&clock) as Arc<dyn Clock>,
-        )
-        .unwrap();
-        (r, transport, clock)
+    /// Node 1 on virtual time over a fresh in-process network.
+    fn virtual_reactor(config: NodeConfig) -> (Reactor, MemTransport) {
+        let clock = Rc::new(VirtualClock::new());
+        let transport = MemTransport::with_clock(MemConfig::default(), clock);
+        let history = PrivateHistory::new(PeerId(1));
+        let r = Reactor::new(PeerId(1), &transport, vec![], history, config);
+        (r, transport)
     }
 
     /// A full accept burst re-arms the listener token, so the dials it
     /// left queued are adopted on the next poll without a new wake.
     #[test]
     fn a_full_accept_burst_rearms_the_listener() {
-        let (mut r, transport, _clock) = virtual_reactor();
-        let _dialers: Vec<Box<dyn Conn>> = (0..ACCEPT_BURST as u32 + 5)
+        let (mut r, transport) = virtual_reactor(fast_config(9));
+        let _dialers: Vec<MemConn> = (0..ACCEPT_BURST as u32 + 5)
             .map(|i| transport.connect(PeerId(10 + i), PeerId(1)).unwrap())
             .collect();
         r.poll_once();
@@ -1036,10 +998,11 @@ mod tests {
     /// that expired it.
     #[test]
     fn a_handshake_timeout_is_reaped_in_the_same_poll() {
-        let (mut r, transport, clock) = virtual_reactor();
+        let (mut r, transport) = virtual_reactor(fast_config(9));
         let _silent = transport.connect(PeerId(10), PeerId(1)).unwrap();
         r.poll_once();
         assert_eq!(r.sessions.len(), 1, "adopted, awaiting Hello");
+        let clock = transport.clock();
         clock.advance_to(clock.now() + HANDSHAKE_TIMEOUT);
         r.poll_once();
         assert!(r.sessions.is_empty(), "expired and reaped");

@@ -14,13 +14,12 @@
 //!                      Closed{clean:false} ◀─────────────┘  Closed{clean:true}
 //! ```
 //!
-//! [`Session::pump`] does one full readiness cycle: flush buffered
-//! output, read to `WouldBlock` feeding the incremental
-//! [`FrameDecoder`], decode and
-//! dispatch complete frames, then write queued frames until the
-//! connection pushes back. Nothing ever blocks; when a pump
-//! can make no progress the reactor parks the session until its token
-//! wakes again. Deadlines (handshake and idle) are *checked*, not
+//! [`Session::pump`] does one full readiness cycle: send the `Hello`
+//! once, read to `WouldBlock` feeding the incremental
+//! [`FrameDecoder`], decode and dispatch complete frames, then write
+//! every queued frame. Nothing ever blocks; when a pump can make no
+//! progress the reactor parks the session until its token wakes
+//! again. Deadlines (handshake and idle) are *checked*, not
 //! slept on — [`Session::check_deadlines`] is driven by the reactor's
 //! timer wheel.
 //!
@@ -29,14 +28,14 @@
 //! no channels, no cross-thread signalling, because session and
 //! coordinator now share one thread.
 
+use crate::mem::MemConn;
 use crate::stats::NodeCounters;
-use crate::transport::Conn;
 use crate::wire::{self, Envelope, SwarmFrame};
 use bartercast_core::codec::{BufPool, FrameDecoder};
 use bartercast_core::{DeltaMsg, Frontier};
 use bartercast_util::units::PeerId;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 /// Which side of the connection this session is.
@@ -136,11 +135,11 @@ enum FrameKind {
 }
 
 /// Pre-encoded frame bytes: either a tick-wide shared encoding (the
-/// encode-once fan-out path — many sessions hold the same `Arc`) or a
+/// encode-once fan-out path — many sessions hold the same `Rc`) or a
 /// session-owned buffer recycled through the reactor's [`BufPool`].
 #[derive(Debug, Clone)]
 enum FrameBytes {
-    Shared(Arc<[u8]>),
+    Shared(Rc<[u8]>),
     Pooled(bytes::BytesMut),
 }
 
@@ -154,8 +153,8 @@ impl FrameBytes {
 }
 
 /// One queued outbound frame. Frames are encoded at enqueue time —
-/// once — and the queue holds bytes, not envelopes, so retrying after
-/// backpressure re-sends the same buffer instead of re-encoding.
+/// once — and the queue holds bytes, not envelopes, so a shared
+/// encoding fans out to many sessions without re-encoding.
 #[derive(Debug, Clone)]
 struct OutFrame {
     bytes: FrameBytes,
@@ -167,7 +166,7 @@ struct OutFrame {
 /// One connection's entire life, as pumpable state.
 pub struct Session {
     token: u64,
-    conn: Box<dyn Conn>,
+    conn: MemConn,
     direction: Direction,
     state: SessionState,
     decoder: FrameDecoder,
@@ -184,7 +183,7 @@ pub struct Session {
 impl Session {
     /// Wrap a fresh connection. `now` is the reactor clock's current
     /// instant; the handshake deadline counts from it.
-    pub fn new(token: u64, conn: Box<dyn Conn>, direction: Direction, now: Instant) -> Self {
+    pub fn new(token: u64, conn: MemConn, direction: Direction, now: Instant) -> Self {
         Session {
             token,
             conn,
@@ -215,10 +214,10 @@ impl Session {
         self.state == SessionState::Exchange
     }
 
-    /// Access to the underlying connection, for readiness bookkeeping
-    /// (`next_ready_at`).
-    pub fn conn_mut(&mut self) -> &mut dyn Conn {
-        self.conn.as_mut()
+    /// When the connection's oldest unread frame becomes readable
+    /// ([`MemConn::next_ready_at`]), for the reactor's self-wakes.
+    pub fn next_ready_at(&self) -> Option<Instant> {
+        self.conn.next_ready_at()
     }
 
     /// Queue an already-encoded full `Delta` frame whose bytes are
@@ -230,7 +229,7 @@ impl Session {
     /// re-fetching the slice.
     pub fn enqueue_shared(
         &mut self,
-        bytes: Arc<[u8]>,
+        bytes: Rc<[u8]>,
         records: u32,
         cap: usize,
         counters: &NodeCounters,
@@ -300,23 +299,21 @@ impl Session {
     }
 
     /// Encode and send a control envelope (hello/bye) through a pooled
-    /// buffer. On backpressure the buffer returns to the pool and the
-    /// caller retries on the next pump — control frames are tiny and
-    /// rare, so re-encoding then is cheaper than holding the buffer.
+    /// buffer, which goes straight back to the pool.
     fn send_control(
         &mut self,
         counters: &NodeCounters,
         pool: &mut BufPool,
         env: &Envelope,
-    ) -> std::io::Result<bool> {
+    ) -> std::io::Result<()> {
         let mut buf = pool.take();
         wire::encode_envelope_into(env, &mut buf);
-        let sent = self.conn.try_send(&buf)?;
-        if sent {
+        let sent = self.conn.try_send(&buf);
+        if sent.is_ok() {
             NodeCounters::add(&counters.bytes_sent, buf.len() as u64);
         }
         pool.put(buf);
-        Ok(sent)
+        sent
     }
 
     fn account_sent(frame: &OutFrame, counters: &NodeCounters) {
@@ -348,38 +345,24 @@ impl Session {
         }
         let mut progress = false;
 
-        // 1. flush previously buffered output
-        match self.conn.flush() {
-            Ok(_) => {}
-            Err(_) => {
-                self.close(false, counters, events);
-                return true;
-            }
-        }
-
-        // 2. our Hello opens the conversation, exactly once
+        // 1. our Hello opens the conversation, exactly once
         if !self.hello_sent {
             let hello = Envelope::Hello {
                 peer: local,
                 version: wire::NODE_PROTOCOL_VERSION,
             };
-            match self.send_control(counters, pool, &hello) {
-                Ok(true) => {
-                    self.hello_sent = true;
-                    progress = true;
-                }
-                Ok(false) => {}
-                Err(_) => {
-                    self.close(false, counters, events);
-                    return true;
-                }
+            if self.send_control(counters, pool, &hello).is_err() {
+                self.close(false, counters, events);
+                return true;
             }
+            self.hello_sent = true;
+            progress = true;
         }
 
-        // 3. read to WouldBlock (or EOF), feeding the decoder. EOF is
+        // 2. read to WouldBlock (or EOF), feeding the decoder. EOF is
         // only *recorded* here: frames already in the buffer — the
         // peer's Bye racing its close, typically — must still dispatch
-        // before the verdict in step 4b.
+        // before the verdict in step 3b.
         let mut read_buf = [0u8; 4096];
         let mut saw_eof = false;
         loop {
@@ -402,7 +385,7 @@ impl Session {
             }
         }
 
-        // 4. dispatch every complete frame
+        // 3. dispatch every complete frame
         loop {
             let payload = match self.decoder.next_frame() {
                 Ok(Some(p)) => p,
@@ -498,33 +481,26 @@ impl Session {
             }
         }
 
-        // 4b. the EOF verdict, now that buffered frames have spoken: a
+        // 3b. the EOF verdict, now that buffered frames have spoken: a
         // close without the peer's Bye is unclean
         if saw_eof {
             self.close(false, counters, events);
             return true;
         }
 
-        // 5. write queued frames until the connection pushes back. The
-        // bytes were encoded at enqueue time; a frame refused by
-        // backpressure stays at the front untouched.
+        // 4. write every queued frame; the bytes were encoded at
+        // enqueue time
         if self.state == SessionState::Exchange {
-            while let Some(front) = self.outbound.front() {
-                match self.conn.try_send(front.bytes.as_slice()) {
-                    Ok(true) => {
-                        let frame = self.outbound.pop_front().expect("front exists");
-                        Self::account_sent(&frame, counters);
-                        if let FrameBytes::Pooled(buf) = frame.bytes {
-                            pool.put(buf);
-                        }
-                        progress = true;
-                    }
-                    Ok(false) => break,
-                    Err(_) => {
-                        self.close(false, counters, events);
-                        return true;
-                    }
+            while let Some(frame) = self.outbound.pop_front() {
+                if self.conn.try_send(frame.bytes.as_slice()).is_err() {
+                    self.close(false, counters, events);
+                    return true;
                 }
+                Self::account_sent(&frame, counters);
+                if let FrameBytes::Pooled(buf) = frame.bytes {
+                    pool.put(buf);
+                }
+                progress = true;
             }
         }
 
@@ -556,8 +532,8 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::VirtualClock;
     use crate::mem::{MemConfig, MemTransport};
-    use crate::transport::Transport;
     use bartercast_core::TransferRecord;
     use bartercast_util::units::Bytes;
 
@@ -574,57 +550,104 @@ mod tests {
         })
     }
 
-    fn pair(t: &MemTransport) -> (Box<dyn Conn>, Box<dyn Conn>) {
-        let mut listener = t.listen(PeerId(1)).unwrap();
+    /// A fresh network on a fresh virtual clock.
+    fn net() -> MemTransport {
+        MemTransport::with_clock(MemConfig::default(), Rc::new(VirtualClock::new()))
+    }
+
+    fn pair(t: &MemTransport) -> (MemConn, MemConn) {
+        let mut listener = t.listen(PeerId(1));
         let a = t.connect(PeerId(0), PeerId(1)).unwrap();
-        let b = listener.try_accept().unwrap().expect("queued conn");
+        let b = listener.try_accept().expect("queued conn");
         (a, b)
     }
 
-    /// Pump both sessions until neither makes progress, with real-time
-    /// sleeps to let delayed mem-pipe chunks become readable.
-    fn pump_until_quiet(
-        a: &mut Session,
-        b: &mut Session,
-        pool: &mut BufPool,
-        counters: &NodeCounters,
-        events_a: &mut Vec<SessionEvent>,
-        events_b: &mut Vec<SessionEvent>,
-    ) {
-        let deadline = Instant::now() + Duration::from_secs(2);
-        let mut idle_rounds = 0;
-        while idle_rounds < 5 && Instant::now() < deadline {
-            let now = Instant::now();
-            let pa = a.pump(PeerId(0), now, pool, counters, events_a);
-            let pb = b.pump(PeerId(1), now, pool, counters, events_b);
-            if pa || pb {
-                idle_rounds = 0;
-            } else {
-                idle_rounds += 1;
-                std::thread::sleep(Duration::from_micros(300));
+    /// Advance `t`'s clock to the earliest of `arrivals` still in the
+    /// future; `false` when none is, so nothing more can land.
+    fn advance(t: &MemTransport, arrivals: &[Option<Instant>]) -> bool {
+        let clock = t.clock();
+        let now = clock.now();
+        match arrivals.iter().flatten().filter(|&&at| at > now).min() {
+            Some(&at) => {
+                clock.advance_to(at);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Two sessions over one fresh connection on virtual time: `a`
+    /// dialed as peer 0, `b` accepted as peer 1, sharing one pool and
+    /// one set of counters.
+    struct Duo {
+        t: MemTransport,
+        a: Session,
+        b: Session,
+        pool: BufPool,
+        counters: NodeCounters,
+        ev_a: Vec<SessionEvent>,
+        ev_b: Vec<SessionEvent>,
+    }
+
+    impl Duo {
+        /// A pair with session tokens `(ta, tb)`, settled through the
+        /// handshake.
+        fn established(ta: u64, tb: u64) -> Duo {
+            let t = net();
+            let (conn_a, conn_b) = pair(&t);
+            let now = t.clock().now();
+            let mut duo = Duo {
+                a: Session::new(ta, conn_a, Direction::Initiator, now),
+                b: Session::new(tb, conn_b, Direction::Responder, now),
+                t,
+                pool: BufPool::new(),
+                counters: NodeCounters::default(),
+                ev_a: Vec::new(),
+                ev_b: Vec::new(),
+            };
+            duo.settle();
+            assert!(duo.a.is_established() && duo.b.is_established());
+            duo
+        }
+
+        /// Queue `env` on `a` under a cap of 8.
+        fn send_a(&mut self, env: &Envelope) -> bool {
+            self.a
+                .enqueue_envelope(env, &mut self.pool, 8, &self.counters)
+        }
+
+        /// Queue `env` on `b` under a cap of 8.
+        fn send_b(&mut self, env: &Envelope) -> bool {
+            self.b
+                .enqueue_envelope(env, &mut self.pool, 8, &self.counters)
+        }
+
+        /// Pump both sessions until neither makes progress, advancing
+        /// the virtual clock to each in-flight frame's arrival, until
+        /// nothing is left in flight.
+        fn settle(&mut self) {
+            loop {
+                let now = self.t.clock().now();
+                let (pool, counters) = (&mut self.pool, &self.counters);
+                let pa = self.a.pump(PeerId(0), now, pool, counters, &mut self.ev_a);
+                let pb = self.b.pump(PeerId(1), now, pool, counters, &mut self.ev_b);
+                let arrivals = [self.a.next_ready_at(), self.b.next_ready_at()];
+                if !(pa || pb || advance(&self.t, &arrivals)) {
+                    return;
+                }
             }
         }
     }
 
     #[test]
     fn paired_sessions_exchange_and_close_cleanly() {
-        let t = MemTransport::new(MemConfig::default());
-        let (conn_a, conn_b) = pair(&t);
-        let counters = NodeCounters::default();
-        let mut pool = BufPool::new();
-        let now = Instant::now();
-        let mut a = Session::new(10, conn_a, Direction::Initiator, now);
-        let mut b = Session::new(20, conn_b, Direction::Responder, now);
-        let (mut ev_a, mut ev_b) = (Vec::new(), Vec::new());
-
-        pump_until_quiet(&mut a, &mut b, &mut pool, &counters, &mut ev_a, &mut ev_b);
-        assert!(a.is_established() && b.is_established());
-        assert!(a.enqueue_envelope(&msg(0, 5, 100), &mut pool, 8, &counters));
-        assert!(b.enqueue_envelope(&msg(1, 6, 200), &mut pool, 8, &counters));
-        pump_until_quiet(&mut a, &mut b, &mut pool, &counters, &mut ev_a, &mut ev_b);
+        let mut d = Duo::established(10, 20);
+        assert!(d.send_a(&msg(0, 5, 100)));
+        assert!(d.send_b(&msg(1, 6, 200)));
+        d.settle();
 
         assert!(matches!(
-            ev_a[0],
+            d.ev_a[0],
             SessionEvent::Established {
                 token: 10,
                 remote: PeerId(1),
@@ -632,10 +655,10 @@ mod tests {
             }
         ));
         assert!(
-            matches!(&ev_a[1], SessionEvent::Delta { from: PeerId(1), msg, .. } if msg.sender == PeerId(1))
+            matches!(&d.ev_a[1], SessionEvent::Delta { from: PeerId(1), msg, .. } if msg.sender == PeerId(1))
         );
         assert!(matches!(
-            ev_b[0],
+            d.ev_b[0],
             SessionEvent::Established {
                 token: 20,
                 remote: PeerId(0),
@@ -643,10 +666,10 @@ mod tests {
             }
         ));
         assert!(
-            matches!(&ev_b[1], SessionEvent::Delta { from: PeerId(0), msg, .. } if msg.sender == PeerId(0))
+            matches!(&d.ev_b[1], SessionEvent::Delta { from: PeerId(0), msg, .. } if msg.sender == PeerId(0))
         );
 
-        let s = counters.snapshot();
+        let s = d.counters.snapshot();
         assert_eq!(s.sessions_opened, 2);
         assert_eq!(s.records_sent, 2);
         assert_eq!(s.records_received, 2);
@@ -660,24 +683,23 @@ mod tests {
             version: wire::NODE_PROTOCOL_VERSION,
         };
         for bye in [true, false] {
-            let t = MemTransport::new(MemConfig::default());
+            let t = net();
             let (mut raw, conn) = pair(&t);
             let counters = NodeCounters::default();
-            let mut s = Session::new(30, conn, Direction::Responder, now);
+            let mut s = Session::new(30, conn, Direction::Responder, t.clock().now());
             let mut events = Vec::new();
-            assert!(raw.try_send(&wire::encode_envelope(&hello(0))).unwrap());
-            pump_alone(&mut s, &mut pool, &counters, &mut events);
+            raw.try_send(&wire::encode_envelope(&hello(0))).unwrap();
+            pump_alone(&t, &mut s, &mut d.pool, &counters, &mut events);
             assert!(s.is_established());
             if bye {
-                assert!(raw
-                    .try_send(&wire::encode_envelope(&Envelope::Bye))
-                    .unwrap());
-                pump_alone(&mut s, &mut pool, &counters, &mut events);
+                raw.try_send(&wire::encode_envelope(&Envelope::Bye))
+                    .unwrap();
+                pump_alone(&t, &mut s, &mut d.pool, &counters, &mut events);
                 drop(s); // the raw end reads to EOF
-                assert_eq!(read_frames(raw.as_mut()), vec![hello(1), Envelope::Bye]);
+                assert_eq!(read_frames(&t, &mut raw), vec![hello(1), Envelope::Bye]);
             } else {
                 drop(raw);
-                pump_alone(&mut s, &mut pool, &counters, &mut events);
+                pump_alone(&t, &mut s, &mut d.pool, &counters, &mut events);
             }
             assert!(
                 matches!(events.last(), Some(SessionEvent::Closed { token: 30, clean }) if *clean == bye),
@@ -687,35 +709,32 @@ mod tests {
         }
     }
 
-    /// Pump one session until it makes no progress, with real-time
-    /// sleeps to let delayed mem-pipe chunks become readable.
+    /// Pump one session until it makes no progress and nothing is left
+    /// in flight toward it, advancing the virtual clock to each
+    /// arrival.
     fn pump_alone(
+        t: &MemTransport,
         s: &mut Session,
         pool: &mut BufPool,
         counters: &NodeCounters,
         events: &mut Vec<SessionEvent>,
     ) {
-        let mut idle_rounds = 0;
-        while idle_rounds < 5 {
-            if s.pump(PeerId(1), Instant::now(), pool, counters, events) {
-                idle_rounds = 0;
-            } else {
-                idle_rounds += 1;
-                std::thread::sleep(Duration::from_micros(300));
-            }
-        }
+        while s.pump(PeerId(1), t.clock().now(), pool, counters, events)
+            || advance(t, &[s.next_ready_at()])
+        {}
     }
 
-    /// Every envelope a raw end reads before EOF.
-    fn read_frames(conn: &mut dyn Conn) -> Vec<Envelope> {
+    /// Every envelope a raw end reads before EOF, or before nothing is
+    /// left in flight toward it.
+    fn read_frames(t: &MemTransport, conn: &mut MemConn) -> Vec<Envelope> {
         let mut decoder = FrameDecoder::new();
-        let deadline = Instant::now() + Duration::from_secs(2);
         let mut buf = [0u8; 256];
-        while Instant::now() < deadline {
+        loop {
             match conn.try_recv(&mut buf).unwrap() {
                 Some(0) => break,
                 Some(n) => decoder.feed(&buf[..n]),
-                None => std::thread::sleep(Duration::from_micros(100)),
+                None if advance(t, &[conn.next_ready_at()]) => {}
+                None => break,
             }
         }
         std::iter::from_fn(|| decoder.next_frame().unwrap())
@@ -727,11 +746,11 @@ mod tests {
     /// handshake deadline, not hang.
     #[test]
     fn silent_peer_fails_handshake_at_deadline() {
-        let t = MemTransport::new(MemConfig::default());
+        let t = net();
         let (conn_a, _mute) = pair(&t);
         let counters = NodeCounters::default();
         let mut pool = BufPool::new();
-        let t0 = Instant::now();
+        let t0 = t.clock().now();
         let mut s = Session::new(1, conn_a, Direction::Initiator, t0);
         let mut events = Vec::new();
         s.pump(PeerId(0), t0, &mut pool, &counters, &mut events);
@@ -754,28 +773,17 @@ mod tests {
     /// surfaced as `Frame` events with piece counters maintained.
     #[test]
     fn swarm_frames_flow_alongside_records() {
-        let t = MemTransport::new(MemConfig::default());
-        let (conn_a, conn_b) = pair(&t);
-        let counters = NodeCounters::default();
-        let mut pool = BufPool::new();
-        let now = Instant::now();
-        let mut a = Session::new(1, conn_a, Direction::Initiator, now);
-        let mut b = Session::new(2, conn_b, Direction::Responder, now);
-        let (mut ev_a, mut ev_b) = (Vec::new(), Vec::new());
-        pump_until_quiet(&mut a, &mut b, &mut pool, &counters, &mut ev_a, &mut ev_b);
-        assert!(a.is_established() && b.is_established());
-
-        let request = Envelope::Swarm(SwarmFrame::Request { piece: 4 });
-        assert!(a.enqueue_envelope(&request, &mut pool, 8, &counters));
-        assert!(a.enqueue_envelope(&msg(0, 5, 100), &mut pool, 8, &counters));
+        let mut d = Duo::established(1, 2);
+        assert!(d.send_a(&Envelope::Swarm(SwarmFrame::Request { piece: 4 })));
+        assert!(d.send_a(&msg(0, 5, 100)));
         let piece = Envelope::Swarm(SwarmFrame::Piece {
             piece: 4,
             size: 16384,
         });
-        assert!(b.enqueue_envelope(&piece, &mut pool, 8, &counters));
-        pump_until_quiet(&mut a, &mut b, &mut pool, &counters, &mut ev_a, &mut ev_b);
+        assert!(d.send_b(&piece));
+        d.settle();
 
-        assert!(ev_b.iter().any(|e| matches!(
+        assert!(d.ev_b.iter().any(|e| matches!(
             e,
             SessionEvent::Frame {
                 from: PeerId(0),
@@ -783,8 +791,11 @@ mod tests {
                 ..
             }
         )));
-        assert!(ev_b.iter().any(|e| matches!(e, SessionEvent::Delta { .. })));
-        assert!(ev_a.iter().any(|e| matches!(
+        assert!(d
+            .ev_b
+            .iter()
+            .any(|e| matches!(e, SessionEvent::Delta { .. })));
+        assert!(d.ev_a.iter().any(|e| matches!(
             e,
             SessionEvent::Frame {
                 from: PeerId(1),
@@ -795,7 +806,7 @@ mod tests {
                 ..
             }
         )));
-        let s = counters.snapshot();
+        let s = d.counters.snapshot();
         assert_eq!(s.pieces_sent, 1);
         assert_eq!(s.pieces_received, 1);
         assert_eq!(s.records_sent, 1);
@@ -804,23 +815,19 @@ mod tests {
     /// Queueing past the cap sheds and counts.
     #[test]
     fn full_outbound_queue_sheds() {
-        let t = MemTransport::new(MemConfig::default());
-        let (conn_a, conn_b) = pair(&t);
-        let counters = NodeCounters::default();
-        let mut pool = BufPool::new();
-        let now = Instant::now();
-        let mut a = Session::new(1, conn_a, Direction::Initiator, now);
-        let mut b = Session::new(2, conn_b, Direction::Responder, now);
-        let (mut ev_a, mut ev_b) = (Vec::new(), Vec::new());
-        pump_until_quiet(&mut a, &mut b, &mut pool, &counters, &mut ev_a, &mut ev_b);
-        assert!(a.is_established());
+        let Duo {
+            mut a,
+            mut pool,
+            counters,
+            ..
+        } = Duo::established(1, 2);
         assert!(a.enqueue_envelope(&msg(0, 1, 1), &mut pool, 2, &counters));
         assert!(a.enqueue_envelope(&msg(0, 1, 2), &mut pool, 2, &counters));
         assert!(
             !a.enqueue_envelope(&msg(0, 1, 3), &mut pool, 2, &counters),
             "cap is 2"
         );
-        let shared: Arc<[u8]> = Arc::from(&wire::encode_envelope(&Envelope::Bye)[..]);
+        let shared: Rc<[u8]> = Rc::from(&wire::encode_envelope(&Envelope::Bye)[..]);
         assert!(!a.enqueue_shared(shared, 0, 2, &counters), "one cap");
         assert_eq!(counters.snapshot().shed_session, 2);
         assert_eq!(pool.outstanding(), 2, "a shed frame takes no buffer");
@@ -831,25 +838,15 @@ mod tests {
     /// quiet.
     #[test]
     fn digest_and_delta_roundtrip_between_sessions() {
-        let t = MemTransport::new(MemConfig::default());
-        let (conn_a, conn_b) = pair(&t);
-        let counters = NodeCounters::default();
-        let mut pool = BufPool::new();
-        let now = Instant::now();
-        let mut a = Session::new(1, conn_a, Direction::Initiator, now);
-        let mut b = Session::new(2, conn_b, Direction::Responder, now);
-        let (mut ev_a, mut ev_b) = (Vec::new(), Vec::new());
-        pump_until_quiet(&mut a, &mut b, &mut pool, &counters, &mut ev_a, &mut ev_b);
-        assert!(a.is_established() && b.is_established());
-
+        let mut d = Duo::established(1, 2);
         // a (PeerId 0) digests b with an empty claim …
         let digest = Envelope::Digest {
             sender: PeerId(0),
             claim: Frontier::default(),
         };
-        assert!(a.enqueue_envelope(&digest, &mut pool, 8, &counters));
-        pump_until_quiet(&mut a, &mut b, &mut pool, &counters, &mut ev_a, &mut ev_b);
-        assert!(ev_b.iter().any(|e| matches!(
+        assert!(d.send_a(&digest));
+        d.settle();
+        assert!(d.ev_b.iter().any(|e| matches!(
             e,
             SessionEvent::Digest {
                 from: PeerId(0),
@@ -879,37 +876,27 @@ mod tests {
                 },
             ],
         };
-        assert!(b.enqueue_envelope(&Envelope::Delta(delta.clone()), &mut pool, 8, &counters));
-        pump_until_quiet(&mut a, &mut b, &mut pool, &counters, &mut ev_a, &mut ev_b);
-        assert!(ev_a.iter().any(|e| matches!(
+        assert!(d.send_b(&Envelope::Delta(delta.clone())));
+        d.settle();
+        assert!(d.ev_a.iter().any(|e| matches!(
             e,
             SessionEvent::Delta { from: PeerId(1), msg, .. } if *msg == delta
         )));
 
-        let s = counters.snapshot();
+        let s = d.counters.snapshot();
         assert_eq!(s.digests_sent, 1);
         assert_eq!(s.deltas_sent, 1);
         assert_eq!(s.records_sent, 2, "delta records count as records");
         assert_eq!(s.records_received, 2);
-        assert_eq!(pool.outstanding(), 0, "every pooled buffer came home");
-        assert!(pool.pooled() > 0);
+        assert_eq!(d.pool.outstanding(), 0, "every pooled buffer came home");
+        assert!(d.pool.pooled() > 0);
     }
 
     /// A delta whose sender field does not match the session peer is
     /// identity confusion: protocol error, unclean close.
     #[test]
     fn mismatched_delta_sender_is_a_protocol_error() {
-        let t = MemTransport::new(MemConfig::default());
-        let (conn_a, conn_b) = pair(&t);
-        let counters = NodeCounters::default();
-        let mut pool = BufPool::new();
-        let now = Instant::now();
-        let mut a = Session::new(1, conn_a, Direction::Initiator, now);
-        let mut b = Session::new(2, conn_b, Direction::Responder, now);
-        let (mut ev_a, mut ev_b) = (Vec::new(), Vec::new());
-        pump_until_quiet(&mut a, &mut b, &mut pool, &counters, &mut ev_a, &mut ev_b);
-        assert!(b.is_established());
-
+        let mut d = Duo::established(1, 2);
         // b is PeerId(1) but claims to be PeerId(9)
         let forged = DeltaMsg {
             sender: PeerId(9),
@@ -917,10 +904,13 @@ mod tests {
             stamp: Frontier::default(),
             records: vec![],
         };
-        assert!(b.enqueue_envelope(&Envelope::Delta(forged), &mut pool, 8, &counters));
-        pump_until_quiet(&mut a, &mut b, &mut pool, &counters, &mut ev_a, &mut ev_b);
-        assert!(a.is_closed());
-        assert!(counters.snapshot().protocol_errors >= 1);
-        assert!(!ev_a.iter().any(|e| matches!(e, SessionEvent::Delta { .. })));
+        assert!(d.send_b(&Envelope::Delta(forged)));
+        d.settle();
+        assert!(d.a.is_closed());
+        assert!(d.counters.snapshot().protocol_errors >= 1);
+        assert!(!d
+            .ev_a
+            .iter()
+            .any(|e| matches!(e, SessionEvent::Delta { .. })));
     }
 }

@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// them.
 macro_rules! node_counters {
     ($($(#[$doc:meta])* $name:ident,)*) => {
-        /// Live counters: the reactor bumps them, any thread may
+        /// Live counters: the reactor bumps them, the driver may
         /// snapshot them mid-run.
         #[derive(Debug, Default)]
         pub struct NodeCounters {

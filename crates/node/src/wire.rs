@@ -175,7 +175,7 @@ impl fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 /// Encode an envelope into a length-prefixed frame ready for
-/// [`Conn::try_send`](crate::transport::Conn::try_send).
+/// [`MemConn::try_send`](crate::mem::MemConn::try_send).
 pub fn encode_envelope(envelope: &Envelope) -> BytesMut {
     let mut frame = BytesMut::new();
     encode_envelope_into(envelope, &mut frame);

@@ -17,10 +17,11 @@
 //! the `bt` building blocks.
 //!
 //! Every callback gets the node's [`PeerState`] (private history +
-//! reputation engine) under the reactor's own lock, plus the current
+//! reputation engine) borrowed from the reactor, plus the current
 //! virtual time as whole [`Seconds`] since reactor boot — the
-//! resolution the BarterCast history timestamps use. Callbacks run on
-//! the reactor thread; they must not block.
+//! resolution the BarterCast history timestamps use. Callbacks run
+//! inside the reactor's poll, on the driver's one thread; they must
+//! not block.
 
 use crate::wire::SwarmFrame;
 use bartercast_core::PeerState;
@@ -54,7 +55,7 @@ impl WorkloadIo {
 
 /// A transfer workload attached to a reactor via
 /// [`Reactor::attach_workload`](crate::reactor::Reactor::attach_workload).
-pub trait Workload: Send {
+pub trait Workload {
     /// Called once when the workload is attached, before any session
     /// exists — dial initial targets here.
     fn on_start(&mut self, now: Seconds, state: &mut PeerState, io: &mut WorkloadIo);

@@ -11,15 +11,14 @@
 //! into behaviour shows up here as a diff between the two runs.
 
 use bartercast_core::PrivateHistory;
-use bartercast_node::clock::{Clock, VirtualClock};
+use bartercast_node::clock::VirtualClock;
 use bartercast_node::cluster::{ClusterConfig, DeterministicCluster};
 use bartercast_node::mem::{MemConfig, MemTransport};
 use bartercast_node::reactor::Reactor;
 use bartercast_node::stats::NodeStats;
-use bartercast_node::transport::Transport;
 use bartercast_node::NodeConfig;
 use bartercast_util::units::{Bytes, PeerId, Seconds};
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::Duration;
 
 fn lossy_config() -> ClusterConfig {
@@ -164,15 +163,15 @@ fn pump_order_and_redundant_polls_change_nothing() {
     }
 
     fn drive(pump_b_first: bool, extra_polls: usize, skip_idle: bool) -> (NodeStats, NodeStats) {
-        let clock = Arc::new(VirtualClock::new());
-        let transport = Arc::new(MemTransport::with_clock(
+        let clock = Rc::new(VirtualClock::new());
+        let transport = MemTransport::with_clock(
             MemConfig {
                 loss: 0.10,
                 seed: 7,
                 ..MemConfig::default()
             },
-            Arc::clone(&clock) as Arc<dyn Clock>,
-        ));
+            Rc::clone(&clock),
+        );
         let config = |seed| NodeConfig {
             exchange_interval: Duration::from_millis(20),
             backoff_base: Duration::from_millis(10),
@@ -182,22 +181,18 @@ fn pump_order_and_redundant_polls_change_nothing() {
         };
         let mut a = Reactor::new(
             PeerId(0),
-            Arc::clone(&transport) as Arc<dyn Transport>,
+            &transport,
             vec![PeerId(1)],
             history_with_upload(0, 1, 64),
             config(1),
-            Arc::clone(&clock) as Arc<dyn Clock>,
-        )
-        .unwrap();
+        );
         let mut b = Reactor::new(
             PeerId(1),
-            Arc::clone(&transport) as Arc<dyn Transport>,
+            &transport,
             vec![PeerId(0)],
             history_with_upload(1, 2, 32),
             config(2),
-            Arc::clone(&clock) as Arc<dyn Clock>,
-        )
-        .unwrap();
+        );
 
         // a poll, unless skipping is on and the reactor reports no work
         let poll = |r: &mut Reactor| (!skip_idle || r.has_work()) && r.poll_once();

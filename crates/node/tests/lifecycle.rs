@@ -17,13 +17,13 @@ use bartercast_node::backoff_delay;
 use bartercast_node::mem::{MemConfig, MemTransport};
 use bartercast_node::session::{Direction, Session, SessionEvent};
 use bartercast_node::stats::NodeCounters;
-use bartercast_node::transport::Transport;
 use bartercast_node::wire::{self, Envelope};
-use bartercast_node::{Lockstep, NodeConfig};
+use bartercast_node::{Lockstep, NodeConfig, VirtualClock};
 use bartercast_util::units::{Bytes, PeerId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::{Duration, Instant};
+use std::rc::Rc;
+use std::time::Duration;
 
 /// A half-open peer: sends its Hello, establishes, then never speaks
 /// again. The node's idle deadline must reap the session and the peer
@@ -32,14 +32,12 @@ use std::time::{Duration, Instant};
 #[test]
 fn half_open_peer_hits_the_idle_timeout() {
     let mut lockstep = Lockstep::new(MemConfig::default());
-    lockstep
-        .spawn(
-            PeerId(0),
-            vec![],
-            PrivateHistory::new(PeerId(0)),
-            NodeConfig::default(),
-        )
-        .unwrap();
+    lockstep.spawn(
+        PeerId(0),
+        vec![],
+        PrivateHistory::new(PeerId(0)),
+        NodeConfig::default(),
+    );
     let mut conn = lockstep.transport().connect(PeerId(9), PeerId(0)).unwrap();
     conn.try_send(&wire::encode_envelope(&Envelope::Hello {
         peer: PeerId(9),
@@ -77,17 +75,21 @@ fn half_open_peer_hits_the_idle_timeout() {
 /// decoder or downgrade the teardown.
 #[test]
 fn bye_after_a_partially_decoded_frame_drains_cleanly() {
-    let transport = MemTransport::new(MemConfig {
-        max_delay: Duration::ZERO, // keep the chunk schedule immediate
-        ..MemConfig::default()
-    });
-    let mut listener = transport.listen(PeerId(1)).unwrap();
+    let transport = MemTransport::with_clock(
+        MemConfig {
+            max_delay: Duration::ZERO, // every frame is readable at once
+            ..MemConfig::default()
+        },
+        Rc::new(VirtualClock::new()),
+    );
+    let mut listener = transport.listen(PeerId(1));
     let mut raw = transport.connect(PeerId(0), PeerId(1)).unwrap();
-    let accepted = listener.try_accept().unwrap().expect("queued conn");
+    let accepted = listener.try_accept().expect("queued conn");
 
     let counters = NodeCounters::default();
     let mut events: Vec<SessionEvent> = Vec::new();
-    let mut session = Session::new(7, accepted, Direction::Responder, Instant::now());
+    let now = transport.clock().now();
+    let mut session = Session::new(7, accepted, Direction::Responder, now);
 
     // handshake: raw peer says Hello, session establishes
     raw.try_send(&wire::encode_envelope(&Envelope::Hello {
@@ -95,7 +97,7 @@ fn bye_after_a_partially_decoded_frame_drains_cleanly() {
         version: wire::NODE_PROTOCOL_VERSION,
     }))
     .unwrap();
-    pump_settled(&mut session, &counters, &mut events);
+    pump_settled(&mut session, &transport, &counters, &mut events);
     assert!(session.is_established());
 
     // one full Delta frame, split mid-frame; Bye right behind the tail
@@ -113,7 +115,7 @@ fn bye_after_a_partially_decoded_frame_drains_cleanly() {
     let split = frame.len() / 2;
     assert!(split > 0 && split < frame.len());
     raw.try_send(&frame[..split]).unwrap();
-    pump_settled(&mut session, &counters, &mut events);
+    pump_settled(&mut session, &transport, &counters, &mut events);
     assert!(
         !events
             .iter()
@@ -125,7 +127,7 @@ fn bye_after_a_partially_decoded_frame_drains_cleanly() {
     raw.try_send(&frame[split..]).unwrap();
     raw.try_send(&wire::encode_envelope(&Envelope::Bye))
         .unwrap();
-    pump_settled(&mut session, &counters, &mut events);
+    pump_settled(&mut session, &transport, &counters, &mut events);
 
     assert!(
         events.iter().any(|e| matches!(
@@ -144,17 +146,12 @@ fn bye_after_a_partially_decoded_frame_drains_cleanly() {
     let stats = counters.snapshot();
     assert_eq!(stats.sessions_closed, 1);
     assert_eq!(stats.protocol_errors, 0);
-    // the session answered the Bye in kind: drain our side and find it
+    // the session answered the Bye in kind: drain our side (all of it
+    // readable at once, with no delay) and find it
     let mut got = Vec::new();
-    let deadline = Instant::now() + Duration::from_secs(1);
     let mut buf = [0u8; 4096];
-    while Instant::now() < deadline {
-        match raw.try_recv(&mut buf) {
-            Ok(Some(0)) => break,
-            Ok(Some(n)) => got.extend_from_slice(&buf[..n]),
-            Ok(None) => std::thread::sleep(Duration::from_millis(1)),
-            Err(_) => break,
-        }
+    while let Some(n @ 1..) = raw.try_recv(&mut buf).unwrap() {
+        got.extend_from_slice(&buf[..n]);
     }
     let mut decoder = bartercast_core::codec::FrameDecoder::new();
     decoder.feed(&got);
@@ -167,20 +164,17 @@ fn bye_after_a_partially_decoded_frame_drains_cleanly() {
     assert!(saw_bye, "the clean close must answer Bye with Bye");
 }
 
-/// Pump one session until it reports no further progress (with small
-/// real-time sleeps for the mem pipe's delivery).
-fn pump_settled(session: &mut Session, counters: &NodeCounters, events: &mut Vec<SessionEvent>) {
+/// Pump one session until it reports no further progress; with no
+/// delay configured, every frame sent to it is readable at once.
+fn pump_settled(
+    session: &mut Session,
+    transport: &MemTransport,
+    counters: &NodeCounters,
+    events: &mut Vec<SessionEvent>,
+) {
     let mut pool = BufPool::new();
-    let deadline = Instant::now() + Duration::from_secs(2);
-    let mut idle = 0;
-    while idle < 5 && Instant::now() < deadline {
-        if session.pump(PeerId(1), Instant::now(), &mut pool, counters, events) {
-            idle = 0;
-        } else {
-            idle += 1;
-            std::thread::sleep(Duration::from_micros(200));
-        }
-    }
+    let now = transport.clock().now();
+    while session.pump(PeerId(1), now, &mut pool, counters, events) {}
 }
 
 /// The backoff delay must cap at `backoff_max` and its jitter must stay

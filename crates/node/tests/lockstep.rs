@@ -7,9 +7,8 @@
 
 use bartercast_core::{BarterCastMessage, PrivateHistory, TransferRecord};
 use bartercast_node::cluster::{ClusterConfig, DeterministicCluster};
-use bartercast_node::transport::{Conn, Transport};
 use bartercast_node::wire::{self, Envelope};
-use bartercast_node::{Lockstep, MemConfig, NodeConfig, NodeStats};
+use bartercast_node::{Lockstep, MemConfig, MemConn, NodeConfig, NodeStats};
 use bartercast_util::units::{Bytes, PeerId, Seconds};
 use std::time::Duration;
 
@@ -93,8 +92,7 @@ fn retired_node_respawned_empty_reconverges() {
         .collect();
     cluster
         .lockstep_mut()
-        .spawn(victim, bootstrap, PrivateHistory::new(victim), config.node)
-        .expect("respawn");
+        .spawn(victim, bootstrap, PrivateHistory::new(victim), config.node);
     assert!(cluster.edges()[3].is_empty(), "live node shadows snapshot");
     assert!(
         cluster.run_until_converged(Duration::from_secs(60)),
@@ -106,27 +104,25 @@ fn retired_node_respawned_empty_reconverges() {
 }
 
 /// A loadgen-style raw dialer against one lockstep reactor.
-fn dial(lockstep: &Lockstep, from: PeerId, version: u8) -> Box<dyn Conn> {
+fn dial(lockstep: &Lockstep, from: PeerId, version: u8) -> MemConn {
     let mut conn = lockstep.transport().connect(from, PeerId(0)).unwrap();
     let hello = Envelope::Hello {
         peer: from,
         version,
     };
-    assert!(conn.try_send(&wire::encode_envelope(&hello)).unwrap());
+    conn.try_send(&wire::encode_envelope(&hello)).unwrap();
     conn
 }
 
 #[test]
 fn v2_hello_and_bare_records_are_refused() {
     let mut lockstep = Lockstep::new(MemConfig::default());
-    lockstep
-        .spawn(
-            PeerId(0),
-            vec![],
-            PrivateHistory::new(PeerId(0)),
-            NodeConfig::default(),
-        )
-        .unwrap();
+    lockstep.spawn(
+        PeerId(0),
+        vec![],
+        PrivateHistory::new(PeerId(0)),
+        NodeConfig::default(),
+    );
     let stats = |l: &Lockstep| l.stats()[&PeerId(0)];
 
     // the retired dialect: decode fails with VersionMismatch(2), the
@@ -147,7 +143,7 @@ fn v2_hello_and_bare_records_are_refused() {
             down: Bytes::ZERO,
         }],
     });
-    assert!(v3.try_send(&wire::encode_envelope(&records)).unwrap());
+    v3.try_send(&wire::encode_envelope(&records)).unwrap();
     assert!(lockstep.run_until(|l| stats(l).protocol_errors == 2, Duration::from_secs(1)));
     lockstep.run_until(|_| false, Duration::from_millis(100));
     let end = stats(&lockstep);
@@ -171,17 +167,13 @@ fn reconnects_count_each_redial_once() {
     let mut lockstep = Lockstep::new(MemConfig::default());
     let mut history = PrivateHistory::new(PeerId(0));
     history.record_upload(PeerId(1), Bytes::from_mb(4), Seconds(1));
-    lockstep
-        .spawn(PeerId(0), vec![PeerId(1)], history, NodeConfig::default())
-        .unwrap();
-    lockstep
-        .spawn(
-            PeerId(1),
-            vec![],
-            PrivateHistory::new(PeerId(1)),
-            NodeConfig::default(),
-        )
-        .unwrap();
+    lockstep.spawn(PeerId(0), vec![PeerId(1)], history, NodeConfig::default());
+    lockstep.spawn(
+        PeerId(1),
+        vec![],
+        PrivateHistory::new(PeerId(1)),
+        NodeConfig::default(),
+    );
     let opened = |l: &Lockstep| -> u64 { l.stats().values().map(|s| s.sessions_opened).sum() };
     assert!(lockstep.run_until(|l| opened(l) == 2, Duration::from_secs(1)));
 

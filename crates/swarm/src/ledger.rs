@@ -1,7 +1,7 @@
 //! The ground-truth transfer ledger.
 //!
 //! Every workload in a [`SwarmCluster`](crate::SwarmCluster) shares
-//! one [`SwarmLedger`] behind a mutex and records what *actually*
+//! one [`SwarmLedger`] (an `Rc<RefCell<_>>`) and records what *actually*
 //! happened on the wire: pieces served (uploader side, at send time)
 //! and pieces received (downloader side, at receipt — strictly less
 //! under loss, until the re-request recovers). Tests use it as the

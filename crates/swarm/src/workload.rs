@@ -62,8 +62,9 @@ use bartercast_core::PeerState;
 use bartercast_node::wire::{bit_set, pack_bits};
 use bartercast_node::{SwarmFrame, Workload, WorkloadIo};
 use bartercast_util::units::{Bytes, PeerId, Seconds};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 /// Cap on queued inbound requests per peer; beyond it requests are
 /// dropped (the requester re-requests after its timeout).
@@ -131,7 +132,7 @@ pub struct SwarmWorkload {
     choker: Choker,
     round: u64,
     bootstrap: Vec<PeerId>,
-    ledger: Arc<Mutex<SwarmLedger>>,
+    ledger: Rc<RefCell<SwarmLedger>>,
     /// Route `refill_requests` through the per-request reference scan
     /// (the oracle twin of the equivalence test).
     #[cfg(test)]
@@ -146,7 +147,7 @@ impl SwarmWorkload {
         me: PeerId,
         params: SwarmParams,
         bootstrap: Vec<PeerId>,
-        ledger: Arc<Mutex<SwarmLedger>>,
+        ledger: Rc<RefCell<SwarmLedger>>,
     ) -> Self {
         params.validate();
         let have = if params.seed_initial {
@@ -326,7 +327,7 @@ impl SwarmWorkload {
                 io.send(q, SwarmFrame::Cancel { piece });
             }
             state.record_piece_download(peer, Bytes(size), now);
-            let mut ledger = self.ledger.lock().expect("ledger lock");
+            let mut ledger = self.ledger.borrow_mut();
             ledger.record_receipt(peer, self.me, Bytes(size));
             if self.have.is_complete() {
                 ledger.record_completion(self.me, self.round);
@@ -432,10 +433,7 @@ impl SwarmWorkload {
                     let size = self.params.piece_size;
                     view.sent_window += size.0;
                     state.record_piece_upload(peer, size, now);
-                    self.ledger
-                        .lock()
-                        .expect("ledger lock")
-                        .record_serve(self.me, peer, size);
+                    self.ledger.borrow_mut().record_serve(self.me, peer, size);
                     io.send(
                         peer,
                         SwarmFrame::Piece {
@@ -502,8 +500,7 @@ impl SwarmWorkload {
                 scores.get(&q).copied().unwrap_or(PeerScore::NEUTRAL)
             });
             self.ledger
-                .lock()
-                .expect("ledger lock")
+                .borrow_mut()
                 .contention
                 .insert(self.me, *self.choker.contention());
             unchoked
@@ -710,8 +707,8 @@ mod tests {
         }
     }
 
-    fn ledger() -> Arc<Mutex<SwarmLedger>> {
-        Arc::new(Mutex::new(SwarmLedger::default()))
+    fn ledger() -> Rc<RefCell<SwarmLedger>> {
+        Rc::default()
     }
 
     /// The picker `refill_requests` replaced, kept as its oracle: one
@@ -812,7 +809,7 @@ mod tests {
             me,
             params(false, PeerBehaviour::Cooperator),
             vec![seeder],
-            Arc::clone(&shared),
+            Rc::clone(&shared),
         );
         let mut state = state_for(me);
         let mut io = WorkloadIo::default();
@@ -852,7 +849,7 @@ mod tests {
         assert_eq!(state.history.get(seeder).unwrap().down, Bytes(size));
         assert!(state.history.all_from_pieces());
         // ledger matched
-        assert_eq!(shared.lock().unwrap().progress_of(me).pieces, 1);
+        assert_eq!(shared.borrow().progress_of(me).pieces, 1);
         // Have broadcast + pipeline refilled
         assert!(io
             .frames

@@ -73,7 +73,7 @@ fn observe(by_scan: bool) -> Observation {
     let mut cluster = SwarmCluster::boot(churning_config()).expect("boot");
     let mut steps = Vec::new();
     while cluster.elapsed() < HORIZON {
-        cluster.apply_due_events().expect("join boots");
+        cluster.apply_due_events();
         let lockstep = cluster.lockstep_mut();
         let alive = if by_scan {
             lockstep.step_by_scan()

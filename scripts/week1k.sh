@@ -9,15 +9,21 @@
 #   bartercast sim run --peers 1000 --policy rank --seed 1
 #
 # N times per side (default 3), alternating which side goes first: the
-# parent on even runs, the change on odd ones. Every run's standard
-# output must equal the first one's, byte for byte; the script fails
-# on the first that differs. It prints each run's wall time and each
-# side's median. One run takes about a minute on a 2-vCPU host; run
-# nothing else beside it.
+# parent on even runs, the change on odd ones. The printouts are
+# checked byte for byte:
+#
+# * each side's N printouts must be identical among themselves (the
+#   script fails on the first run that differs from its side's first);
+# * the parent's printout must be a prefix of the change's, so a change
+#   may append lines to `sim run`'s printout but not alter one;
+# * any other difference fails, and the appended lines are printed.
+#
+# It prints each run's wall time and each side's median. One run takes
+# about a minute on a 2-vCPU host; run nothing else beside it.
 set -euo pipefail
 
 if [ $# -lt 2 ] || [ $# -gt 3 ]; then
-    sed -n '2,16p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,22p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 parent="$(cd "$1" && pwd)"
@@ -36,7 +42,7 @@ change_bin="$(bin_of "$change")"
 raw="$(mktemp -d)"
 trap 'rm -rf "$raw"' EXIT
 # run SIDE BIN K: one week into raw/SIDE.K, its wall seconds appended
-# to raw/SIDE.times, and its printout checked against the first run's
+# to raw/SIDE.times, and its printout checked against its side's first
 run() {
     local start end
     start="$(date +%s.%N)"
@@ -44,14 +50,14 @@ run() {
     end="$(date +%s.%N)"
     python3 -c "print(f'{$end - $start:.1f}')" >> "$raw/$1.times"
     echo "$1 run $3: $(tail -n 1 "$raw/$1.times") s"
-    if [ -f "$raw/first" ]; then
-        if ! cmp -s "$raw/first" "$raw/$1.$3"; then
-            echo "printout of $1 run $3 differs from the first run's:" >&2
-            diff "$raw/first" "$raw/$1.$3" >&2 || true
+    if [ -f "$raw/$1.first" ]; then
+        if ! cmp -s "$raw/$1.first" "$raw/$1.$3"; then
+            echo "printout of $1 run $3 differs from $1's first run's:" >&2
+            diff "$raw/$1.first" "$raw/$1.$3" >&2 || true
             exit 1
         fi
     else
-        cp "$raw/$1.$3" "$raw/first"
+        cp "$raw/$1.$3" "$raw/$1.first"
     fi
 }
 for k in $(seq 0 $((n - 1))); do
@@ -74,5 +80,15 @@ for side in ("parent", "change"):
     print(f"{side}: median {med[side]:.1f} s over {len(times)} runs")
 print(f"change: {100 * (med['change'] / med['parent'] - 1):+.1f} % in the median")
 EOF
-echo "all $((2 * n)) printouts identical:"
-grep -E "meetings|speed ratio|system reputation" "$raw/first"
+parent_bytes="$(wc -c < "$raw/parent.first")"
+if ! head -c "$parent_bytes" "$raw/change.first" | cmp -s - "$raw/parent.first"; then
+    echo "the change's printout does not start with the parent's:" >&2
+    diff "$raw/parent.first" "$raw/change.first" >&2 || true
+    exit 1
+fi
+echo "each side's $n printouts identical, the parent's a prefix of the change's:"
+grep -E "meetings|speed ratio|system reputation" "$raw/parent.first"
+if [ "$(wc -c < "$raw/change.first")" -gt "$parent_bytes" ]; then
+    echo "lines the change appends:"
+    tail -c +"$((parent_bytes + 1))" "$raw/change.first"
+fi
