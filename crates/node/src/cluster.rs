@@ -219,8 +219,8 @@ impl DeterministicCluster {
             .run_until(|lockstep| all_hold(lockstep, expected), max_virtual)
     }
 
-    /// Per-node counter snapshots in node-id order (live nodes plus the
-    /// final snapshots of retired ones).
+    /// Per-node counters in node-id order (live nodes plus the final
+    /// counters of retired ones).
     pub fn stats(&self) -> Vec<NodeStats> {
         self.lockstep.stats().into_values().collect()
     }

@@ -29,9 +29,9 @@
 //! * [`cluster`] — the record-only population ([`Cluster`]'s seed
 //!   histories and expected edge set) and [`DeterministicCluster`],
 //!   that population on the lockstep driver;
-//! * [`stats`] — relaxed-atomic counters snapshotted as
-//!   [`NodeStats`], including the split
-//!   `shed_accept`/`shed_session` overload accounting.
+//! * [`stats`] — [`NodeStats`], the plain counters the reactor bumps
+//!   in place, including the split `shed_accept`/`shed_session`
+//!   overload accounting.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,7 +51,7 @@ pub use clock::VirtualClock;
 pub use cluster::{Cluster, ClusterConfig, DeterministicCluster};
 pub use lockstep::Lockstep;
 pub use mem::{MemConfig, MemConn, MemListener, MemTransport, WakeQueue};
-pub use reactor::{backoff_delay, NodeConfig, Reactor};
-pub use stats::{NodeCounters, NodeStats};
+pub use reactor::{NodeConfig, Reactor};
+pub use stats::NodeStats;
 pub use wire::SwarmFrame;
 pub use workload::{Workload, WorkloadIo};

@@ -48,14 +48,15 @@
 //! tests of this crate and of `bartercast-swarm` assert.
 //!
 //! A retired node's counters and state are kept (nothing writes them
-//! once its reactor is gone), so [`Lockstep::stats`],
+//! once its reactor is gone; its sessions are closed and reaped on the
+//! way out, so none stays counted live), so [`Lockstep::stats`],
 //! [`Lockstep::edges`] and [`Lockstep::all_from_pieces`] cover departed
 //! nodes too; a live node shadows an earlier departure under its id.
 
 use crate::clock::VirtualClock;
 use crate::mem::{MemConfig, MemTransport};
 use crate::reactor::{NodeConfig, Reactor};
-use crate::stats::{NodeCounters, NodeStats};
+use crate::stats::NodeStats;
 use bartercast_core::{PeerState, PrivateHistory};
 use bartercast_util::units::{Bytes, PeerId};
 use std::cell::Cell;
@@ -67,7 +68,7 @@ use std::time::{Duration, Instant};
 pub type Edges = Vec<(PeerId, PeerId, Bytes)>;
 
 /// What is observable of a node, live or retired.
-type Observed<'a> = (&'a NodeCounters, &'a PeerState);
+type Observed<'a> = (&'a NodeStats, &'a PeerState);
 
 /// The driver's runnable set: one bit per slot, in 64-bit words, held
 /// by the driver and by every linked wake queue.
@@ -93,7 +94,7 @@ pub struct Lockstep {
     /// Membership changed since the slots were last linked.
     relink: bool,
     /// Retired nodes' final counters and state.
-    departed: BTreeMap<PeerId, (NodeCounters, PeerState)>,
+    departed: BTreeMap<PeerId, (NodeStats, PeerState)>,
     polls: u64,
     /// The slots the last step polled, in order.
     #[cfg(any(test, feature = "scan-oracle"))]
@@ -138,7 +139,8 @@ impl Lockstep {
     }
 
     /// Tear down one node, keeping its final counters and state; its
-    /// connections are severed so surviving peers observe the closure.
+    /// sessions are closed unclean and reaped, and its connections are
+    /// severed so surviving peers observe the closure.
     /// No-op for an unknown id.
     pub fn retire(&mut self, id: PeerId) {
         if let Ok(slot) = self.reactors.binary_search_by_key(&id, Reactor::id) {
@@ -291,15 +293,14 @@ impl Lockstep {
         let live = self
             .reactors
             .iter()
-            .map(|r| (r.id(), (r.counters(), r.state())));
+            .map(|r| (r.id(), (r.stats(), r.state())));
         departed.chain(live).collect()
     }
 
-    /// Per-node counter snapshots in id order (live + retired).
+    /// Per-node counters in id order (live + retired).
     pub fn stats(&self) -> BTreeMap<PeerId, NodeStats> {
         let all = self.observed().into_iter();
-        all.map(|(id, (counters, _))| (id, counters.snapshot()))
-            .collect()
+        all.map(|(id, (stats, _))| (id, *stats)).collect()
     }
 
     /// Per-node subjective edge lists in id order (live + retired).
@@ -433,8 +434,9 @@ mod tests {
         );
     }
 
-    /// A retired node's edges and counters stay observable, and the
-    /// survivor keeps the record it learnt from it.
+    /// A retired node's edges and counters stay observable, its books
+    /// closed (no session live, each one opened counted closed), and
+    /// the survivor keeps the record it learnt from it.
     #[test]
     fn a_retired_nodes_state_stays_observable() {
         let mut cluster = DeterministicCluster::boot(ClusterConfig {
@@ -444,13 +446,17 @@ mod tests {
         .expect("boot");
         assert!(cluster.run_until_converged(Duration::from_secs(30)));
         let converged = cluster.expected().to_vec();
-        cluster.lockstep_mut().retire(PeerId(1));
         let lockstep = cluster.lockstep_mut();
+        assert!(lockstep.stats()[&PeerId(1)].sessions_live > 0);
+        lockstep.retire(PeerId(1));
         assert_eq!(lockstep.reactors().count(), 2);
         let edges = lockstep.edges();
         assert_eq!(edges.len(), 3, "the retired node is still listed");
         assert!(edges.values().all(|e| *e == converged), "{edges:?}");
-        assert!(lockstep.stats()[&PeerId(1)].records_received > 0);
+        let books = lockstep.stats()[&PeerId(1)];
+        assert!(books.records_received > 0);
+        assert_eq!(books.sessions_live, 0, "{books:?}");
+        assert_eq!(books.sessions_closed, books.sessions_opened, "{books:?}");
     }
 
     /// A linked wake queue marks its slot on notify and only then.

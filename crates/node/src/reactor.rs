@@ -44,8 +44,8 @@
 //! dropped at its bounded queue (`shed_session`).
 
 use crate::mem::{MemConn, MemListener, MemTransport, WakeQueue, LISTENER_TOKEN};
-use crate::session::{Direction, Session, SessionEvent, HANDSHAKE_TIMEOUT};
-use crate::stats::NodeCounters;
+use crate::session::{Session, SessionEvent, HANDSHAKE_TIMEOUT};
+use crate::stats::NodeStats;
 use crate::timer::{TimerKind, TimerWheel};
 use crate::wire::{self, Envelope};
 use crate::workload::{Workload, WorkloadIo};
@@ -58,7 +58,7 @@ use bartercast_gossip::{PssConfig, PssNode};
 use bartercast_util::units::{PeerId, Seconds};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
@@ -132,9 +132,8 @@ impl Default for NodeConfig {
 
 /// The exponential-backoff delay before retry number
 /// `consecutive_failures`: `base · 2^f / 2`, capped at `max`, with a
-/// multiplicative jitter in `[1, 1 + jitter]` drawn from `rng`. Public
-/// so the lifecycle tests can pin the cap and the jitter bounds.
-pub fn backoff_delay(
+/// multiplicative jitter in `[1, 1 + jitter]` drawn from `rng`.
+fn backoff_delay(
     consecutive_failures: u32,
     base: Duration,
     max: Duration,
@@ -148,11 +147,46 @@ pub fn backoff_delay(
     Duration::from_secs_f64(jittered)
 }
 
-/// Per-peer reconnect state.
-#[derive(Debug, Clone, Copy, Default)]
-struct Backoff {
-    consecutive_failures: u32,
+/// What the reactor knows about one remote peer. An entry is never
+/// removed: `Established` clears the failure count, the redial instant
+/// and the digest cadence; reaping the primary session clears the
+/// session and the cadence; "met before" and the last full push
+/// survive both.
+#[derive(Debug, Default)]
+struct Remote {
+    /// The primary established session, which exchange ticks reuse.
+    session: Option<u64>,
+    /// Consecutive failed dials and handshakes.
+    failures: u32,
+    /// No dial before this instant; a dial that connects clears it too.
     not_before: Option<Instant>,
+    /// A session was established before, so a dial is a reconnect.
+    met: bool,
+    /// Last exchange tick a digest went to the peer.
+    digest_tick: Option<u64>,
+    /// Consecutive digests without a `Delta` reply: the in-sync streak.
+    sync_streak: u32,
+    /// History version last pushed in full. Knowledge about the *peer*,
+    /// not the connection: a reconnect whose slice has not changed
+    /// opens with a digest instead of re-pushing records it holds.
+    pushed: Option<u64>,
+}
+
+impl Remote {
+    /// Digest backoff: at most one digest per peer per tick, and a peer
+    /// that answered nothing twice in a row (already in sync) is probed
+    /// every other tick instead of every tick. Any `Delta` reply resets
+    /// the streak so a peer with news is probed eagerly again. The
+    /// cadence is kept this tight on purpose: a digest costs ~30 bytes,
+    /// and probing lazily would delay reputation propagation — the
+    /// savings live in the suppressed record payloads, not here.
+    fn should_digest(&self, tick_no: u64) -> bool {
+        match self.digest_tick {
+            None => true,
+            Some(last) if last == tick_no => false,
+            Some(last) => self.sync_streak < 2 || tick_no - last >= 2,
+        }
+    }
 }
 
 /// Sessions whose connection holds a frame that becomes readable at a
@@ -211,9 +245,9 @@ pub struct Reactor {
     /// Sorted so pump order is deterministic.
     sessions: BTreeMap<u64, Session>,
     next_token: u64,
-    /// Established sessions by remote peer — the exchange tick's
-    /// "reuse a live session" lookup.
-    by_peer: HashMap<PeerId, u64>,
+    /// Every remote peer met, dialed or digested (see [`Remote`]);
+    /// looked up by id, never iterated.
+    remotes: HashMap<PeerId, Remote>,
     wheel: TimerWheel,
     /// Sessions to pump at a future instant (see [`DelayedFrames`]).
     delayed: DelayedFrames,
@@ -221,15 +255,13 @@ pub struct Reactor {
     ready: BTreeSet<u64>,
     pss: PssNode,
     rng: StdRng,
-    backoff: HashMap<PeerId, Backoff>,
-    ever_connected: HashSet<PeerId>,
     state: PeerState,
     /// The advertised slice as a stamped full `Delta` frame, its record
     /// count and the history version it was encoded at: what every
     /// session gets on establishment and fallback ticks. The stamp
     /// seeds the receiver's claim, so the next digest round is in sync.
     full: Option<(Rc<[u8]>, u32, u64)>,
-    counters: NodeCounters,
+    stats: NodeStats,
     config: NodeConfig,
     /// The attached transfer workload, if any (see [`Workload`]).
     workload: Option<Box<dyn Workload>>,
@@ -244,16 +276,6 @@ pub struct Reactor {
     /// Monotone exchange-tick counter driving the full-sync fallback
     /// cadence and the per-peer digest backoff.
     tick_no: u64,
-    /// Last tick a digest went to each peer.
-    digest_tick: HashMap<PeerId, u64>,
-    /// Consecutive digests to a peer without a `Delta` reply — the
-    /// in-sync streak capping the digest cadence at every other tick.
-    sync_streak: HashMap<PeerId, u32>,
-    /// History version last pushed in full to each peer. Survives the
-    /// session (it is knowledge about the *peer*, not the connection):
-    /// a reconnect whose slice has not changed opens with a digest
-    /// instead of re-pushing records the peer already holds.
-    pushed: HashMap<PeerId, u64>,
 }
 
 impl Reactor {
@@ -283,26 +305,21 @@ impl Reactor {
             wake,
             sessions: BTreeMap::new(),
             next_token: 0,
-            by_peer: HashMap::new(),
+            remotes: HashMap::new(),
             wheel,
             delayed: DelayedFrames::default(),
             ready: BTreeSet::new(),
             pss,
             rng: StdRng::seed_from_u64(config.seed ^ (((id.0 as u64) << 32) | 0xA5A5)),
-            backoff: HashMap::new(),
-            ever_connected: HashSet::new(),
             state: PeerState::new(history, ReputationEngine::new()),
             full: None,
-            counters: NodeCounters::default(),
+            stats: NodeStats::default(),
             config,
             workload: None,
             choke_interval: Duration::from_secs(10),
             boot: now,
             pool: BufPool::new(),
             tick_no: 0,
-            digest_tick: HashMap::new(),
-            sync_streak: HashMap::new(),
-            pushed: HashMap::new(),
         }
     }
 
@@ -341,20 +358,20 @@ impl Reactor {
     /// peers through the normal backoff machinery.
     fn deliver_io(&mut self, io: WorkloadIo, now: Instant) {
         for (peer, frame) in io.frames {
-            if let Some(&token) = self.by_peer.get(&peer) {
+            if let Some(token) = self.primary(peer) {
                 if let Some(session) = self.sessions.get_mut(&token) {
                     session.enqueue_envelope(
                         &Envelope::Swarm(frame),
                         &mut self.pool,
                         self.config.outbound_queue,
-                        &self.counters,
+                        &mut self.stats,
                     );
                     self.ready.insert(token);
                 }
             }
         }
         for peer in io.dials {
-            if peer != self.id && !self.by_peer.contains_key(&peer) {
+            if peer != self.id && self.primary(peer).is_none() {
                 self.dial(peer, now);
             }
         }
@@ -366,8 +383,13 @@ impl Reactor {
     }
 
     /// The operational counters.
-    pub fn counters(&self) -> &NodeCounters {
-        &self.counters
+    pub fn stats(&self) -> &NodeStats {
+        &self.stats
+    }
+
+    /// The primary established session with `peer`, if any.
+    fn primary(&self, peer: PeerId) -> Option<u64> {
+        self.remotes.get(&peer).and_then(|r| r.session)
     }
 
     /// The node state (history + reputation engine).
@@ -376,9 +398,16 @@ impl Reactor {
     }
 
     /// Give up the reactor, keeping what outlives it: the counters and
-    /// the node state.
-    pub(crate) fn into_parts(self) -> (NodeCounters, PeerState) {
-        (self.counters, self.state)
+    /// the node state. Every session still in the table is closed
+    /// unclean and reaped first, so the books close: none stays live,
+    /// and each is counted once as closed or failed.
+    pub(crate) fn into_parts(mut self) -> (NodeStats, PeerState) {
+        let mut events = Vec::new();
+        for mut session in std::mem::take(&mut self.sessions).into_values() {
+            session.close(false, &mut self.stats, &mut events);
+            self.stats.session_reaped();
+        }
+        (self.stats, self.state)
     }
 
     /// The wake queue: the lockstep driver links it to its runnable
@@ -412,7 +441,7 @@ impl Reactor {
                 }
                 TimerKind::SessionCheck { token } => {
                     if let Some(session) = self.sessions.get_mut(&token) {
-                        match session.check_deadlines(now, &self.counters, &mut events) {
+                        match session.check_deadlines(now, &mut self.stats, &mut events) {
                             Some(next) => {
                                 self.wheel.schedule(next, TimerKind::SessionCheck { token })
                             }
@@ -421,7 +450,7 @@ impl Reactor {
                     }
                 }
                 TimerKind::DialRetry { peer } => {
-                    if !self.by_peer.contains_key(&peer) {
+                    if self.primary(peer).is_none() {
                         self.dial(peer, now);
                         progress = true;
                     }
@@ -457,10 +486,10 @@ impl Reactor {
                 if self.sessions.len() >= self.config.max_sessions {
                     // accepted-then-dropped: the peer sees an immediate
                     // close, not a hanging backlog
-                    NodeCounters::inc(&self.counters.shed_accept);
+                    self.stats.shed_accept += 1;
                     drop(conn);
                 } else {
-                    self.adopt(conn, Direction::Responder, now);
+                    self.adopt(conn, now);
                 }
                 progress = true;
             }
@@ -484,7 +513,7 @@ impl Reactor {
         self.ready.retain(|t| *t == LISTENER_TOKEN);
         for token in tokens {
             if let Some(session) = self.sessions.get_mut(&token) {
-                if session.pump(self.id, now, &mut self.pool, &self.counters, &mut events) {
+                if session.pump(self.id, now, &mut self.pool, &mut self.stats, &mut events) {
                     progress = true;
                 }
                 // a frame still in simulated flight needs a self-wake
@@ -548,13 +577,12 @@ impl Reactor {
     /// Take ownership of a connection as a new session: assign a token,
     /// register its waker, count it live, and schedule its handshake
     /// deadline.
-    fn adopt(&mut self, mut conn: MemConn, direction: Direction, now: Instant) {
+    fn adopt(&mut self, mut conn: MemConn, now: Instant) {
         let token = self.next_token;
         self.next_token += 1;
         conn.register_waker(&self.wake, token);
-        self.sessions
-            .insert(token, Session::new(token, conn, direction, now));
-        self.counters.session_adopted();
+        self.sessions.insert(token, Session::new(token, conn, now));
+        self.stats.session_adopted();
         self.wheel
             .schedule(now + HANDSHAKE_TIMEOUT, TimerKind::SessionCheck { token });
         self.ready.insert(token);
@@ -566,37 +594,36 @@ impl Reactor {
         let Some(session) = self.sessions.remove(&token) else {
             return;
         };
-        self.counters.session_reaped();
-        if let Some(peer) = session.remote() {
-            if self.by_peer.get(&peer) == Some(&token) {
-                self.by_peer.remove(&peer);
-                self.digest_tick.remove(&peer);
-                self.sync_streak.remove(&peer);
-            }
+        self.stats.session_reaped();
+        let remote = session
+            .remote()
+            .and_then(|peer| self.remotes.get_mut(&peer));
+        if let Some(r) = remote.filter(|r| r.session == Some(token)) {
+            r.session = None;
+            r.digest_tick = None;
+            r.sync_streak = 0;
         }
     }
 
     /// Dial `target` (respecting backoff); the handshake's
     /// `Established` event opens the first anti-entropy round.
     fn dial(&mut self, target: PeerId, now: Instant) {
-        let entry = self.backoff.entry(target).or_default();
-        if let Some(not_before) = entry.not_before {
-            if now < not_before {
-                return;
-            }
+        let remote = self.remotes.entry(target).or_default();
+        if remote.not_before.is_some_and(|at| now < at) {
+            return;
         }
-        if self.ever_connected.contains(&target) {
-            NodeCounters::inc(&self.counters.reconnects);
+        if remote.met {
+            self.stats.reconnects += 1;
         }
         match self.transport.connect(self.id, target) {
             Ok(conn) => {
                 // success of the *dial*; the handshake may still fail,
                 // in which case Closed{clean: false} re-arms backoff
-                self.backoff.entry(target).or_default().not_before = None;
-                self.adopt(conn, Direction::Initiator, now);
+                remote.not_before = None;
+                self.adopt(conn, now);
             }
             Err(_) => {
-                NodeCounters::inc(&self.counters.sessions_failed);
+                self.stats.sessions_failed += 1;
                 self.arm_backoff(target, now);
             }
         }
@@ -605,17 +632,17 @@ impl Reactor {
     /// Bump the failure count, compute the next delay, and schedule the
     /// retry timer.
     fn arm_backoff(&mut self, peer: PeerId, now: Instant) {
-        let entry = self.backoff.entry(peer).or_default();
-        entry.consecutive_failures = entry.consecutive_failures.saturating_add(1);
+        let remote = self.remotes.entry(peer).or_default();
+        remote.failures = remote.failures.saturating_add(1);
         let delay = backoff_delay(
-            entry.consecutive_failures,
+            remote.failures,
             self.config.backoff_base,
             self.config.backoff_max,
             BACKOFF_JITTER,
             &mut self.rng,
         );
         let retry_at = now + delay;
-        entry.not_before = Some(retry_at);
+        remote.not_before = Some(retry_at);
         self.wheel.schedule(retry_at, TimerKind::DialRetry { peer });
     }
 
@@ -636,7 +663,7 @@ impl Reactor {
             if target == self.id {
                 continue;
             }
-            match self.by_peer.get(&target).copied() {
+            match self.primary(target) {
                 Some(token) => self.sync_with(token, target, full_tick),
                 None => self.dial(target, now),
             }
@@ -657,15 +684,16 @@ impl Reactor {
         if full {
             if let Some((bytes, records, version)) = self.full_frame() {
                 let session = self.sessions.get_mut(&token).expect("session exists");
-                if session.enqueue_shared(bytes, records, cap, &self.counters) {
-                    NodeCounters::inc(&self.counters.full_syncs);
-                    self.pushed.insert(target, version);
+                if session.enqueue_shared(bytes, records, cap, &mut self.stats) {
+                    self.stats.full_syncs += 1;
+                    self.remotes.entry(target).or_default().pushed = Some(version);
                     self.ready.insert(token);
                 }
             }
             return;
         }
-        if !self.should_digest(target) {
+        let remote = self.remotes.entry(target).or_default();
+        if !remote.should_digest(self.tick_no) {
             return;
         }
         let claim = self.state.claim(target);
@@ -674,31 +702,11 @@ impl Reactor {
             sender: self.id,
             claim,
         };
-        if session.enqueue_envelope(&digest, &mut self.pool, cap, &self.counters) {
-            self.digest_tick.insert(target, self.tick_no);
-            let streak = self.sync_streak.entry(target).or_insert(0);
-            *streak = streak.saturating_add(1);
+        if session.enqueue_envelope(&digest, &mut self.pool, cap, &mut self.stats) {
+            remote.digest_tick = Some(self.tick_no);
+            remote.sync_streak = remote.sync_streak.saturating_add(1);
             self.ready.insert(token);
         }
-    }
-
-    /// Digest backoff: at most one digest per peer per tick, and a peer
-    /// that answered nothing twice in a row (already in sync) is probed
-    /// every other tick instead of every tick. Any `Delta` reply resets
-    /// the streak so a peer with news is probed eagerly again. The
-    /// cadence is kept this tight on purpose: a digest costs ~30 bytes,
-    /// and probing lazily would delay reputation propagation — the
-    /// savings live in the suppressed record payloads, not here.
-    fn should_digest(&self, peer: PeerId) -> bool {
-        let last = match self.digest_tick.get(&peer) {
-            Some(&t) => t,
-            None => return true,
-        };
-        if last == self.tick_no {
-            return false;
-        }
-        let streak = self.sync_streak.get(&peer).copied().unwrap_or(0);
-        streak < 2 || self.tick_no - last >= 2
     }
 
     /// The full-push frame of the current history, encoded once per
@@ -725,17 +733,20 @@ impl Reactor {
         for event in events {
             match event {
                 SessionEvent::Established { token, remote, .. } => {
-                    self.by_peer.entry(remote).or_insert(token);
-                    self.backoff.remove(&remote);
-                    self.digest_tick.remove(&remote);
-                    self.sync_streak.remove(&remote);
+                    let r = self.remotes.entry(remote).or_default();
+                    let primary = *r.session.get_or_insert(token) == token;
+                    r.failures = 0;
+                    r.not_before = None;
+                    r.digest_tick = None;
+                    r.sync_streak = 0;
                     // a redial was counted where it was dialed
-                    self.ever_connected.insert(remote);
+                    r.met = true;
+                    let pushed = r.pushed;
                     self.pss.bootstrap([remote]);
                     // notify the workload only for the session that
                     // became the peer's primary (duplicate dials race;
                     // the loser idles out without a notification)
-                    if self.by_peer.get(&remote) == Some(&token) {
+                    if primary {
                         // both sides open anti-entropy as soon as the
                         // handshake lands — this replaces the old
                         // dial-time message preload. First contact is a
@@ -747,7 +758,7 @@ impl Reactor {
                         // digest instead, pulling any news without
                         // re-sending records the peer has.
                         let version = self.state.history.version();
-                        let fresh = self.pushed.get(&remote) != Some(&version);
+                        let fresh = pushed != Some(version);
                         self.sync_with(token, remote, fresh);
                         self.with_workload(now, |w, secs, state, io| {
                             w.on_established(remote, secs, state, io)
@@ -761,17 +772,18 @@ impl Reactor {
                     // a later reconnect opens with a digest instead of
                     // a redundant full push. Optimistic under loss —
                     // the digest round repairs a dropped reply.
-                    self.pushed.insert(from, self.state.history.version());
+                    let version = self.state.history.version();
+                    self.remotes.entry(from).or_default().pushed = Some(version);
                     match plan {
                         SyncPlan::InSync => {
                             // the whole slice stayed off the wire
-                            NodeCounters::add(&self.counters.records_suppressed, slice_len as u64);
+                            self.stats.records_suppressed += slice_len as u64;
                         }
                         SyncPlan::Send { full, records } => {
                             let suppressed = slice_len.saturating_sub(records.len());
-                            NodeCounters::add(&self.counters.records_suppressed, suppressed as u64);
+                            self.stats.records_suppressed += suppressed as u64;
                             if full {
-                                NodeCounters::inc(&self.counters.full_syncs);
+                                self.stats.full_syncs += 1;
                             }
                             let reply = Envelope::Delta(DeltaMsg {
                                 sender: self.id,
@@ -785,7 +797,7 @@ impl Reactor {
                                     &reply,
                                     &mut self.pool,
                                     cap,
-                                    &self.counters,
+                                    &mut self.stats,
                                 ) {
                                     self.ready.insert(token);
                                 }
@@ -796,13 +808,13 @@ impl Reactor {
                 SessionEvent::Delta { from, msg, .. } => {
                     let n = msg.records.len() as u64;
                     if self.state.absorb(from, msg.stamp, &msg.records) == 0 && n > 0 {
-                        NodeCounters::add(&self.counters.records_duplicate, n);
+                        self.stats.records_duplicate += n;
                     }
                     // news arrived: probe this peer eagerly again
-                    self.sync_streak.remove(&from);
+                    self.remotes.entry(from).or_default().sync_streak = 0;
                 }
                 SessionEvent::Frame { token, from, frame } => {
-                    if self.by_peer.get(&from) == Some(&token) {
+                    if self.primary(from) == Some(token) {
                         self.with_workload(now, |w, secs, state, io| {
                             w.on_frame(from, frame, secs, state, io)
                         });
@@ -814,7 +826,7 @@ impl Reactor {
                         self.arm_backoff(peer, now);
                     }
                     if let Some(peer) = remote {
-                        if self.by_peer.get(&peer) == Some(&token) {
+                        if self.primary(peer) == Some(token) {
                             self.with_workload(now, |w, secs, state, io| {
                                 w.on_closed(peer, secs, state, io)
                             });
@@ -851,33 +863,40 @@ mod tests {
         h
     }
 
+    /// The backoff delay doubles per failure before the cap, and once
+    /// capped its jitter stays within `[max, max * (1 + jitter)]` — for
+    /// any failure count, including the shift-overflow-prone ones.
     #[test]
-    fn backoff_delay_caps_at_max_with_bounded_jitter() {
-        let base = Duration::from_millis(100);
-        let max = Duration::from_secs(30);
-        let mut rng = StdRng::seed_from_u64(1);
-        for failures in [20u32, 40, u32::MAX] {
-            let d = backoff_delay(failures, base, max, 0.5, &mut rng);
-            assert!(d >= max, "capped delay must be at least max, got {d:?}");
-            assert!(
-                d <= max.mul_f64(1.5),
-                "jitter must stay within +50%, got {d:?}"
+    fn dial_backoff_caps_at_maximum_with_bounded_jitter() {
+        let base = Duration::from_millis(20);
+        let max = Duration::from_millis(500);
+        let jitter = 0.5;
+        let mut rng = StdRng::seed_from_u64(0xBC);
+        // pre-cap: deterministic doubling (jitter 0)
+        let mut zero_rng = StdRng::seed_from_u64(1);
+        for (failures, ms) in [(1, 20), (2, 40), (3, 80)] {
+            assert_eq!(
+                backoff_delay(failures, base, max, 0.0, &mut zero_rng),
+                Duration::from_millis(ms)
             );
         }
-    }
-
-    #[test]
-    fn backoff_delay_grows_exponentially_before_the_cap() {
-        let base = Duration::from_millis(100);
-        let max = Duration::from_secs(30);
-        // jitter 0 isolates the deterministic part
-        let mut rng = StdRng::seed_from_u64(1);
-        let d1 = backoff_delay(1, base, max, 0.0, &mut rng);
-        let d2 = backoff_delay(2, base, max, 0.0, &mut rng);
-        let d3 = backoff_delay(3, base, max, 0.0, &mut rng);
-        assert_eq!(d1, Duration::from_millis(100));
-        assert_eq!(d2, Duration::from_millis(200));
-        assert_eq!(d3, Duration::from_millis(400));
+        // at and past the cap, across many draws: bounded jitter, never
+        // below max, never above max * 1.5
+        for failures in [6u32, 10, 16, 17, 31, 64, u32::MAX] {
+            for _ in 0..200 {
+                let d = backoff_delay(failures, base, max, jitter, &mut rng);
+                assert!(d >= max, "failures={failures}: {d:?} fell below the cap");
+                assert!(
+                    d <= max.mul_f64(1.0 + jitter),
+                    "failures={failures}: {d:?} exceeded the jitter ceiling"
+                );
+            }
+        }
+        // jitter actually spreads: 200 draws at the cap aren't all equal
+        let draws: Vec<Duration> = (0..200)
+            .map(|_| backoff_delay(16, base, max, jitter, &mut rng))
+            .collect();
+        assert!(draws.iter().any(|d| *d != draws[0]), "jitter never varied");
     }
 
     /// Two reactors pumped in lockstep on virtual time converge to each
@@ -914,7 +933,7 @@ mod tests {
             .map(|i| transport.connect(PeerId(10 + i), PeerId(1)).unwrap())
             .collect();
         r.poll_once();
-        let stats = r.counters.snapshot();
+        let stats = r.stats;
         assert_eq!(stats.sessions_live, 2, "cap must hold");
         assert_eq!(stats.shed_accept, 3);
         assert_eq!(stats.sessions_peak, 2);
@@ -991,7 +1010,7 @@ mod tests {
         r.poll_once();
         assert_eq!(r.sessions.len(), ACCEPT_BURST + 5);
         assert!(!r.ready.contains(&LISTENER_TOKEN), "queue drained");
-        assert_eq!(r.counters.snapshot().sessions_live, ACCEPT_BURST as u64 + 5);
+        assert_eq!(r.stats.sessions_live, ACCEPT_BURST as u64 + 5);
     }
 
     /// A session whose handshake deadline expires is reaped by the poll
@@ -1006,7 +1025,34 @@ mod tests {
         clock.advance_to(clock.now() + HANDSHAKE_TIMEOUT);
         r.poll_once();
         assert!(r.sessions.is_empty(), "expired and reaped");
-        let stats = r.counters.snapshot();
+        let stats = r.stats;
         assert_eq!((stats.sessions_failed, stats.sessions_live), (1, 0));
+    }
+
+    /// A duplicate session's `Established` clears the peer's backoff
+    /// and digest cadence, and keeps its primary, "met" and last push.
+    #[test]
+    fn established_resets_backoff_and_cadence_but_keeps_the_primary() {
+        let (mut r, transport) = virtual_reactor(fast_config(9));
+        let (now, peer, tick) = (transport.clock().now(), PeerId(10), r.tick_no);
+        let remote = Remote {
+            session: Some(3),
+            failures: 4,
+            not_before: Some(now),
+            met: true,
+            digest_tick: Some(tick),
+            sync_streak: 2,
+            pushed: Some(7),
+        };
+        r.remotes.insert(peer, remote);
+        let duplicate = SessionEvent::Established {
+            token: 9,
+            remote: peer,
+        };
+        r.apply_events(vec![duplicate], now);
+        let r = &r.remotes[&peer];
+        assert_eq!((r.session, r.met, r.pushed), (Some(3), true, Some(7)));
+        assert_eq!((r.failures, r.not_before), (0, None));
+        assert_eq!((r.digest_tick, r.sync_streak), (None, 0));
     }
 }

@@ -29,7 +29,7 @@
 //! coordinator now share one thread.
 
 use crate::mem::MemConn;
-use crate::stats::NodeCounters;
+use crate::stats::NodeStats;
 use crate::wire::{self, Envelope, SwarmFrame};
 use bartercast_core::codec::{BufPool, FrameDecoder};
 use bartercast_core::{DeltaMsg, Frontier};
@@ -37,15 +37,6 @@ use bartercast_util::units::PeerId;
 use std::collections::VecDeque;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
-
-/// Which side of the connection this session is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// We dialed.
-    Initiator,
-    /// We accepted.
-    Responder,
-}
 
 /// What a session reports back to the reactor core. `token` is the
 /// reactor-assigned id of the session, so events can be correlated
@@ -58,8 +49,6 @@ pub enum SessionEvent {
         token: u64,
         /// Peer on the other end, from its `Hello`.
         remote: PeerId,
-        /// Which side we are.
-        direction: Direction,
     },
     /// A `Digest` envelope arrived: the peer wants whatever its claim
     /// is missing from our advertised slice.
@@ -167,7 +156,6 @@ struct OutFrame {
 pub struct Session {
     token: u64,
     conn: MemConn,
-    direction: Direction,
     state: SessionState,
     decoder: FrameDecoder,
     outbound: VecDeque<OutFrame>,
@@ -175,19 +163,15 @@ pub struct Session {
     started_at: Instant,
     last_activity: Instant,
     hello_sent: bool,
-    /// Whether `sessions_opened` was counted (controls whether close
-    /// bumps `sessions_closed` or `sessions_failed`).
-    counted_open: bool,
 }
 
 impl Session {
     /// Wrap a fresh connection. `now` is the reactor clock's current
     /// instant; the handshake deadline counts from it.
-    pub fn new(token: u64, conn: MemConn, direction: Direction, now: Instant) -> Self {
+    pub fn new(token: u64, conn: MemConn, now: Instant) -> Self {
         Session {
             token,
             conn,
-            direction,
             state: SessionState::Handshake,
             decoder: FrameDecoder::new(),
             outbound: VecDeque::new(),
@@ -195,7 +179,6 @@ impl Session {
             started_at: now,
             last_activity: now,
             hello_sent: false,
-            counted_open: false,
         }
     }
 
@@ -232,9 +215,9 @@ impl Session {
         bytes: Rc<[u8]>,
         records: u32,
         cap: usize,
-        counters: &NodeCounters,
+        stats: &mut NodeStats,
     ) -> bool {
-        self.enqueue_with(cap, counters, || OutFrame {
+        self.enqueue_with(cap, stats, || OutFrame {
             bytes: FrameBytes::Shared(bytes),
             records,
             kind: FrameKind::Delta,
@@ -249,7 +232,7 @@ impl Session {
         env: &Envelope,
         pool: &mut BufPool,
         cap: usize,
-        counters: &NodeCounters,
+        stats: &mut NodeStats,
     ) -> bool {
         let (kind, records) = match env {
             Envelope::Digest { .. } => (FrameKind::Digest, 0),
@@ -257,7 +240,7 @@ impl Session {
             Envelope::Swarm(SwarmFrame::Piece { .. }) => (FrameKind::Piece, 0),
             _ => (FrameKind::Control, 0),
         };
-        self.enqueue_with(cap, counters, || {
+        self.enqueue_with(cap, stats, || {
             let mut buf = pool.take();
             wire::encode_envelope_into(env, &mut buf);
             OutFrame {
@@ -274,22 +257,30 @@ impl Session {
     fn enqueue_with(
         &mut self,
         cap: usize,
-        counters: &NodeCounters,
+        stats: &mut NodeStats,
         frame: impl FnOnce() -> OutFrame,
     ) -> bool {
         if !self.is_established() || self.outbound.len() >= cap {
-            NodeCounters::inc(&counters.shed_session);
+            stats.shed_session += 1;
             return false;
         }
         self.outbound.push_back(frame());
         true
     }
 
-    fn close(&mut self, clean: bool, counters: &NodeCounters, events: &mut Vec<SessionEvent>) {
-        if self.counted_open {
-            NodeCounters::inc(&counters.sessions_closed);
+    /// End the session: count it closed, or failed if it never
+    /// established, and push its one `Closed` event.
+    pub(crate) fn close(
+        &mut self,
+        clean: bool,
+        stats: &mut NodeStats,
+        events: &mut Vec<SessionEvent>,
+    ) {
+        // the remote is known once the handshake was counted opened
+        if self.remote.is_some() {
+            stats.sessions_closed += 1;
         } else {
-            NodeCounters::inc(&counters.sessions_failed);
+            stats.sessions_failed += 1;
         }
         self.state = SessionState::Closed { clean };
         events.push(SessionEvent::Closed {
@@ -302,7 +293,7 @@ impl Session {
     /// buffer, which goes straight back to the pool.
     fn send_control(
         &mut self,
-        counters: &NodeCounters,
+        stats: &mut NodeStats,
         pool: &mut BufPool,
         env: &Envelope,
     ) -> std::io::Result<()> {
@@ -310,21 +301,21 @@ impl Session {
         wire::encode_envelope_into(env, &mut buf);
         let sent = self.conn.try_send(&buf);
         if sent.is_ok() {
-            NodeCounters::add(&counters.bytes_sent, buf.len() as u64);
+            stats.bytes_sent += buf.len() as u64;
         }
         pool.put(buf);
         sent
     }
 
-    fn account_sent(frame: &OutFrame, counters: &NodeCounters) {
-        NodeCounters::add(&counters.bytes_sent, frame.bytes.as_slice().len() as u64);
+    fn account_sent(frame: &OutFrame, stats: &mut NodeStats) {
+        stats.bytes_sent += frame.bytes.as_slice().len() as u64;
         match frame.kind {
             FrameKind::Delta => {
-                NodeCounters::add(&counters.records_sent, frame.records as u64);
-                NodeCounters::inc(&counters.deltas_sent);
+                stats.records_sent += frame.records as u64;
+                stats.deltas_sent += 1;
             }
-            FrameKind::Digest => NodeCounters::inc(&counters.digests_sent),
-            FrameKind::Piece => NodeCounters::inc(&counters.pieces_sent),
+            FrameKind::Digest => stats.digests_sent += 1,
+            FrameKind::Piece => stats.pieces_sent += 1,
             FrameKind::Control => {}
         }
     }
@@ -337,7 +328,7 @@ impl Session {
         local: PeerId,
         now: Instant,
         pool: &mut BufPool,
-        counters: &NodeCounters,
+        stats: &mut NodeStats,
         events: &mut Vec<SessionEvent>,
     ) -> bool {
         if self.is_closed() {
@@ -351,8 +342,8 @@ impl Session {
                 peer: local,
                 version: wire::NODE_PROTOCOL_VERSION,
             };
-            if self.send_control(counters, pool, &hello).is_err() {
-                self.close(false, counters, events);
+            if self.send_control(stats, pool, &hello).is_err() {
+                self.close(false, stats, events);
                 return true;
             }
             self.hello_sent = true;
@@ -372,14 +363,14 @@ impl Session {
                     break;
                 }
                 Ok(Some(n)) => {
-                    NodeCounters::add(&counters.bytes_received, n as u64);
+                    stats.bytes_received += n as u64;
                     self.decoder.feed(&read_buf[..n]);
                     self.last_activity = now;
                     progress = true;
                 }
                 Ok(None) => break,
                 Err(_) => {
-                    self.close(false, counters, events);
+                    self.close(false, stats, events);
                     return true;
                 }
             }
@@ -391,8 +382,8 @@ impl Session {
                 Ok(Some(p)) => p,
                 Ok(None) => break,
                 Err(_) => {
-                    NodeCounters::inc(&counters.protocol_errors);
-                    self.close(false, counters, events);
+                    stats.protocol_errors += 1;
+                    self.close(false, stats, events);
                     return true;
                 }
             };
@@ -400,27 +391,25 @@ impl Session {
             let env = match wire::decode_envelope(&payload) {
                 Ok(env) => env,
                 Err(_) => {
-                    NodeCounters::inc(&counters.protocol_errors);
-                    self.close(false, counters, events);
+                    stats.protocol_errors += 1;
+                    self.close(false, stats, events);
                     return true;
                 }
             };
             match (self.state, env) {
                 (SessionState::Handshake, Envelope::Hello { peer, .. }) => {
                     self.remote = Some(peer);
-                    self.counted_open = true;
-                    NodeCounters::inc(&counters.sessions_opened);
+                    stats.sessions_opened += 1;
                     self.state = SessionState::Exchange;
                     events.push(SessionEvent::Established {
                         token: self.token,
                         remote: peer,
-                        direction: self.direction,
                     });
                 }
                 (SessionState::Handshake, _) => {
                     // anything before the peer's Hello: protocol error
-                    NodeCounters::inc(&counters.protocol_errors);
-                    self.close(false, counters, events);
+                    stats.protocol_errors += 1;
+                    self.close(false, stats, events);
                     return true;
                 }
                 (SessionState::Exchange, Envelope::Digest { sender, claim }) => {
@@ -428,8 +417,8 @@ impl Session {
                     if sender != from {
                         // a digest must speak for the session peer;
                         // anything else is identity confusion
-                        NodeCounters::inc(&counters.protocol_errors);
-                        self.close(false, counters, events);
+                        stats.protocol_errors += 1;
+                        self.close(false, stats, events);
                         return true;
                     }
                     events.push(SessionEvent::Digest {
@@ -441,11 +430,11 @@ impl Session {
                 (SessionState::Exchange, Envelope::Delta(msg)) => {
                     let from = self.remote.expect("established session has a remote");
                     if msg.sender != from {
-                        NodeCounters::inc(&counters.protocol_errors);
-                        self.close(false, counters, events);
+                        stats.protocol_errors += 1;
+                        self.close(false, stats, events);
                         return true;
                     }
-                    NodeCounters::add(&counters.records_received, msg.records.len() as u64);
+                    stats.records_received += msg.records.len() as u64;
                     events.push(SessionEvent::Delta {
                         token: self.token,
                         from,
@@ -454,7 +443,7 @@ impl Session {
                 }
                 (SessionState::Exchange, Envelope::Swarm(frame)) => {
                     if matches!(frame, SwarmFrame::Piece { .. }) {
-                        NodeCounters::inc(&counters.pieces_received);
+                        stats.pieces_received += 1;
                     }
                     events.push(SessionEvent::Frame {
                         token: self.token,
@@ -465,16 +454,16 @@ impl Session {
                 (SessionState::Exchange, Envelope::Bye) => {
                     // peer is done; answer in kind (best-effort — it may
                     // already be gone) so both logs agree, then close
-                    let _ = self.send_control(counters, pool, &Envelope::Bye);
-                    self.close(true, counters, events);
+                    let _ = self.send_control(stats, pool, &Envelope::Bye);
+                    self.close(true, stats, events);
                     return true;
                 }
                 (SessionState::Exchange, Envelope::Hello { .. } | Envelope::Records(_)) => {
                     // a second Hello, or the bare `Records` frame: records
                     // travel only in a `Delta`, whose sender is checked
                     // against the session peer above
-                    NodeCounters::inc(&counters.protocol_errors);
-                    self.close(false, counters, events);
+                    stats.protocol_errors += 1;
+                    self.close(false, stats, events);
                     return true;
                 }
                 (SessionState::Closed { .. }, _) => unreachable!("pumping a closed session"),
@@ -484,7 +473,7 @@ impl Session {
         // 3b. the EOF verdict, now that buffered frames have spoken: a
         // close without the peer's Bye is unclean
         if saw_eof {
-            self.close(false, counters, events);
+            self.close(false, stats, events);
             return true;
         }
 
@@ -493,10 +482,10 @@ impl Session {
         if self.state == SessionState::Exchange {
             while let Some(frame) = self.outbound.pop_front() {
                 if self.conn.try_send(frame.bytes.as_slice()).is_err() {
-                    self.close(false, counters, events);
+                    self.close(false, stats, events);
                     return true;
                 }
-                Self::account_sent(&frame, counters);
+                Self::account_sent(&frame, stats);
                 if let FrameBytes::Pooled(buf) = frame.bytes {
                     pool.put(buf);
                 }
@@ -513,7 +502,7 @@ impl Session {
     pub fn check_deadlines(
         &mut self,
         now: Instant,
-        counters: &NodeCounters,
+        stats: &mut NodeStats,
         events: &mut Vec<SessionEvent>,
     ) -> Option<Instant> {
         let deadline = match self.state {
@@ -522,7 +511,7 @@ impl Session {
             SessionState::Closed { .. } => return None,
         };
         if now >= deadline {
-            self.close(false, counters, events);
+            self.close(false, stats, events);
             return None;
         }
         Some(deadline)
@@ -584,7 +573,7 @@ mod tests {
         a: Session,
         b: Session,
         pool: BufPool,
-        counters: NodeCounters,
+        stats: NodeStats,
         ev_a: Vec<SessionEvent>,
         ev_b: Vec<SessionEvent>,
     }
@@ -597,11 +586,11 @@ mod tests {
             let (conn_a, conn_b) = pair(&t);
             let now = t.clock().now();
             let mut duo = Duo {
-                a: Session::new(ta, conn_a, Direction::Initiator, now),
-                b: Session::new(tb, conn_b, Direction::Responder, now),
+                a: Session::new(ta, conn_a, now),
+                b: Session::new(tb, conn_b, now),
                 t,
                 pool: BufPool::new(),
-                counters: NodeCounters::default(),
+                stats: NodeStats::default(),
                 ev_a: Vec::new(),
                 ev_b: Vec::new(),
             };
@@ -613,13 +602,13 @@ mod tests {
         /// Queue `env` on `a` under a cap of 8.
         fn send_a(&mut self, env: &Envelope) -> bool {
             self.a
-                .enqueue_envelope(env, &mut self.pool, 8, &self.counters)
+                .enqueue_envelope(env, &mut self.pool, 8, &mut self.stats)
         }
 
         /// Queue `env` on `b` under a cap of 8.
         fn send_b(&mut self, env: &Envelope) -> bool {
             self.b
-                .enqueue_envelope(env, &mut self.pool, 8, &self.counters)
+                .enqueue_envelope(env, &mut self.pool, 8, &mut self.stats)
         }
 
         /// Pump both sessions until neither makes progress, advancing
@@ -628,9 +617,9 @@ mod tests {
         fn settle(&mut self) {
             loop {
                 let now = self.t.clock().now();
-                let (pool, counters) = (&mut self.pool, &self.counters);
-                let pa = self.a.pump(PeerId(0), now, pool, counters, &mut self.ev_a);
-                let pb = self.b.pump(PeerId(1), now, pool, counters, &mut self.ev_b);
+                let (pool, stats) = (&mut self.pool, &mut self.stats);
+                let pa = self.a.pump(PeerId(0), now, pool, stats, &mut self.ev_a);
+                let pb = self.b.pump(PeerId(1), now, pool, stats, &mut self.ev_b);
                 let arrivals = [self.a.next_ready_at(), self.b.next_ready_at()];
                 if !(pa || pb || advance(&self.t, &arrivals)) {
                     return;
@@ -651,7 +640,6 @@ mod tests {
             SessionEvent::Established {
                 token: 10,
                 remote: PeerId(1),
-                direction: Direction::Initiator,
             }
         ));
         assert!(
@@ -662,14 +650,13 @@ mod tests {
             SessionEvent::Established {
                 token: 20,
                 remote: PeerId(0),
-                direction: Direction::Responder,
             }
         ));
         assert!(
             matches!(&d.ev_b[1], SessionEvent::Delta { from: PeerId(0), msg, .. } if msg.sender == PeerId(0))
         );
 
-        let s = d.counters.snapshot();
+        let s = d.stats;
         assert_eq!(s.sessions_opened, 2);
         assert_eq!(s.records_sent, 2);
         assert_eq!(s.records_received, 2);
@@ -685,27 +672,27 @@ mod tests {
         for bye in [true, false] {
             let t = net();
             let (mut raw, conn) = pair(&t);
-            let counters = NodeCounters::default();
-            let mut s = Session::new(30, conn, Direction::Responder, t.clock().now());
+            let mut stats = NodeStats::default();
+            let mut s = Session::new(30, conn, t.clock().now());
             let mut events = Vec::new();
             raw.try_send(&wire::encode_envelope(&hello(0))).unwrap();
-            pump_alone(&t, &mut s, &mut d.pool, &counters, &mut events);
+            pump_alone(&t, &mut s, &mut d.pool, &mut stats, &mut events);
             assert!(s.is_established());
             if bye {
                 raw.try_send(&wire::encode_envelope(&Envelope::Bye))
                     .unwrap();
-                pump_alone(&t, &mut s, &mut d.pool, &counters, &mut events);
+                pump_alone(&t, &mut s, &mut d.pool, &mut stats, &mut events);
                 drop(s); // the raw end reads to EOF
                 assert_eq!(read_frames(&t, &mut raw), vec![hello(1), Envelope::Bye]);
             } else {
                 drop(raw);
-                pump_alone(&t, &mut s, &mut d.pool, &counters, &mut events);
+                pump_alone(&t, &mut s, &mut d.pool, &mut stats, &mut events);
             }
             assert!(
                 matches!(events.last(), Some(SessionEvent::Closed { token: 30, clean }) if *clean == bye),
                 "bye={bye}: {events:?}"
             );
-            assert_eq!(counters.snapshot().sessions_closed, 1);
+            assert_eq!(stats.sessions_closed, 1);
         }
     }
 
@@ -716,10 +703,10 @@ mod tests {
         t: &MemTransport,
         s: &mut Session,
         pool: &mut BufPool,
-        counters: &NodeCounters,
+        stats: &mut NodeStats,
         events: &mut Vec<SessionEvent>,
     ) {
-        while s.pump(PeerId(1), t.clock().now(), pool, counters, events)
+        while s.pump(PeerId(1), t.clock().now(), pool, stats, events)
             || advance(t, &[s.next_ready_at()])
         {}
     }
@@ -748,25 +735,25 @@ mod tests {
     fn silent_peer_fails_handshake_at_deadline() {
         let t = net();
         let (conn_a, _mute) = pair(&t);
-        let counters = NodeCounters::default();
+        let mut stats = NodeStats::default();
         let mut pool = BufPool::new();
         let t0 = t.clock().now();
-        let mut s = Session::new(1, conn_a, Direction::Initiator, t0);
+        let mut s = Session::new(1, conn_a, t0);
         let mut events = Vec::new();
-        s.pump(PeerId(0), t0, &mut pool, &counters, &mut events);
+        s.pump(PeerId(0), t0, &mut pool, &mut stats, &mut events);
         // before the deadline: still waiting, and a re-check is scheduled
         let next = s
-            .check_deadlines(t0 + Duration::from_millis(10), &counters, &mut events)
+            .check_deadlines(t0 + Duration::from_millis(10), &mut stats, &mut events)
             .expect("still pending");
         assert_eq!(next, t0 + HANDSHAKE_TIMEOUT);
         // past the deadline: closed unclean, counted as failed
-        assert!(s.check_deadlines(next, &counters, &mut events).is_none());
+        assert!(s.check_deadlines(next, &mut stats, &mut events).is_none());
         assert!(s.is_closed());
         assert!(matches!(
             events.last().unwrap(),
             SessionEvent::Closed { clean: false, .. }
         ));
-        assert_eq!(counters.snapshot().sessions_failed, 1);
+        assert_eq!(stats.sessions_failed, 1);
     }
 
     /// Swarm frames ride the same session as record exchanges and are
@@ -806,7 +793,7 @@ mod tests {
                 ..
             }
         )));
-        let s = d.counters.snapshot();
+        let s = d.stats;
         assert_eq!(s.pieces_sent, 1);
         assert_eq!(s.pieces_received, 1);
         assert_eq!(s.records_sent, 1);
@@ -818,18 +805,18 @@ mod tests {
         let Duo {
             mut a,
             mut pool,
-            counters,
+            mut stats,
             ..
         } = Duo::established(1, 2);
-        assert!(a.enqueue_envelope(&msg(0, 1, 1), &mut pool, 2, &counters));
-        assert!(a.enqueue_envelope(&msg(0, 1, 2), &mut pool, 2, &counters));
+        assert!(a.enqueue_envelope(&msg(0, 1, 1), &mut pool, 2, &mut stats));
+        assert!(a.enqueue_envelope(&msg(0, 1, 2), &mut pool, 2, &mut stats));
         assert!(
-            !a.enqueue_envelope(&msg(0, 1, 3), &mut pool, 2, &counters),
+            !a.enqueue_envelope(&msg(0, 1, 3), &mut pool, 2, &mut stats),
             "cap is 2"
         );
         let shared: Rc<[u8]> = Rc::from(&wire::encode_envelope(&Envelope::Bye)[..]);
-        assert!(!a.enqueue_shared(shared, 0, 2, &counters), "one cap");
-        assert_eq!(counters.snapshot().shed_session, 2);
+        assert!(!a.enqueue_shared(shared, 0, 2, &mut stats), "one cap");
+        assert_eq!(stats.shed_session, 2);
         assert_eq!(pool.outstanding(), 2, "a shed frame takes no buffer");
     }
 
@@ -883,7 +870,7 @@ mod tests {
             SessionEvent::Delta { from: PeerId(1), msg, .. } if *msg == delta
         )));
 
-        let s = d.counters.snapshot();
+        let s = d.stats;
         assert_eq!(s.digests_sent, 1);
         assert_eq!(s.deltas_sent, 1);
         assert_eq!(s.records_sent, 2, "delta records count as records");
@@ -907,7 +894,7 @@ mod tests {
         assert!(d.send_b(&Envelope::Delta(forged)));
         d.settle();
         assert!(d.a.is_closed());
-        assert!(d.counters.snapshot().protocol_errors >= 1);
+        assert!(d.stats.protocol_errors >= 1);
         assert!(!d
             .ev_a
             .iter()

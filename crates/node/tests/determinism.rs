@@ -224,7 +224,7 @@ fn pump_order_and_redundant_polls_change_nothing() {
             let now = clock.now();
             clock.advance_to(next.max(now + Duration::from_micros(1)));
         }
-        (a.counters().snapshot(), b.counters().snapshot())
+        (*a.stats(), *b.stats())
     }
 
     let baseline = drive(false, 0, false);

@@ -1,27 +1,26 @@
 //! Session-lifecycle edge cases under the reactor.
 //!
-//! Three failure-mode contracts the refactor must honour:
+//! Two failure-mode contracts the refactor must honour:
 //!
 //! 1. a **half-open peer** — completes the handshake then goes silent —
 //!    is reaped by the idle deadline on the timer wheel, and the peer
 //!    observes the close;
 //! 2. a **`Bye` arriving while the decoder holds a partial frame**
 //!    still drains cleanly: the buffered frame is dispatched first,
-//!    then the `Bye` closes the session clean;
-//! 3. **dial backoff caps at its maximum** with jitter strictly inside
-//!    the configured bounds, for any failure count.
+//!    then the `Bye` closes the session clean.
+//!
+//! A third, **dial backoff caps at its maximum** with jitter strictly
+//! inside the configured bounds for any failure count, is pinned next
+//! to the private `backoff_delay` by the reactor's unit test
+//! `dial_backoff_caps_at_maximum_with_bounded_jitter`.
 
 use bartercast_core::codec::BufPool;
 use bartercast_core::{DeltaMsg, Frontier, PrivateHistory, TransferRecord};
-use bartercast_node::backoff_delay;
 use bartercast_node::mem::{MemConfig, MemTransport};
-use bartercast_node::session::{Direction, Session, SessionEvent};
-use bartercast_node::stats::NodeCounters;
+use bartercast_node::session::{Session, SessionEvent};
 use bartercast_node::wire::{self, Envelope};
-use bartercast_node::{Lockstep, NodeConfig, VirtualClock};
+use bartercast_node::{Lockstep, NodeConfig, NodeStats, VirtualClock};
 use bartercast_util::units::{Bytes, PeerId};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -86,10 +85,10 @@ fn bye_after_a_partially_decoded_frame_drains_cleanly() {
     let mut raw = transport.connect(PeerId(0), PeerId(1)).unwrap();
     let accepted = listener.try_accept().expect("queued conn");
 
-    let counters = NodeCounters::default();
+    let mut stats = NodeStats::default();
     let mut events: Vec<SessionEvent> = Vec::new();
     let now = transport.clock().now();
-    let mut session = Session::new(7, accepted, Direction::Responder, now);
+    let mut session = Session::new(7, accepted, now);
 
     // handshake: raw peer says Hello, session establishes
     raw.try_send(&wire::encode_envelope(&Envelope::Hello {
@@ -97,7 +96,7 @@ fn bye_after_a_partially_decoded_frame_drains_cleanly() {
         version: wire::NODE_PROTOCOL_VERSION,
     }))
     .unwrap();
-    pump_settled(&mut session, &transport, &counters, &mut events);
+    pump_settled(&mut session, &transport, &mut stats, &mut events);
     assert!(session.is_established());
 
     // one full Delta frame, split mid-frame; Bye right behind the tail
@@ -115,7 +114,7 @@ fn bye_after_a_partially_decoded_frame_drains_cleanly() {
     let split = frame.len() / 2;
     assert!(split > 0 && split < frame.len());
     raw.try_send(&frame[..split]).unwrap();
-    pump_settled(&mut session, &transport, &counters, &mut events);
+    pump_settled(&mut session, &transport, &mut stats, &mut events);
     assert!(
         !events
             .iter()
@@ -127,7 +126,7 @@ fn bye_after_a_partially_decoded_frame_drains_cleanly() {
     raw.try_send(&frame[split..]).unwrap();
     raw.try_send(&wire::encode_envelope(&Envelope::Bye))
         .unwrap();
-    pump_settled(&mut session, &transport, &counters, &mut events);
+    pump_settled(&mut session, &transport, &mut stats, &mut events);
 
     assert!(
         events.iter().any(|e| matches!(
@@ -143,7 +142,6 @@ fn bye_after_a_partially_decoded_frame_drains_cleanly() {
         events.last().unwrap(),
         SessionEvent::Closed { clean: true, .. }
     ));
-    let stats = counters.snapshot();
     assert_eq!(stats.sessions_closed, 1);
     assert_eq!(stats.protocol_errors, 0);
     // the session answered the Bye in kind: drain our side (all of it
@@ -169,48 +167,10 @@ fn bye_after_a_partially_decoded_frame_drains_cleanly() {
 fn pump_settled(
     session: &mut Session,
     transport: &MemTransport,
-    counters: &NodeCounters,
+    stats: &mut NodeStats,
     events: &mut Vec<SessionEvent>,
 ) {
     let mut pool = BufPool::new();
     let now = transport.clock().now();
-    while session.pump(PeerId(1), now, &mut pool, counters, events) {}
-}
-
-/// The backoff delay must cap at `backoff_max` and its jitter must stay
-/// strictly within `[max, max * (1 + jitter)]` once capped — for any
-/// failure count, including the shift-overflow-prone ones.
-#[test]
-fn dial_backoff_caps_at_maximum_with_bounded_jitter() {
-    let base = Duration::from_millis(20);
-    let max = Duration::from_millis(500);
-    let jitter = 0.5;
-    let mut rng = StdRng::seed_from_u64(0xBC);
-    // pre-cap: deterministic doubling (jitter 0)
-    let mut zero_rng = StdRng::seed_from_u64(1);
-    assert_eq!(
-        backoff_delay(1, base, max, 0.0, &mut zero_rng),
-        Duration::from_millis(20)
-    );
-    assert_eq!(
-        backoff_delay(3, base, max, 0.0, &mut zero_rng),
-        Duration::from_millis(80)
-    );
-    // at and past the cap, across many draws: bounded jitter, never
-    // below max, never above max * 1.5
-    for failures in [6u32, 10, 16, 17, 31, 64, u32::MAX] {
-        for _ in 0..200 {
-            let d = backoff_delay(failures, base, max, jitter, &mut rng);
-            assert!(d >= max, "failures={failures}: {d:?} fell below the cap");
-            assert!(
-                d <= max.mul_f64(1.0 + jitter),
-                "failures={failures}: {d:?} exceeded the jitter ceiling"
-            );
-        }
-    }
-    // jitter actually spreads: 200 draws at the cap aren't all equal
-    let draws: Vec<Duration> = (0..200)
-        .map(|_| backoff_delay(16, base, max, jitter, &mut rng))
-        .collect();
-    assert!(draws.iter().any(|d| *d != draws[0]), "jitter never varied");
+    while session.pump(PeerId(1), now, &mut pool, stats, events) {}
 }

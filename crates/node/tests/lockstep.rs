@@ -61,7 +61,8 @@ fn polls_per_step_stay_below_the_node_count() {
 }
 
 /// Crash-restart without swarm code: a node retired mid-run keeps its
-/// final snapshot in `stats()`/`edges()`, and the same id spawned again
+/// final counters in `stats()` (its live sessions now counted closed)
+/// and its edges in `edges()`, and the same id spawned again
 /// from an empty history relearns the whole expected set (every record
 /// of its own is also held by the transfer's counterpart).
 #[test]
@@ -79,12 +80,20 @@ fn retired_node_respawned_empty_reconverges() {
     );
 
     cluster.lockstep_mut().retire(victim);
-    assert_eq!(cluster.stats(), stats_before, "departed snapshot kept");
+    let mut closed = stats_before.clone();
+    let books = &mut closed[3];
+    assert!(books.sessions_live > 0 && books.sessions_opened == books.sessions_live);
+    books.sessions_closed += std::mem::take(&mut books.sessions_live);
+    assert_eq!(
+        cluster.stats(),
+        closed,
+        "departed counters kept, books closed"
+    );
     assert_eq!(cluster.edges(), edges_before);
     while cluster.elapsed() < Duration::from_millis(300) {
         assert!(cluster.step());
     }
-    assert_eq!(cluster.stats()[3], stats_before[3], "snapshot is final");
+    assert_eq!(cluster.stats()[3], closed[3], "departed counters are final");
 
     let bootstrap = (0..config.n as u32)
         .map(PeerId)

@@ -333,8 +333,8 @@ impl SwarmCluster {
         self.lockstep.transport()
     }
 
-    /// Per-node counter snapshots in id order — live nodes plus the
-    /// final snapshots of departed ones.
+    /// Per-node counters in id order — live nodes plus the final
+    /// counters of departed ones.
     pub fn stats(&self) -> BTreeMap<PeerId, NodeStats> {
         self.lockstep.stats()
     }

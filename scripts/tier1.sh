@@ -6,6 +6,12 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
+# The node runtime is single-threaded: nothing in the node or swarm
+# sources reaches for `std::sync` (atomics, `Arc`, locks).
+if grep -rn 'std::sync' crates/node/src crates/swarm/src; then
+    echo "error: std::sync in the single-threaded node runtime" >&2
+    exit 1
+fi
 # Every mutant in mutants.txt whose file this change touches must
 # still be killed by the tests it names (one debug build in a scratch
 # copy, then a rebuild of the mutated crate per entry). The full list
