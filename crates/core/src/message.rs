@@ -63,13 +63,17 @@ pub fn claims(sender: PeerId, record: &TransferRecord) -> Option<[((PeerId, Peer
 
 /// Max-merge the [`claims`] of `records`, sent by `sender`, into
 /// `graph`. Returns the number of edges that changed.
-pub fn merge_records(
+pub fn merge_records<'a>(
     graph: &mut ContributionGraph,
     sender: PeerId,
-    records: &[TransferRecord],
+    records: impl IntoIterator<Item = &'a TransferRecord>,
 ) -> usize {
     let mut changed = 0;
-    for ((from, to), total) in records.iter().filter_map(|r| claims(sender, r)).flatten() {
+    for ((from, to), total) in records
+        .into_iter()
+        .filter_map(|r| claims(sender, r))
+        .flatten()
+    {
         changed += usize::from(graph.merge_record(from, to, total));
     }
     changed

@@ -81,9 +81,13 @@ impl PeerState {
 
     /// Max-merge `records` sent by `from` into the subjective graph and
     /// keep `stamp` as the next claim on `from`. Returns the number of
-    /// edges that changed.
+    /// edges that changed. A record about this peer is dropped: it
+    /// claims the two edges between `from` and this peer, which this
+    /// peer measures itself, so gossip never writes an own edge.
     pub fn absorb(&mut self, from: PeerId, stamp: Frontier, records: &[TransferRecord]) -> usize {
-        let changed = message::merge_records(self.engine.graph_mut(), from, records);
+        let me = self.history.owner();
+        let kept = records.iter().filter(|r| r.peer != me);
+        let changed = message::merge_records(self.engine.graph_mut(), from, kept);
         self.claims.insert(from, stamp);
         changed
     }

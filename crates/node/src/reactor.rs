@@ -900,13 +900,17 @@ mod tests {
     }
 
     /// Two reactors pumped in lockstep on virtual time converge to each
-    /// other's records without any thread ever sleeping.
+    /// other's records without any thread ever sleeping. Both ends of
+    /// the `0 → 1` transfer record it, as a real transfer does: gossip
+    /// never writes an edge incident to its receiver.
     #[test]
     fn two_reactors_converge_on_virtual_time() {
         let mut lockstep = Lockstep::new(MemConfig::default());
+        let mut b = history_with_upload(1, 2, 32);
+        b.record_download(PeerId(0), Bytes::from_mb(64), Seconds(1));
         for (id, peer, history, seed) in [
             (PeerId(0), PeerId(1), history_with_upload(0, 1, 64), 1),
-            (PeerId(1), PeerId(0), history_with_upload(1, 2, 32), 2),
+            (PeerId(1), PeerId(0), b, 2),
         ] {
             lockstep.spawn(id, vec![peer], history, fast_config(seed));
         }

@@ -246,22 +246,26 @@ mod tests {
         assert_eq!(records[0].up, Bytes::from_gb(100));
     }
 
-    /// A gossiped claim that raises the peer's own edge above its
-    /// private total is not added onto by a later real transfer: the
-    /// edge is max-merged to the private total, as on a live node.
+    /// A claim about the receiver writes nothing: peer 0 downloaded
+    /// 1 MB from peer 7 and uploaded 10 MB to it, and 7's record
+    /// `(peer 0, up 100 GB, down 0)` leaves 7's reputation at 0 bitwise
+    /// as it was, and the `7 → 0` edge at 0's first-hand total.
     #[test]
-    fn a_transfer_is_merged_not_added_onto_a_gossiped_claim() {
+    fn a_claim_about_the_receiver_moves_no_reputation() {
         let mut p = peer(0, Conduct::Honest);
-        // peer 1 reports downloading 100 MB from peer 0
-        let (up, down) = (Bytes::ZERO, Bytes::from_mb(100));
-        let claim = bartercast_core::TransferRecord {
+        let liar = PeerId(7);
+        p.note_download(liar, Bytes::from_mb(1), Seconds(1));
+        p.note_upload(liar, Bytes::from_mb(10), Seconds(2));
+        let before = p.reputation(liar);
+        assert!(before < 0.0);
+        let lie = bartercast_core::TransferRecord {
             peer: p.id,
-            up,
-            down,
+            up: Bytes::from_gb(100),
+            down: Bytes::ZERO,
         };
-        p.absorb(PeerId(1), Frontier::default(), &[claim]);
-        p.note_upload(PeerId(1), Bytes::from_mb(10), Seconds(1));
-        assert_eq!(p.engine.graph().edge(p.id, PeerId(1)), down);
+        assert_eq!(p.absorb(liar, Frontier::default(), &[lie]), 0);
+        assert_eq!(p.reputation(liar).to_bits(), before.to_bits());
+        assert_eq!(p.engine.graph().edge(liar, p.id), Bytes::from_mb(1));
     }
 
     /// The point queries `reputations_of` makes equal, bitwise, a

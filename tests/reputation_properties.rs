@@ -1,7 +1,10 @@
 //! Cross-crate property tests on the reputation pipeline: Equation 1
 //! invariants that must hold for *any* pattern of transfers and gossip.
 
-use bartercast::core::{BarterCastConfig, BarterCastMessage, PrivateHistory, ReputationEngine};
+use bartercast::core::{
+    BarterCastConfig, BarterCastMessage, Frontier, PeerState, PrivateHistory, ReputationEngine,
+    TransferRecord,
+};
 use bartercast::graph::maxflow::Method;
 use bartercast::util::units::{Bytes, PeerId, Seconds};
 use proptest::prelude::*;
@@ -24,49 +27,53 @@ fn histories(events: &[(u32, u32, u64)]) -> Vec<PrivateHistory> {
     hs
 }
 
-/// Gossip can only make an evaluation better-informed, never
-/// reverse the sign of a purely-direct negative balance: a peer I
-/// only uploaded to cannot become positive through third-party
-/// claims, because maxflow toward me is capped by my in-edges
-/// (§3.4). Holds on every kernel the engine can select, through
-/// point and batch queries alike.
+/// Every path into the evaluator ends in an edge it measured, because
+/// `PeerState::absorb` drops every claim on an edge incident to its
+/// receiver. So whatever peers 1..=7 claim, the evaluator included:
+/// `flow(j → me)` is at most my first-hand download total, and peer 7,
+/// to whom I uploaded more than I downloaded from anyone in total,
+/// cannot turn positive (§3.2, §3.4). Holds on every kernel the engine
+/// can select, through point and batch queries alike.
 fn pure_taker_stays_non_positive(
     events: &[(u32, u32, u64)],
+    downloads: &[(u32, u64)],
     taker_amount: u64,
     claim: u64,
 ) -> Result<(), TestCaseError> {
-    // I (peer 0) only ever uploaded to peer 7 and downloaded nothing.
-    let mut h = PrivateHistory::new(PeerId(0));
-    h.record_upload(PeerId(7), Bytes(taker_amount), Seconds(1));
-    let mut base = ReputationEngine::from_private(&h);
-    // peer 7 lies arbitrarily about serving others
-    let lie = BarterCastMessage {
-        sender: PeerId(7),
-        records: events
-            .iter()
-            .map(|&(_, to, _)| bartercast::core::TransferRecord {
-                peer: PeerId(1 + (to % 6)), // peers 1..=6: never me (0) or the liar (7)
-                up: Bytes(claim),
-                down: Bytes::ZERO,
-            })
-            .collect(),
-    };
-    base.absorb_message(&lie);
+    let me = PeerId(0);
+    let mut state = PeerState::new(PrivateHistory::new(me), ReputationEngine::new());
+    // first-hand: downloads from peers 1..=6, never from the taker 7
+    for (t, &(from, amount)) in downloads.iter().enumerate() {
+        state.record_download(PeerId(from), Bytes(amount), Seconds(t as u64));
+    }
+    let downloaded: Bytes = state.history.iter().map(|(_, t)| t.down).sum();
+    state.record_upload(PeerId(7), downloaded + Bytes(taker_amount), Seconds(1));
+    // second-hand: arbitrary records from peers 1..=7 about anyone, me included
+    for &(from, to, amount) in events {
+        let record = TransferRecord {
+            peer: PeerId(to),
+            up: Bytes(claim),
+            down: Bytes(amount),
+        };
+        state.absorb(PeerId(1 + from % 7), Frontier::default(), &[record]);
+    }
     for method in [Method::DEPLOYED, Method::Bounded(3), Method::Dinic] {
+        let engine = state.engine.clone().with_method(method);
+        for j in 1..8u32 {
+            let (inflow, _) = engine.flows(me, PeerId(j));
+            prop_assert!(
+                inflow <= downloaded,
+                "{method:?}: flow({j} → me) = {inflow:?} above my downloads {downloaded:?}"
+            );
+        }
         // separate engines so the batch runs its own sweep instead
         // of hitting the point query's memo entry
-        let r = base
-            .clone()
-            .with_method(method)
-            .reputation(PeerId(0), PeerId(7));
+        let r = engine.clone().reputation(me, PeerId(7));
         prop_assert!(
             r <= 0.0,
             "{method:?}: pure taker must stay non-positive, got {r}"
         );
-        let swept = base
-            .clone()
-            .with_method(method)
-            .reputations_from(PeerId(0), &[PeerId(7)])[0];
+        let swept = engine.clone().reputations_from(me, &[PeerId(7)])[0];
         prop_assert!(
             swept <= 0.0,
             "{method:?} batch: pure taker must stay non-positive, got {swept}"
@@ -77,10 +84,11 @@ fn pure_taker_stays_non_positive(
 
 /// A case real proptest once shrank a failure of
 /// `lies_cannot_turn_pure_taker_positive` to: one lying record whose
-/// claim exceeds what I uploaded to the liar.
+/// claim exceeds what I uploaded to the liar, here sent by the liar
+/// about me.
 #[test]
 fn pure_taker_regression_single_inflated_claim() {
-    pure_taker_stays_non_positive(&[(0, 7, 1)], 1, 2).expect("pinned regression case");
+    pure_taker_stays_non_positive(&[(6, 0, 1)], &[], 1, 2).expect("pinned regression case");
 }
 
 proptest! {
@@ -122,10 +130,11 @@ proptest! {
     #[test]
     fn lies_cannot_turn_pure_taker_positive(
         events in transfers(),
+        downloads in prop::collection::vec((1u32..7, 1u64..2_000_000_000), 0..6),
         taker_amount in 1u64..2_000_000_000,
         claim in 1u64..u32::MAX as u64,
     ) {
-        pure_taker_stays_non_positive(&events, taker_amount, claim)?;
+        pure_taker_stays_non_positive(&events, &downloads, taker_amount, claim)?;
     }
 
     /// The deployed two-hop evaluation never exceeds the unbounded one
