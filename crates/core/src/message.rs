@@ -69,11 +69,8 @@ pub fn merge_records<'a>(
     records: impl IntoIterator<Item = &'a TransferRecord>,
 ) -> usize {
     let mut changed = 0;
-    for ((from, to), total) in records
-        .into_iter()
-        .filter_map(|r| claims(sender, r))
-        .flatten()
-    {
+    let claimed = records.into_iter().filter_map(|r| claims(sender, r));
+    for ((from, to), total) in claimed.flatten() {
         changed += usize::from(graph.merge_record(from, to, total));
     }
     changed

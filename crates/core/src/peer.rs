@@ -12,12 +12,6 @@ use crate::repcache::ReputationEngine;
 use bartercast_util::units::{Bytes, PeerId, Seconds};
 use bartercast_util::FxHashMap;
 
-/// The [`message::claims`] side an upload moves: the source claim, the
-/// edge owner → peer.
-const UPLOAD: usize = 0;
-/// The side a download moves: the target claim, the edge peer → owner.
-const DOWNLOAD: usize = 1;
-
 /// A peer's private history, its subjective graph, the claim it holds
 /// on each sender's slice and the memo of its own advertised slice.
 #[derive(Debug)]
@@ -92,46 +86,35 @@ impl PeerState {
         changed
     }
 
-    /// Account an upload of `amount` bytes to `peer`: the history gains
-    /// the bytes and the graph edge is max-merged to the new private
-    /// total, so a gossiped claim above that total is not added onto.
+    /// Account an upload of `amount` bytes to `peer`: the history and
+    /// the edge owner → peer both gain the bytes. Gossip never writes
+    /// an edge incident to this peer, so the edge stays the history's
+    /// total.
     pub fn record_upload(&mut self, peer: PeerId, amount: Bytes, now: Seconds) {
         self.history.record_upload(peer, amount, now);
-        self.merge_own(peer, UPLOAD);
+        let me = self.history.owner();
+        self.engine.graph_mut().add_transfer(me, peer, amount);
     }
 
-    /// The mirror of [`PeerState::record_upload`].
+    /// The mirror of [`PeerState::record_upload`]: the edge peer → owner.
     pub fn record_download(&mut self, peer: PeerId, amount: Bytes, now: Seconds) {
         self.history.record_download(peer, amount, now);
-        self.merge_own(peer, DOWNLOAD);
+        let me = self.history.owner();
+        self.engine.graph_mut().add_transfer(peer, me, amount);
     }
 
     /// [`PeerState::record_upload`] of one completed piece.
     pub fn record_piece_upload(&mut self, peer: PeerId, amount: Bytes, now: Seconds) {
         self.history.record_piece_upload(peer, amount, now);
-        self.merge_own(peer, UPLOAD);
+        let me = self.history.owner();
+        self.engine.graph_mut().add_transfer(me, peer, amount);
     }
 
     /// [`PeerState::record_download`] of one completed piece.
     pub fn record_piece_download(&mut self, peer: PeerId, amount: Bytes, now: Seconds) {
         self.history.record_piece_download(peer, amount, now);
-        self.merge_own(peer, DOWNLOAD);
-    }
-
-    /// Max-merge one edge with `peer` to its private total: `side`
-    /// picks the [`message::claims`] of the record this peer would send
-    /// about `peer`, received from itself. Only the side a record call
-    /// moved is merged; the other edge already holds at least its
-    /// total, since every earlier call merged it and merges only raise.
-    fn merge_own(&mut self, peer: PeerId, side: usize) {
-        let Some(totals) = self.history.get(peer) else {
-            return;
-        };
-        let own = TransferRecord::of(peer, &totals);
-        if let Some(claims) = message::claims(self.history.owner(), &own) {
-            let ((from, to), total) = claims[side];
-            self.engine.graph_mut().merge_record(from, to, total);
-        }
+        let me = self.history.owner();
+        self.engine.graph_mut().add_transfer(peer, me, amount);
     }
 
     /// This peer's reputation of `peer` (Equation 1).

@@ -805,7 +805,7 @@ impl Reactor {
                         }
                     }
                 }
-                SessionEvent::Delta { from, msg, .. } => {
+                SessionEvent::Delta { from, msg } => {
                     let n = msg.records.len() as u64;
                     if self.state.absorb(from, msg.stamp, &msg.records) == 0 && n > 0 {
                         self.stats.records_duplicate += n;

@@ -40,7 +40,8 @@ use std::time::{Duration, Instant};
 
 /// What a session reports back to the reactor core. `token` is the
 /// reactor-assigned id of the session, so events can be correlated
-/// with the session table even before the remote identity is known.
+/// with the session table even before the remote identity is known;
+/// a `Delta` is absorbed by its sender's id alone and carries none.
 #[derive(Debug)]
 pub enum SessionEvent {
     /// Handshake completed; the remote identity is now known.
@@ -63,8 +64,6 @@ pub enum SessionEvent {
     /// A `Delta` envelope arrived: records we were missing plus the
     /// peer's fresh frontier stamp (cache it for the next digest).
     Delta {
-        /// Reactor-assigned session id.
-        token: u64,
         /// Peer the session is established with.
         from: PeerId,
         /// The decoded delta.
@@ -435,11 +434,7 @@ impl Session {
                         return true;
                     }
                     stats.records_received += msg.records.len() as u64;
-                    events.push(SessionEvent::Delta {
-                        token: self.token,
-                        from,
-                        msg,
-                    });
+                    events.push(SessionEvent::Delta { from, msg });
                 }
                 (SessionState::Exchange, Envelope::Swarm(frame)) => {
                     if matches!(frame, SwarmFrame::Piece { .. }) {
@@ -643,7 +638,7 @@ mod tests {
             }
         ));
         assert!(
-            matches!(&d.ev_a[1], SessionEvent::Delta { from: PeerId(1), msg, .. } if msg.sender == PeerId(1))
+            matches!(&d.ev_a[1], SessionEvent::Delta { from: PeerId(1), msg } if msg.sender == PeerId(1))
         );
         assert!(matches!(
             d.ev_b[0],
@@ -653,7 +648,7 @@ mod tests {
             }
         ));
         assert!(
-            matches!(&d.ev_b[1], SessionEvent::Delta { from: PeerId(0), msg, .. } if msg.sender == PeerId(0))
+            matches!(&d.ev_b[1], SessionEvent::Delta { from: PeerId(0), msg } if msg.sender == PeerId(0))
         );
 
         let s = d.stats;
@@ -867,7 +862,7 @@ mod tests {
         d.settle();
         assert!(d.ev_a.iter().any(|e| matches!(
             e,
-            SessionEvent::Delta { from: PeerId(1), msg, .. } if *msg == delta
+            SessionEvent::Delta { from: PeerId(1), msg } if *msg == delta
         )));
 
         let s = d.stats;

@@ -104,8 +104,6 @@ fn retired_node_respawned_empty_reconverges() {
         .lockstep_mut()
         .spawn(victim, bootstrap, PrivateHistory::new(victim), config.node);
     assert!(cluster.edges()[3].is_empty(), "live node shadows snapshot");
-    // gossip never writes an edge incident to its receiver, so the
-    // empty-handed victim relearns every other edge and none of its own
     let others: Vec<_> = cluster
         .expected()
         .iter()
